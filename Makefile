@@ -67,6 +67,10 @@
 #                       benchmarks/results/BENCH_plan.json
 #   make bench-plan-smoke - <60s smoke of the same with a relaxed regret bar
 #                       (adaptation gates are never relaxed)
+#   make bench-e2e-smoke - the end-to-end benchmark's own tests, then a
+#                       smoke run of the two join-heavy workloads (serial
+#                       and sharded ACMPub); fails when a result digest or
+#                       the pinned candidate-join output drifts
 
 PYTHON ?= python
 export PYTHONPATH := src
@@ -74,9 +78,9 @@ export PYTHONPATH := src
 # Minimum acceptable line coverage (percent) for `make coverage`.
 COVERAGE_FLOOR ?= 85
 
-.PHONY: check test engine-smoke shard-smoke stream-smoke serve-smoke plan-smoke verify lint coverage bench-smoke bench-perf bench-shard bench-selection bench-selection-smoke bench-obs bench-obs-smoke bench-stream bench-stream-smoke bench-serve bench-serve-smoke bench-plan bench-plan-smoke
+.PHONY: check test engine-smoke shard-smoke stream-smoke serve-smoke plan-smoke verify lint coverage bench-smoke bench-perf bench-shard bench-selection bench-selection-smoke bench-obs bench-obs-smoke bench-stream bench-stream-smoke bench-serve bench-serve-smoke bench-plan bench-plan-smoke bench-e2e-smoke
 
-check: test engine-smoke shard-smoke stream-smoke serve-smoke plan-smoke bench-selection-smoke bench-obs-smoke bench-stream-smoke bench-serve-smoke bench-plan-smoke verify coverage lint
+check: test engine-smoke shard-smoke stream-smoke serve-smoke plan-smoke bench-selection-smoke bench-obs-smoke bench-stream-smoke bench-serve-smoke bench-plan-smoke bench-e2e-smoke verify coverage lint
 
 test:
 	$(PYTHON) -m pytest -q
@@ -201,3 +205,8 @@ PLAN_SMOKE_OUT ?= /tmp/BENCH_plan_smoke.json
 bench-plan-smoke:
 	POWER_BENCH_FAST=1 $(PYTHON) benchmarks/bench_plan_quality.py --check \
 		--out $(PLAN_SMOKE_OUT)
+
+bench-e2e-smoke:
+	$(PYTHON) -m pytest benchmarks/e2e -q
+	$(PYTHON) benchmarks/e2e/harness.py run --smoke --workload resolve-acmpub \
+		--workload shard-acmpub --repeats 1

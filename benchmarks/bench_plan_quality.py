@@ -1,8 +1,8 @@
 """Planner-quality benchmark: regret vs exhaustive configuration search.
 
-Times every (join method x similarity substrate) combination on the
-planner-visible pipeline stages, calibrates the host, plans, and grades
-the planned configuration against the exhaustive best and worst.  Also
+Times every similarity substrate on the planner-visible pipeline stages,
+calibrates the host, plans, and grades the planned configuration against
+the exhaustive best and worst.  Also
 plans the same table under perturbed synthetic host profiles and demands
 the decisions diverge.  The report lands in
 ``benchmarks/results/BENCH_plan.json``.
@@ -81,8 +81,8 @@ def main(argv: list[str] | None = None) -> int:
         print("all gates passed:", json.dumps({
             "worst_regret": max(cell["regret"] for cell in report["grid"]),
             "regret_max": report["gates"]["regret_max"],
-            "synthetic_joins": sorted(
-                {entry["join_method"] for entry in report["synthetic_hosts"]}
+            "synthetic_substrates": sorted(
+                {entry["use_batch_similarity"] for entry in report["synthetic_hosts"]}
             ),
         }))
     return 0

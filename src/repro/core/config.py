@@ -19,13 +19,10 @@ class PowerConfig:
         attribute_threshold: per-attribute clamp ``tau`` (Table 2 uses 0.2).
         pruning_threshold: record-level Jaccard bound for candidate pairs
             (the paper uses 0.3 on ACMPub, 0.2 elsewhere).
-        join_method: candidate-join strategy — ``"auto"`` (default; picks by
-            table size, see
-            :data:`repro.similarity.join.AUTO_PREFIX_CROSSOVER`), ``"naive"``,
-            ``"prefix"``, or ``"sparse"``.  Lets the resolver force the prefix
-            join (or the numpy inverted-list join) regardless of table size.
         join_tokens: token sets for the pruning join — ``"word"`` (default)
-            or ``"qgram"``.
+            or ``"qgram"``.  The join itself has one implementation, the
+            inverted-list :func:`repro.similarity.batch.sparse_jaccard_join`,
+            on the serial and sharded paths alike.
         use_batch_similarity: compute similarity vectors through the
             vectorized fast path
             (:func:`repro.similarity.batch.batch_similarity_matrix`; default)
@@ -76,7 +73,6 @@ class PowerConfig:
     similarity: str | tuple[str, ...] = "bigram"
     attribute_threshold: float = 0.2
     pruning_threshold: float = 0.2
-    join_method: str = "auto"
     join_tokens: str = "word"
     use_batch_similarity: bool = True
     use_incremental_selection: bool = True
@@ -96,15 +92,9 @@ class PowerConfig:
     plan: str = "off"
 
     def __post_init__(self) -> None:
-        from ..similarity.join import JOIN_METHODS
-
         if not 0.0 < self.pruning_threshold <= 1.0:
             raise ConfigurationError(
                 f"pruning_threshold must be in (0, 1], got {self.pruning_threshold}"
-            )
-        if self.join_method not in JOIN_METHODS:
-            raise ConfigurationError(
-                f"join_method must be one of {JOIN_METHODS}, got {self.join_method!r}"
             )
         if self.join_tokens not in ("word", "qgram"):
             raise ConfigurationError(

@@ -116,10 +116,6 @@ class PowerResolver:
     # Cost-based planning
     # ------------------------------------------------------------------ #
 
-    #: Plannable-knob constraint for this resolver: the serial pipeline
-    #: can use any join, including the global sparse one.
-    _plan_allows_sparse = True
-
     def _planned_clone(self, table: Table):
         """``(resolver, plan)`` — ``(self, None)`` when planning is off.
 
@@ -142,7 +138,6 @@ class PowerResolver:
             self.config,
             profile,
             workers=getattr(self, "workers", None),
-            allow_sparse=self._plan_allows_sparse,
         )
         clone = copy.copy(self)
         clone.config = plan_planner.apply_plan(self.config, plan)
@@ -158,7 +153,6 @@ class PowerResolver:
             table,
             self.config.pruning_threshold,
             tokens=self.config.join_tokens,
-            method=self.config.join_method,
         )
 
     def similarity_config(self, table: Table) -> SimilarityConfig:

@@ -8,7 +8,7 @@ ground truth) and a vectorized *fast path*:
 ===========  ==============================  ===================================
 stage        reference                       fast path
 ===========  ==============================  ===================================
-prune        prefix-filtered join            :func:`~repro.similarity.batch.sparse_jaccard_join`
+prune        prefix-join oracle              :func:`~repro.similarity.join.similar_pairs`
 vectorize    :func:`~repro.similarity.vectors.similarity_matrix`  :func:`~repro.similarity.batch.batch_similarity_matrix`
 construct    per-vertex broadcast loop       :func:`~repro.graph.construction.blocked_dominance_lists`
 ===========  ==============================  ===================================
@@ -43,6 +43,7 @@ from ..similarity import (
     similarity_matrix,
 )
 from ..similarity.tokenize import qgram_tokens, word_tokens
+from ..verify.oracles import prefix_join
 from .runner import fast_mode
 
 #: Acceptance floors of the full benchmark (ISSUE: the fast paths must beat
@@ -167,10 +168,16 @@ def run_pipeline_benchmark(
 
     # ---- Stage 1: prune (record-level similarity join) ------------------- #
     ref_seconds, ref_pairs = _best_of(
-        lambda: similar_pairs(table, threshold, method="prefix"), repeats
+        lambda: sorted(
+            prefix_join(
+                [word_tokens(table.record_text(r.record_id)) for r in table],
+                threshold,
+            )
+        ),
+        repeats,
     )
     fast_seconds, pairs = _best_of(
-        lambda: similar_pairs(table, threshold, method="sparse"), repeats
+        lambda: similar_pairs(table, threshold), repeats
     )
     assert pairs == ref_pairs, "sparse join disagrees with prefix join"
     stages.append(
@@ -328,7 +335,7 @@ def _selection_workload(
 ) -> tuple[object, list, np.ndarray]:
     """(table, pairs, vectors) for the selection bench, capped by similarity."""
     table, threshold = _bench_table(dataset, scale)
-    pairs = similar_pairs(table, threshold, method="sparse")
+    pairs = similar_pairs(table, threshold)
     config = SimilarityConfig.uniform(table.num_attributes, function="bigram")
     vectors = batch_similarity_matrix(table, pairs, config)
     if len(pairs) > max_vertices:

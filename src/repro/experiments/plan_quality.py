@@ -4,17 +4,17 @@ The cost planner's one job is picking fast settings, so this harness
 grades it the only honest way — against the ground truth of actually
 running every alternative:
 
-* **regret grid** — for each dataset scale, every (join method x
-  similarity substrate) combination runs the planner-visible pipeline
-  stages (candidate join, similarity vectors, graph construction) and is
-  timed best-of-N, with pair-universe equivalence asserted while timing.
+* **regret grid** — for each dataset scale, every similarity substrate
+  runs the planner-visible pipeline stages (candidate join, similarity
+  vectors, graph construction) and is timed best-of-N, with vector
+  equivalence asserted while timing.
   The host is then calibrated, the planner plans from the table's stats,
   and the planned combination's measured runtime is compared against the
   exhaustive best and worst.  Gates: planned within
   :data:`REGRET_MAX` of the best and strictly faster than the worst.
 * **synthetic-host adaptation** — the same stats planned under perturbed
-  profiles (a host with slow scalar loops, a host with huge numpy
-  dispatch overhead) must flip decisions accordingly.  Recorded and
+  profiles (a host with slow scalar loops, a host with costly numpy
+  kernels) must flip decisions accordingly.  Recorded and
   gated on *divergence* (the planner must respond to coefficients), not
   on time.
 
@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import platform
 import time
+
+import numpy as np
 
 from ..core import PowerConfig, PowerResolver
 from ..data.generators import load_dataset
@@ -41,21 +43,20 @@ REGRET_MAX = 1.15
 #: Smoke-run ceiling: sub-millisecond stages make ratios noisy.
 FAST_REGRET_MAX = 1.5
 
-#: The exhaustive grid: every planner-ownable (join, substrate) combo.
-JOIN_CHOICES = ("naive", "prefix", "sparse")
+#: The exhaustive grid: every planner-ownable similarity substrate.
 SUBSTRATE_CHOICES = (True, False)
 
 
-def _staged_seconds(table, config: PowerConfig, repeats: int) -> tuple[float, list]:
-    """Best-of-N wall time of the planner-visible stages; returns pairs too."""
+def _staged_seconds(table, config: PowerConfig, repeats: int):
+    """Best-of-N wall time of the planner-visible stages; returns vectors too."""
     resolver = PowerResolver(config)
-    pairs_holder = {}
+    vectors_holder = {}
 
     def run():
         pairs = resolver.candidate_pairs(table)
         vectors = resolver.similarity_vectors(table, pairs)
         resolver.build_graph(table, pairs, vectors=vectors)
-        pairs_holder["pairs"] = pairs
+        vectors_holder["vectors"] = vectors
 
     run()  # warmup (numpy dispatch, token interning)
     best = float("inf")
@@ -63,7 +64,7 @@ def _staged_seconds(table, config: PowerConfig, repeats: int) -> tuple[float, li
         started = time.perf_counter()
         run()
         best = min(best, time.perf_counter() - started)
-    return best, pairs_holder["pairs"]
+    return best, vectors_holder["vectors"]
 
 
 def _perturbed(profile: CalibrationProfile, scaling: dict[str, float]) -> CalibrationProfile:
@@ -88,18 +89,17 @@ def _perturbed(profile: CalibrationProfile, scaling: dict[str, float]) -> Calibr
 #: theorems about the cost model, not coin flips near a crossover.
 SYNTHETIC_HOSTS = {
     # A host where tight Python loops are catastrophically slow (think
-    # heavily instrumented interpreter): the quadratic naive join and the
-    # scalar substrate should never win.
+    # heavily instrumented interpreter): the scalar substrate and the
+    # scratch selection engine should never win.
     "slow-python": {
-        "join_naive": 1000.0,
         "vectorize_scalar": 1000.0,
         "selection_scratch": 1000.0,
     },
-    # A host where building sort/index structures is absurdly expensive:
-    # the prefix and sparse joins lose to the plain nested loop.
-    "costly-indexing": {
-        "join_prefix": 1000.0,
-        "join_sparse": 1000.0,
+    # A host where numpy kernels are absurdly expensive: the batch
+    # substrate and the incremental engine lose to the plain loops.
+    "costly-numpy": {
+        "vectorize_batch": 1000.0,
+        "selection_incremental": 1000.0,
     },
 }
 
@@ -124,41 +124,24 @@ def run_plan_benchmark(
         table = subsample_table(full_table, scale)
         stats = TableStats.from_table(table, seed=seed)
         measurements = []
-        reference_pairs = None
-        for join_method in JOIN_CHOICES:
-            for use_batch in SUBSTRATE_CHOICES:
-                config = PowerConfig(
-                    seed=seed,
-                    join_method=join_method,
-                    use_batch_similarity=use_batch,
+        reference_vectors = None
+        for use_batch in SUBSTRATE_CHOICES:
+            config = PowerConfig(seed=seed, use_batch_similarity=use_batch)
+            seconds, vectors = _staged_seconds(table, config, repeats)
+            if reference_vectors is None:
+                reference_vectors = vectors
+            elif not np.array_equal(vectors, reference_vectors):
+                raise AssertionError(
+                    "the similarity substrates produced different vectors "
+                    "— equivalence broken, timings meaningless"
                 )
-                seconds, pairs = _staged_seconds(table, config, repeats)
-                if reference_pairs is None:
-                    reference_pairs = pairs
-                elif pairs != reference_pairs:
-                    raise AssertionError(
-                        f"join {join_method!r} produced a different candidate "
-                        f"universe ({len(pairs)} vs {len(reference_pairs)} "
-                        "pairs) — equivalence broken, timings meaningless"
-                    )
-                measurements.append(
-                    {
-                        "join_method": join_method,
-                        "use_batch_similarity": use_batch,
-                        "seconds": round(seconds, 6),
-                    }
-                )
+            measurements.append(
+                {"use_batch_similarity": use_batch, "seconds": round(seconds, 6)}
+            )
         plan = plan_for_stats(stats, profile)
         planned_config = apply_plan(PowerConfig(seed=seed), plan)
-        planned_key = (
-            planned_config.join_method,
-            planned_config.use_batch_similarity,
-        )
-        by_key = {
-            (m["join_method"], m["use_batch_similarity"]): m["seconds"]
-            for m in measurements
-        }
-        planned_seconds = by_key[planned_key]
+        by_key = {m["use_batch_similarity"]: m["seconds"] for m in measurements}
+        planned_seconds = by_key[planned_config.use_batch_similarity]
         best_seconds = min(by_key.values())
         worst_seconds = max(by_key.values())
         grid.append(
@@ -169,8 +152,7 @@ def run_plan_benchmark(
                 "est_pairs": stats.est_pairs,
                 "configs": measurements,
                 "planned": {
-                    "join_method": planned_key[0],
-                    "use_batch_similarity": planned_key[1],
+                    "use_batch_similarity": planned_config.use_batch_similarity,
                 },
                 "planned_seconds": round(planned_seconds, 6),
                 "best_seconds": round(best_seconds, 6),
@@ -189,7 +171,6 @@ def run_plan_benchmark(
         adaptation.append(
             {
                 "host": name,
-                "join_method": synthetic_plan.knob("join_method"),
                 "use_batch_similarity": synthetic_plan.knob("use_batch_similarity"),
                 "use_incremental_selection": synthetic_plan.knob(
                     "use_incremental_selection"
@@ -242,27 +223,24 @@ def plan_acceptance_failures(report: dict) -> list[str]:
                 f"{cell['worst_seconds']:.4f}s)"
             )
     # Adaptation: perturbed hosts must actually change decisions.
-    joins = {entry["join_method"] for entry in report["synthetic_hosts"]}
-    if len(joins) < 2:
+    substrates = {
+        entry["use_batch_similarity"] for entry in report["synthetic_hosts"]
+    }
+    if len(substrates) < 2:
         failures.append(
             "synthetic-host adaptation is vacuous: every perturbed profile "
-            f"planned the same join ({joins}) — the planner is not reading "
-            "its coefficients"
+            f"planned the same substrate ({substrates}) — the planner is not "
+            "reading its coefficients"
         )
     slow_python = next(
         entry
         for entry in report["synthetic_hosts"]
         if entry["host"] == "slow-python"
     )
-    if slow_python["join_method"] == "naive":
-        failures.append(
-            "the slow-python synthetic host still planned the naive join — "
-            "a 50x scalar-loop penalty must rule it out"
-        )
     if not slow_python["use_batch_similarity"]:
         failures.append(
             "the slow-python synthetic host still planned the scalar "
-            "substrate — a 50x penalty must rule it out"
+            "substrate — a 1000x penalty must rule it out"
         )
     return failures
 
@@ -275,8 +253,7 @@ def plan_summary_rows(report: dict) -> list[tuple]:
             (
                 f"{cell['dataset']} x{cell['scale']:g}",
                 cell["rows"],
-                f"{cell['planned']['join_method']}"
-                f"/{'batch' if cell['planned']['use_batch_similarity'] else 'scalar'}",
+                "batch" if cell["planned"]["use_batch_similarity"] else "scalar",
                 f"{cell['planned_seconds'] * 1e3:.1f}",
                 f"{cell['best_seconds'] * 1e3:.1f}",
                 f"{cell['worst_seconds'] * 1e3:.1f}",
@@ -288,8 +265,7 @@ def plan_summary_rows(report: dict) -> list[tuple]:
             (
                 f"[host:{entry['host']}]",
                 "-",
-                f"{entry['join_method']}"
-                f"/{'batch' if entry['use_batch_similarity'] else 'scalar'}",
+                "batch" if entry["use_batch_similarity"] else "scalar",
                 "-",
                 "-",
                 "-",

@@ -1,7 +1,7 @@
 """repro.plan: calibrated cost-based planning for the whole pipeline.
 
-The pipeline exposes a dozen pure-performance knobs (candidate-join
-strategy, similarity substrate, selection engine, shard fan-out,
+The pipeline exposes a handful of pure-performance knobs (similarity
+substrate, selection engine, shard fan-out,
 streaming batch size, admission pricing) whose best settings depend on
 data scale and host hardware.  This package decides them from measured
 cost models instead of static heuristics:
@@ -9,7 +9,7 @@ cost models instead of static heuristics:
 * :mod:`~repro.plan.model` — per-stage affine cost models over analytic
   work units (non-negative and monotone by construction);
 * :mod:`~repro.plan.calibrate` — seeded micro-benchmarks producing a
-  versioned per-host profile (canonical JSON, schema ``version: 1``);
+  versioned per-host profile (canonical JSON, schema ``version: 2``);
 * :mod:`~repro.plan.planner` — table stats + profile -> an immutable
   :class:`~repro.plan.planner.Plan` with predicted costs and rejected
   alternatives, selected via ``PowerConfig(plan="auto"|"off"|<path>)``;
@@ -18,7 +18,7 @@ cost models instead of static heuristics:
 * :mod:`~repro.plan.feedback` — bounded folding of observed costs back
   into the profile;
 * :mod:`~repro.plan.hooks` — best-effort calibrated advice for the
-  ``auto`` join crossover and the serve admission seed.
+  streaming batch size and the serve admission seed.
 
 The transparency contract: a plan changes *when* the answer arrives,
 never *what* it is.  ``check_plan_transparency`` in the verification

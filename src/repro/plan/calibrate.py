@@ -8,14 +8,16 @@ two sizes, fits the affine model with
 :func:`repro.plan.model.fit_affine`, and returns a
 :class:`CalibrationProfile` — which :meth:`CalibrationProfile.save`
 writes as canonical (sorted-key) JSON with an explicit schema
-``version: 1``.  Unknown versions and structurally corrupt files are
-rejected with :class:`~repro.exceptions.DataError`, mirroring the
-snapshot discipline of :mod:`repro.stream.snapshot`.
+``version: 2``.  Unknown versions — version 1 included, whose profiles
+also priced three candidate joins since collapsed into one — and
+structurally corrupt files are rejected with
+:class:`~repro.exceptions.DataError`, mirroring the snapshot discipline
+of :mod:`repro.stream.snapshot`.
 
 When no calibrated profile exists the planner falls back to
 :func:`default_profile` — documented order-of-magnitude CPython/numpy
 coefficients that keep every decision sane (batch vectorization wins,
-the naive/prefix join crossover exists) without claiming host fidelity;
+incremental selection wins) without claiming host fidelity;
 ``profile.calibrated`` records which kind a plan was built from.
 
 The default on-disk location is ``~/.cache/repro/plan_profile.json``,
@@ -36,7 +38,7 @@ from ..exceptions import ConfigurationError, DataError
 from .model import STAGES, CostModel, fit_affine
 
 #: Schema version of the profile file; bump on incompatible change.
-PROFILE_VERSION = 1
+PROFILE_VERSION = 2
 
 #: Environment variable overriding the default profile path.
 PROFILE_ENV = "REPRO_PLAN_PROFILE"
@@ -46,9 +48,6 @@ PROFILE_ENV = "REPRO_PLAN_PROFILE"
 #: deliberately conservative and only need to rank alternatives sanely —
 #: run ``repro plan --calibrate`` for host-faithful numbers.
 DEFAULT_COEFFICIENTS: dict[str, dict[str, float]] = {
-    "join_naive": {"c0": 0.0, "c1": 1.0e-7},
-    "join_prefix": {"c0": 5.0e-4, "c1": 4.0e-7},
-    "join_sparse": {"c0": 2.0e-3, "c1": 3.0e-7},
     "vectorize_batch": {"c0": 1.0e-3, "c1": 3.0e-8},
     "vectorize_scalar": {"c0": 0.0, "c1": 4.0e-6},
     "construct": {"c0": 1.0e-4, "c1": 2.0e-9},
@@ -267,12 +266,7 @@ def calibrate(
     from ..graph.dag import PairGraph
     from ..selection import SELECTORS
     from ..shard.executor import ShardExecutor
-    from ..similarity.batch import (
-        TokenIndex,
-        batch_similarity_matrix,
-        sparse_jaccard_join,
-    )
-    from ..similarity.join import _naive_join, _prefix_join
+    from ..similarity.batch import TokenIndex, batch_similarity_matrix
     from ..similarity.tokenize import word_tokens
     from ..similarity.vectors import SimilarityConfig, similarity_matrix
     from ..verify.oracles import monotone_truth
@@ -284,30 +278,11 @@ def calibrate(
     def add(stage: str, units: float, fn) -> None:
         samples[stage].append((units, _time_best(fn, repeats)))
 
-    # Candidate joins: token sets at two sizes.
-    join_sizes = (80, 160) if fast else (150, 400)
-    threshold = 0.2
-    for rows in join_sizes:
+    # Token-index extension: extend the second half of a synthetic
+    # corpus onto an index of the first half, at two sizes.
+    for rows in (80, 160) if fast else (150, 400):
         texts = _synthetic_texts(rng, rows)
-        token_sets = [word_tokens(text) for text in texts]
-        avg_tokens = sum(len(t) for t in token_sets) / max(1, len(token_sets))
-        add(
-            "join_naive",
-            UNIT_FORMULAS["join_naive"](rows, avg_tokens),
-            lambda ts=token_sets: _naive_join(ts, threshold),
-        )
-        add(
-            "join_prefix",
-            UNIT_FORMULAS["join_prefix"](rows, avg_tokens),
-            lambda ts=token_sets: _prefix_join(ts, threshold),
-        )
-        add(
-            "join_sparse",
-            UNIT_FORMULAS["join_sparse"](rows, avg_tokens),
-            lambda ts=token_sets: sparse_jaccard_join(ts, threshold),
-        )
-        # Token-index extension over the same texts: extend the second
-        # half onto an index of the first half.
+        avg_tokens = sum(len(word_tokens(t)) for t in texts) / max(1, rows)
         half = rows // 2
         add(
             "stream_extend",

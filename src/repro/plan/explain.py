@@ -18,9 +18,6 @@ from .planner import Plan
 
 #: Cost-model stage -> the obs span whose wall seconds observe it.
 STAGE_SPANS = {
-    "join_naive": "resolve.join",
-    "join_prefix": "resolve.join",
-    "join_sparse": "resolve.join",
     "vectorize_batch": "resolve.vectorize",
     "vectorize_scalar": "resolve.vectorize",
     "construct": "resolve.construct",

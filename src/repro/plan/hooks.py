@@ -1,19 +1,17 @@
 """Best-effort planner hooks for call sites that cannot fail.
 
-Two spots in the pipeline want calibrated advice but must keep working
-(with their documented static heuristics) when no profile exists:
+The streaming and serve layers want calibrated advice but must keep
+working (with their documented static defaults) when no profile exists:
 
-* ``method="auto"`` in :func:`repro.similarity.join.similar_pairs` —
-  :func:`planned_join_method` replaces the static
-  ``AUTO_PREFIX_CROSSOVER`` crossover when a **calibrated** profile is
-  on disk;
 * the serve layer's admission pricing —
   :func:`predicted_batch_seconds` seeds the EWMA with the profile's
-  prediction instead of the blind default.
+  prediction instead of the blind default;
+* the streaming batch size — :func:`planned_stream_batch` sizes batches
+  from the profile, or from the default coefficients without one.
 
-Both return ``None`` — never raise — when the default-path profile is
-missing, uncalibrated, or unreadable: a stale cache file must not be
-able to break resolution.  (Explicit profile paths go through
+They never raise when the default-path profile is missing,
+uncalibrated, or unreadable (an older profile version included): a
+stale cache file must not be able to break ingestion.  (Explicit profile paths go through
 ``PowerConfig(plan=...)`` instead, which *does* fail loudly.)
 
 The profile is cached per ``(path, mtime)`` so hot paths pay one
@@ -55,26 +53,6 @@ def clear_cache() -> None:
     _cache = None
 
 
-def planned_join_method(rows: int, avg_tokens: float) -> str | None:
-    """Calibrated naive-vs-prefix choice for ``method="auto"``.
-
-    Only the two range-capable joins are candidates — ``"auto"`` must
-    resolve identically for the serial and sharded paths, and the sparse
-    join has no range form.  Returns ``None`` (use the static crossover)
-    without a calibrated profile.
-    """
-    profile = calibrated_profile()
-    if profile is None:
-        return None
-    naive = profile.predict(
-        "join_naive", UNIT_FORMULAS["join_naive"](rows, avg_tokens)
-    )
-    prefix = profile.predict(
-        "join_prefix", UNIT_FORMULAS["join_prefix"](rows, avg_tokens)
-    )
-    return "naive" if naive <= prefix else "prefix"
-
-
 def predicted_batch_seconds(
     batch_size: int, avg_tokens: float = 8.0
 ) -> float | None:
@@ -96,8 +74,7 @@ def planned_stream_batch(avg_tokens: float = 8.0) -> int:
 
     Uses the calibrated host profile when one exists, the documented
     default coefficients otherwise — batch sizing only shifts checkpoint
-    cadence, so the defaults are an acceptable fallback (unlike the join
-    hook, which defers to the static crossover instead).
+    cadence, so the defaults are an acceptable fallback.
     """
     from .calibrate import default_profile
     from .planner import TableStats, choose_stream_batch
@@ -110,7 +87,6 @@ def planned_stream_batch(avg_tokens: float = 8.0) -> int:
 __all__ = [
     "calibrated_profile",
     "clear_cache",
-    "planned_join_method",
     "planned_stream_batch",
     "predicted_batch_seconds",
 ]

@@ -36,16 +36,12 @@ from dataclasses import dataclass
 
 from ..exceptions import ConfigurationError
 
-#: Every stage the planner can price.  The ``join_*`` stages are the three
-#: interchangeable candidate joins; ``vectorize_*`` the two similarity
-#: substrates; ``selection_*`` the two selection-loop engines;
+#: Every stage the planner can price.  ``vectorize_*`` are the two
+#: similarity substrates; ``selection_*`` the two selection-loop engines;
 #: ``construct`` the dominance-graph build; ``shard_dispatch`` the
 #: per-task overhead of the shard executor; ``stream_extend`` the token
 #: index's incremental extension.
 STAGES = (
-    "join_naive",
-    "join_prefix",
-    "join_sparse",
     "vectorize_batch",
     "vectorize_scalar",
     "construct",
@@ -96,30 +92,6 @@ class StagePrediction:
 # --------------------------------------------------------------------------- #
 
 
-def join_naive_units(rows: int, avg_tokens: float) -> float:
-    """Quadratic scan: every pair pays one token-set Jaccard."""
-    rows = max(0, int(rows))
-    return rows * (rows - 1) / 2.0 * max(1.0, avg_tokens)
-
-
-def join_prefix_units(rows: int, avg_tokens: float) -> float:
-    """Prefix-filtered join: index build + probes are ~linear in tokens.
-
-    The verification work on colliding candidates is absorbed into the
-    calibrated ``c1`` (the micro-benchmark runs on realistic collision
-    rates); the model intentionally stays linear so the naive/prefix
-    crossover exists and is a single root.
-    """
-    rows = max(0, int(rows))
-    tokens = rows * max(1.0, avg_tokens)
-    return tokens * max(1.0, math.log2(rows + 2))
-
-
-def join_sparse_units(rows: int, avg_tokens: float) -> float:
-    """Inverted-list numpy join: matrix assembly is linear in tokens."""
-    return max(0, int(rows)) * max(1.0, avg_tokens)
-
-
 def vectorize_units(pairs: int, attrs: int) -> float:
     """Similarity vectors: one unit per (pair, attribute) cell."""
     return max(0, int(pairs)) * max(1, int(attrs))
@@ -157,9 +129,6 @@ def stream_extend_units(new_rows: int, avg_tokens: float) -> float:
 #: calibration fit and the plan-time prediction can never disagree on
 #: shape.  (Signatures differ; the planner passes the right operands.)
 UNIT_FORMULAS = {
-    "join_naive": join_naive_units,
-    "join_prefix": join_prefix_units,
-    "join_sparse": join_sparse_units,
     "vectorize_batch": vectorize_units,
     "vectorize_scalar": vectorize_units,
     "construct": construct_units,
@@ -199,9 +168,6 @@ __all__ = [
     "StagePrediction",
     "construct_units",
     "fit_affine",
-    "join_naive_units",
-    "join_prefix_units",
-    "join_sparse_units",
     "selection_incremental_units",
     "selection_scratch_units",
     "shard_dispatch_units",

@@ -17,7 +17,6 @@ can make a run slower or faster, never different.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -34,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: is semantic and off-limits; touching one is the ``plan-changes-results``
 #: mutant the verification battery exists to catch.
 PLANNABLE_KNOBS = (
-    "join_method",
     "use_batch_similarity",
     "use_incremental_selection",
     "reachability_index",
@@ -86,9 +84,10 @@ class TableStats:
         """Measure *table* with a seeded bounded-cost sample.
 
         Token counts come from up to *sample* records; the candidate-pair
-        estimate runs the naive join on that sample and scales the pair
-        count by ``(rows / sample)^2`` — the standard sampling estimator
-        for a self-join.  Cost is O(sample^2), independent of table size.
+        estimate runs the production join on that sample and scales the
+        pair count by ``(rows / sample)^2`` — the standard sampling
+        estimator for a self-join.  Cost is bounded by the sample size,
+        independent of table size.
         """
         import numpy as np
 
@@ -107,9 +106,9 @@ class TableStats:
             tokenizer(table.record_text(record_id)) for record_id in record_ids
         ]
         avg_tokens = sum(len(t) for t in token_sets) / len(token_sets)
-        from ..similarity.join import _naive_join
+        from ..similarity.batch import sparse_jaccard_join
 
-        sampled_pairs = len(_naive_join(token_sets, threshold))
+        sampled_pairs = len(sparse_jaccard_join(token_sets, threshold))
         scale = rows / len(token_sets)
         est_pairs = max(1, int(round(sampled_pairs * scale * scale)))
         return cls(
@@ -252,36 +251,6 @@ def _stage_prediction(
     )
 
 
-def choose_join_method(
-    stats: TableStats,
-    profile: CalibrationProfile,
-    allow_sparse: bool = True,
-) -> PlanDecision:
-    """Price the three candidate joins and keep the cheapest.
-
-    The sharded resolver tiles the join by record ranges, which the
-    sparse (global matrix) join cannot do — pass ``allow_sparse=False``
-    there.
-    """
-    priced = [
-        ("naive", _stage_prediction(profile, "join_naive", stats.rows, stats.avg_tokens)),
-        ("prefix", _stage_prediction(profile, "join_prefix", stats.rows, stats.avg_tokens)),
-    ]
-    if allow_sparse:
-        priced.append(
-            (
-                "sparse",
-                _stage_prediction(profile, "join_sparse", stats.rows, stats.avg_tokens),
-            )
-        )
-    return _pick(
-        "join_method",
-        priced,
-        f"cheapest candidate join for {stats.rows} rows "
-        f"(~{stats.avg_tokens:.1f} tokens/record)",
-    )
-
-
 def choose_vectorize(
     stats: TableStats, profile: CalibrationProfile
 ) -> PlanDecision:
@@ -343,18 +312,16 @@ def choose_shards(
 ) -> PlanDecision:
     """Shard count: balance parallel speedup against dispatch overhead.
 
-    Models the dominant parallel work (join + vectorize) as perfectly
-    divisible across ``min(shards, workers)`` lanes, plus the calibrated
-    per-task dispatch overhead for every shard.  More shards than workers
+    Models the priced parallel work (vectorize) as perfectly divisible
+    across ``min(shards, workers)`` lanes, plus the calibrated per-task
+    dispatch overhead for every shard.  More shards than workers
     still helps real skew (finer work units), so candidates go up to
     ``8 x workers``; the model's dispatch term is what stops the blowup.
     """
     lanes = max(1, workers or 1)
-    join = _stage_prediction(profile, "join_prefix", stats.rows, stats.avg_tokens)
-    vectorize = _stage_prediction(
+    parallel_seconds = _stage_prediction(
         profile, "vectorize_batch", stats.est_pairs, stats.attrs
-    )
-    parallel_seconds = join.seconds + vectorize.seconds
+    ).seconds
     candidates = sorted({lanes, 2 * lanes, 4 * lanes, 8 * lanes})
     priced = []
     for shards in candidates:
@@ -399,12 +366,10 @@ def plan_for_stats(
     stats: TableStats,
     profile: CalibrationProfile,
     workers: int | None = None,
-    allow_sparse: bool = True,
 ) -> Plan:
     """Build the full plan for the given statistics and profile."""
     engine, reachability = choose_selection(stats, profile)
     decisions = (
-        choose_join_method(stats, profile, allow_sparse=allow_sparse),
         choose_vectorize(stats, profile),
         engine,
         reachability,
@@ -424,7 +389,6 @@ def plan_for_table(
     config: "PowerConfig",
     profile: CalibrationProfile,
     workers: int | None = None,
-    allow_sparse: bool = True,
 ) -> Plan:
     """Measure *table* and plan for it under *config*'s semantics."""
     stats = TableStats.from_table(
@@ -433,9 +397,7 @@ def plan_for_table(
         tokens=config.join_tokens,
         seed=config.seed,
     )
-    return plan_for_stats(
-        stats, profile, workers=workers, allow_sparse=allow_sparse
-    )
+    return plan_for_stats(stats, profile, workers=workers)
 
 
 def apply_plan(config: "PowerConfig", plan: Plan) -> "PowerConfig":
@@ -472,7 +434,6 @@ __all__ = [
     "PlanDecision",
     "TableStats",
     "apply_plan",
-    "choose_join_method",
     "choose_selection",
     "choose_shards",
     "choose_stream_batch",

@@ -30,6 +30,7 @@ shard budget enforcement can never drift from billing).
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 from collections.abc import Callable, Sequence
@@ -153,8 +154,11 @@ class ShardExecutor:
                 if self._mp_context
                 else None
             )
+            # A forked worker inherits the coordinator's heap; freezing it
+            # keeps the worker's garbage collector from walking (and so
+            # copy-on-write faulting) every inherited object.
             self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=context
+                max_workers=self.workers, mp_context=context, initializer=gc.freeze
             )
         return self._pool
 

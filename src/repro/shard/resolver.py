@@ -127,11 +127,6 @@ class ShardedResolver(PowerResolver):
             workers = min(self.config.shards or limit, limit)
         self.workers = workers
 
-    #: The sharded join is tiled by record ranges
-    #: (:func:`repro.similarity.join.similar_pairs_range`), and the sparse
-    #: join has no range form — the planner must not choose it here.
-    _plan_allows_sparse = False
-
     @property
     def num_shards(self) -> int:
         """Shard work units: ``config.shards``, else one per worker."""
@@ -300,22 +295,17 @@ class ShardedResolver(PowerResolver):
         (:func:`repro.similarity.join.similar_pairs_range`), so the sorted
         concatenation over a disjoint covering tiling *is* the serial
         ``candidate_pairs`` output, pair for pair.  Ranges are cut on a
-        square-root grid (record ``b`` probes ``O(b)`` earlier records, so
-        equal-work tiles have equal ``hi² - lo²``), and dispatch weights
-        carry the same quadratic estimate for the LPT scheduler.
+        square-root grid (record ``b`` counts intersections against ``O(b)``
+        earlier records, so equal-work tiles have equal ``hi² - lo²``), and
+        dispatch weights carry the same quadratic estimate for the LPT
+        scheduler.
 
-        Falls back to the serial join when the table is trivial, when the
-        plan has a single shard, or when the configured method is
-        ``"sparse"`` (one global matrix product — no range form).  With
-        ``workers=0`` the tiles still run (inline), so the equivalence
-        differential attacks the tiling decomposition itself.
+        Falls back to the serial join only when the table is trivial or
+        the plan has a single shard.  With ``workers=0`` the tiles still run
+        (inline), so the equivalence differential attacks the tiling
+        decomposition itself.
         """
-        from ..similarity.join import AUTO_PREFIX_CROSSOVER
-
-        method = self.config.join_method
-        if method == "auto":
-            method = "prefix" if len(table) > AUTO_PREFIX_CROSSOVER else "naive"
-        if method == "sparse" or self.num_shards <= 1 or len(table) < 2:
+        if self.num_shards <= 1 or len(table) < 2:
             return self.candidate_pairs(table)
         boundaries = sorted(
             {
@@ -336,7 +326,6 @@ class ShardedResolver(PowerResolver):
                 lo=lo,
                 hi=hi,
                 tokens=self.config.join_tokens,
-                method=method,
             )
             for lo, hi in ranges
         ]

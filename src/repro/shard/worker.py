@@ -159,9 +159,6 @@ class JoinTask:
         threshold: the record-level Jaccard pruning bound ``tau``.
         lo / hi: the probe-record range this task owns.
         tokens: ``"word"`` or ``"qgram"`` token sets.
-        method: ``"naive"`` or ``"prefix"`` (``"auto"`` must be resolved
-            by the coordinator so every task agrees; ``"sparse"`` has no
-            range form and stays on the serial path).
     """
 
     table: Table
@@ -169,7 +166,6 @@ class JoinTask:
     lo: int
     hi: int
     tokens: str = "word"
-    method: str = "prefix"
     fault: FaultSpec | None = None
 
 
@@ -184,7 +180,6 @@ def compute_join_pairs(task: JoinTask) -> list[Pair]:
         task.lo,
         task.hi,
         tokens=task.tokens,
-        method=task.method,
     )
 
 

@@ -1,16 +1,16 @@
 """Similarity substrate: tokenizers, string similarities, vectors, joins.
 
-Scalar reference implementations live in :mod:`.jaccard`, :mod:`.edit`,
-:mod:`.vectors` and :mod:`.join`; the vectorized production fast paths live
-in :mod:`.batch` and are equivalence-tested against the references.
+Scalar reference implementations live in :mod:`.jaccard`, :mod:`.edit` and
+:mod:`.vectors`; the vectorized production fast paths live in :mod:`.batch`
+and are equivalence-tested against the references.  The candidate join
+(:mod:`.join`) has one implementation; its oracles live in
+:mod:`repro.verify.oracles`.
 """
 
 from .batch import TokenIndex, batch_similarity_matrix, sparse_jaccard_join
 from .edit import edit_distance, edit_distance_within, edit_similarity
 from .jaccard import bigram_jaccard, jaccard, qgram_jaccard, token_jaccard
 from .join import (
-    AUTO_PREFIX_CROSSOVER,
-    JOIN_METHODS,
     similar_pairs,
     similar_pairs_edit,
     similar_pairs_range,
@@ -27,8 +27,6 @@ from .vectors import (
 )
 
 __all__ = [
-    "AUTO_PREFIX_CROSSOVER",
-    "JOIN_METHODS",
     "SIMILARITY_FUNCTIONS",
     "SimilarityConfig",
     "TokenIndex",

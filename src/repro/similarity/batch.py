@@ -17,8 +17,9 @@ fast paths:
   process-parallel runner) and applies the ``tau`` clamp as one numpy op.
 * :func:`sparse_jaccard_join` — the record-level Jaccard self-join computed
   via inverted-list intersection counts (``np.bincount``) instead of per-pair
-  Python set ops; exposed as ``method="sparse"`` of
-  :func:`repro.similarity.join.similar_pairs`.
+  Python set ops, with a ``[lo, hi)`` probe-range form; the one candidate
+  join behind :func:`repro.similarity.join.similar_pairs` and
+  :func:`repro.similarity.join.similar_pairs_range`.
 
 The contract, enforced by tests: fast and reference paths agree on the exact
 same pair sets and produce bit-identical similarity values (both sides reduce
@@ -28,9 +29,11 @@ to the same IEEE-754 divisions).
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -480,54 +483,78 @@ def batch_similarity_matrix(
 
 
 def sparse_jaccard_join(
-    token_sets: Sequence[frozenset[str]], threshold: float
+    token_sets: Sequence[frozenset[str]],
+    threshold: float,
+    lo: int = 0,
+    hi: int | None = None,
 ) -> set[Pair]:
-    """All pairs with ``jaccard(token_sets[i], token_sets[j]) >= threshold``.
+    """All pairs with ``jaccard(token_sets[a], token_sets[b]) >= threshold``.
 
-    An inverted-list join: records are scanned in id order; each record
-    gathers the posting lists of its tokens (all earlier records sharing at
-    least one token) and obtains every intersection size in one
-    ``np.bincount``.  The verification ``∩ / ∪ >= t`` is then a vectorized
-    int/int division — the exact same IEEE operation as the scalar
-    :func:`jaccard` — so the result matches ``_naive_join`` pair for pair.
+    An inverted-list join: each record ``b`` gathers the posting lists of
+    its tokens cut at ``b`` (all earlier records sharing at least one
+    token) and obtains every intersection size in one ``np.bincount``.
+    The verification ``∩ / ∪ >= t`` is then a vectorized int/int division
+    — the exact same IEEE operation as the scalar :func:`jaccard` — so the
+    result matches the naive quadratic scan pair for pair.
+
+    A pair ``(a, b)`` with ``a < b`` is *owned* by its higher id ``b``.
+    With a ``[lo, hi)`` probe range only the pairs owned by those records
+    are returned: records before *lo* are replayed into the posting lists
+    (appends only, including the list of empty token sets) and never
+    probed.  Tiling ``[0, n)`` with disjoint ranges therefore tiles the
+    full join output — the work unit of the sharded parallel join.
 
     Records with *empty* token sets follow the scalar convention (two empty
     sets have similarity 1.0) and are paired among themselves.
     """
     if not 0.0 < threshold <= 1.0:
         raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
-    vocab: dict[str, int] = {}
-    rows: list[np.ndarray] = []
-    for tokens in token_sets:
-        rows.append(
-            np.fromiter(
-                (vocab.setdefault(token, len(vocab)) for token in tokens),
-                dtype=np.int64,
-            )
+    hi = len(token_sets) if hi is None else hi
+    if not 0 <= lo <= hi <= len(token_sets):
+        raise ConfigurationError(
+            f"range [{lo}, {hi}) escapes the {len(token_sets)}-record join"
         )
-    sizes = np.fromiter((ids.size for ids in rows), dtype=np.int64, count=len(rows))
-    postings: list[list[int]] = [[] for _ in range(len(vocab))]
-    pairs: set[Pair] = set()
+    vocab: dict[str, int] = {}
+    rows = [
+        [vocab.setdefault(token, len(vocab)) for token in tokens]
+        for tokens in token_sets[:hi]
+    ]
+    sizes = np.fromiter((len(ids) for ids in rows), dtype=np.int64, count=len(rows))
+    # Posting lists in record order: ``cuts[b][k]`` is how many records
+    # before ``b`` hold b's k-th token, so ``postings[token][:cut]`` is
+    # exactly the index state a serial scan would have at record ``b``.
+    lists: list[list[int]] = [[] for _ in range(len(vocab))]
     empties: list[int] = []
+    cuts: list[list[int]] = []
     for record_id, ids in enumerate(rows):
-        if not ids.size:
-            # jaccard(∅, ∅) == 1.0 >= threshold for every valid threshold.
-            pairs.update((other, record_id) for other in empties)
+        if not ids:
             empties.append(record_id)
-            continue
-        gathered = [postings[token] for token in ids]
-        flat: list[int] = []
-        for posting in gathered:
-            flat.extend(posting)
-        if flat:
-            counts = np.bincount(
-                np.asarray(flat, dtype=np.int64), minlength=record_id
-            )
-            candidates = np.flatnonzero(counts)
-            inter = counts[candidates]
-            union = sizes[candidates] + ids.size - inter
-            keep = candidates[(inter / union) >= threshold]
-            pairs.update((int(other), record_id) for other in keep)
+        cuts.append([len(lists[token]) for token in ids])
         for token in ids:
-            postings[token].append(record_id)
+            lists[token].append(record_id)
+    postings = [np.asarray(posting, dtype=np.int64) for posting in lists]
+
+    pairs: set[Pair] = set()
+    for record_id in range(lo, hi):
+        ids = rows[record_id]
+        if not ids:
+            # jaccard(∅, ∅) == 1.0 >= threshold for every valid threshold.
+            pairs.update(
+                (other, record_id)
+                for other in empties[: bisect_left(empties, record_id)]
+            )
+            continue
+        parts = [
+            postings[token][:cut]
+            for token, cut in zip(ids, cuts[record_id])
+            if cut
+        ]
+        if not parts:
+            continue
+        counts = np.bincount(np.concatenate(parts))
+        candidates = np.flatnonzero(counts)
+        inter = counts[candidates]
+        union = sizes[candidates] + len(ids) - inter
+        keep = candidates[(inter / union) >= threshold]
+        pairs.update(zip(keep.tolist(), repeat(record_id)))
     return pairs

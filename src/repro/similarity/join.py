@@ -1,40 +1,27 @@
 """Candidate-pair generation: the pruning step of §7.1.
 
 "We compute a similarity score for each pair of records by Jaccard and prune
-pairs whose similarity scores are below [tau]."  For small tables the naive
-quadratic scan is fine; for the ACMPub-scale dataset we use a prefix-filtered
-inverted-index similarity join — the standard technique behind the pruning
-step in the cited prior work (CrowdER et al.).
+pairs whose similarity scores are below [tau]."  Every path runs the same
+inverted-list join (:func:`repro.similarity.batch.sparse_jaccard_join`) —
+the machine pruning pass that CrowdER et al. place in front of the crowd.
+:func:`similar_pairs` runs it over the whole table; :func:`similar_pairs_range`
+runs its probe-range form, the work unit of the sharded parallel join.  The
+quadratic scan and the prefix-filtered join survive as differential oracles
+in :mod:`repro.verify.oracles`.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
-from collections import Counter, defaultdict
-from collections.abc import Sequence
 
 from ..data.ground_truth import Pair
 from ..data.table import Table
 from ..exceptions import ConfigurationError
 from ..obs import instrument as obs_instrument
+from .batch import sparse_jaccard_join
 from .edit import edit_distance_within
 from .jaccard import jaccard
 from .tokenize import qgram_tokens, word_tokens
-
-#: Table size at which ``method="auto"`` switches from the quadratic scan to
-#: the prefix-filtered join — the documented **uncalibrated fallback**.
-#: Below this point the naive scan's lack of index bookkeeping wins (measured
-#: on the paper's Restaurant/Cora-scale tables); above it the O(n^2)
-#: candidate space dominates and prefix filtering pays.  When a calibrated
-#: host profile exists (``repro plan --calibrate``), ``"auto"`` asks the
-#: planner instead (:func:`repro.plan.hooks.planned_join_method`) and this
-#: constant is never consulted.  Callers can always force a method
-#: explicitly (``PowerConfig.join_method``).
-AUTO_PREFIX_CROSSOVER = 1200
-
-#: The join strategies accepted by :func:`similar_pairs`.
-JOIN_METHODS = ("auto", "naive", "prefix", "sparse")
 
 
 def _record_tokens(table: Table, use_qgrams: bool) -> list[frozenset[str]]:
@@ -43,32 +30,14 @@ def _record_tokens(table: Table, use_qgrams: bool) -> list[frozenset[str]]:
     return [word_tokens(table.record_text(r.record_id)) for r in table]
 
 
-def _resolve_auto(token_sets: Sequence[frozenset[str]]) -> str:
-    """The concrete method behind ``"auto"``: calibrated when possible.
-
-    With a calibrated host profile on disk the planner prices the naive
-    scan against the prefix join for this row/token shape; otherwise the
-    static :data:`AUTO_PREFIX_CROSSOVER` row count decides.  Only the two
-    range-capable joins are candidates, so ``"auto"`` resolves identically
-    for :func:`similar_pairs` and :func:`similar_pairs_range` — the serial
-    and sharded paths always agree.
-    """
-    from ..plan import hooks as plan_hooks
-
-    rows = len(token_sets)
-    avg_tokens = sum(len(t) for t in token_sets) / max(1, rows)
-    planned = plan_hooks.planned_join_method(rows, avg_tokens)
-    if planned is not None:
-        return planned
-    return "prefix" if rows > AUTO_PREFIX_CROSSOVER else "naive"
+def _check_join_args(threshold: float, tokens: str) -> None:
+    if not 0.0 < threshold <= 1.0:
+        raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
+    if tokens not in ("word", "qgram"):
+        raise ConfigurationError(f"tokens must be 'word' or 'qgram', got {tokens!r}")
 
 
-def similar_pairs(
-    table: Table,
-    threshold: float,
-    tokens: str = "word",
-    method: str = "auto",
-) -> list[Pair]:
+def similar_pairs(table: Table, threshold: float, tokens: str = "word") -> list[Pair]:
     """All record pairs whose record-level Jaccard is ``>= threshold``.
 
     Args:
@@ -76,46 +45,22 @@ def similar_pairs(
         threshold: record-level Jaccard pruning bound ``tau`` (paper uses 0.3
             on ACMPub and 0.2 elsewhere).
         tokens: ``"word"`` (default) or ``"qgram"`` token sets.
-        method: ``"naive"`` forces the quadratic scan, ``"prefix"`` forces the
-            prefix-filter join, ``"sparse"`` forces the inverted-list numpy
-            join (:func:`repro.similarity.batch.sparse_jaccard_join`), and
-            ``"auto"`` picks by table size (:data:`AUTO_PREFIX_CROSSOVER`).
 
     Returns:
         Canonically ordered pairs, sorted for determinism.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
-    if tokens not in ("word", "qgram"):
-        raise ConfigurationError(f"tokens must be 'word' or 'qgram', got {tokens!r}")
-    if method not in JOIN_METHODS:
-        raise ConfigurationError(f"unknown join method {method!r}")
+    _check_join_args(threshold, tokens)
     if len(table) < 2:  # explicit empty/singleton fast path: no allocation
         return []
     obs = obs_instrument.current()
-    with obs.tracer.span(
-        "join.similar_pairs", method=method, records=len(table)
-    ) as span:
+    with obs.tracer.span("join.similar_pairs", records=len(table)) as span:
         token_sets = _record_tokens(table, use_qgrams=(tokens == "qgram"))
-        if method == "auto":
-            method = _resolve_auto(token_sets)
-            span.set_attribute("method", method)
-        if method == "naive":
-            pairs = _naive_join(token_sets, threshold)
-        elif method == "prefix":
-            pairs = _prefix_join(token_sets, threshold)
-        elif method == "sparse":
-            from .batch import sparse_jaccard_join
-
-            pairs = sparse_jaccard_join(token_sets, threshold)
-        else:
-            raise ConfigurationError(f"unknown join method {method!r}")
+        pairs = sparse_jaccard_join(token_sets, threshold)
         span.set_attribute("pairs", len(pairs))
     if obs.metrics:
         obs.registry.counter(
             "repro_join_candidate_pairs_total",
             "candidate pairs emitted by the pruning join",
-            method=method,
         ).inc(len(pairs))
     return sorted(pairs)
 
@@ -126,7 +71,6 @@ def similar_pairs_range(
     lo: int,
     hi: int,
     tokens: str = "word",
-    method: str = "auto",
 ) -> list[Pair]:
     """The slice of :func:`similar_pairs` owned by probe records ``[lo, hi)``.
 
@@ -134,117 +78,23 @@ def similar_pairs_range(
     record id ``b``; this returns exactly the pairs whose owner falls in
     ``[lo, hi)``.  Tiling the record range therefore tiles the full join
     output — the union over disjoint covering ranges equals
-    ``similar_pairs(table, threshold, ...)`` pair for pair, because every
-    surviving pair is verified with the same exact Jaccard comparison and
-    the prefix filter admits no false negatives for any probe schedule.
+    ``similar_pairs(table, threshold, ...)`` pair for pair.
 
     This is the work unit of the sharded resolver's parallel candidate
-    join.  A range task replays the (cheap) index insertions for records
-    before *lo* and probes only its own records, so per-task overhead is
-    the tokenization plus O(prefix tokens) appends — negligible next to
-    the candidate verification it parallelizes.
-
-    ``method="sparse"`` has no range form (the numpy inverted join is one
-    global matrix product) and raises.
+    join.  A range task replays the (cheap) posting-list appends for
+    records before *lo* and probes only its own records, so per-task
+    overhead is the tokenization plus those appends — small next to the
+    intersection counting it parallelizes.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
-    if tokens not in ("word", "qgram"):
-        raise ConfigurationError(f"tokens must be 'word' or 'qgram', got {tokens!r}")
+    _check_join_args(threshold, tokens)
     if not 0 <= lo <= hi <= len(table):
         raise ConfigurationError(
             f"range [{lo}, {hi}) escapes the {len(table)}-record table"
         )
-    if method == "sparse":
-        raise ConfigurationError("the sparse join has no range-restricted form")
-    if method not in ("auto", "naive", "prefix"):
-        raise ConfigurationError(f"unknown join method {method!r}")
     if len(table) < 2 or lo == hi:
         return []
     token_sets = _record_tokens(table, use_qgrams=(tokens == "qgram"))
-    if method == "auto":
-        method = _resolve_auto(token_sets)
-    if method == "naive":
-        pairs = _naive_join(token_sets, threshold, lo=lo, hi=hi)
-    else:
-        pairs = _prefix_join(token_sets, threshold, lo=lo, hi=hi)
-    return sorted(pairs)
-
-
-def _naive_join(
-    token_sets: Sequence[frozenset[str]],
-    threshold: float,
-    lo: int = 0,
-    hi: int | None = None,
-) -> set[Pair]:
-    pairs: set[Pair] = set()
-    n = len(token_sets)
-    hi = n if hi is None else hi
-    for j in range(lo, hi):
-        tokens_j = token_sets[j]
-        for i in range(j):
-            if jaccard(token_sets[i], tokens_j) >= threshold:
-                pairs.add((i, j))
-    return pairs
-
-
-def _prefix_join(
-    token_sets: Sequence[frozenset[str]],
-    threshold: float,
-    lo: int = 0,
-    hi: int | None = None,
-) -> set[Pair]:
-    """Prefix-filtered self-join for Jaccard.
-
-    For Jaccard(a, b) >= t, the sets must share a token within the first
-    ``|a| - ceil(t * |a|) + 1`` tokens when both sets are ordered by a global
-    token order (rarest first).  We index those prefixes and verify only the
-    colliding pairs.
-
-    With a ``[lo, hi)`` probe range, records before *lo* are only
-    *inserted* (their prefix tokens are appended to the index, rebuilding
-    the exact index state the serial loop would have at record *lo*) and
-    records in the range are probed and inserted as usual — so the range's
-    output is exactly the serial join's pairs owned by those records.
-    """
-    hi = len(token_sets) if hi is None else hi
-    frequency: Counter[str] = Counter()
-    for tokens in token_sets:
-        frequency.update(tokens)
-    # Rarest-first global order; ties broken lexically for determinism.
-    order = {
-        token: rank
-        for rank, (token, _) in enumerate(
-            sorted(frequency.items(), key=lambda item: (item[1], item[0]))
-        )
-    }
-    sorted_tokens = [sorted(tokens, key=order.__getitem__) for tokens in token_sets]
-
-    index: dict[str, list[int]] = defaultdict(list)
-    pairs: set[Pair] = set()
-    for record_id, tokens in enumerate(sorted_tokens[:hi]):
-        size = len(tokens)
-        if size == 0:
-            continue
-        prefix_len = size - math.ceil(threshold * size) + 1
-        if record_id < lo:
-            # Replay: index state only, no probing (cheap appends).
-            for token in tokens[:prefix_len]:
-                index[token].append(record_id)
-            continue
-        candidates: set[int] = set()
-        for token in tokens[:prefix_len]:
-            candidates.update(index[token])
-            index[token].append(record_id)
-        my_set = token_sets[record_id]
-        for other in candidates:
-            other_set = token_sets[other]
-            # Length filter: |b| >= t * |a| is necessary for Jaccard >= t.
-            if len(other_set) < threshold * size or size < threshold * len(other_set):
-                continue
-            if jaccard(my_set, other_set) >= threshold:
-                pairs.add((other, record_id))
-    return pairs
+    return sorted(sparse_jaccard_join(token_sets, threshold, lo=lo, hi=hi))
 
 
 def similar_pairs_edit(
@@ -267,7 +117,7 @@ def similar_pairs_edit(
     texts = [table.record_text(record.record_id) for record in table]
     lengths = [len(text) for text in texts]
     candidates = (
-        _prefix_join(_record_tokens(table, use_qgrams=False), prefilter_overlap)
+        sparse_jaccard_join(_record_tokens(table, use_qgrams=False), prefilter_overlap)
         if prefilter_overlap > 0
         else {(i, j) for i in range(len(table)) for j in range(i + 1, len(table))}
     )
@@ -277,7 +127,11 @@ def similar_pairs_edit(
         if longest == 0:
             pairs.append((i, j))
             continue
-        max_distance = int((1.0 - threshold) * longest)
+        # The largest distance that edit_similarity's own float expression
+        # accepts: int((1 - t) * longest) alone can round one short.
+        max_distance = int((1.0 - threshold) * longest) + 1
+        while max_distance > 0 and 1.0 - max_distance / longest < threshold:
+            max_distance -= 1
         if abs(lengths[i] - lengths[j]) > max_distance:
             continue
         if edit_distance_within(texts[i], texts[j], max_distance) is not None:

@@ -416,17 +416,28 @@ class StreamingResolver(IncrementalResolver):
 # --------------------------------------------------------------------------- #
 
 
+#: Config fields the snapshot schema keeps after the knob itself was
+#: retired, pinned at the only value the program still supports.  Writing
+#: them keeps snapshot bytes — and so every ``state_sha`` — unchanged, and
+#: lets snapshots written before the retirement restore.
+_RETIRED_CONFIG_FIELDS = {"join_method": "auto"}
+
+
 def _encode_config(config: PowerConfig) -> dict[str, Any]:
     from dataclasses import asdict
 
-    payload = asdict(config)
+    payload = {**asdict(config), **_RETIRED_CONFIG_FIELDS}
     if isinstance(payload["similarity"], tuple):
         payload["similarity"] = list(payload["similarity"])
     return payload
 
 
 def _decode_config(payload: dict[str, Any]) -> PowerConfig:
-    decoded = dict(payload)
+    decoded = {
+        key: value
+        for key, value in payload.items()
+        if key not in _RETIRED_CONFIG_FIELDS
+    }
     if isinstance(decoded.get("similarity"), list):
         decoded["similarity"] = tuple(decoded["similarity"])
     try:

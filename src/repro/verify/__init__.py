@@ -60,7 +60,9 @@ from .oracles import (
     check_transitive_closure,
     monotone_truth,
     naive_dominance_edges,
+    naive_join,
     naive_transitive_closure,
+    prefix_join,
 )
 from .report import CheckResult, VerificationReport, run_check
 
@@ -98,8 +100,10 @@ __all__ = [
     "check_transitive_closure",
     "monotone_truth",
     "naive_dominance_edges",
+    "naive_join",
     "naive_kahn_layers",
     "naive_transitive_closure",
+    "prefix_join",
     "random_instance",
     "run_battery",
     "run_check",

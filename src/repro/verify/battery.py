@@ -264,7 +264,7 @@ def _dataset_checks(config: BatteryConfig, report: VerificationReport) -> None:
         report,
         f"join-methods[{table.name}]",
         lambda: oracles.check_join_methods(
-            table, power_config.pruning_threshold
+            table, power_config.pruning_threshold, seed=config.base_seed
         ),
     )
 

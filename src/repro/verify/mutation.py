@@ -27,6 +27,8 @@ mutant                  seeded bug
 ``plan-changes-results``  the cost planner's apply step also flips a
                         semantic knob (``epsilon``), so a planned run
                         returns different answers
+``join-range-no-replay``  the candidate join's range form skips the
+                        posting replay of records before ``lo``
 ======================  ====================================================
 
 Patching is done by rebinding module/class attributes inside a context
@@ -51,6 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..core.config import PowerConfig
 from ..crowd.platform import PerfectCrowd, SimulatedCrowd
 from ..crowd.worker import WorkerPool
 from ..exceptions import VerificationError
@@ -347,6 +350,33 @@ def _mutant_plan_changes_results():
     return _patched((plan_planner, "apply_plan", mutated))
 
 
+def _mutant_join_range_no_replay():
+    """The range form of the candidate join forgets the records before *lo*.
+
+    Models the classic range-partitioning bug: a probe range that builds
+    its inverted index from its own records only, so every pair whose
+    lower record falls in an earlier range vanishes.  The whole-table join
+    (``lo == 0``) is untouched, so only a check that tiles the range form
+    can notice — the tiling tier of ``check_join_methods`` (and the
+    sharded-join differential).  Patched at the defining module and at
+    :mod:`repro.similarity.join`'s import site.
+    """
+    from ..similarity import batch, join
+
+    original = batch.sparse_jaccard_join
+
+    def mutated(token_sets, threshold, lo=0, hi=None):
+        hi = len(token_sets) if hi is None else hi
+        # bug: records before lo never enter the posting lists
+        local = original(token_sets[lo:hi], threshold)
+        return {(a + lo, b + lo) for a, b in local}
+
+    return _patched(
+        (batch, "sparse_jaccard_join", mutated),
+        (join, "sparse_jaccard_join", mutated),
+    )
+
+
 def _mutant_obs_perturbs_selection():
     """Observability stops being read-only: it drops a vertex per round.
 
@@ -439,6 +469,11 @@ MUTANTS: tuple[Mutant, ...] = (
         "the cost planner's apply step also flips a semantic knob (epsilon)",
         _mutant_plan_changes_results,
     ),
+    Mutant(
+        "join-range-no-replay",
+        "the candidate join's range form skips the posting replay before lo",
+        _mutant_join_range_no_replay,
+    ),
 )
 
 
@@ -521,6 +556,11 @@ def run_detection_battery(
     session = PerfectCrowd(truth).session(pairs_per_hit=5)
     session.ask_batch(pairs[:13])
     invariants.check_session_coherence(session)
+
+    # Candidate join vs the naive and prefix oracles, whole and tiled.
+    oracles.check_join_methods(
+        _battery_table(), PowerConfig().pruning_threshold, seed=seed
+    )
 
     # Crowd aggregation: heterogeneous accuracies, weighted majority.
     mixed_truth = {pair: bool(index % 2) for index, pair in enumerate(pairs)}

@@ -8,6 +8,10 @@ the same answer from first principles:
   independently of :mod:`repro.graph.construction` (no shared comparator).
 * :func:`naive_transitive_closure` — BFS closure, used to certify that the
   dominance relation is its own transitive closure.
+* :func:`naive_join` / :func:`prefix_join` — the quadratic Jaccard scan and
+  the prefix-filtered inverted-index join, the two references the
+  production candidate join (and a random tiling of its range form) must
+  reproduce pair for pair.
 * :class:`NaivePairGraph` / :class:`NaiveGroupedGraph` — brute-force
   :class:`~repro.graph.dag.OrderedGraph` implementations.  Running the
   *same* selector against the naive and the production graph with identical
@@ -29,7 +33,8 @@ pinpointed counterexample on disagreement.
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from collections import Counter, defaultdict, deque
 from collections.abc import Sequence
 
 import numpy as np
@@ -44,6 +49,7 @@ from ..graph.dag import OrderedGraph, PairGraph
 from ..graph.grouped_graph import GroupedGraph
 from ..selection import SELECTORS
 from ..selection.base import QuestionSelector, SelectionResult
+from ..similarity.jaccard import jaccard
 from ..similarity.vectors import SimilarityConfig, similarity_matrix
 
 Edge = tuple[int, int]
@@ -167,16 +173,88 @@ def check_batch_similarity(
         )
 
 
-def check_join_methods(table: Table, threshold: float) -> None:
-    """naive / prefix / sparse joins must produce the identical pair set."""
-    from ..similarity.join import similar_pairs
+def naive_join(token_sets: Sequence[frozenset[str]], threshold: float) -> set[Pair]:
+    """Every pair with ``jaccard >= threshold``, by the quadratic scan."""
+    pairs: set[Pair] = set()
+    for j, tokens_j in enumerate(token_sets):
+        for i in range(j):
+            if jaccard(token_sets[i], tokens_j) >= threshold:
+                pairs.add((i, j))
+    return pairs
 
-    reference = similar_pairs(table, threshold, method="naive")
-    for method in ("prefix", "sparse"):
-        candidate = similar_pairs(table, threshold, method=method)
-        _diff_edges(
-            "naive join", set(reference), f"{method} join", set(candidate)
+
+def prefix_join(token_sets: Sequence[frozenset[str]], threshold: float) -> set[Pair]:
+    """Prefix-filtered self-join for Jaccard.
+
+    For Jaccard(a, b) >= t, the sets must share a token within the first
+    ``|a| - ceil(t * |a|) + 1`` tokens when both sets are ordered by a global
+    token order (rarest first).  We index those prefixes and verify only the
+    colliding pairs.  Empty sets have no prefix and pair among themselves
+    (``jaccard(∅, ∅) == 1``).
+    """
+    frequency: Counter[str] = Counter()
+    for tokens in token_sets:
+        frequency.update(tokens)
+    # Rarest-first global order; ties broken lexically for determinism.
+    order = {
+        token: rank
+        for rank, (token, _) in enumerate(
+            sorted(frequency.items(), key=lambda item: (item[1], item[0]))
         )
+    }
+    index: dict[str, list[int]] = defaultdict(list)
+    pairs: set[Pair] = set()
+    empties: list[int] = []
+    for record_id, my_set in enumerate(token_sets):
+        size = len(my_set)
+        if size == 0:
+            pairs.update((other, record_id) for other in empties)
+            empties.append(record_id)
+            continue
+        prefix_len = size - math.ceil(threshold * size) + 1
+        candidates: set[int] = set()
+        for token in sorted(my_set, key=order.__getitem__)[:prefix_len]:
+            candidates.update(index[token])
+            index[token].append(record_id)
+        for other in candidates:
+            other_set = token_sets[other]
+            # Length filter: |b| >= t * |a| is necessary for Jaccard >= t.
+            if len(other_set) < threshold * size or size < threshold * len(other_set):
+                continue
+            if jaccard(my_set, other_set) >= threshold:
+                pairs.add((other, record_id))
+    return pairs
+
+
+def check_join_methods(table: Table, threshold: float, seed: int = 0) -> None:
+    """The production candidate join must equal both join oracles.
+
+    Checks, against :func:`naive_join`: :func:`prefix_join` (so the two
+    oracles vouch for each other), :func:`~repro.similarity.join.similar_pairs`,
+    and the union of :func:`~repro.similarity.join.similar_pairs_range`
+    over a seeded random tiling of ``[0, n)`` — which must also be
+    disjoint, since each pair is owned by exactly one range.
+    """
+    from ..similarity.join import similar_pairs, similar_pairs_range
+    from ..similarity.tokenize import word_tokens
+
+    token_sets = [word_tokens(table.record_text(r.record_id)) for r in table]
+    reference = naive_join(token_sets, threshold)
+    _diff_edges("naive join", reference, "prefix join", prefix_join(token_sets, threshold))
+    _diff_edges(
+        "naive join", reference, "production join", set(similar_pairs(table, threshold))
+    )
+    n = len(table)
+    rng = np.random.default_rng(seed)
+    interior = rng.integers(1, n, size=3).tolist() if n > 1 else []
+    cuts = sorted(set(interior) | {0, n})
+    tiled: list[Pair] = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        tiled.extend(similar_pairs_range(table, threshold, lo, hi))
+    label = f"production join tiled at {cuts}"
+    if len(tiled) != len(set(tiled)):
+        raise VerificationError(f"{label}: ranges emit overlapping pairs")
+    _diff_edges("naive join", reference, label, set(tiled))
 
 
 # --------------------------------------------------------------------------- #
@@ -957,9 +1035,8 @@ def check_plan_transparency(
        ``selection.extras`` (a silently skipped planner would make the
        check meaningless).
     2. **Adversarial plans.** Hand-built plans that deliberately pick the
-       *worst* settings (the sparse join on a tiny table, the scalar
-       similarity path, scratch selection with the reachability index
-       off, pointless shard counts) go through the same
+       *worst* settings (the scalar similarity path, scratch selection
+       with the reachability index off, pointless shard counts) go through the same
        :func:`repro.plan.planner.apply_plan` seam and must still be
        bit-identical.  Speed is allowed to suffer; results are not.
 
@@ -1009,14 +1086,12 @@ def check_plan_transparency(
         table, threshold=PowerConfig().pruning_threshold, seed=seed
     )
     adversarial_knob_sets = (
-        {"join_method": "sparse", "use_batch_similarity": False},
+        {"use_batch_similarity": False},
         {
-            "join_method": "naive",
             "use_incremental_selection": False,
             "reachability_index": "off",
         },
         {
-            "join_method": "prefix",
             "use_batch_similarity": True,
             "use_incremental_selection": True,
             "reachability_index": "auto",

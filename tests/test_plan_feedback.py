@@ -18,16 +18,16 @@ from repro.plan.planner import TableStats, plan_for_stats
 STATS = TableStats(rows=500, attrs=4, avg_tokens=8.0, est_pairs=400)
 
 
-def spans_for(join_seconds: float = 0.01) -> list[dict]:
+def spans_for(vectorize_seconds: float = 0.005) -> list[dict]:
     """A minimal exported span tree shaped like a traced resolve."""
     return [
         {
             "name": "resolve",
-            "wall_seconds": join_seconds + 0.02,
+            "wall_seconds": vectorize_seconds + 0.025,
             "children": [
-                {"name": "resolve.join", "wall_seconds": join_seconds,
+                {"name": "resolve.join", "wall_seconds": 0.01,
                  "children": []},
-                {"name": "resolve.vectorize", "wall_seconds": 0.005,
+                {"name": "resolve.vectorize", "wall_seconds": vectorize_seconds,
                  "children": []},
                 {"name": "resolve.construct", "wall_seconds": 0.005,
                  "children": []},
@@ -48,9 +48,9 @@ class TestExplain:
         plan = plan_for_stats(STATS, default_profile())
         rows = prediction_report(plan, spans_for())
         stages = {row["stage"] for row in rows}
-        # The chosen join/vectorize/selection stages all have spans;
+        # The chosen vectorize/selection stages all have spans;
         # shard_dispatch and stream_extend have none and must not appear.
-        assert any(stage.startswith("join_") for stage in stages)
+        assert any(stage.startswith("vectorize_") for stage in stages)
         assert not any(stage.startswith("shard") for stage in stages)
         for row in rows:
             assert row["observed_seconds"] > 0
@@ -78,29 +78,29 @@ class TestFeedback:
     def test_fold_moves_coefficients_toward_observation(self):
         profile = default_profile()
         plan = plan_for_stats(STATS, profile)
-        join_stage = plan.decision("join_method").prediction.stage
-        predicted = plan.decision("join_method").prediction.seconds
-        # Observe the join running 2x slower than predicted.
+        stage = plan.decision("use_batch_similarity").prediction.stage
+        predicted = plan.decision("use_batch_similarity").prediction.seconds
+        # Observe vectorization running 2x slower than predicted.
         folded = fold_observations(profile, plan, spans_for(2 * predicted))
-        before = profile.model(join_stage)
-        after = folded.model(join_stage)
+        before = profile.model(stage)
+        after = folded.model(stage)
         # learning_rate 0.5 toward a 2x ratio -> exactly 1.5x.
         assert after.c1 == pytest.approx(before.c1 * 1.5)
         assert folded.meta["feedback_folds"] == 1
-        assert join_stage in folded.meta["last_fold_stages"]
+        assert stage in folded.meta["last_fold_stages"]
 
     def test_fold_is_bounded(self):
         profile = default_profile()
         plan = plan_for_stats(STATS, profile)
-        predicted = plan.decision("join_method").prediction.seconds
-        join_stage = plan.decision("join_method").prediction.stage
+        predicted = plan.decision("use_batch_similarity").prediction.seconds
+        stage = plan.decision("use_batch_similarity").prediction.stage
         # A 1000x anomaly is clamped to MAX_FOLD_FACTOR before the
         # learning rate applies.
         folded = fold_observations(
             profile, plan, spans_for(1000 * predicted), learning_rate=1.0
         )
-        before = profile.model(join_stage)
-        after = folded.model(join_stage)
+        before = profile.model(stage)
+        after = folded.model(stage)
         assert after.c1 <= before.c1 * MAX_FOLD_FACTOR + 1e-12
 
     def test_input_profile_never_mutated(self):

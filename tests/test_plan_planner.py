@@ -1,4 +1,4 @@
-"""Planner decisions, the apply_plan write barrier, and the auto-join hook.
+"""Planner decisions, the apply_plan write barrier, and the best-effort hooks.
 
 Covers the three layers between a profile and a run:
 
@@ -8,14 +8,15 @@ Covers the three layers between a profile and a run:
 * ``apply_plan`` — rewrites plannable knobs only, disables re-planning
   on the clone, respects an explicit user shard count, and refuses
   semantic knobs (the transparency write barrier);
-* the calibrated ``method="auto"`` join hook — planned and static auto
-  must pick equivalent joins on the seed datasets (same pair universe),
-  and the admission EWMA accepts a planner seed.
+* the best-effort hooks — the candidate join ignores any profile on disk
+  (one join, nothing to plan), stale profiles are tolerated, and the
+  admission EWMA accepts a planner seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -36,7 +37,6 @@ from repro.plan.planner import (
     PlanDecision,
     TableStats,
     apply_plan,
-    choose_join_method,
     choose_selection,
     choose_shards,
     choose_stream_batch,
@@ -89,27 +89,6 @@ def hook_env(tmp_path, monkeypatch):
 
 
 class TestDecisions:
-    def test_penalized_naive_join_loses(self):
-        profile = profile_with(join_naive={"c0": 10.0, "c1": 1.0})
-        decision = choose_join_method(STATS, profile)
-        assert decision.chosen in ("prefix", "sparse")
-        assert ("naive", pytest.approx(10.0 + STATS.rows * (STATS.rows - 1) / 2 * 8.0)) in [
-            (value, seconds) for value, seconds in decision.alternatives
-        ]
-
-    def test_penalized_index_joins_lose(self):
-        profile = profile_with(
-            join_prefix={"c0": 10.0, "c1": 1.0},
-            join_sparse={"c0": 10.0, "c1": 1.0},
-        )
-        assert choose_join_method(STATS, profile).chosen == "naive"
-
-    def test_allow_sparse_false_never_prices_sparse(self):
-        profile = profile_with(join_sparse={"c0": 0.0, "c1": 0.0})
-        decision = choose_join_method(STATS, profile, allow_sparse=False)
-        assert decision.chosen != "sparse"
-        assert all(value != "sparse" for value, _ in decision.alternatives)
-
     def test_vectorize_follows_coefficients(self):
         slow_scalar = profile_with(vectorize_scalar={"c0": 10.0, "c1": 1.0})
         assert choose_vectorize(STATS, slow_scalar).chosen is True
@@ -163,14 +142,11 @@ class TestDecisions:
 
 class TestApplyPlan:
     def test_rewrites_knobs_and_disables_replanning(self):
-        profile = profile_with(
-            join_prefix={"c0": 10.0, "c1": 1.0},
-            join_sparse={"c0": 10.0, "c1": 1.0},
-        )
+        profile = profile_with(vectorize_batch={"c0": 10.0, "c1": 1.0})
         plan = plan_for_stats(STATS, profile)
         config = PowerConfig(plan="auto")
         planned = apply_plan(config, plan)
-        assert planned.join_method == "naive"
+        assert planned.use_batch_similarity is False
         assert planned.plan == "off"
         assert not hasattr(planned, "stream_batch_size")
         # The original is untouched (PowerConfig is frozen, but pin it).
@@ -184,7 +160,9 @@ class TestApplyPlan:
     def test_refuses_semantic_knobs(self):
         rogue = SimpleNamespace(
             decisions=(
-                PlanDecision(knob="join_method", chosen="naive", prediction=None),
+                PlanDecision(
+                    knob="use_batch_similarity", chosen=False, prediction=None
+                ),
                 SimpleNamespace(knob="epsilon", chosen=None),
             )
         )
@@ -193,28 +171,35 @@ class TestApplyPlan:
 
 
 class TestAutoJoinHook:
-    """Satellite regression: calibrated and static auto pick equivalent joins."""
+    """The candidate join is the same with or without a calibrated profile."""
 
     @pytest.mark.parametrize("dataset,scale", [("restaurant", 0.1), ("cora", 0.1)])
     def test_auto_join_parity_on_seed_datasets(self, dataset, scale, hook_env):
         from repro.similarity import similar_pairs
+        from repro.similarity.tokenize import word_tokens
+        from repro.verify import naive_join
 
         table = subsample_table(load_dataset(dataset), scale)
-        static_auto = similar_pairs(table, 0.2, method="auto")
+        without_profile = similar_pairs(table, 0.2)
         calibrated_profile_file(hook_env)
         from repro.plan import hooks
 
         hooks.clear_cache()
-        planned_auto = similar_pairs(table, 0.2, method="auto")
-        explicit = similar_pairs(table, 0.2, method="naive")
-        assert static_auto == planned_auto == explicit
+        with_profile = similar_pairs(table, 0.2)
+        tokens = [word_tokens(table.record_text(r.record_id)) for r in table]
+        assert without_profile == with_profile == sorted(naive_join(tokens, 0.2))
 
     def test_hooks_silent_without_profile(self, hook_env):
         from repro.plan import hooks
 
         assert hooks.calibrated_profile() is None
-        assert hooks.planned_join_method(100, 8.0) is None
         assert hooks.predicted_batch_seconds(100) is None
+        # A version-1 profile (it priced three joins) reads as no profile.
+        payload = default_profile().to_payload()
+        payload["version"] = 1
+        hook_env.write_text(json.dumps(payload))
+        hooks.clear_cache()
+        assert hooks.calibrated_profile() is None
         # The stream-batch hook always answers (defaults as fallback).
         batch = hooks.planned_stream_batch(8.0)
         assert MIN_STREAM_BATCH <= batch <= MAX_STREAM_BATCH
@@ -225,7 +210,6 @@ class TestAutoJoinHook:
 
         hooks.clear_cache()
         assert hooks.calibrated_profile() is not None
-        assert hooks.planned_join_method(100, 8.0) in ("naive", "prefix")
         assert hooks.predicted_batch_seconds(100) > 0.0
 
 

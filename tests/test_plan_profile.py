@@ -35,7 +35,7 @@ class TestGoldenSchema:
             "meta",
             "version",
         ]
-        assert payload["version"] == PROFILE_VERSION == 1
+        assert payload["version"] == PROFILE_VERSION == 2
         assert payload["calibrated"] is False
         assert sorted(payload["coefficients"]) == sorted(STAGES)
         for coeffs in payload["coefficients"].values():
@@ -59,16 +59,18 @@ class TestGoldenSchema:
 
 class TestRejection:
     def test_unknown_version_rejected(self, tmp_path):
-        payload = default_profile().to_payload()
-        payload["version"] = 99
-        path = tmp_path / "future.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="version"):
-            load_profile(path)
+        # 1 is the retired schema that still priced three candidate joins.
+        for version in (1, 99):
+            payload = default_profile().to_payload()
+            payload["version"] = version
+            path = tmp_path / f"v{version}.json"
+            path.write_text(json.dumps(payload))
+            with pytest.raises(DataError, match="version"):
+                load_profile(path)
 
     def test_corrupt_json_rejected(self, tmp_path):
         path = tmp_path / "corrupt.json"
-        path.write_text('{"version": 1, "coefficients": {')
+        path.write_text('{"version": 2, "coefficients": {')
         with pytest.raises(DataError):
             load_profile(path)
 
@@ -84,8 +86,8 @@ class TestRejection:
 
     def test_missing_stage_rejected(self):
         payload = default_profile().to_payload()
-        del payload["coefficients"]["join_naive"]
-        with pytest.raises(DataError, match="join_naive"):
+        del payload["coefficients"]["construct"]
+        with pytest.raises(DataError, match="construct"):
             CalibrationProfile.from_payload(payload)
 
     def test_unknown_stage_rejected(self):

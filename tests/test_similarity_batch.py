@@ -8,8 +8,8 @@ on:
   function;
 * the blocked dominance kernel produces exactly the reference edge set /
   adjacency lists on random vector matrices;
-* :func:`sparse_jaccard_join` returns exactly the naive quadratic join's
-  pairs across thresholds.
+* :func:`sparse_jaccard_join` returns exactly the naive quadratic join
+  oracle's pairs across thresholds.
 
 Plus direct unit tests of the :class:`TokenIndex` bigram encoder, the
 empty-input fast paths, and the zero-candidate behaviour end-to-end through
@@ -38,8 +38,8 @@ from repro.similarity import (
     sparse_jaccard_join,
 )
 from repro.similarity.batch import batch_edit_similarities
-from repro.similarity.join import _naive_join
 from repro.similarity.tokenize import qgram_tokens, word_tokens
+from repro.verify import naive_join
 
 from conftest import random_vectors
 
@@ -323,13 +323,14 @@ class TestSparseJoin:
         threshold=st.sampled_from([0.1, 0.2, 0.5, 0.8, 1.0]),
     )
     def test_equals_naive_join(self, token_sets, threshold):
-        assert sparse_jaccard_join(token_sets, threshold) == _naive_join(
+        assert sparse_jaccard_join(token_sets, threshold) == naive_join(
             token_sets, threshold
         )
 
     def test_method_sparse_through_similar_pairs(self, small_table):
-        assert similar_pairs(small_table, 0.2, method="sparse") == similar_pairs(
-            small_table, 0.2, method="naive"
+        token_sets = [word_tokens(small_table.record_text(r.record_id)) for r in small_table]
+        assert similar_pairs(small_table, 0.2) == sorted(
+            naive_join(token_sets, 0.2)
         )
 
     def test_rejects_bad_threshold(self):
@@ -358,12 +359,16 @@ class TestEmptyInputs:
     def test_similar_pairs_empty_and_singleton_tables(self):
         for rows in ([], [("solo", "record")]):
             table = _tiny_table(rows)
-            for method in ("auto", "naive", "prefix", "sparse"):
-                assert similar_pairs(table, 0.2, method=method) == []
+            for tokens in ("word", "qgram"):
+                assert similar_pairs(table, 0.2, tokens=tokens) == []
 
     def test_similar_pairs_rejects_unknown_method_even_when_tiny(self):
-        with pytest.raises(ConfigurationError):
+        # The join has no strategy knob left; bad arguments still fail
+        # before the empty-table fast path.
+        with pytest.raises(TypeError):
             similar_pairs(_tiny_table([]), 0.2, method="bogus")
+        with pytest.raises(ConfigurationError):
+            similar_pairs(_tiny_table([]), 0.2, tokens="bogus")
 
     def test_resolver_with_zero_candidates_raises_data_error(self):
         # Completely dissimilar records: pruning leaves nothing to resolve.
@@ -390,9 +395,8 @@ class TestEmptyInputs:
         assert batch_run.questions == scalar_run.questions
 
     def test_power_config_validates_join_knobs(self):
-        with pytest.raises(ConfigurationError):
-            PowerConfig(join_method="quadratic")
+        with pytest.raises(TypeError):
+            PowerConfig(join_method="sparse")  # one join: no strategy knob
         with pytest.raises(ConfigurationError):
             PowerConfig(join_tokens="chars")
-        config = PowerConfig(join_method="sparse", join_tokens="qgram")
-        assert config.join_method == "sparse"
+        assert PowerConfig(join_tokens="qgram").join_tokens == "qgram"

@@ -187,6 +187,18 @@ class TestServiceGuards:
         assert restored.batches == 1
         assert restored.labels == service.labels
 
+    def test_config_codec_keeps_the_retired_join_field(self):
+        from repro.stream.service import _decode_config, _encode_config
+
+        # The snapshot schema still records the retired candidate-join knob,
+        # so snapshot bytes stay stable; snapshots written while it was a
+        # live knob (any value) still restore.
+        config = PowerConfig(seed=4, join_tokens="qgram")
+        payload = _encode_config(config)
+        assert payload["join_method"] == "auto"
+        assert _decode_config(payload) == config
+        assert _decode_config({**payload, "join_method": "prefix"}) == config
+
     def test_shard_routing_is_bit_identical(self, small_table):
         rows = [record.values for record in small_table]
         entities = [record.entity_id for record in small_table]

@@ -34,10 +34,14 @@ class TestMutationSelfTest:
         from repro.crowd.platform import CrowdSession
         from repro.graph.coloring import ColoringState
         from repro.graph.dag import PairGraph
+        import repro.similarity.batch as batch
+        import repro.similarity.join as join
         from repro.serve.sessions import SessionRegistry
         from repro.similarity.batch import TokenIndex
 
         before = (
+            batch.sparse_jaccard_join,
+            join.sparse_jaccard_join,
             construction.blocked_dominance_lists,
             topo.topological_layers,
             matching.minimum_path_cover,
@@ -50,6 +54,8 @@ class TestMutationSelfTest:
         )
         run_mutation_selftest(seed=0)
         after = (
+            batch.sparse_jaccard_join,
+            join.sparse_jaccard_join,
             construction.blocked_dominance_lists,
             topo.topological_layers,
             matching.minimum_path_cover,
@@ -121,6 +127,29 @@ class TestMutationSelfTest:
                 run_detection_battery(seed=0)
         with mutant.activate():
             run_detection_battery(seed=0, include_plan=False)
+
+    def test_join_range_mutant_is_caught_by_the_join_tiling_check(self):
+        """The range form of the candidate join has its own teeth.
+
+        ``join-range-no-replay`` leaves the whole-table join intact (a
+        range starting at 0 has nothing to replay), so the battery's join
+        step can only catch it through its random tiling of the range form.
+        """
+        from repro.exceptions import VerificationError
+        from repro.similarity import similar_pairs
+        from repro.similarity.tokenize import word_tokens
+        from repro.verify import check_join_methods, naive_join
+        from repro.verify.mutation import _battery_table
+
+        table = _battery_table()
+        tokens = [word_tokens(table.record_text(r.record_id)) for r in table]
+        mutant = next(m for m in MUTANTS if m.name == "join-range-no-replay")
+        with mutant.activate():
+            assert similar_pairs(table, 0.2) == sorted(naive_join(tokens, 0.2))
+            with pytest.raises(VerificationError, match="production join tiled"):
+                check_join_methods(table, 0.2, seed=0)
+            with pytest.raises(VerificationError, match="production join tiled"):
+                run_detection_battery(seed=0)
 
     def test_each_mutant_actually_changes_behavior(self):
         """Activating a mutant must make the pristine battery fail loudly."""

@@ -159,7 +159,16 @@ class TestSimilarityOracles:
         check_batch_similarity(table, pairs, config)
 
     def test_join_methods_agree(self, small_table):
-        check_join_methods(small_table, 0.25)
+        for seed in (0, 1, 2):
+            check_join_methods(small_table, 0.25, seed=seed)
+
+    def test_join_oracles_pair_empty_records(self):
+        from repro.verify import naive_join, prefix_join
+
+        token_sets = [frozenset(), frozenset({"a", "b"}), frozenset(), frozenset({"a"})]
+        expected = {(0, 2), (1, 3)}
+        assert naive_join(token_sets, 0.5) == expected
+        assert prefix_join(token_sets, 0.5) == expected
 
 
 class TestCrowdAggregationOracle:
