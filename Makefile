@@ -127,14 +127,21 @@ bench-shard:
 bench-selection:
 	$(PYTHON) benchmarks/bench_selection_loop.py --check
 
+# Like every smoke: fast-mode timings must not clobber the committed
+# full-run BENCH_selection.json / BENCH_obs.json.
+SELECTION_SMOKE_OUT ?= /tmp/BENCH_selection_smoke.json
+OBS_SMOKE_OUT ?= /tmp/BENCH_obs_smoke.json
+
 bench-selection-smoke:
-	POWER_BENCH_FAST=1 $(PYTHON) benchmarks/bench_selection_loop.py --check
+	POWER_BENCH_FAST=1 $(PYTHON) benchmarks/bench_selection_loop.py --check \
+		--out $(SELECTION_SMOKE_OUT)
 
 bench-obs:
 	$(PYTHON) benchmarks/bench_obs_overhead.py --check
 
 bench-obs-smoke:
-	POWER_BENCH_FAST=1 $(PYTHON) benchmarks/bench_obs_overhead.py --check
+	POWER_BENCH_FAST=1 $(PYTHON) benchmarks/bench_obs_overhead.py --check \
+		--out $(OBS_SMOKE_OUT)
 
 # Scratch directory for the streaming CLI smoke (wiped before and after).
 STREAM_SMOKE_DIR ?= .stream-smoke

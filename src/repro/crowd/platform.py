@@ -52,7 +52,10 @@ class SimulatedCrowd:
             raise ConfigurationError(
                 f"aggregation must be 'majority' or 'weighted', got {aggregation!r}"
             )
-        self.truth = {canonical_pair(*pair): bool(value) for pair, value in truth.items()}
+        self.truth = {
+            pair if pair[0] < pair[1] else canonical_pair(*pair): bool(value)
+            for pair, value in truth.items()
+        }
         self.pool = pool if pool is not None else WorkerPool()
         self.assignments = assignments
         self.aggregation = aggregation

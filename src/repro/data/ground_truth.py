@@ -42,10 +42,14 @@ def pair_truth(table: Table, pairs: Iterable[Pair]) -> dict[Pair, bool]:
     """For each pair, whether its two records refer to the same entity."""
     if not table.has_ground_truth():
         raise DataError(f"table {table.name!r} has records without entity ids")
+    entity = [record.entity_id for record in table]
     truth: dict[Pair, bool] = {}
-    for i, j in pairs:
-        pair = canonical_pair(i, j)
-        truth[pair] = table[pair[0]].entity_id == table[pair[1]].entity_id
+    for pair in pairs:
+        i, j = pair
+        # A canonical tuple is its own key: no new tuple per candidate pair.
+        if type(pair) is not tuple or not i < j:
+            pair = canonical_pair(i, j)
+        truth[pair] = entity[i] == entity[j]
     return truth
 
 

@@ -156,13 +156,14 @@ class ColoringState:
         BLUE or uncolored vertices contribute nothing; callers decide those
         separately (the §6 histogram step) or treat them as non-matches.
         """
+        # Plain ints: an int8 == IntEnum comparison costs ~8 µs per vertex.
+        green, red = int(Color.GREEN), int(Color.RED)
         labels: dict[Pair, bool] = {}
-        for vertex in range(len(self.graph)):
-            color = self.colors[vertex]
-            if color == Color.GREEN or color == Color.RED:
-                decision = color == Color.GREEN
+        for vertex, color in enumerate(self.colors.tolist()):
+            if color == green or color == red:
+                decision = color == green
                 for pair in self.graph.member_pairs(vertex):
-                    labels[pair] = bool(decision)
+                    labels[pair] = decision
         return labels
 
     def validate_against(self, truth: dict[Pair, bool]) -> float:

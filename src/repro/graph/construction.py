@@ -17,15 +17,17 @@ much comparison work they avoid:
 
 :func:`vectorized_edges` is the per-vertex numpy reference used as ground
 truth in tests; it is not one of the paper's algorithms.
-:func:`blocked_edges` is the production kernel: the same dominance relation
-computed in ``(B, n)`` tiles so Python-level iteration drops from ``n``
-round-trips to ``n / B`` while the per-tile temporaries stay bounded.  The
-graph classes (:mod:`repro.graph.dag`) build their adjacency through the
-blocked kernel.  The Fig. 20 benchmark times the three faithful paper
-implementations.
+The production kernel is one private generator of ``(B, n)`` dominance
+tiles (``n / B`` Python iterations instead of ``n``, bounded temporaries),
+cut into lists by :func:`blocked_dominance_lists`, into edges by
+:func:`blocked_edges`, and packed into bits by
+:meth:`repro.graph.reachability.ReachabilityIndex.build`.  The Fig. 20
+benchmark times the three faithful paper implementations.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -63,8 +65,58 @@ def vectorized_edges(vectors: np.ndarray) -> set[Edge]:
 
 #: Row-tile height of the blocked dominance kernel.  Chosen so one boolean
 #: ``(B, n)`` accumulator stays comfortably inside L2/L3 for the pair counts
-#: the paper's datasets produce (n up to a few hundred thousand).
+#: the paper's datasets produce (n up to a few hundred thousand).  It must
+#: be a multiple of 8: the reachability build packs each tile's columns
+#: into whole ancestor bytes.
 DEFAULT_BLOCK_SIZE = 256
+
+
+def _dominance_tiles(
+    dominant: np.ndarray,
+    dominated: np.ndarray,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    exclude_diagonal: bool = True,
+    row_range: tuple[int, int] | None = None,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, tile)`` for consecutive row blocks: the one tile loop.
+
+    ``tile[i, v]`` is True iff ``dominant[start + i] >= dominated[v]`` on
+    every attribute and ``>`` on at least one.  Each attribute is read as a
+    contiguous row of the transposed operands (a strided ``dominated[:, k]``
+    costs two to three times as much), and the tiles reuse three ``(B, n)``
+    buffers, so a tile is only valid until the next one is drawn.
+    """
+    dominant = _validate(dominant)
+    dominated = _validate(dominated)
+    if dominant.shape != dominated.shape:
+        raise GraphError(
+            f"dominant/dominated shapes differ: {dominant.shape} vs {dominated.shape}"
+        )
+    if block_size < 1:
+        raise GraphError(f"block_size must be >= 1, got {block_size}")
+    n, m = dominant.shape
+    lo, hi = (0, n) if row_range is None else row_range
+    if not 0 <= lo <= hi <= n:
+        raise GraphError(
+            f"row_range must satisfy 0 <= lo <= hi <= {n}, got ({lo}, {hi})"
+        )
+    rows_by_attribute = np.ascontiguousarray(dominant.T)
+    columns_by_attribute = np.ascontiguousarray(dominated.T)
+    buffers = np.empty((3, min(block_size, hi - lo), n), dtype=bool)
+    for start in range(lo, hi, block_size):
+        stop = min(start + block_size, hi)
+        all_ge, any_gt, compared = buffers[:, : stop - start]
+        all_ge.fill(True)
+        any_gt.fill(False)
+        for k in range(m):
+            block = rows_by_attribute[k, start:stop, None]
+            column = columns_by_attribute[k]
+            all_ge &= np.greater_equal(block, column, out=compared)
+            any_gt |= np.greater(block, column, out=compared)
+        all_ge &= any_gt
+        if exclude_diagonal:
+            all_ge[np.arange(stop - start), np.arange(start, stop)] = False
+        yield start, all_ge
 
 
 def blocked_dominance_lists(
@@ -82,11 +134,10 @@ def blocked_dominance_lists(
     grouped graph (*dominant* = group lower bounds, *dominated* = group upper
     bounds, Eqs. 5-6).
 
-    Instead of one Python iteration per vertex, rows are processed in blocks
-    of *block_size*: per attribute the ``(B, n)`` comparisons are accumulated
-    into two boolean tiles (``all >=`` and ``any >``), bounding temporary
-    memory at ``O(B * n)`` regardless of ``m`` while cutting the Python-loop
-    overhead by ``B``.
+    Instead of one Python iteration per vertex, rows are processed in
+    ``(B, n)`` tiles of *block_size* rows, bounding temporary memory at
+    ``O(B * n)`` regardless of ``m`` while cutting the Python-loop overhead
+    by ``B``.
 
     Args:
         dominant / dominated: ``(n, m)`` float arrays, row-aligned.
@@ -100,39 +151,11 @@ def blocked_dominance_lists(
             concatenating the per-range outputs in row order reproduces the
             full-range output exactly, tile boundaries included.
     """
-    dominant = _validate(dominant)
-    dominated = _validate(dominated)
-    if dominant.shape != dominated.shape:
-        raise GraphError(
-            f"dominant/dominated shapes differ: {dominant.shape} vs {dominated.shape}"
-        )
-    if block_size < 1:
-        raise GraphError(f"block_size must be >= 1, got {block_size}")
-    n, m = dominant.shape
-    lo, hi = (0, n) if row_range is None else row_range
-    if not 0 <= lo <= hi <= n:
-        raise GraphError(
-            f"row_range must satisfy 0 <= lo <= hi <= {n}, got ({lo}, {hi})"
-        )
     children: list[np.ndarray] = []
-    for start in range(lo, hi, block_size):
-        block = dominant[start : min(start + block_size, hi)]
-        height = block.shape[0]
-        all_ge = np.ones((height, n), dtype=bool)
-        any_gt = np.zeros((height, n), dtype=bool)
-        for k in range(m):
-            column = dominated[:, k]
-            tile = block[:, k, None]
-            np.logical_and(all_ge, tile >= column, out=all_ge)
-            np.logical_or(any_gt, tile > column, out=any_gt)
-        np.logical_and(all_ge, any_gt, out=all_ge)
-        if exclude_diagonal:
-            all_ge[np.arange(height), np.arange(start, start + height)] = False
-        # One nonzero over the tile (row-major, so cols are grouped and
-        # ascending per row), then a single split — no per-row scans.
-        rows, cols = np.nonzero(all_ge)
-        counts = np.bincount(rows, minlength=height)
-        children.extend(np.split(cols, np.cumsum(counts)[:-1]))
+    for _, tile in _dominance_tiles(
+        dominant, dominated, block_size, exclude_diagonal, row_range
+    ):
+        children.extend(map(np.flatnonzero, tile))
     return children
 
 
@@ -143,21 +166,9 @@ def blocked_edges(vectors: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> 
     :func:`brute_force_edges` (enforced by property tests) with ``n / B``
     Python-level iterations instead of ``n``.
     """
-    vectors = _validate(vectors)
-    n, m = vectors.shape
     edges: set[Edge] = set()
-    for start in range(0, n, block_size):
-        block = vectors[start : start + block_size]
-        height = block.shape[0]
-        all_ge = np.ones((height, n), dtype=bool)
-        any_gt = np.zeros((height, n), dtype=bool)
-        for k in range(m):
-            column = vectors[:, k]
-            tile = block[:, k, None]
-            np.logical_and(all_ge, tile >= column, out=all_ge)
-            np.logical_or(any_gt, tile > column, out=any_gt)
-        np.logical_and(all_ge, any_gt, out=all_ge)
-        rows, cols = np.nonzero(all_ge)
+    for start, tile in _dominance_tiles(vectors, vectors, block_size):
+        rows, cols = np.nonzero(tile)
         edges.update(zip((rows + start).tolist(), cols.tolist()))
     return edges
 

@@ -10,10 +10,9 @@ Dominance queries are vectorised: instead of materialising the O(|V|^2) edge
 set, ``descendants(v)`` broadcasts one comparison over the similarity matrix.
 Because strict dominance is transitive, the resulting edge relation is its
 own transitive closure; explicit adjacency lists (needed by the matching and
-layering algorithms) are built lazily and cached — through the blocked
-dominance kernel (:func:`repro.graph.construction.blocked_dominance_lists`)
-when a subclass exposes its dominance operands, falling back to the
-per-vertex reference loop otherwise.
+layering algorithms) are cached — cut from the dominance tiles of
+:mod:`repro.graph.construction` (by the reachability build, or lazily) when
+a subclass exposes its dominance operands, else the per-vertex reference loop.
 """
 
 from __future__ import annotations
@@ -117,7 +116,7 @@ class OrderedGraph(ABC):
         return self._reachability
 
     def build_reachability(self, max_bytes: int | None = None):
-        """Build (once) and cache the packed-bitset reachability index.
+        """Build (once) and cache the reachability index (and :meth:`adjacency`).
 
         Args:
             max_bytes: byte budget for the index; ``None`` uses
@@ -130,14 +129,20 @@ class OrderedGraph(ABC):
         """
         if self._reachability is not None:
             return self._reachability
-        if self._dominance_operands() is None:
+        operands = self._dominance_operands()
+        if operands is None:
             return None
         from .reachability import DEFAULT_REACHABILITY_BYTES, ReachabilityIndex
 
         limit = DEFAULT_REACHABILITY_BYTES if max_bytes is None else max_bytes
         if ReachabilityIndex.estimated_bytes(self._num_vertices) > limit:
             return None
-        self._reachability = ReachabilityIndex.build(self)
+        # The same pass cuts the adjacency lists, unless a caller already
+        # ran adjacency(); then the cached lists stay as they are.
+        lists: list[np.ndarray] | None = [] if self._adjacency is None else None
+        self._reachability = ReachabilityIndex.build(*operands, lists=lists)
+        if lists is not None:
+            self._adjacency = lists
         return self._reachability
 
     @property

@@ -15,18 +15,18 @@ operations of the selection loop into word-parallel byte ops:
   to the active sub-DAG with a single ``AND`` against the packed active
   mask instead of rebuilding Python adjacency lists every round.
 
-The index is built once per graph, from the cached blocked-kernel
-adjacency, and only for graphs that expose their dominance operands
-(``_dominance_operands() is not None``) — the naive oracle twins in
-:mod:`repro.verify.oracles` never get one, so differential checks keep
-exercising the pure reference paths.  A byte-size gate
+The index is built once per graph, in one pass over the dominance tiles of
+:mod:`repro.graph.construction`, and only for graphs that expose their
+dominance operands (``_dominance_operands() is not None``) — the naive
+oracle twins in :mod:`repro.verify.oracles` never get one, so differential
+checks keep exercising the pure reference paths.  A byte-size gate
 (:data:`DEFAULT_REACHABILITY_BYTES`, overridable through the
 ``reachability_index`` config knob) keeps huge graphs on the mask-broadcast
 path instead of materialising a quadratic index.
 
 Unpacked rows are byte-identical to the float-broadcast masks
-(``graph.ancestor_mask`` / ``graph.descendant_mask``); the verify battery
-and ``tests/test_graph_reachability.py`` enforce this.
+(``graph.ancestor_mask`` / ``graph.descendant_mask``) and to the adjacency
+lists; the battery's ``check_reachability_index`` step enforces this.
 """
 
 from __future__ import annotations
@@ -34,14 +34,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import GraphError
+from . import construction
 
 #: Default byte budget for one index (both matrices together).  256 MiB
 #: admits graphs of roughly 30k vertices; beyond that the selection loop
 #: falls back to the reference mask-broadcast path.
 DEFAULT_REACHABILITY_BYTES = 256 * 1024 * 1024
-
-#: Row-block size used while packing (bounds the dense boolean temp).
-_BUILD_BLOCK = 1024
 
 
 def pack_mask(mask: np.ndarray) -> np.ndarray:
@@ -61,50 +59,6 @@ def lowest_set_bit(bits: np.ndarray) -> int:
     byte_index = int(np.argmax(bits != 0))
     byte = int(bits[byte_index])
     return byte_index * 8 + ((byte & -byte).bit_length() - 1)
-
-
-def _pack_rows(row_targets: list[np.ndarray], n: int) -> np.ndarray:
-    """Pack per-vertex target index lists into an (n, ceil(n/8)) bit-matrix."""
-    width = (n + 7) // 8
-    packed = np.empty((n, width), dtype=np.uint8)
-    block = np.zeros((min(_BUILD_BLOCK, max(n, 1)), n), dtype=bool)
-    for start in range(0, n, _BUILD_BLOCK):
-        stop = min(start + _BUILD_BLOCK, n)
-        rows = block[: stop - start]
-        rows[:] = False
-        lengths = np.fromiter(
-            (len(row_targets[vertex]) for vertex in range(start, stop)),
-            count=stop - start,
-            dtype=np.int64,
-        )
-        total = int(lengths.sum())
-        if total:
-            columns = np.concatenate(
-                [np.asarray(row_targets[v], dtype=np.int64) for v in range(start, stop)]
-            )
-            rows[np.repeat(np.arange(stop - start), lengths), columns] = True
-        packed[start:stop] = np.packbits(rows, axis=1, bitorder="little")
-    return packed
-
-
-def _transpose_bits(bits: np.ndarray, n: int) -> np.ndarray:
-    """Transpose an (n, ceil(n/8)) packed bit-matrix, block of rows at a time.
-
-    ``_BUILD_BLOCK`` is a multiple of 8, so each output row-block maps to a
-    byte-aligned column slice of the input — unpack, transpose, repack, all
-    in C.
-    """
-    width = (n + 7) // 8
-    out = np.empty((n, width), dtype=np.uint8)
-    for start in range(0, n, _BUILD_BLOCK):
-        stop = min(start + _BUILD_BLOCK, n)
-        sub = np.unpackbits(
-            bits[:, start >> 3 : (stop + 7) >> 3], axis=1, bitorder="little"
-        )[:, : stop - start]
-        out[start:stop] = np.packbits(
-            np.ascontiguousarray(sub.T), axis=1, bitorder="little"
-        )
-    return out
 
 
 class ReachabilityIndex:
@@ -132,17 +86,38 @@ class ReachabilityIndex:
         return 2 * num_vertices * ((num_vertices + 7) // 8)
 
     @classmethod
-    def build(cls, graph) -> "ReachabilityIndex":
-        """Build the index from a graph's (cached) adjacency lists.
+    def build(
+        cls,
+        dominant: np.ndarray,
+        dominated: np.ndarray,
+        lists: list[np.ndarray] | None = None,
+    ) -> "ReachabilityIndex":
+        """Build the index in one pass over the dominance tiles of a graph.
 
-        The ancestor matrix is the bit-transpose of the descendant matrix
-        (``u`` dominates ``v`` iff ``v`` is dominated by ``u``), computed
-        block-wise in packed form.
+        *dominant* and *dominated* are the graph's ``_dominance_operands()``.
+        The tile of rows ``start..stop-1`` packed along its rows is those
+        descendant rows; packed along its columns it is the ancestor
+        matrix's byte columns ``start/8 .. ceil(stop/8)``, byte-aligned
+        because the tile height ``construction.DEFAULT_BLOCK_SIZE`` is a
+        multiple of 8.  When *lists* is given, the same tiles are also cut
+        into per-row children lists appended to it, the lists
+        :meth:`~repro.graph.dag.OrderedGraph.adjacency` returns.
         """
-        adjacency = graph.adjacency()
-        n = len(graph)
-        desc = _pack_rows(adjacency, n)
-        anc = _transpose_bits(desc, n)
+        n = len(dominant)
+        desc = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+        anc = np.empty_like(desc)
+        for start, tile in construction._dominance_tiles(
+            dominant, dominated, construction.DEFAULT_BLOCK_SIZE
+        ):
+            stop = start + len(tile)
+            desc[start:stop] = np.packbits(tile, axis=1, bitorder="little")
+            # Packing the transposed copy along axis 1 is the axis-0 pack,
+            # at a third of its cost.
+            anc[:, start >> 3 : (stop + 7) >> 3] = np.packbits(
+                np.ascontiguousarray(tile.T), axis=1, bitorder="little"
+            )
+            if lists is not None:
+                lists.extend(map(np.flatnonzero, tile))
         return cls(desc, anc, n)
 
     # ------------------------------------------------------------------ #

@@ -10,10 +10,10 @@ Three complementary pillars, all raising
   ground truth under which a perfect crowd must recover the truth exactly;
 * **invariant checkers** (:mod:`.invariants`) — partial-order laws, DAG
   acyclicity, topological layering vs naive Kahn peeling, path-cover
-  validity, grouped-partition arithmetic, union-find vs BFS clustering,
-  and crowd-session billing coherence, plus the opt-in
-  :class:`VerifyingSession` sanitizer that audits a live session at every
-  answer;
+  validity, reachability-index packing, grouped-partition arithmetic,
+  union-find vs BFS clustering, and crowd-session billing coherence, plus
+  the opt-in :class:`VerifyingSession` sanitizer that audits a live
+  session at every answer;
 * **metamorphic properties** (:mod:`.metamorphic`) — record-permutation
   invariance, duplicate idempotence, and cost monotonicity under budget
   growth.
@@ -32,6 +32,7 @@ from .invariants import (
     check_grouped_partition,
     check_partial_order,
     check_path_cover,
+    check_reachability_index,
     check_session_coherence,
     check_topo_layers,
     naive_kahn_layers,
@@ -90,6 +91,7 @@ __all__ = [
     "check_partial_order",
     "check_path_cover",
     "check_permutation_invariance",
+    "check_reachability_index",
     "check_selection_incremental",
     "check_selector_differential",
     "check_selector_monotone_oracle",

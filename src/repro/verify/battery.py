@@ -6,7 +6,8 @@ mutation self-test into a single :class:`~repro.verify.report.VerificationReport
 1. **synthetic sweeps** — random similarity matrices across many seeds
    drive the construction oracles, the structural invariants, and the
    production-vs-naive selector differentials (perfect and noisy crowds,
-   grouped and ungrouped graphs);
+   grouped and ungrouped graphs); graphs sized across byte and tile
+   boundaries drive the packed reachability-index check;
 2. **dataset checks** — a (subsampled) benchmark dataset goes through the
    real pipeline: batch-similarity and join oracles, graph invariants on
    the actual dominance DAG, an end-to-end resolution under the always-on
@@ -211,6 +212,34 @@ def _synthetic_sweeps(config: BatteryConfig, report: VerificationReport) -> None
         )
 
 
+#: Vertex counts that straddle a byte (8) and a dominance tile (256 rows).
+REACHABILITY_SIZES = (7, 8, 9, 255, 256, 257, 520)
+
+
+def _reachability_sweeps(config: BatteryConfig, report: VerificationReport) -> None:
+    for n in REACHABILITY_SIZES:
+        pairs, vectors = random_instance(
+            config.base_seed + n, 2 * n, config.num_attributes
+        )
+        run_check(
+            report,
+            f"reachability-index[pair, n={n}]",
+            lambda p=pairs[:n], v=vectors[:n]: invariants.check_reachability_index(
+                PairGraph(p, v)
+            ),
+        )
+        # Exactly n groups (pair vertices 2g and 2g + 1 form group g), so the
+        # grouped graph straddles the same boundaries as the pair graph.
+        groups = [[2 * g, 2 * g + 1] for g in range(n)]
+        run_check(
+            report,
+            f"reachability-index[grouped, n={n}]",
+            lambda p=pairs, v=vectors, s=groups: invariants.check_reachability_index(
+                GroupedGraph(PairGraph(p, v), s)
+            ),
+        )
+
+
 def _billing_and_crowd(config: BatteryConfig, report: VerificationReport) -> None:
     pairs, _ = random_instance(config.base_seed, config.num_vertices, 4)
 
@@ -276,6 +305,13 @@ def _dataset_checks(config: BatteryConfig, report: VerificationReport) -> None:
         invariants.check_path_cover(graph)
 
     run_check(report, f"pipeline-graph[{table.name}]", pipeline_graph_invariants)
+    run_check(
+        report,
+        f"reachability-index[{table.name}]",
+        lambda: invariants.check_reachability_index(
+            resolver.build_graph(table, pairs, vectors=vectors)
+        ),
+    )
 
     for name in ("single-path", "multi-path"):
         run_check(
@@ -362,6 +398,7 @@ def run_battery(config: BatteryConfig | None = None) -> VerificationReport:
     config = config or BatteryConfig()
     report = VerificationReport()
     _synthetic_sweeps(config, report)
+    _reachability_sweeps(config, report)
     _billing_and_crowd(config, report)
     _dataset_checks(config, report)
     if config.include_mutation:

@@ -13,6 +13,8 @@ Catalog:
   descends strictly (:func:`check_topo_layers`);
 * path cover — disjoint, covering, chain-valid, and no larger than the
   greedy cover (:func:`check_path_cover`);
+* reachability index — every packed row equals the float-broadcast masks
+  and the cached adjacency lists (:func:`check_reachability_index`);
 * grouped graph — partition validity and bound arithmetic
   (:func:`check_grouped_partition`);
 * clustering — union-find components equal naive BFS components
@@ -218,6 +220,49 @@ def check_path_cover(graph: OrderedGraph) -> None:
             f"matching cover uses {len(paths)} paths but greedy found "
             f"{len(greedy)}: the matching is not maximum"
         )
+
+
+# --------------------------------------------------------------------------- #
+# Packed reachability index
+# --------------------------------------------------------------------------- #
+
+
+def check_reachability_index(graph: OrderedGraph) -> None:
+    """Every packed index row must equal the graph's masks and its lists.
+
+    Builds the index when the graph has none yet, which also caches the
+    adjacency lists the same pass cuts from the dominance tiles.  Then every
+    unpacked descendant row is diffed against ``descendant_mask`` and
+    ``adjacency()``, and every ancestor row against ``ancestor_mask`` and the
+    transposed ``adjacency()``.  Byte (8) and tile (256 rows) boundaries are
+    where the packing can go wrong, so callers pick sizes that straddle them.
+    """
+    index = graph.build_reachability()
+    n = len(graph)
+    if index is None or index.num_vertices != n:
+        raise VerificationError(f"no reachability index for the {n}-vertex graph")
+    adjacency = graph.adjacency()
+    lengths = np.array([len(children) for children in adjacency], dtype=np.int64)
+    targets = np.concatenate([np.zeros(0, dtype=np.int64), *adjacency])
+    sources = np.repeat(np.arange(n), lengths)[np.argsort(targets, kind="stable")]
+    ancestors = np.split(sources, np.cumsum(np.bincount(targets, minlength=n))[:-1])
+    for vertex in range(n):
+        for kind, row, mask, listed in (
+            ("descendant", index.descendant_mask(vertex),
+             graph.descendant_mask(vertex), adjacency[vertex]),
+            ("ancestor", index.ancestor_mask(vertex),
+             graph.ancestor_mask(vertex), ancestors[vertex]),
+        ):
+            if not np.array_equal(row, mask):
+                raise VerificationError(
+                    f"reachability {kind} row {vertex} of {n} differs from "
+                    f"{kind}_mask at {np.flatnonzero(row != mask)[:5].tolist()}"
+                )
+            if not np.array_equal(np.flatnonzero(row), listed):
+                raise VerificationError(
+                    f"reachability {kind} row {vertex} of {n} differs from the "
+                    "cached adjacency lists"
+                )
 
 
 # --------------------------------------------------------------------------- #

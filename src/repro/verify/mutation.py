@@ -9,7 +9,10 @@ check screams.  Every mutant models a realistic regression:
 ======================  ====================================================
 mutant                  seeded bug
 ======================  ====================================================
-``drop-dominance-edge`` the blocked kernel silently loses one edge
+``drop-dominance-edge`` the dominance tile generator silently loses one
+                        edge per pass (lists, edge set and packed index)
+``reachability-ragged-tile``  the one-pass index build skips the ancestor
+                        slab of the last, ragged tile
 ``non-strict-dominance``  ``>=`` everywhere accepted without a strict ``>``
 ``inverted-propagation``  GREEN votes descendants, RED votes ancestors
 ``topo-layer-merge``    all Kahn levels collapse into a single layer
@@ -33,9 +36,11 @@ mutant                  seeded bug
 
 Patching is done by rebinding module/class attributes inside a context
 manager that always restores the originals; lazily-imported helpers
-(``blocked_dominance_lists``, ``topological_layers``, ``minimum_path_cover``)
-are patched at their defining module *and* at every module-level import
-site, so both the production pipeline and the oracles see the mutated code.
+(``topological_layers``, ``minimum_path_cover``) are patched at their
+defining module *and* at every module-level import site, so both the
+production pipeline and the oracles see the mutated code.  The dominance
+tile generator has no import sites: every consumer looks it up through
+:mod:`repro.graph.construction` at call time.
 
 :func:`run_mutation_selftest` returns a
 :class:`~repro.verify.report.VerificationReport` with one result per
@@ -45,6 +50,7 @@ failure means a seeded bug slipped through the entire suite undetected.
 
 from __future__ import annotations
 
+import inspect
 import time
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
@@ -66,8 +72,14 @@ PatchTarget = tuple[object, str, object]
 
 @contextmanager
 def _patched(*targets: PatchTarget) -> Iterator[None]:
-    """Rebind ``(owner, attribute, replacement)`` triples, restoring on exit."""
-    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in targets]
+    """Rebind ``(owner, attribute, replacement)`` triples, restoring on exit.
+
+    The originals are read without the descriptor protocol, so a
+    classmethod or property is restored as itself.
+    """
+    originals = [
+        (owner, name, inspect.getattr_static(owner, name)) for owner, name, _ in targets
+    ]
     try:
         for owner, name, replacement in targets:
             setattr(owner, name, replacement)
@@ -92,21 +104,52 @@ class Mutant:
 
 
 def _mutant_drop_dominance_edge():
-    """The blocked kernel loses the last edge of the first non-empty list."""
+    """The dominance tile generator loses the first tile's last edge.
+
+    Patched where production reads it: the adjacency lists, the edge set
+    and the packed reachability index all draw their tiles through
+    ``construction._dominance_tiles`` at call time, so every consumer
+    silently loses the same edge.
+    """
     from ..graph import construction
 
-    original = construction.blocked_dominance_lists
+    original = construction._dominance_tiles
 
-    def mutated(dominant, dominated, block_size=construction.DEFAULT_BLOCK_SIZE,
-                exclude_diagonal=True):
-        lists = original(dominant, dominated, block_size, exclude_diagonal)
-        for index, children in enumerate(lists):
-            if len(children):
-                lists[index] = children[:-1]
-                break
-        return lists
+    def mutated(*args, **kwargs):
+        dropped = False
+        for start, tile in original(*args, **kwargs):
+            if not dropped and tile.any():
+                rows, cols = np.nonzero(tile)
+                tile[rows[-1], cols[-1]] = False  # bug: one edge vanishes
+                dropped = True
+            yield start, tile
 
-    return _patched((construction, "blocked_dominance_lists", mutated))
+    return _patched((construction, "_dominance_tiles", mutated))
+
+
+def _mutant_reachability_ragged_tile():
+    """The one-pass index build skips the last, ragged tile's ancestor slab.
+
+    Models an off-by-one in :meth:`ReachabilityIndex.build`: ancestor bits
+    are packed for full-height tiles only, so no vertex lists any of the
+    last ``n mod B`` rows among its ancestors.  Descendant rows and the
+    adjacency lists stay correct, so the structural invariants (which read
+    the lists) cannot see it; ``check_reachability_index``, which unpacks
+    every ancestor row, can.
+    """
+    from ..graph import construction
+    from ..graph.reachability import ReachabilityIndex
+
+    original = ReachabilityIndex.build.__func__
+
+    def mutated(cls, dominant, dominated, lists=None):
+        index = original(cls, dominant, dominated, lists)
+        ragged = index.num_vertices % construction.DEFAULT_BLOCK_SIZE
+        if ragged:  # bug: the ragged tile's ancestor bytes stay unwritten
+            index._anc[:, (index.num_vertices - ragged) >> 3 :] = 0
+        return index
+
+    return _patched((ReachabilityIndex, "build", classmethod(mutated)))
 
 
 def _mutant_non_strict_dominance():
@@ -406,8 +449,13 @@ def _mutant_obs_perturbs_selection():
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "drop-dominance-edge",
-        "blocked kernel silently loses one dominance edge",
+        "the dominance tile generator silently loses one edge",
         _mutant_drop_dominance_edge,
+    ),
+    Mutant(
+        "reachability-ragged-tile",
+        "the index build skips the ancestor slab of the last, ragged tile",
+        _mutant_reachability_ragged_tile,
     ),
     Mutant(
         "non-strict-dominance",
@@ -541,6 +589,13 @@ def run_detection_battery(
     invariants.check_acyclicity(graph)
     invariants.check_topo_layers(graph)
     invariants.check_path_cover(graph)
+
+    # The packed reachability index: built over the lists cached above, and
+    # in one pass on a fresh graph whose last tile is ragged (256 + 4 rows).
+    from .battery import random_instance
+
+    invariants.check_reachability_index(graph)
+    invariants.check_reachability_index(PairGraph(*random_instance(seed, 260)))
 
     # Selector runs: production-vs-naive and the monotone exactness oracle.
     oracles.check_selector_differential("power", pairs, vectors, seed=seed)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.crowd import PerfectCrowd, SimulatedCrowd, WorkerPool, ambiguity_difficulty
-from repro.exceptions import ConfigurationError, CrowdError
+from repro.exceptions import ConfigurationError, CrowdError, DataError
 
 TRUTH = {(0, 1): True, (0, 2): False, (1, 2): False, (3, 4): True}
 
@@ -19,6 +19,12 @@ class TestSimulatedCrowd:
     def test_same_answer_for_both_orientations(self):
         crowd = SimulatedCrowd(TRUTH, WorkerPool(seed=1))
         assert crowd.answer((1, 0)) is crowd.answer((0, 1))
+
+    def test_truth_keys_are_canonical(self):
+        crowd = SimulatedCrowd({(2, 0): 1, (0, 1): 0})
+        assert crowd.truth == {(0, 2): True, (0, 1): False}
+        with pytest.raises(DataError):
+            SimulatedCrowd({(3, 3): True})
 
     def test_unknown_pair_raises(self):
         crowd = SimulatedCrowd(TRUTH)

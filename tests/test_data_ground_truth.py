@@ -60,3 +60,17 @@ class TestPairTruth:
     def test_canonicalises_input(self, labeled_table):
         truth = pair_truth(labeled_table, [(2, 0)])
         assert truth == {(0, 2): True}
+
+    def test_canonical_tuples_are_reused_as_keys(self, labeled_table):
+        pair = (0, 2)
+        (key,) = pair_truth(labeled_table, [pair])
+        assert key is pair
+
+    def test_non_tuple_pairs_become_tuples(self, labeled_table):
+        truth = pair_truth(labeled_table, [[0, 2], [2, 1]])
+        assert truth == {(0, 2): True, (1, 2): False}
+        assert all(type(key) is tuple for key in truth)
+
+    def test_rejects_self_pair(self, labeled_table):
+        with pytest.raises(DataError):
+            pair_truth(labeled_table, [(1, 1)])

@@ -1,5 +1,7 @@
 """Tests for the packed-bitset reachability index."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,14 @@ from repro.graph import (
     GroupedGraph,
     PairGraph,
     ReachabilityIndex,
+    blocked_dominance_lists,
+    construction,
     lowest_set_bit,
     pack_mask,
     split_grouping,
     unpack_mask,
 )
+from repro.verify import check_reachability_index
 from repro.verify.oracles import NaivePairGraph
 
 from conftest import random_vectors
@@ -26,6 +31,16 @@ def make_graph(seed: int, n: int, m: int = 3) -> PairGraph:
     vectors = random_vectors(seed, n, m)
     pairs = [(2 * i, 2 * i + 1) for i in range(n)]
     return PairGraph(pairs, vectors)
+
+
+def make_grouped_graph(seed: int, n: int, m: int = 3) -> GroupedGraph:
+    """Exactly *n* groups: base vertices ``2g`` and ``2g + 1`` form group g."""
+    base = make_graph(seed, 2 * n, m)
+    return GroupedGraph(base, [[2 * g, 2 * g + 1] for g in range(n)])
+
+
+#: Sizes around byte (8) and dominance-tile (256 rows) boundaries.
+TILE_SIZES = [255, 256, 257, 520, 1031]
 
 
 class TestPackedBits:
@@ -45,26 +60,56 @@ class TestPackedBits:
 
 
 class TestIndexMasks:
-    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 200])
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 200, *TILE_SIZES])
     def test_masks_match_graph_broadcast(self, n):
         """Unpacked index rows must be byte-identical to the graph's own
-        float-broadcast masks — including at byte-boundary sizes."""
-        graph = make_graph(seed=n, n=n)
-        index = graph.build_reachability()
-        assert index is not None
-        for v in range(n):
-            assert np.array_equal(index.descendant_mask(v), graph.descendant_mask(v))
-            assert np.array_equal(index.ancestor_mask(v), graph.ancestor_mask(v))
+        float-broadcast masks — at byte- and tile-boundary sizes."""
+        check_reachability_index(make_graph(seed=n, n=n))
+
+    @pytest.mark.parametrize("n", [1, 9, *TILE_SIZES])
+    def test_grouped_masks_at_tile_boundaries(self, n):
+        """Distinct dominance operands (lower vs upper bounds) across tiles."""
+        grouped = make_grouped_graph(seed=n, n=n)
+        assert len(grouped) == n
+        check_reachability_index(grouped)
 
     def test_grouped_graph_masks(self):
         vectors = random_vectors(3, 60, 3)
         pairs = [(2 * i, 2 * i + 1) for i in range(60)]
         grouped = GroupedGraph(PairGraph(pairs, vectors), split_grouping(vectors, 0.1))
-        index = grouped.build_reachability()
-        assert index is not None
-        for v in range(len(grouped)):
-            assert np.array_equal(index.descendant_mask(v), grouped.descendant_mask(v))
-            assert np.array_equal(index.ancestor_mask(v), grouped.ancestor_mask(v))
+        check_reachability_index(grouped)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=1, max_value=40).map(lambda k: 8 * k),
+        st.booleans(),
+        st.integers(min_value=0, max_value=999),
+    )
+    def test_cached_lists_equal_blocked_lists(self, n, block_size, grouped, seed):
+        """The lists one build pass caches are the blocked kernel's lists,
+        whatever tile height (a multiple of 8) the build uses."""
+        graph = make_grouped_graph(seed, n) if grouped else make_graph(seed, n)
+        with mock.patch.object(construction, "DEFAULT_BLOCK_SIZE", block_size):
+            index = graph.build_reachability()
+        cached = graph.adjacency()
+        expected = blocked_dominance_lists(*graph._dominance_operands())
+        assert len(cached) == len(expected) == n
+        for fast, reference in zip(cached, expected):
+            assert fast.dtype == reference.dtype
+            assert np.array_equal(fast, reference)
+        for v in range(n):
+            assert np.array_equal(np.flatnonzero(index.descendant_mask(v)), cached[v])
+
+    def test_build_over_attached_adjacency_keeps_lists(self):
+        """Lists cached before the build (a caller ran ``adjacency()``
+        first) stay the cached object; the build only packs bits."""
+        graph = make_graph(seed=6, n=300)
+        attached = graph.adjacency()
+        index = graph.build_reachability()
+        assert graph.adjacency() is attached
+        check_reachability_index(graph)
+        assert index is graph.reachability
 
     def test_row_bounds_checked(self):
         index = make_graph(seed=0, n=5).build_reachability()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.verify import MUTANTS, run_detection_battery, run_mutation_selftest
@@ -34,6 +35,7 @@ class TestMutationSelfTest:
         from repro.crowd.platform import CrowdSession
         from repro.graph.coloring import ColoringState
         from repro.graph.dag import PairGraph
+        from repro.graph.reachability import ReachabilityIndex
         import repro.similarity.batch as batch
         import repro.similarity.join as join
         from repro.serve.sessions import SessionRegistry
@@ -43,6 +45,8 @@ class TestMutationSelfTest:
             batch.sparse_jaccard_join,
             join.sparse_jaccard_join,
             construction.blocked_dominance_lists,
+            construction._dominance_tiles,
+            ReachabilityIndex.__dict__["build"],
             topo.topological_layers,
             matching.minimum_path_cover,
             platform.weighted_majority_vote,
@@ -57,6 +61,8 @@ class TestMutationSelfTest:
             batch.sparse_jaccard_join,
             join.sparse_jaccard_join,
             construction.blocked_dominance_lists,
+            construction._dominance_tiles,
+            ReachabilityIndex.__dict__["build"],
             topo.topological_layers,
             matching.minimum_path_cover,
             platform.weighted_majority_vote,
@@ -150,6 +156,57 @@ class TestMutationSelfTest:
                 check_join_methods(table, 0.2, seed=0)
             with pytest.raises(VerificationError, match="production join tiled"):
                 run_detection_battery(seed=0)
+
+    def test_dropped_edge_reaches_every_tile_consumer(self):
+        """``drop-dominance-edge`` corrupts the tiles production reads.
+
+        The shard adjacency task, the serial one-pass index build and the
+        construction oracle all lose the edge silently (no crash), and
+        ``check_dominance_construction`` still catches it.
+        """
+        from repro.exceptions import VerificationError
+        from repro.graph import PairGraph
+        from repro.shard import AdjacencyTask, compute_adjacency
+        from repro.verify import check_dominance_construction, random_instance
+
+        pairs, vectors = random_instance(0)
+        expected = sum(len(c) for c in PairGraph(pairs, vectors).adjacency())
+        task = AdjacencyTask(vectors, vectors, lo=0, hi=len(vectors))
+        mutant = next(m for m in MUTANTS if m.name == "drop-dominance-edge")
+        with mutant.activate():
+            _, lists = compute_adjacency(task)
+            assert sum(len(c) for c in lists) == expected - 1
+            graph = PairGraph(pairs, vectors)
+            index = graph.build_reachability()
+            assert sum(len(c) for c in graph.adjacency()) == expected - 1
+            assert int(np.unpackbits(index._desc).sum()) == expected - 1
+            with pytest.raises(VerificationError, match="missing"):
+                check_dominance_construction(vectors)
+
+    def test_ragged_tile_mutant_is_caught_by_the_reachability_step(self):
+        """Only the ancestor rows of the last, ragged tile go missing.
+
+        The structural invariants read the adjacency lists, which stay
+        intact, so they pass; ``check_reachability_index`` unpacks every
+        ancestor row and fails.  A graph of whole tiles is untouched.
+        """
+        from repro.exceptions import VerificationError
+        from repro.graph import PairGraph
+        from repro.verify import (
+            check_partial_order,
+            check_reachability_index,
+            check_topo_layers,
+            random_instance,
+        )
+
+        mutant = next(m for m in MUTANTS if m.name == "reachability-ragged-tile")
+        with mutant.activate():
+            check_reachability_index(PairGraph(*random_instance(0, 256)))
+            graph = PairGraph(*random_instance(0, 260))
+            check_partial_order(graph)
+            check_topo_layers(graph)
+            with pytest.raises(VerificationError, match="ancestor row"):
+                check_reachability_index(graph)
 
     def test_each_mutant_actually_changes_behavior(self):
         """Activating a mutant must make the pristine battery fail loudly."""
