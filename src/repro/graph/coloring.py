@@ -156,15 +156,20 @@ class ColoringState:
         BLUE or uncolored vertices contribute nothing; callers decide those
         separately (the §6 histogram step) or treat them as non-matches.
         """
-        # Plain ints: an int8 == IntEnum comparison costs ~8 µs per vertex.
-        green, red = int(Color.GREEN), int(Color.RED)
-        labels: dict[Pair, bool] = {}
-        for vertex, color in enumerate(self.colors.tolist()):
-            if color == green or color == red:
-                decision = color == green
-                for pair in self.graph.member_pairs(vertex):
-                    labels[pair] = decision
-        return labels
+        graph = self.graph
+        green = self.colors == Color.GREEN
+        members = graph.member_vertices(np.flatnonzero(green | (self.colors == Color.RED)))
+        member_is_green = np.zeros(len(graph.base), dtype=bool)
+        member_is_green[graph.member_vertices(np.flatnonzero(green))] = True
+        pairs = graph.base.pairs
+        # Vertex order, members in order: the same items, in the same order,
+        # as asking member_pairs vertex by vertex.
+        return dict(
+            zip(
+                [pairs[member] for member in members.tolist()],
+                member_is_green[members].tolist(),
+            )
+        )
 
     def validate_against(self, truth: dict[Pair, bool]) -> float:
         """Fraction of colored pairs whose color matches the ground truth."""

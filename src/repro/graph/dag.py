@@ -32,7 +32,13 @@ class OrderedGraph(ABC):
 
     Subclasses provide the dominance masks and the mapping from vertices to
     record pairs; everything else (adjacency, edge counts) is shared.
+
+    Attributes:
+        base: the pair-level graph whose vertex ids :meth:`member_vertices`
+            returns (a :class:`PairGraph` is its own base).
     """
+
+    base: PairGraph
 
     def __init__(self, num_vertices: int) -> None:
         self._num_vertices = num_vertices
@@ -52,6 +58,14 @@ class OrderedGraph(ABC):
                 f"vertex {vertex} out of range [0, {self._num_vertices})"
             )
 
+    def _check_vertices(self, vertices) -> np.ndarray:
+        """*vertices* as an int64 array, after the range check."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        outside = (vertices < 0) | (vertices >= self._num_vertices)
+        if outside.any():
+            self._check_vertex(int(vertices[outside][0]))
+        return vertices
+
     @abstractmethod
     def descendant_mask(self, vertex: int) -> np.ndarray:
         """Boolean mask of vertices strictly dominated by *vertex*."""
@@ -63,6 +77,14 @@ class OrderedGraph(ABC):
     @abstractmethod
     def member_pairs(self, vertex: int) -> tuple[Pair, ...]:
         """The record pairs represented by *vertex*."""
+
+    @abstractmethod
+    def member_vertices(self, vertices) -> np.ndarray:
+        """:attr:`base` vertex ids of every pair living in *vertices*.
+
+        Vertex by vertex in the given order, each vertex's members in the
+        order :meth:`member_pairs` lists them (int64 array).
+        """
 
     @abstractmethod
     def representative_pair(self, vertex: int, rng: np.random.Generator) -> Pair:
@@ -185,6 +207,10 @@ class PairGraph(OrderedGraph):
         self._pair_index: dict[Pair, int] | None = None
 
     @property
+    def base(self) -> PairGraph:
+        return self
+
+    @property
     def num_attributes(self) -> int:
         return self.vectors.shape[1]
 
@@ -206,6 +232,9 @@ class PairGraph(OrderedGraph):
     def member_pairs(self, vertex: int) -> tuple[Pair, ...]:
         self._check_vertex(vertex)
         return (self.pairs[vertex],)
+
+    def member_vertices(self, vertices) -> np.ndarray:
+        return self._check_vertices(vertices)
 
     def representative_pair(self, vertex: int, rng: np.random.Generator) -> Pair:
         self._check_vertex(vertex)

@@ -20,11 +20,18 @@ a :class:`GroupedGraph` reuses the same packed
 :class:`~repro.graph.reachability.ReachabilityIndex` and warm-start
 :class:`~repro.graph.matching.IncrementalPathCover` fast paths as the
 non-grouped graph, with no special casing.
+
+Construction does no per-group Python: the partition is kept as one flat
+member array cut by offsets, validated with ``bincount`` and bounded with
+one ``reduceat`` per side over the members' vectors.
+:class:`~repro.verify.oracles.NaiveGroupedGraph` recomputes the same
+bounds with Python loops.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -37,44 +44,58 @@ from .grouping import Grouping
 class GroupedGraph(OrderedGraph):
     """A graph whose vertices are groups of base-graph pairs.
 
+    The partition is stored flat: group ``g``'s base vertices are
+    ``_members[_offsets[g]:_offsets[g + 1]]``, in the order the grouping
+    listed them.  Only this class reads that layout; callers ask
+    :meth:`member_vertices`, :meth:`member_pairs` or :attr:`grouping`.
+
     Args:
         base: the non-grouped :class:`PairGraph`.
         grouping: a complete, disjoint partition of the base vertices (as
             produced by :func:`repro.graph.grouping.split_grouping` or
             :func:`~repro.graph.grouping.greedy_grouping`).
+
+    Raises:
+        GraphError: on an empty group, a member that is not a base vertex,
+            a base vertex in two groups, or a base vertex in none.
     """
 
     def __init__(self, base: PairGraph, grouping: Grouping) -> None:
         super().__init__(num_vertices=len(grouping))
         self.base = base
-        self.grouping = [list(group) for group in grouping]
-        seen: set[int] = set()
-        for group in self.grouping:
-            if not group:
-                raise GraphError("grouped graph cannot contain empty groups")
-            for member in group:
-                if not 0 <= member < len(base):
-                    raise GraphError(f"group member {member} is not a base vertex")
-                if member in seen:
-                    raise GraphError(f"base vertex {member} appears in two groups")
-                seen.add(member)
-        if len(seen) != len(base):
-            raise GraphError(
-                f"grouping covers {len(seen)} of {len(base)} base vertices"
-            )
-        if self.grouping:
-            self.lower_bounds = np.vstack(
-                [base.vectors[group].min(axis=0) for group in self.grouping]
-            )
-            self.upper_bounds = np.vstack(
-                [base.vectors[group].max(axis=0) for group in self.grouping]
-            )
+        sizes = np.fromiter(map(len, grouping), dtype=np.int64, count=len(grouping))
+        self._offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self._members = np.fromiter(
+            chain.from_iterable(grouping), dtype=np.int64, count=int(self._offsets[-1])
+        )
+        if sizes.size and sizes.min() == 0:
+            raise GraphError("grouped graph cannot contain empty groups")
+        outside = (self._members < 0) | (self._members >= len(base))
+        if outside.any():
+            member = int(self._members[outside.argmax()])
+            raise GraphError(f"group member {member} is not a base vertex")
+        counts = np.bincount(self._members, minlength=len(base))
+        if counts.max(initial=0) > 1:
+            raise GraphError(f"base vertex {int(counts.argmax())} appears in two groups")
+        covered = int(np.count_nonzero(counts))
+        if covered != len(base):
+            raise GraphError(f"grouping covers {covered} of {len(base)} base vertices")
+        if self._members.size:
+            values = base.vectors[self._members]
+            self.lower_bounds = np.minimum.reduceat(values, self._offsets[:-1], axis=0)
+            self.upper_bounds = np.maximum.reduceat(values, self._offsets[:-1], axis=0)
         else:  # zero candidate pairs: keep (0, m) shapes so kernels no-op
             self.lower_bounds = base.vectors[:0].copy()
             self.upper_bounds = base.vectors[:0].copy()
         self._group_of_base = np.empty(len(base), dtype=np.int64)
-        for group_id, group in enumerate(self.grouping):
-            self._group_of_base[group] = group_id
+        self._group_of_base[self._members] = np.repeat(np.arange(len(grouping)), sizes)
+
+    @property
+    def grouping(self) -> Grouping:
+        """The partition as a fresh list of member lists, one per group."""
+        members = self._members.tolist()
+        offsets = self._offsets.tolist()
+        return [members[start:stop] for start, stop in zip(offsets, offsets[1:])]
 
     @property
     def num_attributes(self) -> int:
@@ -105,15 +126,27 @@ class GroupedGraph(OrderedGraph):
         mask[vertex] = False
         return mask
 
-    def member_pairs(self, vertex: int) -> tuple[Pair, ...]:
+    def _member_slice(self, vertex: int) -> np.ndarray:
         self._check_vertex(vertex)
-        return tuple(self.base.pairs[member] for member in self.grouping[vertex])
+        return self._members[self._offsets[vertex] : self._offsets[vertex + 1]]
+
+    def member_pairs(self, vertex: int) -> tuple[Pair, ...]:
+        pairs = self.base.pairs
+        return tuple(pairs[member] for member in self._member_slice(vertex).tolist())
+
+    def member_vertices(self, vertices) -> np.ndarray:
+        vertices = self._check_vertices(vertices)
+        starts = self._offsets[vertices]
+        sizes = self._offsets[vertices + 1] - starts
+        # Output slot j in vertex i's run reads member starts[i] + (j - the
+        # run's first slot): one repeated shift per run, then one gather.
+        shift = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        return self._members[shift + np.arange(shift.size)]
 
     def representative_pair(self, vertex: int, rng: np.random.Generator) -> Pair:
         """One random member pair — the question actually sent to workers."""
-        self._check_vertex(vertex)
-        group = self.grouping[vertex]
-        return self.base.pairs[group[int(rng.integers(0, len(group)))]]
+        group = self._member_slice(vertex)
+        return self.base.pairs[int(group[int(rng.integers(0, group.size))])]
 
     def group_of_pair_vertex(self, base_vertex: int) -> int:
         """The group containing a base-graph vertex."""
@@ -122,7 +155,7 @@ class GroupedGraph(OrderedGraph):
         return int(self._group_of_base[base_vertex])
 
     def group_sizes(self) -> np.ndarray:
-        return np.array([len(group) for group in self.grouping])
+        return np.diff(self._offsets)
 
 
 def build_graph(

@@ -8,7 +8,11 @@ square cover), so the paper gives two algorithms, both implemented here:
 
 * :func:`split_grouping` — Algorithm 2: recursively halve every attribute
   range wider than epsilon (a k-d-tree-style subdivision).  Fast
-  (``O(|V| log 1/eps)``) but heuristic.
+  (``O(|V| log 1/eps)``) but heuristic.  The tree is grown one level at a
+  time over flat arrays, so the Python loop runs once per depth, not once
+  per node; the per-node queue survives as the
+  :func:`repro.verify.reference_split_grouping` oracle, whose groups it
+  must reproduce exactly.
 * :func:`greedy_grouping` — Appendix A: enumerate maximal groups per
   attribute with a sliding window, join them across attributes (Theorem 3:
   the join contains every maximal group), then greedily set-cover.  A
@@ -17,8 +21,6 @@ square cover), so the paper gives two algorithms, both implemented here:
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -62,6 +64,16 @@ def validate_grouping(vectors: np.ndarray, groups: Grouping, epsilon: float) -> 
         raise GraphError(f"grouping misses vertices {sorted(missing)[:10]}")
 
 
+def _cell_keys(values: np.ndarray, midpoints: np.ndarray, wide: np.ndarray) -> np.ndarray:
+    """Each member's child cell within its node.
+
+    Bit ``k`` says whether the member lies strictly above the midpoint of
+    its node's attribute ``k``; only the node's wide attributes are halved.
+    """
+    bits = (values > midpoints) & wide
+    return bits @ (1 << np.arange(values.shape[1], dtype=np.int64))
+
+
 def split_grouping(vectors: np.ndarray, epsilon: float) -> Grouping:
     """Algorithm 2: split any attribute whose range exceeds epsilon.
 
@@ -69,6 +81,13 @@ def split_grouping(vectors: np.ndarray, epsilon: float) -> Grouping:
     halved at the midpoint of its current range, children are the non-empty
     cells of the cross product of the halved attributes, and leaves (all
     spans <= epsilon) are the output groups.
+
+    The tree grows one level at a time over flat arrays: ``order`` keeps
+    every open node's members contiguous from ``starts``, one ``reduceat``
+    per bound gives all node ranges at that depth, and one stable sort on
+    (node, cell) cuts the children.  Groups come out as ascending member
+    lists sorted by first member, exactly the per-node queue's output
+    (kept as :func:`repro.verify.reference_split_grouping`).
     """
     vectors = _validate_inputs(vectors, epsilon)
     n = vectors.shape[0]
@@ -80,25 +99,36 @@ def split_grouping(vectors: np.ndarray, epsilon: float) -> Grouping:
         for vertex in range(n):
             buckets.setdefault(tuple(vectors[vertex]), []).append(vertex)
         return sorted(buckets.values())
-    groups: Grouping = []
-    queue: deque[np.ndarray] = deque([np.arange(n)])
-    while queue:
-        members = queue.popleft()
-        block = vectors[members]
-        lower = block.min(axis=0)
-        upper = block.max(axis=0)
-        wide = np.flatnonzero(upper - lower > epsilon)
-        if wide.size == 0:
-            groups.append([int(v) for v in members])
-            continue
-        # Bit k of a member's cell key says whether it falls in the upper
-        # half of the k-th wide attribute.
-        midpoints = (lower[wide] + upper[wide]) / 2.0
-        keys = (block[:, wide] > midpoints).astype(np.int64)
-        cell_ids = keys @ (1 << np.arange(wide.size, dtype=np.int64))
-        for cell in np.unique(cell_ids):
-            queue.append(members[cell_ids == cell])
-    return sorted(groups)
+    order = np.arange(n)
+    starts = np.zeros(1, dtype=np.int64)
+    leaves: list[np.ndarray] = []
+    leaf_sizes: list[np.ndarray] = []
+    while True:
+        values = vectors[order]
+        sizes = np.diff(starts, append=order.size)
+        lower = np.minimum.reduceat(values, starts, axis=0)
+        upper = np.maximum.reduceat(values, starts, axis=0)
+        wide = upper - lower > epsilon
+        splits = wide.any(axis=1)
+        node = np.repeat(np.arange(starts.size), sizes)
+        open_member = splits[node]
+        leaves.append(order[~open_member])
+        leaf_sizes.append(sizes[~splits])
+        if not splits.any():
+            break
+        order, values, node = order[open_member], values[open_member], node[open_member]
+        midpoints = (lower + upper) / 2.0
+        cells = _cell_keys(values, midpoints[node], wide[node])
+        # Stable, so members stay ascending within every child.
+        resort = np.lexsort((cells, node))
+        order, node, cells = order[resort], node[resort], cells[resort]
+        boundary = (node[1:] != node[:-1]) | (cells[1:] != cells[:-1])
+        starts = np.flatnonzero(np.concatenate(([True], boundary)))
+    members = np.concatenate(leaves)
+    bounds = np.concatenate(([0], np.cumsum(np.concatenate(leaf_sizes))))
+    firsts = members[bounds[:-1]]
+    flat, bounds = members.tolist(), bounds.tolist()
+    return [flat[bounds[g] : bounds[g + 1]] for g in np.argsort(firsts).tolist()]
 
 
 def _maximal_windows_1d(values: np.ndarray, epsilon: float) -> list[frozenset[int]]:

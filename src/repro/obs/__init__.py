@@ -19,8 +19,8 @@ engine, and the batch-similarity join.  The pieces:
   :class:`Observability` handle, :func:`activated`, and the hook
   functions the pipeline calls.
 * :mod:`~repro.obs.telemetry` — the engine's :class:`Telemetry`,
-  re-hosted on the shared registry (``repro.engine.telemetry`` remains a
-  deprecation shim).
+  re-hosted on the shared registry (its only import path; ``repro.engine``
+  re-exports it).
 
 Everything is off by default and provably transparent when on: the
 ``check_observability_transparent`` battery step demands byte-identical

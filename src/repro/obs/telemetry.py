@@ -16,8 +16,7 @@ The migration is behaviour-preserving by contract:
   bytes** the pre-migration dataclass produced (pinned by the regression
   test in ``tests/test_obs_integration.py``), so journal-adjacent
   ``*.telemetry.json`` artifacts and the ``extension-faults`` experiment
-  output are unchanged;
-* ``repro.engine.telemetry`` remains importable as a deprecation shim.
+  output are unchanged.
 
 Pass a shared *registry* (the active :class:`~repro.obs.Observability`'s)
 to fold an engine run into a unified export; the default private registry

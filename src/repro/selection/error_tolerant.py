@@ -23,7 +23,7 @@ import numpy as np
 from ..data.ground_truth import Pair
 from ..exceptions import ConfigurationError
 from ..graph.coloring import Color, ColoringState
-from ..graph.dag import OrderedGraph, PairGraph
+from ..graph.dag import OrderedGraph
 from .histograms import attribute_weights, build_histogram, weighted_similarities
 
 
@@ -53,28 +53,6 @@ class ErrorPolicy:
             raise ConfigurationError(f"unknown binning {self.binning!r}")
 
 
-def _base_graph(graph: OrderedGraph) -> PairGraph:
-    """The pair-level graph underlying *graph* (itself if non-grouped)."""
-    base = getattr(graph, "base", graph)
-    if not isinstance(base, PairGraph):
-        raise ConfigurationError(
-            f"cannot find a pair-level graph under {type(graph).__name__}"
-        )
-    return base
-
-
-def _member_vertex_indexes(
-    graph: OrderedGraph, base: PairGraph, vertices: np.ndarray
-) -> list[int]:
-    """Base-graph vertex indexes of all pairs living in *vertices*."""
-    pair_index = {pair: index for index, pair in enumerate(base.pairs)}
-    members: list[int] = []
-    for vertex in vertices:
-        for pair in graph.member_pairs(int(vertex)):
-            members.append(pair_index[pair])
-    return members
-
-
 def resolve_undecided_vertices(
     graph: OrderedGraph,
     state: ColoringState,
@@ -89,35 +67,34 @@ def resolve_undecided_vertices(
     """
     if vertices.size == 0:
         return {}
-    base = _base_graph(graph)
-    green_members = _member_vertex_indexes(graph, base, state.vertices_with(Color.GREEN))
-    red_members = _member_vertex_indexes(graph, base, state.vertices_with(Color.RED))
-    undecided_members = _member_vertex_indexes(graph, base, vertices)
+    base = graph.base
+    green_members = graph.member_vertices(state.vertices_with(Color.GREEN))
+    red_members = graph.member_vertices(state.vertices_with(Color.RED))
+    undecided_members = graph.member_vertices(vertices)
+    undecided_pairs = [base.pairs[member] for member in undecided_members.tolist()]
 
     weights = attribute_weights(
         base.vectors[green_members], num_attributes=base.num_attributes
     )
     undecided_values = weighted_similarities(base.vectors[undecided_members], weights)
-    if not green_members:
+    if green_members.size == 0:
         # Without a single GREEN training pair the histogram would label
         # everything RED regardless of similarity (every trained bin is
         # pure-RED and empty bins inherit it).  Fall back to thresholding
         # the weighted similarity — the pure machine-side prior.
         return {
-            base.pairs[member]: bool(value > 0.5)
-            for member, value in zip(undecided_members, undecided_values)
+            pair: bool(value > 0.5)
+            for pair, value in zip(undecided_pairs, undecided_values)
         }
-    trained = green_members + red_members
+    trained = np.concatenate((green_members, red_members))
     training_values = weighted_similarities(base.vectors[trained], weights)
-    training_labels = np.array(
-        [True] * len(green_members) + [False] * len(red_members)
-    )
+    training_labels = np.arange(trained.size) < green_members.size
     histogram = build_histogram(
         training_values, training_labels, num_bins=policy.num_bins, binning=policy.binning
     )
     return {
-        base.pairs[member]: histogram.classify(float(value))
-        for member, value in zip(undecided_members, undecided_values)
+        pair: histogram.classify(float(value))
+        for pair, value in zip(undecided_pairs, undecided_values)
     }
 
 

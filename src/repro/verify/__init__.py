@@ -4,8 +4,8 @@ Three complementary pillars, all raising
 :class:`~repro.exceptions.VerificationError` with a counterexample:
 
 * **differential oracles** (:mod:`.oracles`) — brute-force twins of every
-  optimized path: dominance construction, batch similarity, similarity
-  joins, crowd aggregation, a naive graph pair that any selector must treat
+  optimized path: dominance construction, Split grouping, batch similarity,
+  similarity joins, crowd aggregation, a naive graph pair that any selector must treat
   identically to the production graphs, a coloring replay, and a monotone
   ground truth under which a perfect crowd must recover the truth exactly;
 * **invariant checkers** (:mod:`.invariants`) — partial-order laws, DAG
@@ -23,7 +23,13 @@ demanding every one is detected; :mod:`.battery` packages everything as the
 ``repro verify`` command.
 """
 
-from .battery import BatteryConfig, random_instance, run_battery, subsample_table
+from .battery import (
+    BatteryConfig,
+    quarter_grid_vectors,
+    random_instance,
+    run_battery,
+    subsample_table,
+)
 from .invariants import (
     VerifyingSession,
     check_acyclicity,
@@ -57,6 +63,7 @@ from .oracles import (
     check_selector_differential,
     check_selector_monotone_oracle,
     check_serve_equivalence,
+    check_split_grouping,
     check_stream_equivalence,
     check_transitive_closure,
     monotone_truth,
@@ -64,6 +71,7 @@ from .oracles import (
     naive_join,
     naive_transitive_closure,
     prefix_join,
+    reference_split_grouping,
 )
 from .report import CheckResult, VerificationReport, run_check
 
@@ -97,6 +105,7 @@ __all__ = [
     "check_selector_monotone_oracle",
     "check_serve_equivalence",
     "check_session_coherence",
+    "check_split_grouping",
     "check_stream_equivalence",
     "check_topo_layers",
     "check_transitive_closure",
@@ -106,7 +115,9 @@ __all__ = [
     "naive_kahn_layers",
     "naive_transitive_closure",
     "prefix_join",
+    "quarter_grid_vectors",
     "random_instance",
+    "reference_split_grouping",
     "run_battery",
     "run_check",
     "run_detection_battery",

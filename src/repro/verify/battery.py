@@ -4,10 +4,12 @@ Orchestrates every oracle, invariant, metamorphic property, and the
 mutation self-test into a single :class:`~repro.verify.report.VerificationReport`:
 
 1. **synthetic sweeps** — random similarity matrices across many seeds
-   drive the construction oracles, the structural invariants, and the
-   production-vs-naive selector differentials (perfect and noisy crowds,
-   grouped and ungrouped graphs); graphs sized across byte and tile
-   boundaries drive the packed reachability-index check;
+   drive the construction and Split-grouping oracles, the structural
+   invariants, and the production-vs-naive selector differentials (perfect
+   and noisy crowds, grouped and ungrouped graphs); graphs sized across
+   byte and tile boundaries drive the packed reachability-index check,
+   and a quarter-grid matrix (members on node midpoints) plus the 0- and
+   1-vertex inputs drive the grouping check;
 2. **dataset checks** — a (subsampled) benchmark dataset goes through the
    real pipeline: batch-similarity and join oracles, graph invariants on
    the actual dominance DAG, an end-to-end resolution under the always-on
@@ -93,6 +95,20 @@ def random_instance(
     return pairs, vectors
 
 
+def quarter_grid_vectors(
+    seed: int, num_vertices: int = 64, num_attributes: int = 4
+) -> np.ndarray:
+    """Similarities on the grid {0, .25, .5, .75, 1}.
+
+    Split halves a full [0, 1] range at .5 and a half range at .25 or .75,
+    so members sit exactly on node midpoints, and at epsilon .25 or .5
+    node spans equal epsilon: the ties the grouping's strict comparisons
+    decide.
+    """
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 5, (num_vertices, num_attributes)) / 4.0
+
+
 def subsample_table(table: Table, scale: float, minimum: int = 20) -> Table:
     """The first ``round(scale * len(table))`` records (at least *minimum*).
 
@@ -136,6 +152,11 @@ def _synthetic_sweeps(config: BatteryConfig, report: VerificationReport) -> None
             report,
             f"transitive-closure[seed={seed}]",
             lambda v=vectors: oracles.check_transitive_closure(v),
+        )
+        run_check(
+            report,
+            f"split-grouping[seed={seed}]",
+            lambda v=vectors: oracles.check_split_grouping(v, config.epsilon),
         )
 
         def graph_invariants(pairs=pairs, vectors=vectors):
@@ -240,6 +261,27 @@ def _reachability_sweeps(config: BatteryConfig, report: VerificationReport) -> N
         )
 
 
+#: Epsilons for the quarter-grid grouping checks: the exact-duplicate
+#: branch, and two thresholds that node spans on the grid can equal.
+QUARTER_GRID_EPSILONS = (0.0, 0.25, 0.5)
+
+
+def _grouping_sweeps(config: BatteryConfig, report: VerificationReport) -> None:
+    vectors = quarter_grid_vectors(config.base_seed, num_attributes=config.num_attributes)
+    for epsilon in QUARTER_GRID_EPSILONS:
+        run_check(
+            report,
+            f"split-grouping[quarter-grid, epsilon={epsilon}]",
+            lambda e=epsilon: oracles.check_split_grouping(vectors, e),
+        )
+    for n in (0, 1):
+        run_check(
+            report,
+            f"split-grouping[n={n}]",
+            lambda v=vectors[:n]: oracles.check_split_grouping(v, config.epsilon),
+        )
+
+
 def _billing_and_crowd(config: BatteryConfig, report: VerificationReport) -> None:
     pairs, _ = random_instance(config.base_seed, config.num_vertices, 4)
 
@@ -305,6 +347,11 @@ def _dataset_checks(config: BatteryConfig, report: VerificationReport) -> None:
         invariants.check_path_cover(graph)
 
     run_check(report, f"pipeline-graph[{table.name}]", pipeline_graph_invariants)
+    run_check(
+        report,
+        f"split-grouping[{table.name}]",
+        lambda: oracles.check_split_grouping(vectors, power_config.epsilon),
+    )
     run_check(
         report,
         f"reachability-index[{table.name}]",
@@ -399,6 +446,7 @@ def run_battery(config: BatteryConfig | None = None) -> VerificationReport:
     report = VerificationReport()
     _synthetic_sweeps(config, report)
     _reachability_sweeps(config, report)
+    _grouping_sweeps(config, report)
     _billing_and_crowd(config, report)
     _dataset_checks(config, report)
     if config.include_mutation:
@@ -408,6 +456,7 @@ def run_battery(config: BatteryConfig | None = None) -> VerificationReport:
 
 __all__ = [
     "BatteryConfig",
+    "quarter_grid_vectors",
     "random_instance",
     "subsample_table",
     "run_battery",

@@ -13,6 +13,8 @@ mutant                  seeded bug
                         edge per pass (lists, edge set and packed index)
 ``reachability-ragged-tile``  the one-pass index build skips the ancestor
                         slab of the last, ragged tile
+``split-midpoint-tie``  Split grouping puts a member lying on a node's
+                        midpoint in the upper half (``>=`` for ``>``)
 ``non-strict-dominance``  ``>=`` everywhere accepted without a strict ``>``
 ``inverted-propagation``  GREEN votes descendants, RED votes ancestors
 ``topo-layer-merge``    all Kahn levels collapse into a single layer
@@ -39,8 +41,8 @@ manager that always restores the originals; lazily-imported helpers
 (``topological_layers``, ``minimum_path_cover``) are patched at their
 defining module *and* at every module-level import site, so both the
 production pipeline and the oracles see the mutated code.  The dominance
-tile generator has no import sites: every consumer looks it up through
-:mod:`repro.graph.construction` at call time.
+tile generator and the Split cell-bit helper have no import sites: every
+consumer looks them up through their defining module at call time.
 
 :func:`run_mutation_selftest` returns a
 :class:`~repro.verify.report.VerificationReport` with one result per
@@ -150,6 +152,27 @@ def _mutant_reachability_ragged_tile():
         return index
 
     return _patched((ReachabilityIndex, "build", classmethod(mutated)))
+
+
+def _mutant_split_midpoint_tie():
+    """Split sends a member lying exactly on a node's midpoint upward.
+
+    Models a ``>`` that became ``>=`` in Algorithm 2's cell bits.  The
+    groups stay valid (every span still at most epsilon), just different,
+    so every step that builds its grouped graphs from the same production
+    grouping on both sides sails through; only ``check_split_grouping``,
+    which diffs production against the per-node reference, can notice.
+    Patched at ``grouping._cell_keys``, which ``split_grouping`` looks up
+    at call time, so ``GROUPING_ALGORITHMS["split"]`` — the function
+    ``build_graph`` calls — runs the bug too.
+    """
+    from ..graph import grouping
+
+    def mutated(values, midpoints, wide):
+        bits = (values >= midpoints) & wide  # bug: ties go to the upper half
+        return bits @ (1 << np.arange(values.shape[1], dtype=np.int64))
+
+    return _patched((grouping, "_cell_keys", mutated))
 
 
 def _mutant_non_strict_dominance():
@@ -458,6 +481,11 @@ MUTANTS: tuple[Mutant, ...] = (
         _mutant_reachability_ragged_tile,
     ),
     Mutant(
+        "split-midpoint-tie",
+        "Split grouping puts a member on a node's midpoint in the upper half",
+        _mutant_split_midpoint_tie,
+    ),
+    Mutant(
         "non-strict-dominance",
         "dominance accepts >= everywhere without a strict >",
         _mutant_non_strict_dominance,
@@ -561,6 +589,7 @@ def run_detection_battery(
     include_stream: bool = True,
     include_serve: bool = True,
     include_plan: bool = True,
+    include_grouping: bool = True,
 ) -> None:
     """The compact all-subsystem sweep each mutant must fail.
 
@@ -579,6 +608,9 @@ def run_detection_battery(
         include_plan: run the plan-transparency step, with the analogous
             exclusivity role for ``plan-changes-results`` (no other step
             runs a planned resolve).
+        include_grouping: run the Split-grouping step, with the analogous
+            exclusivity role for ``split-midpoint-tie`` (every other step
+            groups both of its sides with the same production code).
     """
     pairs, vectors = _battery_fixture(seed)
 
@@ -592,10 +624,17 @@ def run_detection_battery(
 
     # The packed reachability index: built over the lists cached above, and
     # in one pass on a fresh graph whose last tile is ragged (256 + 4 rows).
-    from .battery import random_instance
+    from .battery import quarter_grid_vectors, random_instance
 
     invariants.check_reachability_index(graph)
     invariants.check_reachability_index(PairGraph(*random_instance(seed, 260)))
+
+    # Split grouping vs the per-node reference, on the fixture and on a
+    # quarter grid whose members sit on node midpoints: the only step that
+    # compares production groups with independently derived ones.
+    if include_grouping:
+        oracles.check_split_grouping(vectors, 0.15)
+        oracles.check_split_grouping(quarter_grid_vectors(seed), 0.25)
 
     # Selector runs: production-vs-naive and the monotone exactness oracle.
     oracles.check_selector_differential("power", pairs, vectors, seed=seed)

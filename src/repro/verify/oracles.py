@@ -18,6 +18,9 @@ the same answer from first principles:
   crowds must produce identical runs, question for question — which
   exercises the blocked dominance kernel, the vectorized masks, and the
   grouped-bound arithmetic under every selector's real access pattern.
+* :func:`reference_split_grouping` — Algorithm 2 one tree node at a time,
+  the reference the level-synchronous production Split grouping (and the
+  grouped graph built from it) must reproduce exactly.
 * :class:`ReferenceColoring` — a dict/set replay of the coloring engine's
   pin-and-vote semantics (§3.2/§5.3), cross-checked against the production
   :class:`~repro.graph.coloring.ColoringState` after each run.
@@ -418,10 +421,116 @@ class NaiveGroupedGraph(OrderedGraph):
         self._check_vertex(vertex)
         return tuple(self.base.pairs[member] for member in self.grouping[vertex])
 
+    def member_vertices(self, vertices) -> np.ndarray:
+        members: list[int] = []
+        for vertex in vertices:
+            self._check_vertex(int(vertex))
+            members.extend(self.grouping[int(vertex)])
+        return np.array(members, dtype=np.int64)
+
     def representative_pair(self, vertex: int, rng: np.random.Generator) -> Pair:
         self._check_vertex(vertex)
         group = self.grouping[vertex]
         return self.base.pairs[group[int(rng.integers(0, len(group)))]]
+
+
+# --------------------------------------------------------------------------- #
+# Reference Split grouping: one tree node at a time
+# --------------------------------------------------------------------------- #
+
+
+def reference_split_grouping(vectors: np.ndarray, epsilon: float) -> list[list[int]]:
+    """Algorithm 2 with a per-node queue: the reference Split grouping.
+
+    Pops one tree node at a time, takes its bounds with ``min``/``max``,
+    and halves every attribute whose span exceeds *epsilon* at the
+    midpoint (strict ``>`` puts a member in the upper half).  Production
+    :func:`~repro.graph.grouping.split_grouping` grows the same tree a
+    level at a time and must return these groups exactly.
+    """
+    vectors = np.asarray(vectors, dtype=np.float64)
+    n = vectors.shape[0]
+    if n == 0:
+        return []
+    if epsilon == 0:
+        # Degenerate but well-defined: group identical vectors together.
+        buckets: dict[tuple[float, ...], list[int]] = {}
+        for vertex in range(n):
+            buckets.setdefault(tuple(vectors[vertex]), []).append(vertex)
+        return sorted(buckets.values())
+    groups: list[list[int]] = []
+    queue: deque[np.ndarray] = deque([np.arange(n)])
+    while queue:
+        members = queue.popleft()
+        block = vectors[members]
+        lower = block.min(axis=0)
+        upper = block.max(axis=0)
+        wide = np.flatnonzero(upper - lower > epsilon)
+        if wide.size == 0:
+            groups.append([int(v) for v in members])
+            continue
+        # Bit k of a member's cell key says whether it falls in the upper
+        # half of the k-th wide attribute.
+        midpoints = (lower[wide] + upper[wide]) / 2.0
+        keys = (block[:, wide] > midpoints).astype(np.int64)
+        cell_ids = keys @ (1 << np.arange(wide.size, dtype=np.int64))
+        for cell in np.unique(cell_ids):
+            queue.append(members[cell_ids == cell])
+    return sorted(groups)
+
+
+def check_split_grouping(vectors: np.ndarray, epsilon: float) -> None:
+    """Production Split grouping and grouped graph must equal the references.
+
+    :func:`~repro.graph.grouping.split_grouping` must return exactly
+    :func:`reference_split_grouping`'s groups, and so must the grouped
+    graph :func:`~repro.graph.grouped_graph.build_graph` builds (it reaches
+    the grouping through ``GROUPING_ALGORITHMS``).  That graph's bounds,
+    ``member_vertices`` over all its vertices and ``group_of_pair_vertex``
+    must equal :class:`NaiveGroupedGraph`'s bounds and the concatenated
+    reference groups.
+    """
+    from ..graph.grouped_graph import build_graph
+    from ..graph.grouping import split_grouping
+
+    vectors = np.asarray(vectors, dtype=np.float64)
+    n, m = vectors.shape
+    label = f"split-grouping[n={n}, epsilon={epsilon}]"
+    expected = reference_split_grouping(vectors, epsilon)
+    produced = split_grouping(vectors, epsilon)
+    if produced != expected:
+        step = next(
+            (i for i, (a, b) in enumerate(zip(produced, expected)) if a != b),
+            min(len(produced), len(expected)),
+        )
+        raise VerificationError(
+            f"{label}: production gives {len(produced)} groups, the reference "
+            f"{len(expected)}; first difference at group {step}: "
+            f"{produced[step : step + 1]} vs {expected[step : step + 1]}"
+        )
+    pairs = [(2 * k, 2 * k + 1) for k in range(n)]
+    grouped = build_graph(pairs, vectors, epsilon)
+    naive = NaiveGroupedGraph(NaivePairGraph(pairs, vectors), expected)
+    concatenated = [member for group in expected for member in group]
+    for name, graph in (("build_graph", grouped), ("NaiveGroupedGraph", naive)):
+        members = graph.member_vertices(np.arange(len(graph))).tolist()
+        if len(graph) != len(expected) or members != concatenated:
+            raise VerificationError(
+                f"{label}: {name} lists other members than the reference groups"
+            )
+    for side in ("lower_bounds", "upper_bounds"):
+        reference = getattr(naive, side).reshape(len(naive), m)
+        if not np.array_equal(getattr(grouped, side), reference):
+            raise VerificationError(
+                f"{label}: GroupedGraph {side} differ from the naive member min/max"
+            )
+    for group_id, group in enumerate(expected):
+        for member in group:
+            if grouped.group_of_pair_vertex(member) != group_id:
+                raise VerificationError(
+                    f"{label}: group_of_pair_vertex({member}) is "
+                    f"{grouped.group_of_pair_vertex(member)}, not {group_id}"
+                )
 
 
 # --------------------------------------------------------------------------- #

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph import Color, ColoringState, PairGraph
+from repro.graph import Color, ColoringState, GroupedGraph, PairGraph, split_grouping
 
 
 @pytest.fixture()
@@ -132,6 +132,26 @@ class TestLabels:
         assert labels[(0, 3)] is True  # vertex 2 itself
         assert (0, 4) not in labels  # vertex 3 uncolored
         assert (5, 6) not in labels
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_pair_labels_match_the_per_vertex_loop(self, grouped):
+        """Same items in the same order as reading member_pairs per vertex,
+        duplicate pairs included (a later vertex's decision wins)."""
+        rng = np.random.default_rng(3)
+        vectors = np.round(rng.random((60, 3)) * 4) / 4
+        pairs = [(k % 45, 100 + k % 45) for k in range(60)]  # 15 repeats
+        graph = PairGraph(pairs, vectors)
+        if grouped:
+            graph = GroupedGraph(graph, split_grouping(vectors, 0.3))
+        state = ColoringState(graph)
+        state.colors[:] = rng.integers(0, 4, len(graph))
+        expected = {}
+        for vertex in range(len(graph)):
+            color = state.color_of(vertex)
+            if color in (Color.GREEN, Color.RED):
+                for pair in graph.member_pairs(vertex):
+                    expected[pair] = color == Color.GREEN
+        assert list(state.pair_labels().items()) == list(expected.items())
 
     def test_validate_against_truth(self, chain):
         state = ColoringState(chain)

@@ -11,6 +11,7 @@ from repro.graph import (
     split_grouping,
     strictly_dominates,
 )
+from repro.verify import NaiveGroupedGraph, NaivePairGraph
 
 from conftest import random_vectors
 
@@ -69,6 +70,13 @@ class TestGroupedGraph:
         with pytest.raises(GraphError):
             GroupedGraph(base, [[0, 1, 5]])  # out of range
 
+    def test_grouping_round_trips_the_partition(self):
+        vectors = random_vectors(4, 50, 3)
+        grouping = split_grouping(vectors, 0.2)
+        grouped = GroupedGraph(PairGraph([(i, i + 100) for i in range(50)], vectors), grouping)
+        assert grouped.grouping == grouping
+        assert grouped.group_sizes().tolist() == [len(group) for group in grouping]
+
     def test_group_order_sound_for_members(self):
         """If g_i > g_j then every member pair of g_i strictly dominates
         every member pair of g_j (the soundness the paper proves)."""
@@ -80,6 +88,40 @@ class TestGroupedGraph:
                 for a in grouped.grouping[gi]:
                     for b in grouped.grouping[int(gj)]:
                         assert strictly_dominates(vectors[a], vectors[b])
+
+
+class TestMemberVertices:
+    def test_pair_graph_returns_the_vertices(self):
+        base = PairGraph([(0, 1), (0, 2), (1, 2)], np.array([[0.5], [0.6], [0.7]]))
+        assert base.member_vertices([2, 0, 2]).tolist() == [2, 0, 2]
+        assert base.member_vertices([]).dtype == np.int64
+        with pytest.raises(GraphError):
+            base.member_vertices([3])
+
+    def test_grouped_graph_gathers_in_vertex_order(self, simple_grouped):
+        # Groups [0, 1], [2] and [3].
+        assert simple_grouped.member_vertices([2, 0]).tolist() == [3, 0, 1]
+        assert simple_grouped.member_vertices(np.arange(3)).tolist() == [0, 1, 2, 3]
+        assert simple_grouped.member_vertices([]).tolist() == []
+        for bad in ([3], [-1]):
+            with pytest.raises(GraphError):
+                simple_grouped.member_vertices(bad)
+
+    def test_grouped_and_naive_agree_with_member_pairs(self):
+        vectors = random_vectors(21, 40, 3)
+        pairs = [(i, i + 100) for i in range(40)]
+        grouping = split_grouping(vectors, 0.15)
+        grouped = GroupedGraph(PairGraph(pairs, vectors), grouping)
+        naive = NaiveGroupedGraph(NaivePairGraph(pairs, vectors), grouping)
+        vertices = np.random.default_rng(0).integers(0, len(grouped), 25)
+        expected = [member for v in vertices.tolist() for member in grouping[v]]
+        assert grouped.member_vertices(vertices).tolist() == expected
+        assert naive.member_vertices(vertices).tolist() == expected
+        assert [pairs[m] for m in expected] == [
+            pair for v in vertices.tolist() for pair in grouped.member_pairs(v)
+        ]
+        with pytest.raises(GraphError):
+            naive.member_vertices([len(naive)])
 
 
 class TestBuildGraph:

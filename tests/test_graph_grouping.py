@@ -13,6 +13,7 @@ from repro.graph import (
     split_grouping,
     validate_grouping,
 )
+from repro.verify import reference_split_grouping
 
 from conftest import random_vectors
 
@@ -26,6 +27,32 @@ def vectors_strategy():
 
 
 EPSILONS = st.sampled_from([0.05, 0.1, 0.2, 0.3])
+
+
+def _split_vectors(args) -> np.ndarray:
+    n, m, levels, seed, duplicates = args
+    rng = np.random.default_rng(seed)
+    vectors = rng.random((n, m))
+    if levels:
+        vectors = np.round(vectors * levels) / levels
+    if duplicates and n:
+        vectors = vectors[rng.integers(0, n, n)]
+    return vectors
+
+
+def split_vectors_strategy():
+    """Uniform, one-decimal and quarter-grid values (quarter-grid members
+    sit on node midpoints), optionally with duplicate rows, m up to 8."""
+    return st.tuples(
+        st.integers(min_value=0, max_value=60),
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from([0, 10, 4]),
+        st.integers(min_value=0, max_value=10_000),
+        st.booleans(),
+    ).map(_split_vectors)
+
+
+SPLIT_EPSILONS = st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.25, 0.3, 0.5])
 
 
 class TestIsGroup:
@@ -42,11 +69,19 @@ class TestIsGroup:
 
 
 class TestSplitGrouping:
-    @settings(max_examples=40, deadline=None)
-    @given(vectors_strategy(), EPSILONS)
+    @settings(max_examples=80, deadline=None)
+    @given(split_vectors_strategy(), SPLIT_EPSILONS)
     def test_always_valid_partition(self, vectors, epsilon):
+        """A valid partition, and exactly the per-node reference's groups."""
         groups = split_grouping(vectors, epsilon)
         validate_grouping(vectors, groups, epsilon)
+        assert groups == reference_split_grouping(vectors, epsilon)
+
+    def test_midpoint_member_goes_low_and_span_equal_to_epsilon_stays(self):
+        # Root [0, 1] halves at .5; .5 is not above it, so {0, .5} is one
+        # child, whose span .5 equals epsilon and is not split again.
+        vectors = np.array([[0.0], [0.5], [1.0]])
+        assert split_grouping(vectors, 0.5) == [[0, 1], [2]]
 
     def test_all_identical_vectors_one_group(self):
         vectors = np.tile([0.5, 0.5], (10, 1))

@@ -7,8 +7,7 @@ Four contracts pinned here:
   by the ``observability-transparent`` battery checks);
 * **telemetry migration** — the registry-backed
   :class:`repro.obs.Telemetry` produces the exact bytes of the retired
-  ``repro.engine.telemetry`` dataclass, and the old import path still
-  works (with a :class:`DeprecationWarning`);
+  engine telemetry dataclass;
 * **shard determinism** — the merged trace of a multi-process run has the
   same structure as the inline (``workers=0``) run, and worker metrics
   fold into the coordinator's registry;
@@ -19,7 +18,6 @@ Four contracts pinned here:
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -145,17 +143,6 @@ class TestTelemetryMigration:
             telemetry.record_event("posted", float(index))
         assert len(telemetry.events) == 3
         assert telemetry.events[0]["clock"] == 7.0
-
-    def test_old_import_path_warns_but_works(self):
-        import repro.engine.telemetry as shim
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = shim.Telemetry
-        assert legacy is Telemetry
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
 
     def test_engine_joins_the_active_registry(self):
         from repro.crowd.platform import PerfectCrowd

@@ -30,6 +30,7 @@ class TestMutationSelfTest:
     def test_patches_are_fully_restored(self):
         import repro.crowd.platform as platform
         import repro.graph.construction as construction
+        import repro.graph.grouping as grouping
         import repro.graph.matching as matching
         import repro.graph.topo as topo
         from repro.crowd.platform import CrowdSession
@@ -46,6 +47,7 @@ class TestMutationSelfTest:
             join.sparse_jaccard_join,
             construction.blocked_dominance_lists,
             construction._dominance_tiles,
+            grouping._cell_keys,
             ReachabilityIndex.__dict__["build"],
             topo.topological_layers,
             matching.minimum_path_cover,
@@ -62,6 +64,7 @@ class TestMutationSelfTest:
             join.sparse_jaccard_join,
             construction.blocked_dominance_lists,
             construction._dominance_tiles,
+            grouping._cell_keys,
             ReachabilityIndex.__dict__["build"],
             topo.topological_layers,
             matching.minimum_path_cover,
@@ -133,6 +136,32 @@ class TestMutationSelfTest:
                 run_detection_battery(seed=0)
         with mutant.activate():
             run_detection_battery(seed=0, include_plan=False)
+
+    def test_midpoint_tie_is_caught_only_by_the_grouping_step(self):
+        """A ``>=`` at Split's midpoint changes groups, not their validity.
+
+        ``split-midpoint-tie`` reaches what ``build_graph`` runs (through
+        ``GROUPING_ALGORITHMS``) and changes the groups of the battery's
+        own fixture.  Every other step groups both of its sides with the
+        same production code, so only the split-grouping step, which diffs
+        against the per-node reference, can catch it.
+        """
+        from repro.exceptions import VerificationError
+        from repro.graph import build_graph, split_grouping, validate_grouping
+        from repro.verify import reference_split_grouping
+        from repro.verify.mutation import _battery_fixture
+
+        pairs, vectors = _battery_fixture(0)
+        mutant = next(m for m in MUTANTS if m.name == "split-midpoint-tie")
+        with mutant.activate():
+            groups = split_grouping(vectors, 0.15)
+            validate_grouping(vectors, groups, 0.15)
+            assert groups != reference_split_grouping(vectors, 0.15)
+            assert build_graph(pairs, vectors, 0.15).grouping == groups
+            with pytest.raises(VerificationError, match="split-grouping"):
+                run_detection_battery(seed=0)
+        with mutant.activate():
+            run_detection_battery(seed=0, include_grouping=False)
 
     def test_join_range_mutant_is_caught_by_the_join_tiling_check(self):
         """The range form of the candidate join has its own teeth.

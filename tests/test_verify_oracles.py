@@ -19,10 +19,12 @@ from repro.verify import (
     check_join_methods,
     check_selector_differential,
     check_selector_monotone_oracle,
+    check_split_grouping,
     check_transitive_closure,
     monotone_truth,
     naive_dominance_edges,
     naive_transitive_closure,
+    quarter_grid_vectors,
     random_instance,
 )
 
@@ -82,6 +84,35 @@ class TestDominanceOracles:
         vectors = (rng.integers(0, 4, size=(n, m)) / 3.0).astype(np.float64)
         check_dominance_construction(vectors)
         check_transitive_closure(vectors)
+
+
+class TestSplitGroupingOracle:
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            random_instance(0)[1],
+            quarter_grid_vectors(0),
+            np.empty((0, 4)),
+            np.array([[0.3, 0.7]]),
+        ],
+        ids=["one-decimal", "quarter-grid", "n=0", "n=1"],
+    )
+    @pytest.mark.parametrize("epsilon", [0.0, 0.15, 0.25, 0.5])
+    def test_production_matches_the_references(self, vectors, epsilon):
+        check_split_grouping(vectors, epsilon)
+
+    def test_oracle_catches_wrong_bounds(self, monkeypatch):
+        from repro.graph import GroupedGraph
+
+        original = GroupedGraph.__init__
+
+        def mutated(self, base, grouping):
+            original(self, base, grouping)
+            self.upper_bounds = self.lower_bounds  # bug: upper bound lost
+
+        monkeypatch.setattr(GroupedGraph, "__init__", mutated)
+        with pytest.raises(VerificationError, match="upper_bounds"):
+            check_split_grouping(quarter_grid_vectors(0), 0.25)
 
 
 class TestSelectorDifferential:
