@@ -13,14 +13,16 @@ to questions uniformly at random; this module adds alternatives:
 
 A policy plugs into :class:`AssigningCrowd`, a
 :class:`~repro.crowd.platform.SimulatedCrowd` whose worker selection is
-delegated; everything else (voting, caching, cost) is inherited.
+delegated (pair by pair, in the round's order, so stateful policies see
+the same sequence as one-at-a-time asking); everything else (voting,
+caching, cost) is inherited.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import defaultdict
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 from ..data.ground_truth import Pair
 from ..exceptions import ConfigurationError
@@ -142,5 +144,6 @@ class AssigningCrowd(SimulatedCrowd):
         )
         self.policy = policy
 
-    def _select_workers(self, pair: Pair):
-        return self.policy.assign(self.pool, pair, self.assignments)
+    def _assign(self, pairs: Sequence[Pair]) -> list[list[Worker]]:
+        # A stateful policy (round-robin, best-worker) runs in pair order.
+        return [self.policy.assign(self.pool, pair, self.assignments) for pair in pairs]

@@ -7,17 +7,25 @@ algorithm's ledger on top of the shared platform — it counts the questions
 the algorithm asked, the iterations (batches) it used, and the monetary cost
 under the paper's pricing (ten pairs per HIT, ten cents per HIT, ``z``
 assignments per question).
+
+A crowd round is one batch of HITs posted at once, and
+:meth:`SimulatedCrowd.answer_batch` answers it in one pass: it validates
+the whole batch, draws every uncached pair's worker panel and votes
+together (:meth:`~repro.crowd.worker.WorkerPool.assign_many`,
+:func:`~repro.crowd.worker.answer_many`), then aggregates and caches pair
+by pair.  Answers stay order-independent: a pair's outcome depends only on
+the pair, never on which round asked it or what else that round held.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 
 from ..data.ground_truth import Pair, canonical_pair
 from ..exceptions import ConfigurationError, CrowdError
 from .aggregate import VoteOutcome, majority_vote, weighted_majority_vote
-from .worker import WorkerPool
+from .worker import Worker, WorkerPool, answer_many
 
 
 class SimulatedCrowd:
@@ -68,29 +76,51 @@ class SimulatedCrowd:
 
     def answer(self, pair: Pair) -> VoteOutcome:
         """The platform's (cached) aggregated answer for *pair*."""
-        pair = canonical_pair(*pair)
-        cached = self._cache.get(pair)
-        if cached is not None:
-            return cached
-        try:
-            truth = self.truth[pair]
-        except KeyError:
-            raise CrowdError(f"pair {pair} is not in the platform's universe") from None
-        workers = self._select_workers(pair)
-        pair_difficulty = 1.0 if self.difficulty is None else self.difficulty.get(pair, 1.0)
-        votes = [worker.answer(pair, truth, pair_difficulty) for worker in workers]
-        if self.aggregation == "weighted":
-            outcome = weighted_majority_vote(
-                votes, [worker.accuracy for worker in workers]
-            )
-        else:
-            outcome = majority_vote(votes)
-        self._cache[pair] = outcome
-        return outcome
+        return self.answer_batch([pair])[canonical_pair(*pair)]
 
-    def _select_workers(self, pair: Pair):
-        """Which workers answer *pair*; subclasses may apply a policy."""
-        return self.pool.assign(pair, self.assignments)
+    def answer_batch(self, pairs: Iterable[Pair]) -> dict[Pair, VoteOutcome]:
+        """Answer one crowd round: every pair's (cached) aggregated answer.
+
+        The whole batch is checked first, so a pair outside the universe
+        raises :class:`CrowdError` before anything is drawn or cached.  The
+        uncached pairs then get their panels and votes in one draw, and
+        their outcomes enter the cache together.  Keys are canonical pairs,
+        in first-asked order.
+        """
+        batch = self._canonical_batch(pairs)
+        fresh = [pair for pair in dict.fromkeys(batch) if pair not in self._cache]
+        if fresh:
+            panels = self._assign(fresh)
+            difficulty = self.difficulty
+            ballots = answer_many(
+                panels,
+                fresh,
+                [self.truth[pair] for pair in fresh],
+                [1.0] * len(fresh)
+                if difficulty is None
+                else [difficulty.get(pair, 1.0) for pair in fresh],
+            )
+            outcomes = list(map(self._aggregate, panels, ballots))
+            self._cache.update(zip(fresh, outcomes))
+        return {pair: self._cache[pair] for pair in batch}
+
+    def _canonical_batch(self, pairs: Iterable[Pair]) -> list[Pair]:
+        """*pairs* as canonical pairs, refusing the batch if one is unknown."""
+        batch = [canonical_pair(*pair) for pair in pairs]
+        for pair in batch:
+            if pair not in self.truth:
+                raise CrowdError(f"pair {pair} is not in the platform's universe")
+        return batch
+
+    def _assign(self, pairs: Sequence[Pair]) -> list[list[Worker]]:
+        """Each pair's worker panel; subclasses may apply a policy."""
+        return self.pool.assign_many(pairs, self.assignments)
+
+    def _aggregate(self, panel: Sequence[Worker], votes: Sequence[bool]) -> VoteOutcome:
+        """Combine one pair's votes; subclasses may weigh them differently."""
+        if self.aggregation == "weighted":
+            return weighted_majority_vote(votes, [worker.accuracy for worker in panel])
+        return majority_vote(votes)
 
     def session(
         self, pairs_per_hit: int = 10, cents_per_hit: int = 10
@@ -140,6 +170,10 @@ class PerfectCrowd(SimulatedCrowd):
         return VoteOutcome(
             answer=truth, confidence=1.0, votes=(truth,) * self.assignments
         )
+
+    def answer_batch(self, pairs: Iterable[Pair]) -> dict[Pair, VoteOutcome]:
+        # Its own per-pair answers (uncached), after the same batch check.
+        return {pair: self.answer(pair) for pair in self._canonical_batch(pairs)}
 
 
 class CrowdSession:
@@ -196,17 +230,17 @@ class CrowdSession:
         """Ask a batch of pairs in parallel; counts as one iteration.
 
         Re-asking a pair already asked in this session returns the cached
-        answer and is not billed again.
+        answer and is not billed again.  A batch the platform refuses (a
+        pair outside its universe) raises before anything is counted,
+        billed or cached.
         """
         batch = [canonical_pair(*pair) for pair in pairs]
         if not batch:
             return {}
+        answers = self.crowd.answer_batch(batch)
         self.iterations += 1
         self.batch_sizes.append(len(batch))
-        answers: dict[Pair, VoteOutcome] = {}
-        for pair in batch:
-            answers[pair] = self.crowd.answer(pair)
-            self._asked.add(pair)
+        self._asked.update(batch)
         return answers
 
     @property

@@ -187,20 +187,10 @@ class QualityAwareCrowd(SimulatedCrowd):
             for worker in pool.workers
         }
 
-    def answer(self, pair: Pair) -> VoteOutcome:
-        pair = canonical_pair(*pair)
-        cached = self._cache.get(pair)
-        if cached is not None:
-            return cached
-        try:
-            truth = self.truth[pair]
-        except KeyError:
-            raise CrowdError(f"pair {pair} is not in the platform's universe") from None
-        workers = self.pool.assign(pair, self.assignments)
-        pair_difficulty = 1.0 if self.difficulty is None else self.difficulty.get(pair, 1.0)
-        votes = [worker.answer(pair, truth, pair_difficulty) for worker in workers]
+    def _aggregate(self, panel: Sequence[Worker], votes: Sequence[bool]) -> VoteOutcome:
+        """Tempered log-odds vote with the gold-estimated accuracies."""
         log_odds = 0.0
-        for worker, vote in zip(workers, votes):
+        for worker, vote in zip(panel, votes):
             a = min(max(self.estimated_accuracy[worker.worker_id], 1e-6), 1 - 1e-6)
             weight = math.log(a / (1 - a))
             log_odds += weight if vote else -weight
@@ -208,8 +198,4 @@ class QualityAwareCrowd(SimulatedCrowd):
         probability_yes = 1.0 / (1.0 + math.exp(-log_odds))
         answer = probability_yes > 0.5
         confidence = probability_yes if answer else 1.0 - probability_yes
-        outcome = VoteOutcome(
-            answer=answer, confidence=confidence, votes=tuple(votes)
-        )
-        self._cache[pair] = outcome
-        return outcome
+        return VoteOutcome(answer=answer, confidence=confidence, votes=tuple(votes))

@@ -8,8 +8,9 @@ with :func:`numpy.packbits` (``bitorder="little"``: bit ``j`` of byte ``i``
 is vertex ``8 i + j``), which turns the hot per-answer / per-round
 operations of the selection loop into word-parallel byte ops:
 
-* color propagation (``ColoringState.apply_answer``) fetches one row and
-  unpacks it instead of re-broadcasting an ``O(n m)`` float comparison;
+* color propagation (``ColoringState.apply_round``) sums the unpacked
+  rows of a round's answered vertices, a chunk at a time, instead of
+  re-broadcasting an ``O(n m)`` float comparison per answer;
 * the incremental path-cover engine
   (:class:`repro.graph.matching.IncrementalPathCover`) restricts adjacency
   to the active sub-DAG with a single ``AND`` against the packed active
@@ -40,6 +41,9 @@ from . import construction
 #: admits graphs of roughly 30k vertices; beyond that the selection loop
 #: falls back to the reference mask-broadcast path.
 DEFAULT_REACHABILITY_BYTES = 256 * 1024 * 1024
+
+#: Bytes of unpacked rows :meth:`ReachabilityIndex.row_counts` holds at once.
+UNPACK_CHUNK_BYTES = 1 << 22
 
 
 def pack_mask(mask: np.ndarray) -> np.ndarray:
@@ -147,6 +151,31 @@ class ReachabilityIndex:
     def ancestor_mask(self, vertex: int) -> np.ndarray:
         """Boolean ancestor mask, byte-identical to the graph's own."""
         return unpack_mask(self.ancestor_row(vertex), self.num_vertices)
+
+    def row_counts(self, vertices: np.ndarray, ancestors: bool) -> np.ndarray:
+        """How many of *vertices* list each vertex in their row.
+
+        With *ancestors*, the column sums of the vertices' ancestor rows
+        (the GREEN votes their Yes answers cast); otherwise of their
+        descendant rows (RED votes).  A repeated vertex counts each time.
+        Rows are unpacked :data:`UNPACK_CHUNK_BYTES` at a time.
+        """
+        vertices = np.asarray(vertices, dtype=np.intp)
+        if vertices.size:
+            self._check(int(vertices.min()))
+            self._check(int(vertices.max()))
+        rows = self._anc if ancestors else self._desc
+        counts = np.zeros(self.num_vertices, dtype=np.int32)
+        step = max(1, UNPACK_CHUNK_BYTES // max(1, self.num_vertices))
+        for start in range(0, len(vertices), step):
+            bits = np.unpackbits(
+                rows[vertices[start : start + step]],
+                axis=1,
+                count=self.num_vertices,
+                bitorder="little",
+            )
+            counts += bits.sum(axis=0, dtype=np.int32)
+        return counts
 
     def nbytes(self) -> int:
         return int(self._desc.nbytes + self._anc.nbytes)

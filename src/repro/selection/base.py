@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..crowd.aggregate import VoteOutcome
 from ..crowd.platform import CrowdSession
 from ..data.ground_truth import Pair
 from ..exceptions import SelectionError
@@ -237,19 +238,49 @@ class QuestionSelector(ABC):
         vertices: list[int],
         rng: np.random.Generator,
     ) -> None:
-        """Send one batch to the crowd and apply the answers."""
+        """Send one batch to the crowd and apply its answers as one round."""
         questions = {
             vertex: graph.representative_pair(vertex, rng) for vertex in vertices
         }
-        answers = session.ask_batch(questions.values())
-        threshold = (
-            self.error_policy.confidence_threshold if self.error_policy else None
-        )
+        answers = ask_round(session, questions)
         started = time.perf_counter()
-        for vertex, pair in questions.items():
-            outcome = answers[pair]
-            if threshold is not None and outcome.confidence < threshold:
-                state.mark_blue(vertex)
-            else:
-                state.apply_answer(vertex, outcome.answer)
+        state.apply_round(questions, round_answers(questions, answers, self.error_policy))
         self._propagate_seconds += time.perf_counter() - started
+
+
+def ask_round(
+    session: CrowdSession, questions: dict[int, Pair]
+) -> dict[Pair, VoteOutcome]:
+    """Post one round's questions, inside a ``selection.ask`` span.
+
+    The span's ``asked`` attribute counts the round's questions and
+    ``new`` the distinct pairs the session had not asked before (the ones
+    this round pays for), so a trace splits every round into cover, crowd
+    and propagate time.
+    """
+    tracer = obs_instrument.current().tracer
+    with tracer.span("selection.ask", asked=len(questions)) as span:
+        before = session.questions_asked
+        answers = session.ask_batch(questions.values())
+        span.set_attribute("new", session.questions_asked - before)
+    return answers
+
+
+def round_answers(
+    questions: dict[int, Pair],
+    answers: dict[Pair, VoteOutcome],
+    error_policy: ErrorPolicy | None,
+) -> list[bool | None]:
+    """Each asked vertex's answer for :meth:`ColoringState.apply_round`.
+
+    None (BLUE) for an answer below the Power+ confidence threshold.
+    """
+    threshold = error_policy.confidence_threshold if error_policy else None
+    decided: list[bool | None] = []
+    for pair in questions.values():
+        outcome = answers[pair]
+        if threshold is not None and outcome.confidence < threshold:
+            decided.append(None)
+        else:
+            decided.append(bool(outcome.answer))
+    return decided

@@ -82,20 +82,14 @@ def resolve_undecided_vertices(
         # everything RED regardless of similarity (every trained bin is
         # pure-RED and empty bins inherit it).  Fall back to thresholding
         # the weighted similarity — the pure machine-side prior.
-        return {
-            pair: bool(value > 0.5)
-            for pair, value in zip(undecided_pairs, undecided_values)
-        }
+        return dict(zip(undecided_pairs, (undecided_values > 0.5).tolist()))
     trained = np.concatenate((green_members, red_members))
     training_values = weighted_similarities(base.vectors[trained], weights)
     training_labels = np.arange(trained.size) < green_members.size
     histogram = build_histogram(
         training_values, training_labels, num_bins=policy.num_bins, binning=policy.binning
     )
-    return {
-        pair: histogram.classify(float(value))
-        for pair, value in zip(undecided_pairs, undecided_values)
-    }
+    return dict(zip(undecided_pairs, histogram.classify_many(undecided_values).tolist()))
 
 
 def resolve_blue_pairs(

@@ -75,6 +75,11 @@ class MatchHistogram:
         """The paper's rule: GREEN when the bin probability exceeds 0.5."""
         return self.probability(value) > 0.5
 
+    def classify_many(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`classify` for every value at once (a boolean array)."""
+        bins = np.searchsorted(self.boundaries, values, side="right")
+        return self.probabilities[np.minimum(bins, len(self.probabilities) - 1)] > 0.5
+
 
 def _fill_empty_bins(probabilities: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Give empty bins the estimate of the nearest non-empty bin.

@@ -28,7 +28,6 @@ from .executor import (
     split_question_budget,
 )
 from .merge import (
-    apply_answer_batch,
     merge_adjacency_blocks,
     merge_independent_outcomes,
     merge_vector_chunks,
@@ -93,7 +92,6 @@ __all__ = [
     "merge_vector_chunks",
     "merge_adjacency_blocks",
     "merge_vote_deltas",
-    "apply_answer_batch",
     "merged_clusters",
     "merge_independent_outcomes",
 ]

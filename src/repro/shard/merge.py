@@ -11,15 +11,9 @@ sharded path's determinism argument (DESIGN.md §10):
   concatenation in row order reproduces the full blocked-kernel output.
 * :func:`merge_vote_deltas` — per-slice vote deltas are **summed**; vote
   addition is commutative integer arithmetic, so partial sums merged in
-  any order equal the serial per-answer accumulation exactly.
-* :func:`apply_answer_batch` — replays one crowd round onto the global
-  :class:`~repro.graph.coloring.ColoringState`: pin every answered vertex
-  (in question order, so ``asked_order`` matches the serial transcript),
-  add the merged vote deltas, refresh exactly the vertices that received a
-  vote.  Equivalent to the serial one-answer-at-a-time engine because a
-  non-pinned vertex's final color is the majority of its *cumulative*
-  votes at its last touch, and a vertex pinned mid-batch ends at its
-  pinned color either way.
+  any order equal the serial per-answer accumulation exactly.  The merged
+  counts feed the serial loop's own round update,
+  :meth:`~repro.graph.coloring.ColoringState.apply_round`.
 * :func:`merge_independent_outcomes` / :func:`merged_clusters` — the
   independent mode's reduction: labels union (shards own disjoint pair
   sets), distinct-question union, **pooled** billing recomputed over the
@@ -37,7 +31,6 @@ import numpy as np
 
 from ..data.ground_truth import Pair
 from ..exceptions import ConfigurationError
-from ..graph.coloring import Color, ColoringState
 from ..selection.base import SelectionResult
 from .partition import UnionFind
 from .worker import ShardOutcome
@@ -112,46 +105,6 @@ def merge_vote_deltas(
         green[lo : lo + len(green_delta)] += green_delta
         red[lo : lo + len(red_delta)] += red_delta
     return green, red
-
-
-def apply_answer_batch(
-    state: ColoringState,
-    answered: Sequence[tuple[int, bool | None]],
-    green_delta: np.ndarray,
-    red_delta: np.ndarray,
-) -> None:
-    """Apply one crowd round's answers plus merged vote deltas to *state*.
-
-    Args:
-        state: the global coloring state.
-        answered: ``(vertex, answer)`` in question order — ``True`` GREEN,
-            ``False`` RED, ``None`` BLUE (low-confidence, no inference).
-        green_delta / red_delta: the merged inference-vote deltas for this
-            round (GREEN answers vote their ancestors, RED answers their
-            descendants), as produced by :func:`merge_vote_deltas`.
-
-    Serial equivalence: the serial loop pins + propagates one answer at a
-    time.  Pinned vertices end at their pinned color in both schedules;
-    a vertex never pinned this round is refreshed here with the full
-    round's cumulative votes — exactly the vote totals the serial path
-    shows it at its last refresh, since only votes *targeting* the vertex
-    can change its majority and all of this round's targeted votes are in
-    both sums.  ``asked_order`` is appended in question order, matching
-    the serial transcript byte for byte.
-    """
-    for vertex, answer in answered:
-        state.graph._check_vertex(vertex)
-        state.asked_order.append(vertex)
-        if answer is None:
-            state.colors[vertex] = Color.BLUE
-        else:
-            state.colors[vertex] = Color.GREEN if answer else Color.RED
-        state._pinned[vertex] = True
-    state._green_votes += green_delta
-    state._red_votes += red_delta
-    touched = (green_delta > 0) | (red_delta > 0)
-    if np.any(touched):
-        state._refresh(touched)
 
 
 # --------------------------------------------------------------------------- #
@@ -240,7 +193,6 @@ __all__ = [
     "merge_vector_chunks",
     "merge_adjacency_blocks",
     "merge_vote_deltas",
-    "apply_answer_batch",
     "merged_clusters",
     "merge_independent_outcomes",
 ]

@@ -50,7 +50,7 @@ from ..exceptions import ConfigurationError, DataError, SelectionError
 from ..graph.coloring import ColoringState
 from ..graph.dag import OrderedGraph
 from ..obs import instrument as obs_instrument
-from ..selection.base import SelectionResult
+from ..selection.base import SelectionResult, ask_round, round_answers
 from ..selection.error_tolerant import (
     ErrorPolicy,
     resolve_blue_pairs,
@@ -58,7 +58,6 @@ from ..selection.error_tolerant import (
 )
 from .executor import ShardExecutor, questions_for_cents, split_question_budget
 from .merge import (
-    apply_answer_batch,
     merge_adjacency_blocks,
     merge_independent_outcomes,
     merge_vector_chunks,
@@ -376,9 +375,10 @@ class ShardedResolver(PowerResolver):
         for statement — same selector, same RNG consumption order, same
         session, same guard and budget semantics — except that each crowd
         round's vote propagation is computed as per-slice deltas in the
-        workers and merged through :func:`merge_vote_deltas` /
-        :func:`apply_answer_batch` (proven equivalent to the serial
-        one-answer-at-a-time engine; see those docstrings).
+        workers, merged through :func:`merge_vote_deltas` and handed to
+        the same round update the serial loop runs,
+        :meth:`~repro.graph.coloring.ColoringState.apply_round` (equal to
+        the one-answer-at-a-time engine; see its module docstring).
         """
         if budget is not None and budget < 0:
             raise SelectionError(f"budget must be >= 0, got {budget}")
@@ -390,11 +390,6 @@ class ShardedResolver(PowerResolver):
         state = ColoringState(graph)
         operands = graph._dominance_operands()
         slices = vertex_slices(len(graph), self.num_shards) if len(graph) else []
-        threshold = (
-            selector.error_policy.confidence_threshold
-            if selector.error_policy
-            else None
-        )
         assignment_time = 0.0
         propagate_seconds = 0.0
         rounds = 0
@@ -430,17 +425,11 @@ class ShardedResolver(PowerResolver):
                     vertex: graph.representative_pair(vertex, rng)
                     for vertex in vertices
                 }
-                answers = session.ask_batch(questions.values())
-                answered: list[tuple[int, bool | None]] = []
-                for vertex, pair in questions.items():
-                    outcome = answers[pair]
-                    if threshold is not None and outcome.confidence < threshold:
-                        answered.append((vertex, None))
-                    else:
-                        answered.append((vertex, bool(outcome.answer)))
+                answers = ask_round(session, questions)
+                decided = round_answers(questions, answers, selector.error_policy)
                 timer = time.perf_counter()
                 self._propagate_batch(
-                    graph, state, executor, operands, slices, answered
+                    graph, state, executor, operands, slices, vertices, decided
                 )
                 round_propagate = time.perf_counter() - timer
                 propagate_seconds += round_propagate
@@ -495,19 +484,16 @@ class ShardedResolver(PowerResolver):
         executor: ShardExecutor,
         operands: tuple[np.ndarray, np.ndarray] | None,
         slices: list[tuple[int, int]],
-        answered: list[tuple[int, bool | None]],
+        vertices: list[int],
+        decided: list[bool | None],
     ) -> None:
         """Apply one round's answers with shard-parallel vote propagation."""
-        green = [vertex for vertex, answer in answered if answer is True]
-        red = [vertex for vertex, answer in answered if answer is False]
+        green = [vertex for vertex, answer in zip(vertices, decided) if answer is True]
+        red = [vertex for vertex, answer in zip(vertices, decided) if answer is False]
         if operands is None or not slices or not (green or red):
             # No operand form (custom graph) or a BLUE-only round: the
-            # serial engine is already the fastest correct path.
-            for vertex, answer in answered:
-                if answer is None:
-                    state.mark_blue(vertex)
-                else:
-                    state.apply_answer(vertex, answer)
+            # serial round update is already the fastest correct path.
+            state.apply_round(vertices, decided)
             return
         dominant, dominated = operands
         tasks = [
@@ -525,8 +511,7 @@ class ShardedResolver(PowerResolver):
         deltas = executor.run(
             compute_vote_deltas, tasks, weights=[len(t.dominant_block) for t in tasks]
         )
-        green_delta, red_delta = merge_vote_deltas(deltas, len(graph))
-        apply_answer_batch(state, answered, green_delta, red_delta)
+        state.apply_round(vertices, decided, merge_vote_deltas(deltas, len(graph)))
 
     # ------------------------------------------------------------------ #
     # Independent mode

@@ -5,9 +5,11 @@ Three complementary pillars, all raising
 
 * **differential oracles** (:mod:`.oracles`) — brute-force twins of every
   optimized path: dominance construction, Split grouping, batch similarity,
-  similarity joins, crowd aggregation, a naive graph pair that any selector must treat
-  identically to the production graphs, a coloring replay, and a monotone
-  ground truth under which a perfect crowd must recover the truth exactly;
+  similarity joins, crowd aggregation, the batched crowd-draw kernel vs
+  numpy's own generators, a naive graph pair that any selector must treat
+  identically to the production graphs, a coloring replay, the round
+  update vs the one-answer-at-a-time engine, and a monotone ground truth
+  under which a perfect crowd must recover the truth exactly;
 * **invariant checkers** (:mod:`.invariants`) — partial-order laws, DAG
   acyclicity, topological layering vs naive Kahn peeling, path-cover
   validity, reachability-index packing, grouped-partition arithmetic,
@@ -57,8 +59,10 @@ from .oracles import (
     check_batch_similarity,
     check_coloring_replay,
     check_crowd_aggregation,
+    check_crowd_draws,
     check_dominance_construction,
     check_join_methods,
+    check_round_update,
     check_selection_incremental,
     check_selector_differential,
     check_selector_monotone_oracle,
@@ -92,10 +96,12 @@ __all__ = [
     "check_coloring_state",
     "check_cost_monotonicity",
     "check_crowd_aggregation",
+    "check_crowd_draws",
     "check_dominance_construction",
     "check_duplicate_idempotence",
     "check_grouped_partition",
     "check_join_methods",
+    "check_round_update",
     "check_partial_order",
     "check_path_cover",
     "check_permutation_invariance",

@@ -5,8 +5,10 @@ mutation self-test into a single :class:`~repro.verify.report.VerificationReport
 
 1. **synthetic sweeps** — random similarity matrices across many seeds
    drive the construction and Split-grouping oracles, the structural
-   invariants, and the production-vs-naive selector differentials (perfect
-   and noisy crowds, grouped and ungrouped graphs); graphs sized across
+   invariants, the production-vs-naive selector differentials (perfect
+   and noisy crowds, grouped and ungrouped graphs), the round update vs
+   the one-answer-at-a-time engine on every selector, and the batched
+   crowd-draw kernel vs numpy's own generators; graphs sized across
    byte and tile boundaries drive the packed reachability-index check,
    and a quarter-grid matrix (members on node midpoints) plus the 0- and
    1-vertex inputs drive the grouping check;
@@ -187,6 +189,19 @@ def _synthetic_sweeps(config: BatteryConfig, report: VerificationReport) -> None
                     oracles.check_selector_monotone_oracle(n, p, v, seed=s)
                 ),
             )
+
+            def round_update(name=name, pairs=pairs, vectors=vectors, seed=seed):
+                oracles.check_round_update(name, pairs, vectors, seed=seed)
+                oracles.check_round_update(
+                    name, pairs, vectors, seed=seed, budget=len(pairs) // 3
+                )
+
+            run_check(report, f"round-update[{name}, seed={seed}]", round_update)
+        run_check(
+            report,
+            f"crowd-draws[seed={seed}]",
+            lambda s=seed: oracles.check_crowd_draws(s),
+        )
         for name in ("single-path", "multi-path", "power"):
             run_check(
                 report,

@@ -214,3 +214,98 @@ class TestAmbiguityDifficulty:
         assert difficulty[(0, 1)] == pytest.approx(0.1)
         assert difficulty[(2, 3)] == pytest.approx(0.1)
         assert difficulty[(4, 5)] == pytest.approx(1.0)
+
+
+class TestCrowdRounds:
+    """One crowd round in one pass, with the per-pair answers unchanged."""
+
+    PAIRS = [(k, k + 1 + k % 7) for k in range(0, 90, 3)]
+    TRUTH = {pair: k % 3 == 0 for k, pair in enumerate(PAIRS)}
+    # First half, second half, then four re-asks: 34 questions, 30 new.
+    ORDER = PAIRS[::2] + PAIRS[1::2] + PAIRS[:4]
+
+    @staticmethod
+    def _digest(outcomes):
+        import hashlib
+
+        text = repr([(o.answer, o.confidence.hex(), o.votes) for o in outcomes])
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    def _crowds(self):
+        from repro.crowd import (
+            AssigningCrowd,
+            BestWorkerAssignment,
+            QualityAwareCrowd,
+            RandomAssignment,
+            RoundRobinAssignment,
+        )
+
+        pool = WorkerPool(20, "80", seed=4, spammer_fraction=0.2)
+        accuracies = {worker.worker_id: worker.accuracy for worker in pool.workers}
+        gold = {(1000 + k, 2000 + k): bool(k % 2) for k in range(12)}
+        truth = self.TRUTH
+        return {
+            "random-policy": lambda: AssigningCrowd(truth, pool, RandomAssignment()),
+            "round-robin": lambda: AssigningCrowd(truth, pool, RoundRobinAssignment()),
+            "best-worker": lambda: AssigningCrowd(
+                truth, pool, BestWorkerAssignment(accuracies, 0.2)
+            ),
+            "quality-aware": lambda: QualityAwareCrowd(truth, pool, gold, temperature=0.5),
+            "perfect": lambda: PerfectCrowd(truth),
+        }
+
+    # Digests of the outcomes the one-pair-at-a-time platform returned for
+    # ORDER (every policy's order-dependent state included).
+    PINNED = {
+        "random-policy": "31e502d95c56385f",
+        "round-robin": "39e1b3595c052d05",
+        "best-worker": "ec8382457925a961",
+        "quality-aware": "07056a57d36a2d8c",
+        "perfect": "9ceeb6ed885ab6ad",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_subclasses_keep_their_outcomes_through_answer_and_ask_batch(self, name):
+        make = self._crowds()[name]
+        one = make()
+        assert self._digest([one.answer(pair) for pair in self.ORDER]) == self.PINNED[name]
+        answers = make().session().ask_batch(self.ORDER)
+        assert self._digest([answers[pair] for pair in self.ORDER]) == self.PINNED[name]
+
+    @pytest.mark.parametrize("aggregation", ["weighted", "majority"])
+    def test_answer_batch_equals_answering_pair_by_pair(self, aggregation):
+        pool = WorkerPool(30, "70", seed=2**32 + 5, spammer_fraction=0.3)
+        difficulty = {self.PAIRS[0]: 0.0, self.PAIRS[1]: 2.5, self.PAIRS[2]: float("nan")}
+
+        def crowd():
+            return SimulatedCrowd(
+                self.TRUTH, pool=pool, aggregation=aggregation, difficulty=difficulty
+            )
+
+        single = crowd()
+        expected = {pair: single.answer(pair) for pair in self.ORDER}
+        for cut in (3, len(self.ORDER)):  # both sides of the kernel crossover
+            batched = crowd().answer_batch(self.ORDER[:cut])
+            assert list(batched) == list(dict.fromkeys(self.ORDER[:cut]))
+            assert all(batched[pair] == expected[pair] for pair in batched)
+
+    def test_failed_batch_bills_nothing(self):
+        crowd = SimulatedCrowd(TRUTH, WorkerPool(seed=1))
+        session = crowd.session()
+        session.ask_batch([(3, 4)])
+        ledger = (session.iterations, list(session.batch_sizes), session.asked_pairs)
+        cost, cache = session.cost_cents, dict(crowd._cache)
+        with pytest.raises(CrowdError):
+            session.ask_batch([(0, 1), (5, 6), (2, 3)])
+        assert (session.iterations, session.batch_sizes, session.asked_pairs) == ledger
+        assert session.cost_cents == cost
+        assert crowd._cache == cache
+
+    def test_failed_round_leaves_a_policy_untouched(self):
+        from repro.crowd import AssigningCrowd, RoundRobinAssignment
+
+        policy = RoundRobinAssignment()
+        crowd = AssigningCrowd(TRUTH, WorkerPool(seed=1), policy)
+        with pytest.raises(CrowdError):
+            crowd.answer_batch([(0, 1), (5, 6)])
+        assert policy._cursor == 0 and not crowd._cache

@@ -158,3 +158,98 @@ class TestLabels:
         state.apply_answer(2, True)
         truth = {(0, 1): True, (0, 2): True, (0, 3): False}
         assert state.validate_against(truth) == pytest.approx(2 / 3)
+
+
+class TestRoundUpdate:
+    """``apply_round`` must equal the per-answer ``apply_answer`` loop."""
+
+    @staticmethod
+    def _rounds(n, seed):
+        """Random rounds over a shuffled vertex order: GREEN, RED and BLUE
+        answers, comparable vertices within a round, and a final round cut
+        short the way a question budget truncates one."""
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(n).tolist()
+        cuts = sorted(rng.choice(np.arange(1, n), size=min(4, n - 1), replace=False).tolist())
+        rounds = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        rounds[-1] = rounds[-1][: max(1, len(rounds[-1]) // 2)]
+        codes = (True, False, None)
+        return [
+            (vertices, [codes[int(c)] for c in rng.choice(3, size=len(vertices), p=(0.45, 0.45, 0.1))])
+            for vertices in rounds
+        ]
+
+    @staticmethod
+    def _assert_same(state, reference):
+        assert np.array_equal(state.colors, reference.colors)
+        assert np.array_equal(state._green_votes, reference._green_votes)
+        assert np.array_equal(state._red_votes, reference._red_votes)
+        assert state.asked_order == reference.asked_order
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 255, 256, 257])
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_matches_the_per_answer_loop(self, n, indexed):
+        from repro.verify import random_instance
+
+        pairs, vectors = random_instance(n, n)
+        graph = PairGraph(pairs, vectors)
+        if indexed:
+            assert graph.build_reachability() is not None
+        state = ColoringState(graph)
+        reference = ColoringState(PairGraph(pairs, vectors))
+        for vertices, answers in self._rounds(n, seed=n):
+            state.apply_round(vertices, answers)
+            for vertex, answer in zip(vertices, answers):
+                if answer is None:
+                    reference.mark_blue(vertex)
+                else:
+                    reference.apply_answer(vertex, answer)
+            self._assert_same(state, reference)
+
+    def test_rounds_larger_than_one_unpack_chunk(self, monkeypatch):
+        from repro.graph import reachability
+        from repro.verify import random_instance
+
+        pairs, vectors = random_instance(3, 257)
+        graph = PairGraph(pairs, vectors)
+        graph.build_reachability()
+        reference = ColoringState(PairGraph(pairs, vectors))
+        whole = ColoringState(graph)
+        for vertices, answers in self._rounds(257, seed=3):
+            whole.apply_round(vertices, answers)
+        monkeypatch.setattr(reachability, "UNPACK_CHUNK_BYTES", 3 * 257)  # 3 rows
+        chunked = ColoringState(graph)
+        for vertices, answers in self._rounds(257, seed=3):
+            assert len(vertices) > 3
+            chunked.apply_round(vertices, answers)
+            for vertex, answer in zip(vertices, answers):
+                if answer is None:
+                    reference.mark_blue(vertex)
+                else:
+                    reference.apply_answer(vertex, answer)
+            self._assert_same(chunked, reference)
+        self._assert_same(whole, chunked)
+
+    def test_given_votes_are_used_as_is(self, chain):
+        """The sharded loop hands in worker-merged votes."""
+        derived = ColoringState(chain)
+        derived.apply_round([3, 1], [True, False])
+        given = ColoringState(chain)
+        votes = (derived._green_votes.copy(), derived._red_votes.copy())
+        given.apply_round([3, 1], [True, False], votes)
+        assert np.array_equal(given.colors, derived.colors)
+        assert given.asked_order == [3, 1]
+
+    def test_blue_only_round_pins_without_votes(self, chain):
+        state = ColoringState(chain)
+        state.apply_round([1, 2], [None, None])
+        assert state.color_of(1) == Color.BLUE and state.color_of(2) == Color.BLUE
+        assert not state._green_votes.any() and not state._red_votes.any()
+
+    def test_rejects_misaligned_answers(self, chain):
+        from repro.exceptions import GraphError
+
+        with pytest.raises(GraphError):
+            ColoringState(chain).apply_round([0, 1], [True])
+        with pytest.raises(GraphError):
+            ColoringState(chain).apply_round([9], [True])

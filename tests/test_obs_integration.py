@@ -55,6 +55,28 @@ class TestTransparency:
         assert "resolve" in names and "selection.run" in names
         assert obs.registry.family("repro_selection_rounds_total")
 
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_each_round_times_its_crowd_call(self, small_table, sharded):
+        """A ``selection.ask`` span sits in every round, serial or sharded,
+        counting the round's questions and the pairs it newly paid for."""
+        from repro.obs import walk
+        from repro.shard import ShardedResolver
+
+        config = PowerConfig(seed=0, shards=2)
+        resolver = ShardedResolver(config, workers=0) if sharded else PowerResolver(config)
+        with activated(Observability(tracing=True)) as obs:
+            result = resolver.resolve(small_table, worker_band="90")
+        rounds = [span for _, span in walk(obs.tracer.export()) if span["name"] == "selection.round"]
+        asks = [
+            child["attributes"]
+            for span in rounds
+            for child in span["children"]
+            if child["name"] == "selection.ask"
+        ]
+        assert len(asks) == len(rounds) == result.iterations
+        assert sum(ask["new"] for ask in asks) == result.questions
+        assert all(0 <= ask["new"] <= ask["asked"] for ask in asks)
+
     def test_handle_is_restored_after_the_block(self):
         before = current()
         with activated(Observability()):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
+from repro.graph import Color
 from repro.selection import attribute_weights, build_histogram, weighted_similarities
 
 
@@ -111,3 +112,59 @@ class TestHistogram:
         histogram = build_histogram(values, labels, num_bins=7, binning=binning)
         assert np.all(histogram.probabilities >= 0)
         assert np.all(histogram.probabilities <= 1)
+
+
+class TestClassifyMany:
+    """The vectorized settle step against per-value ``classify``."""
+
+    @staticmethod
+    def _assert_matches(histogram, values):
+        expected = [histogram.classify(float(value)) for value in values]
+        assert histogram.classify_many(np.asarray(values)).tolist() == expected
+
+    def test_boundaries_and_outer_values(self):
+        values = np.array([0.05, 0.15, 0.3, 0.45, 0.55, 0.7, 0.85, 0.95])
+        histogram = build_histogram(values, values > 0.5, num_bins=4, binning="equi-width")
+        probes = list(histogram.boundaries) + [-1.0, 0.0, 0.25, 0.5, 1.0, 2.0]
+        self._assert_matches(histogram, probes)
+
+    def test_equi_depth_histogram(self):
+        rng = np.random.default_rng(4)
+        values = rng.random(200).round(2)
+        histogram = build_histogram(values, rng.random(200) < values, num_bins=20)
+        probes = np.concatenate((values, histogram.boundaries, [-0.5, 1.5]))
+        self._assert_matches(histogram, probes)
+
+    def test_single_bin_histogram(self):
+        histogram = build_histogram(np.array([0.2, 0.8]), np.array([True, True]), num_bins=1)
+        assert len(histogram.probabilities) == 1
+        self._assert_matches(histogram, [-1.0, 0.2, 0.8, 3.0])
+
+    def test_settle_step_matches_the_per_pair_loop(self):
+        """Same items, same dict order, with and without GREEN training pairs."""
+        from repro.graph import ColoringState, PairGraph
+        from repro.selection import ErrorPolicy, resolve_undecided_vertices
+        from repro.selection.histograms import attribute_weights, weighted_similarities
+        from repro.verify import random_instance
+
+        pairs, vectors = random_instance(5, 60)
+        graph = PairGraph(pairs, vectors)
+        undecided = np.arange(30, 60)
+        for green in (True, False):  # False: the no-GREEN fallback
+            state = ColoringState(graph)
+            state.apply_round(range(30), [green and v % 2 == 0 for v in range(30)])
+            labels = resolve_undecided_vertices(graph, state, undecided, ErrorPolicy())
+            greens = vectors[state.vertices_with(Color.GREEN)]
+            weights = attribute_weights(greens, num_attributes=vectors.shape[1])
+            values = weighted_similarities(vectors[undecided], weights)
+            if green:
+                reds = vectors[state.vertices_with(Color.RED)]
+                trained = weighted_similarities(np.vstack((greens, reds)), weights)
+                is_match = np.arange(len(trained)) < len(greens)
+                histogram = build_histogram(trained, is_match, num_bins=20)
+                expected = {
+                    pairs[v]: histogram.classify(float(s)) for v, s in zip(undecided, values)
+                }
+            else:
+                expected = {pairs[v]: bool(s > 0.5) for v, s in zip(undecided, values)}
+            assert list(labels.items()) == list(expected.items())

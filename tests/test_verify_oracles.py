@@ -156,26 +156,19 @@ class TestSelectorDifferential:
             assert truth[u] >= truth[v]  # a dominated match forces the dominator
 
     def test_oracle_catches_inverted_propagation(self, monkeypatch):
-        from repro.graph.coloring import Color, ColoringState
+        from repro.graph.coloring import ColoringState
 
-        def mutated(self, vertex, answer, propagate=True):
-            self.graph._check_vertex(vertex)
-            self.asked_order.append(vertex)
-            self.colors[vertex] = Color.GREEN if answer else Color.RED
-            self._pinned[vertex] = True
-            if not propagate:
-                return
-            if answer:
-                targets = self.graph.descendant_mask(vertex)
-            else:
-                targets = self.graph.ancestor_mask(vertex)
-                self._red_votes[targets] += 1
-                self._refresh(targets)
-                return
-            self._green_votes[targets] += 1
-            self._refresh(targets)
+        # The round update's vote count, which both selection loops run.
+        def mutated(self, green, red):
+            green_votes = np.zeros(len(self.graph), dtype=np.int32)
+            red_votes = np.zeros(len(self.graph), dtype=np.int32)
+            for vertex in green:
+                green_votes += self.graph.descendant_mask(vertex)
+            for vertex in red:
+                red_votes += self.graph.ancestor_mask(vertex)
+            return green_votes, red_votes
 
-        monkeypatch.setattr(ColoringState, "apply_answer", mutated)
+        monkeypatch.setattr(ColoringState, "_inference_votes", mutated)
         pairs, vectors = random_instance(0)
         with pytest.raises(VerificationError):
             check_selector_differential("power", pairs, vectors, seed=0)
