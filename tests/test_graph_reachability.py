@@ -148,19 +148,22 @@ class TestColoringEquivalence:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=999))
     def test_propagation_identical_with_and_without_index(self, seed):
-        """apply_answer through the packed index colors exactly the same
-        vertices as the reference mask-broadcast path."""
+        """apply_round counting votes from the packed index's rows colors
+        exactly the same vertices as its mask-broadcast path."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 40))
         plain = make_graph(seed=seed, n=n)
         indexed = make_graph(seed=seed, n=n)
         assert indexed.build_reachability() is not None
         ref, fast = ColoringState(plain), ColoringState(indexed)
-        for _ in range(int(rng.integers(1, 12))):
-            vertex = int(rng.integers(0, n))
-            answer = bool(rng.integers(0, 2))
-            ref.apply_answer(vertex, answer)
-            fast.apply_answer(vertex, answer)
-        for v in range(n):
-            assert ref.color_of(v) == fast.color_of(v)
+        for _ in range(int(rng.integers(1, 6))):
+            size = int(rng.integers(1, n + 1))
+            vertices = rng.choice(n, size=size, replace=False).tolist()
+            answers = [(None, True, False)[k] for k in rng.integers(0, 3, size)]
+            ref.apply_round(vertices, answers)
+            fast.apply_round(vertices, answers)
+        assert np.array_equal(ref.colors, fast.colors)
+        assert np.array_equal(ref._green_votes, fast._green_votes)
+        assert np.array_equal(ref._red_votes, fast._red_votes)
+        assert ref.asked_order == fast.asked_order
         assert ref.color_of(0) in (Color.UNCOLORED, Color.GREEN, Color.RED, Color.BLUE)
