@@ -10,8 +10,8 @@ folds the answers into the clustering.
 
 Candidate generation rides the vectorized batch substrate: the record
 texts live in a :class:`~repro.similarity.batch.TokenIndex` (a packed
-bit-matrix of token sets), and each new record's candidate partners are
-found with one vectorized Jaccard sweep against every earlier record —
+bit-matrix of token sets), and a batch's candidate pairs are found with one
+vectorized Jaccard sweep of its records against every earlier record —
 bit-identical to the scalar token-overlap join, just without the Python
 loops.  Per-batch similarity vectors likewise flow through
 :func:`~repro.similarity.batch.batch_similarity_matrix` whenever
@@ -25,6 +25,7 @@ cost advantage compounds because the old×old pairs are never revisited.
 
 from __future__ import annotations
 
+import re
 import time
 from collections.abc import Sequence
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from ..crowd.platform import SimulatedCrowd
 from ..crowd.worker import WorkerPool
-from ..data.ground_truth import Pair, pair_truth, true_match_pairs
+from ..data.ground_truth import Pair, true_match_pairs
 from ..data.table import Table
 from ..exceptions import ConfigurationError, DataError
 from ..graph.grouped_graph import build_graph
@@ -42,6 +43,17 @@ from .clustering import clusters_from_matches
 from .config import PowerConfig
 from .metrics import QualityReport, pairwise_quality
 from .resolver import PowerResolver
+
+
+#: Lone UTF-16 surrogates: a Python ``str`` can hold one (a JSON ``"\ud800"``
+#: escape decodes to it), but UTF-8 cannot encode it, so neither can a
+#: snapshot.
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+#: Upper bound on the (new, earlier) record pairs one block of the batch
+#: sweep scores at once: its index arrays stay within a fixed byte budget
+#: (tens of bytes per pair) however long the stream grows.
+_SWEEP_BLOCK_PAIRS = 1 << 18
 
 
 class IncrementalResolver:
@@ -89,57 +101,61 @@ class IncrementalResolver:
     def _tokenizer(self):
         return qgram_tokens if self.config.join_tokens == "qgram" else word_tokens
 
-    def _rebuild_index(self) -> None:
-        """Re-intern the packed token bit-matrix over every record so far.
+    def _next_index(self, texts: list[str]) -> TokenIndex:
+        """The token index over every record so far plus *texts*.
 
-        The original maintenance strategy, kept as the from-scratch
-        reference: per batch it re-tokenizes all N records, so a K-batch
-        stream pays O(K·N) interning — quadratic in the stream length.
-        :meth:`_extend_index` replaces it on the hot path; the two are
-        bit-identical (extend assigns the same unique-row and token ids the
-        full rebuild would).
+        Built beside the live index, which stays as it is until the batch
+        commits.  ``"extend"`` grows a copy of the live index by just the
+        new texts (O(new) interning); ``"rebuild"``, and the first batch,
+        re-intern every record — the O(all) reference the streaming
+        benchmark measures extend against.  Both are bit-identical.
         """
-        texts = [
+        if self.index_mode == "extend" and self._index is not None:
+            return self._index.copy().extend(texts)
+        earlier = [
             self.table.record_text(record_id)
             for record_id in range(len(self.table))
         ]
-        self._index = TokenIndex(texts, self._tokenizer())
+        return TokenIndex(earlier + texts, self._tokenizer())
 
-    def _extend_index(self, new_ids: Sequence[int]) -> None:
-        """Fold just the new records into the live token index, O(new)."""
-        if self._index is None:
-            # First batch (or a restored resolver without its index): build
-            # over everything seen so far, which the extends then grow.
-            self._rebuild_index()
-            return
-        self._index.extend(
-            [self.table.record_text(record_id) for record_id in new_ids]
-        )
+    def _batch_candidates(self, index: TokenIndex, first: int) -> list[Pair]:
+        """The sorted candidate pairs of the records from *first* on.
 
-    def _candidates_for(self, record_id: int) -> list[Pair]:
-        """Earlier records whose record-level Jaccard clears the threshold.
-
-        One vectorized :meth:`TokenIndex.jaccard_pairs` sweep of the new
-        record against all earlier records with a non-empty token set.
-        Equivalent to the scalar inverted-list probe: with a positive
-        pruning threshold, ``jaccard >= threshold`` already implies at
-        least one shared token, and empty-token records (whose batch-path
-        empty-vs-empty convention is 1.0) are excluded on both sides just
-        as an empty record posts no tokens to an inverted index.
+        One vectorized :meth:`TokenIndex.jaccard_pairs` sweep pairs every
+        new record with every earlier record — earlier batches and earlier
+        records of this batch alike — and keeps the pairs whose
+        record-level Jaccard clears the pruning threshold.  Records with an
+        empty token set take no part on either side, just as an empty
+        record posts no tokens to an inverted index (the batch kernel
+        would score two of them 1.0); with a positive threshold every other
+        kept pair shares a token, so the sweep equals the scalar
+        inverted-list probe.  It scores blocks of new records of at most
+        ``_SWEEP_BLOCK_PAIRS`` pairs, so a long stream never materializes
+        |batch| × |stream| index arrays at once.
         """
-        index = self._index
-        assert index is not None  # _rebuild_index precedes any probe
         threshold = self.config.pruning_threshold
         sizes = index.sizes[index.row_of_text]
-        if record_id == 0 or sizes[record_id] == 0:
+        # The k-th non-empty record's partners are the k non-empty records
+        # before it, so a block of positions is a ragged triangle of pairs.
+        probes = np.flatnonzero(sizes > 0)
+        block = max(1, _SWEEP_BLOCK_PAIRS // max(1, probes.size))
+        lefts, rights = [], []
+        for lo in range(int(np.searchsorted(probes, first)), probes.size, block):
+            counts = np.arange(lo, min(lo + block, probes.size))
+            offsets = np.cumsum(counts) - counts
+            left = probes[
+                np.arange(offsets[-1] + counts[-1]) - np.repeat(offsets, counts)
+            ]
+            right = np.repeat(probes[counts], counts)
+            keep = index.jaccard_pairs(left, right) >= threshold
+            lefts.append(left[keep])
+            rights.append(right[keep])
+        if not lefts:
             return []
-        earlier = np.flatnonzero(sizes[:record_id] > 0)
-        if earlier.size == 0:
-            return []
-        scores = index.jaccard_pairs(
-            np.full(earlier.size, record_id, dtype=np.int64), earlier
-        )
-        return [(int(other), record_id) for other in earlier[scores >= threshold]]
+        left = np.concatenate(lefts)
+        right = np.concatenate(rights)
+        order = np.lexsort((right, left))
+        return list(zip(left[order].tolist(), right[order].tolist()))
 
     # ------------------------------------------------------------------ #
     # Streaming API
@@ -154,6 +170,10 @@ class IncrementalResolver:
     ) -> dict:
         """Ingest a batch of records and resolve their pairs.
 
+        A refused batch leaves the resolver exactly as it was: every check
+        that can refuse it (row shape, lone surrogates, ground truth for an
+        auto-built crowd) runs before the index or the table changes.
+
         Args:
             rows: new records' attribute values.
             entity_ids: ground truth for the new records (needed when no
@@ -166,34 +186,25 @@ class IncrementalResolver:
             A batch report dict: new candidate pairs, questions, iterations,
             and the running cluster count.
         """
-        if not rows:
-            raise DataError("a batch must contain at least one record")
-        if entity_ids is not None and len(entity_ids) != len(rows):
-            raise DataError(
-                f"{len(rows)} rows but {len(entity_ids)} entity ids"
-            )
-        new_ids = []
-        for offset, row in enumerate(rows):
-            entity = entity_ids[offset] if entity_ids is not None else None
-            record = self.table.append(
-                tuple(str(value) for value in row), entity_id=entity
-            )
-            new_ids.append(record.record_id)
+        values = self._checked_rows(rows, entity_ids)
+        entities = (
+            list(entity_ids) if entity_ids is not None else [None] * len(values)
+        )
+        first = len(self.table)
         ingest_started = time.perf_counter()
-        if self.index_mode == "rebuild":
-            self._rebuild_index()
-        else:
-            self._extend_index(new_ids)
+        index = self._next_index([" ".join(row) for row in values])
         index_seconds = time.perf_counter() - ingest_started
-
-        pairs: list[Pair] = []
-        for record_id in new_ids:
-            pairs.extend(self._candidates_for(record_id))
-        pairs = sorted(set(pairs))
+        pairs = self._batch_candidates(index, first)
         ingest_seconds = time.perf_counter() - ingest_started
+        if pairs and session is None:
+            session = self._auto_session(pairs, worker_band, entities)
+        # Nothing below refuses the batch: commit it.
+        self._index = index
+        for row, entity in zip(values, entities):
+            self.table.append(row, entity_id=entity)
         report = {
             "batch": self.batches + 1,
-            "new_records": len(new_ids),
+            "new_records": len(values),
             "new_pairs": len(pairs),
             "questions": 0,
             "iterations": 0,
@@ -209,8 +220,6 @@ class IncrementalResolver:
                 epsilon=self.config.epsilon,
                 grouping_algorithm=self.config.grouping_algorithm,
             )
-            if session is None:
-                session = self._auto_session(pairs, worker_band)
             # Deltas, not totals: a long-lived session carries its asked set
             # and pooled bill across batches, so per-batch numbers are the
             # difference the batch made, and the accumulated totals equal
@@ -232,6 +241,33 @@ class IncrementalResolver:
         report["clusters"] = len(self.clusters())
         return report
 
+    def _checked_rows(
+        self, rows: Sequence[Sequence[str]], entity_ids: Sequence[int] | None
+    ) -> list[tuple[str, ...]]:
+        """The batch's records as value tuples, or a :class:`DataError`."""
+        if not rows:
+            raise DataError("a batch must contain at least one record")
+        if entity_ids is not None and len(entity_ids) != len(rows):
+            raise DataError(
+                f"{len(rows)} rows but {len(entity_ids)} entity ids"
+            )
+        width = self.table.num_attributes
+        values = []
+        for offset, row in enumerate(rows):
+            record = tuple(str(value) for value in row)
+            if len(record) != width:
+                raise DataError(
+                    f"record {offset} of the batch has {len(record)} values, "
+                    f"expected {width}"
+                )
+            if _LONE_SURROGATE.search("".join(record)):
+                raise DataError(
+                    f"record {offset} of the batch holds a lone UTF-16 "
+                    "surrogate, which a snapshot cannot store"
+                )
+            values.append(record)
+        return values
+
     def _batch_vectors(self, pairs: Sequence[Pair]) -> np.ndarray:
         """Similarity vectors for one batch's candidate pairs.
 
@@ -243,17 +279,25 @@ class IncrementalResolver:
         """
         return self._resolver.similarity_vectors(self.table, pairs)
 
-    def _auto_session(self, pairs: Sequence[Pair], worker_band):
-        """A fresh simulated-crowd session over the batch's ground truth."""
-        if not all(
-            self.table[i].entity_id is not None for pair in pairs for i in pair
-        ):
+    def _auto_session(
+        self,
+        pairs: Sequence[Pair],
+        worker_band,
+        entities: Sequence[int | None],
+    ):
+        """A fresh simulated-crowd session over the batch's ground truth.
+
+        Runs before the batch commits, so the new records' entity ids come
+        in as *entities* rather than from the table.
+        """
+        entity = [record.entity_id for record in self.table] + list(entities)
+        if any(entity[i] is None for pair in pairs for i in pair):
             raise ConfigurationError(
                 "no session given and the batch lacks ground truth; "
                 "provide a crowd session"
             )
         crowd = SimulatedCrowd(
-            pair_truth(self.table, pairs),
+            {(a, b): entity[a] == entity[b] for a, b in pairs},
             pool=WorkerPool(
                 accuracy_range=worker_band, seed=self.config.seed
             ),

@@ -69,10 +69,14 @@ _COMMON_FIELDS = ("v", "id", "op")
 
 
 def encode(message: dict[str, Any]) -> bytes:
-    """One protocol line: compact JSON plus the terminating newline."""
+    """One protocol line: compact JSON plus the terminating newline.
+
+    A lone surrogate in a string (which UTF-8 cannot encode) goes out as
+    its JSON ``\\uXXXX`` escape, so every message encodes.
+    """
     return (
         json.dumps(message, separators=(",", ":"), ensure_ascii=False) + "\n"
-    ).encode("utf-8")
+    ).encode("utf-8", "backslashreplace")
 
 
 def decode_request(line: bytes | str) -> dict[str, Any]:

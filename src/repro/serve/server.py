@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import time
 from pathlib import Path
 from typing import Any
@@ -46,6 +47,8 @@ from .protocol import (
     ok_response,
 )
 from .sessions import SessionRegistry, SessionSpec
+
+_log = logging.getLogger(__name__)
 
 #: Batch-row count the planner prices when seeding the admission EWMA —
 #: the typical client ingest batch (the smokes and bench use 200).
@@ -154,6 +157,14 @@ class ServeApp:
             except PowerError as error:
                 status = "error"
                 response = error_response(request_id, "error", str(error))
+            except Exception as error:  # noqa: BLE001 - answered, never raised
+                # A bug behind one request must not cost the client its
+                # answer or take down the connection's other requests.
+                _log.exception("%s request failed", op)
+                status = "error"
+                response = error_response(
+                    request_id, "internal", f"{type(error).__name__}: {error}"
+                )
         obs_instrument.record_serve_request(
             self.obs, op, time.perf_counter() - started, status
         )

@@ -28,6 +28,7 @@ to the same IEEE-754 divisions).
 
 from __future__ import annotations
 
+import copy
 import os
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
@@ -55,10 +56,6 @@ EDIT_WORKERS_ENV = "POWER_EDIT_WORKERS"
 #: Minimum number of *unique* string pairs before a process pool can pay for
 #: its fork + pickle overhead.
 _MIN_PAIRS_FOR_POOL = 4096
-
-#: Upper bound on Unicode codepoints — sizes the presence bitmap that remaps
-#: a corpus's codepoints onto a dense alphabet for the bigram encoder.
-_BIGRAM_BASE = 0x110000
 
 #: Fall back to the generic per-text tokenizer when a corpus uses this many
 #: distinct codepoints: the code-interning bitmap is ``(k+1)**2`` bools, so
@@ -222,6 +219,19 @@ class TokenIndex:
         self.sizes = np.concatenate((self.sizes, sizes))
         return self
 
+    def copy(self) -> "TokenIndex":
+        """An index that :meth:`extend` can grow while this one stays as is.
+
+        Only the interning dictionaries are duplicated: :meth:`extend`
+        replaces the arrays rather than writing into them, so the copy
+        shares them safely.
+        """
+        clone = copy.copy(self)
+        if self._seen is not None and self._vocab is not None:
+            clone._seen = dict(self._seen)
+            clone._vocab = dict(self._vocab)
+        return clone
+
     @classmethod
     def for_bigrams(cls, texts: Sequence[str]) -> "TokenIndex":
         """Vectorized constructor for the paper's default 2-gram tokens.
@@ -232,9 +242,16 @@ class TokenIndex:
         small integer code, and both token interning and per-row *set*
         deduplication happen through pure array ops — no hashing, sorting on
         strings, or Python-level token loops at all.  Matches
-        :func:`repro.similarity.tokenize.qgram_tokens` (q=2) exactly,
-        including the whole-string token for normalized strings of length
-        ``<= 2``.
+        :func:`repro.similarity.tokenize.qgram_tokens` (q=2) exactly on any
+        ``str``, including the whole-string token for normalized strings of
+        length ``<= 2`` and lone surrogates (encoded as their own codepoint).
+
+        The presence bitmap spans ``0 .. max codepoint`` of the corpus, not
+        all of Unicode: its prefix sums up to the largest codepoint present
+        are the same either way, so the dense ids do not depend on the
+        bitmap's length, and an ASCII column pays for at most 128 entries.
+        A corpus with :data:`_MAX_BIGRAM_ALPHABET` or more distinct
+        codepoints takes the generic per-text tokenizer instead.
         """
         unique, inverse = _intern_texts(texts)
         norms = [normalize(text) for text in unique]
@@ -256,15 +273,17 @@ class TokenIndex:
         empty = not joined
         points = alphabet = None
         if not empty:
-            points = np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32)
+            points = np.frombuffer(
+                joined.encode("utf-32-le", "surrogatepass"), dtype=np.uint32
+            )
             # Remap codepoints onto a dense alphabet: ids start at 1, so a
             # single-char whole-string token (code = id, in [1, K]) can never
             # collide with a bigram code (id1 * (K + 1) + id2 >= K + 2).
-            present = np.zeros(_BIGRAM_BASE, dtype=bool)
+            present = np.zeros(int(points.max()) + 1, dtype=bool)
             present[points] = True
             alphabet = np.cumsum(present, dtype=np.int64)
             k = int(alphabet[-1])
-            if k >= _MAX_BIGRAM_ALPHABET:  # pragma: no cover - pathological text
+            if k >= _MAX_BIGRAM_ALPHABET:
                 return cls(texts, qgram_tokens)
         if empty:
             self.sizes = np.zeros(len(unique), dtype=np.int64)
@@ -420,10 +439,6 @@ def batch_edit_similarities(
 # --------------------------------------------------------------------------- #
 
 
-def _column(table: Table, attribute: int) -> list[str]:
-    return [record.values[attribute] for record in table]
-
-
 def batch_similarity_matrix(
     table: Table,
     pairs: Sequence[Pair],
@@ -441,7 +456,8 @@ def batch_similarity_matrix(
     The attribute clamp (``s < tau → 0``) is applied as a single numpy
     ``where``.  Equivalence with the scalar path is exact, not approximate:
     both reduce each component to the same integer-ratio division or the same
-    :func:`edit_similarity` call.
+    :func:`edit_similarity` call.  Only the records some pair touches are
+    tokenized, so the cost follows the pairs rather than the table.
 
     Args:
         table: the input table.
@@ -460,8 +476,16 @@ def batch_similarity_matrix(
         raise ConfigurationError(f"pairs must be (i, j) tuples, got shape {pair_array.shape}")
     left = np.minimum(pair_array[:, 0], pair_array[:, 1])
     right = np.maximum(pair_array[:, 0], pair_array[:, 1])
+    # Tokenize only the records the pairs touch, renumbered densely: the
+    # pairs of one streamed batch reach a sliver of a long table.
+    touched = np.zeros(len(table), dtype=bool)
+    touched[left] = True
+    touched[right] = True
+    records = [table.records[row] for row in np.flatnonzero(touched).tolist()]
+    position = np.cumsum(touched) - 1
+    left, right = position[left], position[right]
     for k, name in enumerate(config.functions):
-        column = _column(table, k)
+        column = [record.values[k] for record in records]
         if name == "jaccard":
             matrix[:, k] = TokenIndex(column, word_tokens).jaccard_pairs(left, right)
         elif name == "bigram":

@@ -35,6 +35,7 @@ enforces rather than hopes for.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from collections.abc import Sequence
 from typing import Any
@@ -168,7 +169,6 @@ class StreamingResolver(IncrementalResolver):
         state), a ``stream.batch`` span, and ``repro_stream_*`` metrics.
         """
         band = self.worker_band if worker_band is None else worker_band
-        token = format(int(self._rng.integers(1 << 62)), "016x")
         obs = obs_instrument.current()
         with obs.tracer.span(
             "stream.batch", batch=self.batches + 1, records=len(rows)
@@ -176,18 +176,22 @@ class StreamingResolver(IncrementalResolver):
             report = super().add_batch(
                 rows, entity_ids=entity_ids, session=session, worker_band=band
             )
-            report["batch_token"] = token
+            # Minted only once the batch is in: a refused batch must leave
+            # the generator, like the rest of the state, untouched.
+            report["batch_token"] = format(
+                int(self._rng.integers(1 << 62)), "016x"
+            )
             span.set_attribute("pairs", report["new_pairs"])
             span.set_attribute("questions", report["questions"])
         obs_instrument.record_stream_batch(obs, report)
         self.reports.append(report)
         return report
 
-    def _auto_session(self, pairs, worker_band):
+    def _auto_session(self, pairs, worker_band, entities):
         if self._crowd is not None:
             crowd = self._crowd
         else:
-            crowd = super()._auto_session(pairs, worker_band).crowd
+            crowd = super()._auto_session(pairs, worker_band, entities).crowd
         return _RecordingSession(
             crowd,
             self.transcripts,
@@ -290,10 +294,7 @@ class StreamingResolver(IncrementalResolver):
             "total_cost_cents": self.total_cost_cents,
             "rows": [list(record.values) for record in self.table],
             "entity_ids": [record.entity_id for record in self.table],
-            "labels": [
-                [int(a), int(b), bool(value)]
-                for (a, b), value in sorted(self.labels.items())
-            ],
+            "labels": _encode_labels(self.labels),
             "transcripts": [
                 [int(a), int(b), encode_outcome(outcome)]
                 for (a, b), outcome in self.transcripts.items()
@@ -444,6 +445,21 @@ def _decode_config(payload: dict[str, Any]) -> PowerConfig:
         return PowerConfig(**decoded)
     except TypeError as error:
         raise DataError(f"snapshot config does not decode: {error}") from None
+
+
+def _encode_labels(labels: dict[Pair, bool]) -> list[list]:
+    """``[[a, b, same], ...]`` in pair order, ordered by one integer
+    ``np.lexsort`` over the pair keys.  It must equal the encoding of
+    ``sorted(labels.items())`` exactly: snapshot bytes, and so every
+    ``state_sha``, depend on it."""
+    count = len(labels)
+    keys = np.fromiter(
+        itertools.chain.from_iterable(labels), dtype=np.int64, count=2 * count
+    ).reshape(count, 2)
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    same = np.fromiter(labels.values(), dtype=bool, count=count)[order]
+    first, second = keys[order].T
+    return list(map(list, zip(first.tolist(), second.tolist(), same.tolist())))
 
 
 def _encode_band(band):

@@ -28,6 +28,8 @@ mutant                  seeded bug
 ``obs-perturbs-selection``  instrumentation drops a vertex from each round
 ``stream-stale-index``  a streamed batch lands in the token index as
                         empty rows (silent candidate loss)
+``stream-sweep-old-only``  the batch sweep drops every new×new pair of a
+                        streamed batch
 ``serve-cross-session-leak``  the session registry hands back another live
                         tenant's resolver instead of restoring the evicted
                         session's snapshot
@@ -383,6 +385,27 @@ def _mutant_stream_stale_index():
     return _patched((TokenIndex, "extend", mutated))
 
 
+def _mutant_stream_sweep_old_only():
+    """The batch sweep pairs new records with earlier batches' records only.
+
+    Models the classic slip in a one-pass incremental join: the sweep
+    probes the stream as it stood *before* the batch, so every new×new
+    pair — two records that arrive together — is silently dropped.  A
+    one-shot resolve never runs the sweep, and a stream of one-record
+    batches has no new×new pairs, so only ``check_stream_equivalence``,
+    whose single-batch tier is nothing but new×new pairs, can notice.
+    """
+    from ..core.incremental import IncrementalResolver
+
+    original = IncrementalResolver._batch_candidates
+
+    def mutated(self, index, first):
+        # bug: a pair whose older record is also new is never probed
+        return [pair for pair in original(self, index, first) if pair[0] < first]
+
+    return _patched((IncrementalResolver, "_batch_candidates", mutated))
+
+
 def _mutant_serve_cross_session_leak():
     """The session registry restores the wrong resolver after eviction.
 
@@ -561,6 +584,11 @@ MUTANTS: tuple[Mutant, ...] = (
         "stream-stale-index",
         "a streamed batch's records enter the token index as empty rows",
         _mutant_stream_stale_index,
+    ),
+    Mutant(
+        "stream-sweep-old-only",
+        "the batch sweep drops every new×new pair of a streamed batch",
+        _mutant_stream_sweep_old_only,
     ),
     Mutant(
         "serve-cross-session-leak",

@@ -1,12 +1,19 @@
 """Tests for incremental (streaming) entity resolution."""
 
-import pytest
+from unittest import mock
 
-from repro.core import IncrementalResolver, PowerConfig, stream_in_batches
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import IncrementalResolver, PowerConfig, incremental, stream_in_batches
 from repro.crowd import PerfectCrowd
 from repro.data import restaurant, true_match_pairs
 from repro.data.ground_truth import pair_truth
 from repro.exceptions import ConfigurationError, DataError
+from repro.similarity.batch import TokenIndex
+from repro.similarity.jaccard import jaccard
+from repro.similarity.tokenize import qgram_tokens, word_tokens
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +104,9 @@ class TestBatchAPI:
 
 class TestBatchSubstrateParity:
     def test_candidates_match_scalar_inverted_index(self, small_table):
-        """The TokenIndex candidate sweep equals a scalar inverted-list
-        probe with exact Jaccard verification — the pre-refactor reference."""
+        """The batch sweep equals a scalar inverted-list probe with exact
+        Jaccard verification — the pre-refactor reference — from every
+        batch boundary of the stream on."""
         from collections import defaultdict
 
         from repro.similarity.jaccard import jaccard
@@ -132,10 +140,16 @@ class TestBatchSubstrateParity:
                 if jaccard(tokens, record_tokens[other]) >= threshold
             )
 
-        for record_id in range(len(resolver.table)):
-            assert resolver._candidates_for(record_id) == reference_candidates(
-                record_id
-            ), f"candidate parity broke at record {record_id}"
+        n = len(resolver.table)
+        for first in range(0, n, 9):
+            expected = sorted(
+                pair
+                for record_id in range(first, n)
+                for pair in reference_candidates(record_id)
+            )
+            assert resolver._batch_candidates(resolver._index, first) == expected, (
+                f"candidate parity broke for the records from {first} on"
+            )
 
     def test_empty_token_records_never_pair(self):
         """Empty-vs-empty Jaccard is 1.0 in the batch kernel, but empty
@@ -146,8 +160,7 @@ class TestBatchSubstrateParity:
             [("",), ("",), ("alpha beta",)], entity_ids=[1, 2, 3]
         )
         assert report["new_pairs"] == 0
-        assert resolver._candidates_for(0) == []
-        assert resolver._candidates_for(1) == []
+        assert resolver._batch_candidates(resolver._index, 0) == []
 
     def test_batch_and_scalar_vectors_agree_end_to_end(self, small_table):
         """Streaming with the vectorized similarity substrate must replay
@@ -167,6 +180,141 @@ class TestBatchSubstrateParity:
         assert fast.total_iterations == slow.total_iterations
         assert fast.total_cost_cents == slow.total_cost_cents
         assert fast.clusters() == slow.clusters()
+
+
+def _sweep(texts, first, threshold=0.2, join_tokens="word"):
+    """The batch sweep of records ``first ..`` over an index of *texts*."""
+    resolver = IncrementalResolver(
+        ("text",),
+        config=PowerConfig(pruning_threshold=threshold, join_tokens=join_tokens),
+    )
+    return resolver._batch_candidates(
+        TokenIndex(texts, resolver._tokenizer()), first
+    )
+
+
+def _scalar_sweep(texts, first, threshold=0.2, tokenizer=word_tokens):
+    """Per-record scalar reference: every earlier non-empty record whose
+    exact Jaccard clears the threshold."""
+    tokens = [tokenizer(text) for text in texts]
+    return [
+        (other, record)
+        for other in range(len(texts))
+        for record in range(max(first, other + 1), len(texts))
+        if tokens[other]
+        and tokens[record]
+        and jaccard(tokens[other], tokens[record]) >= threshold
+    ]
+
+
+_WORDS = ["alpha", "beta", "gamma", "delta", "!!"]
+
+
+class TestBatchSweep:
+    """The one-sweep candidate search equals the per-record scalar probe."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        texts=st.lists(
+            st.lists(st.sampled_from(_WORDS), max_size=4).map(" ".join),
+            min_size=1,
+            max_size=14,
+        ),
+        data=st.data(),
+    )
+    def test_equals_scalar_probe(self, texts, data):
+        first = data.draw(st.integers(min_value=0, max_value=len(texts)))
+        threshold = data.draw(st.sampled_from([0.2, 0.5, 1.0]))
+        join_tokens, tokenizer = data.draw(
+            st.sampled_from([("word", word_tokens), ("qgram", qgram_tokens)])
+        )
+        budget = data.draw(st.sampled_from([1, 5, 1 << 18]))
+        with mock.patch.object(incremental, "_SWEEP_BLOCK_PAIRS", budget):
+            swept = _sweep(texts, first, threshold, join_tokens)
+        assert swept == _scalar_sweep(texts, first, threshold, tokenizer)
+
+    def test_batch_holding_record_zero(self):
+        texts = ["alpha beta", "gamma", "beta alpha", "alpha"]
+        assert _sweep(texts, 0) == [(0, 2), (0, 3), (2, 3)]
+
+    def test_empty_token_rows_inside_a_batch(self):
+        # Two empty token sets would score 1.0 in the batch kernel; they
+        # still never pair, with each other or with anything else.
+        texts = ["alpha beta", "", "!!", "alpha beta", ""]
+        assert _sweep(texts, 1) == [(0, 3)]
+
+    def test_duplicate_texts_within_one_batch(self):
+        texts = ["gamma", "alpha beta", "alpha beta", "alpha beta"]
+        assert _sweep(texts, 1) == [(1, 2), (1, 3), (2, 3)]
+
+    def test_threshold_one_keeps_only_equal_token_sets(self):
+        texts = ["alpha beta", "alpha beta gamma", "beta alpha", "alpha"]
+        assert _sweep(texts, 1, threshold=1.0) == [(0, 2)]
+
+    def test_batch_spanning_block_boundaries(self, small_table):
+        """A stream whose every batch sweeps in many small blocks decides
+        exactly what the one-block stream decides."""
+        texts = [small_table.record_text(r.record_id) for r in small_table]
+        # 60 non-empty records and a 100-pair budget: one new record per
+        # block, so a 20-record batch crosses 19 block boundaries.
+        with mock.patch.object(incremental, "_SWEEP_BLOCK_PAIRS", 100):
+            assert _sweep(texts, 40) == _scalar_sweep(texts, 40)
+            blocked = stream_in_batches(small_table, batch_size=20)
+        whole = stream_in_batches(small_table, batch_size=20)
+        assert blocked.labels == whole.labels
+        assert blocked.total_questions == whole.total_questions
+
+
+class TestRefusedBatch:
+    """A refused batch leaves the resolver exactly as it was."""
+
+    GOOD = [("alpha beta", "x"), ("gamma delta", "y")]
+    NEXT = [("alpha beta", "x"), ("gamma delta", "z")]
+
+    @staticmethod
+    def _state(resolver):
+        index = resolver._index
+        return (
+            [(record.values, record.entity_id) for record in resolver.table],
+            dict(resolver.labels),
+            resolver.batches,
+            resolver.total_questions,
+            resolver.total_cost_cents,
+            index.row_of_text.tolist(),
+            index.sizes.tolist(),
+            index.bits.tolist(),
+            list(index._seen.items()),
+            list(index._vocab.items()),
+        )
+
+    def _resolver(self):
+        resolver = IncrementalResolver(("a", "b"), config=PowerConfig(seed=0))
+        resolver.add_batch(self.GOOD, entity_ids=[1, 2])
+        return resolver
+
+    @pytest.mark.parametrize(
+        "rows, entity_ids, error",
+        [
+            # A short second row, after a valid first one.
+            ([("alpha beta", "x"), ("gamma",)], [1, 3], DataError),
+            # Pairs with the stream, but no truth and no session.
+            ([("alpha beta", "x")], None, ConfigurationError),
+            # A lone surrogate, which no snapshot could store.
+            ([("alpha beta", "x"), ("gamma \ud800", "y")], [1, 3], DataError),
+        ],
+        ids=["short-row", "no-ground-truth", "lone-surrogate"],
+    )
+    def test_refused_batch_changes_nothing(self, rows, entity_ids, error):
+        resolver = self._resolver()
+        before = self._state(resolver)
+        with pytest.raises(error):
+            resolver.add_batch(rows, entity_ids=entity_ids)
+        assert self._state(resolver) == before
+        # The next valid batch lands as if the bad one never came.
+        resolver.add_batch(self.NEXT, entity_ids=[1, 3])
+        clean = self._resolver()
+        clean.add_batch(self.NEXT, entity_ids=[1, 3])
+        assert self._state(resolver) == self._state(clean)
 
 
 class TestIncrementalVsOneShot:

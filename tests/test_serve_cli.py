@@ -218,16 +218,19 @@ class TestStreamGracefulShutdown:
         summary_start = len(straight_batches)
 
         killed_dir = tmp_path / "killed"
+        # Unbuffered bytes: readline() then takes exactly one line, so no
+        # later batch line sits in a Python-side buffer that communicate(),
+        # which reads the raw pipe, would never see.
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "stream", str(stream_csv),
              "--batch-size", "5", "--checkpoint-dir", str(killed_dir),
              "--seed", "0"],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
-            text=True,
+            bufsize=0,
         )
         try:
-            first = proc.stdout.readline()  # blocks until batch 1 is done
+            first = proc.stdout.readline().decode()  # blocks until batch 1 is done
             assert first.startswith("batch 1:"), first
             proc.send_signal(signal.SIGTERM)
             out, _ = proc.communicate(timeout=120)
@@ -235,7 +238,7 @@ class TestStreamGracefulShutdown:
             if proc.poll() is None:
                 proc.kill()
         assert proc.returncode == 0
-        killed_out = first + out
+        killed_out = first + out.decode()
         assert "stopped cleanly after batch" in killed_out
         assert "resume with --resume" in killed_out
         killed_batches = [

@@ -217,6 +217,49 @@ class TestProtocolEdge:
 
         run(scenario())
 
+    def test_bad_ingests_are_answered_and_leave_no_trace(
+        self, small_table, tmp_path
+    ):
+        """Every refused ingest gets an error response on a connection that
+        stays open, and the session ends as if it never saw them."""
+        chunks = _chunks(small_table, 2)
+        bad_ingests = [
+            {"rows": [["short"]], "entity_ids": [1]},
+            # Pairs with the first chunk, but carries no ground truth.
+            {"rows": [list(chunks[0][0].values)]},
+            # A lone surrogate, sent as its JSON escape.
+            {"rows": [["\ud800", "rome", "bbq"]], "entity_ids": [1]},
+            # Not a row at all: the handler's own exception is answered too.
+            {"rows": [5]},
+        ]
+
+        async def scenario():
+            app = ServeApp(tmp_path / "serve")
+            async with ResolutionServer(app) as server:
+                async with AsyncServeClient(port=server.port) as client:
+                    await client.create_session("t", list(small_table.attributes))
+                    await client.ingest("t", _rows(chunks[0]), _ids(chunks[0]))
+                    refused = [
+                        await client.request("ingest", session="t", **fields)
+                        for fields in bad_ingests
+                    ]
+                    report = await client.ingest(
+                        "t", _rows(chunks[1]), _ids(chunks[1])
+                    )
+                    record = await client.checkpoint("t")
+                    return refused, report, record["state_sha"]
+
+        refused, report, sha = run(asyncio.wait_for(scenario(), timeout=60))
+        assert [response["ok"] for response in refused] == [False] * 4
+        assert [response["error"] for response in refused] == [
+            "error",
+            "error",
+            "error",
+            "internal",
+        ]
+        assert report["batch"] == 2
+        assert sha == _direct_sha(small_table, tmp_path, "t", chunks)
+
     def test_healthz_and_metrics_over_http(self, tmp_path):
         async def scenario():
             app = ServeApp(tmp_path / "serve")

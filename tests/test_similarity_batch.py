@@ -48,8 +48,10 @@ from conftest import random_vectors
 # --------------------------------------------------------------------------- #
 
 #: A messy-but-realistic alphabet: letters, digits, whitespace to exercise
-#: normalization, repetition to force token collisions, and a non-ASCII char.
-_ALPHABET = "ab c1é  Z-"
+#: normalization, repetition to force token collisions, a non-ASCII char,
+#: two astral-plane chars (above U+FFFF) and a lone surrogate, which a
+#: Python ``str`` can hold.
+_ALPHABET = "ab c1é  Z-\U0001d538\U0001f600\ud800"
 
 text_strategy = st.text(alphabet=_ALPHABET, min_size=0, max_size=12)
 
@@ -103,6 +105,19 @@ class TestBatchMatrixEquivalence:
         assert fast.dtype == reference.dtype
         assert np.array_equal(reference, fast)
 
+    @settings(max_examples=30, deadline=None)
+    @given(table=table_strategy(), data=st.data())
+    def test_pairs_touching_some_records(self, table, data):
+        """Only the records a pair touches are tokenized: the vectors must
+        not depend on the rest of the table."""
+        pairs = data.draw(st.lists(st.sampled_from(all_pairs(table)), max_size=5))
+        function = data.draw(st.sampled_from(["bigram", "jaccard", "edit"]))
+        config = SimilarityConfig.uniform(table.num_attributes, function=function)
+        assert np.array_equal(
+            similarity_matrix(table, pairs, config),
+            batch_similarity_matrix(table, pairs, config),
+        )
+
     @settings(max_examples=20, deadline=None)
     @given(table=table_strategy())
     def test_mixed_functions_and_threshold(self, table):
@@ -120,6 +135,25 @@ class TestBatchMatrixEquivalence:
         table, pairs, vectors, _ = small_bundle
         config = SimilarityConfig.uniform(table.num_attributes)
         assert np.array_equal(vectors, batch_similarity_matrix(table, pairs, config))
+
+    def test_astral_text_matches_scalar_vectors(self):
+        table = Table.from_rows(
+            "astral",
+            ("name", "note"),
+            [
+                ("\U0001d538\U0001d539 cafe", "\U0001f600 ok"),
+                ("\U0001d538\U0001d539 café", "\U0001f600\U0001f600 ok"),
+                ("cafe \U0010ffff", "ok"),
+                ("\U0001d538", "\U0001f600"),
+            ],
+        )
+        pairs = all_pairs(table)
+        for function in ("bigram", "jaccard", "edit"):
+            config = SimilarityConfig.uniform(2, function=function)
+            assert np.array_equal(
+                similarity_matrix(table, pairs, config),
+                batch_similarity_matrix(table, pairs, config),
+            )
 
     def test_pair_order_is_respected(self, small_bundle):
         table, pairs, vectors, _ = small_bundle
@@ -159,6 +193,35 @@ class TestTokenIndex:
             index.jaccard_pairs(rows, rows[::-1]),
             generic.jaccard_pairs(rows, rows[::-1]),
         )
+
+    @staticmethod
+    def _assert_equals_generic(texts):
+        fast = TokenIndex.for_bigrams(texts)
+        generic = TokenIndex(texts, qgram_tokens)
+        n = len(texts)
+        left = np.repeat(np.arange(n), n)
+        right = np.tile(np.arange(n), n)
+        assert np.array_equal(
+            fast.jaccard_pairs(left, right), generic.jaccard_pairs(left, right)
+        )
+        sizes = [int(fast.sizes[fast.row_of_text[i]]) for i in range(n)]
+        assert sizes == [len(qgram_tokens(text)) for text in texts]
+        return fast
+
+    def test_top_codepoint_sizes_a_full_bitmap(self):
+        # U+10FFFF, the last codepoint, needs every bitmap entry.
+        self._assert_equals_generic(
+            ["a\U0010ffffb", "\U0010ffff", "ab\U0010ffff", "\U0001f600ab", "b"]
+        )
+
+    def test_wide_alphabet_takes_the_generic_tokenizer(self):
+        # 4,096 distinct CJK codepoints reach the alphabet cap, so the
+        # bigram codes would overflow the interning bitmap's budget.
+        points = [chr(0x4E00 + k) for k in range(4096)]
+        texts = ["".join(points[start : start + 48]) for start in range(0, 4096, 32)]
+        assert len(set("".join(texts))) >= 4096
+        index = self._assert_equals_generic(texts)
+        assert index._seen is not None  # the generic constructor's state
 
     def test_empty_corpus(self):
         index = TokenIndex.for_bigrams(["", "  ", ""])

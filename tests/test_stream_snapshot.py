@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crowd import PerfectCrowd
 from repro.core.config import PowerConfig
@@ -254,3 +256,85 @@ class TestServiceGuards:
             resumed.reports[-1]["batch_token"]
             == first.reports[-1]["batch_token"]
         )
+
+
+class TestRefusedBatch:
+    """A refused batch leaves every snapshot byte as it was."""
+
+    ATTRIBUTES = ("name", "city")
+    GOOD = [("alpha diner", "rome"), ("beta bar", "oslo")]
+    NEXT = [("alpha diner", "rome"), ("gamma pub", "kiev")]
+
+    def _stream(self, directory):
+        service = StreamingResolver(
+            self.ATTRIBUTES, config=PowerConfig(seed=0), checkpoint_dir=directory
+        )
+        service.add_batch(self.GOOD, entity_ids=[1, 2])
+        return service
+
+    @pytest.mark.parametrize(
+        "rows, entity_ids, error",
+        [
+            ([("alpha diner", "rome"), ("short",)], [1, 3], DataError),
+            ([("alpha diner", "rome")], None, ConfigurationError),
+            ([("alpha diner", "rome"), ("\ud800", "kiev")], [1, 3], DataError),
+        ],
+        ids=["short-row", "no-ground-truth", "lone-surrogate"],
+    )
+    def test_state_sha_survives_a_refused_batch(
+        self, tmp_path, rows, entity_ids, error
+    ):
+        service = self._stream(tmp_path / "stream")
+        before = service.checkpoint()["state_sha"]
+        with pytest.raises(error):
+            service.add_batch(rows, entity_ids=entity_ids)
+        assert service.checkpoint()["state_sha"] == before
+        service.add_batch(self.NEXT, entity_ids=[1, 3])
+        clean = self._stream(tmp_path / "clean")
+        clean.add_batch(self.NEXT, entity_ids=[1, 3])
+        assert service.checkpoint()["state_sha"] == clean.checkpoint()["state_sha"]
+
+
+class TestLabelCodec:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        labels=st.dictionaries(
+            st.tuples(
+                st.integers(min_value=0, max_value=1 << 40),
+                st.integers(min_value=0, max_value=1 << 40),
+            ),
+            st.booleans(),
+            max_size=40,
+        )
+    )
+    def test_equals_the_sorted_items_encoding(self, labels):
+        from repro.stream.service import _encode_labels
+
+        expected = [[a, b, value] for (a, b), value in sorted(labels.items())]
+        encoded = _encode_labels(labels)
+        assert encoded == expected
+        assert canonical_json(encoded) == canonical_json(expected)
+
+
+#: The final ``state_sha`` of the stream below, recorded while candidates
+#: were still swept one record at a time and labels sorted as Python
+#: tuples: any drift in snapshot bytes shows here without the end-to-end
+#: benchmark's serve-churn pin.
+PINNED_STATE_SHA = "443f7eaff2535ac87d0a180a6867a17d8c6d08c183ce31af5046355f182d66b2"
+
+
+def test_small_stream_state_sha_is_pinned(small_table, tmp_path):
+    service = StreamingResolver(
+        small_table.attributes,
+        config=PowerConfig(seed=0),
+        name="pinned",
+        checkpoint_dir=tmp_path / "pinned",
+    )
+    records = list(small_table)
+    for start in range(0, len(records), 20):
+        chunk = records[start : start + 20]
+        service.add_batch(
+            [record.values for record in chunk],
+            entity_ids=[record.entity_id for record in chunk],
+        )
+    assert service.checkpoint()["state_sha"] == PINNED_STATE_SHA

@@ -40,6 +40,7 @@ class TestMutationSelfTest:
         from repro.graph.reachability import ReachabilityIndex
         import repro.similarity.batch as batch
         import repro.similarity.join as join
+        from repro.core.incremental import IncrementalResolver
         from repro.serve.sessions import SessionRegistry
         from repro.similarity.batch import TokenIndex
 
@@ -58,6 +59,7 @@ class TestMutationSelfTest:
             PairGraph.descendant_mask,
             CrowdSession.hits,
             TokenIndex.extend,
+            IncrementalResolver._batch_candidates,
             SessionRegistry._restore_resolver,
         )
         run_mutation_selftest(seed=0)
@@ -76,6 +78,7 @@ class TestMutationSelfTest:
             PairGraph.descendant_mask,
             CrowdSession.hits,
             TokenIndex.extend,
+            IncrementalResolver._batch_candidates,
             SessionRegistry._restore_resolver,
         )
         assert before == after
@@ -97,6 +100,29 @@ class TestMutationSelfTest:
         # The serve step is off too: it hosts the same resolver, so the
         # stale-index corruption hits server and reference runs alike and
         # only the stream step can see it.
+        with mutant.activate():
+            run_detection_battery(
+                seed=0, include_stream=False, include_serve=False
+            )
+
+    def test_old_only_sweep_is_caught_only_by_the_stream_step(self):
+        """``stream-sweep-old-only`` drops the pairs a batch makes with
+        itself; the stream step's single-batch tier is all such pairs.
+
+        Every other step either never sweeps (one-shot resolves) or runs
+        the same mutated resolver on both of its sides (the serve step),
+        so the battery without the stream and serve steps passes.
+        """
+        from repro.core import IncrementalResolver
+        from repro.exceptions import VerificationError
+
+        mutant = next(m for m in MUTANTS if m.name == "stream-sweep-old-only")
+        with mutant.activate():
+            resolver = IncrementalResolver(("a",))
+            report = resolver.add_batch([("alpha beta",), ("alpha beta",)], [1, 1])
+            assert report["new_pairs"] == 0  # the new×new pair is gone
+            with pytest.raises(VerificationError, match="stream-equivalence"):
+                run_detection_battery(seed=0)
         with mutant.activate():
             run_detection_battery(
                 seed=0, include_stream=False, include_serve=False
