@@ -57,16 +57,6 @@
 #   make bench-serve-smoke - <60s smoke of the same with a smaller fan-out
 #                       and a relaxed scaling bar (shedding and equivalence
 #                       gates are never relaxed)
-#   make plan-smoke   - <60s planner CLI smoke: fast-calibrate a throwaway
-#                       profile, then explain a plan for the restaurant
-#                       dataset from it
-#   make bench-plan   - planner-quality benchmark: exhaustive config grid vs
-#                       the planned config (pair-universe equivalence asserted
-#                       while timing); enforces the 1.15x regret ceiling +
-#                       synthetic-host adaptation and refreshes
-#                       benchmarks/results/BENCH_plan.json
-#   make bench-plan-smoke - <60s smoke of the same with a relaxed regret bar
-#                       (adaptation gates are never relaxed)
 #   make bench-e2e-smoke - the end-to-end benchmark's own tests, then a
 #                       smoke run of the two join-heavy workloads (serial
 #                       and sharded ACMPub); fails when a result digest or
@@ -78,9 +68,9 @@ export PYTHONPATH := src
 # Minimum acceptable line coverage (percent) for `make coverage`.
 COVERAGE_FLOOR ?= 85
 
-.PHONY: check test engine-smoke shard-smoke stream-smoke serve-smoke plan-smoke verify lint coverage bench-smoke bench-perf bench-shard bench-selection bench-selection-smoke bench-obs bench-obs-smoke bench-stream bench-stream-smoke bench-serve bench-serve-smoke bench-plan bench-plan-smoke bench-e2e-smoke
+.PHONY: check test engine-smoke shard-smoke stream-smoke serve-smoke verify lint coverage bench-smoke bench-perf bench-shard bench-selection bench-selection-smoke bench-obs bench-obs-smoke bench-stream bench-stream-smoke bench-serve bench-serve-smoke bench-e2e-smoke
 
-check: test engine-smoke shard-smoke stream-smoke serve-smoke plan-smoke bench-selection-smoke bench-obs-smoke bench-stream-smoke bench-serve-smoke bench-plan-smoke bench-e2e-smoke verify coverage lint
+check: test engine-smoke shard-smoke stream-smoke serve-smoke bench-selection-smoke bench-obs-smoke bench-stream-smoke bench-serve-smoke bench-e2e-smoke verify coverage lint
 
 test:
 	$(PYTHON) -m pytest -q
@@ -190,28 +180,6 @@ SERVE_SMOKE_OUT ?= /tmp/BENCH_serve_smoke.json
 bench-serve-smoke:
 	POWER_BENCH_FAST=1 $(PYTHON) benchmarks/bench_serve_throughput.py --check \
 		--out $(SERVE_SMOKE_OUT)
-
-# Scratch directory for the planner CLI smoke (wiped before and after).
-PLAN_SMOKE_DIR ?= .plan-smoke
-
-plan-smoke:
-	@rm -rf $(PLAN_SMOKE_DIR) && mkdir -p $(PLAN_SMOKE_DIR)
-	$(PYTHON) -m repro plan --calibrate --fast \
-		--profile $(PLAN_SMOKE_DIR)/profile.json
-	$(PYTHON) -m repro plan --explain --dataset restaurant --scale 0.05 \
-		--profile $(PLAN_SMOKE_DIR)/profile.json
-	@rm -rf $(PLAN_SMOKE_DIR)
-
-bench-plan:
-	$(PYTHON) benchmarks/bench_plan_quality.py --check
-
-# Like the other smokes: fast-mode timings must not clobber the committed
-# full-run BENCH_plan.json.
-PLAN_SMOKE_OUT ?= /tmp/BENCH_plan_smoke.json
-
-bench-plan-smoke:
-	POWER_BENCH_FAST=1 $(PYTHON) benchmarks/bench_plan_quality.py --check \
-		--out $(PLAN_SMOKE_OUT)
 
 bench-e2e-smoke:
 	$(PYTHON) -m pytest benchmarks/e2e -q

@@ -24,10 +24,6 @@ Commands:
   health/metrics probes, CSV ingestion in batches, cluster queries.
 * ``trace`` — render a span trace recorded by ``--trace`` as an indented
   timing tree (or dump the raw flat records with ``--json``).
-* ``plan`` — the :mod:`repro.plan` cost planner: ``--calibrate`` runs the
-  seeded micro-benchmarks and saves a versioned host profile,
-  ``--explain`` prints the plan tree (chosen knobs, predicted stage
-  costs, rejected alternatives) for a benchmark dataset.
 
 ``resolve``, ``simulate``, and ``shard`` share the observability flags:
 ``--trace FILE`` records a hierarchical span trace, ``--metrics-out FILE``
@@ -56,7 +52,7 @@ from .data import load_csv, load_dataset, num_entities, save_csv
 from .exceptions import PowerError
 from .experiments import ablations, figures
 from .graph import PairGraph, order_statistics
-from .similarity import SimilarityConfig, similar_pairs, similarity_matrix
+from .similarity import SimilarityConfig, batch_similarity_matrix, similar_pairs
 
 EXPERIMENTS = {
     "table2": figures.table2_similarity,
@@ -360,8 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="CSV with an entity_id column (the simulated "
                              "crowd's ground truth)")
     stream.add_argument("--batch-size", type=int, default=50,
-                        help="records ingested per batch (0 = let the cost "
-                             "planner size batches for this host)")
+                        help="records ingested per batch")
     stream.add_argument("--checkpoint-dir", type=Path, default=None,
                         help="snapshot directory; one checkpoint is "
                              "written after every batch")
@@ -469,35 +464,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="dump the raw flat span records instead of "
                             "the tree")
 
-    plan = commands.add_parser(
-        "plan",
-        help="calibrate the host cost profile / explain a pipeline plan",
-        description=(
-            "Drive the repro.plan cost planner.  --calibrate runs seeded "
-            "micro-benchmarks of every pipeline stage and saves a versioned "
-            "per-host coefficient profile; --explain plans a benchmark "
-            "dataset against a profile and prints the plan tree: chosen "
-            "knobs, predicted stage costs, and the rejected alternatives. "
-            "Plans never change results — only runtime — and the "
-            "plan-transparency battery checks prove it."
-        ),
-    )
-    plan.add_argument("--calibrate", action="store_true",
-                      help="micro-benchmark this host and save the profile")
-    plan.add_argument("--fast", action="store_true",
-                      help="shrink the calibration workloads (quicker, "
-                           "noisier coefficients)")
-    plan.add_argument("--explain", action="store_true",
-                      help="print the plan tree for --dataset/--scale")
-    plan.add_argument("--dataset", default="restaurant",
-                      choices=["restaurant", "cora", "acmpub", "products"])
-    plan.add_argument("--scale", type=float, default=1.0,
-                      help="fraction of the dataset's records to plan for")
-    plan.add_argument("--profile", type=Path, default=None,
-                      help="profile path (default: $REPRO_PLAN_PROFILE or "
-                           "~/.cache/repro/plan_profile.json)")
-    plan.add_argument("--seed", type=int, default=0,
-                      help="calibration / sampling seed")
     return parser
 
 
@@ -530,7 +496,7 @@ def _command_stats(args) -> int:
     print(f"candidate pairs (threshold {args.threshold}): {len(pairs)}")
     if pairs:
         config = SimilarityConfig.uniform(table.num_attributes, function=args.similarity)
-        vectors = similarity_matrix(table, pairs, config)
+        vectors = batch_similarity_matrix(table, pairs, config)
         graph = PairGraph(pairs, vectors)
         compute_width = len(pairs) <= 5000
         print(f"partial order: {order_statistics(graph, compute_width=compute_width)}")
@@ -681,22 +647,9 @@ def _command_stream(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.batch_size < 0:
-        print("--batch-size must be >= 1 (or 0 for the planner's choice)",
-              file=sys.stderr)
+    if args.batch_size < 1:
+        print("--batch-size must be >= 1", file=sys.stderr)
         return 2
-    if args.batch_size == 0:
-        from .plan import hooks as plan_hooks
-        from .similarity.tokenize import word_tokens
-
-        sample = table.records[:200]
-        avg_tokens = (
-            sum(len(word_tokens(" ".join(r.values))) for r in sample)
-            / max(1, len(sample))
-        )
-        args.batch_size = plan_hooks.planned_stream_batch(avg_tokens)
-        print(f"planned batch size: {args.batch_size} "
-              f"(~{avg_tokens:.1f} tokens/record)")
     if args.resume:
         if args.checkpoint_dir is None:
             print("--resume requires --checkpoint-dir", file=sys.stderr)
@@ -1030,42 +983,6 @@ def _command_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _command_plan(args) -> int:
-    from .plan import calibrate as run_calibration
-    from .plan import default_profile_path, plan_for_table, render_plan
-    from .plan.calibrate import resolve_profile
-    from .verify.battery import subsample_table
-
-    if not args.calibrate and not args.explain:
-        print("nothing to do: pass --calibrate and/or --explain",
-              file=sys.stderr)
-        return 2
-
-    profile_path = args.profile or default_profile_path()
-    if args.calibrate:
-        profile = run_calibration(seed=args.seed, fast=args.fast)
-        profile.save(profile_path)
-        stages = len(profile.coefficients)
-        print(f"calibrated {stages} stages "
-              f"({'fast' if args.fast else 'full'} workloads)")
-        host = profile.host
-        print(f"host      : {host.get('platform', '?')} "
-              f"(python {host.get('python', '?')}, "
-              f"{host.get('cpu_count', '?')} cpus)")
-        print(f"profile -> {profile_path}")
-
-    if args.explain:
-        profile = resolve_profile(str(profile_path)
-                                  if (args.profile or args.calibrate)
-                                  else "auto")
-        table = load_dataset(args.dataset)
-        if args.scale < 1.0:
-            table = subsample_table(table, args.scale)
-        plan = plan_for_table(table, PowerConfig(seed=args.seed), profile)
-        print(render_plan(plan))
-    return 0
-
-
 def _command_shard(args) -> int:
     import time
 
@@ -1150,7 +1067,6 @@ def main(argv=None) -> int:
         "serve": _command_serve,
         "client": _command_client,
         "trace": _command_trace,
-        "plan": _command_plan,
     }
     try:
         return handlers[args.command](args)

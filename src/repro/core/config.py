@@ -12,6 +12,12 @@ from ..selection.error_tolerant import ErrorPolicy
 class PowerConfig:
     """Every knob of the Power/Power+ pipeline, with the paper's defaults.
 
+    No knob picks an implementation.  Similarity vectors always come from
+    :func:`repro.similarity.batch.batch_similarity_matrix`, and selection
+    always runs the incremental engine over the graph's reachability
+    index; a graph too large for the index falls back to the reference
+    paths on its own (see :meth:`repro.graph.dag.OrderedGraph.build_reachability`).
+
     Attributes:
         similarity: similarity function applied to every attribute
             (``"bigram"`` — §7.1 default — ``"jaccard"`` or ``"edit"``), or a
@@ -23,21 +29,6 @@ class PowerConfig:
             or ``"qgram"``.  The join itself has one implementation, the
             inverted-list :func:`repro.similarity.batch.sparse_jaccard_join`,
             on the serial and sharded paths alike.
-        use_batch_similarity: compute similarity vectors through the
-            vectorized fast path
-            (:func:`repro.similarity.batch.batch_similarity_matrix`; default)
-            instead of the scalar reference.  Both produce bit-identical
-            vectors; the knob exists for A/B verification and debugging.
-        use_incremental_selection: run the selection loop through the
-            incremental engine (warm-started path covers + packed-bitset
-            propagation; default) instead of the per-round scratch
-            reference.  Both produce byte-identical resolutions — same
-            questions, same order, same coloring; the knob exists for A/B
-            verification and debugging.
-        reachability_index: size gate for the packed reachability index —
-            ``"auto"`` (default byte budget), ``"off"`` (never build one;
-            implies the scratch selection path), or a positive int byte
-            budget.
         epsilon: grouping threshold; ``None`` disables grouping (§4.2's
             default in the experiments is 0.1).
         grouping_algorithm: ``"split"`` (Algorithm 2) or ``"greedy"``
@@ -61,22 +52,12 @@ class PowerConfig:
             automatic ``ceil(pairs / shards)`` cap).
         shard_retries: re-submissions per failed shard task before the
             executor falls back to in-process execution.
-        plan: cost-based planning of the pure-performance knobs —
-            ``"off"`` (default: static heuristics), ``"auto"`` (plan from
-            the host calibration profile when one exists, else the
-            documented default coefficients), or a path to an explicit
-            profile JSON (must load, fails loudly).  Planning never
-            changes results — see ``check_plan_transparency`` in
-            :mod:`repro.verify.oracles`.
     """
 
     similarity: str | tuple[str, ...] = "bigram"
     attribute_threshold: float = 0.2
     pruning_threshold: float = 0.2
     join_tokens: str = "word"
-    use_batch_similarity: bool = True
-    use_incremental_selection: bool = True
-    reachability_index: str | int = "auto"
     epsilon: float | None = 0.1
     grouping_algorithm: str = "split"
     selector: str = "power"
@@ -89,7 +70,6 @@ class PowerConfig:
     shards: int | None = None
     shard_max_pairs: int | None = None
     shard_retries: int = 2
-    plan: str = "off"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.pruning_threshold <= 1.0:
@@ -99,19 +79,6 @@ class PowerConfig:
         if self.join_tokens not in ("word", "qgram"):
             raise ConfigurationError(
                 f"join_tokens must be 'word' or 'qgram', got {self.join_tokens!r}"
-            )
-        if isinstance(self.reachability_index, str):
-            if self.reachability_index not in ("auto", "off"):
-                raise ConfigurationError(
-                    "reachability_index must be 'auto', 'off', or a positive "
-                    f"byte budget, got {self.reachability_index!r}"
-                )
-        elif not isinstance(self.reachability_index, int) or (
-            self.reachability_index < 1
-        ):
-            raise ConfigurationError(
-                "reachability_index must be 'auto', 'off', or a positive "
-                f"byte budget, got {self.reachability_index!r}"
             )
         if self.epsilon is not None and self.epsilon < 0:
             raise ConfigurationError(f"epsilon must be >= 0, got {self.epsilon}")
@@ -131,23 +98,6 @@ class PowerConfig:
             raise ConfigurationError(
                 f"shard_retries must be >= 0, got {self.shard_retries}"
             )
-        if not isinstance(self.plan, str) or not self.plan:
-            raise ConfigurationError(
-                "plan must be 'off', 'auto', or a profile path, "
-                f"got {self.plan!r}"
-            )
-
-    def reachability_limit_bytes(self) -> int | None:
-        """Byte budget for the reachability index (None = module default).
-
-        ``"off"`` maps to 0 bytes, so no graph ever fits and the selection
-        loop stays on the scratch reference paths.
-        """
-        if self.reachability_index == "auto":
-            return None
-        if self.reachability_index == "off":
-            return 0
-        return int(self.reachability_index)
 
     def error_policy(self) -> ErrorPolicy | None:
         """The Power+ policy object, or None when running plain Power."""

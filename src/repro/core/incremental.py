@@ -14,8 +14,7 @@ bit-matrix of token sets), and a batch's candidate pairs are found with one
 vectorized Jaccard sweep of its records against every earlier record —
 bit-identical to the scalar token-overlap join, just without the Python
 loops.  Per-batch similarity vectors likewise flow through
-:func:`~repro.similarity.batch.batch_similarity_matrix` whenever
-``config.use_batch_similarity`` is set (the default), exactly like the
+:func:`~repro.similarity.batch.batch_similarity_matrix`, exactly like the
 one-shot resolver.
 
 What carries over from the paper unchanged: the similarity vectors, the
@@ -47,7 +46,8 @@ from .resolver import PowerResolver
 
 #: Lone UTF-16 surrogates: a Python ``str`` can hold one (a JSON ``"\ud800"``
 #: escape decodes to it), but UTF-8 cannot encode it, so neither can a
-#: snapshot.
+#: snapshot.  Record values, attribute names and string entity ids are all
+#: refused with one.
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 #: Upper bound on the (new, earlier) record pairs one block of the batch
@@ -83,6 +83,12 @@ class IncrementalResolver:
             raise ConfigurationError(
                 f"index_mode must be 'extend' or 'rebuild', got {index_mode!r}"
             )
+        for attribute in attributes:
+            if _LONE_SURROGATE.search(str(attribute)):
+                raise DataError(
+                    f"attribute name {attribute!r} holds a lone UTF-16 "
+                    "surrogate, which a snapshot cannot store"
+                )
         self.config = config or PowerConfig()
         self.table = Table(name=name, attributes=tuple(attributes))
         self._resolver = PowerResolver(self.config)
@@ -171,8 +177,9 @@ class IncrementalResolver:
         """Ingest a batch of records and resolve their pairs.
 
         A refused batch leaves the resolver exactly as it was: every check
-        that can refuse it (row shape, lone surrogates, ground truth for an
-        auto-built crowd) runs before the index or the table changes.
+        that can refuse it (row shape, lone surrogates in values or string
+        entity ids, ground truth for an auto-built crowd) runs before the
+        index or the table changes.
 
         Args:
             rows: new records' attribute values.
@@ -247,10 +254,17 @@ class IncrementalResolver:
         """The batch's records as value tuples, or a :class:`DataError`."""
         if not rows:
             raise DataError("a batch must contain at least one record")
-        if entity_ids is not None and len(entity_ids) != len(rows):
-            raise DataError(
-                f"{len(rows)} rows but {len(entity_ids)} entity ids"
-            )
+        if entity_ids is not None:
+            if len(entity_ids) != len(rows):
+                raise DataError(
+                    f"{len(rows)} rows but {len(entity_ids)} entity ids"
+                )
+            for offset, entity in enumerate(entity_ids):
+                if isinstance(entity, str) and _LONE_SURROGATE.search(entity):
+                    raise DataError(
+                        f"entity id {offset} of the batch holds a lone UTF-16 "
+                        "surrogate, which a snapshot cannot store"
+                    )
         width = self.table.num_attributes
         values = []
         for offset, row in enumerate(rows):
@@ -271,11 +285,10 @@ class IncrementalResolver:
     def _batch_vectors(self, pairs: Sequence[Pair]) -> np.ndarray:
         """Similarity vectors for one batch's candidate pairs.
 
-        Routed through ``batch_similarity_matrix`` when the config's
-        ``use_batch_similarity`` is set (the default), scalar otherwise —
-        the same dispatch the one-shot resolver uses.  Overridable: the
-        streaming service reroutes large batches through the shard
-        executor, which is bit-identical by the shard merge contract.
+        Computed by ``batch_similarity_matrix``, like the one-shot
+        resolver.  Overridable: the streaming service reroutes large
+        batches through the shard executor, which is bit-identical by the
+        shard merge contract.
         """
         return self._resolver.similarity_vectors(self.table, pairs)
 

@@ -41,7 +41,7 @@ from ..selection import SELECTORS
 from ..selection.base import SelectionResult
 from ..similarity.batch import batch_similarity_matrix
 from ..similarity.join import similar_pairs
-from ..similarity.vectors import SimilarityConfig, similarity_matrix
+from ..similarity.vectors import SimilarityConfig
 from .clustering import clusters_from_matches
 from .config import PowerConfig
 from .metrics import QualityReport, pairwise_quality
@@ -108,40 +108,6 @@ class PowerResolver:
 
     def __init__(self, config: PowerConfig | None = None) -> None:
         self.config = config or PowerConfig()
-        #: The cost-based plan behind the last planned :meth:`resolve`
-        #: (``None`` when ``config.plan == "off"`` or before any run).
-        self.last_plan = None
-
-    # ------------------------------------------------------------------ #
-    # Cost-based planning
-    # ------------------------------------------------------------------ #
-
-    def _planned_clone(self, table: Table):
-        """``(resolver, plan)`` — ``(self, None)`` when planning is off.
-
-        Builds the plan from the table's measured stats and the profile
-        named by ``config.plan``, then clones this resolver with the
-        planned config (``plan="off"`` on the clone, so it never
-        re-plans).  ``apply_plan`` is resolved through the module at call
-        time on purpose: the mutation self-test patches it there.
-        """
-        if self.config.plan == "off":
-            return self, None
-        import copy
-
-        from ..plan import planner as plan_planner
-        from ..plan.calibrate import resolve_profile
-
-        profile = resolve_profile(self.config.plan)
-        plan = plan_planner.plan_for_table(
-            table,
-            self.config,
-            profile,
-            workers=getattr(self, "workers", None),
-        )
-        clone = copy.copy(self)
-        clone.config = plan_planner.apply_plan(self.config, plan)
-        return clone, plan
 
     # ------------------------------------------------------------------ #
     # Pipeline stages (each usable on its own)
@@ -171,15 +137,11 @@ class PowerResolver:
     def similarity_vectors(self, table: Table, pairs: list[Pair]):
         """Stage 2: per-attribute similarity vectors for *pairs*.
 
-        Uses the vectorized batch substrate by default (bit-identical to the
-        scalar reference; set ``use_batch_similarity=False`` to A/B it).
+        Computed by the vectorized batch substrate, which is bit-identical to
+        the scalar reference :func:`~repro.similarity.vectors.similarity_matrix`
+        (the battery's ``batch-similarity`` step checks it).
         """
-        vectorize = (
-            batch_similarity_matrix
-            if self.config.use_batch_similarity
-            else similarity_matrix
-        )
-        return vectorize(table, pairs, self.similarity_config(table))
+        return batch_similarity_matrix(table, pairs, self.similarity_config(table))
 
     def build_graph(
         self, table: Table, pairs: list[Pair], vectors=None
@@ -210,8 +172,6 @@ class PowerResolver:
         return selector_class(
             error_policy=self.config.error_policy(),
             seed=self.config.seed,
-            incremental=self.config.use_incremental_selection,
-            reachability_bytes=self.config.reachability_limit_bytes(),
         )
 
     def simulated_crowd(
@@ -260,12 +220,6 @@ class PowerResolver:
                 "pass either an explicit session or an engine, not both "
                 "(build the session via engine.session(...) yourself instead)"
             )
-        planned, plan = self._planned_clone(table)
-        if plan is not None:
-            result = planned.resolve(table, session, worker_band, engine)
-            self.last_plan = plan
-            result.selection.extras["plan"] = plan.to_payload()
-            return result
         obs = obs_instrument.current()
         tracer = obs.tracer
         with tracer.span(

@@ -32,7 +32,7 @@ from ..selection import (
     SinglePathSelector,
     TopoSortSelector,
 )
-from ..similarity import SimilarityConfig, similarity_matrix
+from ..similarity import SimilarityConfig, batch_similarity_matrix
 from .reporting import emit
 from .runner import (
     METHODS,
@@ -401,7 +401,7 @@ def attribute_sweep(
     for count in counts:
         table = full.table.project(list(range(count)), name=f"cora[{count}]")
         config = SimilarityConfig.uniform(count)
-        vectors = similarity_matrix(table, full.pairs, config)
+        vectors = batch_similarity_matrix(table, full.pairs, config)
         workload = Workload(
             name=f"cora-{count}attrs",
             table=table,

@@ -32,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core import PowerConfig, PowerResolver
 from ..data import acmpub, cora, restaurant
 from ..exceptions import ConfigurationError
 from ..graph.construction import blocked_dominance_lists, blocked_edges, vectorized_edges
@@ -360,18 +359,22 @@ def _timed_selection_run(
     A fresh graph is built per repeat (so the incremental side pays its
     reachability-index build inside the measured wall every time), but the
     adjacency lists — a cost shared by both sides — are prebuilt outside
-    the timer.
+    the timer.  The scratch side (``incremental=False``) runs on a graph
+    that declines its index, the state of an over-budget graph.
     """
     from ..crowd.platform import PerfectCrowd
     from ..graph.dag import PairGraph
     from ..selection import SELECTORS
+    from ..verify.oracles import decline_reachability
 
     best = float("inf")
     result = None
     for _ in range(max(1, repeats)):
         graph = PairGraph(pairs, vectors)
+        if not incremental:
+            decline_reachability(graph)
         adjacency = graph.adjacency()
-        selector = SELECTORS[selector_name](seed=seed, incremental=incremental)
+        selector = SELECTORS[selector_name](seed=seed)
         session = PerfectCrowd(truth).session()
         start = time.perf_counter()
         run = selector.run(graph, session)
@@ -396,10 +399,10 @@ def run_selection_benchmark(
     Each selector runs the full ask/color loop twice on the same
     ACMPub-scale dominance graph against a perfect crowd over a monotone
     truth: once with the incremental engine (reachability index +
-    warm-started path covers) and once forced onto the scratch reference
-    paths.  Equivalence is asserted inline — same vertices asked, in the
-    same order, same final coloring — so a fast-but-wrong engine fails the
-    bench rather than winning it.  The report also carries per-round phase
+    warm-started path covers) and once on a graph that declines its index,
+    which runs the scratch reference paths.  Equivalence is asserted
+    inline — same vertices asked, in the same order, same final coloring —
+    so a fast-but-wrong engine fails the bench rather than winning it.  The report also carries per-round phase
     splits (cover / augment / propagate / bookkeeping) and a rounds-vs-n
     scaling sweep of the incremental engine.
 
@@ -432,6 +435,12 @@ def run_selection_benchmark(
         )
         assert equivalent, (
             f"{name}: incremental selection diverged from the scratch reference"
+        )
+        assert incremental.extras["selection"]["incremental"], (
+            f"{name}: the fast side never built its reachability index"
+        )
+        assert not scratch.extras["selection"]["incremental"], (
+            f"{name}: the scratch side ran on the reachability index"
         )
         telemetry = incremental.extras.get("selection", {})
         engine = telemetry.get("engine", {})
@@ -549,28 +558,6 @@ def selection_summary_rows(report: dict) -> list[list]:
         ]
         for entry in report["selectors"]
     ]
-
-
-def verify_resolution_identity(dataset: str = "restaurant") -> bool:
-    """End-to-end check: batch and scalar resolvers give identical output.
-
-    Runs :class:`~repro.core.PowerResolver` twice on *dataset* — once through
-    the batch substrate, once through the scalar reference — and compares the
-    full resolution (candidate pairs, matches, clusters).  Used by the bench
-    and the smoke test as the top-level equivalence gate.
-    """
-    table, _ = _bench_table(dataset, None)
-    results = []
-    for use_batch in (True, False):
-        config = PowerConfig(seed=7, use_batch_similarity=use_batch)
-        results.append(PowerResolver(config).resolve(table))
-    batch_run, scalar_run = results
-    return (
-        batch_run.candidate_pairs == scalar_run.candidate_pairs
-        and batch_run.matches == scalar_run.matches
-        and batch_run.clusters == scalar_run.clusters
-        and batch_run.questions == scalar_run.questions
-    )
 
 
 def write_report(report: dict, path: str | Path) -> Path:

@@ -21,9 +21,11 @@ The index is built once per graph, in one pass over the dominance tiles of
 dominance operands (``_dominance_operands() is not None``) — the naive
 oracle twins in :mod:`repro.verify.oracles` never get one, so differential
 checks keep exercising the pure reference paths.  A byte-size gate
-(:data:`DEFAULT_REACHABILITY_BYTES`, overridable through the
-``reachability_index`` config knob) keeps huge graphs on the mask-broadcast
-path instead of materialising a quadratic index.
+(:data:`DEFAULT_REACHABILITY_BYTES`) keeps huge graphs on the
+mask-broadcast path instead of materialising a quadratic index; no config
+knob moves it.  :func:`repro.verify.oracles.decline_reachability` puts a
+small graph in the same state, which is how the differential checks and
+the selection benchmark run the reference paths.
 
 Unpacked rows are byte-identical to the float-broadcast masks
 (``graph.ancestor_mask`` / ``graph.descendant_mask``) and to the adjacency

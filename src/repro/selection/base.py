@@ -74,15 +74,13 @@ class QuestionSelector(ABC):
             after the loop.
         seed: seed for tie-breaking randomness (representative pairs,
             random selection).
-        incremental: when True (default), ``run`` builds the graph's
-            packed-bitset reachability index up front, switching color
-            propagation — and, for the path-cover selectors, the per-round
-            decomposition — onto the incremental fast paths.  The fast
-            paths are byte-identical to the reference (same questions, same
-            order, same coloring); False forces the reference paths.
-        reachability_bytes: byte budget for the reachability index (None =
-            the module default); graphs over budget stay on the reference
-            paths even with ``incremental=True``.
+
+    ``run`` builds the graph's packed-bitset reachability index up front,
+    which puts color propagation — and, for the path-cover selectors, the
+    per-round decomposition — on the incremental fast paths.  A graph that
+    declines the index (over the byte budget, or a naive oracle twin) runs
+    the reference paths instead; both give the same questions in the same
+    order and the same coloring.
     """
 
     name: str = "selector"
@@ -91,13 +89,9 @@ class QuestionSelector(ABC):
         self,
         error_policy: ErrorPolicy | None = None,
         seed: int = 0,
-        incremental: bool = True,
-        reachability_bytes: int | None = None,
     ) -> None:
         self.error_policy = error_policy
         self.seed = seed
-        self.incremental = incremental
-        self.reachability_bytes = reachability_bytes
         self._propagate_seconds = 0.0
 
     @abstractmethod
@@ -136,9 +130,8 @@ class QuestionSelector(ABC):
         tracer = obs.tracer
         self.reset()
         self._propagate_seconds = 0.0
-        if self.incremental:
-            with tracer.span("selection.build_reachability", selector=self.name):
-                graph.build_reachability(self.reachability_bytes)
+        with tracer.span("selection.build_reachability", selector=self.name):
+            graph.build_reachability()
         rng = np.random.default_rng(self.seed)
         state = ColoringState(graph)
         assignment_time = 0.0
@@ -212,7 +205,7 @@ class QuestionSelector(ABC):
             "cover_seconds": assignment_time,
             "propagate_seconds": self._propagate_seconds,
             "rounds": rounds,
-            "incremental": self.incremental and graph.reachability is not None,
+            "incremental": graph.reachability is not None,
             "per_round": per_round,
         }
         engine_stats = self._selection_stats()

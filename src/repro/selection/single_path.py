@@ -37,7 +37,7 @@ def cover_paths(
     without rebuilding the matching from scratch every round); otherwise
     falls back to ``restricted_adjacency`` + ``minimum_path_cover``.
     """
-    if selector.incremental and graph.reachability is not None:
+    if graph.reachability is not None:
         if selector._engine is None or selector._engine.index is not graph.reachability:
             selector._engine = IncrementalPathCover(
                 graph.reachability, graph.adjacency()
@@ -64,15 +64,8 @@ class SinglePathSelector(QuestionSelector):
         error_policy=None,
         seed: int = 0,
         cover: str = "matching",
-        incremental: bool = True,
-        reachability_bytes: int | None = None,
     ) -> None:
-        super().__init__(
-            error_policy=error_policy,
-            seed=seed,
-            incremental=incremental,
-            reachability_bytes=reachability_bytes,
-        )
+        super().__init__(error_policy=error_policy, seed=seed)
         if cover not in ("matching", "greedy"):
             raise ValueError(f"cover must be 'matching' or 'greedy', got {cover!r}")
         self.cover = cover

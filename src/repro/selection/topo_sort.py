@@ -34,15 +34,8 @@ class TopoSortSelector(QuestionSelector):
         error_policy: ErrorPolicy | None = None,
         seed: int = 0,
         layer_position: float = 0.5,
-        incremental: bool = True,
-        reachability_bytes: int | None = None,
     ) -> None:
-        super().__init__(
-            error_policy=error_policy,
-            seed=seed,
-            incremental=incremental,
-            reachability_bytes=reachability_bytes,
-        )
+        super().__init__(error_policy=error_policy, seed=seed)
         if not 0.0 <= layer_position <= 1.0:
             raise ConfigurationError(
                 f"layer_position must be in [0, 1], got {layer_position}"

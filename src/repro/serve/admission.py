@@ -94,12 +94,6 @@ class AdmissionController:
             actor works one at a time, so total in-flight per session is
             ``queue_depth + 1``.
         clock: injectable time source for the bucket.
-        initial_batch_seconds: seed for the service-time EWMA — a
-            calibrated prediction from the cost planner when available
-            (:func:`repro.plan.hooks.predicted_batch_seconds`), so the
-            very first queue-full refusal is priced from measured host
-            speed instead of the blind :data:`DEFAULT_BATCH_SECONDS`.
-            ``None`` keeps the static default.
     """
 
     def __init__(
@@ -108,26 +102,16 @@ class AdmissionController:
         burst: float = 4.0,
         queue_depth: int = 4,
         clock=None,
-        initial_batch_seconds: float | None = None,
     ) -> None:
         if queue_depth < 1:
             raise ConfigurationError(
                 f"queue_depth must be >= 1, got {queue_depth}"
             )
-        if initial_batch_seconds is not None and initial_batch_seconds <= 0:
-            raise ConfigurationError(
-                "initial_batch_seconds must be positive or None, "
-                f"got {initial_batch_seconds}"
-            )
         self.queue_depth = queue_depth
         self.bucket = TokenBucket(
             rate=rate, burst=burst, clock=clock or MonotonicClock()
         )
-        self._batch_seconds_ewma = (
-            DEFAULT_BATCH_SECONDS
-            if initial_batch_seconds is None
-            else initial_batch_seconds
-        )
+        self._batch_seconds_ewma = DEFAULT_BATCH_SECONDS
 
     def observe_batch_seconds(self, seconds: float) -> None:
         """Fold one finished batch's wall time into the service estimate."""

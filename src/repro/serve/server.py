@@ -50,10 +50,6 @@ from .sessions import SessionRegistry, SessionSpec
 
 _log = logging.getLogger(__name__)
 
-#: Batch-row count the planner prices when seeding the admission EWMA —
-#: the typical client ingest batch (the smokes and bench use 200).
-PLAN_SEED_BATCH_ROWS = 200
-
 
 class ServeApp:
     """The transport-free server core: one request dict in, one out.
@@ -66,11 +62,6 @@ class ServeApp:
         obs: observability handle; defaults to a metrics-only private
             handle so hosting the app never globally installs anything
             (the CLI activates a process-wide handle separately).
-        batch_seconds_seed: initial admission EWMA estimate per session;
-            ``None`` (default) asks the cost planner for a calibrated
-            prediction when a host profile exists and otherwise keeps
-            the static default.  Only refusal pricing moves — results
-            are identical either way.
     """
 
     def __init__(
@@ -82,14 +73,7 @@ class ServeApp:
         queue_depth: int = 4,
         crowd_latency: float = 0.0,
         obs: Observability | None = None,
-        batch_seconds_seed: float | None = None,
     ) -> None:
-        if batch_seconds_seed is None:
-            from ..plan import hooks as plan_hooks
-
-            batch_seconds_seed = plan_hooks.predicted_batch_seconds(
-                PLAN_SEED_BATCH_ROWS
-            )
         self.obs = obs or Observability(tracing=False, metrics=True)
         self.registry = SessionRegistry(
             checkpoint_root,
@@ -99,7 +83,6 @@ class ServeApp:
             queue_depth=queue_depth,
             crowd_latency=crowd_latency,
             obs=self.obs,
-            batch_seconds_seed=batch_seconds_seed,
         )
         self.draining = False
         self.started_monotonic = time.monotonic()

@@ -115,10 +115,6 @@ class SessionRegistry:
         executor_workers: thread-pool size for off-loop batch work.
         obs: observability handle for ``repro_serve_*`` session metrics
             (defaults to the process-wide handle at call time).
-        batch_seconds_seed: initial service-time estimate for every
-            session's admission EWMA (``None`` = the static default; the
-            server passes the cost planner's calibrated prediction when a
-            host profile exists).
     """
 
     def __init__(
@@ -131,7 +127,6 @@ class SessionRegistry:
         crowd_latency: float = 0.0,
         executor_workers: int = 4,
         obs=None,
-        batch_seconds_seed: float | None = None,
     ) -> None:
         if max_resident < 1:
             raise ServeError(f"max_resident must be >= 1, got {max_resident}")
@@ -139,7 +134,6 @@ class SessionRegistry:
         self.checkpoint_root.mkdir(parents=True, exist_ok=True)
         self.max_resident = max_resident
         self._admission_knobs = (rate, burst, queue_depth)
-        self._batch_seconds_seed = batch_seconds_seed
         self.crowd_latency = crowd_latency
         self._pool = ThreadPoolExecutor(
             max_workers=executor_workers, thread_name_prefix="serve-batch"
@@ -322,7 +316,6 @@ class SessionRegistry:
                 rate=rate,
                 burst=burst,
                 queue_depth=queue_depth,
-                initial_batch_seconds=self._batch_seconds_seed,
             ),
         )
         live.task = asyncio.get_running_loop().create_task(self._actor(live))

@@ -171,14 +171,6 @@ class ShardedResolver(PowerResolver):
                 "ShardedResolver does not drive the event engine; use "
                 "PowerResolver(engine=...) for fault-simulation runs"
             )
-        planned, plan = self._planned_clone(table)
-        if plan is not None:
-            result = planned.resolve(
-                table, session, worker_band, engine, budget, max_cents
-            )
-            self.last_plan = plan
-            result.selection.extras["plan"] = plan.to_payload()
-            return result
         if max_cents is not None:
             affordable = questions_for_cents(
                 max_cents, assignments=self.config.assignments
@@ -230,7 +222,6 @@ class ShardedResolver(PowerResolver):
                         pairs=tuple(pairs[lo:hi]),
                         table=table,
                         config=similarity,
-                        use_batch=self.config.use_batch_similarity,
                     )
                     for lo, hi in vertex_slices(len(pairs), self.num_shards)
                 ]
@@ -459,7 +450,7 @@ class ShardedResolver(PowerResolver):
             "cover_seconds": assignment_time,
             "propagate_seconds": propagate_seconds,
             "rounds": rounds,
-            "incremental": selector.incremental and graph.reachability is not None,
+            "incremental": graph.reachability is not None,
             "per_round": per_round,
         }
         engine_stats = selector._selection_stats()

@@ -192,15 +192,12 @@ class VectorTask:
         pairs: the candidate pairs of this chunk.
         table: the records (rows are independent, so chunking is exact).
         config: the per-attribute similarity configuration.
-        use_batch: route through the vectorized batch substrate (default)
-            or the scalar reference — both bit-identical per pair.
     """
 
     start: int
     pairs: tuple[Pair, ...]
     table: Table
     config: "SimilarityConfig"
-    use_batch: bool = True
     fault: FaultSpec | None = None
 
 
@@ -215,10 +212,10 @@ def compute_vectors(task: VectorTask) -> tuple[int, np.ndarray]:
     """
     maybe_fault(task.fault)
     from ..similarity.batch import batch_similarity_matrix
-    from ..similarity.vectors import similarity_matrix
 
-    vectorize = batch_similarity_matrix if task.use_batch else similarity_matrix
-    return task.start, vectorize(task.table, list(task.pairs), task.config)
+    return task.start, batch_similarity_matrix(
+        task.table, list(task.pairs), task.config
+    )
 
 
 @dataclass(frozen=True)
@@ -416,16 +413,13 @@ def resolve_shard(task: IndependentShardTask) -> ShardOutcome:
     from ..graph.grouped_graph import build_graph
     from ..selection import SELECTORS
     from ..similarity.batch import batch_similarity_matrix
-    from ..similarity.vectors import similarity_matrix
 
     config = task.config
     pairs = list(task.pairs)
     table = task.table
-    similarity_config = _similarity_config(config, table)
-    vectorize = (
-        batch_similarity_matrix if config.use_batch_similarity else similarity_matrix
+    vectors = batch_similarity_matrix(
+        table, pairs, _similarity_config(config, table)
     )
-    vectors = vectorize(table, pairs, similarity_config)
     graph = build_graph(
         pairs,
         vectors,
@@ -441,8 +435,6 @@ def resolve_shard(task: IndependentShardTask) -> ShardOutcome:
     selector = SELECTORS[config.selector](
         error_policy=config.error_policy(),
         seed=task.seed,
-        incremental=config.use_incremental_selection,
-        reachability_bytes=config.reachability_limit_bytes(),
     )
     result = selector.run(graph, session, budget=task.budget)
     return ShardOutcome(

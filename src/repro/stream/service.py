@@ -218,7 +218,6 @@ class StreamingResolver(IncrementalResolver):
                 pairs=tuple(pairs[lo:hi]),
                 table=self.table,
                 config=similarity,
-                use_batch=self.config.use_batch_similarity,
             )
             for lo, hi in vertex_slices(len(pairs), slices)
         ]
@@ -418,10 +417,17 @@ class StreamingResolver(IncrementalResolver):
 
 
 #: Config fields the snapshot schema keeps after the knob itself was
-#: retired, pinned at the only value the program still supports.  Writing
-#: them keeps snapshot bytes — and so every ``state_sha`` — unchanged, and
-#: lets snapshots written before the retirement restore.
-_RETIRED_CONFIG_FIELDS = {"join_method": "auto"}
+#: retired, pinned at the knob's old default.  Writing them keeps snapshot
+#: bytes — and so every ``state_sha`` — unchanged, and lets snapshots
+#: written before the retirement restore.  No retired knob changed what a
+#: run computes, so a snapshot that recorded another value restores too.
+_RETIRED_CONFIG_FIELDS = {
+    "join_method": "auto",
+    "use_batch_similarity": True,
+    "use_incremental_selection": True,
+    "reachability_index": "auto",
+    "plan": "off",
+}
 
 
 def _encode_config(config: PowerConfig) -> dict[str, Any]:

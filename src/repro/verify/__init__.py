@@ -8,8 +8,10 @@ Three complementary pillars, all raising
   similarity joins, crowd aggregation, the batched crowd-draw kernel vs
   numpy's own generators, a naive graph pair that any selector must treat
   identically to the production graphs, a coloring replay, the round
-  update vs the one-answer-at-a-time engine, and a monotone ground truth
-  under which a perfect crowd must recover the truth exactly;
+  update vs the one-answer-at-a-time engine, the incremental selection
+  engine vs the reference paths (run on a graph that declines its index,
+  :func:`decline_reachability`), and a monotone ground truth under which
+  a perfect crowd must recover the truth exactly;
 * **invariant checkers** (:mod:`.invariants`) — partial-order laws, DAG
   acyclicity, topological layering vs naive Kahn peeling, path-cover
   validity, reachability-index packing, grouped-partition arithmetic,
@@ -70,6 +72,7 @@ from .oracles import (
     check_split_grouping,
     check_stream_equivalence,
     check_transitive_closure,
+    decline_reachability,
     monotone_truth,
     naive_dominance_edges,
     naive_join,
@@ -115,6 +118,7 @@ __all__ = [
     "check_stream_equivalence",
     "check_topo_layers",
     "check_transitive_closure",
+    "decline_reachability",
     "monotone_truth",
     "naive_dominance_edges",
     "naive_join",

@@ -434,12 +434,6 @@ def _dataset_checks(config: BatteryConfig, report: VerificationReport) -> None:
         ),
     )
 
-    run_check(
-        report,
-        f"plan-transparency[{table.name}]",
-        lambda: oracles.check_plan_transparency(table, seed=config.base_seed),
-    )
-
     if config.include_metamorphic:
         run_check(
             report,

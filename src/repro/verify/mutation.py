@@ -33,9 +33,6 @@ mutant                  seeded bug
 ``serve-cross-session-leak``  the session registry hands back another live
                         tenant's resolver instead of restoring the evicted
                         session's snapshot
-``plan-changes-results``  the cost planner's apply step also flips a
-                        semantic knob (``epsilon``), so a planned run
-                        returns different answers
 ``join-range-no-replay``  the candidate join's range form skips the
                         posting replay of records before ``lo``
 ======================  ====================================================
@@ -433,34 +430,6 @@ def _mutant_serve_cross_session_leak():
     return _patched((SessionRegistry, "_restore_resolver", mutated))
 
 
-def _mutant_plan_changes_results():
-    """The cost planner silently flips a semantic knob.
-
-    Models the scariest planner regression: ``apply_plan`` — contractually
-    limited to pure-performance knobs — also rewrites a *semantic* one
-    (here ``epsilon``, disabling the §4.2 grouping), so a planned run
-    returns different answers than the static defaults.  No performance
-    check can see it (the planned run is perfectly healthy on its own) and
-    every other battery step runs with ``plan="off"``; only
-    ``check_plan_transparency``, which diffs a planned resolve against the
-    static-defaults run bit for bit, can notice — proving that check has
-    teeth.  Patched at the defining module; the resolver and the check
-    both resolve ``apply_plan`` through the module attribute at call time.
-    """
-    import dataclasses
-
-    from ..plan import planner as plan_planner
-
-    original = plan_planner.apply_plan
-
-    def mutated(config, plan):
-        planned = original(config, plan)
-        # bug: the "performance-only" rewrite also disables grouping
-        return dataclasses.replace(planned, epsilon=None)
-
-    return _patched((plan_planner, "apply_plan", mutated))
-
-
 def _mutant_join_range_no_replay():
     """The range form of the candidate join forgets the records before *lo*.
 
@@ -596,11 +565,6 @@ MUTANTS: tuple[Mutant, ...] = (
         _mutant_serve_cross_session_leak,
     ),
     Mutant(
-        "plan-changes-results",
-        "the cost planner's apply step also flips a semantic knob (epsilon)",
-        _mutant_plan_changes_results,
-    ),
-    Mutant(
         "join-range-no-replay",
         "the candidate join's range form skips the posting replay before lo",
         _mutant_join_range_no_replay,
@@ -643,7 +607,6 @@ def run_detection_battery(
     seed: int = 0,
     include_stream: bool = True,
     include_serve: bool = True,
-    include_plan: bool = True,
     include_grouping: bool = True,
 ) -> None:
     """The compact all-subsystem sweep each mutant must fail.
@@ -660,9 +623,6 @@ def run_detection_battery(
             check must sail through under the mutant).
         include_serve: run the serve-equivalence step, with the analogous
             exclusivity role for ``serve-cross-session-leak``.
-        include_plan: run the plan-transparency step, with the analogous
-            exclusivity role for ``plan-changes-results`` (no other step
-            runs a planned resolve).
         include_grouping: run the Split-grouping step, with the analogous
             exclusivity role for ``split-midpoint-tie`` (every other step
             groups both of its sides with the same production code).
@@ -760,13 +720,6 @@ def run_detection_battery(
     # obs handle, hence the only one able to catch instrumentation that
     # perturbs the run (the obs-perturbs-selection mutant).
     oracles.check_observability_transparent("power", pairs, vectors, seed=seed)
-
-    # Plan transparency: the only step that runs a planned resolve
-    # (everything else keeps the default plan="off"), hence the only one
-    # able to catch a planner that flips a semantic knob (the
-    # plan-changes-results mutant).
-    if include_plan:
-        oracles.check_plan_transparency(_battery_table(), seed=seed)
 
 
 def run_mutation_selftest(seed: int = 0) -> VerificationReport:

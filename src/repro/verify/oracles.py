@@ -30,6 +30,9 @@ the same answer from first principles:
 * :func:`check_round_update` — a finished run's rounds replayed through
   the round update and through the one-answer-at-a-time engine, which
   must agree after every round.
+* :func:`decline_reachability` — a graph that declines its reachability
+  index, which sends any selector run on it down the reference selection
+  paths (mask-broadcast propagation, scratch path covers every round).
 * :class:`GreedyReferenceSelector` — a deterministic greedy selector used
   as an end-to-end reference policy.
 * :func:`monotone_truth` — ground truth that respects the partial order by
@@ -889,18 +892,34 @@ def monotone_truth(vectors: np.ndarray, cutoff: float | None = None) -> dict[int
     return {vertex: bool(means[vertex] >= cutoff) for vertex in range(vectors.shape[0])}
 
 
+def decline_reachability(graph: OrderedGraph) -> OrderedGraph:
+    """Make a fresh *graph* decline its reachability index; returns it.
+
+    The graph ends up in the state of one over the index's byte budget:
+    :meth:`~repro.graph.dag.OrderedGraph.build_reachability` returns
+    ``None``, so a selector run on it takes the reference paths —
+    mask-broadcast color propagation and, for the path-cover selectors,
+    ``restricted_adjacency`` + ``minimum_path_cover`` from scratch every
+    round.  The differential checks and the selection benchmark reach the
+    references this way; production code has no switch for them.
+    """
+    if graph.reachability is not None:
+        raise ValueError("the graph already holds a reachability index")
+    graph.build_reachability = lambda max_bytes=None: None
+    return graph
+
+
 def _run_selector(
     selector_name: str,
     graph: OrderedGraph,
     truth: dict[Pair, bool],
     seed: int,
     band: str | None = None,
-    incremental: bool = True,
 ) -> SelectionResult:
     if selector_name == "greedy-reference":
-        selector = GreedyReferenceSelector(seed=seed, incremental=incremental)
+        selector = GreedyReferenceSelector(seed=seed)
     else:
-        selector = SELECTORS[selector_name](seed=seed, incremental=incremental)
+        selector = SELECTORS[selector_name](seed=seed)
     if band is None:
         crowd: SimulatedCrowd = PerfectCrowd(truth)
     else:
@@ -987,11 +1006,14 @@ def check_selection_incremental(
 
     The same selector (same seed, same crowd construction) runs once with
     the incremental engine (reachability index + warm-started path covers)
-    and once forced onto the per-round scratch paths, on *fresh* graph
-    instances so no index leaks across sides.  Questions asked — vertex for
-    vertex, in order — labels, counts, and the final coloring must all be
-    equal; any divergence means the warm-started matching or the packed
-    propagation masks drifted from the reference.
+    and once on a graph that declines its index
+    (:func:`decline_reachability`), which forces the per-round scratch
+    paths; each side gets a *fresh* graph so no index leaks across.
+    Questions asked — vertex for vertex, in order — labels, counts, and the
+    final coloring must all be equal; any divergence means the warm-started
+    matching or the packed propagation masks drifted from the reference.
+    Each side's telemetry must name the engine it ran, or the comparison
+    would be vacuous.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     truth = _pair_truth_from_vertices(pairs, monotone_truth(vectors))
@@ -1004,13 +1026,20 @@ def check_selection_incremental(
 
         return GroupedGraph(base, split_grouping(vectors, epsilon))
 
-    fast = _run_selector(
-        selector_name, build(), truth, seed, band=band, incremental=True
-    )
+    fast = _run_selector(selector_name, build(), truth, seed, band=band)
     slow = _run_selector(
-        selector_name, build(), truth, seed, band=band, incremental=False
+        selector_name, decline_reachability(build()), truth, seed, band=band
     )
     label = f"selection-incremental[{selector_name}] seed={seed} epsilon={epsilon}"
+    engines = (
+        fast.extras["selection"]["incremental"],
+        slow.extras["selection"]["incremental"],
+    )
+    if engines != (True, False):
+        raise VerificationError(
+            f"{label}: expected the incremental side on the index and the "
+            f"reference side off it, got incremental={engines}"
+        )
     if fast.state is not None and slow.state is not None:
         if fast.state.asked_order != slow.state.asked_order:
             length = min(len(fast.state.asked_order), len(slow.state.asked_order))
@@ -1318,120 +1347,6 @@ def check_observability_transparent_table(
         raise VerificationError(
             f"{label}: the instrumented resolve produced no trace — the "
             "transparency check would be vacuous"
-        )
-
-
-# --------------------------------------------------------------------------- #
-# Plan-transparency differential
-# --------------------------------------------------------------------------- #
-
-
-def check_plan_transparency(
-    table: Table, seed: int = 0, worker_band: str = "90"
-) -> None:
-    """Any plan — even an adversarially bad one — must be results-invisible.
-
-    The cost planner's contract is that it only rewrites pure-performance
-    knobs: a plan may make a run slower or faster, never different.  This
-    check pins that contract end to end:
-
-    1. **Production wiring.** ``PowerConfig(plan="auto")`` resolves the
-       table through the full plan → apply → clone path and must be
-       bit-identical to the static-defaults run in transcript, coloring,
-       labels, question/iteration counts, billing, matches, and clusters.
-       Non-vacuity: the planned run must actually carry its plan in
-       ``selection.extras`` (a silently skipped planner would make the
-       check meaningless).
-    2. **Adversarial plans.** Hand-built plans that deliberately pick the
-       *worst* settings (the scalar similarity path, scratch selection
-       with the reachability index off, pointless shard counts) go through the same
-       :func:`repro.plan.planner.apply_plan` seam and must still be
-       bit-identical.  Speed is allowed to suffer; results are not.
-
-    ``apply_plan`` is looked up on the module at call time on purpose:
-    the ``plan-changes-results`` mutation mutant patches exactly that
-    seam (a planner that flips a semantic knob such as ``epsilon``), and
-    no other battery step runs a planned resolve — only this check can
-    catch it.
-    """
-    from ..core.config import PowerConfig
-    from ..core.resolver import PowerResolver
-    from ..plan import planner as plan_planner
-
-    baseline = PowerResolver(PowerConfig(seed=seed)).resolve(
-        table, worker_band=worker_band
-    )
-
-    def compare(label: str, result) -> None:
-        _compare_runs(label, baseline.selection, result.selection)
-        if baseline.matches != result.matches:
-            raise VerificationError(
-                f"{label}: match sets diverge: "
-                f"{len(result.matches - baseline.matches)} extra, "
-                f"{len(baseline.matches - result.matches)} missing"
-            )
-        if baseline.clusters != result.clusters:
-            raise VerificationError(
-                f"{label}: clusters diverge "
-                f"({len(result.clusters)} vs {len(baseline.clusters)})"
-            )
-
-    # Tier 1: the production plan="auto" path.
-    auto = PowerResolver(PowerConfig(seed=seed, plan="auto")).resolve(
-        table, worker_band=worker_band
-    )
-    label = f"plan-transparency[auto] table={table.name!r} seed={seed}"
-    compare(label, auto)
-    if "plan" not in auto.selection.extras:
-        raise VerificationError(
-            f"{label}: the planned run carries no plan in its extras — "
-            "the planner never ran and the transparency check would be "
-            "vacuous"
-        )
-
-    # Tier 2: adversarial plans through the apply_plan seam.
-    stats = plan_planner.TableStats.from_table(
-        table, threshold=PowerConfig().pruning_threshold, seed=seed
-    )
-    adversarial_knob_sets = (
-        {"use_batch_similarity": False},
-        {
-            "use_incremental_selection": False,
-            "reachability_index": "off",
-        },
-        {
-            "use_batch_similarity": True,
-            "use_incremental_selection": True,
-            "reachability_index": "auto",
-            "shards": 3,
-        },
-    )
-    for knobs in adversarial_knob_sets:
-        plan = plan_planner.Plan(
-            stats=stats,
-            calibrated=False,
-            decisions=tuple(
-                plan_planner.PlanDecision(
-                    knob=knob,
-                    chosen=value,
-                    prediction=None,
-                    reason="adversarial transparency probe",
-                )
-                for knob, value in knobs.items()
-            ),
-        )
-        config = plan_planner.apply_plan(PowerConfig(seed=seed), plan)
-        for knob, value in knobs.items():
-            if getattr(config, knob) != value:
-                raise VerificationError(
-                    f"plan-transparency: apply_plan dropped {knob}={value!r} "
-                    "— the adversarial probe would be vacuous"
-                )
-        result = PowerResolver(config).resolve(table, worker_band=worker_band)
-        compare(
-            f"plan-transparency[{'/'.join(sorted(knobs))}] "
-            f"table={table.name!r} seed={seed}",
-            result,
         )
 
 

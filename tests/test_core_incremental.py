@@ -14,6 +14,7 @@ from repro.exceptions import ConfigurationError, DataError
 from repro.similarity.batch import TokenIndex
 from repro.similarity.jaccard import jaccard
 from repro.similarity.tokenize import qgram_tokens, word_tokens
+from repro.similarity.vectors import similarity_matrix
 
 
 @pytest.fixture(scope="module")
@@ -163,18 +164,28 @@ class TestBatchSubstrateParity:
         assert resolver._batch_candidates(resolver._index, 0) == []
 
     def test_batch_and_scalar_vectors_agree_end_to_end(self, small_table):
-        """Streaming with the vectorized similarity substrate must replay
-        the scalar substrate's run byte for byte."""
-        runs = [
-            stream_in_batches(
+        """Streaming with the vectorized similarity substrate must replay,
+        byte for byte, a stream whose batches the scalar reference
+        vectorizes."""
+        scalar_batches = []
+
+        def scalar_vectors(resolver, pairs):
+            scalar_batches.append(len(pairs))
+            config = resolver._resolver.similarity_config(resolver.table)
+            return similarity_matrix(resolver.table, pairs, config)
+
+        def run():
+            return stream_in_batches(
                 small_table,
                 batch_size=12,
-                config=PowerConfig(seed=0, use_batch_similarity=flag),
+                config=PowerConfig(seed=0),
                 worker_band="90",
             )
-            for flag in (True, False)
-        ]
-        fast, slow = runs
+
+        fast = run()
+        with mock.patch.object(IncrementalResolver, "_batch_vectors", scalar_vectors):
+            slow = run()
+        assert scalar_batches, "the scalar reference never ran"
         assert fast.labels == slow.labels
         assert fast.total_questions == slow.total_questions
         assert fast.total_iterations == slow.total_iterations

@@ -37,7 +37,3 @@ def test_fast_paths_beat_references(report):
 
 def test_stages_are_equivalent(report):
     assert all(stage["equivalent"] for stage in report["stages"])
-
-
-def test_end_to_end_resolution_identity():
-    assert perf.verify_resolution_identity()

@@ -1,13 +1,19 @@
-"""Selector-level tests for the incremental fast paths and their knobs."""
+"""Selector-level tests for the incremental fast paths and their references.
+
+Production selection has one loop: ``QuestionSelector.run`` always builds
+the graph's reachability index.  The reference paths run when a graph
+declines the index — over the byte budget, or through
+:func:`repro.verify.decline_reachability`, which is how these tests reach
+them.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import PowerConfig
 from repro.crowd import PerfectCrowd, SimulatedCrowd, WorkerPool
-from repro.exceptions import ConfigurationError
-from repro.graph import GroupedGraph, PairGraph, split_grouping
+from repro.graph import GroupedGraph, PairGraph, reachability, split_grouping
 from repro.selection import SELECTORS
+from repro.verify import decline_reachability
 
 from conftest import random_vectors
 
@@ -21,24 +27,27 @@ def make_workload(seed: int, n: int = 60):
     return pairs, vectors, truth
 
 
-def run_selector(name, pairs, vectors, truth, incremental, grouped=False, seed=0):
+def run_selector(name, pairs, vectors, truth, reference=False, grouped=False, seed=0):
+    """One run on a fresh graph; ``reference=True`` declines its index."""
     graph = PairGraph(pairs, vectors)
     if grouped:
         graph = GroupedGraph(graph, split_grouping(vectors, 0.1))
+    if reference:
+        decline_reachability(graph)
     crowd = SimulatedCrowd(truth, WorkerPool(seed=seed))
-    return SELECTORS[name](seed=seed, incremental=incremental).run(
-        graph, crowd.session()
-    )
+    return SELECTORS[name](seed=seed).run(graph, crowd.session())
 
 
 class TestByteIdentical:
     @pytest.mark.parametrize("name", PATH_SELECTORS)
     def test_same_transcript_and_coloring(self, name):
-        """incremental=True must change nothing observable: same questions
-        in the same order, same final colors, same labels."""
+        """The incremental engine must change nothing observable: same
+        questions in the same order, same final colors, same labels."""
         pairs, vectors, truth = make_workload(seed=7)
-        fast = run_selector(name, pairs, vectors, truth, incremental=True)
-        slow = run_selector(name, pairs, vectors, truth, incremental=False)
+        fast = run_selector(name, pairs, vectors, truth)
+        slow = run_selector(name, pairs, vectors, truth, reference=True)
+        assert fast.extras["selection"]["incremental"] is True
+        assert slow.extras["selection"]["incremental"] is False
         assert fast.state.asked_order == slow.state.asked_order
         assert np.array_equal(fast.state.colors, slow.state.colors)
         assert fast.labels == slow.labels
@@ -47,8 +56,8 @@ class TestByteIdentical:
     @pytest.mark.parametrize("name", ["single-path", "multi-path"])
     def test_same_transcript_on_grouped_graph(self, name):
         pairs, vectors, truth = make_workload(seed=11)
-        fast = run_selector(name, pairs, vectors, truth, incremental=True, grouped=True)
-        slow = run_selector(name, pairs, vectors, truth, incremental=False, grouped=True)
+        fast = run_selector(name, pairs, vectors, truth, grouped=True)
+        slow = run_selector(name, pairs, vectors, truth, reference=True, grouped=True)
         assert fast.state.asked_order == slow.state.asked_order
         assert fast.labels == slow.labels
 
@@ -56,7 +65,7 @@ class TestByteIdentical:
 class TestTelemetry:
     def test_extras_carry_selection_telemetry(self):
         pairs, vectors, truth = make_workload(seed=3)
-        result = run_selector("single-path", pairs, vectors, truth, incremental=True)
+        result = run_selector("single-path", pairs, vectors, truth)
         telemetry = result.extras["selection"]
         assert telemetry["incremental"] is True
         assert telemetry["rounds"] >= 1
@@ -68,7 +77,7 @@ class TestTelemetry:
 
     def test_reference_run_reports_incremental_off(self):
         pairs, vectors, truth = make_workload(seed=3)
-        result = run_selector("single-path", pairs, vectors, truth, incremental=False)
+        result = run_selector("single-path", pairs, vectors, truth, reference=True)
         assert result.extras["selection"]["incremental"] is False
 
     def test_perfect_crowd_also_reports(self):
@@ -78,30 +87,30 @@ class TestTelemetry:
         assert result.extras["selection"]["rounds"] == result.iterations
 
 
-class TestConfigKnobs:
-    def test_defaults(self):
-        config = PowerConfig()
-        assert config.use_incremental_selection is True
-        assert config.reachability_index == "auto"
-        assert config.reachability_limit_bytes() is None
-
-    def test_off_maps_to_zero_budget(self):
-        config = PowerConfig(reachability_index="off")
-        assert config.reachability_limit_bytes() == 0
-
-    def test_explicit_byte_budget(self):
-        config = PowerConfig(reachability_index=1 << 20)
-        assert config.reachability_limit_bytes() == 1 << 20
-
-    @pytest.mark.parametrize("bad", ["on", 0, -5, 1.5])
-    def test_invalid_values_rejected(self, bad):
-        with pytest.raises(ConfigurationError):
-            PowerConfig(reachability_index=bad)
-
-    def test_zero_budget_forces_reference_path(self):
+class TestDeclinedIndex:
+    def test_declined_index_forces_reference_path(self):
         pairs, vectors, truth = make_workload(seed=9)
-        graph = PairGraph(pairs, vectors)
-        selector = SELECTORS["single-path"](incremental=True, reachability_bytes=0)
-        result = selector.run(graph, PerfectCrowd(truth).session())
+        graph = decline_reachability(PairGraph(pairs, vectors))
+        result = SELECTORS["single-path"]().run(graph, PerfectCrowd(truth).session())
         assert graph.reachability is None
-        assert result.extras["selection"]["incremental"] is False
+        telemetry = result.extras["selection"]
+        assert telemetry["incremental"] is False
+        # The warm-started path cover never ran: every cover was scratch.
+        assert "engine" not in telemetry
+
+    def test_over_budget_graph_runs_the_same_reference_path(self, monkeypatch):
+        """A declined graph is in the state of an over-budget one."""
+        pairs, vectors, truth = make_workload(seed=9)
+        declined = run_selector("single-path", pairs, vectors, truth, reference=True)
+        monkeypatch.setattr(reachability, "DEFAULT_REACHABILITY_BYTES", 0)
+        over_budget = run_selector("single-path", pairs, vectors, truth)
+        assert over_budget.extras["selection"]["incremental"] is False
+        assert over_budget.state.asked_order == declined.state.asked_order
+        assert np.array_equal(over_budget.state.colors, declined.state.colors)
+
+    def test_an_indexed_graph_cannot_decline(self):
+        pairs, vectors, _ = make_workload(seed=2, n=10)
+        graph = PairGraph(pairs, vectors)
+        assert graph.build_reachability() is not None
+        with pytest.raises(ValueError, match="already holds"):
+            decline_reachability(graph)

@@ -189,3 +189,10 @@ class TestAdmissionController:
     def test_queue_depth_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="queue_depth"):
             AdmissionController(queue_depth=0)
+
+    def test_estimate_starts_at_the_static_default(self):
+        # Nothing seeds a session's service-time estimate: it starts at the
+        # static default until measured batches move it.
+        assert AdmissionController().batch_seconds_estimate == DEFAULT_BATCH_SECONDS
+        with pytest.raises(TypeError):
+            AdmissionController(initial_batch_seconds=0.25)

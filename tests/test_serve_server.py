@@ -260,6 +260,50 @@ class TestProtocolEdge:
         assert report["batch"] == 2
         assert sha == _direct_sha(small_table, tmp_path, "t", chunks)
 
+    def test_lone_surrogates_in_names_and_ids_poison_no_tenant(
+        self, small_table, tmp_path
+    ):
+        """A create or ingest carrying a lone surrogate in an attribute name
+        or a string entity id is refused, so no snapshot ever has to encode
+        one: another tenant still creates, ingests, is evicted (its
+        checkpoint encodes) and drains with its direct-run state."""
+        chunks = _chunks(small_table, 2)
+        attributes = list(small_table.attributes)
+
+        async def scenario():
+            app = ServeApp(tmp_path / "serve", max_sessions=1)
+            async with ResolutionServer(app) as server:
+                async with AsyncServeClient(port=server.port) as client:
+                    bad_create = await client.request(
+                        "create_session",
+                        session="a",
+                        attributes=["na\ud800me", *attributes[1:]],
+                    )
+                    await client.create_session("b", attributes)
+                    await client.ingest("b", _rows(chunks[0]), _ids(chunks[0]))
+                    bad_ingest = await client.request(
+                        "ingest",
+                        session="b",
+                        rows=_rows(chunks[1][:1]),
+                        entity_ids=["a\ud800"],
+                    )
+                    await client.create_session("c", list(ATTRS))  # evicts b
+                    await client.ingest("b", _rows(chunks[1]), _ids(chunks[1]))
+                    drained = await app.drain()
+            assert app.registry.evictions >= 1
+            return bad_create, bad_ingest, drained
+
+        bad_create, bad_ingest, drained = run(
+            asyncio.wait_for(scenario(), timeout=60)
+        )
+        assert (bad_create["ok"], bad_create["error"]) == (False, "error")
+        assert "surrogate" in bad_create["message"]
+        assert (bad_ingest["ok"], bad_ingest["error"]) == (False, "error")
+        assert "surrogate" in bad_ingest["message"]
+        states = {record["session"]: record["state_sha"] for record in drained}
+        assert "a" not in states
+        assert states["b"] == _direct_sha(small_table, tmp_path, "b", chunks)
+
     def test_healthz_and_metrics_over_http(self, tmp_path):
         async def scenario():
             app = ServeApp(tmp_path / "serve")

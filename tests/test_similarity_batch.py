@@ -445,13 +445,15 @@ class TestEmptyInputs:
             PowerResolver(PowerConfig(pruning_threshold=0.9)).resolve(table)
 
     def test_resolver_scalar_and_batch_paths_agree(self, small_table):
-        results = [
-            PowerResolver(
-                PowerConfig(seed=3, use_batch_similarity=use_batch)
-            ).resolve(small_table)
-            for use_batch in (True, False)
-        ]
-        batch_run, scalar_run = results
+        class ScalarResolver(PowerResolver):
+            """The resolver with the scalar reference as its vectorizer."""
+
+            def similarity_vectors(self, table, pairs):
+                config = self.similarity_config(table)
+                return similarity_matrix(table, pairs, config)
+
+        batch_run = PowerResolver(PowerConfig(seed=3)).resolve(small_table)
+        scalar_run = ScalarResolver(PowerConfig(seed=3)).resolve(small_table)
         assert batch_run.candidate_pairs == scalar_run.candidate_pairs
         assert batch_run.matches == scalar_run.matches
         assert batch_run.clusters == scalar_run.clusters
@@ -463,3 +465,18 @@ class TestEmptyInputs:
         with pytest.raises(ConfigurationError):
             PowerConfig(join_tokens="chars")
         assert PowerConfig(join_tokens="qgram").join_tokens == "qgram"
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("use_batch_similarity", False),
+            ("use_incremental_selection", False),
+            ("reachability_index", "off"),
+            ("plan", "auto"),
+        ],
+    )
+    def test_power_config_refuses_retired_knobs(self, knob, value):
+        # Knobs that only picked an implementation are gone: passing one is
+        # an error, never a silent no-op.
+        with pytest.raises(TypeError):
+            PowerConfig(**{knob: value})

@@ -126,13 +126,14 @@ class TestStreamFailureModes:
         assert code == 2
         assert "--batch-size" in err
 
-    def test_zero_batch_size_asks_the_planner(self, stream_csv, capsys):
-        """``--batch-size 0`` delegates sizing to the cost planner."""
-        code, out, _ = _run(
+    def test_zero_batch_size_rejected(self, stream_csv, capsys):
+        """``--batch-size 0`` is refused like ``-1``."""
+        code, out, err = _run(
             ["stream", str(stream_csv), "--batch-size", "0"], capsys
         )
-        assert code == 0
-        assert "planned batch size:" in out
+        assert code == 2
+        assert "--batch-size must be >= 1" in err
+        assert "batch " not in out
 
 
 class TestResumeFlow:

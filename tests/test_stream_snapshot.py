@@ -189,6 +189,13 @@ class TestServiceGuards:
         assert restored.batches == 1
         assert restored.labels == service.labels
 
+    def test_lone_surrogate_attribute_name_refused(self, tmp_path):
+        # UTF-8 cannot encode the name, so no checkpoint could ever hold it.
+        directory = tmp_path / "ck"
+        with pytest.raises(DataError, match="surrogate"):
+            StreamingResolver(("na\ud800me", "city"), checkpoint_dir=directory)
+        assert not SnapshotStore(directory).exists()
+
     def test_config_codec_keeps_the_retired_join_field(self):
         from repro.stream.service import _decode_config, _encode_config
 
@@ -200,6 +207,38 @@ class TestServiceGuards:
         assert payload["join_method"] == "auto"
         assert _decode_config(payload) == config
         assert _decode_config({**payload, "join_method": "prefix"}) == config
+
+    def test_snapshot_with_non_default_retired_knobs_restores(
+        self, tmp_path, monkeypatch
+    ):
+        """A snapshot that recorded other values for the retired
+        substrate, index and planner knobs restores, and its next batch
+        lands on the state of a stream that ran on defaults throughout."""
+        from repro.stream import service
+
+        retired = {
+            "use_batch_similarity": False,
+            "reachability_index": 1048576,
+            "plan": "auto",
+        }
+        encode = service._encode_config
+        monkeypatch.setattr(
+            service, "_encode_config", lambda config: {**encode(config), **retired}
+        )
+        old = StreamingResolver(self.ATTRIBUTES, checkpoint_dir=tmp_path / "old")
+        old.add_batch(self.ROWS[:2], entity_ids=self.ENTITIES[:2])
+        record = old.checkpoint()
+        monkeypatch.undo()
+        state = SnapshotStore(tmp_path / "old").get_json(record["objects"]["state"])
+        assert {key: state["config"][key] for key in retired} == retired
+
+        resumed = StreamingResolver.restore(tmp_path / "old")
+        assert resumed.config == PowerConfig()
+        resumed.add_batch(self.ROWS[2:], entity_ids=self.ENTITIES[2:])
+        plain = StreamingResolver(self.ATTRIBUTES, checkpoint_dir=tmp_path / "new")
+        plain.add_batch(self.ROWS[:2], entity_ids=self.ENTITIES[:2])
+        plain.add_batch(self.ROWS[2:], entity_ids=self.ENTITIES[2:])
+        assert resumed.checkpoint()["state_sha"] == plain.checkpoint()["state_sha"]
 
     def test_shard_routing_is_bit_identical(self, small_table):
         rows = [record.values for record in small_table]
@@ -278,8 +317,9 @@ class TestRefusedBatch:
             ([("alpha diner", "rome"), ("short",)], [1, 3], DataError),
             ([("alpha diner", "rome")], None, ConfigurationError),
             ([("alpha diner", "rome"), ("\ud800", "kiev")], [1, 3], DataError),
+            ([("alpha diner", "rome"), ("gamma pub", "kiev")], [1, "a\ud800"], DataError),
         ],
-        ids=["short-row", "no-ground-truth", "lone-surrogate"],
+        ids=["short-row", "no-ground-truth", "lone-surrogate", "lone-surrogate-id"],
     )
     def test_state_sha_survives_a_refused_batch(
         self, tmp_path, rows, entity_ids, error
