@@ -298,8 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="resolve through the partitioned multi-process resolver",
         description=(
             "Run a benchmark dataset through repro.shard.ShardedResolver: "
-            "the candidate join, similarity vectors, dominance adjacency, "
-            "and inference propagation are partitioned across worker "
+            "the candidate join, similarity vectors and inference "
+            "propagation are partitioned across worker "
             "processes and merged deterministically.  The default 'exact' "
             "mode produces byte-identical results to the serial "
             "PowerResolver at any worker/shard count; 'independent' runs "

@@ -357,10 +357,10 @@ def _timed_selection_run(
     """Best-of-*repeats* wall time of one full selector run.
 
     A fresh graph is built per repeat (so the incremental side pays its
-    reachability-index build inside the measured wall every time), but the
-    adjacency lists — a cost shared by both sides — are prebuilt outside
-    the timer.  The scratch side (``incremental=False``) runs on a graph
-    that declines its index, the state of an over-budget graph.
+    reachability-index build inside the measured wall every time).  The
+    scratch side (``incremental=False``) runs on a graph that declines its
+    index, the state of an over-budget graph, with the adjacency lists it
+    reads prebuilt outside the timer.
     """
     from ..crowd.platform import PerfectCrowd
     from ..graph.dag import PairGraph
@@ -373,13 +373,12 @@ def _timed_selection_run(
         graph = PairGraph(pairs, vectors)
         if not incremental:
             decline_reachability(graph)
-        adjacency = graph.adjacency()
+            graph.adjacency()
         selector = SELECTORS[selector_name](seed=seed)
         session = PerfectCrowd(truth).session()
         start = time.perf_counter()
         run = selector.run(graph, session)
         elapsed = time.perf_counter() - start
-        del adjacency
         if elapsed < best:
             best = elapsed
             result = run

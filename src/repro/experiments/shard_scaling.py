@@ -9,7 +9,7 @@ single machine-readable report (the payload of
   executor accumulates the wall time spent inside task batches
   (:attr:`~repro.shard.executor.ExecutorStats.run_seconds`).  Every
   data-parallel piece of the exact mode (candidate-join probe ranges,
-  vector chunks, adjacency row blocks, propagation slices) goes through
+  vector chunks, propagation slices) goes through
   ``ShardExecutor.run``, so with inline execution that accumulator *is*
   the parallelizable compute and ``p = run_seconds / wall`` is a measured
   Amdahl fraction, not a guess;

@@ -67,8 +67,46 @@ def vectorized_edges(vectors: np.ndarray) -> set[Edge]:
 #: ``(B, n)`` accumulator stays comfortably inside L2/L3 for the pair counts
 #: the paper's datasets produce (n up to a few hundred thousand).  It must
 #: be a multiple of 8: the reachability build packs each tile's columns
-#: into whole ancestor bytes.
+#: into whole ancestor bytes, and starts its upper-triangle tiles on a byte.
 DEFAULT_BLOCK_SIZE = 256
+
+
+def linear_extension(dominant: np.ndarray) -> np.ndarray:
+    """Vertex order in which every dominator comes before what it dominates.
+
+    The rows of the dominant operand in descending lexicographic order
+    (ties by vertex id).  The order is exact: ``u > v`` implies
+    ``dominant[u] >= dominant[v]`` with one attribute strictly greater, for
+    pair graphs (the operand is the similarity matrix) and grouped graphs
+    (the lower bounds: ``lower[u] >= upper[v] >= lower[v]``, strictly on
+    some attribute) alike.  A float row sum is not: two sums can round to
+    the same value.
+    """
+    dominant = _validate(dominant)
+    if dominant.shape[1] == 0:
+        return np.arange(dominant.shape[0])
+    # lexsort's last key is the primary one; negating keeps ties tied.
+    return np.lexsort(-dominant.T[::-1])
+
+
+def _joint_row_ranks(
+    dominant: np.ndarray, dominated: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ranks of the operands' rows over both: equal ranks iff ``==``.
+
+    Rows compare with ``==`` (so ``-0.0`` equals ``0.0``) after one
+    lexicographic sort of the stacked operands.
+    """
+    stacked = np.concatenate([dominant, dominated])
+    order = (
+        np.lexsort(stacked.T[::-1]) if stacked.shape[1] else np.arange(len(stacked))
+    )
+    ordered = stacked[order]
+    fresh = np.ones(len(stacked), dtype=bool)
+    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ranks = np.empty(len(stacked), dtype=np.intp)
+    ranks[order] = np.cumsum(fresh)
+    return ranks[: len(dominant)], ranks[len(dominant) :]
 
 
 def _dominance_tiles(
@@ -76,15 +114,20 @@ def _dominance_tiles(
     dominated: np.ndarray,
     block_size: int = DEFAULT_BLOCK_SIZE,
     exclude_diagonal: bool = True,
-    row_range: tuple[int, int] | None = None,
+    upper_triangle: bool = False,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(start, tile)`` for consecutive row blocks: the one tile loop.
 
-    ``tile[i, v]`` is True iff ``dominant[start + i] >= dominated[v]`` on
-    every attribute and ``>`` on at least one.  Each attribute is read as a
-    contiguous row of the transposed operands (a strided ``dominated[:, k]``
-    costs two to three times as much), and the tiles reuse three ``(B, n)``
-    buffers, so a tile is only valid until the next one is drawn.
+    ``tile[i, j]`` is True iff ``dominant[start + i] >= dominated[first + j]``
+    on every attribute and ``>`` on at least one, where the column start
+    ``first`` is 0, or ``start`` with *upper_triangle* (the rows are in a
+    linear extension, so nothing left of the diagonal can be set).  Given
+    ``>=`` everywhere, ``>`` somewhere holds exactly when the two rows
+    differ, so one comparison of joint row ranks replaces the per-attribute
+    ``>`` passes.  Each attribute is read as a contiguous row of the
+    transposed operands (a strided ``dominated[:, k]`` costs two to three
+    times as much), and the tiles reuse two buffers, so a tile is only
+    valid until the next one is drawn.
     """
     dominant = _validate(dominant)
     dominated = _validate(dominated)
@@ -95,27 +138,27 @@ def _dominance_tiles(
     if block_size < 1:
         raise GraphError(f"block_size must be >= 1, got {block_size}")
     n, m = dominant.shape
-    lo, hi = (0, n) if row_range is None else row_range
-    if not 0 <= lo <= hi <= n:
-        raise GraphError(
-            f"row_range must satisfy 0 <= lo <= hi <= {n}, got ({lo}, {hi})"
-        )
     rows_by_attribute = np.ascontiguousarray(dominant.T)
     columns_by_attribute = np.ascontiguousarray(dominated.T)
-    buffers = np.empty((3, min(block_size, hi - lo), n), dtype=bool)
-    for start in range(lo, hi, block_size):
-        stop = min(start + block_size, hi)
-        all_ge, any_gt, compared = buffers[:, : stop - start]
+    row_ranks, column_ranks = _joint_row_ranks(dominant, dominated)
+    height = min(block_size, n)
+    buffers = np.empty((2, height * n), dtype=bool)
+    for start in range(0, n, block_size):
+        stop = min(start + block_size, n)
+        first = start if upper_triangle else 0
+        shape = (stop - start, n - first)
+        all_ge, compared = (buffer[: shape[0] * shape[1]].reshape(shape) for buffer in buffers)
         all_ge.fill(True)
-        any_gt.fill(False)
         for k in range(m):
             block = rows_by_attribute[k, start:stop, None]
-            column = columns_by_attribute[k]
-            all_ge &= np.greater_equal(block, column, out=compared)
-            any_gt |= np.greater(block, column, out=compared)
-        all_ge &= any_gt
+            all_ge &= np.greater_equal(
+                block, columns_by_attribute[k, first:], out=compared
+            )
+        all_ge &= np.not_equal(
+            row_ranks[start:stop, None], column_ranks[first:], out=compared
+        )
         if exclude_diagonal:
-            all_ge[np.arange(stop - start), np.arange(start, stop)] = False
+            all_ge[np.arange(stop - start), np.arange(start - first, stop - first)] = False
         yield start, all_ge
 
 
@@ -124,7 +167,6 @@ def blocked_dominance_lists(
     dominated: np.ndarray,
     block_size: int = DEFAULT_BLOCK_SIZE,
     exclude_diagonal: bool = True,
-    row_range: tuple[int, int] | None = None,
 ) -> list[np.ndarray]:
     """Children lists of the strict-dominance relation, computed in tiles.
 
@@ -145,16 +187,9 @@ def blocked_dominance_lists(
         exclude_diagonal: drop ``u == v`` matches (self-dominance of a
             degenerate single-point group); pair graphs never produce them
             because strict dominance already excludes equal rows.
-        row_range: optional ``(lo, hi)``: compute lists only for dominant
-            rows ``lo..hi-1`` (columns stay global).  The sharded executor
-            uses this to build the adjacency in parallel row blocks —
-            concatenating the per-range outputs in row order reproduces the
-            full-range output exactly, tile boundaries included.
     """
     children: list[np.ndarray] = []
-    for _, tile in _dominance_tiles(
-        dominant, dominated, block_size, exclude_diagonal, row_range
-    ):
+    for _, tile in _dominance_tiles(dominant, dominated, block_size, exclude_diagonal):
         children.extend(map(np.flatnonzero, tile))
     return children
 

@@ -9,10 +9,12 @@ grouped and non-grouped graphs — exactly how the paper uses them.
 Dominance queries are vectorised: instead of materialising the O(|V|^2) edge
 set, ``descendants(v)`` broadcasts one comparison over the similarity matrix.
 Because strict dominance is transitive, the resulting edge relation is its
-own transitive closure; explicit adjacency lists (needed by the matching and
-layering algorithms) are cached — cut from the dominance tiles of
-:mod:`repro.graph.construction` (by the reachability build, or lazily) when
-a subclass exposes its dominance operands, else the per-vertex reference loop.
+own transitive closure.  The selection loop reads it from a packed
+reachability index (:meth:`OrderedGraph.build_reachability`); explicit
+adjacency lists are built only on demand (:meth:`OrderedGraph.adjacency`),
+cut from the dominance tiles of :mod:`repro.graph.construction` when a
+subclass exposes its dominance operands, else by the per-vertex reference
+loop.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ class OrderedGraph(ABC):
         return self._reachability
 
     def build_reachability(self, max_bytes: int | None = None):
-        """Build (once) and cache the reachability index (and :meth:`adjacency`).
+        """Build (once) and cache the reachability index.
 
         Args:
             max_bytes: byte budget for the index; ``None`` uses
@@ -159,12 +161,7 @@ class OrderedGraph(ABC):
         limit = DEFAULT_REACHABILITY_BYTES if max_bytes is None else max_bytes
         if ReachabilityIndex.estimated_bytes(self._num_vertices) > limit:
             return None
-        # The same pass cuts the adjacency lists, unless a caller already
-        # ran adjacency(); then the cached lists stay as they are.
-        lists: list[np.ndarray] | None = [] if self._adjacency is None else None
-        self._reachability = ReachabilityIndex.build(*operands, lists=lists)
-        if lists is not None:
-            self._adjacency = lists
+        self._reachability = ReachabilityIndex.build(*operands)
         return self._reachability
 
     @property

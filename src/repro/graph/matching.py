@@ -15,8 +15,8 @@ incremental selection loop: it keeps the per-round decomposition
 byte-identical to ``minimum_path_cover(restricted_adjacency(...))`` while
 scaling the per-round work with *what changed* — colored vertices are
 vertex deletions, the phase-1 greedy matching is repaired locally instead
-of recomputed, and all adjacency restriction happens as packed-bitset
-``AND`` ops against a :class:`~repro.graph.reachability.ReachabilityIndex`.
+of recomputed, and every row comes from the public-id methods of a
+:class:`~repro.graph.reachability.ReachabilityIndex`.
 """
 
 from __future__ import annotations
@@ -235,8 +235,8 @@ class IncrementalPathCover:
     time; this engine instead treats coloring as *vertex deletion* and keeps
     two pieces of state between rounds:
 
-    * packed active-vertex bits, so restricting adjacency to the live
-      sub-DAG is one byte-wise ``AND`` per row;
+    * the active-vertex mask, so restricting a row of the index to the
+      live sub-DAG is one boolean ``AND``;
     * the phase-1 matching — Hopcroft-Karp's first phase from an empty
       matching is exactly first-fit greedy in (vertex, neighbor) order — which
       deletions perturb only locally.  ``_deletion_restart`` finds the first
@@ -254,23 +254,18 @@ class IncrementalPathCover:
     and a seeded stale-matching mutant enforce exactly that.
 
     Args:
-        index: packed reachability index of the *full* graph.
-        adjacency: the full graph's descendant index lists (ascending, as
-            produced by ``OrderedGraph.adjacency()``).  Used for the hot
-            neighbor restrictions (one fancy-index per row beats unpacking
-            ``n`` bits when rows are sparse); derived lazily from *index*
-            when omitted.
+        index: packed reachability index of the *full* graph.  Each row's
+            descendant ids are read from it once, on first use, and kept
+            for the hot neighbor restrictions (one fancy-index per row
+            beats unpacking ``n`` bits when rows are sparse).
     """
 
-    def __init__(self, index, adjacency: list[np.ndarray] | None = None) -> None:
+    def __init__(self, index) -> None:
         self._index = index
         n = index.num_vertices
         self._n = n
-        self._adj: list[np.ndarray | None] = (
-            list(adjacency) if adjacency is not None else [None] * n
-        )
+        self._adj: list[np.ndarray | None] = [None] * n
         self._active: np.ndarray | None = None  # bool mask, set on first cover
-        self._active_bits: np.ndarray | None = None
         self._greedy_left = np.full(n, -1, dtype=np.int64)
         self._greedy_right = np.full(n, -1, dtype=np.int64)
         self._match_left = np.full(n, -1, dtype=np.int64)
@@ -297,9 +292,7 @@ class IncrementalPathCover:
         """Full-graph descendant ids of *u*, ascending (lazily unpacked)."""
         row = self._adj[u]
         if row is None:
-            from .reachability import unpack_mask
-
-            row = np.flatnonzero(unpack_mask(self._index._desc[u], self._n))
+            row = self._index.descendants(u)
             self._adj[u] = row
         return row
 
@@ -350,15 +343,11 @@ class IncrementalPathCover:
 
     def _deletion_restart(self, deleted: np.ndarray) -> int:
         """First left vertex whose fresh-greedy decision can differ."""
-        from .reachability import unpack_mask
-
         restart, freed = self._release_deleted(deleted)
         gl = self._greedy_left
-        anc = self._index._anc
         for r in freed:
-            candidates = np.flatnonzero(
-                unpack_mask(anc[r] & self._active_bits, self._n)
-            )
+            candidates = self._index.ancestors(r)
+            candidates = candidates[self._active[candidates]]
             for u in candidates:
                 u = int(u)
                 if u >= restart:
@@ -393,7 +382,7 @@ class IncrementalPathCover:
         self._greedy_scan(np.flatnonzero(self._active), unclaimed)
 
     # ------------------------------------------------------------------ #
-    # Hopcroft-Karp phases 2+ on packed bitsets
+    # Hopcroft-Karp phases 2+ on the index rows
     # ------------------------------------------------------------------ #
 
     def _cover_neighbors(self, u: int, cache: dict[int, list[int]]) -> list[int]:
@@ -408,27 +397,23 @@ class IncrementalPathCover:
     def _bfs(self) -> bool:
         """Layered BFS: same distances and free-right discovery as the
         reference queue BFS (shortest alternating distances are unique)."""
-        from .reachability import pack_mask, unpack_mask
-
         distance = self._distance
         distance[:] = _INFINITY
         frontier = np.flatnonzero(self._active & (self._match_left == -1))
         if frontier.size == 0:
             return False
         distance[frontier] = 0.0
-        free_right_bits = pack_mask(self._active & (self._match_right == -1))
-        visited = np.zeros(self._index.width, dtype=np.uint8)
-        desc = self._index._desc
+        free_rights = self._active & (self._match_right == -1)
+        visited = np.zeros(self._n, dtype=bool)
         found_free = False
         level = 0.0
         while frontier.size:
-            reach = np.bitwise_or.reduce(desc[frontier], axis=0)
-            reach &= self._active_bits
-            if not found_free and np.any(reach & free_right_bits):
+            reach = self._index.reached(frontier)
+            reach = reach[self._active[reach]]
+            if not found_free and free_rights[reach].any():
                 found_free = True
-            fresh = reach & ~visited
-            visited |= fresh
-            rights = np.flatnonzero(unpack_mask(fresh, self._n))
+            rights = reach[~visited[reach]]
+            visited[rights] = True
             if rights.size == 0:
                 break
             partners = self._match_right[rights]
@@ -495,8 +480,6 @@ class IncrementalPathCover:
         """
         import time as _time
 
-        from .reachability import pack_mask
-
         active_mask = np.ascontiguousarray(active_mask, dtype=bool)
         if active_mask.shape != (self._n,):
             raise GraphError(
@@ -506,7 +489,6 @@ class IncrementalPathCover:
         started = _time.perf_counter()
         if self._active is None:
             self._active = active_mask.copy()
-            self._active_bits = pack_mask(self._active)
             self._greedy_scratch()
         else:
             if np.any(active_mask & ~self._active):
@@ -518,7 +500,6 @@ class IncrementalPathCover:
             if deleted.size:
                 self.stats["deleted_vertices"] += int(deleted.size)
                 self._active = active_mask.copy()
-                self._active_bits = pack_mask(self._active)
                 restart = self._deletion_restart(deleted)
                 self._greedy_suffix(restart)
         np.copyto(self._match_left, self._greedy_left)

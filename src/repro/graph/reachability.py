@@ -5,19 +5,31 @@ full descendant set — so the whole reachability structure of the DAG fits
 in two bit-matrices of ``n x ceil(n/8)`` bytes (descendants row-wise, and
 their transpose for ancestors).  A :class:`ReachabilityIndex` packs both
 with :func:`numpy.packbits` (``bitorder="little"``: bit ``j`` of byte ``i``
-is vertex ``8 i + j``), which turns the hot per-answer / per-round
-operations of the selection loop into word-parallel byte ops:
+is position ``8 i + j``).
 
-* color propagation (``ColoringState.apply_round``) sums the unpacked
-  rows of a round's answered vertices, a chunk at a time, instead of
-  re-broadcasting an ``O(n m)`` float comparison per answer;
-* the incremental path-cover engine
-  (:class:`repro.graph.matching.IncrementalPathCover`) restricts adjacency
-  to the active sub-DAG with a single ``AND`` against the packed active
-  mask instead of rebuilding Python adjacency lists every round.
+Rows and columns are stored in one linear extension of the order,
+:func:`repro.graph.construction.linear_extension` (dominators first), so
+the descendant matrix is strictly upper triangular and the ancestor matrix
+strictly lower triangular.  One permutation, :attr:`ReachabilityIndex.order`,
+maps stored positions to vertex ids; every method takes and returns public
+vertex ids, with neighbours in ascending id order.  The order pays off
+three times:
 
-The index is built once per graph, in one pass over the dominance tiles of
-:mod:`repro.graph.construction`, and only for graphs that expose their
+* the build compares each 256-row tile only against the columns from its
+  own first row on (the upper triangle), in one pass over the dominance
+  tiles of :mod:`repro.graph.construction`;
+* color propagation (``ColoringState.apply_round``) sums a round's rows,
+  unpacked only over the span the order leaves non-empty
+  (:meth:`ReachabilityIndex.row_counts`);
+* Power's Kahn layers (:meth:`ReachabilityIndex.kahn_layers`) start from
+  popcounts of the ancestor rows and peel one level at a time by
+  subtracting the column sums of its descendant rows.
+
+The incremental path-cover engine
+(:class:`repro.graph.matching.IncrementalPathCover`) reads its rows through
+the same public-id methods.
+
+The index is built once per graph and only for graphs that expose their
 dominance operands (``_dominance_operands() is not None``) — the naive
 oracle twins in :mod:`repro.verify.oracles` never get one, so differential
 checks keep exercising the pure reference paths.  A byte-size gate
@@ -27,9 +39,10 @@ knob moves it.  :func:`repro.verify.oracles.decline_reachability` puts a
 small graph in the same state, which is how the differential checks and
 the selection benchmark run the reference paths.
 
-Unpacked rows are byte-identical to the float-broadcast masks
-(``graph.ancestor_mask`` / ``graph.descendant_mask``) and to the adjacency
-lists; the battery's ``check_reachability_index`` step enforces this.
+Masks read from the index are byte-identical to the float-broadcast masks
+(``graph.ancestor_mask`` / ``graph.descendant_mask``) and to the separately
+built adjacency lists; the battery's ``check_reachability_index`` step
+enforces this, and that nothing sits on or below the stored diagonal.
 """
 
 from __future__ import annotations
@@ -37,6 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import GraphError
+from ..similarity.batch import _popcount_rows
 from . import construction
 
 #: Default byte budget for one index (both matrices together).  256 MiB
@@ -44,7 +58,8 @@ from . import construction
 #: falls back to the reference mask-broadcast path.
 DEFAULT_REACHABILITY_BYTES = 256 * 1024 * 1024
 
-#: Bytes of unpacked rows :meth:`ReachabilityIndex.row_counts` holds at once.
+#: Bytes of rows :meth:`ReachabilityIndex.row_counts` and
+#: :meth:`ReachabilityIndex.kahn_layers` unpack (or AND) at once.
 UNPACK_CHUNK_BYTES = 1 << 22
 
 
@@ -68,23 +83,27 @@ def lowest_set_bit(bits: np.ndarray) -> int:
 
 
 class ReachabilityIndex:
-    """Packed ancestor/descendant bit-matrices of an ordered graph.
+    """Packed ancestor/descendant bit-matrices in linear-extension order.
 
     Attributes:
         num_vertices: vertex count ``n``.
         width: bytes per packed row, ``ceil(n / 8)``.
+        order: the vertex id stored at each position (a linear extension).
     """
 
     def __init__(
         self,
         descendant_bits: np.ndarray,
         ancestor_bits: np.ndarray,
-        num_vertices: int,
+        order: np.ndarray,
     ) -> None:
         self._desc = descendant_bits
         self._anc = ancestor_bits
-        self.num_vertices = num_vertices
-        self.width = (num_vertices + 7) // 8
+        self.order = order
+        self._position = np.empty_like(order)
+        self._position[order] = np.arange(len(order))
+        self.num_vertices = len(order)
+        self.width = (self.num_vertices + 7) // 8
 
     @staticmethod
     def estimated_bytes(num_vertices: int) -> int:
@@ -92,67 +111,122 @@ class ReachabilityIndex:
         return 2 * num_vertices * ((num_vertices + 7) // 8)
 
     @classmethod
-    def build(
-        cls,
-        dominant: np.ndarray,
-        dominated: np.ndarray,
-        lists: list[np.ndarray] | None = None,
-    ) -> "ReachabilityIndex":
-        """Build the index in one pass over the dominance tiles of a graph.
+    def build(cls, dominant: np.ndarray, dominated: np.ndarray) -> "ReachabilityIndex":
+        """Build the index in one pass over upper-triangle dominance tiles.
 
-        *dominant* and *dominated* are the graph's ``_dominance_operands()``.
-        The tile of rows ``start..stop-1`` packed along its rows is those
-        descendant rows; packed along its columns it is the ancestor
-        matrix's byte columns ``start/8 .. ceil(stop/8)``, byte-aligned
-        because the tile height ``construction.DEFAULT_BLOCK_SIZE`` is a
-        multiple of 8.  When *lists* is given, the same tiles are also cut
-        into per-row children lists appended to it, the lists
-        :meth:`~repro.graph.dag.OrderedGraph.adjacency` returns.
+        *dominant* and *dominated* are the graph's ``_dominance_operands()``,
+        permuted into :func:`~repro.graph.construction.linear_extension`
+        order.  The tile of rows ``start..stop-1`` covers columns ``start..n``;
+        packed along its rows it is those descendant rows from byte
+        ``start/8`` on, and packed along its columns it is the ancestor
+        matrix's byte columns ``start/8 .. ceil(stop/8)`` from row ``start``
+        down — byte-aligned because the tile height
+        ``construction.DEFAULT_BLOCK_SIZE`` is a multiple of 8.
         """
-        n = len(dominant)
-        desc = np.empty((n, (n + 7) // 8), dtype=np.uint8)
-        anc = np.empty_like(desc)
+        order = construction.linear_extension(dominant)
+        dominant = np.asarray(dominant, dtype=np.float64)[order]
+        dominated = np.asarray(dominated, dtype=np.float64)[order]
+        n = len(order)
+        desc = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+        anc = np.zeros_like(desc)
         for start, tile in construction._dominance_tiles(
-            dominant, dominated, construction.DEFAULT_BLOCK_SIZE
+            dominant, dominated, construction.DEFAULT_BLOCK_SIZE, upper_triangle=True
         ):
             stop = start + len(tile)
-            desc[start:stop] = np.packbits(tile, axis=1, bitorder="little")
+            first = start >> 3
+            desc[start:stop, first:] = np.packbits(tile, axis=1, bitorder="little")
             # Packing the transposed copy along axis 1 is the axis-0 pack,
             # at a third of its cost.
-            anc[:, start >> 3 : (stop + 7) >> 3] = np.packbits(
+            anc[start:, first : (stop + 7) >> 3] = np.packbits(
                 np.ascontiguousarray(tile.T), axis=1, bitorder="little"
             )
-            if lists is not None:
-                lists.extend(map(np.flatnonzero, tile))
-        return cls(desc, anc, n)
+        return cls(desc, anc, order)
 
     # ------------------------------------------------------------------ #
-    # Row access
+    # Row access (public vertex ids)
     # ------------------------------------------------------------------ #
 
-    def _check(self, vertex: int) -> None:
+    def _positions(self, vertices) -> np.ndarray:
+        vertices = np.asarray(vertices, dtype=np.intp)
+        if vertices.size and (vertices.min() < 0 or vertices.max() >= self.num_vertices):
+            outside = (vertices < 0) | (vertices >= self.num_vertices)
+            self._position_of(int(vertices[outside][0]))
+        return self._position[vertices]
+
+    def _position_of(self, vertex: int) -> int:
         if not 0 <= vertex < self.num_vertices:
             raise GraphError(
                 f"vertex {vertex} out of range [0, {self.num_vertices})"
             )
+        return int(self._position[vertex])
 
-    def descendant_row(self, vertex: int) -> np.ndarray:
-        """Packed row of vertices strictly dominated by *vertex*."""
-        self._check(vertex)
-        return self._desc[vertex]
-
-    def ancestor_row(self, vertex: int) -> np.ndarray:
-        """Packed row of vertices strictly dominating *vertex*."""
-        self._check(vertex)
-        return self._anc[vertex]
+    def _mask(self, rows: np.ndarray, vertex: int) -> np.ndarray:
+        row = rows[self._position_of(vertex)]
+        return unpack_mask(row, self.num_vertices)[self._position]
 
     def descendant_mask(self, vertex: int) -> np.ndarray:
         """Boolean descendant mask, byte-identical to the graph's own."""
-        return unpack_mask(self.descendant_row(vertex), self.num_vertices)
+        return self._mask(self._desc, vertex)
 
     def ancestor_mask(self, vertex: int) -> np.ndarray:
         """Boolean ancestor mask, byte-identical to the graph's own."""
-        return unpack_mask(self.ancestor_row(vertex), self.num_vertices)
+        return self._mask(self._anc, vertex)
+
+    def descendants(self, vertex: int) -> np.ndarray:
+        """Ids of the vertices *vertex* strictly dominates, ascending."""
+        position = self._position_of(vertex)
+        first = position >> 3
+        bits = unpack_mask(self._desc[position, first:], self.num_vertices - 8 * first)
+        return np.sort(self.order[bits.nonzero()[0] + 8 * first])
+
+    def ancestors(self, vertex: int) -> np.ndarray:
+        """Ids of the vertices strictly dominating *vertex*, ascending."""
+        position = self._position_of(vertex)
+        bits = unpack_mask(self._anc[position, : (position + 7) >> 3], position)
+        return np.sort(self.order[bits.nonzero()[0]])
+
+    def reached(self, vertices) -> np.ndarray:
+        """Ids of the vertices below at least one of *vertices*, unordered.
+
+        Each id once, in stored order, which saves sorting a set whose
+        order the caller does not need.
+        """
+        positions = self._positions(vertices)
+        if not positions.size:
+            return positions
+        first = int(positions.min()) >> 3
+        bits = np.bitwise_or.reduce(self._desc[positions, first:], axis=0)
+        stored = unpack_mask(bits, self.num_vertices - 8 * first).nonzero()[0]
+        return self.order[stored + 8 * first]
+
+    def _column_sums(self, positions: np.ndarray, ancestors: bool) -> np.ndarray:
+        """Stored-order column sums of the rows stored at *positions*.
+
+        Descendant rows are empty left of their own position and ancestor
+        rows right of it, so only the bytes between the first and the last
+        possible bit are unpacked, :data:`UNPACK_CHUNK_BYTES` and at most
+        255 rows at a time: the column sums of a chunk then fit in the
+        bytes they are summed in, several times faster than widening.
+        """
+        n = self.num_vertices
+        counts = np.zeros(n, dtype=np.int32)
+        if not positions.size:
+            return counts
+        if ancestors:
+            rows, lo, hi = self._anc, 0, (int(positions.max()) + 7) >> 3
+        else:
+            rows, lo, hi = self._desc, int(positions.min()) >> 3, self.width
+        bits = min(n, 8 * hi) - 8 * lo
+        step = max(1, min(255, UNPACK_CHUNK_BYTES // max(1, bits)))
+        for start in range(0, len(positions), step):
+            unpacked = np.unpackbits(
+                rows[positions[start : start + step], lo:hi],
+                axis=1,
+                count=bits,
+                bitorder="little",
+            )
+            counts[8 * lo : 8 * lo + bits] += unpacked.sum(axis=0, dtype=np.uint8)
+        return counts
 
     def row_counts(self, vertices: np.ndarray, ancestors: bool) -> np.ndarray:
         """How many of *vertices* list each vertex in their row.
@@ -160,24 +234,44 @@ class ReachabilityIndex:
         With *ancestors*, the column sums of the vertices' ancestor rows
         (the GREEN votes their Yes answers cast); otherwise of their
         descendant rows (RED votes).  A repeated vertex counts each time.
-        Rows are unpacked :data:`UNPACK_CHUNK_BYTES` at a time.
+        The counts are indexed by vertex id.
         """
-        vertices = np.asarray(vertices, dtype=np.intp)
-        if vertices.size:
-            self._check(int(vertices.min()))
-            self._check(int(vertices.max()))
-        rows = self._anc if ancestors else self._desc
-        counts = np.zeros(self.num_vertices, dtype=np.int32)
-        step = max(1, UNPACK_CHUNK_BYTES // max(1, self.num_vertices))
-        for start in range(0, len(vertices), step):
-            bits = np.unpackbits(
-                rows[vertices[start : start + step]],
-                axis=1,
-                count=self.num_vertices,
-                bitorder="little",
+        return self._column_sums(self._positions(vertices), ancestors)[self._position]
+
+    def kahn_layers(self, active: np.ndarray) -> list[np.ndarray]:
+        """Kahn level sets of the sub-DAG induced on the *active* mask.
+
+        A vertex's in-degree is the popcount of its ancestor row ANDed with
+        the packed active mask (over the bytes left of its position); each
+        level is peeled off by subtracting the column sums of its
+        descendant rows.  Every vertex left after a level has an ancestor
+        in it, so the sums start at the level's first position.
+        """
+        stored_active = np.asarray(active, dtype=bool)[self.order]
+        positions = np.flatnonzero(stored_active)
+        active_bits = pack_mask(stored_active)
+        degree = np.empty(len(positions), dtype=np.int64)
+        step = max(1, UNPACK_CHUNK_BYTES // max(1, self.width))
+        for start in range(0, len(positions), step):
+            chunk = positions[start : start + step]
+            hi = (int(chunk[-1]) + 7) >> 3
+            degree[start : start + len(chunk)] = _popcount_rows(
+                self._anc[chunk, :hi] & active_bits[:hi]
             )
-            counts += bits.sum(axis=0, dtype=np.int32)
-        return counts
+        layers: list[np.ndarray] = []
+        while positions.size:
+            ready = degree == 0
+            if not ready.any():
+                raise GraphError(
+                    f"Kahn peeling stalled with {positions.size} vertices left: "
+                    "the index rows disagree"
+                )
+            level = positions[ready]
+            layers.append(np.sort(self.order[level]))
+            positions, degree = positions[~ready], degree[~ready]
+            if positions.size:
+                degree -= self._column_sums(level, ancestors=False)[positions]
+        return layers
 
     def nbytes(self) -> int:
         return int(self._desc.nbytes + self._anc.nbytes)

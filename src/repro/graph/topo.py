@@ -2,17 +2,22 @@
 
 The paper's Power selector repeatedly topologically sorts the *uncolored*
 vertices into level sets ``L_1 .. L_|L|`` (Kahn peeling) and asks the middle
-level.  Because the dominance relation is transitively closed, the Kahn
-level of a vertex equals the length of its longest chain of strict
-dominators, so we compute levels with a single longest-chain DP over any
-linear extension — descending vector-sum order is one, since ``u > v``
-implies ``sum(u) > sum(v)``.
+level.  With a reachability index the levels are peeled from its packed
+rows (:meth:`~repro.graph.reachability.ReachabilityIndex.kahn_layers`).
+A graph without one (over the index's byte budget, or a naive oracle twin)
+takes the reference path: because the dominance relation is transitively
+closed, the Kahn level of a vertex equals the length of its longest chain
+of strict dominators, computed by one longest-chain DP over the adjacency
+lists in the exact linear extension the index is stored in,
+:func:`~repro.graph.construction.linear_extension` (descending
+lexicographic order of the dominant rows).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import construction
 from .dag import OrderedGraph, PairGraph
 from ..exceptions import GraphError
 
@@ -20,12 +25,8 @@ from ..exceptions import GraphError
 def _linear_extension(graph: OrderedGraph) -> np.ndarray:
     """Vertex order compatible with dominance (dominators first)."""
     if isinstance(graph, PairGraph):
-        keys = graph.vectors.sum(axis=1)
-    else:
-        # Grouped graphs expose lower bounds; their sums also decrease along
-        # edges (g_i > g_j implies l_i >= u_j >= l_j with a strict component).
-        keys = graph.lower_bounds.sum(axis=1)  # type: ignore[attr-defined]
-    return np.argsort(-keys, kind="stable")
+        return construction.linear_extension(graph.vectors)
+    return construction.linear_extension(graph.lower_bounds)  # type: ignore[attr-defined]
 
 
 def topological_layers(
@@ -39,17 +40,19 @@ def topological_layers(
 
     Returns:
         ``layers[0]`` holds the active vertices with no active ancestors
-        (the paper's L_1), and so on.  Empty input yields an empty list.
+        (the paper's L_1), and so on, each level in ascending vertex order.
+        Empty input yields an empty list.
     """
     n = len(graph)
     if active is None:
         active = np.ones(n, dtype=bool)
     if active.shape != (n,):
         raise GraphError(f"active mask has shape {active.shape}, expected ({n},)")
-    order = _linear_extension(graph)
+    if graph.reachability is not None:
+        return graph.reachability.kahn_layers(active)
     depth = np.zeros(n, dtype=np.int64)
     adjacency = graph.adjacency()
-    for vertex in order:
+    for vertex in _linear_extension(graph):
         vertex = int(vertex)
         if not active[vertex]:
             continue

@@ -39,9 +39,7 @@ def cover_paths(
     """
     if graph.reachability is not None:
         if selector._engine is None or selector._engine.index is not graph.reachability:
-            selector._engine = IncrementalPathCover(
-                graph.reachability, graph.adjacency()
-            )
+            selector._engine = IncrementalPathCover(graph.reachability)
         return selector._engine.cover(active)
     sub_adjacency, original_ids = restricted_adjacency(graph.adjacency(), active)
     paths = minimum_path_cover(sub_adjacency)

@@ -7,8 +7,8 @@ Layers, bottom to top:
 
 * :mod:`repro.shard.partition` — connected components of the candidate
   graph, size-capped weak-edge splitting, and LPT bin-packing.
-* :mod:`repro.shard.worker` — picklable pure task specs (vector chunks,
-  adjacency row blocks, propagation vote slices, independent shard
+* :mod:`repro.shard.worker` — picklable pure task specs (join probe
+  ranges, vector chunks, propagation vote slices, independent shard
   loops) plus deterministic fault injection for the executor tests.
 * :mod:`repro.shard.executor` — process-pool scheduling with
   largest-first dispatch, per-task timeout/retry, and in-process
@@ -28,7 +28,6 @@ from .executor import (
     split_question_budget,
 )
 from .merge import (
-    merge_adjacency_blocks,
     merge_independent_outcomes,
     merge_vector_chunks,
     merge_vote_deltas,
@@ -46,14 +45,12 @@ from .partition import (
 )
 from .resolver import SHARD_MODES, ShardedResolver
 from .worker import (
-    AdjacencyTask,
     FaultSpec,
     IndependentShardTask,
     JoinTask,
     PropagationTask,
     ShardOutcome,
     VectorTask,
-    compute_adjacency,
     compute_join_pairs,
     compute_vectors,
     compute_vote_deltas,
@@ -80,17 +77,14 @@ __all__ = [
     "derive_shard_seed",
     "JoinTask",
     "VectorTask",
-    "AdjacencyTask",
     "PropagationTask",
     "IndependentShardTask",
     "ShardOutcome",
     "compute_join_pairs",
     "compute_vectors",
-    "compute_adjacency",
     "compute_vote_deltas",
     "resolve_shard",
     "merge_vector_chunks",
-    "merge_adjacency_blocks",
     "merge_vote_deltas",
     "merged_clusters",
     "merge_independent_outcomes",

@@ -7,8 +7,6 @@ sharded path's determinism argument (DESIGN.md §10):
 
 * :func:`merge_vector_chunks` — chunks are keyed by their global row
   offset, so reassembly is a sort + stack (rows are per-pair independent).
-* :func:`merge_adjacency_blocks` — row blocks keyed by their first row;
-  concatenation in row order reproduces the full blocked-kernel output.
 * :func:`merge_vote_deltas` — per-slice vote deltas are **summed**; vote
   addition is commutative integer arithmetic, so partial sums merged in
   any order equal the serial per-answer accumulation exactly.  The merged
@@ -59,28 +57,6 @@ def merge_vector_chunks(chunks: Iterable[tuple[int, np.ndarray]]) -> np.ndarray:
             )
         expected = start + rows.shape[0]
     return np.vstack([rows for _, rows in ordered])
-
-
-def merge_adjacency_blocks(
-    blocks: Iterable[tuple[int, list[np.ndarray]]], num_vertices: int
-) -> list[np.ndarray]:
-    """Reassemble ``(lo, children_lists)`` row blocks into full adjacency."""
-    ordered = sorted(blocks, key=lambda block: block[0])
-    adjacency: list[np.ndarray] = []
-    expected = 0
-    for lo, lists in ordered:
-        if lo != expected:
-            raise ConfigurationError(
-                f"adjacency blocks do not tile the rows: expected offset "
-                f"{expected}, got {lo}"
-            )
-        adjacency.extend(lists)
-        expected = lo + len(lists)
-    if expected != num_vertices:
-        raise ConfigurationError(
-            f"adjacency blocks cover {expected} of {num_vertices} vertices"
-        )
-    return adjacency
 
 
 def merge_vote_deltas(
@@ -191,7 +167,6 @@ def merge_independent_outcomes(
 
 __all__ = [
     "merge_vector_chunks",
-    "merge_adjacency_blocks",
     "merge_vote_deltas",
     "merged_clusters",
     "merge_independent_outcomes",

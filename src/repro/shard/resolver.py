@@ -9,13 +9,13 @@ Two execution modes:
 * ``mode="exact"`` (default) — **lockstep data parallelism**.  The
   coordinator runs the real selector, RNG, and crowd session in exactly
   the serial order; workers compute the data-parallel pieces (candidate-
-  join probe ranges, similarity vector chunks, dominance-adjacency row
-  blocks, per-slice inference-vote deltas) whose merges are associative
-  and order-free.  The result is
-  **bit-identical** to ``PowerResolver.resolve`` — same matches, same
-  question transcript, same iteration count, same bill — for *any* shard
-  count and *any* worker count, including after worker crashes, timeouts,
-  and in-process fallbacks.  This is the mode the
+  join probe ranges, similarity vector chunks, per-slice inference-vote
+  deltas) whose merges are associative and order-free; the coordinator
+  builds the graph's reachability index itself, as the serial loop does.
+  The result is **bit-identical** to ``PowerResolver.resolve`` — same
+  matches, same question transcript, same iteration count, same bill —
+  for *any* shard count and *any* worker count, including after worker
+  crashes, timeouts, and in-process fallbacks.  This is the mode the
   ``check_shard_equivalence`` differential certifies.
 * ``mode="independent"`` — **CrowdER-style component sharding**.  The
   candidate graph is partitioned into connected components, giant
@@ -58,7 +58,6 @@ from ..selection.error_tolerant import (
 )
 from .executor import ShardExecutor, questions_for_cents, split_question_budget
 from .merge import (
-    merge_adjacency_blocks,
     merge_independent_outcomes,
     merge_vector_chunks,
     merge_vote_deltas,
@@ -66,12 +65,10 @@ from .merge import (
 )
 from .partition import plan_pair_shards, vertex_slices
 from .worker import (
-    AdjacencyTask,
     IndependentShardTask,
     JoinTask,
     PropagationTask,
     VectorTask,
-    compute_adjacency,
     compute_join_pairs,
     compute_vectors,
     compute_vote_deltas,
@@ -232,12 +229,11 @@ class ShardedResolver(PowerResolver):
                 )
             timings["vectors"] = time.perf_counter() - started
 
-            # Stage 3: the (grouped) graph, with adjacency built in
-            # parallel row blocks and attached to the graph's cache.
+            # Stage 3: the (grouped) graph and its reachability index.
             started = time.perf_counter()
             with tracer.span("shard.graph"):
                 graph = self.build_graph(table, pairs, vectors=vectors)
-                self._attach_parallel_adjacency(graph, executor)
+                graph.build_reachability()
             timings["graph"] = time.perf_counter() - started
 
             # Stage 4: the lockstep selection loop.
@@ -329,29 +325,6 @@ class ShardedResolver(PowerResolver):
             merged.extend(chunk)
         merged.sort()
         return merged
-
-    def _attach_parallel_adjacency(
-        self, graph: OrderedGraph, executor: ShardExecutor
-    ) -> None:
-        """Build ``graph.adjacency()`` from parallel row blocks.
-
-        Concatenating per-range outputs of the blocked kernel in row order
-        is exactly the full-range output (each row's children are computed
-        independently of the tiling), so the cached adjacency is
-        bit-identical to what the serial path would build lazily.
-        """
-        operands = graph._dominance_operands()
-        if operands is None or len(graph) == 0:
-            return
-        dominant, dominated = operands
-        tasks = [
-            AdjacencyTask(dominant=dominant, dominated=dominated, lo=lo, hi=hi)
-            for lo, hi in vertex_slices(len(graph), self.num_shards)
-        ]
-        blocks = executor.run(
-            compute_adjacency, tasks, weights=[task.hi - task.lo for task in tasks]
-        )
-        graph._adjacency = merge_adjacency_blocks(blocks, len(graph))
 
     def _run_lockstep(
         self,

@@ -12,8 +12,7 @@ Two families of tasks exist, matching the two execution modes of
 * **exact lockstep** tasks — data-parallel slices of the serial pipeline's
   own arithmetic.  :func:`compute_join_pairs` emits one probe range of the
   candidate similarity join, :func:`compute_vectors` vectorizes a chunk of
-  candidate pairs, :func:`compute_adjacency` builds a row block of the
-  dominance adjacency, and :func:`compute_vote_deltas` computes one vertex
+  candidate pairs, and :func:`compute_vote_deltas` computes one vertex
   slice's inference-vote deltas for a batch of crowd answers.  Their merges
   (:mod:`repro.shard.merge`) are associative and order-free, so the merged
   result is bit-identical to the serial path regardless of scheduling.
@@ -216,39 +215,6 @@ def compute_vectors(task: VectorTask) -> tuple[int, np.ndarray]:
     return task.start, batch_similarity_matrix(
         task.table, list(task.pairs), task.config
     )
-
-
-@dataclass(frozen=True)
-class AdjacencyTask:
-    """One row block of the blocked dominance-adjacency construction.
-
-    Carries the *full* dominance operands (they are small — ``(n, m)``
-    float rows) plus the ``[lo, hi)`` row range this task owns, so the
-    kernel's comparisons are exactly the serial kernel's comparisons for
-    those rows.
-    """
-
-    dominant: np.ndarray
-    dominated: np.ndarray
-    lo: int
-    hi: int
-    block_size: int = 256
-    fault: FaultSpec | None = None
-
-
-def compute_adjacency(task: AdjacencyTask) -> tuple[int, list[np.ndarray]]:
-    """Children lists for dominance rows ``[lo, hi)`` (global column ids)."""
-    maybe_fault(task.fault)
-    from ..graph.construction import blocked_dominance_lists
-
-    lists = blocked_dominance_lists(
-        task.dominant,
-        task.dominated,
-        block_size=task.block_size,
-        exclude_diagonal=True,
-        row_range=(task.lo, task.hi),
-    )
-    return task.lo, lists
 
 
 @dataclass(frozen=True)
@@ -475,8 +441,6 @@ __all__ = [
     "compute_join_pairs",
     "VectorTask",
     "compute_vectors",
-    "AdjacencyTask",
-    "compute_adjacency",
     "PropagationTask",
     "compute_vote_deltas",
     "IndependentShardTask",

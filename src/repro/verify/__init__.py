@@ -29,9 +29,11 @@ demanding every one is detected; :mod:`.battery` packages everything as the
 
 from .battery import (
     BatteryConfig,
+    float_sum_tie_instance,
     quarter_grid_vectors,
     random_instance,
     run_battery,
+    signed_zero_instance,
     subsample_table,
 )
 from .invariants import (
@@ -64,6 +66,7 @@ from .oracles import (
     check_crowd_draws,
     check_dominance_construction,
     check_join_methods,
+    check_linear_extension,
     check_round_update,
     check_selection_incremental,
     check_selector_differential,
@@ -104,6 +107,7 @@ __all__ = [
     "check_duplicate_idempotence",
     "check_grouped_partition",
     "check_join_methods",
+    "check_linear_extension",
     "check_round_update",
     "check_partial_order",
     "check_path_cover",
@@ -119,6 +123,7 @@ __all__ = [
     "check_topo_layers",
     "check_transitive_closure",
     "decline_reachability",
+    "float_sum_tie_instance",
     "monotone_truth",
     "naive_dominance_edges",
     "naive_join",
@@ -132,5 +137,6 @@ __all__ = [
     "run_check",
     "run_detection_battery",
     "run_mutation_selftest",
+    "signed_zero_instance",
     "subsample_table",
 ]

@@ -10,6 +10,8 @@ mutation self-test into a single :class:`~repro.verify.report.VerificationReport
    the one-answer-at-a-time engine on every selector, and the batched
    crowd-draw kernel vs numpy's own generators; graphs sized across
    byte and tile boundaries drive the packed reachability-index check,
+   a float-sum tie, signed zeros and duplicate rows drive the index and
+   both layering paths,
    and a quarter-grid matrix (members on node midpoints) plus the 0- and
    1-vertex inputs drive the grouping check;
 2. **dataset checks** — a (subsampled) benchmark dataset goes through the
@@ -109,6 +111,35 @@ def quarter_grid_vectors(
     """
     rng = np.random.default_rng(seed)
     return rng.integers(0, 5, (num_vertices, num_attributes)) / 4.0
+
+
+def float_sum_tie_instance() -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Three vertices whose float row sums tie under dominance.
+
+    Vertex 1 dominates 0, which dominates 2, so Kahn peeling gives
+    ``[[1], [0], [2]]``; but ``1.0 + 1e-17`` rounds to ``1.0``, and a
+    stable descending-sum order puts vertex 0 before 1.
+    """
+    vectors = np.array([[1.0, 0.0], [1.0, 1e-17], [0.5, 0.0]])
+    return [(0, 1), (0, 2), (1, 2)], vectors
+
+
+def signed_zero_instance(
+    seed: int, num_vertices: int, num_attributes: int = 4
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """A random instance with duplicate rows and ``-0.0`` beside ``0.0``.
+
+    Values below 0.3 become zeros, the last quarter of the rows copies the
+    first, and a coin flip makes each zero ``-0.0``: rows equal under
+    ``==`` whose bytes differ, which a byte-wise row comparison gets wrong.
+    """
+    pairs, vectors = random_instance(seed, num_vertices, num_attributes)
+    vectors[vectors < 0.3] = 0.0
+    copies = num_vertices // 4
+    vectors[num_vertices - copies :] = vectors[:copies]
+    coins = np.random.default_rng(seed + 1).random(vectors.shape) < 0.5
+    vectors[coins & (vectors == 0.0)] = -0.0
+    return pairs, vectors
 
 
 def subsample_table(table: Table, scale: float, minimum: int = 20) -> Table:
@@ -272,6 +303,19 @@ def _reachability_sweeps(config: BatteryConfig, report: VerificationReport) -> N
             f"reachability-index[grouped, n={n}]",
             lambda p=pairs, v=vectors, s=groups: invariants.check_reachability_index(
                 GroupedGraph(PairGraph(p, v), s)
+            ),
+        )
+    run_check(
+        report,
+        "linear-extension[float-sum tie]",
+        lambda: oracles.check_linear_extension(*float_sum_tie_instance()),
+    )
+    for n in (9, 260):
+        run_check(
+            report,
+            f"linear-extension[signed zeros, n={n}]",
+            lambda n=n: oracles.check_linear_extension(
+                *signed_zero_instance(config.base_seed + n, n, config.num_attributes)
             ),
         )
 
@@ -465,8 +509,10 @@ def run_battery(config: BatteryConfig | None = None) -> VerificationReport:
 
 __all__ = [
     "BatteryConfig",
+    "float_sum_tie_instance",
     "quarter_grid_vectors",
     "random_instance",
+    "signed_zero_instance",
     "subsample_table",
     "run_battery",
 ]

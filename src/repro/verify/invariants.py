@@ -14,7 +14,8 @@ Catalog:
 * path cover — disjoint, covering, chain-valid, and no larger than the
   greedy cover (:func:`check_path_cover`);
 * reachability index — every packed row equals the float-broadcast masks
-  and the cached adjacency lists (:func:`check_reachability_index`);
+  and the separately built adjacency lists, and nothing sits on the wrong
+  side of the stored diagonal (:func:`check_reachability_index`);
 * grouped graph — partition validity and bound arithmetic
   (:func:`check_grouped_partition`);
 * clustering — union-find components equal naive BFS components
@@ -149,9 +150,15 @@ def naive_kahn_layers(graph: OrderedGraph, active: np.ndarray | None = None) -> 
 
 def check_topo_layers(graph: OrderedGraph, active: np.ndarray | None = None) -> None:
     """Production layering must equal naive Kahn peeling, level for level,
-    and every edge inside the active set must descend strictly."""
+    and every edge inside the active set must descend strictly.
+
+    Builds the graph's reachability index first, as every selection run
+    does, so the layers checked are the ones peeled from its packed rows;
+    a graph that declines the index is checked on the longest-chain DP.
+    """
     from ..graph.topo import topological_layers
 
+    graph.build_reachability()
     produced = [sorted(int(v) for v in layer) for layer in topological_layers(graph, active)]
     expected = naive_kahn_layers(graph, active)
     if produced != expected:
@@ -230,17 +237,31 @@ def check_path_cover(graph: OrderedGraph) -> None:
 def check_reachability_index(graph: OrderedGraph) -> None:
     """Every packed index row must equal the graph's masks and its lists.
 
-    Builds the index when the graph has none yet, which also caches the
-    adjacency lists the same pass cuts from the dominance tiles.  Then every
-    unpacked descendant row is diffed against ``descendant_mask`` and
-    ``adjacency()``, and every ancestor row against ``ancestor_mask`` and the
+    Builds the index when the graph has none yet.  Its stored order must be
+    a permutation, with every stored descendant row empty on and left of
+    the diagonal and every ancestor row empty on and right of it.  Then
+    every descendant row, read back in vertex ids, is diffed against
+    ``descendant_mask`` and ``adjacency()`` (built by its own full-square
+    tile pass), and every ancestor row against ``ancestor_mask`` and the
     transposed ``adjacency()``.  Byte (8) and tile (256 rows) boundaries are
     where the packing can go wrong, so callers pick sizes that straddle them.
     """
+    from ..graph.reachability import unpack_mask
+
     index = graph.build_reachability()
     n = len(graph)
     if index is None or index.num_vertices != n:
         raise VerificationError(f"no reachability index for the {n}-vertex graph")
+    if not np.array_equal(np.sort(index.order), np.arange(n)):
+        raise VerificationError(f"reachability order of {n} is not a permutation")
+    for position in range(n):
+        below = unpack_mask(index._desc[position], n)[: position + 1]
+        above = unpack_mask(index._anc[position], n)[position:]
+        if below.any() or above.any():
+            raise VerificationError(
+                f"reachability row stored at {position} of {n} has bits on "
+                "or across the diagonal: the order is not a linear extension"
+            )
     adjacency = graph.adjacency()
     lengths = np.array([len(children) for children in adjacency], dtype=np.int64)
     targets = np.concatenate([np.zeros(0, dtype=np.int64), *adjacency])
@@ -261,7 +282,7 @@ def check_reachability_index(graph: OrderedGraph) -> None:
             if not np.array_equal(np.flatnonzero(row), listed):
                 raise VerificationError(
                     f"reachability {kind} row {vertex} of {n} differs from the "
-                    "cached adjacency lists"
+                    "adjacency lists"
                 )
 
 

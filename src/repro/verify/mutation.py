@@ -13,6 +13,8 @@ mutant                  seeded bug
                         edge per pass (lists, edge set and packed index)
 ``reachability-ragged-tile``  the one-pass index build skips the ancestor
                         slab of the last, ragged tile
+``sum-order-extension``  the linear extension orders vertices by float
+                        row sums, which can tie under dominance
 ``split-midpoint-tie``  Split grouping puts a member lying on a node's
                         midpoint in the upper half (``>=`` for ``>``)
 ``non-strict-dominance``  ``>=`` everywhere accepted without a strict ``>``
@@ -42,9 +44,9 @@ manager that always restores the originals; lazily-imported helpers
 (``topological_layers``, ``minimum_path_cover``) are patched at their
 defining module *and* at every module-level import site, so both the
 production pipeline and the oracles see the mutated code.  The dominance
-tile generator, the Split cell-bit helper and the crowd kernel's Lemire
-threshold have no import sites: every consumer looks them up through their
-defining module at call time.
+tile generator, the linear extension, the Split cell-bit helper and the
+crowd kernel's Lemire threshold have no import sites: every consumer looks
+them up through their defining module at call time.
 
 :func:`run_mutation_selftest` returns a
 :class:`~repro.verify.report.VerificationReport` with one result per
@@ -113,7 +115,8 @@ def _mutant_drop_dominance_edge():
     Patched where production reads it: the adjacency lists, the edge set
     and the packed reachability index all draw their tiles through
     ``construction._dominance_tiles`` at call time, so every consumer
-    silently loses the same edge.
+    silently loses an edge (the index tiles rows in its stored order, so
+    its lost edge can differ from the lists').
     """
     from ..graph import construction
 
@@ -136,24 +139,49 @@ def _mutant_reachability_ragged_tile():
 
     Models an off-by-one in :meth:`ReachabilityIndex.build`: ancestor bits
     are packed for full-height tiles only, so no vertex lists any of the
-    last ``n mod B`` rows among its ancestors.  Descendant rows and the
-    adjacency lists stay correct, so the structural invariants (which read
-    the lists) cannot see it; ``check_reachability_index``, which unpacks
-    every ancestor row, can.
+    last ``n mod B`` stored rows among its ancestors.  Descendant rows and
+    the adjacency lists stay correct, so the structural invariants (which
+    read the lists) cannot see it; ``check_reachability_index``, which
+    unpacks every ancestor row, can, and so can the layering check when one
+    of those rows has an active descendant (Power's in-degrees are
+    popcounts of ancestor rows).
     """
     from ..graph import construction
     from ..graph.reachability import ReachabilityIndex
 
     original = ReachabilityIndex.build.__func__
 
-    def mutated(cls, dominant, dominated, lists=None):
-        index = original(cls, dominant, dominated, lists)
+    def mutated(cls, dominant, dominated):
+        index = original(cls, dominant, dominated)
         ragged = index.num_vertices % construction.DEFAULT_BLOCK_SIZE
         if ragged:  # bug: the ragged tile's ancestor bytes stay unwritten
             index._anc[:, (index.num_vertices - ragged) >> 3 :] = 0
         return index
 
     return _patched((ReachabilityIndex, "build", classmethod(mutated)))
+
+
+def _mutant_sum_order_extension():
+    """The linear extension falls back to descending float row sums.
+
+    Models the order the layering used before it was exact: ``u > v``
+    implies ``sum(u) >= sum(v)`` in floating point, not ``>``, so where two
+    sums round to the same value a stable sort can put the dominated vertex
+    first.  In the index that edge then lands below the stored diagonal
+    (beyond the first tile, the upper-triangle build drops it), and the
+    fallback DP layers the pair together.  The battery's
+    other instances have no such tie, so only ``check_linear_extension`` on
+    the float-sum tie instance can notice.  Patched at
+    ``construction.linear_extension``, which the index build and the
+    fallback layering look up at call time.
+    """
+    from ..graph import construction
+
+    def mutated(dominant):
+        sums = np.asarray(dominant, dtype=np.float64).sum(axis=1)
+        return np.argsort(-sums, kind="stable")  # bug: sums can tie
+
+    return _patched((construction, "linear_extension", mutated))
 
 
 def _mutant_split_midpoint_tie():
@@ -495,6 +523,11 @@ MUTANTS: tuple[Mutant, ...] = (
         _mutant_reachability_ragged_tile,
     ),
     Mutant(
+        "sum-order-extension",
+        "the linear extension orders vertices by float row sums",
+        _mutant_sum_order_extension,
+    ),
+    Mutant(
         "split-midpoint-tie",
         "Split grouping puts a member on a node's midpoint in the upper half",
         _mutant_split_midpoint_tie,
@@ -637,12 +670,17 @@ def run_detection_battery(
     invariants.check_topo_layers(graph)
     invariants.check_path_cover(graph)
 
-    # The packed reachability index: built over the lists cached above, and
-    # in one pass on a fresh graph whose last tile is ragged (256 + 4 rows).
-    from .battery import quarter_grid_vectors, random_instance
+    # The packed reachability index: on the fixture, and on a fresh graph
+    # whose last tile is ragged (256 + 4 rows).
+    from .battery import float_sum_tie_instance, quarter_grid_vectors, random_instance
 
     invariants.check_reachability_index(graph)
     invariants.check_reachability_index(PairGraph(*random_instance(seed, 260)))
+
+    # The index and both layering paths where a float row sum ties under
+    # dominance: the only step that tells the exact linear extension from
+    # a sum order (the sum-order-extension mutant).
+    oracles.check_linear_extension(*float_sum_tie_instance())
 
     # Split grouping vs the per-node reference, on the fixture and on a
     # quarter grid whose members sit on node midpoints: the only step that

@@ -32,7 +32,9 @@ the same answer from first principles:
   must agree after every round.
 * :func:`decline_reachability` — a graph that declines its reachability
   index, which sends any selector run on it down the reference selection
-  paths (mask-broadcast propagation, scratch path covers every round).
+  paths (mask-broadcast propagation, scratch path covers every round,
+  longest-chain layering); :func:`check_linear_extension` runs the
+  layering and index checks on both sides of that switch.
 * :class:`GreedyReferenceSelector` — a deterministic greedy selector used
   as an end-to-end reference policy.
 * :func:`monotone_truth` — ground truth that respects the partial order by
@@ -907,6 +909,36 @@ def decline_reachability(graph: OrderedGraph) -> OrderedGraph:
         raise ValueError("the graph already holds a reachability index")
     graph.build_reachability = lambda max_bytes=None: None
     return graph
+
+
+def check_linear_extension(pairs: Sequence[Pair], vectors: np.ndarray) -> None:
+    """The index and both layering paths, on a pair and a grouped graph.
+
+    Each graph gets :func:`~repro.verify.invariants.check_reachability_index`
+    and :func:`~repro.verify.invariants.check_topo_layers` with its index,
+    then the layering check again on a fresh twin that declines the index
+    (the longest-chain DP over the adjacency lists).  Both paths order the
+    vertices by :func:`~repro.graph.construction.linear_extension`, so an
+    instance whose float row sums tie under dominance
+    (:func:`~repro.verify.battery.float_sum_tie_instance`) tells the exact
+    order from a sum order; signed zeros and duplicate rows
+    (:func:`~repro.verify.battery.signed_zero_instance`) test the joint
+    row ranks of the dominance tiles.
+    """
+    from .invariants import check_reachability_index, check_topo_layers
+
+    def graphs() -> list[OrderedGraph]:
+        singletons = [[vertex] for vertex in range(len(pairs))]
+        return [
+            PairGraph(pairs, vectors),
+            GroupedGraph(PairGraph(pairs, vectors), singletons),
+        ]
+
+    for graph in graphs():
+        check_reachability_index(graph)
+        check_topo_layers(graph)
+    for graph in graphs():
+        check_topo_layers(decline_reachability(graph))
 
 
 def _run_selector(

@@ -87,8 +87,8 @@ class TestIndexMasks:
         st.integers(min_value=0, max_value=999),
     )
     def test_cached_lists_equal_blocked_lists(self, n, block_size, grouped, seed):
-        """The lists one build pass caches are the blocked kernel's lists,
-        whatever tile height (a multiple of 8) the build uses."""
+        """An index built at any tile height (a multiple of 8) reads back
+        the blocked kernel's lists, which ``adjacency()`` builds on its own."""
         graph = make_grouped_graph(seed, n) if grouped else make_graph(seed, n)
         with mock.patch.object(construction, "DEFAULT_BLOCK_SIZE", block_size):
             index = graph.build_reachability()
@@ -114,9 +114,11 @@ class TestIndexMasks:
     def test_row_bounds_checked(self):
         index = make_graph(seed=0, n=5).build_reachability()
         with pytest.raises(GraphError):
-            index.descendant_row(5)
+            index.descendant_mask(5)
         with pytest.raises(GraphError):
-            index.ancestor_row(-1)
+            index.ancestor_mask(-1)
+        with pytest.raises(GraphError):
+            index.row_counts(np.array([0, 5]), ancestors=True)
 
 
 class TestGating:
@@ -167,3 +169,96 @@ class TestColoringEquivalence:
         assert np.array_equal(ref._red_votes, fast._red_votes)
         assert ref.asked_order == fast.asked_order
         assert ref.color_of(0) in (Color.UNCOLORED, Color.GREEN, Color.RED, Color.BLUE)
+
+
+def quantized_graph(seed: int, n: int, grouped: bool, m: int = 3):
+    """A pair or grouped graph with exactly *n* vertices on a coarse grid.
+
+    Values on {0, 1/3, 2/3, 1} give duplicate rows, chains and antichains;
+    a coin flip turns each zero into ``-0.0``.  The grouped graph pairs
+    base vertices ``2g`` and ``2g + 1`` into group g.
+    """
+    rng = np.random.default_rng(seed)
+    rows = 2 * n if grouped else n
+    vectors = rng.integers(0, 4, (rows, m)) / 3.0
+    vectors[(vectors == 0.0) & (rng.random(vectors.shape) < 0.5)] = -0.0
+    base = PairGraph([(2 * i, 2 * i + 1) for i in range(rows)], vectors)
+    if not grouped:
+        return base
+    return GroupedGraph(base, [[2 * g, 2 * g + 1] for g in range(n)])
+
+
+#: Vertex counts for the order properties: around a byte, and around the
+#: first tile boundary.
+ORDER_SIZES = st.one_of(st.integers(0, 20), st.integers(250, 262))
+
+
+class TestLinearExtensionOrder:
+    """The index is stored in one linear extension and read in vertex ids."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(ORDER_SIZES, st.booleans(), st.integers(0, 9999))
+    def test_masks_equal_the_graph_masks(self, n, grouped, seed):
+        graph = quantized_graph(seed, n, grouped)
+        index = graph.build_reachability()
+        for v in range(n):
+            assert np.array_equal(index.descendant_mask(v), graph.descendant_mask(v))
+            assert np.array_equal(index.ancestor_mask(v), graph.ancestor_mask(v))
+            assert np.array_equal(index.descendants(v), graph.descendants(v))
+
+    @settings(max_examples=20, deadline=None)
+    @given(ORDER_SIZES, st.booleans(), st.integers(0, 9999))
+    def test_stored_lower_triangle_is_empty(self, n, grouped, seed):
+        index = quantized_graph(seed, n, grouped).build_reachability()
+        assert np.array_equal(np.sort(index.order), np.arange(n))
+        desc = np.unpackbits(index._desc, axis=1, count=n, bitorder="little")
+        anc = np.unpackbits(index._anc, axis=1, count=n, bitorder="little")
+        assert not np.tril(desc).any()
+        assert not np.triu(anc).any()
+        assert np.array_equal(desc, anc.T)
+
+    @settings(max_examples=20, deadline=None)
+    @given(ORDER_SIZES, st.booleans(), st.integers(0, 9999))
+    def test_row_counts_equal_summed_masks(self, n, grouped, seed):
+        graph = quantized_graph(seed, n, grouped)
+        index = graph.build_reachability()
+        rng = np.random.default_rng(seed)
+        vertices = rng.integers(0, max(n, 1), int(rng.integers(0, 12))) if n else []
+        vertices = np.asarray(vertices, dtype=np.intp)
+        for ancestors, mask in ((True, graph.ancestor_mask), (False, graph.descendant_mask)):
+            expected = np.zeros(n, dtype=np.int64)
+            for v in vertices:  # a repeated vertex counts each time
+                expected += mask(int(v))
+            counts = index.row_counts(vertices, ancestors=ancestors)
+            assert counts.dtype == np.int32
+            assert np.array_equal(counts, expected)
+
+    @settings(max_examples=20, deadline=None)
+    @given(ORDER_SIZES, st.booleans(), st.integers(0, 9999), st.sampled_from([1.0, 0.5, 0.1]))
+    def test_layers_agree_with_and_without_index(self, n, grouped, seed, share):
+        from repro.graph import topological_layers
+        from repro.verify import decline_reachability, naive_kahn_layers
+
+        indexed = quantized_graph(seed, n, grouped)
+        indexed.build_reachability()
+        declined = decline_reachability(quantized_graph(seed, n, grouped))
+        active = np.random.default_rng(seed).random(n) < share
+        fast = [layer.tolist() for layer in topological_layers(indexed, active)]
+        slow = [layer.tolist() for layer in topological_layers(declined, active)]
+        assert fast == slow == naive_kahn_layers(declined, active)
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_one_vertex_graphs(self, n, grouped):
+        from repro.graph import topological_layers
+
+        graph = quantized_graph(0, n, grouped)
+        index = graph.build_reachability()
+        assert index.num_vertices == n and index.order.tolist() == list(range(n))
+        assert [layer.tolist() for layer in index.kahn_layers(np.ones(n, bool))] == (
+            [[0]] if n else []
+        )
+        assert topological_layers(graph, np.zeros(n, bool)) == []
+        assert index.row_counts(np.arange(n), ancestors=True).tolist() == [0] * n
+        assert index.reached(np.arange(n)).tolist() == []
+        check_reachability_index(graph)

@@ -87,6 +87,18 @@ class TestTopologicalLayers:
         layers = topological_layers(make_graph(vectors), np.zeros(2, dtype=bool))
         assert layers == []
 
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_float_sum_tie_keeps_dominance_order(self, indexed):
+        """Vertex 1 dominates 0, which dominates 2, but the float sums of
+        rows 0 and 1 both round to 1.0: a descending-sum order put vertex 0
+        first and layered it together with 2."""
+        vectors = np.array([[1.0, 0.0], [1.0, 1e-17], [0.5, 0.0]])
+        graph = make_graph(vectors)
+        if indexed:
+            assert graph.build_reachability() is not None
+        layers = topological_layers(graph)
+        assert [[int(v) for v in layer] for layer in layers] == [[1], [0], [2]]
+
     def test_bad_mask_shape(self):
         vectors = np.array([[0.5]])
         with pytest.raises(GraphError):

@@ -57,7 +57,7 @@ class TestAgainstScratch:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 45))
         graph = make_graph(seed=seed, n=n)
-        engine = IncrementalPathCover(graph.build_reachability(), graph.adjacency())
+        engine = IncrementalPathCover(graph.build_reachability())
         active = np.ones(n, dtype=bool)
         while active.any():
             assert engine.cover(active) == reference_cover(graph, active)
@@ -74,7 +74,7 @@ class TestAgainstScratch:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 35))
         graph = make_graph(seed=seed + 10_000, n=n)
-        engine = IncrementalPathCover(graph.build_reachability(), graph.adjacency())
+        engine = IncrementalPathCover(graph.build_reachability())
         active = rng.random(n) < 0.7
         paths = engine.cover(active)
         expected = matching_size_networkx(graph.adjacency(), active)
@@ -108,7 +108,7 @@ class TestRegressions:
 
     def test_repeated_cover_without_deletions(self):
         graph = make_graph(seed=4, n=20)
-        engine = IncrementalPathCover(graph.build_reachability(), graph.adjacency())
+        engine = IncrementalPathCover(graph.build_reachability())
         active = np.ones(20, dtype=bool)
         first = engine.cover(active)
         assert engine.cover(active) == first == reference_cover(graph, active)

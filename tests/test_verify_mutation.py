@@ -49,6 +49,7 @@ class TestMutationSelfTest:
             join.sparse_jaccard_join,
             construction.blocked_dominance_lists,
             construction._dominance_tiles,
+            construction.linear_extension,
             grouping._cell_keys,
             ReachabilityIndex.__dict__["build"],
             topo.topological_layers,
@@ -68,6 +69,7 @@ class TestMutationSelfTest:
             join.sparse_jaccard_join,
             construction.blocked_dominance_lists,
             construction._dominance_tiles,
+            construction.linear_extension,
             grouping._cell_keys,
             ReachabilityIndex.__dict__["build"],
             topo.topological_layers,
@@ -196,6 +198,42 @@ class TestMutationSelfTest:
         with mutant.activate():
             run_detection_battery(seed=0)
 
+    def test_sum_order_is_caught_only_by_the_linear_extension_step(
+        self, monkeypatch
+    ):
+        """A float-sum order is a linear extension wherever sums do not tie.
+
+        ``sum-order-extension`` changes nothing on the battery's other
+        instances, whose dominating rows all have larger float sums; on the
+        float-sum tie instance the index stores vertex 0 before its
+        dominator 1 and the fallback layering puts vertex 0 beside 2.  So
+        only ``check_linear_extension`` catches it.
+        """
+        from repro.exceptions import VerificationError
+        from repro.graph import PairGraph, topological_layers
+        from repro.verify import (
+            check_linear_extension,
+            decline_reachability,
+            float_sum_tie_instance,
+            oracles,
+        )
+
+        pairs, vectors = float_sum_tie_instance()
+        mutant = next(m for m in MUTANTS if m.name == "sum-order-extension")
+        with mutant.activate():
+            declined = decline_reachability(PairGraph(pairs, vectors))
+            layers = [layer.tolist() for layer in topological_layers(declined)]
+            assert layers == [[1], [0, 2]]
+            index = PairGraph(pairs, vectors).build_reachability()
+            assert index.order.tolist() == [0, 1, 2]
+            with pytest.raises(VerificationError, match="not a linear extension"):
+                check_linear_extension(pairs, vectors)
+            with pytest.raises(VerificationError, match="not a linear extension"):
+                run_detection_battery(seed=0)
+        monkeypatch.setattr(oracles, "check_linear_extension", lambda *args: None)
+        with mutant.activate():
+            run_detection_battery(seed=0)
+
     @pytest.mark.parametrize(
         "name, band", [("inverted-propagation", "90"), ("weight-blind-votes", "70")]
     )
@@ -247,22 +285,18 @@ class TestMutationSelfTest:
     def test_dropped_edge_reaches_every_tile_consumer(self):
         """``drop-dominance-edge`` corrupts the tiles production reads.
 
-        The shard adjacency task, the serial one-pass index build and the
-        construction oracle all lose the edge silently (no crash), and
+        The adjacency lists, the one-pass index build and the construction
+        oracle all lose an edge silently (no crash), and
         ``check_dominance_construction`` still catches it.
         """
         from repro.exceptions import VerificationError
         from repro.graph import PairGraph
-        from repro.shard import AdjacencyTask, compute_adjacency
         from repro.verify import check_dominance_construction, random_instance
 
         pairs, vectors = random_instance(0)
         expected = sum(len(c) for c in PairGraph(pairs, vectors).adjacency())
-        task = AdjacencyTask(vectors, vectors, lo=0, hi=len(vectors))
         mutant = next(m for m in MUTANTS if m.name == "drop-dominance-edge")
         with mutant.activate():
-            _, lists = compute_adjacency(task)
-            assert sum(len(c) for c in lists) == expected - 1
             graph = PairGraph(pairs, vectors)
             index = graph.build_reachability()
             assert sum(len(c) for c in graph.adjacency()) == expected - 1
@@ -271,13 +305,17 @@ class TestMutationSelfTest:
                 check_dominance_construction(vectors)
 
     def test_ragged_tile_mutant_is_caught_by_the_reachability_step(self):
-        """Only the ancestor rows of the last, ragged tile go missing.
+        """Only the ancestor bits of the last, ragged tile go missing.
 
-        The structural invariants read the adjacency lists, which stay
+        The partial-order invariants read the adjacency lists, which stay
         intact, so they pass; ``check_reachability_index`` unpacks every
-        ancestor row and fails.  A graph of whole tiles is untouched.
+        ancestor row and fails, and so does the layering, whose in-degrees
+        are popcounts of ancestor rows.  A graph of whole tiles is
+        untouched.  The stored order puts dominated vertices last, so the
+        lost bits are edges inside the last tile: with none there (seed 0)
+        both checks pass.
         """
-        from repro.exceptions import VerificationError
+        from repro.exceptions import GraphError, VerificationError
         from repro.graph import PairGraph
         from repro.verify import (
             check_partial_order,
@@ -289,11 +327,15 @@ class TestMutationSelfTest:
         mutant = next(m for m in MUTANTS if m.name == "reachability-ragged-tile")
         with mutant.activate():
             check_reachability_index(PairGraph(*random_instance(0, 256)))
-            graph = PairGraph(*random_instance(0, 260))
+            graph = PairGraph(*random_instance(1, 260))
             check_partial_order(graph)
-            check_topo_layers(graph)
             with pytest.raises(VerificationError, match="ancestor row"):
                 check_reachability_index(graph)
+            with pytest.raises(GraphError, match="Kahn peeling stalled"):
+                check_topo_layers(graph)
+            no_edges_in_last_tile = PairGraph(*random_instance(0, 260))
+            check_reachability_index(no_edges_in_last_tile)
+            check_topo_layers(no_edges_in_last_tile)
 
     def test_each_mutant_actually_changes_behavior(self):
         """Activating a mutant must make the pristine battery fail loudly."""
