@@ -13,7 +13,9 @@
 #                       floor and refreshes benchmarks/results/COVERAGE.json
 #                       (skipped with a notice when pytest-cov is missing)
 #   make bench-smoke  - <60s perf smoke: fast paths must beat the scalar
-#                       references (POWER_BENCH_FAST=1 shrinks the workload)
+#                       references, and the prune stage's sparse join must
+#                       equal the prefix-join oracle (POWER_BENCH_FAST=1
+#                       shrinks the workload)
 #   make bench-perf   - full pipeline benchmark; enforces the 5x vectorize /
 #                       3x construct speedup floors and refreshes
 #                       benchmarks/results/BENCH_pipeline.json
@@ -70,7 +72,7 @@ COVERAGE_FLOOR ?= 85
 
 .PHONY: check test engine-smoke shard-smoke stream-smoke serve-smoke verify lint coverage bench-smoke bench-perf bench-shard bench-selection bench-selection-smoke bench-obs bench-obs-smoke bench-stream bench-stream-smoke bench-serve bench-serve-smoke bench-e2e-smoke
 
-check: test engine-smoke shard-smoke stream-smoke serve-smoke bench-selection-smoke bench-obs-smoke bench-stream-smoke bench-serve-smoke bench-e2e-smoke verify coverage lint
+check: test engine-smoke shard-smoke stream-smoke serve-smoke bench-smoke bench-selection-smoke bench-obs-smoke bench-stream-smoke bench-serve-smoke bench-e2e-smoke verify coverage lint
 
 test:
 	$(PYTHON) -m pytest -q
@@ -104,8 +106,13 @@ coverage:
 		     "(floor: $(COVERAGE_FLOOR)%, summary: benchmarks/results/COVERAGE.json)"; \
 	fi
 
+# Like every smoke: fast-mode timings must not clobber the committed
+# full-run BENCH_pipeline.json.
+PIPELINE_SMOKE_OUT ?= /tmp/BENCH_pipeline_smoke.json
+
 bench-smoke:
-	POWER_BENCH_FAST=1 $(PYTHON) benchmarks/bench_perf_pipeline.py --check
+	POWER_BENCH_FAST=1 $(PYTHON) benchmarks/bench_perf_pipeline.py --check \
+		--out $(PIPELINE_SMOKE_OUT)
 	POWER_BENCH_FAST=1 $(PYTHON) -m pytest -q tests/test_perf_smoke.py
 
 bench-perf:

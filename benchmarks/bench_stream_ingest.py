@@ -11,7 +11,8 @@ the final one-shot join.  The report lands in
 
 Gates: streamed ingest >= 3x faster than re-resolve-per-batch, and index
 extends >= 3x faster than rebuilds (relaxed under ``POWER_BENCH_FAST=1``,
-where sub-second runs make the ratios noisy).
+where sub-second runs make the ratios noisy).  Each path is warmed up
+untimed, then timed in interleaved repeats; the gates read the medians.
 
 Runs two ways:
 

@@ -529,13 +529,12 @@ def _command_resolve(args) -> int:
             selection = resolver.make_selector().run(
                 graph, session, budget=args.budget
             )
-            from .core import pairwise_quality
+            from .core import entity_quality
             from .core.clustering import clusters_from_matches
-            from .data import true_match_pairs
 
             matches = selection.matches
             clusters = clusters_from_matches(len(table), matches)
-            quality = pairwise_quality(matches, true_match_pairs(table))
+            quality = entity_quality(matches, table)
             questions, iterations, cost = (
                 selection.questions, selection.iterations, selection.cost_cents,
             )

@@ -3,7 +3,7 @@
 from .clustering import clusters_from_matches, clusters_to_matches
 from .config import PowerConfig
 from .incremental import IncrementalResolver, stream_in_batches
-from .metrics import QualityReport, pairwise_quality
+from .metrics import QualityReport, entity_quality, pairwise_quality
 from .resolver import PowerResolver, ResolutionResult
 
 __all__ = [
@@ -15,5 +15,6 @@ __all__ = [
     "clusters_from_matches",
     "stream_in_batches",
     "clusters_to_matches",
+    "entity_quality",
     "pairwise_quality",
 ]

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..crowd.platform import SimulatedCrowd
 from ..crowd.worker import WorkerPool
-from ..data.ground_truth import Pair, true_match_pairs
+from ..data.ground_truth import Pair
 from ..data.table import Table
 from ..exceptions import ConfigurationError, DataError
 from ..graph.grouped_graph import build_graph
@@ -40,7 +40,7 @@ from ..similarity.batch import TokenIndex
 from ..similarity.tokenize import qgram_tokens, word_tokens
 from .clustering import clusters_from_matches
 from .config import PowerConfig
-from .metrics import QualityReport, pairwise_quality
+from .metrics import QualityReport, entity_quality
 from .resolver import PowerResolver
 
 
@@ -130,32 +130,31 @@ class IncrementalResolver:
         One vectorized :meth:`TokenIndex.jaccard_pairs` sweep pairs every
         new record with every earlier record — earlier batches and earlier
         records of this batch alike — and keeps the pairs whose
-        record-level Jaccard clears the pruning threshold.  Records with an
-        empty token set take no part on either side, just as an empty
-        record posts no tokens to an inverted index (the batch kernel
-        would score two of them 1.0); with a positive threshold every other
-        kept pair shares a token, so the sweep equals the scalar
-        inverted-list probe.  It scores blocks of new records of at most
-        ``_SWEEP_BLOCK_PAIRS`` pairs, so a long stream never materializes
-        |batch| × |stream| index arrays at once.
+        record-level Jaccard clears the pruning threshold.  Records with
+        and without tokens are swept apart: an empty token set scores 0
+        against any other set, and 1.0 against another empty one, so empty
+        records pair among themselves exactly as in the one-shot join.
+        It scores blocks of new records of at most ``_SWEEP_BLOCK_PAIRS``
+        pairs, so a long stream never materializes |batch| × |stream|
+        index arrays at once.
         """
         threshold = self.config.pruning_threshold
         sizes = index.sizes[index.row_of_text]
-        # The k-th non-empty record's partners are the k non-empty records
-        # before it, so a block of positions is a ragged triangle of pairs.
-        probes = np.flatnonzero(sizes > 0)
-        block = max(1, _SWEEP_BLOCK_PAIRS // max(1, probes.size))
         lefts, rights = [], []
-        for lo in range(int(np.searchsorted(probes, first)), probes.size, block):
-            counts = np.arange(lo, min(lo + block, probes.size))
-            offsets = np.cumsum(counts) - counts
-            left = probes[
-                np.arange(offsets[-1] + counts[-1]) - np.repeat(offsets, counts)
-            ]
-            right = np.repeat(probes[counts], counts)
-            keep = index.jaccard_pairs(left, right) >= threshold
-            lefts.append(left[keep])
-            rights.append(right[keep])
+        for probes in (np.flatnonzero(sizes > 0), np.flatnonzero(sizes == 0)):
+            # The k-th probe's partners are the k probes before it, so a
+            # block of positions is a ragged triangle of pairs.
+            block = max(1, _SWEEP_BLOCK_PAIRS // max(1, probes.size))
+            for lo in range(int(np.searchsorted(probes, first)), probes.size, block):
+                counts = np.arange(lo, min(lo + block, probes.size))
+                offsets = np.cumsum(counts) - counts
+                left = probes[
+                    np.arange(offsets[-1] + counts[-1]) - np.repeat(offsets, counts)
+                ]
+                right = np.repeat(probes[counts], counts)
+                keep = index.jaccard_pairs(left, right) >= threshold
+                lefts.append(left[keep])
+                rights.append(right[keep])
         if not lefts:
             return []
         left = np.concatenate(lefts)
@@ -334,7 +333,7 @@ class IncrementalResolver:
         """Pairwise quality against the accumulated ground truth."""
         if not self.table.has_ground_truth():
             raise DataError("quality needs ground truth on every record")
-        return pairwise_quality(self.matches, true_match_pairs(self.table))
+        return entity_quality(self.matches, self.table)
 
     def summary(self) -> str:
         lines = [

@@ -42,9 +42,9 @@ import numpy as np
 
 from ..core.clustering import clusters_from_matches
 from ..core.config import PowerConfig
+from ..core.metrics import entity_quality
 from ..core.resolver import PowerResolver, ResolutionResult
 from ..crowd.platform import CrowdSession
-from ..data.ground_truth import true_match_pairs
 from ..data.table import Table
 from ..exceptions import ConfigurationError, DataError, SelectionError
 from ..graph.coloring import ColoringState
@@ -259,9 +259,7 @@ class ShardedResolver(PowerResolver):
         clusters = clusters_from_matches(len(table), matches)
         quality = None
         if table.has_ground_truth():
-            from ..core.metrics import pairwise_quality
-
-            quality = pairwise_quality(matches, true_match_pairs(table))
+            quality = entity_quality(matches, table)
         return ResolutionResult(
             table_name=table.name,
             candidate_pairs=pairs,
@@ -576,9 +574,7 @@ class ShardedResolver(PowerResolver):
         }
         matches = selection.matches
         clusters = merged_clusters(len(table), outcomes)
-        from ..core.metrics import pairwise_quality
-
-        quality = pairwise_quality(matches, true_match_pairs(table))
+        quality = entity_quality(matches, table)
         return ResolutionResult(
             table_name=table.name,
             candidate_pairs=pairs,

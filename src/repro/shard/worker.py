@@ -152,9 +152,10 @@ class JoinTask:
     serial output.
 
     Attributes:
-        table: the records (tokenization is recomputed per task — it is
-            two orders of magnitude cheaper than the verification work the
-            range parallelizes).
+        table: the records (each task tokenizes them and replays the
+            posting lists up to *hi* itself; see
+            :func:`~repro.similarity.join.similar_pairs_range` for what that
+            costs next to the probing the range parallelizes).
         threshold: the record-level Jaccard pruning bound ``tau``.
         lo / hi: the probe-record range this task owns.
         tokens: ``"word"`` or ``"qgram"`` token sets.

@@ -17,9 +17,10 @@ fast paths:
   process-parallel runner) and applies the ``tau`` clamp as one numpy op.
 * :func:`sparse_jaccard_join` — the record-level Jaccard self-join computed
   via inverted-list intersection counts (``np.bincount``) instead of per-pair
-  Python set ops, with a ``[lo, hi)`` probe-range form; the one candidate
-  join behind :func:`repro.similarity.join.similar_pairs` and
-  :func:`repro.similarity.join.similar_pairs_range`.
+  Python set ops, verifying only the candidates at or above an overlap
+  floor and returning sorted pairs, with a ``[lo, hi)`` probe-range form;
+  the one candidate join behind :func:`repro.similarity.join.similar_pairs`
+  and :func:`repro.similarity.join.similar_pairs_range`.
 
 The contract, enforced by tests: fast and reference paths agree on the exact
 same pair sets and produce bit-identical similarity values (both sides reduce
@@ -34,7 +35,6 @@ from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -506,20 +506,42 @@ def batch_similarity_matrix(
 # --------------------------------------------------------------------------- #
 
 
+def _overlap_floor(max_size: int, threshold: float) -> np.ndarray:
+    """``need[s]``: the fewest shared tokens that can pass with an ``s``-token probe.
+
+    ``union = |a| + |b| - inter >= |b|`` and IEEE division is monotone, so a
+    pair with ``inter / union >= threshold`` also has ``inter / |b| >=
+    threshold`` in floats.  ``need[s]`` is therefore the least ``k`` with
+    ``k / s >= threshold``, found with that same division.  ``ceil(threshold
+    * s)`` is not it: ``0.28 * 25`` rounds to ``7.000000000000001``, yet a
+    7-token record inside a 25-token one scores ``7 / 25 == 0.28``.
+    """
+    sizes = np.arange(max_size + 1)
+    need = np.ceil(threshold * sizes).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while (lower := (need - 1) / sizes >= threshold).any():
+            need -= lower
+        while (higher := need / sizes < threshold).any():
+            need += higher
+    return need
+
+
 def sparse_jaccard_join(
     token_sets: Sequence[frozenset[str]],
     threshold: float,
     lo: int = 0,
     hi: int | None = None,
-) -> set[Pair]:
-    """All pairs with ``jaccard(token_sets[a], token_sets[b]) >= threshold``.
+) -> list[Pair]:
+    """All pairs with ``jaccard(token_sets[a], token_sets[b]) >= threshold``, sorted.
 
     An inverted-list join: each record ``b`` gathers the posting lists of
     its tokens cut at ``b`` (all earlier records sharing at least one
     token) and obtains every intersection size in one ``np.bincount``.
-    The verification ``∩ / ∪ >= t`` is then a vectorized int/int division
-    — the exact same IEEE operation as the scalar :func:`jaccard` — so the
-    result matches the naive quadratic scan pair for pair.
+    Only the candidates sharing at least :func:`_overlap_floor` tokens
+    can pass, so only they are verified.  The verification ``∩ / ∪ >= t``
+    is a vectorized int/int division — the exact same IEEE operation as
+    the scalar :func:`jaccard` — so the result matches the naive
+    quadratic scan pair for pair.
 
     A pair ``(a, b)`` with ``a < b`` is *owned* by its higher id ``b``.
     With a ``[lo, hi)`` probe range only the pairs owned by those records
@@ -557,28 +579,36 @@ def sparse_jaccard_join(
         for token in ids:
             lists[token].append(record_id)
     postings = [np.asarray(posting, dtype=np.int64) for posting in lists]
+    need = _overlap_floor(int(sizes.max(initial=0)), threshold).tolist()
 
-    pairs: set[Pair] = set()
+    partners: list[np.ndarray] = []
+    owners: list[int] = []
     for record_id in range(lo, hi):
         ids = rows[record_id]
         if not ids:
             # jaccard(∅, ∅) == 1.0 >= threshold for every valid threshold.
-            pairs.update(
-                (other, record_id)
-                for other in empties[: bisect_left(empties, record_id)]
-            )
-            continue
-        parts = [
-            postings[token][:cut]
-            for token, cut in zip(ids, cuts[record_id])
-            if cut
-        ]
-        if not parts:
-            continue
-        counts = np.bincount(np.concatenate(parts))
-        candidates = np.flatnonzero(counts)
-        inter = counts[candidates]
-        union = sizes[candidates] + len(ids) - inter
-        keep = candidates[(inter / union) >= threshold]
-        pairs.update(zip(keep.tolist(), repeat(record_id)))
-    return pairs
+            kept = np.asarray(empties[: bisect_left(empties, record_id)], dtype=np.int64)
+        else:
+            parts = [
+                postings[token][:cut]
+                for token, cut in zip(ids, cuts[record_id])
+                if cut
+            ]
+            if not parts:
+                continue
+            counts = np.bincount(np.concatenate(parts))
+            candidates = np.flatnonzero(counts >= need[len(ids)])
+            inter = counts[candidates]
+            union = sizes[candidates] + len(ids) - inter
+            kept = candidates[(inter / union) >= threshold]
+        partners.append(kept)
+        owners.append(record_id)
+    if not partners:
+        return []
+    left = np.concatenate(partners)
+    right = np.repeat(
+        np.asarray(owners, dtype=np.int64),
+        np.fromiter(map(len, partners), dtype=np.int64, count=len(partners)),
+    )
+    order = np.lexsort((right, left))
+    return list(zip(left[order].tolist(), right[order].tolist()))

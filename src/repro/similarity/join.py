@@ -47,7 +47,8 @@ def similar_pairs(table: Table, threshold: float, tokens: str = "word") -> list[
         tokens: ``"word"`` (default) or ``"qgram"`` token sets.
 
     Returns:
-        Canonically ordered pairs, sorted for determinism.
+        Canonically ordered pairs, sorted for determinism (the join emits
+        them sorted).
     """
     _check_join_args(threshold, tokens)
     if len(table) < 2:  # explicit empty/singleton fast path: no allocation
@@ -62,7 +63,7 @@ def similar_pairs(table: Table, threshold: float, tokens: str = "word") -> list[
             "repro_join_candidate_pairs_total",
             "candidate pairs emitted by the pruning join",
         ).inc(len(pairs))
-    return sorted(pairs)
+    return pairs
 
 
 def similar_pairs_range(
@@ -81,10 +82,13 @@ def similar_pairs_range(
     ``similar_pairs(table, threshold, ...)`` pair for pair.
 
     This is the work unit of the sharded resolver's parallel candidate
-    join.  A range task replays the (cheap) posting-list appends for
-    records before *lo* and probes only its own records, so per-task
-    overhead is the tokenization plus those appends — small next to the
-    intersection counting it parallelizes.
+    join.  A range task replays the posting-list appends for records
+    before *lo* and probes only its own records, so per-task overhead is
+    the tokenization plus those appends.  That overhead is not small: on
+    the 3,344-record ACMPub input of the end-to-end benchmark, a task in
+    a fresh process spends 25–50 ms tokenizing and replaying every
+    record, about as long as each task of a two-way split spends probing
+    (25–65 ms; 2-vCPU host).
     """
     _check_join_args(threshold, tokens)
     if not 0 <= lo <= hi <= len(table):
@@ -94,7 +98,7 @@ def similar_pairs_range(
     if len(table) < 2 or lo == hi:
         return []
     token_sets = _record_tokens(table, use_qgrams=(tokens == "qgram"))
-    return sorted(sparse_jaccard_join(token_sets, threshold, lo=lo, hi=hi))
+    return sparse_jaccard_join(token_sets, threshold, lo=lo, hi=hi)
 
 
 def similar_pairs_edit(
@@ -119,10 +123,10 @@ def similar_pairs_edit(
     candidates = (
         sparse_jaccard_join(_record_tokens(table, use_qgrams=False), prefilter_overlap)
         if prefilter_overlap > 0
-        else {(i, j) for i in range(len(table)) for j in range(i + 1, len(table))}
+        else [(i, j) for i in range(len(table)) for j in range(i + 1, len(table))]
     )
     pairs: list[Pair] = []
-    for i, j in sorted(candidates):
+    for i, j in candidates:
         longest = max(lengths[i], lengths[j])
         if longest == 0:
             pairs.append((i, j))

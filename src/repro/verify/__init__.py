@@ -29,7 +29,9 @@ demanding every one is detected; :mod:`.battery` packages everything as the
 
 from .battery import (
     BatteryConfig,
+    empty_token_table,
     float_sum_tie_instance,
+    overlap_floor_instance,
     quarter_grid_vectors,
     random_instance,
     run_battery,
@@ -65,6 +67,7 @@ from .oracles import (
     check_crowd_aggregation,
     check_crowd_draws,
     check_dominance_construction,
+    check_entity_quality,
     check_join_methods,
     check_linear_extension,
     check_round_update,
@@ -105,6 +108,7 @@ __all__ = [
     "check_crowd_draws",
     "check_dominance_construction",
     "check_duplicate_idempotence",
+    "check_entity_quality",
     "check_grouped_partition",
     "check_join_methods",
     "check_linear_extension",
@@ -123,12 +127,14 @@ __all__ = [
     "check_topo_layers",
     "check_transitive_closure",
     "decline_reachability",
+    "empty_token_table",
     "float_sum_tie_instance",
     "monotone_truth",
     "naive_dominance_edges",
     "naive_join",
     "naive_kahn_layers",
     "naive_transitive_closure",
+    "overlap_floor_instance",
     "prefix_join",
     "quarter_grid_vectors",
     "random_instance",

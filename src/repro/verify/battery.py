@@ -18,7 +18,9 @@ mutation self-test into a single :class:`~repro.verify.report.VerificationReport
    real pipeline: batch-similarity and join oracles, graph invariants on
    the actual dominance DAG, an end-to-end resolution under the always-on
    :class:`~repro.verify.invariants.VerifyingSession` sanitizer, clustering
-   cross-checks, and the metamorphic laws;
+   and quality cross-checks, and the metamorphic laws; the join oracles
+   also run where kept pairs sit on the overlap floor's float edge, and
+   the stream differential on a table with empty-token records;
 3. **mutation self-test** — seeded bugs are injected and every one must be
    detected (:mod:`repro.verify.mutation`), proving the suite has teeth.
 
@@ -122,6 +124,43 @@ def float_sum_tie_instance() -> tuple[list[tuple[int, int]], np.ndarray]:
     """
     vectors = np.array([[1.0, 0.0], [1.0, 1e-17], [0.5, 0.0]])
     return [(0, 1), (0, 2), (1, 2)], vectors
+
+
+def overlap_floor_instance() -> tuple[Table, float]:
+    """A join instance whose kept pairs sit on the overlap floor's float edge.
+
+    At ``tau = 0.28`` a 7-word record inside a later 25-word one scores
+    exactly ``7 / 25 == 0.28`` and is kept, and so is 14 of 50; yet
+    ``0.28 * 25`` rounds to ``7.000000000000001`` and ``0.28 * 50`` to
+    ``14.000000000000002``, so a floor taken from ``ceil(tau * size)``
+    for the larger, probing record drops both pairs.
+    """
+    rows = [
+        [f"w{k}" for k in range(7)],
+        [f"w{k}" for k in range(25)],
+        [f"v{k}" for k in range(14)],
+        [f"v{k}" for k in range(50)],
+        [f"w{k}" for k in range(6)],
+    ]
+    table = Table.from_rows("overlap-floor", ("text",), [(" ".join(row),) for row in rows])
+    return table, 0.28
+
+
+def empty_token_table() -> Table:
+    """Two records without word tokens among ordinary ones.
+
+    ``jaccard(∅, ∅) == 1.0``, so the one-shot join pairs records 1 and 3,
+    and a one-batch stream must decide that pair too.
+    """
+    rows = [
+        ("alpha beta", "x"),
+        ("!!!", "..."),
+        ("alpha beta", "x"),
+        ("", ""),
+        ("gamma delta", "y"),
+        ("gamma delta", "z"),
+    ]
+    return Table.from_rows("empty-tokens", ("a", "b"), rows, [0, 1, 0, 1, 2, 2])
 
 
 def signed_zero_instance(
@@ -397,6 +436,13 @@ def _dataset_checks(config: BatteryConfig, report: VerificationReport) -> None:
             table, power_config.pruning_threshold, seed=config.base_seed
         ),
     )
+    run_check(
+        report,
+        "join-methods[overlap-floor]",
+        lambda: oracles.check_join_methods(
+            *overlap_floor_instance(), seed=config.base_seed
+        ),
+    )
 
     def pipeline_graph_invariants():
         graph = PairGraph(pairs, vectors)
@@ -436,6 +482,7 @@ def _dataset_checks(config: BatteryConfig, report: VerificationReport) -> None:
         if result.selection.state is not None:
             invariants.check_coloring_state(result.selection.state)
         invariants.check_cluster_union_find(len(table), result.matches)
+        oracles.check_entity_quality(table, sorted(result.matches))
         produced = sorted(sorted(cluster) for cluster in result.clusters)
         recomputed = sorted(
             sorted(cluster)
@@ -445,6 +492,11 @@ def _dataset_checks(config: BatteryConfig, report: VerificationReport) -> None:
             raise DataError("resolver clusters drifted from its own matches")
 
     run_check(report, f"verified-resolution[{table.name}]", verified_resolution)
+    run_check(
+        report,
+        f"entity-quality[{table.name}]",
+        lambda: oracles.check_entity_quality(table, pairs),
+    )
 
     run_check(
         report,
@@ -459,6 +511,14 @@ def _dataset_checks(config: BatteryConfig, report: VerificationReport) -> None:
         f"stream-equivalence[{table.name}]",
         lambda: oracles.check_stream_equivalence(
             table, seed=config.base_seed, batch_counts=(3,)
+        ),
+    )
+
+    run_check(
+        report,
+        "stream-equivalence[empty-tokens]",
+        lambda: oracles.check_stream_equivalence(
+            empty_token_table(), seed=config.base_seed, batch_counts=(3,)
         ),
     )
 
@@ -509,7 +569,9 @@ def run_battery(config: BatteryConfig | None = None) -> VerificationReport:
 
 __all__ = [
     "BatteryConfig",
+    "empty_token_table",
     "float_sum_tie_instance",
+    "overlap_floor_instance",
     "quarter_grid_vectors",
     "random_instance",
     "signed_zero_instance",

@@ -29,7 +29,7 @@ mutant                  seeded bug
 ``stale-matching``      deleting a matched vertex leaves its partner claimed
 ``obs-perturbs-selection``  instrumentation drops a vertex from each round
 ``stream-stale-index``  a streamed batch lands in the token index as
-                        empty rows (silent candidate loss)
+                        empty rows (its real candidates are lost)
 ``stream-sweep-old-only``  the batch sweep drops every new×new pair of a
                         streamed batch
 ``serve-cross-session-leak``  the session registry hands back another live
@@ -37,6 +37,9 @@ mutant                  seeded bug
                         session's snapshot
 ``join-range-no-replay``  the candidate join's range form skips the
                         posting replay of records before ``lo``
+``join-overlap-ceil``   the candidate join's overlap floor comes from
+                        ``ceil(threshold * size)``, one too high on a
+                        float edge
 ======================  ====================================================
 
 Patching is done by rebinding module/class attributes inside a context
@@ -45,8 +48,9 @@ manager that always restores the originals; lazily-imported helpers
 defining module *and* at every module-level import site, so both the
 production pipeline and the oracles see the mutated code.  The dominance
 tile generator, the linear extension, the Split cell-bit helper and the
-crowd kernel's Lemire threshold have no import sites: every consumer looks
-them up through their defining module at call time.
+crowd kernel's Lemire threshold and the join's overlap floor have no
+import sites: every consumer looks them up through their defining module
+at call time.
 
 :func:`run_mutation_selftest` returns a
 :class:`~repro.verify.report.VerificationReport` with one result per
@@ -385,12 +389,12 @@ def _mutant_stream_stale_index():
 
     Models the classic incremental-index regression: the maintenance path
     runs (no crash, shapes stay consistent) but the first extension's rows
-    are written as empty token sets, so those records post no candidates —
-    silent pair loss, invisible to every one-shot check because the
-    one-shot pipeline builds its :class:`TokenIndex` from scratch.  Only
-    the multi-batch tier of ``check_stream_equivalence``, which compares
-    the stream's decided-pair universe against the one-shot candidate
-    pairs, can notice the hole.
+    are written as empty token sets, so those records lose their real
+    candidates and, as empty sets, pair with each other — invisible to
+    every one-shot check because the one-shot pipeline builds its
+    :class:`TokenIndex` from scratch.  Only the multi-batch tier of
+    ``check_stream_equivalence``, which holds the stream to the one-shot
+    candidate pairs, can notice.
     """
     from ..similarity.batch import TokenIndex
 
@@ -477,12 +481,32 @@ def _mutant_join_range_no_replay():
         hi = len(token_sets) if hi is None else hi
         # bug: records before lo never enter the posting lists
         local = original(token_sets[lo:hi], threshold)
-        return {(a + lo, b + lo) for a, b in local}
+        return [(a + lo, b + lo) for a, b in local]
 
     return _patched(
         (batch, "sparse_jaccard_join", mutated),
         (join, "sparse_jaccard_join", mutated),
     )
+
+
+def _mutant_join_overlap_ceil():
+    """The candidate join takes its overlap floor from ``ceil(tau * size)``.
+
+    Models the count-filter bound written in real arithmetic: ``0.28 *
+    25`` rounds to ``7.000000000000001``, so the floor asks a 25-token
+    probe for 8 shared tokens although the verification keeps 7 of 25.
+    Only pairs on such a float edge vanish, and the battery's tables hold
+    none at their thresholds, so only the overlap-floor instance of
+    ``check_join_methods`` can notice.  The join looks the floor helper up
+    at call time.
+    """
+    from ..similarity import batch
+
+    def mutated(max_size, threshold):
+        # bug: the bound in real arithmetic, not the verification's division
+        return np.ceil(threshold * np.arange(max_size + 1)).astype(np.int64)
+
+    return _patched((batch, "_overlap_floor", mutated))
 
 
 def _mutant_obs_perturbs_selection():
@@ -602,6 +626,11 @@ MUTANTS: tuple[Mutant, ...] = (
         "the candidate join's range form skips the posting replay before lo",
         _mutant_join_range_no_replay,
     ),
+    Mutant(
+        "join-overlap-ceil",
+        "the candidate join's overlap floor comes from ceil(threshold * size)",
+        _mutant_join_overlap_ceil,
+    ),
 )
 
 
@@ -672,7 +701,12 @@ def run_detection_battery(
 
     # The packed reachability index: on the fixture, and on a fresh graph
     # whose last tile is ragged (256 + 4 rows).
-    from .battery import float_sum_tie_instance, quarter_grid_vectors, random_instance
+    from .battery import (
+        float_sum_tie_instance,
+        overlap_floor_instance,
+        quarter_grid_vectors,
+        random_instance,
+    )
 
     invariants.check_reachability_index(graph)
     invariants.check_reachability_index(PairGraph(*random_instance(seed, 260)))
@@ -704,10 +738,13 @@ def run_detection_battery(
     session.ask_batch(pairs[:13])
     invariants.check_session_coherence(session)
 
-    # Candidate join vs the naive and prefix oracles, whole and tiled.
+    # Candidate join vs the naive and prefix oracles, whole and tiled, on
+    # the battery table and where kept pairs sit on the overlap floor's
+    # float edge: the only step that can see the join-overlap-ceil mutant.
     oracles.check_join_methods(
         _battery_table(), PowerConfig().pruning_threshold, seed=seed
     )
+    oracles.check_join_methods(*overlap_floor_instance(), seed=seed)
 
     # The round update vs the one-answer-at-a-time engine (BLUE answers,
     # multi-vertex and budget-truncated rounds).

@@ -57,7 +57,7 @@ from ..crowd.platform import PerfectCrowd, SimulatedCrowd
 from ..crowd.worker import WorkerPool
 from ..data.ground_truth import Pair
 from ..data.table import Table
-from ..exceptions import VerificationError
+from ..exceptions import CrowdError, VerificationError
 from ..graph.coloring import Color, ColoringState
 from ..graph.dag import OrderedGraph, PairGraph
 from ..graph.grouped_graph import GroupedGraph
@@ -197,14 +197,27 @@ def naive_join(token_sets: Sequence[frozenset[str]], threshold: float) -> set[Pa
     return pairs
 
 
+def _min_overlap(size: int, threshold: float) -> int:
+    """The least ``k`` with ``k / size >= threshold``, by the float division.
+
+    ``ceil(threshold * size)`` can overshoot it: ``0.28 * 25`` rounds to
+    ``7.000000000000001``, yet ``7 / 25 >= 0.28``.
+    """
+    overlap = 0
+    while overlap / size < threshold:
+        overlap += 1
+    return overlap
+
+
 def prefix_join(token_sets: Sequence[frozenset[str]], threshold: float) -> set[Pair]:
     """Prefix-filtered self-join for Jaccard.
 
     For Jaccard(a, b) >= t, the sets must share a token within the first
-    ``|a| - ceil(t * |a|) + 1`` tokens when both sets are ordered by a global
-    token order (rarest first).  We index those prefixes and verify only the
-    colliding pairs.  Empty sets have no prefix and pair among themselves
-    (``jaccard(∅, ∅) == 1``).
+    ``|a| - k + 1`` tokens when both sets are ordered by a global token
+    order (rarest first), where ``k`` is the least overlap with ``k / |a|
+    >= t`` (``∪ >= |a|``, and float division is monotone).  We index those
+    prefixes and verify only the colliding pairs.  Empty sets have no
+    prefix and pair among themselves (``jaccard(∅, ∅) == 1``).
     """
     frequency: Counter[str] = Counter()
     for tokens in token_sets:
@@ -225,15 +238,18 @@ def prefix_join(token_sets: Sequence[frozenset[str]], threshold: float) -> set[P
             pairs.update((other, record_id) for other in empties)
             empties.append(record_id)
             continue
-        prefix_len = size - math.ceil(threshold * size) + 1
+        prefix_len = size - _min_overlap(size, threshold) + 1
         candidates: set[int] = set()
         for token in sorted(my_set, key=order.__getitem__)[:prefix_len]:
             candidates.update(index[token])
             index[token].append(record_id)
         for other in candidates:
             other_set = token_sets[other]
-            # Length filter: |b| >= t * |a| is necessary for Jaccard >= t.
-            if len(other_set) < threshold * size or size < threshold * len(other_set):
+            # Length filter: ∩ <= min and ∪ >= max, so Jaccard >= t needs
+            # min / max >= t under the same division.
+            other_size = len(other_set)
+            ratio = other_size / size if other_size < size else size / other_size
+            if ratio < threshold:
                 continue
             if jaccard(my_set, other_set) >= threshold:
                 pairs.add((other, record_id))
@@ -269,6 +285,27 @@ def check_join_methods(table: Table, threshold: float, seed: int = 0) -> None:
     if len(tiled) != len(set(tiled)):
         raise VerificationError(f"{label}: ranges emit overlapping pairs")
     _diff_edges("naive join", reference, label, set(tiled))
+
+
+def check_entity_quality(table: Table, matches: Sequence[Pair]) -> None:
+    """The entity-id scorer must equal the gold-set scorer, field for field.
+
+    Scores *matches* as given, then with every pair repeated in the other
+    orientation, against ``pairwise_quality(..., true_match_pairs(table))``.
+    """
+    from ..core.metrics import entity_quality, pairwise_quality
+    from ..data.ground_truth import true_match_pairs
+
+    gold = true_match_pairs(table)
+    both = [*matches, *((j, i) for i, j in matches)]
+    for label, pairs in (("as given", matches), ("in both orientations", both)):
+        expected = pairwise_quality(pairs, gold)
+        produced = entity_quality(pairs, table)
+        if produced != expected:
+            raise VerificationError(
+                f"entity_quality differs from pairwise_quality on {len(pairs)} "
+                f"pairs {label}: {produced} != {expected}"
+            )
 
 
 # --------------------------------------------------------------------------- #
@@ -1497,12 +1534,18 @@ def check_stream_equivalence(
             name=table.name,
             crowd=PerfectCrowd(oracle_truth, assignments=exact_config.assignments),
         )
-        for chunk in _stream_chunks(table, batches):
-            streamed.add_batch(
-                [record.values for record in chunk],
-                entity_ids=[record.entity_id for record in chunk],
-            )
         label = f"stream-equivalence[{table.name!r}] batches={batches}"
+        for chunk in _stream_chunks(table, batches):
+            try:
+                streamed.add_batch(
+                    [record.values for record in chunk],
+                    entity_ids=[record.entity_id for record in chunk],
+                )
+            except CrowdError as error:
+                raise VerificationError(
+                    f"{label}: the stream asked a pair outside the one-shot "
+                    f"candidate pairs ({error})"
+                ) from error
         if set(streamed.labels) != set(serial.candidate_pairs):
             missing = set(serial.candidate_pairs) - set(streamed.labels)
             extra = set(streamed.labels) - set(serial.candidate_pairs)

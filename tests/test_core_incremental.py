@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from repro.core import IncrementalResolver, PowerConfig, incremental, stream_in_batches
 from repro.crowd import PerfectCrowd
-from repro.data import restaurant, true_match_pairs
+from repro.data import Table, restaurant, true_match_pairs
 from repro.data.ground_truth import pair_truth
 from repro.exceptions import ConfigurationError, DataError
+from repro.similarity import similar_pairs
 from repro.similarity.batch import TokenIndex
 from repro.similarity.jaccard import jaccard
 from repro.similarity.tokenize import qgram_tokens, word_tokens
@@ -152,16 +153,32 @@ class TestBatchSubstrateParity:
                 f"candidate parity broke for the records from {first} on"
             )
 
-    def test_empty_token_records_never_pair(self):
-        """Empty-vs-empty Jaccard is 1.0 in the batch kernel, but empty
-        records post no tokens to an inverted index — the stream must keep
-        the inverted-index convention."""
+    def test_empty_token_records_pair_among_themselves(self):
+        """``jaccard(∅, ∅) == 1.0``: the stream pairs two empty token sets,
+        as the one-shot join does, and pairs neither with anything else."""
         resolver = IncrementalResolver(("a",), config=PowerConfig(seed=0))
         report = resolver.add_batch(
             [("",), ("",), ("alpha beta",)], entity_ids=[1, 2, 3]
         )
-        assert report["new_pairs"] == 0
-        assert resolver._batch_candidates(resolver._index, 0) == []
+        assert report["new_pairs"] == 1
+        assert resolver._batch_candidates(resolver._index, 0) == [(0, 1)]
+
+    def test_stream_and_one_shot_agree_on_empty_token_records(self):
+        """One row per batch decides exactly the one-shot candidate pairs,
+        the empty-token pair ``(1, 3)`` included."""
+        table = Table.from_rows(
+            "t",
+            ("a", "b"),
+            [("alpha beta", "x"), ("!!!", "..."), ("alpha beta", "x"), ("", "")],
+            [0, 1, 0, 1],
+        )
+        assert similar_pairs(table, 0.3) == [(0, 2), (1, 3)]
+        resolver = IncrementalResolver(
+            table.attributes, config=PowerConfig(seed=0, pruning_threshold=0.3)
+        )
+        for record in table:
+            resolver.add_batch([record.values], entity_ids=[record.entity_id])
+        assert sorted(resolver.labels) == [(0, 2), (1, 3)]
 
     def test_batch_and_scalar_vectors_agree_end_to_end(self, small_table):
         """Streaming with the vectorized similarity substrate must replay,
@@ -205,16 +222,14 @@ def _sweep(texts, first, threshold=0.2, join_tokens="word"):
 
 
 def _scalar_sweep(texts, first, threshold=0.2, tokenizer=word_tokens):
-    """Per-record scalar reference: every earlier non-empty record whose
-    exact Jaccard clears the threshold."""
+    """Per-record scalar reference: every earlier record whose exact
+    Jaccard clears the threshold (two empty token sets score 1.0)."""
     tokens = [tokenizer(text) for text in texts]
     return [
         (other, record)
         for other in range(len(texts))
         for record in range(max(first, other + 1), len(texts))
-        if tokens[other]
-        and tokens[record]
-        and jaccard(tokens[other], tokens[record]) >= threshold
+        if jaccard(tokens[other], tokens[record]) >= threshold
     ]
 
 
@@ -249,10 +264,10 @@ class TestBatchSweep:
         assert _sweep(texts, 0) == [(0, 2), (0, 3), (2, 3)]
 
     def test_empty_token_rows_inside_a_batch(self):
-        # Two empty token sets would score 1.0 in the batch kernel; they
-        # still never pair, with each other or with anything else.
+        # Two empty token sets score 1.0, as in the one-shot join: they
+        # pair with each other, and never with anything else.
         texts = ["alpha beta", "", "!!", "alpha beta", ""]
-        assert _sweep(texts, 1) == [(0, 3)]
+        assert _sweep(texts, 1) == [(0, 3), (1, 2), (1, 4), (2, 4)]
 
     def test_duplicate_texts_within_one_batch(self):
         texts = ["gamma", "alpha beta", "alpha beta", "alpha beta"]

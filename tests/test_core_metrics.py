@@ -4,7 +4,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import pairwise_quality
+from repro.core import entity_quality, pairwise_quality
+from repro.data import Table, true_match_pairs
+from repro.exceptions import DataError
 
 PAIRS = st.sets(
     st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(lambda p: p[0] != p[1]),
@@ -112,3 +114,54 @@ class TestQualityProperties:
         canonical_gold = {tuple(sorted(p)) for p in gold}
         assert report.true_positives + report.false_positives == len(canonical_predicted)
         assert report.true_positives + report.false_negatives == len(canonical_gold)
+
+
+@st.composite
+def labelled_matches(draw):
+    """A table with integer or string entity ids and matches over it, in
+    either orientation and with duplicates."""
+    num_records = draw(st.integers(0, 12))
+    labels = st.integers(0, 4) | st.sampled_from(["a", "b", "0"])
+    entities = draw(st.lists(labels, min_size=num_records, max_size=num_records))
+    table = Table.from_rows("t", ("a",), [("x",)] * num_records, entities)
+    if num_records < 2:
+        return table, []
+    record = st.integers(0, num_records - 1)
+    pairs = st.tuples(record, record).filter(lambda p: p[0] != p[1])
+    return table, draw(st.lists(pairs, max_size=30))
+
+
+class TestEntityQuality:
+    """The entity-id scorer equals the gold-set scorer field for field."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_matches())
+    def test_equals_pairwise_quality(self, instance):
+        table, matches = instance
+        expected = pairwise_quality(matches, true_match_pairs(table))
+        assert entity_quality(matches, table) == expected
+        assert entity_quality(iter(matches), table) == expected
+
+    def test_counts_types(self):
+        table = Table.from_rows("t", ("a",), [("x",)] * 3, ["e", "e", "f"])
+        report = entity_quality({(1, 0), (0, 1), (1, 2)}, table)
+        assert (report.true_positives, report.false_positives) == (1, 1)
+        assert report.false_negatives == 0
+        assert all(
+            type(value) is int
+            for value in (
+                report.true_positives,
+                report.false_positives,
+                report.false_negatives,
+            )
+        )
+
+    @pytest.mark.parametrize("matches", [[(0, 3)], [(-1, 0)], [(2, 2)], [(0.0, 1)]])
+    def test_rejects_pairs_outside_its_precondition(self, matches):
+        table = Table.from_rows("t", ("a",), [("x",)] * 3, [0, 0, 1])
+        with pytest.raises(DataError):
+            entity_quality(matches, table)
+
+    def test_requires_ground_truth(self):
+        with pytest.raises(DataError):
+            entity_quality([], Table.from_rows("t", ("a",), [("x",)]))

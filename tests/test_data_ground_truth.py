@@ -3,6 +3,7 @@
 import pytest
 
 from repro.data import Table, canonical_pair, entity_clusters, num_entities, pair_truth, true_match_pairs
+from repro.data.ground_truth import pair_arrays
 from repro.exceptions import DataError
 
 
@@ -74,3 +75,36 @@ class TestPairTruth:
     def test_rejects_self_pair(self, labeled_table):
         with pytest.raises(DataError):
             pair_truth(labeled_table, [(1, 1)])
+
+    @pytest.mark.parametrize("pair", [(-1, 1), (1, -1), (1, 5), (4, 0)])
+    def test_rejects_records_outside_the_table(self, pair):
+        # -1 would read the last record's entity; 5 would be a bare IndexError.
+        table = Table.from_rows("t", ("a",), [("x",)] * 3, entity_ids=[0, 1, 1])
+        with pytest.raises(DataError, match="outside"):
+            pair_truth(table, [pair])
+
+
+class TestPairArrays:
+    def test_lower_and_higher_ids(self):
+        low, high = pair_arrays([(3, 1), (0, 2)], 4)
+        assert (low.tolist(), high.tolist()) == ([1, 0], [3, 2])
+        low, high = pair_arrays(iter([(1, 0)]), 2)
+        assert (low.tolist(), high.tolist()) == ([0], [1])
+        low, high = pair_arrays([], 0)
+        assert low.size == high.size == 0
+
+    @pytest.mark.parametrize(
+        "pairs, match",
+        [
+            ([(-1, 0)], "outside"),
+            ([(0, 4)], "outside"),
+            ([(0, 2**70)], "outside"),
+            ([(2, 2)], "distinct"),
+            ([(0.5, 1)], "integers"),
+            ([("0", 1)], "integers"),
+            ([(0, 1, 2)], "two record ids"),
+        ],
+    )
+    def test_rejects_malformed_pairs(self, pairs, match):
+        with pytest.raises(DataError, match=match):
+            pair_arrays(pairs, 4)

@@ -1,6 +1,7 @@
 """Consistency checks between code, benches, and documentation."""
 
 import importlib
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -69,6 +70,20 @@ class TestBenchCoverage:
         text = (ROOT / "DESIGN.md").read_text()
         for path in BENCH_DIR.glob("bench_fig*.py"):
             assert path.name in text, f"{path.name} missing from DESIGN.md"
+
+
+class TestCommittedBenchReports:
+    """The committed ``BENCH_*.json`` files are full runs: every smoke writes
+    its fast-mode report under ``/tmp`` instead."""
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((BENCH_DIR / "results").glob("BENCH_*.json")),
+        ids=lambda path: path.name,
+    )
+    def test_report_is_a_full_run(self, path):
+        report = json.loads(path.read_text())
+        assert report["fast_mode"] is False, f"{path.name} holds a fast-mode smoke run"
 
 
 class TestCLIRegistryConsistency:

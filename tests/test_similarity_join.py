@@ -13,6 +13,7 @@ from repro.similarity import (
     sparse_jaccard_join,
     top_k_pairs,
 )
+from repro.similarity.batch import _overlap_floor
 from repro.similarity.tokenize import word_tokens
 from repro.verify import naive_join, prefix_join
 
@@ -159,23 +160,23 @@ class TestSparseJoinProperties:
     )
     def test_range_tiling_equals_full_join_and_oracles(self, data, token_sets, threshold):
         full = sparse_jaccard_join(token_sets, threshold)
-        assert full == naive_join(token_sets, threshold)
-        assert full == prefix_join(token_sets, threshold)
+        assert full == sorted(full)
+        assert set(full) == naive_join(token_sets, threshold)
+        assert set(full) == prefix_join(token_sets, threshold)
         union = []
         for lo, hi in data.draw(tilings(len(token_sets))):
             owned = sparse_jaccard_join(token_sets, threshold, lo=lo, hi=hi)
+            assert owned == sorted(owned)
             assert all(a < b and lo <= b < hi for a, b in owned)
             union.extend(owned)
         assert len(union) == len(set(union)), "tiles must be disjoint"
-        assert set(union) == full
+        assert set(union) == set(full)
 
     def test_empty_records_pair_across_a_range_cut(self):
         token_sets = [frozenset(), frozenset({"alpha"}), frozenset(), frozenset()]
-        assert sparse_jaccard_join(token_sets, 0.5, lo=2, hi=4) == {
-            (0, 2),
-            (0, 3),
-            (2, 3),
-        }
+        owned = sparse_jaccard_join(token_sets, 0.5, lo=2, hi=4)
+        assert set(owned) == {(0, 2), (0, 3), (2, 3)}
+        assert owned == sorted(owned)
 
     def test_range_validation(self):
         token_sets = [frozenset({"alpha"})] * 3
@@ -184,8 +185,68 @@ class TestSparseJoinProperties:
                 sparse_jaccard_join(token_sets, 0.5, lo=lo, hi=hi)
         with pytest.raises(ConfigurationError, match="threshold"):
             sparse_jaccard_join(token_sets, 0.0, lo=0, hi=1)
-        assert sparse_jaccard_join(token_sets, 0.5, lo=2, hi=2) == set()
-        assert sparse_jaccard_join([], 0.5) == set()
+        assert set(sparse_jaccard_join(token_sets, 0.5, lo=2, hi=2)) == set()
+        assert set(sparse_jaccard_join([], 0.5)) == set()
+        assert sparse_jaccard_join([], 0.5) == []
+
+
+def _words(prefix, count):
+    return frozenset(f"{prefix}{k}" for k in range(count))
+
+
+@st.composite
+def interval_token_sets(draw):
+    """Token sets that are integer intervals, mostly nested, at sizes whose
+    ratios sit on a float edge (7/25, 14/50, ... at 0.28; 55/100 at 0.55)."""
+    size = st.sampled_from([7, 14, 21, 25, 28, 50, 55, 75, 100]) | st.integers(0, 110)
+    records = draw(
+        st.lists(st.tuples(st.integers(0, 8), size), min_size=0, max_size=14)
+    )
+    return [frozenset(range(start, start + length)) for start, length in records]
+
+
+class TestOverlapFloor:
+    """The join verifies only candidates at or above the float floor."""
+
+    @pytest.mark.parametrize("threshold", [0.05, 0.2, 0.28, 0.3, 1 / 3, 0.55, 1.0])
+    def test_floor_is_the_least_passing_overlap(self, threshold):
+        need = _overlap_floor(120, threshold)
+        for size in range(1, 121):
+            least = next(k for k in range(size + 1) if k / size >= threshold)
+            assert need[size] == least
+
+    def test_seven_of_twenty_five_at_028(self):
+        # 0.28 * 25 == 7.000000000000001, yet 7 / 25 >= 0.28.
+        assert 0.28 * 25 > 7 and 7 / 25 >= 0.28
+        token_sets = [_words("w", 7), _words("w", 25), _words("w", 6)]
+        pairs = sparse_jaccard_join(token_sets, 0.28)
+        assert pairs == [(0, 1), (0, 2)]
+        assert set(pairs) == naive_join(token_sets, 0.28)
+        assert set(pairs) == prefix_join(token_sets, 0.28)
+
+    def test_fifty_five_of_a_hundred_at_055(self):
+        # 0.55 * 100 == 55.00000000000001, yet 55 / 100 >= 0.55.
+        assert 0.55 * 100 > 55 and 55 / 100 >= 0.55
+        token_sets = [_words("w", 55), _words("w", 54), _words("w", 100)]
+        pairs = sparse_jaccard_join(token_sets, 0.55)
+        assert pairs == [(0, 1), (0, 2)]
+        assert set(pairs) == naive_join(token_sets, 0.55)
+        assert set(pairs) == prefix_join(token_sets, 0.55)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), interval_token_sets(), st.sampled_from([0.28, 0.3, 0.55, 1.0]))
+    def test_whole_and_tiled_equal_naive(self, data, token_sets, threshold):
+        expected = naive_join(token_sets, threshold)
+        full = sparse_jaccard_join(token_sets, threshold)
+        assert full == sorted(expected)
+        assert prefix_join(token_sets, threshold) == expected
+        union = []
+        for lo, hi in data.draw(tilings(len(token_sets))):
+            owned = sparse_jaccard_join(token_sets, threshold, lo=lo, hi=hi)
+            assert owned == sorted(set(owned))
+            union.extend(owned)
+        assert sorted(union) == full
+        assert len(union) == len(set(union))
 
 
 class TestTopKPairs:

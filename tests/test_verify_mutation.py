@@ -47,6 +47,7 @@ class TestMutationSelfTest:
         before = (
             batch.sparse_jaccard_join,
             join.sparse_jaccard_join,
+            batch._overlap_floor,
             construction.blocked_dominance_lists,
             construction._dominance_tiles,
             construction.linear_extension,
@@ -67,6 +68,7 @@ class TestMutationSelfTest:
         after = (
             batch.sparse_jaccard_join,
             join.sparse_jaccard_join,
+            batch._overlap_floor,
             construction.blocked_dominance_lists,
             construction._dominance_tiles,
             construction.linear_extension,
@@ -276,11 +278,39 @@ class TestMutationSelfTest:
         tokens = [word_tokens(table.record_text(r.record_id)) for r in table]
         mutant = next(m for m in MUTANTS if m.name == "join-range-no-replay")
         with mutant.activate():
-            assert similar_pairs(table, 0.2) == sorted(naive_join(tokens, 0.2))
+            pairs = similar_pairs(table, 0.2)
+            assert set(pairs) == naive_join(tokens, 0.2)
+            assert pairs == sorted(pairs)
             with pytest.raises(VerificationError, match="production join tiled"):
                 check_join_methods(table, 0.2, seed=0)
             with pytest.raises(VerificationError, match="production join tiled"):
                 run_detection_battery(seed=0)
+
+    def test_overlap_ceil_is_caught_only_by_the_join_step(self, monkeypatch):
+        """A floor taken from ``ceil(tau * size)`` loses only float-edge pairs.
+
+        ``join-overlap-ceil`` asks a 25-token probe for 8 shared tokens at
+        ``tau = 0.28``, so the 7-of-25 pair of the overlap-floor instance
+        vanishes; no other battery table holds such a pair at its
+        threshold, so the battery without ``check_join_methods`` passes.
+        """
+        from repro.exceptions import VerificationError
+        from repro.similarity import similar_pairs
+        from repro.verify import check_join_methods, oracles, overlap_floor_instance
+
+        table, threshold = overlap_floor_instance()
+        pristine = similar_pairs(table, threshold)
+        mutant = next(m for m in MUTANTS if m.name == "join-overlap-ceil")
+        with mutant.activate():
+            assert similar_pairs(table, threshold) == [(0, 4)]
+            with pytest.raises(VerificationError, match="production join"):
+                check_join_methods(table, threshold)
+            with pytest.raises(VerificationError, match="production join"):
+                run_detection_battery(seed=0)
+        assert similar_pairs(table, threshold) == pristine == [(0, 1), (0, 4), (2, 3)]
+        monkeypatch.setattr(oracles, "check_join_methods", lambda *args, **kwargs: None)
+        with mutant.activate():
+            run_detection_battery(seed=0)
 
     def test_dropped_edge_reaches_every_tile_consumer(self):
         """``drop-dominance-edge`` corrupts the tiles production reads.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,6 +195,60 @@ class TestSimilarityOracles:
         expected = {(0, 2), (1, 3)}
         assert naive_join(token_sets, 0.5) == expected
         assert prefix_join(token_sets, 0.5) == expected
+
+    def test_join_methods_on_the_overlap_floor_edge(self):
+        from repro.verify import overlap_floor_instance
+
+        table, threshold = overlap_floor_instance()
+        check_join_methods(table, threshold)
+
+
+class TestEntityQualityOracle:
+    def test_agrees_on_candidate_pairs(self, small_table):
+        from repro.similarity import similar_pairs
+        from repro.verify import check_entity_quality
+
+        check_entity_quality(small_table, similar_pairs(small_table, 0.25))
+
+    def test_catches_a_scorer_that_ignores_duplicates(self, monkeypatch, small_table):
+        from repro.core import metrics
+        from repro.verify import check_entity_quality
+
+        original = metrics.entity_quality
+
+        def counts_repeats(matches, table):
+            report = original(matches, table)
+            extra = len(matches) - report.true_positives - report.false_positives
+            return dataclasses.replace(
+                report, false_positives=report.false_positives + extra
+            )
+
+        monkeypatch.setattr(metrics, "entity_quality", counts_repeats)
+        with pytest.raises(VerificationError, match="both orientations"):
+            check_entity_quality(small_table, [(0, 1), (2, 3)])
+
+
+class TestStreamEmptyTokenRecords:
+    def test_stream_pairs_empty_records_like_the_join(self):
+        from repro.verify import check_stream_equivalence, empty_token_table
+
+        check_stream_equivalence(empty_token_table(), seed=0)
+
+    def test_single_batch_tier_catches_dropped_empty_pairs(self, monkeypatch):
+        """A sweep that skips empty token sets again fails tier 1."""
+        from repro.core.incremental import IncrementalResolver
+        from repro.verify import check_stream_equivalence, empty_token_table
+
+        table = empty_token_table()
+        original = IncrementalResolver._batch_candidates
+
+        def skips_empty(self, index, first):
+            sizes = index.sizes[index.row_of_text]
+            return [(a, b) for a, b in original(self, index, first) if sizes[a] and sizes[b]]
+
+        monkeypatch.setattr(IncrementalResolver, "_batch_candidates", skips_empty)
+        with pytest.raises(VerificationError, match="single-batch"):
+            check_stream_equivalence(table, seed=0)
 
 
 class TestCrowdAggregationOracle:
