@@ -19,11 +19,13 @@
 #   make bench-perf   - full pipeline benchmark; enforces the 5x vectorize /
 #                       3x construct speedup floors and refreshes
 #                       benchmarks/results/BENCH_pipeline.json
-#   make shard-smoke  - 2-worker sharded resolution (exact mode) asserting
-#                       byte-equivalence with the serial resolver
-#   make bench-shard  - shard-scaling benchmark: speedup curve + measured
-#                       Amdahl fraction; enforces the 2.5x @ 4 workers floor
-#                       and refreshes benchmarks/results/BENCH_shard.json
+#   make shard-smoke  - exact-mode sharded resolution (unbudgeted and
+#                       under a question budget) asserting byte-equivalence
+#                       with the serial resolver, then a 2-worker
+#                       independent-mode run
+#   make bench-shard  - shard-scaling benchmark: measured speedup curve;
+#                       enforces the 2.5x @ 4 workers floor and refreshes
+#                       benchmarks/results/BENCH_shard.json
 #   make bench-selection - selection-loop benchmark: incremental path-cover
 #                       engine vs per-round scratch (byte-identical
 #                       transcripts); enforces the 3x floor and refreshes
@@ -83,6 +85,10 @@ engine-smoke:
 shard-smoke:
 	$(PYTHON) -m repro shard --dataset restaurant --scale 0.05 --workers 2 \
 		--check-equivalence
+	$(PYTHON) -m repro shard --dataset restaurant --scale 0.2 --budget 5 \
+		--check-equivalence
+	$(PYTHON) -m repro shard --dataset restaurant --scale 0.05 --workers 2 \
+		--mode independent
 
 verify:
 	$(PYTHON) -m repro verify --dataset restaurant --scale 0.05 --quiet

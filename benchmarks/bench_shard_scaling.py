@@ -1,10 +1,9 @@
 """Shard-scaling benchmark: the exact sharded resolver's speedup curve.
 
-Times :class:`repro.shard.ShardedResolver` (exact lockstep mode) against
-the serial :class:`repro.core.PowerResolver` on an ACMPub-scale workload
-at 1/2/4/8 workers, measures the Amdahl parallel fraction from an inline
-instrumented run, verifies every run byte-identical to the serial
-baseline *while* timing it, and writes the machine-readable report to
+Times :class:`repro.shard.ShardedResolver` (exact mode) against the serial
+:class:`repro.core.PowerResolver` on an ACMPub-scale workload at 1/2/4/8
+workers, verifies every run byte-identical to the serial baseline *while*
+timing it, and writes the machine-readable report to
 ``benchmarks/results/BENCH_shard.json``.
 
 Runs two ways:
@@ -12,9 +11,9 @@ Runs two ways:
 * under pytest (the benchmark suite): ``pytest benchmarks/bench_shard_scaling.py``
 * standalone: ``PYTHONPATH=src python benchmarks/bench_shard_scaling.py --check``
 
-Gate: 2.5x speedup at 4 workers — measured wall-clock on hosts with >= 4
-CPUs, Amdahl projection from the measured parallel fraction on
-``cpu_limited`` hosts (the report records which basis applied).
+Gate: a measured 2.5x wall-clock speedup at 4 workers, on any host.  Exact
+mode runs the serial pipeline in the calling process, so it reads about
+1x and the gate fails until a parallel exact path earns its place.
 ``POWER_BENCH_FAST=1`` shrinks the workload to a <60s smoke run.
 """
 
@@ -28,7 +27,7 @@ from pathlib import Path
 from repro.experiments import emit, shard_scaling
 
 RESULT_NAME = "BENCH_shard.json"
-HEADERS = ("workers", "shards", "seconds", "measured", "projected", "equivalent")
+HEADERS = ("workers", "seconds", "measured", "equivalent")
 
 
 def test_shard_scaling(benchmark, results):
@@ -53,8 +52,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="ACMPub subsample fraction (default 0.15; 0.02 in fast mode)")
     parser.add_argument("--workers", type=int, nargs="+", default=None,
                         help="speedup-curve points (default 1 2 4 8)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="tiles per parallel stage (default 2x workers)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path,
                         default=Path(__file__).parent / "results" / RESULT_NAME)
@@ -66,7 +63,6 @@ def main(argv: list[str] | None = None) -> int:
         dataset=args.dataset,
         scale=args.scale,
         worker_counts=tuple(args.workers) if args.workers else None,
-        shards=args.shards,
         seed=args.seed,
     )
     path = shard_scaling.write_report(report, args.out)
@@ -76,12 +72,6 @@ def main(argv: list[str] | None = None) -> int:
         shard_scaling.summary_rows(report),
     )
     print(f"report -> {path}")
-    print(
-        f"parallel fraction {report['parallel_fraction']:.3f} "
-        f"({report['parallel_seconds']:.2f}s of {report['inline']['seconds']:.2f}s), "
-        f"gate basis: {report['target']['basis']}"
-        + (" [cpu_limited]" if report["cpu_limited"] else "")
-    )
 
     failures = shard_scaling.acceptance_failures(report)
     for failure in failures:

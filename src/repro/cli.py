@@ -13,9 +13,9 @@ Commands:
 * ``verify`` — run the :mod:`repro.verify` correctness battery
   (differential oracles, invariants, metamorphic laws, mutation self-test).
 * ``shard`` — resolve a benchmark dataset through the
-  :class:`~repro.shard.ShardedResolver` (partitioned multi-process
-  resolution), optionally checking byte-level equivalence with the serial
-  resolver.
+  :class:`~repro.shard.ShardedResolver` (the serial pipeline in exact
+  mode, per-shard worker processes in independent mode), optionally
+  checking byte-level equivalence with the serial resolver.
 * ``serve`` — run the :mod:`repro.serve` multi-tenant resolution server:
   many isolated streaming sessions behind one asyncio line-protocol
   endpoint, with LRU eviction to the snapshot store, admission control,
@@ -295,16 +295,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     shard = commands.add_parser(
         "shard",
-        help="resolve through the partitioned multi-process resolver",
+        help="resolve through the sharded resolver",
         description=(
-            "Run a benchmark dataset through repro.shard.ShardedResolver: "
-            "the candidate join, similarity vectors and inference "
-            "propagation are partitioned across worker "
-            "processes and merged deterministically.  The default 'exact' "
-            "mode produces byte-identical results to the serial "
-            "PowerResolver at any worker/shard count; 'independent' runs "
-            "one resolution loop per shard of the candidate graph and "
-            "merges matches, billing, and telemetry."
+            "Run a benchmark dataset through repro.shard.ShardedResolver.  "
+            "The default 'exact' mode runs the serial PowerResolver "
+            "pipeline in this process, so its results are byte-identical "
+            "to the serial resolver's and --workers/--shards do not apply; "
+            "'independent' partitions the candidate graph, runs one "
+            "resolution loop per shard in worker processes, and merges "
+            "matches, billing, and telemetry deterministically."
         ),
     )
     shard.add_argument("--dataset", default="restaurant",
@@ -312,14 +311,16 @@ def _build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--scale", type=float, default=1.0,
                        help="fraction of the dataset's records to resolve")
     shard.add_argument("--workers", type=int, default=None,
-                       help="worker processes (0 = inline, deterministic "
-                            "and dependency-free; default: cpu count)")
+                       help="independent mode: worker processes (0 = inline, "
+                            "deterministic and dependency-free; default: "
+                            "cpu count)")
     shard.add_argument("--shards", type=int, default=None,
-                       help="shard work units (default: one per worker)")
+                       help="independent mode: shards (default: one per "
+                            "worker)")
     shard.add_argument("--mode", default="exact",
                        choices=["exact", "independent"],
-                       help="exact = bit-identical lockstep; independent = "
-                            "per-shard resolution loops")
+                       help="exact = the serial pipeline, bit-identical; "
+                            "independent = per-shard resolution loops")
     shard.add_argument("--max-pairs", type=int, default=None,
                        help="independent mode: split components larger "
                             "than this many candidate pairs")
@@ -331,8 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="global money budget (converted through the "
                             "BudgetGuard billing inversion)")
     shard.add_argument("--timeout", type=float, default=None,
-                       help="per-task seconds before a worker is declared "
-                            "hung")
+                       help="independent mode: per-task seconds before a "
+                            "worker is declared hung")
     shard.add_argument("--seed", type=int, default=0)
     shard.add_argument("--check-equivalence", action="store_true",
                        help="also run the serial resolver and assert the "
@@ -522,33 +523,13 @@ def _command_resolve(args) -> int:
     )
     resolver = PowerResolver(config)
     with _observed(args):
-        if args.budget is not None:
-            pairs = resolver.candidate_pairs(table)
-            graph = resolver.build_graph(table, pairs)
-            session = resolver.simulated_crowd(table, pairs, args.band).session()
-            selection = resolver.make_selector().run(
-                graph, session, budget=args.budget
-            )
-            from .core import entity_quality
-            from .core.clustering import clusters_from_matches
-
-            matches = selection.matches
-            clusters = clusters_from_matches(len(table), matches)
-            quality = entity_quality(matches, table)
-            questions, iterations, cost = (
-                selection.questions, selection.iterations, selection.cost_cents,
-            )
-        else:
-            result = resolver.resolve(table, worker_band=args.band)
-            clusters, quality = result.clusters, result.quality
-            questions, iterations, cost = (
-                result.questions, result.iterations, result.cost_cents,
-            )
-    print(f"questions : {questions}")
-    print(f"iterations: {iterations}")
-    print(f"cost      : {cost / 100:.2f} USD")
+        result = resolver.resolve(table, worker_band=args.band, budget=args.budget)
+    clusters = result.clusters
+    print(f"questions : {result.questions}")
+    print(f"iterations: {result.iterations}")
+    print(f"cost      : {result.cost_cents / 100:.2f} USD")
     print(f"clusters  : {len(clusters)}")
-    print(f"quality   : {quality}")
+    print(f"quality   : {result.quality}")
     if args.output is not None:
         with args.output.open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
@@ -1011,11 +992,13 @@ def _command_shard(args) -> int:
             max_cents=args.budget_cents,
         )
     elapsed = time.perf_counter() - start
-    info = result.selection.extras.get("shard", {})
+    info = result.selection.extras["shard"]
     print(f"dataset    : {table.name} ({len(table)} records)")
-    print(f"mode       : {info.get('mode', args.mode)}  "
-          f"workers: {info.get('workers', resolver.workers)}  "
-          f"shards: {info.get('shards', resolver.num_shards)}")
+    if args.mode == "exact":
+        print("mode       : exact (the serial pipeline, in this process)")
+    else:
+        print(f"mode       : independent  workers: {info['workers']}  "
+              f"shards: {info['shards']}")
     print(f"questions  : {result.questions}")
     print(f"iterations : {result.iterations}")
     print(f"cost       : {result.cost_cents / 100:.2f} USD")
@@ -1030,7 +1013,11 @@ def _command_shard(args) -> int:
         if args.mode != "exact":
             print("--check-equivalence requires --mode exact", file=sys.stderr)
             return 2
-        serial = PowerResolver(config).resolve(table, worker_band=args.band)
+        serial = PowerResolver(config).resolve(
+            table,
+            worker_band=args.band,
+            budget=resolver.question_budget(args.budget, args.budget_cents),
+        )
         mismatches = [
             name
             for name, sharded_value, serial_value in (

@@ -202,6 +202,7 @@ class PowerResolver:
         session: CrowdSession | None = None,
         worker_band: str | tuple[float, float] = "90",
         engine: "CrowdEngine | None" = None,
+        budget: int | None = None,
     ) -> ResolutionResult:
         """Run the full pipeline on *table*.
 
@@ -217,6 +218,8 @@ class PowerResolver:
                 guardrails, journaling and simulated wall clock included.
                 With a fault-free profile and no budget caps this path is
                 byte-identical to the synchronous one.
+            budget: optional cap on distinct crowd questions, handed to
+                :meth:`~repro.selection.base.QuestionSelector.run`.
         """
         if engine is not None and session is not None:
             raise ConfigurationError(
@@ -265,7 +268,7 @@ class PowerResolver:
                 else:
                     session = crowd.session()
             started = time.perf_counter()
-            selection = self.make_selector().run(graph, session)
+            selection = self.make_selector().run(graph, session, budget=budget)
             obs_instrument.record_stage_seconds(
                 obs, "select", time.perf_counter() - started, dataset=table.name
             )

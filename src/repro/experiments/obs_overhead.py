@@ -19,9 +19,9 @@ Gates (relaxed in ``POWER_BENCH_FAST=1`` smoke runs, where the workload is
 too small for stable percentages): metrics-only overhead under
 :data:`METRICS_OVERHEAD_MAX_PCT`, tracing+metrics overhead under
 :data:`TRACING_OVERHEAD_MAX_PCT`, identical resolution results in all
-three modes, and a deterministic span merge — a 4-worker sharded run's
-grafted trace must match the inline (``workers=0``) run's structure
-exactly.  The report lands in ``benchmarks/results/BENCH_obs.json``.
+three modes, and a deterministic span merge — a 4-worker independent-mode
+sharded run's grafted trace must match the inline (``workers=0``) run's
+structure exactly.  The report lands in ``benchmarks/results/BENCH_obs.json``.
 """
 
 from __future__ import annotations
@@ -177,7 +177,11 @@ def run_obs_overhead_benchmark(
 def _shard_merge_determinism(
     config: PowerConfig, table, worker_band: str
 ) -> dict:
-    """A 4-worker traced shard run must merge to the inline run's shape."""
+    """A 4-worker traced independent-mode run must merge to the inline run's shape.
+
+    Independent mode is the one that runs its shards in worker processes,
+    so its worker spans are what the merge grafts.
+    """
     from ..shard import ShardedResolver
 
     shard_config = PowerConfig(
@@ -188,9 +192,9 @@ def _shard_merge_determinism(
 
     def run(workers: int):
         with activated(Observability(tracing=True, metrics=True)) as obs:
-            result = ShardedResolver(shard_config, workers=workers).resolve(
-                table, worker_band=worker_band
-            )
+            result = ShardedResolver(
+                shard_config, workers=workers, mode="independent"
+            ).resolve(table, worker_band=worker_band)
         return result, structure(obs.tracer.export())
 
     inline_result, inline_shape = run(0)

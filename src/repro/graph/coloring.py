@@ -94,23 +94,18 @@ class ColoringState:
         self._refresh(targets)
 
     def apply_round(
-        self,
-        vertices: Sequence[int],
-        answers: Sequence[bool | None],
-        votes: tuple[np.ndarray, np.ndarray] | None = None,
+        self, vertices: Sequence[int], answers: Sequence[bool | None]
     ) -> None:
         """Apply one crowd round's answers at once (see the module docstring).
+
+        Every GREEN answer votes its ancestors and every RED answer its
+        descendants, counted from the reachability index's rows when one
+        is built and from the graph's masks otherwise.
 
         Args:
             vertices: the asked vertices, in question order.
             answers: per vertex, True (GREEN), False (RED), or None for a
                 low-confidence answer (BLUE: pinned, no inference).
-            votes: the round's ``(green, red)`` inference-vote counts, when
-                the caller already has them (the sharded loop merges them
-                from its workers).  By default every GREEN answer votes its
-                ancestors and every RED answer its descendants, counted
-                from the reachability index's rows when one is built and
-                from the graph's masks otherwise.
         """
         vertices = list(vertices)
         if len(vertices) != len(answers):
@@ -131,11 +126,9 @@ class ColoringState:
                 red.append(vertex)
             self._pinned[vertex] = True
         self.asked_order.extend(vertices)
-        if votes is None:
-            if not (green or red):
-                return
-            votes = self._inference_votes(green, red)
-        green_votes, red_votes = votes
+        if not (green or red):
+            return
+        green_votes, red_votes = self._inference_votes(green, red)
         self._green_votes += green_votes
         self._red_votes += red_votes
         touched = (green_votes > 0) | (red_votes > 0)

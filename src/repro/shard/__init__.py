@@ -1,15 +1,16 @@
 """Partitioned multi-process resolution with deterministic merges.
 
-The shard subsystem scales :class:`~repro.core.resolver.PowerResolver`
-across worker processes without changing a single output byte (exact
-mode) or with a principled parallel approximation (independent mode).
-Layers, bottom to top:
+The shard subsystem offers :class:`~repro.core.resolver.PowerResolver`
+in two modes: exact mode runs the serial pipeline in the calling process
+(bit-identical by construction), and independent mode spreads per-shard
+resolution loops across worker processes (a principled parallel
+approximation).  Layers, bottom to top:
 
 * :mod:`repro.shard.partition` — connected components of the candidate
   graph, size-capped weak-edge splitting, and LPT bin-packing.
-* :mod:`repro.shard.worker` — picklable pure task specs (join probe
-  ranges, vector chunks, propagation vote slices, independent shard
-  loops) plus deterministic fault injection for the executor tests.
+* :mod:`repro.shard.worker` — picklable pure task specs (independent
+  shard loops, and the vector chunks of the stream's routed batches)
+  plus deterministic fault injection for the executor tests.
 * :mod:`repro.shard.executor` — process-pool scheduling with
   largest-first dispatch, per-task timeout/retry, and in-process
   fallback; budget-split helpers for the independent mode.
@@ -30,7 +31,6 @@ from .executor import (
 from .merge import (
     merge_independent_outcomes,
     merge_vector_chunks,
-    merge_vote_deltas,
     merged_clusters,
 )
 from .partition import (
@@ -47,13 +47,9 @@ from .resolver import SHARD_MODES, ShardedResolver
 from .worker import (
     FaultSpec,
     IndependentShardTask,
-    JoinTask,
-    PropagationTask,
     ShardOutcome,
     VectorTask,
-    compute_join_pairs,
     compute_vectors,
-    compute_vote_deltas,
     derive_shard_seed,
     resolve_shard,
 )
@@ -75,17 +71,12 @@ __all__ = [
     "vertex_slices",
     "FaultSpec",
     "derive_shard_seed",
-    "JoinTask",
     "VectorTask",
-    "PropagationTask",
     "IndependentShardTask",
     "ShardOutcome",
-    "compute_join_pairs",
     "compute_vectors",
-    "compute_vote_deltas",
     "resolve_shard",
     "merge_vector_chunks",
-    "merge_vote_deltas",
     "merged_clusters",
     "merge_independent_outcomes",
 ]

@@ -16,9 +16,8 @@ runs picklable task specs (from :mod:`repro.shard.worker`) through a
   *same bytes* the healthy path would have produced.
 
 ``workers=0`` short-circuits to fully inline execution (no processes, no
-pickling) — the mode the verification battery and the mutation self-test
-use, and the proof obligation that the parallel path's task/merge
-decomposition, not multiprocessing luck, carries the equivalence.
+pickling), so the tests can show that the task/merge decomposition, not
+multiprocessing luck, carries the equivalence.
 
 The module also hosts the **budget-split** helpers for the independent
 execution mode: :func:`split_question_budget` (largest-remainder
@@ -79,10 +78,8 @@ class ExecutorStats:
     """Fault-handling telemetry for one executor lifetime.
 
     ``run_seconds`` accumulates the wall time spent inside
-    :meth:`ShardExecutor.run`.  With ``workers=0`` (inline execution) it
-    is exactly the total task compute time — the *parallelizable seconds*
-    of the pipeline — which the scaling benchmark divides by the total
-    wall time to measure the Amdahl parallel fraction.
+    :meth:`ShardExecutor.run` (exported as the
+    ``repro_shard_run_seconds_total`` metric).
     """
 
     tasks: int = 0
@@ -110,8 +107,7 @@ class ShardExecutor:
 
     Args:
         workers: process-pool size; ``0`` runs every task inline in the
-            calling process (deterministic, dependency-free — used by the
-            verification battery).
+            calling process (deterministic and dependency-free).
         retries: re-submissions per task before the in-process fallback
             (crashes, exceptions, and timeouts all count as one attempt).
         timeout: per-task seconds before a worker is declared hung and its

@@ -2,16 +2,11 @@
 
 Every merge in this module is **associative and order-free**: the merged
 output depends only on the *set* of shard results, never on which worker
-produced them or in which order they completed.  That is the heart of the
-sharded path's determinism argument (DESIGN.md §10):
+produced them or in which order they completed (DESIGN.md §10):
 
 * :func:`merge_vector_chunks` — chunks are keyed by their global row
   offset, so reassembly is a sort + stack (rows are per-pair independent).
-* :func:`merge_vote_deltas` — per-slice vote deltas are **summed**; vote
-  addition is commutative integer arithmetic, so partial sums merged in
-  any order equal the serial per-answer accumulation exactly.  The merged
-  counts feed the serial loop's own round update,
-  :meth:`~repro.graph.coloring.ColoringState.apply_round`.
+  The streaming service's routed batches use it.
 * :func:`merge_independent_outcomes` / :func:`merged_clusters` — the
   independent mode's reduction: labels union (shards own disjoint pair
   sets), distinct-question union, **pooled** billing recomputed over the
@@ -35,7 +30,7 @@ from .worker import ShardOutcome
 
 
 # --------------------------------------------------------------------------- #
-# Exact-mode merges
+# Vector chunks
 # --------------------------------------------------------------------------- #
 
 
@@ -57,30 +52,6 @@ def merge_vector_chunks(chunks: Iterable[tuple[int, np.ndarray]]) -> np.ndarray:
             )
         expected = start + rows.shape[0]
     return np.vstack([rows for _, rows in ordered])
-
-
-def merge_vote_deltas(
-    slices: Iterable[tuple[int, np.ndarray, np.ndarray]], num_vertices: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum per-slice ``(lo, green_delta, red_delta)`` into full-length deltas.
-
-    Vote addition is commutative and associative integer arithmetic, so
-    this merge is independent of slice order, slice boundaries, and worker
-    scheduling — the property the mutation self-test attacks (a merge that
-    drops a slice's contribution must be caught by the shard-equivalence
-    differential).
-    """
-    green = np.zeros(num_vertices, dtype=np.int32)
-    red = np.zeros(num_vertices, dtype=np.int32)
-    for lo, green_delta, red_delta in slices:
-        if lo < 0 or lo + len(green_delta) > num_vertices:
-            raise ConfigurationError(
-                f"vote-delta slice [{lo}, {lo + len(green_delta)}) escapes "
-                f"the {num_vertices}-vertex graph"
-            )
-        green[lo : lo + len(green_delta)] += green_delta
-        red[lo : lo + len(red_delta)] += red_delta
-    return green, red
 
 
 # --------------------------------------------------------------------------- #
@@ -167,7 +138,6 @@ def merge_independent_outcomes(
 
 __all__ = [
     "merge_vector_chunks",
-    "merge_vote_deltas",
     "merged_clusters",
     "merge_independent_outcomes",
 ]

@@ -2,34 +2,31 @@
 
 Drop-in for :class:`~repro.core.resolver.PowerResolver` — same
 ``resolve(table, session=..., worker_band=...)`` signature, same
-:class:`~repro.core.resolver.ResolutionResult` — that spreads the work
-across CPU cores through :class:`~repro.shard.executor.ShardExecutor`.
-Two execution modes:
+:class:`~repro.core.resolver.ResolutionResult`.  Two execution modes:
 
-* ``mode="exact"`` (default) — **lockstep data parallelism**.  The
-  coordinator runs the real selector, RNG, and crowd session in exactly
-  the serial order; workers compute the data-parallel pieces (candidate-
-  join probe ranges, similarity vector chunks, per-slice inference-vote
-  deltas) whose merges are associative and order-free; the coordinator
-  builds the graph's reachability index itself, as the serial loop does.
-  The result is **bit-identical** to ``PowerResolver.resolve`` — same
+* ``mode="exact"`` (default) — **the serial pipeline, in the calling
+  process**.  It is :meth:`PowerResolver.resolve` itself, with the
+  question budget handed to the selector, so the result is
+  **bit-identical** to the serial resolver by construction — same
   matches, same question transcript, same iteration count, same bill —
-  for *any* shard count and *any* worker count, including after worker
-  crashes, timeouts, and in-process fallbacks.  This is the mode the
-  ``check_shard_equivalence`` differential certifies.
-* ``mode="independent"`` — **CrowdER-style component sharding**.  The
-  candidate graph is partitioned into connected components, giant
-  components are split on their weakest edges under the
-  ``shard_max_pairs`` cap, blocks are LPT-packed into balanced shards,
-  and each shard runs its own full selection/crowd loop with a seed
-  derived from the global seed and the shard id.  Shards never exchange
-  inference, so question counts can exceed the serial run's (weak-edge
-  cuts forfeit exactly the cross-cut inference) — the trade the paper's
-  related work (CrowdER; Mazumdar & Saha's independently-resolvable
-  clusters) accepts for horizontal scale.  Results are deterministic and
-  schedule-independent, and a global question/money budget is split
-  across shards with the same :class:`~repro.engine.budget.BudgetGuard`
-  arithmetic the engine uses.
+  for any ``workers``/``shards`` setting.  It opens no
+  :class:`~repro.shard.executor.ShardExecutor`: on a 2-vCPU host, worker
+  tasks for the join, the vectors and the vote propagation each lost to
+  their serial stage (DESIGN.md §10).  ``check_shard_equivalence`` still
+  certifies it against the serial resolver.
+* ``mode="independent"`` — **CrowdER-style component sharding**, the mode
+  that uses worker processes.  The candidate graph is partitioned into
+  connected components, giant components are split on their weakest
+  edges under the ``shard_max_pairs`` cap, blocks are LPT-packed into
+  balanced shards, and each shard runs its own full selection/crowd loop
+  in a worker with a seed derived from the global seed and the shard id.
+  Shards never exchange inference, so question counts can exceed the
+  serial run's (weak-edge cuts forfeit exactly the cross-cut inference) —
+  the trade the paper's related work (CrowdER; Mazumdar & Saha's
+  independently-resolvable clusters) accepts for horizontal scale.
+  Results are deterministic and schedule-independent, and a global
+  question/money budget is split across shards with the same
+  :class:`~repro.engine.budget.BudgetGuard` arithmetic the engine uses.
 """
 
 from __future__ import annotations
@@ -40,62 +37,40 @@ import time
 
 import numpy as np
 
-from ..core.clustering import clusters_from_matches
+# benchmarks/e2e/tracing.py wraps this module's ``clusters_from_matches`` by name.
+from ..core.clustering import clusters_from_matches  # noqa: F401
 from ..core.config import PowerConfig
 from ..core.metrics import entity_quality
 from ..core.resolver import PowerResolver, ResolutionResult
 from ..crowd.platform import CrowdSession
 from ..data.table import Table
-from ..exceptions import ConfigurationError, DataError, SelectionError
-from ..graph.coloring import ColoringState
-from ..graph.dag import OrderedGraph
+from ..exceptions import ConfigurationError, DataError
 from ..obs import instrument as obs_instrument
-from ..selection.base import SelectionResult, ask_round, round_answers
-from ..selection.error_tolerant import (
-    ErrorPolicy,
-    resolve_blue_pairs,
-    resolve_undecided_vertices,
-)
 from .executor import ShardExecutor, questions_for_cents, split_question_budget
-from .merge import (
-    merge_independent_outcomes,
-    merge_vector_chunks,
-    merge_vote_deltas,
-    merged_clusters,
-)
-from .partition import plan_pair_shards, vertex_slices
-from .worker import (
-    IndependentShardTask,
-    JoinTask,
-    PropagationTask,
-    VectorTask,
-    compute_join_pairs,
-    compute_vectors,
-    compute_vote_deltas,
-    derive_shard_seed,
-    resolve_shard,
-)
+from .merge import merge_independent_outcomes, merged_clusters
+from .partition import plan_pair_shards
+from .worker import IndependentShardTask, derive_shard_seed, resolve_shard
 
 #: Execution modes of :class:`ShardedResolver`.
 SHARD_MODES = ("exact", "independent")
 
 
 class ShardedResolver(PowerResolver):
-    """Multi-process Power/Power+ with a deterministic merge.
+    """Power/Power+ with an optional multi-process, per-shard mode.
 
     Args:
-        config: the pipeline configuration; ``config.shards`` sets the
-            number of shard work units (``None`` → one per worker),
-            ``config.shard_max_pairs`` the independent-mode component size
-            cap, ``config.shard_retries`` the per-task retry budget.
-        workers: worker-process count; ``0`` runs every task inline (no
-            processes — deterministic and dependency-free, the mode the
-            verification battery uses); ``None`` → ``min(shards,
-            cpu_count)``.
-        mode: ``"exact"`` (bit-identical lockstep, default) or
+        config: the pipeline configuration; in independent mode
+            ``config.shards`` sets the number of shards (``None`` → one per
+            worker), ``config.shard_max_pairs`` the component size cap and
+            ``config.shard_retries`` the per-task retry budget.
+        workers: independent-mode worker-process count; ``0`` runs every
+            shard inline (no processes — deterministic and
+            dependency-free); ``None`` → ``min(shards, cpu_count)``.  Exact
+            mode starts no process whatever this says.
+        mode: ``"exact"`` (the serial pipeline, bit-identical, default) or
             ``"independent"`` (per-shard full loops, CrowdER-style).
-        timeout: per-task seconds before a worker is declared hung;
-            ``None`` disables.
+        timeout: independent-mode per-task seconds before a worker is
+            declared hung; ``None`` disables.
         mp_context: multiprocessing start method (``None`` = platform
             default).
     """
@@ -140,6 +115,20 @@ class ShardedResolver(PowerResolver):
     # Entry point
     # ------------------------------------------------------------------ #
 
+    def question_budget(
+        self, budget: int | None, max_cents: float | None
+    ) -> int | None:
+        """*budget* tightened by *max_cents* (the tighter cap wins).
+
+        Cents become questions through the
+        :class:`~repro.engine.budget.BudgetGuard` billing inversion
+        (:func:`~repro.shard.executor.questions_for_cents`).
+        """
+        if max_cents is None:
+            return budget
+        affordable = questions_for_cents(max_cents, assignments=self.config.assignments)
+        return affordable if budget is None else min(budget, affordable)
+
     def resolve(
         self,
         table: Table,
@@ -149,331 +138,28 @@ class ShardedResolver(PowerResolver):
         budget: int | None = None,
         max_cents: float | None = None,
     ) -> ResolutionResult:
-        """Run the sharded pipeline on *table*.
+        """Run the pipeline on *table* in the configured mode.
 
         Args:
             table / session / worker_band: as
                 :meth:`PowerResolver.resolve`.
-            engine: not supported on the sharded path (the engine's event
-                loop is a different concurrency story); pass the engine to
-                the serial resolver instead.
+            engine: not supported here; pass the engine to the serial
+                resolver instead.
             budget: optional global cap on distinct crowd questions.
-            max_cents: optional global money cap, converted to a question
-                budget through the
-                :class:`~repro.engine.budget.BudgetGuard` billing
-                inversion and combined with *budget* (the tighter wins).
+            max_cents: optional global money cap, combined with *budget*
+                by :meth:`question_budget`.
         """
         if engine is not None:
             raise ConfigurationError(
                 "ShardedResolver does not drive the event engine; use "
                 "PowerResolver(engine=...) for fault-simulation runs"
             )
-        if max_cents is not None:
-            affordable = questions_for_cents(
-                max_cents, assignments=self.config.assignments
-            )
-            budget = affordable if budget is None else min(budget, affordable)
+        budget = self.question_budget(budget, max_cents)
         if self.mode == "independent":
             return self._resolve_independent(table, session, worker_band, budget)
-        return self._resolve_exact(table, session, worker_band, budget)
-
-    # ------------------------------------------------------------------ #
-    # Exact lockstep mode
-    # ------------------------------------------------------------------ #
-
-    def _resolve_exact(
-        self,
-        table: Table,
-        session: CrowdSession | None,
-        worker_band: str | tuple[float, float],
-        budget: int | None,
-    ) -> ResolutionResult:
-        timings: dict[str, float] = {}
-        obs = obs_instrument.current()
-        tracer = obs.tracer
-        with self._executor() as executor, tracer.span(
-            "shard.resolve",
-            dataset=table.name,
-            mode="exact",
-            shards=self.num_shards,
-            workers=self.workers,
-        ):
-            # Stage 1: the candidate similarity join, tiled by probe-record
-            # ranges (the join dominates large-table wall time).
-            started = time.perf_counter()
-            with tracer.span("shard.join"):
-                pairs = self._parallel_candidate_pairs(table, executor)
-            timings["join"] = time.perf_counter() - started
-            if not pairs:
-                raise DataError(
-                    f"no candidate pairs survive pruning at threshold "
-                    f"{self.config.pruning_threshold} on table {table.name!r}"
-                )
-            # Stage 2: similarity vectors, chunked by pair ranges.
-            started = time.perf_counter()
-            with tracer.span("shard.vectors", pairs=len(pairs)):
-                similarity = self.similarity_config(table)
-                chunks = [
-                    VectorTask(
-                        start=lo,
-                        pairs=tuple(pairs[lo:hi]),
-                        table=table,
-                        config=similarity,
-                    )
-                    for lo, hi in vertex_slices(len(pairs), self.num_shards)
-                ]
-                vectors = merge_vector_chunks(
-                    executor.run(
-                        compute_vectors, chunks, weights=[len(c.pairs) for c in chunks]
-                    )
-                )
-            timings["vectors"] = time.perf_counter() - started
-
-            # Stage 3: the (grouped) graph and its reachability index.
-            started = time.perf_counter()
-            with tracer.span("shard.graph"):
-                graph = self.build_graph(table, pairs, vectors=vectors)
-                graph.build_reachability()
-            timings["graph"] = time.perf_counter() - started
-
-            # Stage 4: the lockstep selection loop.
-            if session is None:
-                session = self.simulated_crowd(table, pairs, worker_band).session()
-            started = time.perf_counter()
-            with tracer.span("shard.selection"):
-                selection = self._run_lockstep(graph, session, executor, budget)
-            timings["selection"] = time.perf_counter() - started
-            for stage, seconds in timings.items():
-                obs_instrument.record_stage_seconds(
-                    obs, f"shard.{stage}", seconds, dataset=table.name
-                )
-            obs_instrument.record_executor_stats(obs, executor.stats.as_dict())
-            selection.extras["shard"] = {
-                "mode": "exact",
-                "shards": self.num_shards,
-                "workers": self.workers,
-                "timings": timings,
-                "executor": executor.stats.as_dict(),
-            }
-        matches = selection.matches
-        clusters = clusters_from_matches(len(table), matches)
-        quality = None
-        if table.has_ground_truth():
-            quality = entity_quality(matches, table)
-        return ResolutionResult(
-            table_name=table.name,
-            candidate_pairs=pairs,
-            selection=selection,
-            matches=matches,
-            clusters=clusters,
-            quality=quality,
-        )
-
-    def _parallel_candidate_pairs(
-        self, table: Table, executor: ShardExecutor
-    ) -> list:
-        """The pruning join of §7.1, tiled by probe-record ranges.
-
-        Every pair ``(a, b)`` with ``a < b`` is owned by its higher record
-        id; a range task emits exactly the pairs owned by its records
-        (:func:`repro.similarity.join.similar_pairs_range`), so the sorted
-        concatenation over a disjoint covering tiling *is* the serial
-        ``candidate_pairs`` output, pair for pair.  Ranges are cut on a
-        square-root grid (record ``b`` counts intersections against ``O(b)``
-        earlier records, so equal-work tiles have equal ``hi² - lo²``), and
-        dispatch weights carry the same quadratic estimate for the LPT
-        scheduler.
-
-        Falls back to the serial join only when the table is trivial or
-        the plan has a single shard.  With ``workers=0`` the tiles still run
-        (inline), so the equivalence differential attacks the tiling
-        decomposition itself.
-        """
-        if self.num_shards <= 1 or len(table) < 2:
-            return self.candidate_pairs(table)
-        boundaries = sorted(
-            {
-                round(len(table) * math.sqrt(step / self.num_shards))
-                for step in range(self.num_shards + 1)
-            }
-            | {0, len(table)}
-        )
-        ranges = [
-            (lo, hi)
-            for lo, hi in zip(boundaries, boundaries[1:])
-            if lo < hi
-        ]
-        tasks = [
-            JoinTask(
-                table=table,
-                threshold=self.config.pruning_threshold,
-                lo=lo,
-                hi=hi,
-                tokens=self.config.join_tokens,
-            )
-            for lo, hi in ranges
-        ]
-        chunks = executor.run(
-            compute_join_pairs,
-            tasks,
-            weights=[float(hi * hi - lo * lo) for lo, hi in ranges],
-        )
-        merged: list = []
-        for chunk in chunks:
-            merged.extend(chunk)
-        merged.sort()
-        return merged
-
-    def _run_lockstep(
-        self,
-        graph: OrderedGraph,
-        session: CrowdSession,
-        executor: ShardExecutor,
-        budget: int | None = None,
-    ) -> SelectionResult:
-        """The serial ask/color loop with parallel inference propagation.
-
-        Mirrors :meth:`repro.selection.base.QuestionSelector.run` statement
-        for statement — same selector, same RNG consumption order, same
-        session, same guard and budget semantics — except that each crowd
-        round's vote propagation is computed as per-slice deltas in the
-        workers, merged through :func:`merge_vote_deltas` and handed to
-        the same round update the serial loop runs,
-        :meth:`~repro.graph.coloring.ColoringState.apply_round` (equal to
-        the one-answer-at-a-time engine; see its module docstring).
-        """
-        if budget is not None and budget < 0:
-            raise SelectionError(f"budget must be >= 0, got {budget}")
-        obs = obs_instrument.current()
-        tracer = obs.tracer
-        selector = self.make_selector()
-        selector.reset()
-        rng = np.random.default_rng(selector.seed)
-        state = ColoringState(graph)
-        operands = graph._dominance_operands()
-        slices = vertex_slices(len(graph), self.num_shards) if len(graph) else []
-        assignment_time = 0.0
-        propagate_seconds = 0.0
-        rounds = 0
-        guard = 0
-        per_round: list[dict] = []
-        while not state.is_complete():
-            remaining = None if budget is None else budget - session.questions_asked
-            if remaining is not None and remaining <= 0:
-                break
-            guard += 1
-            if guard > 10 * len(graph) + 10:
-                raise SelectionError(
-                    f"{selector.name}: no progress after {guard} iterations"
-                )
-            with tracer.span("selection.round", round=rounds) as round_span:
-                colored_before = len(state.uncolored())
-                timer = time.perf_counter()
-                vertices = selector.select(graph, state, rng)
-                cover_seconds = time.perf_counter() - timer
-                assignment_time += cover_seconds
-                vertices = [v for v in vertices if state.colors[v] == 0]
-                if not vertices:
-                    raise SelectionError(
-                        f"{selector.name}: selected no uncolored vertices while "
-                        f"{len(state.uncolored())} remain"
-                    )
-                if remaining is not None:
-                    vertices = vertices[:remaining]
-                vertices = obs_instrument.observe_round(
-                    obs, selector.name, rounds, vertices, cover_seconds
-                )
-                questions = {
-                    vertex: graph.representative_pair(vertex, rng)
-                    for vertex in vertices
-                }
-                answers = ask_round(session, questions)
-                decided = round_answers(questions, answers, selector.error_policy)
-                timer = time.perf_counter()
-                self._propagate_batch(
-                    graph, state, executor, operands, slices, vertices, decided
-                )
-                round_propagate = time.perf_counter() - timer
-                propagate_seconds += round_propagate
-                newly_colored = colored_before - len(state.uncolored())
-                round_span.set_attribute("asked", len(vertices))
-                round_span.set_attribute("colored", newly_colored)
-                per_round.append(
-                    {
-                        "round": rounds,
-                        "asked": len(vertices),
-                        "colored": newly_colored,
-                        "cover_seconds": cover_seconds,
-                        "propagate_seconds": round_propagate,
-                    }
-                )
-            rounds += 1
-        labels = state.pair_labels()
-        fallback_policy = selector.error_policy or ErrorPolicy()
-        if selector.error_policy is not None:
-            labels.update(resolve_blue_pairs(graph, state, selector.error_policy))
-        uncolored = state.uncolored()
-        if uncolored.size:
-            labels.update(
-                resolve_undecided_vertices(graph, state, uncolored, fallback_policy)
-            )
-        telemetry = {
-            "cover_seconds": assignment_time,
-            "propagate_seconds": propagate_seconds,
-            "rounds": rounds,
-            "incremental": graph.reachability is not None,
-            "per_round": per_round,
-        }
-        engine_stats = selector._selection_stats()
-        if engine_stats is not None:
-            telemetry["engine"] = engine_stats
-        obs_instrument.record_selection_metrics(obs, selector.name, telemetry)
-        return SelectionResult(
-            name=selector.name,
-            labels=labels,
-            questions=session.questions_asked,
-            iterations=session.iterations,
-            assignment_time=assignment_time,
-            state=state,
-            cost_cents=session.cost_cents,
-            extras={"selection": telemetry},
-        )
-
-    def _propagate_batch(
-        self,
-        graph: OrderedGraph,
-        state: ColoringState,
-        executor: ShardExecutor,
-        operands: tuple[np.ndarray, np.ndarray] | None,
-        slices: list[tuple[int, int]],
-        vertices: list[int],
-        decided: list[bool | None],
-    ) -> None:
-        """Apply one round's answers with shard-parallel vote propagation."""
-        green = [vertex for vertex, answer in zip(vertices, decided) if answer is True]
-        red = [vertex for vertex, answer in zip(vertices, decided) if answer is False]
-        if operands is None or not slices or not (green or red):
-            # No operand form (custom graph) or a BLUE-only round: the
-            # serial round update is already the fastest correct path.
-            state.apply_round(vertices, decided)
-            return
-        dominant, dominated = operands
-        tasks = [
-            PropagationTask(
-                dominant_block=dominant[lo:hi],
-                dominated_block=dominated[lo:hi],
-                lo=lo,
-                green_vertices=tuple(green),
-                green_rows=dominated[green],
-                red_vertices=tuple(red),
-                red_rows=dominant[red],
-            )
-            for lo, hi in slices
-        ]
-        deltas = executor.run(
-            compute_vote_deltas, tasks, weights=[len(t.dominant_block) for t in tasks]
-        )
-        state.apply_round(vertices, decided, merge_vote_deltas(deltas, len(graph)))
+        result = super().resolve(table, session, worker_band, budget=budget)
+        result.selection.extras["shard"] = {"mode": "exact"}
+        return result
 
     # ------------------------------------------------------------------ #
     # Independent mode

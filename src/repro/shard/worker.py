@@ -6,21 +6,18 @@ makes the executor's fault handling trivial — a crashed, hung, or flaky
 task can be retried on another worker (or run inline in the coordinator)
 and produce the *same bytes*.
 
-Two families of tasks exist, matching the two execution modes of
-:mod:`repro.shard`:
+Two tasks exist:
 
-* **exact lockstep** tasks — data-parallel slices of the serial pipeline's
-  own arithmetic.  :func:`compute_join_pairs` emits one probe range of the
-  candidate similarity join, :func:`compute_vectors` vectorizes a chunk of
-  candidate pairs, and :func:`compute_vote_deltas` computes one vertex
-  slice's inference-vote deltas for a batch of crowd answers.  Their merges
-  (:mod:`repro.shard.merge`) are associative and order-free, so the merged
-  result is bit-identical to the serial path regardless of scheduling.
-* **independent** tasks — :func:`resolve_shard` runs the full
+* :func:`resolve_shard` — the independent mode's task: the full
   Power/Power+ graph-build → selection → crowd loop on one shard's pair
   set, with a per-shard RNG seed derived from the global seed and the
   shard id (:func:`derive_shard_seed`), so shard answers are reproducible
   regardless of which process runs them or in which order.
+* :func:`compute_vectors` — one chunk of similarity vectors; the
+  streaming service routes a batch with at least ``shard_threshold``
+  candidate pairs through it.  Rows are per-pair independent, so the
+  chunks stack (:func:`~repro.shard.merge.merge_vector_chunks`) to the
+  one-shot matrix bit for bit.
 
 Determinism of the simulated crowd is load-bearing: each worker's vote is
 seeded by ``(pool seed, worker id, pair)`` and the worker assignment by
@@ -135,52 +132,8 @@ def derive_shard_seed(seed: int, shard_id: int) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# Exact-mode tasks: data-parallel slices of the serial arithmetic
+# Vector chunks (the stream's routed batches)
 # --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class JoinTask:
-    """One probe range of the candidate-pair similarity join.
-
-    Every candidate pair ``(a, b)`` with ``a < b`` is owned by its higher
-    record id ``b``; this task emits exactly the pairs owned by records
-    ``[lo, hi)`` (see :func:`repro.similarity.join.similar_pairs_range`).
-    Tiling the record range therefore tiles the full join output — the
-    concatenation over disjoint covering ranges is a permutation of
-    ``similar_pairs(table, threshold)``, and sorting it restores the exact
-    serial output.
-
-    Attributes:
-        table: the records (each task tokenizes them and replays the
-            posting lists up to *hi* itself; see
-            :func:`~repro.similarity.join.similar_pairs_range` for what that
-            costs next to the probing the range parallelizes).
-        threshold: the record-level Jaccard pruning bound ``tau``.
-        lo / hi: the probe-record range this task owns.
-        tokens: ``"word"`` or ``"qgram"`` token sets.
-    """
-
-    table: Table
-    threshold: float
-    lo: int
-    hi: int
-    tokens: str = "word"
-    fault: FaultSpec | None = None
-
-
-def compute_join_pairs(task: JoinTask) -> list[Pair]:
-    """The candidate pairs owned by the task's probe-record range."""
-    maybe_fault(task.fault)
-    from ..similarity.join import similar_pairs_range
-
-    return similar_pairs_range(
-        task.table,
-        task.threshold,
-        task.lo,
-        task.hi,
-        tokens=task.tokens,
-    )
 
 
 @dataclass(frozen=True)
@@ -216,102 +169,6 @@ def compute_vectors(task: VectorTask) -> tuple[int, np.ndarray]:
     return task.start, batch_similarity_matrix(
         task.table, list(task.pairs), task.config
     )
-
-
-@dataclass(frozen=True)
-class PropagationTask:
-    """One vertex slice's inference-vote deltas for a batch of answers.
-
-    For the slice ``[lo, hi)`` of the dominance DAG, computes how many
-    GREEN votes each slice vertex receives from the batch's GREEN answers
-    (it strictly dominates an answered vertex: ``dominant[u] >=
-    dominated[v]`` with a strict component) and how many RED votes from the
-    RED answers (it is strictly dominated: ``dominated[u] <=
-    dominant[v]``) — the same operand form
-    :meth:`repro.graph.dag.OrderedGraph._dominance_operands` feeds the
-    blocked kernel, valid for pair and grouped graphs alike.
-
-    Attributes:
-        dominant_block / dominated_block: operand rows ``lo:hi``.
-        lo: global index of the slice's first vertex.
-        green_vertices / green_rows: GREEN-answered vertices and their
-            *dominated* operand rows (the comparison targets).
-        red_vertices / red_rows: RED-answered vertices and their
-            *dominant* operand rows.
-    """
-
-    dominant_block: np.ndarray
-    dominated_block: np.ndarray
-    lo: int
-    green_vertices: tuple[int, ...]
-    green_rows: np.ndarray
-    red_vertices: tuple[int, ...]
-    red_rows: np.ndarray
-    fault: FaultSpec | None = None
-
-
-#: Answered vertices are processed in chunks of this many per comparison
-#: broadcast, bounding the ``(slice, chunk, m)`` boolean temporary.
-_VOTE_CHUNK = 256
-
-
-def _vote_counts(
-    block: np.ndarray,
-    rows: np.ndarray,
-    vertices: tuple[int, ...],
-    lo: int,
-    green: bool,
-) -> np.ndarray:
-    """Votes received by each block vertex from the answered *vertices*.
-
-    ``green=True`` counts, per block vertex ``u``, the answered vertices it
-    strictly dominates' ancestors relation (``block[u] >= row`` all, ``>``
-    any); ``green=False`` the strictly-dominated relation (``block[u] <=
-    row`` all, ``<`` any).  A vertex never votes for itself (the serial
-    masks pin ``mask[vertex] = False``).
-    """
-    height = block.shape[0]
-    counts = np.zeros(height, dtype=np.int32)
-    if not len(vertices):
-        return counts
-    for start in range(0, len(vertices), _VOTE_CHUNK):
-        chunk_rows = rows[start : start + _VOTE_CHUNK]
-        cmp = block[:, None, :]
-        if green:
-            mask = (cmp >= chunk_rows[None, :, :]).all(axis=2) & (
-                cmp > chunk_rows[None, :, :]
-            ).any(axis=2)
-        else:
-            mask = (cmp <= chunk_rows[None, :, :]).all(axis=2) & (
-                cmp < chunk_rows[None, :, :]
-            ).any(axis=2)
-        for offset, vertex in enumerate(vertices[start : start + _VOTE_CHUNK]):
-            if lo <= vertex < lo + height:
-                mask[vertex - lo, offset] = False  # self-vote never happens
-        counts += mask.sum(axis=1, dtype=np.int32)
-    return counts
-
-
-def compute_vote_deltas(
-    task: PropagationTask,
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """``(lo, green_delta, red_delta)`` for the task's vertex slice.
-
-    Exactness: the serial engine applies one answer at a time —
-    ``_green_votes[ancestor_mask(v)] += 1`` per GREEN answer,
-    ``_red_votes[descendant_mask(v)] += 1`` per RED — and vote addition is
-    commutative and associative, so per-slice partial sums merged in any
-    order equal the serial per-answer sums exactly (integer arithmetic,
-    no rounding).
-    """
-    maybe_fault(task.fault)
-    green = _vote_counts(
-        task.dominant_block, task.green_rows, task.green_vertices, task.lo, True
-    )
-    red = _vote_counts(
-        task.dominated_block, task.red_rows, task.red_vertices, task.lo, False
-    )
-    return task.lo, green, red
 
 
 # --------------------------------------------------------------------------- #
@@ -438,12 +295,8 @@ __all__ = [
     "FaultSpec",
     "maybe_fault",
     "derive_shard_seed",
-    "JoinTask",
-    "compute_join_pairs",
     "VectorTask",
     "compute_vectors",
-    "PropagationTask",
-    "compute_vote_deltas",
     "IndependentShardTask",
     "ShardOutcome",
     "resolve_shard",

@@ -10,12 +10,7 @@ and are equivalence-tested against the references.  The candidate join
 from .batch import TokenIndex, batch_similarity_matrix, sparse_jaccard_join
 from .edit import edit_distance, edit_distance_within, edit_similarity
 from .jaccard import bigram_jaccard, jaccard, qgram_jaccard, token_jaccard
-from .join import (
-    similar_pairs,
-    similar_pairs_edit,
-    similar_pairs_range,
-    top_k_pairs,
-)
+from .join import similar_pairs, similar_pairs_edit, top_k_pairs
 from .tokenize import normalize, qgram_tokens, word_tokens
 from .vectors import (
     SIMILARITY_FUNCTIONS,
@@ -44,7 +39,6 @@ __all__ = [
     "resolve_functions",
     "similar_pairs",
     "similar_pairs_edit",
-    "similar_pairs_range",
     "similarity_matrix",
     "sparse_jaccard_join",
     "token_jaccard",

@@ -18,9 +18,8 @@ fast paths:
 * :func:`sparse_jaccard_join` — the record-level Jaccard self-join computed
   via inverted-list intersection counts (``np.bincount``) instead of per-pair
   Python set ops, verifying only the candidates at or above an overlap
-  floor and returning sorted pairs, with a ``[lo, hi)`` probe-range form;
-  the one candidate join behind :func:`repro.similarity.join.similar_pairs`
-  and :func:`repro.similarity.join.similar_pairs_range`.
+  floor and returning sorted pairs; the one candidate join behind
+  :func:`repro.similarity.join.similar_pairs`.
 
 The contract, enforced by tests: fast and reference paths agree on the exact
 same pair sets and produce bit-identical similarity values (both sides reduce
@@ -527,10 +526,7 @@ def _overlap_floor(max_size: int, threshold: float) -> np.ndarray:
 
 
 def sparse_jaccard_join(
-    token_sets: Sequence[frozenset[str]],
-    threshold: float,
-    lo: int = 0,
-    hi: int | None = None,
+    token_sets: Sequence[frozenset[str]], threshold: float
 ) -> list[Pair]:
     """All pairs with ``jaccard(token_sets[a], token_sets[b]) >= threshold``, sorted.
 
@@ -543,27 +539,15 @@ def sparse_jaccard_join(
     the scalar :func:`jaccard` — so the result matches the naive
     quadratic scan pair for pair.
 
-    A pair ``(a, b)`` with ``a < b`` is *owned* by its higher id ``b``.
-    With a ``[lo, hi)`` probe range only the pairs owned by those records
-    are returned: records before *lo* are replayed into the posting lists
-    (appends only, including the list of empty token sets) and never
-    probed.  Tiling ``[0, n)`` with disjoint ranges therefore tiles the
-    full join output — the work unit of the sharded parallel join.
-
     Records with *empty* token sets follow the scalar convention (two empty
     sets have similarity 1.0) and are paired among themselves.
     """
     if not 0.0 < threshold <= 1.0:
         raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
-    hi = len(token_sets) if hi is None else hi
-    if not 0 <= lo <= hi <= len(token_sets):
-        raise ConfigurationError(
-            f"range [{lo}, {hi}) escapes the {len(token_sets)}-record join"
-        )
     vocab: dict[str, int] = {}
     rows = [
         [vocab.setdefault(token, len(vocab)) for token in tokens]
-        for tokens in token_sets[:hi]
+        for tokens in token_sets
     ]
     sizes = np.fromiter((len(ids) for ids in rows), dtype=np.int64, count=len(rows))
     # Posting lists in record order: ``cuts[b][k]`` is how many records
@@ -583,8 +567,7 @@ def sparse_jaccard_join(
 
     partners: list[np.ndarray] = []
     owners: list[int] = []
-    for record_id in range(lo, hi):
-        ids = rows[record_id]
+    for record_id, ids in enumerate(rows):
         if not ids:
             # jaccard(∅, ∅) == 1.0 >= threshold for every valid threshold.
             kept = np.asarray(empties[: bisect_left(empties, record_id)], dtype=np.int64)

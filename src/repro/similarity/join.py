@@ -4,10 +4,9 @@
 pairs whose similarity scores are below [tau]."  Every path runs the same
 inverted-list join (:func:`repro.similarity.batch.sparse_jaccard_join`) —
 the machine pruning pass that CrowdER et al. place in front of the crowd.
-:func:`similar_pairs` runs it over the whole table; :func:`similar_pairs_range`
-runs its probe-range form, the work unit of the sharded parallel join.  The
-quadratic scan and the prefix-filtered join survive as differential oracles
-in :mod:`repro.verify.oracles`.
+:func:`similar_pairs` runs it over the whole table.  The quadratic scan and
+the prefix-filtered join survive as differential oracles in
+:mod:`repro.verify.oracles`.
 """
 
 from __future__ import annotations
@@ -30,13 +29,6 @@ def _record_tokens(table: Table, use_qgrams: bool) -> list[frozenset[str]]:
     return [word_tokens(table.record_text(r.record_id)) for r in table]
 
 
-def _check_join_args(threshold: float, tokens: str) -> None:
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
-    if tokens not in ("word", "qgram"):
-        raise ConfigurationError(f"tokens must be 'word' or 'qgram', got {tokens!r}")
-
-
 def similar_pairs(table: Table, threshold: float, tokens: str = "word") -> list[Pair]:
     """All record pairs whose record-level Jaccard is ``>= threshold``.
 
@@ -50,7 +42,10 @@ def similar_pairs(table: Table, threshold: float, tokens: str = "word") -> list[
         Canonically ordered pairs, sorted for determinism (the join emits
         them sorted).
     """
-    _check_join_args(threshold, tokens)
+    if not 0.0 < threshold <= 1.0:
+        raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
+    if tokens not in ("word", "qgram"):
+        raise ConfigurationError(f"tokens must be 'word' or 'qgram', got {tokens!r}")
     if len(table) < 2:  # explicit empty/singleton fast path: no allocation
         return []
     obs = obs_instrument.current()
@@ -64,41 +59,6 @@ def similar_pairs(table: Table, threshold: float, tokens: str = "word") -> list[
             "candidate pairs emitted by the pruning join",
         ).inc(len(pairs))
     return pairs
-
-
-def similar_pairs_range(
-    table: Table,
-    threshold: float,
-    lo: int,
-    hi: int,
-    tokens: str = "word",
-) -> list[Pair]:
-    """The slice of :func:`similar_pairs` owned by probe records ``[lo, hi)``.
-
-    Every candidate pair ``(a, b)`` with ``a < b`` is *owned* by its higher
-    record id ``b``; this returns exactly the pairs whose owner falls in
-    ``[lo, hi)``.  Tiling the record range therefore tiles the full join
-    output — the union over disjoint covering ranges equals
-    ``similar_pairs(table, threshold, ...)`` pair for pair.
-
-    This is the work unit of the sharded resolver's parallel candidate
-    join.  A range task replays the posting-list appends for records
-    before *lo* and probes only its own records, so per-task overhead is
-    the tokenization plus those appends.  That overhead is not small: on
-    the 3,344-record ACMPub input of the end-to-end benchmark, a task in
-    a fresh process spends 25–50 ms tokenizing and replaying every
-    record, about as long as each task of a two-way split spends probing
-    (25–65 ms; 2-vCPU host).
-    """
-    _check_join_args(threshold, tokens)
-    if not 0 <= lo <= hi <= len(table):
-        raise ConfigurationError(
-            f"range [{lo}, {hi}) escapes the {len(table)}-record table"
-        )
-    if len(table) < 2 or lo == hi:
-        return []
-    token_sets = _record_tokens(table, use_qgrams=(tokens == "qgram"))
-    return sparse_jaccard_join(token_sets, threshold, lo=lo, hi=hi)
 
 
 def similar_pairs_edit(

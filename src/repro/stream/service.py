@@ -221,10 +221,10 @@ class StreamingResolver(IncrementalResolver):
             )
             for lo, hi in vertex_slices(len(pairs), slices)
         ]
-        executor = ShardExecutor(
+        with ShardExecutor(
             workers=self.shard_workers, retries=self.config.shard_retries
-        )
-        return merge_vector_chunks(executor.run(compute_vectors, tasks))
+        ) as executor:
+            return merge_vector_chunks(executor.run(compute_vectors, tasks))
 
     # ------------------------------------------------------------------ #
     # Pooled billing

@@ -432,16 +432,12 @@ def _dataset_checks(config: BatteryConfig, report: VerificationReport) -> None:
     run_check(
         report,
         f"join-methods[{table.name}]",
-        lambda: oracles.check_join_methods(
-            table, power_config.pruning_threshold, seed=config.base_seed
-        ),
+        lambda: oracles.check_join_methods(table, power_config.pruning_threshold),
     )
     run_check(
         report,
         "join-methods[overlap-floor]",
-        lambda: oracles.check_join_methods(
-            *overlap_floor_instance(), seed=config.base_seed
-        ),
+        lambda: oracles.check_join_methods(*overlap_floor_instance()),
     )
 
     def pipeline_graph_invariants():

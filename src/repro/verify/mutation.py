@@ -25,7 +25,6 @@ mutant                  seeded bug
 ``weight-blind-votes``  weighted aggregation ignores worker accuracies
 ``crowd-draw-no-rejection``  the batched draw kernel's bounded draw never
                         rejects (Lemire's bias correction dropped)
-``shard-merge-drop``    the shard merge drops every slice's votes but one
 ``stale-matching``      deleting a matched vertex leaves its partner claimed
 ``obs-perturbs-selection``  instrumentation drops a vertex from each round
 ``stream-stale-index``  a streamed batch lands in the token index as
@@ -35,8 +34,6 @@ mutant                  seeded bug
 ``serve-cross-session-leak``  the session registry hands back another live
                         tenant's resolver instead of restoring the evicted
                         session's snapshot
-``join-range-no-replay``  the candidate join's range form skips the
-                        posting replay of records before ``lo``
 ``join-overlap-ceil``   the candidate join's overlap floor comes from
                         ``ceil(threshold * size)``, one too high on a
                         float edge
@@ -229,9 +226,8 @@ def _mutant_non_strict_dominance():
 def _mutant_inverted_propagation():
     """A GREEN answer votes descendants and a RED answer votes ancestors.
 
-    Patched at ``ColoringState._inference_votes``, the vote count both
-    selection loops' round update (``apply_round``) uses unless the
-    sharded loop hands it worker-merged votes.
+    Patched at ``ColoringState._inference_votes``, the vote count the
+    selection loop's round update (``apply_round``) uses.
     """
     from ..graph.coloring import ColoringState
 
@@ -328,29 +324,6 @@ def _mutant_crowd_draw_no_rejection():
     from ..crowd import worker
 
     return _patched((worker, "_lemire_threshold", lambda bound: 0))
-
-
-def _mutant_shard_merge_drop():
-    """The shard vote merge keeps only the first slice's contribution.
-
-    Models the classic parallel-reduction bug: a merge that is only
-    correct for a single worker.  Patched at the defining module *and* at
-    the resolver's import site, exactly like the other lazily-bound
-    helpers, so the sharded lockstep loop actually runs the broken merge.
-    """
-    from ..shard import merge as shard_merge
-    from ..shard import resolver as shard_resolver
-
-    original = shard_merge.merge_vote_deltas
-
-    def mutated(slices, num_vertices):
-        slices = list(slices)
-        return original(slices[:1], num_vertices)  # bug: drops slices 2..n
-
-    return _patched(
-        (shard_merge, "merge_vote_deltas", mutated),
-        (shard_resolver, "merge_vote_deltas", mutated),
-    )
 
 
 def _mutant_stale_matching():
@@ -462,33 +435,6 @@ def _mutant_serve_cross_session_leak():
     return _patched((SessionRegistry, "_restore_resolver", mutated))
 
 
-def _mutant_join_range_no_replay():
-    """The range form of the candidate join forgets the records before *lo*.
-
-    Models the classic range-partitioning bug: a probe range that builds
-    its inverted index from its own records only, so every pair whose
-    lower record falls in an earlier range vanishes.  The whole-table join
-    (``lo == 0``) is untouched, so only a check that tiles the range form
-    can notice — the tiling tier of ``check_join_methods`` (and the
-    sharded-join differential).  Patched at the defining module and at
-    :mod:`repro.similarity.join`'s import site.
-    """
-    from ..similarity import batch, join
-
-    original = batch.sparse_jaccard_join
-
-    def mutated(token_sets, threshold, lo=0, hi=None):
-        hi = len(token_sets) if hi is None else hi
-        # bug: records before lo never enter the posting lists
-        local = original(token_sets[lo:hi], threshold)
-        return [(a + lo, b + lo) for a, b in local]
-
-    return _patched(
-        (batch, "sparse_jaccard_join", mutated),
-        (join, "sparse_jaccard_join", mutated),
-    )
-
-
 def _mutant_join_overlap_ceil():
     """The candidate join takes its overlap floor from ``ceil(tau * size)``.
 
@@ -518,9 +464,9 @@ def _mutant_obs_perturbs_selection():
     battery sails through; only ``check_observability_transparent`` (the one
     step that runs the pipeline under an active handle and compares it
     against the plain run) can catch it — proving that check has teeth.
-    Both call sites (``selection.base``, ``shard.resolver``) import the
+    Its call site (``selection.base``) imports the
     :mod:`repro.obs.instrument` *module*, so patching the defining module's
-    attribute reaches them all.
+    attribute reaches it.
     """
     from ..obs import instrument as obs_instrument
 
@@ -592,11 +538,6 @@ MUTANTS: tuple[Mutant, ...] = (
         _mutant_crowd_draw_no_rejection,
     ),
     Mutant(
-        "shard-merge-drop",
-        "the shard vote merge drops every slice's contribution but the first",
-        _mutant_shard_merge_drop,
-    ),
-    Mutant(
         "stale-matching",
         "deleting a matched vertex leaves its matched partner claimed",
         _mutant_stale_matching,
@@ -622,11 +563,6 @@ MUTANTS: tuple[Mutant, ...] = (
         _mutant_serve_cross_session_leak,
     ),
     Mutant(
-        "join-range-no-replay",
-        "the candidate join's range form skips the posting replay before lo",
-        _mutant_join_range_no_replay,
-    ),
-    Mutant(
         "join-overlap-ceil",
         "the candidate join's overlap floor comes from ceil(threshold * size)",
         _mutant_join_overlap_ceil,
@@ -641,7 +577,7 @@ MUTANTS: tuple[Mutant, ...] = (
 
 @lru_cache(maxsize=2)
 def _battery_table(scale: float = 0.05):
-    """A small cached restaurant sample for the shard-equivalence step.
+    """A small cached restaurant sample for the join, stream and serve steps.
 
     Cached because the detection battery runs once per mutant plus the
     baseline/restore sweeps; the table itself is immutable.
@@ -738,13 +674,11 @@ def run_detection_battery(
     session.ask_batch(pairs[:13])
     invariants.check_session_coherence(session)
 
-    # Candidate join vs the naive and prefix oracles, whole and tiled, on
-    # the battery table and where kept pairs sit on the overlap floor's
-    # float edge: the only step that can see the join-overlap-ceil mutant.
-    oracles.check_join_methods(
-        _battery_table(), PowerConfig().pruning_threshold, seed=seed
-    )
-    oracles.check_join_methods(*overlap_floor_instance(), seed=seed)
+    # Candidate join vs the naive and prefix oracles, on the battery table
+    # and where kept pairs sit on the overlap floor's float edge: the only
+    # step that can see the join-overlap-ceil mutant.
+    oracles.check_join_methods(_battery_table(), PowerConfig().pruning_threshold)
+    oracles.check_join_methods(*overlap_floor_instance())
 
     # The round update vs the one-answer-at-a-time engine (BLUE answers,
     # multi-vertex and budget-truncated rounds).
@@ -765,13 +699,6 @@ def run_detection_battery(
         aggregation="weighted",
     )
     oracles.check_crowd_aggregation(crowd, pairs[:10])
-
-    # Sharded lockstep vs serial resolver: inline (workers=0), >= 2 slices,
-    # so a merge that drops or double-counts a shard's contribution has to
-    # change the transcript, the labels, or the bill.
-    oracles.check_shard_equivalence(
-        _battery_table(), seed=seed, shard_counts=(2, 3)
-    )
 
     # Streamed vs one-shot resolution (single batch, multi batch under the
     # monotone exactness oracle, kill-resume): the only step that exercises

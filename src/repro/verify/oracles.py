@@ -10,8 +10,7 @@ the same answer from first principles:
   dominance relation is its own transitive closure.
 * :func:`naive_join` / :func:`prefix_join` — the quadratic Jaccard scan and
   the prefix-filtered inverted-index join, the two references the
-  production candidate join (and a random tiling of its range form) must
-  reproduce pair for pair.
+  production candidate join must reproduce pair for pair.
 * :class:`NaivePairGraph` / :class:`NaiveGroupedGraph` — brute-force
   :class:`~repro.graph.dag.OrderedGraph` implementations.  Running the
   *same* selector against the naive and the production graph with identical
@@ -256,16 +255,14 @@ def prefix_join(token_sets: Sequence[frozenset[str]], threshold: float) -> set[P
     return pairs
 
 
-def check_join_methods(table: Table, threshold: float, seed: int = 0) -> None:
+def check_join_methods(table: Table, threshold: float) -> None:
     """The production candidate join must equal both join oracles.
 
     Checks, against :func:`naive_join`: :func:`prefix_join` (so the two
-    oracles vouch for each other), :func:`~repro.similarity.join.similar_pairs`,
-    and the union of :func:`~repro.similarity.join.similar_pairs_range`
-    over a seeded random tiling of ``[0, n)`` — which must also be
-    disjoint, since each pair is owned by exactly one range.
+    oracles vouch for each other) and
+    :func:`~repro.similarity.join.similar_pairs`.
     """
-    from ..similarity.join import similar_pairs, similar_pairs_range
+    from ..similarity.join import similar_pairs
     from ..similarity.tokenize import word_tokens
 
     token_sets = [word_tokens(table.record_text(r.record_id)) for r in table]
@@ -274,17 +271,6 @@ def check_join_methods(table: Table, threshold: float, seed: int = 0) -> None:
     _diff_edges(
         "naive join", reference, "production join", set(similar_pairs(table, threshold))
     )
-    n = len(table)
-    rng = np.random.default_rng(seed)
-    interior = rng.integers(1, n, size=3).tolist() if n > 1 else []
-    cuts = sorted(set(interior) | {0, n})
-    tiled: list[Pair] = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        tiled.extend(similar_pairs_range(table, threshold, lo, hi))
-    label = f"production join tiled at {cuts}"
-    if len(tiled) != len(set(tiled)):
-        raise VerificationError(f"{label}: ranges emit overlapping pairs")
-    _diff_edges("naive join", reference, label, set(tiled))
 
 
 def check_entity_quality(table: Table, matches: Sequence[Pair]) -> None:
@@ -1189,15 +1175,12 @@ def check_shard_equivalence(
     """The exact sharded resolver must be byte-identical to the serial one.
 
     Runs :class:`~repro.core.resolver.PowerResolver` once, then
-    :class:`~repro.shard.ShardedResolver` in its exact lockstep mode for
-    every shard count in *shard_counts* (inline, ``workers=0`` — so the
-    differential attacks the task/merge decomposition itself, not
-    multiprocessing luck), and demands identical labels, matches, question
-    and iteration counts, billing, and clusters.
-
-    This is the check that catches merge mutants: a merge that drops a
-    slice's vote contribution, mis-tiles a chunk, or double-counts a shard
-    changes at least one of these observables on any non-trivial table.
+    :class:`~repro.shard.ShardedResolver` in its exact mode for every
+    shard count in *shard_counts* (``workers=0``), and demands identical
+    candidate pairs, labels, matches, question and iteration counts,
+    billing, clusters, transcript order and final colors.  Exact mode
+    runs the serial pipeline itself, so any divergence means the facade
+    stopped handing its inputs (session, band, budget) through unchanged.
     """
     from ..core.config import PowerConfig
     from ..core.resolver import PowerResolver
@@ -1216,8 +1199,7 @@ def check_shard_equivalence(
             missing = set(serial.candidate_pairs) - set(sharded.candidate_pairs)
             raise VerificationError(
                 f"shard-equivalence[{label}]: candidate pairs diverge: "
-                f"{len(extra)} extra, {len(missing)} missing "
-                f"(range-join tiling must reproduce the serial join exactly)"
+                f"{len(extra)} extra, {len(missing)} missing"
             )
         for field, sharded_value, serial_value in (
             ("questions", sharded.questions, serial.questions),

@@ -230,16 +230,6 @@ class TestRoundUpdate:
             self._assert_same(chunked, reference)
         self._assert_same(whole, chunked)
 
-    def test_given_votes_are_used_as_is(self, chain):
-        """The sharded loop hands in worker-merged votes."""
-        derived = ColoringState(chain)
-        derived.apply_round([3, 1], [True, False])
-        given = ColoringState(chain)
-        votes = (derived._green_votes.copy(), derived._red_votes.copy())
-        given.apply_round([3, 1], [True, False], votes)
-        assert np.array_equal(given.colors, derived.colors)
-        assert given.asked_order == [3, 1]
-
     def test_blue_only_round_pins_without_votes(self, chain):
         state = ColoringState(chain)
         state.apply_round([1, 2], [None, None])

@@ -8,9 +8,10 @@ Four contracts pinned here:
 * **telemetry migration** — the registry-backed
   :class:`repro.obs.Telemetry` produces the exact bytes of the retired
   engine telemetry dataclass;
-* **shard determinism** — the merged trace of a multi-process run has the
-  same structure as the inline (``workers=0``) run, and worker metrics
-  fold into the coordinator's registry;
+* **shard determinism** — the merged trace of a multi-process
+  independent-mode run has the same structure as the inline
+  (``workers=0``) run, and worker metrics fold into the coordinator's
+  registry;
 * **CLI plumbing** — ``--trace`` / ``--metrics-out`` write real artifacts
   and ``repro simulate`` prints the unified per-round table.
 """
@@ -184,9 +185,9 @@ class TestShardTraces:
 
         config = PowerConfig(seed=0, shards=2)
         with activated(Observability(tracing=True, metrics=True)) as obs:
-            result = ShardedResolver(config, workers=workers).resolve(
-                table, worker_band="90"
-            )
+            result = ShardedResolver(
+                config, workers=workers, mode="independent"
+            ).resolve(table, worker_band="90")
         return result, obs
 
     def test_inline_and_multiprocess_traces_have_one_structure(self, small_table):

@@ -9,7 +9,6 @@ from repro.exceptions import ConfigurationError
 from repro.similarity import (
     similar_pairs,
     similar_pairs_edit,
-    similar_pairs_range,
     sparse_jaccard_join,
     top_k_pairs,
 )
@@ -33,14 +32,6 @@ def make_table(rows):
 
 def record_tokens(table):
     return [word_tokens(table.record_text(r.record_id)) for r in table]
-
-
-@st.composite
-def tilings(draw, n):
-    """A random disjoint covering tiling of ``[0, n)`` (empty tiles allowed)."""
-    cuts = draw(st.lists(st.integers(min_value=0, max_value=n), max_size=6))
-    bounds = [0, *sorted(cuts), n]
-    return list(zip(bounds, bounds[1:]))
 
 
 class TestSimilarPairs:
@@ -87,106 +78,25 @@ class TestSimilarPairs:
             assert similar_pairs(small_table, threshold) == expected
 
 
-class TestSimilarPairsRange:
-    """The range-restricted join that powers the sharded parallel join.
-
-    Contract: pair ``(a, b)`` is owned by its higher record id ``b``, so
-    the union of ``similar_pairs_range`` over any disjoint covering tiling
-    of ``[0, n)`` equals ``similar_pairs`` pair for pair.
-    """
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.lists(ROW, min_size=2, max_size=25),
-        st.floats(min_value=0.1, max_value=0.9),
-        st.integers(min_value=1, max_value=5),
-    )
-    def test_tiling_reproduces_full_join(self, rows, threshold, slices):
-        from repro.shard import vertex_slices
-
-        table = make_table(rows)
-        reference = similar_pairs(table, threshold)
-        union = []
-        for lo, hi in vertex_slices(len(table), slices):
-            union.extend(similar_pairs_range(table, threshold, lo, hi))
-        assert sorted(union) == reference
-        assert len(union) == len(set(union)), "tiles must be disjoint"
-
-    def test_uneven_tiling_and_qgram_tokens(self, small_table):
-        n = len(small_table)
-        cuts = [0, 1, n // 3, n // 2, n]  # deliberately lopsided tiling
-        for tokens in ("word", "qgram"):
-            reference = similar_pairs(small_table, 0.3, tokens=tokens)
-            union = []
-            for lo, hi in zip(cuts, cuts[1:]):
-                union.extend(
-                    similar_pairs_range(small_table, 0.3, lo, hi, tokens=tokens)
-                )
-            assert sorted(union) == reference
-
-    def test_range_owns_pairs_by_higher_id(self, small_table):
-        lo, hi = 10, 20
-        pairs = similar_pairs_range(small_table, 0.3, lo, hi)
-        assert all(lo <= j < hi and i < j for i, j in pairs)
-
-    def test_empty_range_and_validation(self, small_table):
-        assert similar_pairs_range(small_table, 0.3, 5, 5) == []
-        with pytest.raises(ConfigurationError):
-            similar_pairs_range(small_table, 0.3, 3, 2)
-        with pytest.raises(ConfigurationError):
-            similar_pairs_range(small_table, 0.3, 0, len(small_table) + 1)
-        with pytest.raises(ConfigurationError):
-            similar_pairs_range(small_table, 0.0, 0, 1)
-        with pytest.raises(ConfigurationError):
-            similar_pairs_range(small_table, 0.3, -1, 2)
-        with pytest.raises(ConfigurationError):
-            similar_pairs_range(small_table, 0.3, 0, 1, tokens="byte")
-
-
 class TestSparseJoinProperties:
-    """The one production join against both oracles, whole and tiled.
+    """The one production join against both oracles.
 
-    For random token sets (empty ones included), thresholds, and random
-    tilings of ``[0, n)``: the union of the range outputs equals the full
-    sparse join, the naive oracle, and the prefix oracle, and no pair is
-    emitted by two ranges.
+    For random token sets (empty ones included) and thresholds, the sparse
+    join equals the naive oracle and the prefix oracle, sorted.
     """
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        st.data(),
-        TOKEN_SETS,
-        st.sampled_from([0.05, 0.1, 0.2, 1 / 3, 0.5, 0.8, 1.0]),
-    )
-    def test_range_tiling_equals_full_join_and_oracles(self, data, token_sets, threshold):
+    @given(TOKEN_SETS, st.sampled_from([0.05, 0.1, 0.2, 1 / 3, 0.5, 0.8, 1.0]))
+    def test_full_join_equals_oracles(self, token_sets, threshold):
         full = sparse_jaccard_join(token_sets, threshold)
         assert full == sorted(full)
         assert set(full) == naive_join(token_sets, threshold)
         assert set(full) == prefix_join(token_sets, threshold)
-        union = []
-        for lo, hi in data.draw(tilings(len(token_sets))):
-            owned = sparse_jaccard_join(token_sets, threshold, lo=lo, hi=hi)
-            assert owned == sorted(owned)
-            assert all(a < b and lo <= b < hi for a, b in owned)
-            union.extend(owned)
-        assert len(union) == len(set(union)), "tiles must be disjoint"
-        assert set(union) == set(full)
 
-    def test_empty_records_pair_across_a_range_cut(self):
-        token_sets = [frozenset(), frozenset({"alpha"}), frozenset(), frozenset()]
-        owned = sparse_jaccard_join(token_sets, 0.5, lo=2, hi=4)
-        assert set(owned) == {(0, 2), (0, 3), (2, 3)}
-        assert owned == sorted(owned)
-
-    def test_range_validation(self):
+    def test_threshold_validation(self):
         token_sets = [frozenset({"alpha"})] * 3
-        for lo, hi in ((-1, 2), (2, 1), (0, 4)):
-            with pytest.raises(ConfigurationError, match="escapes"):
-                sparse_jaccard_join(token_sets, 0.5, lo=lo, hi=hi)
         with pytest.raises(ConfigurationError, match="threshold"):
-            sparse_jaccard_join(token_sets, 0.0, lo=0, hi=1)
-        assert set(sparse_jaccard_join(token_sets, 0.5, lo=2, hi=2)) == set()
-        assert set(sparse_jaccard_join([], 0.5)) == set()
+            sparse_jaccard_join(token_sets, 0.0)
         assert sparse_jaccard_join([], 0.5) == []
 
 
@@ -234,19 +144,11 @@ class TestOverlapFloor:
         assert set(pairs) == prefix_join(token_sets, 0.55)
 
     @settings(max_examples=80, deadline=None)
-    @given(st.data(), interval_token_sets(), st.sampled_from([0.28, 0.3, 0.55, 1.0]))
-    def test_whole_and_tiled_equal_naive(self, data, token_sets, threshold):
+    @given(interval_token_sets(), st.sampled_from([0.28, 0.3, 0.55, 1.0]))
+    def test_whole_join_equals_naive(self, token_sets, threshold):
         expected = naive_join(token_sets, threshold)
-        full = sparse_jaccard_join(token_sets, threshold)
-        assert full == sorted(expected)
+        assert sparse_jaccard_join(token_sets, threshold) == sorted(expected)
         assert prefix_join(token_sets, threshold) == expected
-        union = []
-        for lo, hi in data.draw(tilings(len(token_sets))):
-            owned = sparse_jaccard_join(token_sets, threshold, lo=lo, hi=hi)
-            assert owned == sorted(set(owned))
-            union.extend(owned)
-        assert sorted(union) == full
-        assert len(union) == len(set(union))
 
 
 class TestTopKPairs:

@@ -256,6 +256,33 @@ class TestServiceGuards:
         assert routed.clusters() == plain.clusters()
         assert routed.cost_cents == plain.cost_cents
 
+    def test_routed_batches_close_their_executor(self, small_table, monkeypatch):
+        from repro.shard.executor import ShardExecutor
+
+        opened, closed = [], []
+        init, close = ShardExecutor.__init__, ShardExecutor.close
+
+        def spy_init(self, *args, **kwargs):
+            opened.append(self)
+            init(self, *args, **kwargs)
+
+        def spy_close(self):
+            closed.append(self)
+            close(self)
+
+        monkeypatch.setattr(ShardExecutor, "__init__", spy_init)
+        monkeypatch.setattr(ShardExecutor, "close", spy_close)
+        rows = [record.values for record in small_table]
+        entities = [record.entity_id for record in small_table]
+        routed = StreamingResolver(
+            small_table.attributes, name="routed", shard_threshold=1
+        )
+        for start in (0, 30):
+            chunk = slice(start, start + 30)
+            routed.add_batch(rows[chunk], entity_ids=entities[chunk])
+        assert len(opened) == 2
+        assert closed == opened
+
     def test_shared_crowd_sessions_pool_billing(self):
         truth = {(0, 1): True, (0, 2): False, (1, 2): False}
         crowd = PerfectCrowd(truth, assignments=3)

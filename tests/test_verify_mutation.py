@@ -261,31 +261,6 @@ class TestMutationSelfTest:
             assert digest() != pristine
         assert digest() == pristine
 
-    def test_join_range_mutant_is_caught_by_the_join_tiling_check(self):
-        """The range form of the candidate join has its own teeth.
-
-        ``join-range-no-replay`` leaves the whole-table join intact (a
-        range starting at 0 has nothing to replay), so the battery's join
-        step can only catch it through its random tiling of the range form.
-        """
-        from repro.exceptions import VerificationError
-        from repro.similarity import similar_pairs
-        from repro.similarity.tokenize import word_tokens
-        from repro.verify import check_join_methods, naive_join
-        from repro.verify.mutation import _battery_table
-
-        table = _battery_table()
-        tokens = [word_tokens(table.record_text(r.record_id)) for r in table]
-        mutant = next(m for m in MUTANTS if m.name == "join-range-no-replay")
-        with mutant.activate():
-            pairs = similar_pairs(table, 0.2)
-            assert set(pairs) == naive_join(tokens, 0.2)
-            assert pairs == sorted(pairs)
-            with pytest.raises(VerificationError, match="production join tiled"):
-                check_join_methods(table, 0.2, seed=0)
-            with pytest.raises(VerificationError, match="production join tiled"):
-                run_detection_battery(seed=0)
-
     def test_overlap_ceil_is_caught_only_by_the_join_step(self, monkeypatch):
         """A floor taken from ``ceil(tau * size)`` loses only float-edge pairs.
 
