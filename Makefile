@@ -19,13 +19,6 @@
 #   make bench-perf   - full pipeline benchmark; enforces the 5x vectorize /
 #                       3x construct speedup floors and refreshes
 #                       benchmarks/results/BENCH_pipeline.json
-#   make shard-smoke  - exact-mode sharded resolution (unbudgeted and
-#                       under a question budget) asserting byte-equivalence
-#                       with the serial resolver, then a 2-worker
-#                       independent-mode run
-#   make bench-shard  - shard-scaling benchmark: measured speedup curve;
-#                       enforces the 2.5x @ 4 workers floor and refreshes
-#                       benchmarks/results/BENCH_shard.json
 #   make bench-selection - selection-loop benchmark: incremental path-cover
 #                       engine vs per-round scratch (byte-identical
 #                       transcripts); enforces the 3x floor and refreshes
@@ -34,8 +27,8 @@
 #                       requires the incremental engine to win (>= 1.0x)
 #   make bench-obs    - observability overhead benchmark: full resolution in
 #                       three modes (obs off / metrics / tracing+metrics);
-#                       enforces <1% metrics and <5% tracing overhead plus
-#                       deterministic 4-worker span merge, and refreshes
+#                       enforces <1% metrics and <5% tracing overhead and
+#                       identical results, and refreshes
 #                       benchmarks/results/BENCH_obs.json
 #   make bench-obs-smoke - <60s smoke of the same with relaxed percentage
 #                       bars (tiny workloads make relative overhead noise)
@@ -62,9 +55,11 @@
 #                       and a relaxed scaling bar (shedding and equivalence
 #                       gates are never relaxed)
 #   make bench-e2e-smoke - the end-to-end benchmark's own tests, then a
-#                       smoke run of the two join-heavy workloads (serial
-#                       and sharded ACMPub); fails when a result digest or
-#                       the pinned candidate-join output drifts
+#                       smoke run of the two join-heavy workloads
+#                       (resolve-acmpub, and shard-acmpub: the same serial
+#                       resolve under the kept ShardedResolver name); fails
+#                       when a result digest or the pinned candidate-join
+#                       output drifts
 
 PYTHON ?= python
 export PYTHONPATH := src
@@ -72,23 +67,15 @@ export PYTHONPATH := src
 # Minimum acceptable line coverage (percent) for `make coverage`.
 COVERAGE_FLOOR ?= 85
 
-.PHONY: check test engine-smoke shard-smoke stream-smoke serve-smoke verify lint coverage bench-smoke bench-perf bench-shard bench-selection bench-selection-smoke bench-obs bench-obs-smoke bench-stream bench-stream-smoke bench-serve bench-serve-smoke bench-e2e-smoke
+.PHONY: check test engine-smoke stream-smoke serve-smoke verify lint coverage bench-smoke bench-perf bench-selection bench-selection-smoke bench-obs bench-obs-smoke bench-stream bench-stream-smoke bench-serve bench-serve-smoke bench-e2e-smoke
 
-check: test engine-smoke shard-smoke stream-smoke serve-smoke bench-smoke bench-selection-smoke bench-obs-smoke bench-stream-smoke bench-serve-smoke bench-e2e-smoke verify coverage lint
+check: test engine-smoke stream-smoke serve-smoke bench-smoke bench-selection-smoke bench-obs-smoke bench-stream-smoke bench-serve-smoke bench-e2e-smoke verify coverage lint
 
 test:
 	$(PYTHON) -m pytest -q
 
 engine-smoke:
 	POWER_BENCH_FAST=1 $(PYTHON) benchmarks/engine_smoke.py
-
-shard-smoke:
-	$(PYTHON) -m repro shard --dataset restaurant --scale 0.05 --workers 2 \
-		--check-equivalence
-	$(PYTHON) -m repro shard --dataset restaurant --scale 0.2 --budget 5 \
-		--check-equivalence
-	$(PYTHON) -m repro shard --dataset restaurant --scale 0.05 --workers 2 \
-		--mode independent
 
 verify:
 	$(PYTHON) -m repro verify --dataset restaurant --scale 0.05 --quiet
@@ -123,9 +110,6 @@ bench-smoke:
 
 bench-perf:
 	$(PYTHON) benchmarks/bench_perf_pipeline.py --check
-
-bench-shard:
-	$(PYTHON) benchmarks/bench_shard_scaling.py --check
 
 bench-selection:
 	$(PYTHON) benchmarks/bench_selection_loop.py --check

@@ -34,7 +34,6 @@ from .engine import (
     RetryPolicy,
     Telemetry,
 )
-from .shard import ShardedResolver, ShardExecutor
 from .selection import (
     ErrorPolicy,
     MultiPathSelector,
@@ -75,8 +74,6 @@ __all__ = [
     "RandomSelector",
     "ResolutionResult",
     "SELECTORS",
-    "ShardExecutor",
-    "ShardedResolver",
     "SimilarityConfig",
     "SimulatedCrowd",
     "SinglePathSelector",

@@ -12,10 +12,8 @@ Commands:
 * ``experiment`` — run one of the paper's figure/table harnesses by name.
 * ``verify`` — run the :mod:`repro.verify` correctness battery
   (differential oracles, invariants, metamorphic laws, mutation self-test).
-* ``shard`` — resolve a benchmark dataset through the
-  :class:`~repro.shard.ShardedResolver` (the serial pipeline in exact
-  mode, per-shard worker processes in independent mode), optionally
-  checking byte-level equivalence with the serial resolver.
+* ``stream`` — feed a labeled CSV through the durable
+  :class:`~repro.stream.StreamingResolver` in checkpointed batches.
 * ``serve`` — run the :mod:`repro.serve` multi-tenant resolution server:
   many isolated streaming sessions behind one asyncio line-protocol
   endpoint, with LRU eviction to the snapshot store, admission control,
@@ -25,7 +23,7 @@ Commands:
 * ``trace`` — render a span trace recorded by ``--trace`` as an indented
   timing tree (or dump the raw flat records with ``--json``).
 
-``resolve``, ``simulate``, and ``shard`` share the observability flags:
+``resolve``, ``simulate``, and ``stream`` share the observability flags:
 ``--trace FILE`` records a hierarchical span trace, ``--metrics-out FILE``
 writes the metrics registry (Prometheus text for ``.prom``/``.txt``, JSON
 otherwise), and ``--profile`` samples CPU stacks and prints the hottest
@@ -293,53 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--quiet", action="store_true",
                         help="print failures and the verdict only")
 
-    shard = commands.add_parser(
-        "shard",
-        help="resolve through the sharded resolver",
-        description=(
-            "Run a benchmark dataset through repro.shard.ShardedResolver.  "
-            "The default 'exact' mode runs the serial PowerResolver "
-            "pipeline in this process, so its results are byte-identical "
-            "to the serial resolver's and --workers/--shards do not apply; "
-            "'independent' partitions the candidate graph, runs one "
-            "resolution loop per shard in worker processes, and merges "
-            "matches, billing, and telemetry deterministically."
-        ),
-    )
-    shard.add_argument("--dataset", default="restaurant",
-                       choices=["restaurant", "cora", "acmpub"])
-    shard.add_argument("--scale", type=float, default=1.0,
-                       help="fraction of the dataset's records to resolve")
-    shard.add_argument("--workers", type=int, default=None,
-                       help="independent mode: worker processes (0 = inline, "
-                            "deterministic and dependency-free; default: "
-                            "cpu count)")
-    shard.add_argument("--shards", type=int, default=None,
-                       help="independent mode: shards (default: one per "
-                            "worker)")
-    shard.add_argument("--mode", default="exact",
-                       choices=["exact", "independent"],
-                       help="exact = the serial pipeline, bit-identical; "
-                            "independent = per-shard resolution loops")
-    shard.add_argument("--max-pairs", type=int, default=None,
-                       help="independent mode: split components larger "
-                            "than this many candidate pairs")
-    shard.add_argument("--band", default="90", choices=["70", "80", "90"],
-                       help="simulated worker accuracy band")
-    shard.add_argument("--budget", type=int, default=None,
-                       help="global distinct-question budget")
-    shard.add_argument("--budget-cents", type=float, default=None,
-                       help="global money budget (converted through the "
-                            "BudgetGuard billing inversion)")
-    shard.add_argument("--timeout", type=float, default=None,
-                       help="independent mode: per-task seconds before a "
-                            "worker is declared hung")
-    shard.add_argument("--seed", type=int, default=0)
-    shard.add_argument("--check-equivalence", action="store_true",
-                       help="also run the serial resolver and assert the "
-                            "sharded result is identical (exact mode only)")
-    _add_obs_arguments(shard)
-
     stream = commands.add_parser(
         "stream",
         help="durable streaming resolution with checkpoint/restore",
@@ -368,10 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="stop after this many (new) batches")
     stream.add_argument("--band", default="90", choices=["70", "80", "90"],
                         help="simulated worker accuracy band")
-    stream.add_argument("--shard-threshold", type=int, default=None,
-                        help="route a batch's similarity vectors through "
-                             "the shard executor when it has at least this "
-                             "many candidate pairs")
     stream.add_argument("--seed", type=int, default=0)
     _add_obs_arguments(stream)
 
@@ -450,10 +397,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="render a span trace recorded with --trace",
         description=(
             "Read a JSONL span trace (written by the --trace flag of "
-            "resolve/simulate/shard) and print it as an indented timing "
+            "resolve/simulate/stream) and print it as an indented timing "
             "tree: wall and CPU milliseconds per span, attributes, and "
-            "error markers.  Shard workers' spans appear grafted under "
-            "the coordinator in task order."
+            "error markers."
         ),
     )
     trace.add_argument("input", type=Path, help="trace JSONL file")
@@ -652,7 +598,6 @@ def _command_stream(args) -> int:
             name=table.name,
             checkpoint_dir=args.checkpoint_dir,
             worker_band=args.band,
-            shard_threshold=args.shard_threshold,
         )
     offset = len(resolver.table)
     records = table.records[offset:]
@@ -963,81 +908,6 @@ def _command_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _command_shard(args) -> int:
-    import time
-
-    from .shard import ShardedResolver
-    from .verify.battery import subsample_table
-
-    table = load_dataset(args.dataset)
-    if args.scale < 1.0:
-        table = subsample_table(table, args.scale)
-    config = PowerConfig(
-        seed=args.seed,
-        shards=args.shards,
-        shard_max_pairs=args.max_pairs,
-        # ACMPub uses the paper's 0.3 pruning threshold elsewhere in the
-        # repo's harnesses; keep the config default for the other datasets.
-        pruning_threshold=0.3 if args.dataset == "acmpub" else 0.2,
-    )
-    resolver = ShardedResolver(
-        config, workers=args.workers, mode=args.mode, timeout=args.timeout
-    )
-    start = time.perf_counter()
-    with _observed(args):
-        result = resolver.resolve(
-            table,
-            worker_band=args.band,
-            budget=args.budget,
-            max_cents=args.budget_cents,
-        )
-    elapsed = time.perf_counter() - start
-    info = result.selection.extras["shard"]
-    print(f"dataset    : {table.name} ({len(table)} records)")
-    if args.mode == "exact":
-        print("mode       : exact (the serial pipeline, in this process)")
-    else:
-        print(f"mode       : independent  workers: {info['workers']}  "
-              f"shards: {info['shards']}")
-    print(f"questions  : {result.questions}")
-    print(f"iterations : {result.iterations}")
-    print(f"cost       : {result.cost_cents / 100:.2f} USD")
-    print(f"clusters   : {len(result.clusters)}")
-    print(f"quality    : {result.quality}")
-    print(f"wall clock : {elapsed:.2f}s")
-    stats = info.get("executor", {})
-    if stats:
-        print(f"executor   : {stats['tasks']} tasks, "
-              f"{stats['retries']} retries, {stats['fallbacks']} fallbacks")
-    if args.check_equivalence:
-        if args.mode != "exact":
-            print("--check-equivalence requires --mode exact", file=sys.stderr)
-            return 2
-        serial = PowerResolver(config).resolve(
-            table,
-            worker_band=args.band,
-            budget=resolver.question_budget(args.budget, args.budget_cents),
-        )
-        mismatches = [
-            name
-            for name, sharded_value, serial_value in (
-                ("questions", result.questions, serial.questions),
-                ("iterations", result.iterations, serial.iterations),
-                ("cost_cents", result.cost_cents, serial.cost_cents),
-                ("labels", result.selection.labels, serial.selection.labels),
-                ("matches", result.matches, serial.matches),
-                ("clusters", result.clusters, serial.clusters),
-            )
-            if sharded_value != serial_value
-        ]
-        if mismatches:
-            print(f"EQUIVALENCE FAILED: {', '.join(mismatches)} differ",
-                  file=sys.stderr)
-            return 1
-        print("equivalence: sharded result identical to serial resolver")
-    return 0
-
-
 def main(argv=None) -> int:
     """Entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
@@ -1048,7 +918,6 @@ def main(argv=None) -> int:
         "simulate": _command_simulate,
         "experiment": _command_experiment,
         "verify": _command_verify,
-        "shard": _command_shard,
         "stream": _command_stream,
         "serve": _command_serve,
         "client": _command_client,

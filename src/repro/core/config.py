@@ -27,8 +27,7 @@ class PowerConfig:
             (the paper uses 0.3 on ACMPub, 0.2 elsewhere).
         join_tokens: token sets for the pruning join — ``"word"`` (default)
             or ``"qgram"``.  The join itself has one implementation, the
-            inverted-list :func:`repro.similarity.batch.sparse_jaccard_join`,
-            on the serial and sharded paths alike.
+            inverted-list :func:`repro.similarity.batch.sparse_jaccard_join`.
         epsilon: grouping threshold; ``None`` disables grouping (§4.2's
             default in the experiments is 0.1).
         grouping_algorithm: ``"split"`` (Algorithm 2) or ``"greedy"``
@@ -40,18 +39,6 @@ class PowerConfig:
         confidence_threshold / num_bins / binning: the Power+ knobs.
         assignments: workers per question, ``z`` (paper: 5).
         seed: base seed for every stochastic component.
-        shards: number of shard work units for
-            :class:`~repro.shard.ShardedResolver` (``None`` → one per
-            worker process).  In the exact mode this is the number of
-            data-parallel slices (any value yields bit-identical results);
-            in the independent mode it is the number of per-shard
-            resolution loops.
-        shard_max_pairs: size cap for the independent-mode partitioner —
-            connected components of the candidate graph holding more pairs
-            than this are split on their weakest edges (``None`` → an
-            automatic ``ceil(pairs / shards)`` cap).
-        shard_retries: re-submissions per failed shard task before the
-            executor falls back to in-process execution.
     """
 
     similarity: str | tuple[str, ...] = "bigram"
@@ -67,9 +54,6 @@ class PowerConfig:
     binning: str = "equi-depth"
     assignments: int = 5
     seed: int = 0
-    shards: int | None = None
-    shard_max_pairs: int | None = None
-    shard_retries: int = 2
 
     def __post_init__(self) -> None:
         if not 0.0 < self.pruning_threshold <= 1.0:
@@ -85,18 +69,6 @@ class PowerConfig:
         if self.assignments < 1:
             raise ConfigurationError(
                 f"assignments must be >= 1, got {self.assignments}"
-            )
-        if self.shards is not None and self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be >= 1 or None, got {self.shards}"
-            )
-        if self.shard_max_pairs is not None and self.shard_max_pairs < 1:
-            raise ConfigurationError(
-                f"shard_max_pairs must be >= 1 or None, got {self.shard_max_pairs}"
-            )
-        if self.shard_retries < 0:
-            raise ConfigurationError(
-                f"shard_retries must be >= 0, got {self.shard_retries}"
             )
 
     def error_policy(self) -> ErrorPolicy | None:

@@ -285,9 +285,8 @@ class IncrementalResolver:
         """Similarity vectors for one batch's candidate pairs.
 
         Computed by ``batch_similarity_matrix``, like the one-shot
-        resolver.  Overridable: the streaming service reroutes large
-        batches through the shard executor, which is bit-identical by the
-        shard merge contract.
+        resolver.  A method of its own so tests can swap in the scalar
+        reference path.
         """
         return self._resolver.similarity_vectors(self.table, pairs)
 

@@ -176,6 +176,15 @@ class PerfectCrowd(SimulatedCrowd):
         return {pair: self.answer(pair) for pair in self._canonical_batch(pairs)}
 
 
+def check_pricing(pairs_per_hit: int, cents_per_hit: int) -> None:
+    """Refuse HIT pricing no session could bill: fewer than one pair per
+    HIT, or a negative price."""
+    if pairs_per_hit < 1:
+        raise ConfigurationError(f"pairs_per_hit must be >= 1, got {pairs_per_hit}")
+    if cents_per_hit < 0:
+        raise ConfigurationError(f"cents_per_hit must be >= 0, got {cents_per_hit}")
+
+
 class CrowdSession:
     """One algorithm's view of the platform, with cost/latency accounting.
 
@@ -210,10 +219,7 @@ class CrowdSession:
         pairs_per_hit: int = 10,
         cents_per_hit: int = 10,
     ) -> None:
-        if pairs_per_hit < 1:
-            raise ConfigurationError(f"pairs_per_hit must be >= 1, got {pairs_per_hit}")
-        if cents_per_hit < 0:
-            raise ConfigurationError(f"cents_per_hit must be >= 0, got {cents_per_hit}")
+        check_pricing(pairs_per_hit, cents_per_hit)
         self.crowd = crowd
         self.pairs_per_hit = pairs_per_hit
         self.cents_per_hit = cents_per_hit

@@ -43,6 +43,33 @@ ACCURACY_BANDS: dict[str, tuple[float, float]] = {
 }
 
 
+def accuracy_band(band: tuple[float, float] | str) -> tuple[float, float]:
+    """The ``(low, high)`` accuracy range *band* names.
+
+    *band* is an :data:`ACCURACY_BANDS` label such as ``"80"`` or a
+    ``(low, high)`` pair with ``0 <= low <= high <= 1``; anything else
+    raises :class:`~repro.exceptions.ConfigurationError`.
+    """
+    if isinstance(band, str):
+        try:
+            return ACCURACY_BANDS[band]
+        except KeyError:
+            known = ", ".join(sorted(ACCURACY_BANDS))
+            raise ConfigurationError(
+                f"unknown accuracy band {band!r}; known: {known}"
+            ) from None
+    try:
+        low, high = band
+        valid = 0.0 <= low <= high <= 1.0
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ConfigurationError(
+            f"accuracy range must satisfy 0 <= low <= high <= 1, got {band!r}"
+        )
+    return low, high
+
+
 #: Worker behaviours: honest workers follow their accuracy; spammers ignore
 #: the question entirely (§2.2.2's "malicious workers" that quality control
 #: exists to catch).
@@ -129,19 +156,7 @@ class WorkerPool:
     ) -> None:
         if size < 1:
             raise ConfigurationError(f"pool size must be >= 1, got {size}")
-        if isinstance(accuracy_range, str):
-            try:
-                accuracy_range = ACCURACY_BANDS[accuracy_range]
-            except KeyError:
-                known = ", ".join(sorted(ACCURACY_BANDS))
-                raise ConfigurationError(
-                    f"unknown accuracy band {accuracy_range!r}; known: {known}"
-                ) from None
-        low, high = accuracy_range
-        if not 0.0 <= low <= high <= 1.0:
-            raise ConfigurationError(
-                f"accuracy range must satisfy 0 <= low <= high <= 1, got {accuracy_range}"
-            )
+        low, high = accuracy_band(accuracy_range)
         if not 0.0 <= spammer_fraction <= 1.0:
             raise ConfigurationError(
                 f"spammer_fraction must be in [0, 1], got {spammer_fraction}"

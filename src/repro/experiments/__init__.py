@@ -1,6 +1,6 @@
 """Experiment harnesses reproducing every table and figure of the paper."""
 
-from . import ablations, figures, perf, serve_load, shard_scaling, stream_ingest
+from . import ablations, figures, perf, serve_load, stream_ingest
 from .reporting import emit, format_table
 from .runner import (
     METHODS,
@@ -32,6 +32,5 @@ __all__ = [
     "prepare",
     "serve_load",
     "run_method",
-    "shard_scaling",
     "stream_ingest",
 ]

@@ -18,10 +18,8 @@ modes, interleaved and timed best-of-N:
 Gates (relaxed in ``POWER_BENCH_FAST=1`` smoke runs, where the workload is
 too small for stable percentages): metrics-only overhead under
 :data:`METRICS_OVERHEAD_MAX_PCT`, tracing+metrics overhead under
-:data:`TRACING_OVERHEAD_MAX_PCT`, identical resolution results in all
-three modes, and a deterministic span merge — a 4-worker independent-mode
-sharded run's grafted trace must match the inline (``workers=0``) run's
-structure exactly.  The report lands in ``benchmarks/results/BENCH_obs.json``.
+:data:`TRACING_OVERHEAD_MAX_PCT`, and identical resolution results in all
+three modes.  The report lands in ``benchmarks/results/BENCH_obs.json``.
 """
 
 from __future__ import annotations
@@ -43,9 +41,6 @@ METRICS_OVERHEAD_MAX_PCT = 1.0
 #: the smoke gate only demands the same order of magnitude.
 FAST_TRACING_OVERHEAD_MAX_PCT = 40.0
 FAST_METRICS_OVERHEAD_MAX_PCT = 25.0
-
-#: Workers/shards for the span-merge determinism check.
-SHARD_WORKERS = 4
 
 
 def _bench_table(dataset: str, scale: float | None):
@@ -78,7 +73,7 @@ def run_obs_overhead_benchmark(
     seed: int = 0,
     worker_band: str = "90",
 ) -> dict:
-    """Time the three observability modes and check the shard span merge.
+    """Time the three observability modes.
 
     Modes are *interleaved* (baseline, metrics, tracing, baseline, ...)
     so thermal drift and cache state hit all three equally; each mode's
@@ -135,7 +130,6 @@ def run_obs_overhead_benchmark(
 
     traced = last_obs["tracing"]
     spans = structure(traced.tracer.export())
-    shard = _shard_merge_determinism(config, table, worker_band)
     fast = fast_mode()
     report = {
         "benchmark": "obs-overhead",
@@ -169,43 +163,8 @@ def run_obs_overhead_benchmark(
                 FAST_METRICS_OVERHEAD_MAX_PCT if fast else METRICS_OVERHEAD_MAX_PCT
             ),
         },
-        "shard_merge": shard,
     }
     return report
-
-
-def _shard_merge_determinism(
-    config: PowerConfig, table, worker_band: str
-) -> dict:
-    """A 4-worker traced independent-mode run must merge to the inline run's shape.
-
-    Independent mode is the one that runs its shards in worker processes,
-    so its worker spans are what the merge grafts.
-    """
-    from ..shard import ShardedResolver
-
-    shard_config = PowerConfig(
-        seed=config.seed,
-        pruning_threshold=config.pruning_threshold,
-        shards=SHARD_WORKERS,
-    )
-
-    def run(workers: int):
-        with activated(Observability(tracing=True, metrics=True)) as obs:
-            result = ShardedResolver(
-                shard_config, workers=workers, mode="independent"
-            ).resolve(table, worker_band=worker_band)
-        return result, structure(obs.tracer.export())
-
-    inline_result, inline_shape = run(0)
-    pooled_result, pooled_shape = run(SHARD_WORKERS)
-    return {
-        "workers": SHARD_WORKERS,
-        "shards": SHARD_WORKERS,
-        "deterministic": pooled_shape == inline_shape,
-        "equivalent": _fingerprint(pooled_result) == _fingerprint(inline_result),
-        "spans": len(pooled_shape),
-    }
 
 
 def obs_summary_rows(report: dict) -> list[tuple]:
@@ -245,14 +204,6 @@ def obs_acceptance_failures(report: dict) -> list[str]:
             f"metrics-only overhead {metrics_pct:.2f}% exceeds "
             f"{gates['metrics_overhead_max_pct']}%"
         )
-    shard = report["shard_merge"]
-    if not shard["deterministic"]:
-        failures.append(
-            f"{shard['workers']}-worker trace structure differs from the "
-            "inline run (span merge is not deterministic)"
-        )
-    if not shard["equivalent"]:
-        failures.append("sharded traced run diverged from the inline run")
     if modes["tracing"].get("spans", 0) == 0:
         failures.append("tracing mode recorded no spans (vacuous benchmark)")
     return failures

@@ -2,15 +2,15 @@
 
 One observability substrate for everything the repo runs: the resolver
 stages (join → construct → select → aggregate → cluster), both path-cover
-selectors, the sharded resolver and its executor, the discrete-event crowd
+selectors, the streaming service and server, the discrete-event crowd
 engine, and the batch-similarity join.  The pieces:
 
 * :mod:`~repro.obs.trace` — hierarchical spans with wall/CPU durations,
-  per-thread stacks, and deterministic cross-process grafting for shard
-  workers.
+  per-thread stacks, and deterministic cross-process grafting for
+  :class:`~repro.shard.executor.ShardExecutor` workers.
 * :mod:`~repro.obs.metrics` — counters, gauges, and fixed-boundary
   histograms in a registry whose merge is associative and commutative, so
-  shard metrics fold together in any order.
+  worker metrics fold together in any order.
 * :mod:`~repro.obs.export` — JSONL trace files (``repro trace`` renders
   them), Prometheus text exposition, and console summaries.
 * :mod:`~repro.obs.profiler` — an opt-in ``ITIMER_PROF`` sampling

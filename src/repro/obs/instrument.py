@@ -18,8 +18,10 @@ Hook inventory (each documents the metric names it owns):
 * :func:`record_selection_metrics` — the canonical mapping from the
   ad-hoc ``SelectionResult.extras["selection"]`` dict onto registry
   metrics (one schema for ``repro simulate`` tables, Prometheus, and the
-  shard merge).
-* :func:`record_executor_stats` — shard-executor fault counters.
+  worker-registry merge).
+* :func:`record_executor_stats` — :class:`~repro.shard.executor.ShardExecutor`
+  fault counters.  No pipeline path runs the executor; the hook goes
+  with it.
 
 Transparency contract: hooks read, record, and return their inputs
 untouched; they never consume RNG state, mutate graphs/colorings, or
@@ -82,7 +84,7 @@ def activated(obs: Observability | None = None):
     """Install *obs* (default: a fresh fully-enabled handle) for a block.
 
     Installation is process-global — the pipeline's stages, the engine,
-    and the shard coordinator all pick it up through :func:`current` —
+    and the executor's coordinator all pick it up through :func:`current` —
     and always restored, so a crashed run cannot leak an active tracer
     into the next test.
     """

@@ -6,10 +6,10 @@ keyed by ``(kind, name, sorted labels)`` so the same metric name can carry
 per-dataset or per-selector breakdowns as a *labeled family* (the
 Prometheus data model).
 
-The design constraint that shapes everything here is the **shard merge**:
-:class:`~repro.shard.ShardedResolver` workers each record into their own
-registry, and the coordinator folds them together in whatever order tasks
-happen to complete.  Exported values must not depend on that order, so
+The design constraint that shapes everything here is the **worker merge**:
+:class:`~repro.shard.executor.ShardExecutor` workers each record into
+their own registry, and the coordinator folds them together in whatever
+order tasks happen to complete.  Exported values must not depend on that order, so
 every metric type defines an **associative, commutative** :meth:`merge`:
 
 * :class:`Counter` — addition;
@@ -18,7 +18,7 @@ every metric type defines an **associative, commutative** :meth:`merge`:
 * :class:`Gauge` — *maximum*.  A gauge is a last-write-wins instrument and
   has no order-free sum; ``max`` is the associative/commutative choice
   that keeps high-water readings (peak memory, final clock) meaningful
-  across shards.  Gauges that need other semantics should be counters.
+  across workers.  Gauges that need other semantics should be counters.
 
 Property tests in ``tests/test_obs_metrics.py`` pin the merge laws
 (associativity, commutativity, identity) and the bucketing contract.
@@ -199,7 +199,7 @@ class MetricsRegistry:
     Accessors are get-or-create: asking for the same ``(name, labels)``
     twice returns the same instrument, so call sites never pre-register.
     Re-using a name with a different *kind* is an error — a family has one
-    type.  Creation is lock-protected (shard worker threads, the engine's
+    type.  Creation is lock-protected (serve batch threads, the engine's
     callbacks); single-instrument updates are plain attribute arithmetic,
     safe under the GIL for the increment granularity we record at.
     """
@@ -211,7 +211,7 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    # Shard workers pickle their registry back to the coordinator; the
+    # Executor workers pickle their registry back to the coordinator; the
     # lock is process-local state and is recreated on unpickle.
     def __getstate__(self) -> dict:
         return {"_metrics": self._metrics}
@@ -264,7 +264,7 @@ class MetricsRegistry:
         """Fold *other* into this registry (associative and commutative).
 
         Metrics present on one side only are copied; shared keys merge per
-        the type's law.  Shard-order independence of the merged snapshot is
+        the type's law.  Merge-order independence of the merged snapshot is
         property-tested in ``tests/test_obs_metrics.py``.
         """
         with other._lock:

@@ -1,7 +1,7 @@
 """Hierarchical tracing: spans, the tracer, and cross-process grafting.
 
 A **span** is one timed region of the pipeline — a resolve stage, a crowd
-round, a shard task — carrying wall and CPU durations, arbitrary
+round, an executor task — carrying wall and CPU durations, arbitrary
 attributes, an ok/error status, and child spans.  A **tracer** hands out
 spans through a context manager (or decorator), maintaining a per-thread
 stack so nesting falls out of lexical structure:
@@ -17,12 +17,15 @@ Three properties matter for the rest of the repo:
 * **thread safety** — each thread has its own span stack (a root started
   on a worker thread becomes its own trace root, tagged with the thread
   name); finished roots land in one ordered list under a lock.
-* **deterministic cross-process grafting** — shard workers trace into
-  their own tracer, export plain dicts, and the coordinator grafts them
-  back with :meth:`Tracer.graft` *in task order*, so the merged trace is
-  identical regardless of worker completion order (asserted by the shard
-  battery test).  Span ids are assigned at export time by pre-order
-  numbering — content-determined, not allocation-determined.
+* **deterministic cross-process grafting** — worker processes of
+  :class:`~repro.shard.executor.ShardExecutor` trace into their own
+  tracer, export plain dicts, and the coordinator grafts them back with
+  :meth:`Tracer.graft` *in task order*, so the merged trace is identical
+  regardless of worker completion order (asserted by
+  ``tests/test_obs_integration.py``).  No pipeline path runs the
+  executor; grafting stays while the end-to-end benchmark wraps it.
+  Span ids are assigned at export time by pre-order numbering —
+  content-determined, not allocation-determined.
 
 Transparency contract: spans never touch the objects they observe.  The
 ``check_observability_transparent`` battery step runs the pipeline with
@@ -252,7 +255,7 @@ def structure(spans: list[dict]) -> list[tuple[int, str]]:
     """The timing-free shape of a trace: ``(depth, name)`` in pre-order.
 
     Two traces of the same run must have equal structures no matter how
-    workers were scheduled — the shard determinism tests compare these.
+    workers were scheduled — the executor trace tests compare these.
     """
     return [(depth, span["name"]) for depth, span in walk(spans)]
 

@@ -56,8 +56,6 @@ OPTIONAL_FIELDS: dict[str, tuple[str, ...]] = {
     "create_session": (
         "config",
         "worker_band",
-        "shard_threshold",
-        "shard_workers",
         "pairs_per_hit",
         "cents_per_hit",
         "index_mode",

@@ -5,9 +5,7 @@ by a **single-writer actor** — an asyncio task that drains the session's
 work queue one item at a time, so per-session operations execute in
 exactly the order they were admitted no matter how many connections
 submit them.  CPU-heavy batch work runs off the event loop in a shared
-thread pool (and, above ``shard_threshold``, fans out further through the
-shard process executor — the resolver's own routing); the loop itself
-only ever schedules, admits, and sheds.
+thread pool; the loop itself only ever schedules, admits, and sheds.
 
 Resident memory is bounded by LRU eviction: when more than
 ``max_resident`` sessions are live, the least-recently-touched idle one
@@ -56,16 +54,24 @@ class SessionSpec:
     attributes: tuple[str, ...]
     config: PowerConfig = field(default_factory=PowerConfig)
     worker_band: str | tuple[float, float] = "90"
-    shard_threshold: int | None = None
-    shard_workers: int = 0
     pairs_per_hit: int = 10
     cents_per_hit: int = 10
     index_mode: str = "extend"
 
     @classmethod
     def from_request(cls, request: dict[str, Any]) -> "SessionSpec":
-        """Decode a ``create_session`` request's optional fields."""
+        """Decode a ``create_session`` request's optional fields.
+
+        Values are checked by :class:`StreamingResolver` itself; only the
+        types of ``config`` and the pricing are checked here, so a
+        malformed one is a typed ``bad_request`` rather than a handler
+        exception.
+        """
         config = request.get("config")
+        if config is not None and not isinstance(config, dict):
+            raise ProtocolError(
+                "bad_request", f"config must be an object, got {config!r}"
+            )
         band = request.get("worker_band", "90")
         if isinstance(band, list):
             band = tuple(band)
@@ -73,12 +79,19 @@ class SessionSpec:
             attributes=tuple(str(a) for a in request["attributes"]),
             config=_decode_config(config) if config else PowerConfig(),
             worker_band=band,
-            shard_threshold=request.get("shard_threshold"),
-            shard_workers=int(request.get("shard_workers", 0)),
-            pairs_per_hit=int(request.get("pairs_per_hit", 10)),
-            cents_per_hit=int(request.get("cents_per_hit", 10)),
+            pairs_per_hit=_integer_field(request, "pairs_per_hit", 10),
+            cents_per_hit=_integer_field(request, "cents_per_hit", 10),
             index_mode=str(request.get("index_mode", "extend")),
         )
+
+
+def _integer_field(request: dict[str, Any], name: str, default: int) -> int:
+    value = request.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError(
+            "bad_request", f"{name} must be an integer, got {value!r}"
+        )
+    return value
 
 
 @dataclass
@@ -206,8 +219,6 @@ class SessionRegistry:
                         name=name,
                         checkpoint_dir=directory,
                         worker_band=spec.worker_band,
-                        shard_threshold=spec.shard_threshold,
-                        shard_workers=spec.shard_workers,
                         pairs_per_hit=spec.pairs_per_hit,
                         cents_per_hit=spec.cents_per_hit,
                         index_mode=spec.index_mode,

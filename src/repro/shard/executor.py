@@ -1,7 +1,7 @@
 """Process-pool scheduling with retries, timeouts, and in-process fallback.
 
 :class:`ShardExecutor` is the scheduling layer of :mod:`repro.shard`: it
-runs picklable task specs (from :mod:`repro.shard.worker`) through a
+runs picklable task specs through a
 :class:`concurrent.futures.ProcessPoolExecutor` with
 
 * **largest-shard-first dispatch** — tasks are submitted in descending
@@ -16,28 +16,23 @@ runs picklable task specs (from :mod:`repro.shard.worker`) through a
   *same bytes* the healthy path would have produced.
 
 ``workers=0`` short-circuits to fully inline execution (no processes, no
-pickling), so the tests can show that the task/merge decomposition, not
+pickling), so the tests can show that the task decomposition, not
 multiprocessing luck, carries the equivalence.
 
-The module also hosts the **budget-split** helpers for the independent
-execution mode: :func:`split_question_budget` (largest-remainder
-proportional split of a global question budget across shards) and
-:func:`questions_for_cents` (money → questions via the same
-:class:`~repro.engine.budget.BudgetGuard` inversion the engine uses, so
-shard budget enforcement can never drift from billing).
+Nothing in :mod:`repro` runs tasks through the executor.  It stays, with
+its fault-path tests, because the end-to-end benchmark's tracing wraps
+:meth:`ShardExecutor.run` by name (DESIGN.md §10).
 """
 
 from __future__ import annotations
 
 import gc
-import math
 import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import Future, ProcessPoolExecutor, TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from ..engine.budget import BudgetGuard
 from ..exceptions import ConfigurationError
 from ..obs import instrument as obs_instrument
 
@@ -293,72 +288,4 @@ class ShardExecutor:
                 futures[index] = self._ensure_pool().submit(fn, tasks[index])
 
 
-# --------------------------------------------------------------------------- #
-# Budget split (independent mode)
-# --------------------------------------------------------------------------- #
-
-
-def split_question_budget(total: int, loads: Sequence[int]) -> list[int]:
-    """Split a global question budget across shards, proportional to load.
-
-    Largest-remainder apportionment: each shard gets
-    ``floor(total * load / sum(loads))`` questions, and the leftover
-    questions go to the largest fractional remainders (ties: lowest shard
-    id).  The split is deterministic and sums exactly to *total*; it is
-    not clipped to the per-shard load — a shard's budget may exceed what
-    it can ask, matching the serial anytime semantics where an
-    over-generous budget is simply not spent.
-    """
-    if total < 0:
-        raise ConfigurationError(f"total budget must be >= 0, got {total}")
-    loads = [int(load) for load in loads]
-    if any(load < 0 for load in loads):
-        raise ConfigurationError(f"loads must be >= 0, got {loads}")
-    if not loads:
-        return []
-    mass = sum(loads)
-    if mass == 0:
-        return [0] * len(loads)
-    raw = [total * load / mass for load in loads]
-    split = [math.floor(amount) for amount in raw]
-    leftover = total - sum(split)
-    remainders = sorted(
-        range(len(loads)), key=lambda index: (-(raw[index] - split[index]), index)
-    )
-    for index in remainders[:leftover]:
-        split[index] += 1
-    return split
-
-
-def questions_for_cents(
-    max_cents: float,
-    pairs_per_hit: int = 10,
-    cents_per_hit: int = 10,
-    assignments: int = 5,
-) -> int:
-    """The largest distinct-question count whose bill fits *max_cents*.
-
-    Delegates to :meth:`repro.engine.budget.BudgetGuard.affordable_questions`
-    — the inversion of :class:`~repro.crowd.platform.CrowdSession`'s pinned
-    pooled-ceiling billing — so a cents budget converted here and enforced
-    as a question budget can never overspend nor understate what the
-    session would actually bill.
-    """
-    guard = BudgetGuard(max_cents=max_cents)
-    # Large enough to never clip: one HIT per question is the worst case.
-    ceiling = int(max_cents) * max(1, pairs_per_hit) + pairs_per_hit
-    return guard.affordable_questions(
-        asked=0,
-        requested=ceiling,
-        pairs_per_hit=pairs_per_hit,
-        cents_per_hit=cents_per_hit,
-        assignments=assignments,
-    )
-
-
-__all__ = [
-    "ExecutorStats",
-    "ShardExecutor",
-    "split_question_budget",
-    "questions_for_cents",
-]
+__all__ = ["ExecutorStats", "ShardExecutor"]

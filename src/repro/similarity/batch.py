@@ -13,8 +13,8 @@ fast paths:
 * :func:`batch_similarity_matrix` — a drop-in replacement for
   :func:`repro.similarity.vectors.similarity_matrix` that dispatches each
   attribute to a vectorized kernel (token/bigram Jaccard through the sparse
-  index, edit similarity through a deduplicated, length-bucketed, optionally
-  process-parallel runner) and applies the ``tau`` clamp as one numpy op.
+  index, edit similarity through a deduplicated, length-bucketed, cached
+  runner) and applies the ``tau`` clamp as one numpy op.
 * :func:`sparse_jaccard_join` — the record-level Jaccard self-join computed
   via inverted-list intersection counts (``np.bincount``) instead of per-pair
   Python set ops, verifying only the candidates at or above an overlap
@@ -29,10 +29,8 @@ to the same IEEE-754 divisions).
 from __future__ import annotations
 
 import copy
-import os
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -46,15 +44,6 @@ from .vectors import SimilarityConfig
 
 #: Soft cap (bytes) on the per-chunk temporary of the pairwise AND kernel.
 _CHUNK_BYTES = 32 << 20
-
-#: Environment variable that opts the edit-similarity runner into a process
-#: pool (value = worker count).  Serial by default: the deduplicated cached
-#: runner is already fast, and forking is not free.
-EDIT_WORKERS_ENV = "POWER_EDIT_WORKERS"
-
-#: Minimum number of *unique* string pairs before a process pool can pay for
-#: its fork + pickle overhead.
-_MIN_PAIRS_FOR_POOL = 4096
 
 #: Fall back to the generic per-text tokenizer when a corpus uses this many
 #: distinct codepoints: the code-interning bitmap is ``(k+1)**2`` bools, so
@@ -352,32 +341,16 @@ class TokenIndex:
 
 
 # --------------------------------------------------------------------------- #
-# Edit-similarity runner: dedup + cache + length buckets (+ optional pool)
+# Edit-similarity runner: dedup + cache + length buckets
 # --------------------------------------------------------------------------- #
 
 _cached_edit_similarity = lru_cache(maxsize=1 << 15)(edit_similarity)
-
-
-def _edit_chunk(string_pairs: list[tuple[str, str]]) -> list[float]:
-    """Worker function for the process pool (must be module-level to pickle)."""
-    return [edit_similarity(a, b) for a, b in string_pairs]
-
-
-def _resolve_edit_workers(edit_workers: int | None) -> int:
-    if edit_workers is not None:
-        return max(1, int(edit_workers))
-    raw = os.environ.get(EDIT_WORKERS_ENV, "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def batch_edit_similarities(
     texts: Sequence[str],
     left: np.ndarray,
     right: np.ndarray,
-    edit_workers: int | None = None,
 ) -> np.ndarray:
     """Edit similarity ``EDS(texts[left[i]], texts[right[i]])`` for all i.
 
@@ -385,9 +358,8 @@ def batch_edit_similarities(
     the batch win comes from doing strictly less work: string pairs are
     deduplicated (attribute columns repeat values heavily on ER data),
     identical-string pairs short-circuit to 1.0, survivors are processed in
-    ascending max-length *buckets* (cheap problems first, and contiguous
-    chunks of comparable cost so an optional :class:`ProcessPoolExecutor`
-    balances), and a shared ``lru_cache`` absorbs repeats across calls.
+    ascending max-length *buckets* (cheap problems first), and a shared
+    ``lru_cache`` absorbs repeats across calls.
     The per-pair function is the scalar :func:`edit_similarity` itself, so
     results are bit-identical to the reference path.
     """
@@ -410,26 +382,9 @@ def batch_edit_similarities(
         lengths = np.fromiter((len(v) for v in values), dtype=np.int64, count=len(values))
         # Length-bucketed order: ascending max(|a|, |b|).
         order = todo[np.argsort(np.maximum(lengths[unique_lo[todo]], lengths[unique_hi[todo]]), kind="stable")]
-        workers = _resolve_edit_workers(edit_workers)
-        if workers > 1 and order.size >= _MIN_PAIRS_FOR_POOL:
-            string_pairs = [(values[unique_lo[k]], values[unique_hi[k]]) for k in order]
-            chunk = max(256, len(string_pairs) // (workers * 4))
-            chunks = [string_pairs[i : i + chunk] for i in range(0, len(string_pairs), chunk)]
-            try:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(_edit_chunk, chunks))
-                sims[order] = np.fromiter(
-                    (score for chunk_scores in results for score in chunk_scores),
-                    dtype=np.float64,
-                    count=len(string_pairs),
-                )
-            except (OSError, ValueError, RuntimeError):  # pragma: no cover - env dependent
-                for k in order:
-                    sims[k] = _cached_edit_similarity(values[unique_lo[k]], values[unique_hi[k]])
-        else:
-            cached = _cached_edit_similarity
-            for k in order:
-                sims[k] = cached(values[unique_lo[k]], values[unique_hi[k]])
+        cached = _cached_edit_similarity
+        for k in order:
+            sims[k] = cached(values[unique_lo[k]], values[unique_hi[k]])
     return sims[scatter]
 
 
@@ -442,7 +397,6 @@ def batch_similarity_matrix(
     table: Table,
     pairs: Sequence[Pair],
     config: SimilarityConfig,
-    edit_workers: int | None = None,
 ) -> np.ndarray:
     """Vectorized drop-in for :func:`repro.similarity.vectors.similarity_matrix`.
 
@@ -462,9 +416,6 @@ def batch_similarity_matrix(
         table: the input table.
         pairs: candidate record pairs (row order of the result).
         config: per-attribute similarity functions and clamp ``tau``.
-        edit_workers: process-pool width for edit-similarity attributes;
-            defaults to the ``POWER_EDIT_WORKERS`` environment variable, else
-            serial.
     """
     config.for_table(table)
     matrix = np.empty((len(pairs), config.num_attributes), dtype=np.float64)
@@ -490,7 +441,7 @@ def batch_similarity_matrix(
         elif name == "bigram":
             matrix[:, k] = TokenIndex.for_bigrams(column).jaccard_pairs(left, right)
         elif name == "edit":
-            matrix[:, k] = batch_edit_similarities(column, left, right, edit_workers)
+            matrix[:, k] = batch_edit_similarities(column, left, right)
         else:  # pragma: no cover - future functions fall back to scalar
             from .vectors import resolve_function
 

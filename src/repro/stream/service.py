@@ -3,7 +3,7 @@
 :class:`StreamingResolver` is the long-lived face of
 :class:`~repro.core.incremental.IncrementalResolver`: same per-batch
 pipeline (incremental candidate sweep → vectors → partial-order graph →
-selector → fold into clusters), plus the four things a service needs that
+selector → fold into clusters), plus the three things a service needs that
 a library object does not:
 
 * **durability** — :meth:`checkpoint` writes the full resolver state
@@ -18,10 +18,6 @@ a library object does not:
   exact :class:`~repro.crowd.platform.CrowdSession` formula applied to the
   whole stream, so a single-batch stream bills exactly like a one-shot
   run;
-* **scale routing** — batches whose candidate-pair count reaches
-  ``shard_threshold`` compute their similarity vectors through the
-  :class:`~repro.shard.executor.ShardExecutor` (bit-identical by the shard
-  merge contract; ``shard_workers=0`` keeps it inline and deterministic);
 * **observability** — a ``stream.batch`` span and ``repro_stream_*``
   metrics per batch, under the repo-wide transparency contract.
 
@@ -45,7 +41,8 @@ import numpy as np
 from ..core.config import PowerConfig
 from ..core.incremental import IncrementalResolver
 from ..crowd.aggregate import VoteOutcome
-from ..crowd.platform import CrowdSession, SimulatedCrowd
+from ..crowd.platform import CrowdSession, SimulatedCrowd, check_pricing
+from ..crowd.worker import accuracy_band
 from ..data.ground_truth import Pair
 from ..engine.journal import decode_outcome, encode_outcome
 from ..exceptions import ConfigurationError, DataError
@@ -101,13 +98,14 @@ class StreamingResolver(IncrementalResolver):
             :class:`~repro.crowd.platform.PerfectCrowd` over known truth).
             When omitted, each batch builds the usual simulated crowd from
             the records' ground-truth entity ids.
-        worker_band: accuracy band for auto-built crowds.
-        shard_threshold: candidate-pair count at which a batch's
-            similarity vectors are routed through the shard executor
-            (``None`` disables routing).
-        shard_workers: worker processes for routed batches (0 = inline).
+        worker_band: accuracy band for auto-built crowds (an
+            :data:`~repro.crowd.worker.ACCURACY_BANDS` label or a
+            ``(low, high)`` pair).
         pairs_per_hit / cents_per_hit: the pooled-billing pricing (the
-            paper's §7.1 defaults).
+            paper's §7.1 defaults).  Pricing and band are validated here,
+            before anything else, with the checks
+            :class:`~repro.crowd.platform.CrowdSession` and
+            :class:`~repro.crowd.worker.WorkerPool` apply.
         index_mode: forwarded to :class:`IncrementalResolver`.
     """
 
@@ -119,20 +117,14 @@ class StreamingResolver(IncrementalResolver):
         checkpoint_dir=None,
         crowd: SimulatedCrowd | None = None,
         worker_band: str | tuple[float, float] = "90",
-        shard_threshold: int | None = None,
-        shard_workers: int = 0,
         pairs_per_hit: int = 10,
         cents_per_hit: int = 10,
         index_mode: str = "extend",
     ) -> None:
+        check_pricing(pairs_per_hit, cents_per_hit)
+        accuracy_band(worker_band)
         super().__init__(attributes, config=config, name=name, index_mode=index_mode)
-        if shard_threshold is not None and shard_threshold < 1:
-            raise ConfigurationError(
-                f"shard_threshold must be >= 1 or None, got {shard_threshold}"
-            )
         self.worker_band = worker_band
-        self.shard_threshold = shard_threshold
-        self.shard_workers = shard_workers
         self.pairs_per_hit = pairs_per_hit
         self.cents_per_hit = cents_per_hit
         self._crowd = crowd
@@ -199,33 +191,6 @@ class StreamingResolver(IncrementalResolver):
             cents_per_hit=self.cents_per_hit,
         )
 
-    def _batch_vectors(self, pairs):
-        if (
-            self.shard_threshold is None
-            or len(pairs) < self.shard_threshold
-        ):
-            return super()._batch_vectors(pairs)
-        from ..shard.executor import ShardExecutor
-        from ..shard.merge import merge_vector_chunks
-        from ..shard.partition import vertex_slices
-        from ..shard.worker import VectorTask, compute_vectors
-
-        slices = max(2, self.shard_workers or 2)
-        similarity = self._resolver.similarity_config(self.table)
-        tasks = [
-            VectorTask(
-                start=lo,
-                pairs=tuple(pairs[lo:hi]),
-                table=self.table,
-                config=similarity,
-            )
-            for lo, hi in vertex_slices(len(pairs), slices)
-        ]
-        with ShardExecutor(
-            workers=self.shard_workers, retries=self.config.shard_retries
-        ) as executor:
-            return merge_vector_chunks(executor.run(compute_vectors, tasks))
-
     # ------------------------------------------------------------------ #
     # Pooled billing
     # ------------------------------------------------------------------ #
@@ -285,8 +250,7 @@ class StreamingResolver(IncrementalResolver):
             "worker_band": _encode_band(self.worker_band),
             "pairs_per_hit": self.pairs_per_hit,
             "cents_per_hit": self.cents_per_hit,
-            "shard_threshold": self.shard_threshold,
-            "shard_workers": self.shard_workers,
+            **_RETIRED_STATE_FIELDS,
             "batches": self.batches,
             "total_questions": self.total_questions,
             "total_iterations": self.total_iterations,
@@ -367,8 +331,6 @@ class StreamingResolver(IncrementalResolver):
             name=state["name"],
             crowd=crowd,
             worker_band=_decode_band(state["worker_band"]),
-            shard_threshold=state["shard_threshold"],
-            shard_workers=state["shard_workers"],
             pairs_per_hit=state["pairs_per_hit"],
             cents_per_hit=state["cents_per_hit"],
             index_mode=state["index_mode"],
@@ -427,7 +389,15 @@ _RETIRED_CONFIG_FIELDS = {
     "use_incremental_selection": True,
     "reachability_index": "auto",
     "plan": "off",
+    "shards": None,
+    "shard_max_pairs": None,
+    "shard_retries": 2,
 }
+
+#: State fields of the retired stream routing, written at their old
+#: defaults for the same reason; :meth:`StreamingResolver.restore` ignores
+#: them (routing was bit-identical, so no recorded value changes a result).
+_RETIRED_STATE_FIELDS = {"shard_threshold": None, "shard_workers": 0}
 
 
 def _encode_config(config: PowerConfig) -> dict[str, Any]:

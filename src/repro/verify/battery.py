@@ -496,14 +496,6 @@ def _dataset_checks(config: BatteryConfig, report: VerificationReport) -> None:
 
     run_check(
         report,
-        f"shard-equivalence[{table.name}]",
-        lambda: oracles.check_shard_equivalence(
-            table, seed=config.base_seed, shard_counts=(2, 4)
-        ),
-    )
-
-    run_check(
-        report,
         f"stream-equivalence[{table.name}]",
         lambda: oracles.check_stream_equivalence(
             table, seed=config.base_seed, batch_counts=(3,)

@@ -1162,97 +1162,6 @@ def check_selector_monotone_oracle(
 
 
 # --------------------------------------------------------------------------- #
-# Sharded-resolution differential
-# --------------------------------------------------------------------------- #
-
-
-def check_shard_equivalence(
-    table: Table,
-    seed: int = 0,
-    shard_counts: Sequence[int] = (2, 4),
-    worker_band: str = "90",
-) -> None:
-    """The exact sharded resolver must be byte-identical to the serial one.
-
-    Runs :class:`~repro.core.resolver.PowerResolver` once, then
-    :class:`~repro.shard.ShardedResolver` in its exact mode for every
-    shard count in *shard_counts* (``workers=0``), and demands identical
-    candidate pairs, labels, matches, question and iteration counts,
-    billing, clusters, transcript order and final colors.  Exact mode
-    runs the serial pipeline itself, so any divergence means the facade
-    stopped handing its inputs (session, band, budget) through unchanged.
-    """
-    from ..core.config import PowerConfig
-    from ..core.resolver import PowerResolver
-    from ..shard.resolver import ShardedResolver
-
-    serial = PowerResolver(PowerConfig(seed=seed)).resolve(
-        table, worker_band=worker_band
-    )
-    for shards in shard_counts:
-        sharded = ShardedResolver(
-            PowerConfig(seed=seed, shards=int(shards)), workers=0
-        ).resolve(table, worker_band=worker_band)
-        label = f"shards={shards} on {table.name!r}"
-        if sharded.candidate_pairs != serial.candidate_pairs:
-            extra = set(sharded.candidate_pairs) - set(serial.candidate_pairs)
-            missing = set(serial.candidate_pairs) - set(sharded.candidate_pairs)
-            raise VerificationError(
-                f"shard-equivalence[{label}]: candidate pairs diverge: "
-                f"{len(extra)} extra, {len(missing)} missing"
-            )
-        for field, sharded_value, serial_value in (
-            ("questions", sharded.questions, serial.questions),
-            ("iterations", sharded.iterations, serial.iterations),
-            ("cost_cents", sharded.cost_cents, serial.cost_cents),
-        ):
-            if sharded_value != serial_value:
-                raise VerificationError(
-                    f"shard-equivalence[{label}]: {field} diverges: "
-                    f"sharded {sharded_value} vs serial {serial_value}"
-                )
-        if sharded.selection.labels != serial.selection.labels:
-            diff = [
-                pair
-                for pair in set(sharded.selection.labels)
-                | set(serial.selection.labels)
-                if sharded.selection.labels.get(pair)
-                != serial.selection.labels.get(pair)
-            ]
-            raise VerificationError(
-                f"shard-equivalence[{label}]: {len(diff)} pair labels "
-                f"diverge (e.g. {sorted(diff)[:5]})"
-            )
-        if sharded.matches != serial.matches:
-            raise VerificationError(
-                f"shard-equivalence[{label}]: match sets diverge: "
-                f"{len(sharded.matches - serial.matches)} extra, "
-                f"{len(serial.matches - sharded.matches)} missing"
-            )
-        if sharded.clusters != serial.clusters:
-            raise VerificationError(
-                f"shard-equivalence[{label}]: clusters diverge "
-                f"({len(sharded.clusters)} vs {len(serial.clusters)})"
-            )
-        sharded_state = sharded.selection.state
-        serial_state = serial.selection.state
-        if sharded_state is not None and serial_state is not None:
-            if sharded_state.asked_order != serial_state.asked_order:
-                raise VerificationError(
-                    f"shard-equivalence[{label}]: question transcript order "
-                    "diverges"
-                )
-            if not np.array_equal(sharded_state.colors, serial_state.colors):
-                vertex = int(
-                    np.flatnonzero(sharded_state.colors != serial_state.colors)[0]
-                )
-                raise VerificationError(
-                    f"shard-equivalence[{label}]: final colors diverge at "
-                    f"vertex {vertex}"
-                )
-
-
-# --------------------------------------------------------------------------- #
 # Observability-transparency differential
 # --------------------------------------------------------------------------- #
 

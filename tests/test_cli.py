@@ -183,19 +183,3 @@ class TestSimulate:
         ])
         assert code == 1
         assert "unknown fault profile" in capsys.readouterr().err
-
-
-class TestShard:
-    @pytest.mark.parametrize(
-        "flags", [["--budget", "5"], ["--budget-cents", "50"]], ids=["questions", "cents"]
-    )
-    def test_check_equivalence_gives_the_reference_the_budget(self, flags, capsys):
-        code = main([
-            "shard", "--dataset", "restaurant", "--scale", "0.2", "--workers", "0",
-            *flags, "--check-equivalence",
-        ])
-        captured = capsys.readouterr()
-        assert code == 0, captured.err
-        assert "equivalence: sharded result identical" in captured.out
-        questions = int(captured.out.split("questions  :")[1].splitlines()[0])
-        assert questions <= 10

@@ -8,10 +8,10 @@ Four contracts pinned here:
 * **telemetry migration** — the registry-backed
   :class:`repro.obs.Telemetry` produces the exact bytes of the retired
   engine telemetry dataclass;
-* **shard determinism** — the merged trace of a multi-process
-  independent-mode run has the same structure as the inline
-  (``workers=0``) run, and worker metrics fold into the coordinator's
-  registry;
+* **executor determinism** — the merged trace of tasks run in
+  :class:`~repro.shard.ShardExecutor` worker processes has the same
+  structure as the inline (``workers=0``) run, and worker metrics fold
+  into the coordinator's registry;
 * **CLI plumbing** — ``--trace`` / ``--metrics-out`` write real artifacts
   and ``repro simulate`` prints the unified per-round table.
 """
@@ -63,7 +63,7 @@ class TestTransparency:
         from repro.obs import walk
         from repro.shard import ShardedResolver
 
-        config = PowerConfig(seed=0, shards=2)
+        config = PowerConfig(seed=0)
         resolver = ShardedResolver(config, workers=0) if sharded else PowerResolver(config)
         with activated(Observability(tracing=True)) as obs:
             result = resolver.resolve(small_table, worker_band="90")
@@ -179,30 +179,35 @@ class TestTelemetryMigration:
         assert obs.registry.counter("repro_engine_posted_total").value > 0
 
 
+def _traced_square(value):
+    """Module-level (picklable) task that records a span and a counter."""
+    obs = current()
+    with obs.tracer.span("task.square", value=value):
+        obs.registry.counter("test_squares_total", "squares computed").inc()
+    return value * value
+
+
 class TestShardTraces:
-    def run_sharded(self, table, workers):
-        from repro.shard import ShardedResolver
+    def run_tasks(self, workers):
+        from repro.shard import ShardExecutor
 
-        config = PowerConfig(seed=0, shards=2)
         with activated(Observability(tracing=True, metrics=True)) as obs:
-            result = ShardedResolver(
-                config, workers=workers, mode="independent"
-            ).resolve(table, worker_band="90")
-        return result, obs
+            with ShardExecutor(workers=workers) as executor:
+                with obs.tracer.span("coordinator"):
+                    results = executor.run(_traced_square, [3, 1, 2], weights=[1, 3, 2])
+        return results, obs
 
-    def test_inline_and_multiprocess_traces_have_one_structure(self, small_table):
-        inline_result, inline_obs = self.run_sharded(small_table, workers=0)
-        pooled_result, pooled_obs = self.run_sharded(small_table, workers=2)
-        assert pooled_result.matches == inline_result.matches
-        assert pooled_result.cost_cents == inline_result.cost_cents
-        assert structure(pooled_obs.tracer.export()) == structure(
-            inline_obs.tracer.export()
-        )
+    def test_inline_and_multiprocess_traces_have_one_structure(self):
+        inline_results, inline_obs = self.run_tasks(workers=0)
+        pooled_results, pooled_obs = self.run_tasks(workers=2)
+        assert pooled_results == inline_results == [9, 1, 4]
+        pooled = structure(pooled_obs.tracer.export())
+        assert pooled == structure(inline_obs.tracer.export())
+        assert pooled == [(0, "coordinator")] + [(1, "shard.task"), (2, "task.square")] * 3
 
-    def test_worker_metrics_fold_into_the_coordinator(self, small_table):
-        _, obs = self.run_sharded(small_table, workers=2)
-        tasks = obs.registry.counter("repro_shard_tasks_total").value
-        assert tasks > 0
+    def test_worker_metrics_fold_into_the_coordinator(self):
+        _, obs = self.run_tasks(workers=2)
+        assert obs.registry.counter("test_squares_total").value == 3
         names = [name for _, name in structure(obs.tracer.export())]
         assert "shard.task" in names
 

@@ -87,6 +87,20 @@ class TestRequestValidation:
             )
         assert excinfo.value.code == "unknown_field"
 
+    @pytest.mark.parametrize("field", ["shard_threshold", "shard_workers"])
+    def test_retired_routing_fields_are_unknown(self, field):
+        """Stream routing is gone: a client that still sends its knobs
+        gets the typed refusal, not a silently ignored field."""
+        with pytest.raises(ProtocolError, match=field) as excinfo:
+            decode_request(
+                encode(
+                    _request(
+                        op="create_session", session="a", attributes=["x"], **{field: 1}
+                    )
+                )
+            )
+        assert excinfo.value.code == "unknown_field"
+
     def test_malformed_json(self):
         with pytest.raises(ProtocolError) as excinfo:
             decode_request(b"{not json\n")

@@ -206,6 +206,50 @@ class TestProtocolEdge:
         assert ghost["error"] == "unknown_session"
         assert bad["error"] == "bad_session"
 
+    def test_unbillable_session_is_refused_and_never_adopted(self, small_table, tmp_path):
+        """Pricing or a band that would fail every later ingest is refused
+        at create with a typed error, and takes no residency slot."""
+        bad_fields = [
+            {"pairs_per_hit": 0},
+            {"worker_band": "95"},
+            {"pairs_per_hit": "ten"},
+            {"cents_per_hit": 2.5},
+            {"config": "fast"},
+        ]
+        chunk = _chunks(small_table, 2)[0]
+
+        async def scenario():
+            app = ServeApp(tmp_path / "serve", max_sessions=2)
+            async with ResolutionServer(app) as server:
+                async with AsyncServeClient(port=server.port) as client:
+                    refused = [
+                        await client.request(
+                            "create_session",
+                            session=f"bad{index}",
+                            attributes=list(small_table.attributes),
+                            **fields,
+                        )
+                        for index, fields in enumerate(bad_fields)
+                    ]
+                    health = await client.healthz()
+                    await client.create_session("good", list(small_table.attributes))
+                    report = await client.ingest("good", _rows(chunk), _ids(chunk))
+                    return refused, health, report
+
+        refused, health, report = run(asyncio.wait_for(scenario(), timeout=60))
+        assert [response["ok"] for response in refused] == [False] * 5
+        assert [response["error"] for response in refused] == [
+            "error",
+            "error",
+            "bad_request",
+            "bad_request",
+            "bad_request",
+        ]
+        assert "pairs_per_hit" in refused[0]["message"]
+        assert "accuracy band" in refused[1]["message"]
+        assert (health["resident"], health["known_sessions"]) == (0, 0)
+        assert report["batch"] == 1
+
     def test_schema_mismatch_on_attach(self, small_table, tmp_path):
         async def scenario():
             app = ServeApp(tmp_path / "serve")

@@ -18,17 +18,7 @@ import pytest
 
 from repro.core import PowerConfig, PowerResolver
 from repro.exceptions import ConfigurationError
-from repro.shard import (
-    FaultSpec,
-    ShardExecutor,
-    ShardedResolver,
-    VectorTask,
-    compute_vectors,
-    merge_vector_chunks,
-    questions_for_cents,
-    split_question_budget,
-    vertex_slices,
-)
+from repro.shard import FaultSpec, ShardExecutor, ShardedResolver
 from repro.shard.worker import maybe_fault
 
 
@@ -37,6 +27,13 @@ def _square(task):
     value, fault = task
     maybe_fault(fault)
     return value * value
+
+
+def _chunk_sqrt(task):
+    """Module-level pure task over one chunk: ``(start, values, fault)``."""
+    start, values, fault = task
+    maybe_fault(fault)
+    return start, np.sqrt(values)
 
 
 def _fault(tmp_path, name, **kwargs) -> FaultSpec:
@@ -124,78 +121,36 @@ class TestPoolFaultPaths:
 
 
 class TestBitIdenticalUnderFaults:
-    def test_vector_chunks_survive_crashes_byte_identical(
-        self, small_table, tmp_path
-    ):
-        """Crashing vector workers must not change one byte of the matrix."""
-        resolver = PowerResolver(PowerConfig(seed=0))
-        pairs = resolver.candidate_pairs(small_table)
-        reference = resolver.similarity_vectors(small_table, pairs)
-        config = resolver.similarity_config(small_table)
-        tasks = []
-        for index, (lo, hi) in enumerate(vertex_slices(len(pairs), 4)):
-            fault = (
+    def test_vector_chunks_survive_crashes_byte_identical(self, tmp_path):
+        """Crashing workers must not change one byte of the stacked chunks."""
+        values = np.random.default_rng(0).random(1000)
+        bounds = np.linspace(0, len(values), 5).astype(int)
+        tasks = [
+            (
+                int(lo),
+                values[lo:hi],
                 _fault(tmp_path, f"chunk{index}", limit=1, kind="exit")
                 if index % 2 == 0
-                else None
+                else None,
             )
-            tasks.append(
-                VectorTask(
-                    start=lo,
-                    pairs=tuple(pairs[lo:hi]),
-                    table=small_table,
-                    config=config,
-                    fault=fault,
-                )
-            )
+            for index, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+        ]
         with ShardExecutor(workers=2, retries=2) as executor:
-            chunks = executor.run(compute_vectors, tasks)
-        merged = merge_vector_chunks(chunks)
-        np.testing.assert_array_equal(merged, reference)
+            chunks = executor.run(_chunk_sqrt, tasks)
+        assert [start for start, _ in chunks] == bounds[:-1].tolist()
+        merged = np.concatenate([chunk for _, chunk in chunks])
+        assert merged.tobytes() == np.sqrt(values).tobytes()
         assert executor.stats.broken_pools >= 1
 
     def test_resolver_with_processes_matches_serial(self, small_table):
-        """End-to-end: 2 worker processes, exact mode, bit-identical."""
+        """The kept ``ShardedResolver(workers=2)`` name is the serial
+        resolver: same transcript, labels, bill, matches and clusters."""
         serial = PowerResolver(PowerConfig(seed=0)).resolve(small_table)
-        sharded = ShardedResolver(
-            PowerConfig(seed=0, shards=2), workers=2
-        ).resolve(small_table)
+        sharded = ShardedResolver(PowerConfig(seed=0), workers=2).resolve(small_table)
+        assert sharded.selection.state.asked_order == serial.selection.state.asked_order
         assert sharded.questions == serial.questions
         assert sharded.iterations == serial.iterations
         assert sharded.cost_cents == serial.cost_cents
         assert sharded.selection.labels == serial.selection.labels
         assert sharded.matches == serial.matches
         assert sharded.clusters == serial.clusters
-
-
-class TestBudgetSplit:
-    def test_split_sums_to_total_and_is_proportional(self):
-        split = split_question_budget(10, [30, 60, 10])
-        assert sum(split) == 10
-        assert split == [3, 6, 1]
-
-    def test_largest_remainder_tiebreak(self):
-        assert split_question_budget(1, [1, 1]) == [1, 0]
-        assert split_question_budget(0, [5, 5]) == [0, 0]
-        assert split_question_budget(7, []) == []
-        assert split_question_budget(4, [0, 0]) == [0, 0]
-
-    def test_split_rejects_negatives(self):
-        with pytest.raises(ConfigurationError):
-            split_question_budget(-1, [1])
-        with pytest.raises(ConfigurationError):
-            split_question_budget(1, [-1])
-
-    def test_questions_for_cents_inverts_billing(self):
-        from repro.engine.budget import BudgetGuard
-
-        for cents in (0, 10, 49, 50, 100, 1234):
-            questions = questions_for_cents(cents)
-            guard = BudgetGuard(max_cents=cents)
-            assert guard.affordable_questions(
-                asked=0,
-                requested=questions + 1,
-                pairs_per_hit=10,
-                cents_per_hit=10,
-                assignments=5,
-            ) == questions

@@ -174,9 +174,24 @@ class TestServiceGuards:
         with pytest.raises(ConfigurationError, match="checkpoint_dir"):
             service.checkpoint()
 
-    def test_invalid_shard_threshold_rejected(self):
-        with pytest.raises(ConfigurationError, match="shard_threshold"):
-            StreamingResolver(self.ATTRIBUTES, shard_threshold=0)
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"pairs_per_hit": 0}, "pairs_per_hit"),
+            ({"cents_per_hit": -1}, "cents_per_hit"),
+            ({"worker_band": "95"}, "unknown accuracy band"),
+            ({"worker_band": (0.9, 0.8)}, "accuracy range"),
+            ({"worker_band": 95}, "accuracy range"),
+        ],
+        ids=["no-pairs-per-hit", "negative-price", "unknown-band", "inverted-band", "number-band"],
+    )
+    def test_unbillable_pricing_or_band_refused_up_front(self, tmp_path, knobs, message):
+        """Pricing or a band that would fail every later batch is refused
+        by the constructor, before the service touches its directory."""
+        directory = tmp_path / "ck"
+        with pytest.raises(ConfigurationError, match=message):
+            StreamingResolver(self.ATTRIBUTES, checkpoint_dir=directory, **knobs)
+        assert not directory.exists()
 
     def test_fresh_service_refuses_existing_manifest(self, tmp_path):
         directory = tmp_path / "ck"
@@ -240,48 +255,35 @@ class TestServiceGuards:
         plain.add_batch(self.ROWS[2:], entity_ids=self.ENTITIES[2:])
         assert resumed.checkpoint()["state_sha"] == plain.checkpoint()["state_sha"]
 
-    def test_shard_routing_is_bit_identical(self, small_table):
-        rows = [record.values for record in small_table]
-        entities = [record.entity_id for record in small_table]
-        plain = StreamingResolver(small_table.attributes, name="plain")
-        routed = StreamingResolver(
-            small_table.attributes, name="routed", shard_threshold=1
+    def test_snapshot_with_retired_shard_fields_restores(self, tmp_path, monkeypatch):
+        """A snapshot written while stream routing and the shard knobs were
+        live, with non-default values, restores and continues to the state
+        of a stream that never set them."""
+        from repro.stream import service
+
+        routing = {"shard_threshold": 500, "shard_workers": 2}
+        shard_knobs = {"shards": 4, "shard_max_pairs": 100, "shard_retries": 0}
+        encode = service._encode_config
+        monkeypatch.setattr(service, "_RETIRED_STATE_FIELDS", routing)
+        monkeypatch.setattr(
+            service, "_encode_config", lambda config: {**encode(config), **shard_knobs}
         )
-        for start in (0, 30):
-            chunk = slice(start, start + 30)
-            plain.add_batch(rows[chunk], entity_ids=entities[chunk])
-            routed.add_batch(rows[chunk], entity_ids=entities[chunk])
-        assert routed.labels == plain.labels
-        assert routed.transcripts == plain.transcripts
-        assert routed.clusters() == plain.clusters()
-        assert routed.cost_cents == plain.cost_cents
+        old = StreamingResolver(self.ATTRIBUTES, checkpoint_dir=tmp_path / "old")
+        old.add_batch(self.ROWS[:2], entity_ids=self.ENTITIES[:2])
+        record = old.checkpoint()
+        monkeypatch.undo()
+        state = SnapshotStore(tmp_path / "old").get_json(record["objects"]["state"])
+        assert state["version"] == SNAPSHOT_VERSION == 1
+        assert {key: state[key] for key in routing} == routing
+        assert {key: state["config"][key] for key in shard_knobs} == shard_knobs
 
-    def test_routed_batches_close_their_executor(self, small_table, monkeypatch):
-        from repro.shard.executor import ShardExecutor
-
-        opened, closed = [], []
-        init, close = ShardExecutor.__init__, ShardExecutor.close
-
-        def spy_init(self, *args, **kwargs):
-            opened.append(self)
-            init(self, *args, **kwargs)
-
-        def spy_close(self):
-            closed.append(self)
-            close(self)
-
-        monkeypatch.setattr(ShardExecutor, "__init__", spy_init)
-        monkeypatch.setattr(ShardExecutor, "close", spy_close)
-        rows = [record.values for record in small_table]
-        entities = [record.entity_id for record in small_table]
-        routed = StreamingResolver(
-            small_table.attributes, name="routed", shard_threshold=1
-        )
-        for start in (0, 30):
-            chunk = slice(start, start + 30)
-            routed.add_batch(rows[chunk], entity_ids=entities[chunk])
-        assert len(opened) == 2
-        assert closed == opened
+        resumed = StreamingResolver.restore(tmp_path / "old")
+        assert resumed.config == PowerConfig()
+        resumed.add_batch(self.ROWS[2:], entity_ids=self.ENTITIES[2:])
+        plain = StreamingResolver(self.ATTRIBUTES, checkpoint_dir=tmp_path / "new")
+        plain.add_batch(self.ROWS[:2], entity_ids=self.ENTITIES[:2])
+        plain.add_batch(self.ROWS[2:], entity_ids=self.ENTITIES[2:])
+        assert resumed.checkpoint()["state_sha"] == plain.checkpoint()["state_sha"]
 
     def test_shared_crowd_sessions_pool_billing(self):
         truth = {(0, 1): True, (0, 2): False, (1, 2): False}
