@@ -32,16 +32,18 @@
 #                       benchmarks/results/BENCH_obs.json
 #   make bench-obs-smoke - <60s smoke of the same with relaxed percentage
 #                       bars (tiny workloads make relative overhead noise)
-#   make stream-smoke - <5s streaming CLI smoke: ingest the restaurant
-#                       dataset in checkpointed batches, then resume the
-#                       same snapshot directory and finish the stream
+#   make stream-smoke - <10s streaming CLI smoke: ingest the restaurant
+#                       dataset in checkpointed batches, resume the same
+#                       snapshot directory and finish the stream, then
+#                       stream it again uninterrupted; the two final
+#                       checkpoint digests must match
 #   make bench-stream - streaming-ingest benchmark: incremental resolution
-#                       vs re-resolve-per-batch and index extend vs rebuild
-#                       (bit-equivalence asserted while timing); enforces
-#                       the 3x floors and refreshes
-#                       benchmarks/results/BENCH_stream.json
-#   make bench-stream-smoke - <60s smoke of the same; the gates only
-#                       require the incremental paths not to lose
+#                       vs re-resolve-per-batch (the decided-pair universe
+#                       must equal the one-shot join's); enforces the 3x
+#                       floor and refreshes benchmarks/results/BENCH_stream.json
+#   make bench-stream-smoke - <60s smoke of the same; the gate only requires
+#                       the stream not to lose (there is no index gate: the
+#                       join has one maintenance mode)
 #   make serve-smoke  - <60s serving CLI smoke: spawn a private server,
 #                       ingest the restaurant dataset through the client,
 #                       then respawn on the same checkpoint root and query
@@ -139,7 +141,14 @@ stream-smoke:
 	$(PYTHON) -m repro stream $(STREAM_SMOKE_DIR)/records.csv --batch-size 200 \
 		--checkpoint-dir $(STREAM_SMOKE_DIR)/ck --max-batches 2
 	$(PYTHON) -m repro stream $(STREAM_SMOKE_DIR)/records.csv --batch-size 200 \
-		--checkpoint-dir $(STREAM_SMOKE_DIR)/ck --resume
+		--checkpoint-dir $(STREAM_SMOKE_DIR)/ck --resume > $(STREAM_SMOKE_DIR)/resumed.log
+	$(PYTHON) -m repro stream $(STREAM_SMOKE_DIR)/records.csv --batch-size 200 \
+		--checkpoint-dir $(STREAM_SMOKE_DIR)/straight > $(STREAM_SMOKE_DIR)/straight.log
+	@cat $(STREAM_SMOKE_DIR)/resumed.log
+	@resumed=$$(grep -o 'checkpoint [0-9a-f]*' $(STREAM_SMOKE_DIR)/resumed.log | tail -n 1); \
+	straight=$$(grep -o 'checkpoint [0-9a-f]*' $(STREAM_SMOKE_DIR)/straight.log | tail -n 1); \
+	echo "final $$resumed after resume, $$straight uninterrupted"; \
+	test -n "$$resumed" && test "$$resumed" = "$$straight"
 	@rm -rf $(STREAM_SMOKE_DIR)
 
 bench-stream:

@@ -8,12 +8,12 @@ records, builds a partial-order graph over *only the new candidate pairs*
 (new×old and new×new), asks the crowd through the configured selector, and
 folds the answers into the clustering.
 
-Candidate generation rides the vectorized batch substrate: the record
-texts live in a :class:`~repro.similarity.batch.TokenIndex` (a packed
-bit-matrix of token sets), and a batch's candidate pairs are found with one
-vectorized Jaccard sweep of its records against every earlier record —
-bit-identical to the scalar token-overlap join, just without the Python
-loops.  Per-batch similarity vectors likewise flow through
+Candidate generation is the one-shot pruning join, resumed: the resolver
+holds one :class:`~repro.similarity.batch.PostingJoin` and extends it with
+each batch's token sets, which probes only the new records against the
+posting lists of every earlier one.  A stream's batches therefore find
+exactly the pairs the one-shot join finds over the same records.
+Per-batch similarity vectors likewise flow through
 :func:`~repro.similarity.batch.batch_similarity_matrix`, exactly like the
 one-shot resolver.
 
@@ -36,7 +36,7 @@ from ..data.ground_truth import Pair
 from ..data.table import Table
 from ..exceptions import ConfigurationError, DataError
 from ..graph.grouped_graph import build_graph
-from ..similarity.batch import TokenIndex
+from ..similarity.batch import PostingJoin
 from ..similarity.tokenize import qgram_tokens, word_tokens
 from .clustering import clusters_from_matches
 from .config import PowerConfig
@@ -50,11 +50,6 @@ from .resolver import PowerResolver
 #: refused with one.
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
-#: Upper bound on the (new, earlier) record pairs one block of the batch
-#: sweep scores at once: its index arrays stay within a fixed byte budget
-#: (tens of bytes per pair) however long the stream grows.
-_SWEEP_BLOCK_PAIRS = 1 << 18
-
 
 class IncrementalResolver:
     """Streaming entity resolution with persistent state.
@@ -64,12 +59,6 @@ class IncrementalResolver:
         config: pipeline configuration (same knobs as
             :class:`~repro.core.resolver.PowerResolver`).
         name: dataset name stored on the internal table.
-        index_mode: ``"extend"`` (default) maintains the token index
-            incrementally through :meth:`TokenIndex.extend` — O(new) work
-            per batch; ``"rebuild"`` re-interns every record seen so far on
-            each batch — the O(all) reference the streaming benchmark
-            measures the extend path against.  Both produce bit-identical
-            candidate sweeps.
     """
 
     def __init__(
@@ -77,12 +66,7 @@ class IncrementalResolver:
         attributes: Sequence[str],
         config: PowerConfig | None = None,
         name: str = "stream",
-        index_mode: str = "extend",
     ) -> None:
-        if index_mode not in ("extend", "rebuild"):
-            raise ConfigurationError(
-                f"index_mode must be 'extend' or 'rebuild', got {index_mode!r}"
-            )
         for attribute in attributes:
             if _LONE_SURROGATE.search(str(attribute)):
                 raise DataError(
@@ -92,75 +76,17 @@ class IncrementalResolver:
         self.config = config or PowerConfig()
         self.table = Table(name=name, attributes=tuple(attributes))
         self._resolver = PowerResolver(self.config)
-        self._index: TokenIndex | None = None
-        self.index_mode = index_mode
+        self._join = PostingJoin(self.config.pruning_threshold)
         self.labels: dict[Pair, bool] = {}
         self.total_questions = 0
         self.total_iterations = 0
         self.total_cost_cents = 0
         self.batches = 0
 
-    # ------------------------------------------------------------------ #
-    # Candidate generation (incremental similarity join)
-    # ------------------------------------------------------------------ #
-
-    def _tokenizer(self):
-        return qgram_tokens if self.config.join_tokens == "qgram" else word_tokens
-
-    def _next_index(self, texts: list[str]) -> TokenIndex:
-        """The token index over every record so far plus *texts*.
-
-        Built beside the live index, which stays as it is until the batch
-        commits.  ``"extend"`` grows a copy of the live index by just the
-        new texts (O(new) interning); ``"rebuild"``, and the first batch,
-        re-intern every record — the O(all) reference the streaming
-        benchmark measures extend against.  Both are bit-identical.
-        """
-        if self.index_mode == "extend" and self._index is not None:
-            return self._index.copy().extend(texts)
-        earlier = [
-            self.table.record_text(record_id)
-            for record_id in range(len(self.table))
-        ]
-        return TokenIndex(earlier + texts, self._tokenizer())
-
-    def _batch_candidates(self, index: TokenIndex, first: int) -> list[Pair]:
-        """The sorted candidate pairs of the records from *first* on.
-
-        One vectorized :meth:`TokenIndex.jaccard_pairs` sweep pairs every
-        new record with every earlier record — earlier batches and earlier
-        records of this batch alike — and keeps the pairs whose
-        record-level Jaccard clears the pruning threshold.  Records with
-        and without tokens are swept apart: an empty token set scores 0
-        against any other set, and 1.0 against another empty one, so empty
-        records pair among themselves exactly as in the one-shot join.
-        It scores blocks of new records of at most ``_SWEEP_BLOCK_PAIRS``
-        pairs, so a long stream never materializes |batch| × |stream|
-        index arrays at once.
-        """
-        threshold = self.config.pruning_threshold
-        sizes = index.sizes[index.row_of_text]
-        lefts, rights = [], []
-        for probes in (np.flatnonzero(sizes > 0), np.flatnonzero(sizes == 0)):
-            # The k-th probe's partners are the k probes before it, so a
-            # block of positions is a ragged triangle of pairs.
-            block = max(1, _SWEEP_BLOCK_PAIRS // max(1, probes.size))
-            for lo in range(int(np.searchsorted(probes, first)), probes.size, block):
-                counts = np.arange(lo, min(lo + block, probes.size))
-                offsets = np.cumsum(counts) - counts
-                left = probes[
-                    np.arange(offsets[-1] + counts[-1]) - np.repeat(offsets, counts)
-                ]
-                right = np.repeat(probes[counts], counts)
-                keep = index.jaccard_pairs(left, right) >= threshold
-                lefts.append(left[keep])
-                rights.append(right[keep])
-        if not lefts:
-            return []
-        left = np.concatenate(lefts)
-        right = np.concatenate(rights)
-        order = np.lexsort((right, left))
-        return list(zip(left[order].tolist(), right[order].tolist()))
+    def _token_sets(self, texts: Sequence[str]) -> list[frozenset[str]]:
+        """The join's token sets of record *texts* (per ``join_tokens``)."""
+        tokenize = qgram_tokens if self.config.join_tokens == "qgram" else word_tokens
+        return [tokenize(text) for text in texts]
 
     # ------------------------------------------------------------------ #
     # Streaming API
@@ -175,10 +101,11 @@ class IncrementalResolver:
     ) -> dict:
         """Ingest a batch of records and resolve their pairs.
 
-        A refused batch leaves the resolver exactly as it was: every check
-        that can refuse it (row shape, lone surrogates in values or string
-        entity ids, ground truth for an auto-built crowd) runs before the
-        index or the table changes.
+        A refused batch leaves the resolver exactly as it was: the checks
+        of row shape and lone surrogates (in values or string entity ids)
+        run before anything changes, and when an auto-built crowd lacks
+        ground truth for a new pair, the join forgets the batch again
+        before the table changes.
 
         Args:
             rows: new records' attribute values.
@@ -198,14 +125,15 @@ class IncrementalResolver:
         )
         first = len(self.table)
         ingest_started = time.perf_counter()
-        index = self._next_index([" ".join(row) for row in values])
-        index_seconds = time.perf_counter() - ingest_started
-        pairs = self._batch_candidates(index, first)
+        pairs = self._join.extend(self._token_sets([" ".join(row) for row in values]))
         ingest_seconds = time.perf_counter() - ingest_started
         if pairs and session is None:
-            session = self._auto_session(pairs, worker_band, entities)
+            try:
+                session = self._auto_session(pairs, worker_band, entities)
+            except BaseException:
+                self._join.truncate(first)
+                raise
         # Nothing below refuses the batch: commit it.
-        self._index = index
         for row, entity in zip(values, entities):
             self.table.append(row, entity_id=entity)
         report = {
@@ -216,7 +144,6 @@ class IncrementalResolver:
             "iterations": 0,
             "asked_pairs": [],
             "ingest_seconds": ingest_seconds,
-            "index_seconds": index_seconds,
         }
         if pairs:
             vectors = self._batch_vectors(pairs)

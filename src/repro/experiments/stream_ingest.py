@@ -1,28 +1,21 @@
 """Streaming-ingest benchmark: what durability and incrementality buy.
 
-Two speedups justify :mod:`repro.stream`'s existence, and this harness
-measures and gates both on an ACMPub workload (equivalence asserted while
-timing — a fast path that changes answers is a bug, not a win):
-
-* **incremental vs re-resolve** — streaming B batches through
-  :class:`~repro.stream.StreamingResolver` (only new×old and new×new
-  candidate pairs per batch) against the naive service: re-resolving the
-  whole growing prefix with :class:`~repro.core.resolver.PowerResolver`
-  after every batch.  The stream must finish at least
-  :data:`RESOLVE_SPEEDUP_MIN`× faster, while deciding exactly the pair
-  universe the final one-shot join produces.
-* **extend vs rebuild index maintenance** — the same stream with
-  ``index_mode="extend"`` (fold new records into the live
-  :class:`~repro.similarity.batch.TokenIndex`, O(new) interning) against
-  ``index_mode="rebuild"`` (re-intern all records every batch, the O(all)
-  reference).  Extend must cut summed index-maintenance time by at least
-  :data:`INDEX_SPEEDUP_MIN`× and stay *bit-identical*: same labels,
-  questions, billing, and clusters.
+One speedup justifies :mod:`repro.stream`'s existence, and this harness
+measures and gates it on an ACMPub workload (equivalence asserted while
+timing — a fast path that changes answers is a bug, not a win): streaming
+B batches through :class:`~repro.stream.StreamingResolver` (one
+:class:`~repro.similarity.batch.PostingJoin` extended per batch, so only
+new×old and new×new candidate pairs are found and resolved) against the
+naive service, which re-resolves the whole growing prefix with
+:class:`~repro.core.resolver.PowerResolver` after every batch.  The stream
+must finish at least :data:`RESOLVE_SPEEDUP_MIN`× faster, while deciding
+exactly the pair universe the final one-shot join produces.  The report
+also sums each batch's candidate-search seconds.
 
 Both paths run once untimed before any is timed, so every timed run reads
 warm tokenizer and similarity caches; then interleaved repeats time each
-path, and the gates read their medians (every run is reported).
-``POWER_BENCH_FAST=1`` shrinks the workload and relaxes the speedup bars
+path, and the gate reads their medians (every run is reported).
+``POWER_BENCH_FAST=1`` shrinks the workload and relaxes the speedup bar
 (sub-second runs make ratios noisy); equivalence is never relaxed.  The
 report lands in ``benchmarks/results/BENCH_stream.json``.
 """
@@ -40,13 +33,11 @@ from ..exceptions import ConfigurationError
 from ..stream import StreamingResolver
 from .runner import fast_mode
 
-#: Full-run floors — the streaming layer's acceptance bars.
+#: Full-run floor — the streaming layer's acceptance bar.
 RESOLVE_SPEEDUP_MIN = 3.0
-INDEX_SPEEDUP_MIN = 3.0
 
-#: Smoke-run floors: tiny workloads only have to not be slower.
+#: Smoke-run floor: tiny workloads only have to not be slower.
 FAST_RESOLVE_SPEEDUP_MIN = 1.0
-FAST_INDEX_SPEEDUP_MIN = 0.8
 
 #: Timed repeats per path; smoke runs are short enough to afford more.
 REPEATS = 3
@@ -81,11 +72,11 @@ def run_stream_ingest_benchmark(
     seed: int = 0,
     worker_band: str = "90",
 ) -> dict:
-    """Time streamed vs re-resolved ingest and extend vs rebuild indexing.
+    """Time streamed vs re-resolved ingest.
 
     After one untimed warm-up pass of each path, :data:`REPEATS` rounds
-    (:data:`FAST_REPEATS` in fast mode) time extend, rebuild and
-    re-resolve in turn; the gates read the medians.
+    (:data:`FAST_REPEATS` in fast mode) time the stream and re-resolve in
+    turn; the gate reads the medians.
     """
     repeats = FAST_REPEATS if fast_mode() else REPEATS
     attributes, records, scale, batch_size = _workload(
@@ -94,13 +85,12 @@ def run_stream_ingest_benchmark(
     config = PowerConfig(seed=seed, pruning_threshold=0.3)
     chunks = _chunks(records, batch_size)
 
-    def stream(index_mode: str):
+    def stream():
         service = StreamingResolver(
             attributes,
             config=config,
             name="bench-stream",
             worker_band=worker_band,
-            index_mode=index_mode,
         )
         started = time.perf_counter()
         for chunk in chunks:
@@ -109,8 +99,8 @@ def run_stream_ingest_benchmark(
                 entity_ids=[record.entity_id for record in chunk],
             )
         wall = time.perf_counter() - started
-        index_seconds = sum(r["index_seconds"] for r in service.reports)
-        return service, wall, index_seconds
+        candidate_seconds = sum(r["ingest_seconds"] for r in service.reports)
+        return service, wall, candidate_seconds
 
     def reresolve():
         started = time.perf_counter()
@@ -125,23 +115,16 @@ def run_stream_ingest_benchmark(
     # One untimed pass of each path first: the tokenizer and similarity
     # caches fill and lazy set-up finishes, so neither path is timed cold
     # while the other reads the caches it left behind.
-    stream("extend")
+    stream()
     reresolve()
-    runs: dict[str, list[float]] = {
-        "extend": [], "extend_index": [], "rebuild": [], "rebuild_index": [],
-        "reresolve": [],
-    }
+    runs: dict[str, list[float]] = {"stream": [], "candidates": [], "reresolve": []}
     for _ in range(repeats):
-        extend, wall, index_seconds = stream("extend")
-        runs["extend"].append(wall)
-        runs["extend_index"].append(index_seconds)
-        rebuild, wall, index_seconds = stream("rebuild")
-        runs["rebuild"].append(wall)
-        runs["rebuild_index"].append(index_seconds)
+        streamed, wall, candidate_seconds = stream()
+        runs["stream"].append(wall)
+        runs["candidates"].append(candidate_seconds)
         final, wall = reresolve()
         runs["reresolve"].append(wall)
-    extend_wall, extend_index = median(runs["extend"]), median(runs["extend_index"])
-    rebuild_wall, rebuild_index = median(runs["rebuild"]), median(runs["rebuild_index"])
+    stream_wall = median(runs["stream"])
     reresolve_wall = median(runs["reresolve"])
 
     return {
@@ -160,32 +143,18 @@ def run_stream_ingest_benchmark(
         },
         "runs": runs,
         "stream": {
-            "wall_seconds": extend_wall,
-            "index_seconds": extend_index,
-            "questions": extend.total_questions,
-            "pairs_decided": len(extend.labels),
-            "clusters": len(extend.clusters()),
-            "pooled_cost_cents": extend.cost_cents,
-        },
-        "rebuild": {
-            "wall_seconds": rebuild_wall,
-            "index_seconds": rebuild_index,
+            "wall_seconds": stream_wall,
+            "candidate_seconds": median(runs["candidates"]),
+            "questions": streamed.total_questions,
+            "pairs_decided": len(streamed.labels),
+            "clusters": len(streamed.clusters()),
+            "pooled_cost_cents": streamed.cost_cents,
         },
         "reresolve": {"wall_seconds": reresolve_wall},
-        "speedups": {
-            "ingest_vs_reresolve": reresolve_wall / extend_wall,
-            "index_extend_vs_rebuild": rebuild_index / extend_index,
-        },
+        "speedups": {"ingest_vs_reresolve": reresolve_wall / stream_wall},
         "equivalence": {
-            "extend_equals_rebuild": (
-                extend.labels == rebuild.labels
-                and extend.transcripts == rebuild.transcripts
-                and extend.total_questions == rebuild.total_questions
-                and extend.total_cost_cents == rebuild.total_cost_cents
-                and extend.clusters() == rebuild.clusters()
-            ),
             "stream_universe_equals_one_shot_join": (
-                set(extend.labels) == set(final.candidate_pairs)
+                set(streamed.labels) == set(final.candidate_pairs)
             ),
         },
     }
@@ -194,11 +163,8 @@ def run_stream_ingest_benchmark(
 def stream_summary_rows(report: dict) -> list[list]:
     stream, speedups = report["stream"], report["speedups"]
     return [
-        ["stream (extend)", f"{stream['wall_seconds']:.2f}s",
-         f"{stream['index_seconds']:.3f}s", "--"],
-        ["stream (rebuild)", f"{report['rebuild']['wall_seconds']:.2f}s",
-         f"{report['rebuild']['index_seconds']:.3f}s",
-         f"{speedups['index_extend_vs_rebuild']:.2f}x index"],
+        ["stream", f"{stream['wall_seconds']:.2f}s",
+         f"{stream['candidate_seconds']:.3f}s", "--"],
         ["re-resolve/batch", f"{report['reresolve']['wall_seconds']:.2f}s",
          "--", f"{speedups['ingest_vs_reresolve']:.2f}x ingest"],
     ]
@@ -206,15 +172,11 @@ def stream_summary_rows(report: dict) -> list[list]:
 
 def stream_acceptance_failures(report: dict) -> list[str]:
     """Gate violations, empty when the benchmark passes."""
-    fast = report["fast_mode"]
-    resolve_min = FAST_RESOLVE_SPEEDUP_MIN if fast else RESOLVE_SPEEDUP_MIN
-    index_min = FAST_INDEX_SPEEDUP_MIN if fast else INDEX_SPEEDUP_MIN
+    resolve_min = (
+        FAST_RESOLVE_SPEEDUP_MIN if report["fast_mode"] else RESOLVE_SPEEDUP_MIN
+    )
     speedups, equivalence = report["speedups"], report["equivalence"]
     failures = []
-    if not equivalence["extend_equals_rebuild"]:
-        failures.append(
-            "extend-mode stream is not bit-identical to rebuild mode"
-        )
     if not equivalence["stream_universe_equals_one_shot_join"]:
         failures.append(
             "streamed decided-pair universe differs from the one-shot join"
@@ -224,19 +186,12 @@ def stream_acceptance_failures(report: dict) -> list[str]:
             f"streamed ingest is only {speedups['ingest_vs_reresolve']:.2f}x "
             f"faster than re-resolve-per-batch (floor {resolve_min}x)"
         )
-    if speedups["index_extend_vs_rebuild"] < index_min:
-        failures.append(
-            f"index extend is only {speedups['index_extend_vs_rebuild']:.2f}x "
-            f"faster than per-batch rebuild (floor {index_min}x)"
-        )
     return failures
 
 
 __all__ = [
-    "FAST_INDEX_SPEEDUP_MIN",
     "FAST_REPEATS",
     "FAST_RESOLVE_SPEEDUP_MIN",
-    "INDEX_SPEEDUP_MIN",
     "REPEATS",
     "RESOLVE_SPEEDUP_MIN",
     "run_stream_ingest_benchmark",

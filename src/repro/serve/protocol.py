@@ -53,13 +53,7 @@ OPS: dict[str, tuple[str, ...]] = {
 
 #: Optional per-op fields (anything else is rejected as unknown).
 OPTIONAL_FIELDS: dict[str, tuple[str, ...]] = {
-    "create_session": (
-        "config",
-        "worker_band",
-        "pairs_per_hit",
-        "cents_per_hit",
-        "index_mode",
-    ),
+    "create_session": ("config", "worker_band", "pairs_per_hit", "cents_per_hit"),
     "ingest": ("entity_ids",),
 }
 

@@ -19,13 +19,16 @@ ingesting through the registry (evictions included) must reach the same
 ``state_sha`` as driving a :class:`StreamingResolver` directly.
 
 Deadlock discipline: an operation holds only its own session's lock; the
-evictor skips victims whose lock is held (they are mid-touch and
-therefore MRU anyway), so no task ever waits on two locks.
+evictor skips victims whose lock is held or awaited (they are mid-touch
+and therefore MRU anyway), so no task ever waits on two locks.  A name's
+lock exists only while some operation holds or awaits it, so refused
+creates and closed sessions leave nothing behind.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import re
 import time
 from collections import OrderedDict
@@ -56,32 +59,36 @@ class SessionSpec:
     worker_band: str | tuple[float, float] = "90"
     pairs_per_hit: int = 10
     cents_per_hit: int = 10
-    index_mode: str = "extend"
 
     @classmethod
     def from_request(cls, request: dict[str, Any]) -> "SessionSpec":
         """Decode a ``create_session`` request's optional fields.
 
-        Values are checked by :class:`StreamingResolver` itself; only the
-        types of ``config`` and the pricing are checked here, so a
-        malformed one is a typed ``bad_request`` rather than a handler
-        exception.
+        Values are checked by :class:`StreamingResolver` and
+        :class:`PowerConfig` themselves; only the types of ``config``, its
+        fields and the pricing are checked here, so a malformed one is a
+        typed ``bad_request`` rather than a handler exception.
         """
         config = request.get("config")
         if config is not None and not isinstance(config, dict):
             raise ProtocolError(
                 "bad_request", f"config must be an object, got {config!r}"
             )
+        try:
+            config = _decode_config(config) if config else PowerConfig()
+        except TypeError as error:
+            raise ProtocolError(
+                "bad_request", f"config {request['config']!r} does not decode: {error}"
+            ) from None
         band = request.get("worker_band", "90")
         if isinstance(band, list):
             band = tuple(band)
         return cls(
             attributes=tuple(str(a) for a in request["attributes"]),
-            config=_decode_config(config) if config else PowerConfig(),
+            config=config,
             worker_band=band,
             pairs_per_hit=_integer_field(request, "pairs_per_hit", 10),
             cents_per_hit=_integer_field(request, "cents_per_hit", 10),
-            index_mode=str(request.get("index_mode", "extend")),
         )
 
 
@@ -92,6 +99,14 @@ def _integer_field(request: dict[str, Any], name: str, default: int) -> int:
             "bad_request", f"{name} must be an integer, got {value!r}"
         )
     return value
+
+
+@dataclass
+class _NameLock:
+    """One session name's lock and the operations holding or awaiting it."""
+
+    lock: asyncio.Lock = field(default_factory=asyncio.Lock)
+    users: int = 0
 
 
 @dataclass
@@ -153,7 +168,7 @@ class SessionRegistry:
         )
         self._obs = obs
         self._live: OrderedDict[str, _Live] = OrderedDict()
-        self._locks: dict[str, asyncio.Lock] = {}
+        self._locks: dict[str, _NameLock] = {}
         self.sessions_opened = 0
         self.evictions = 0
         self.restores = 0
@@ -186,8 +201,20 @@ class SessionRegistry:
             )
         return self.checkpoint_root / name
 
-    def _lock(self, name: str) -> asyncio.Lock:
-        return self._locks.setdefault(name, asyncio.Lock())
+    @contextlib.asynccontextmanager
+    async def _lock(self, name: str):
+        """Hold *name*'s lock, which lives only while it is held or awaited."""
+        entry = self._locks.get(name)
+        if entry is None:
+            entry = self._locks[name] = _NameLock()
+        entry.users += 1
+        try:
+            async with entry.lock:
+                yield
+        finally:
+            entry.users -= 1
+            if not entry.users:
+                del self._locks[name]
 
     def _record_gauges(self) -> None:
         obs = self._obs or obs_instrument.current()
@@ -221,7 +248,6 @@ class SessionRegistry:
                         worker_band=spec.worker_band,
                         pairs_per_hit=spec.pairs_per_hit,
                         cents_per_hit=spec.cents_per_hit,
-                        index_mode=spec.index_mode,
                     )
                     live = self._adopt(name, resolver)
                     self.sessions_opened += 1
@@ -366,15 +392,16 @@ class SessionRegistry:
         """Evict LRU sessions until at most ``max_resident`` are live.
 
         Skips *keep* (the session just touched) and any session whose lock
-        is currently held (mid-touch — and therefore about to be MRU);
-        holding only one lock at a time keeps the registry deadlock-free.
+        is currently held or awaited (mid-touch — and therefore about to be
+        MRU); holding only one lock at a time keeps the registry
+        deadlock-free.
         """
         while len(self._live) > self.max_resident:
             victim = next(
                 (
                     name
                     for name in self._live
-                    if name != keep and not self._lock(name).locked()
+                    if name != keep and name not in self._locks
                 ),
                 None,
             )

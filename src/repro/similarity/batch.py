@@ -15,11 +15,14 @@ fast paths:
   attribute to a vectorized kernel (token/bigram Jaccard through the sparse
   index, edit similarity through a deduplicated, length-bucketed, cached
   runner) and applies the ``tau`` clamp as one numpy op.
-* :func:`sparse_jaccard_join` — the record-level Jaccard self-join computed
-  via inverted-list intersection counts (``np.bincount``) instead of per-pair
+* :class:`PostingJoin` — the record-level Jaccard self-join computed via
+  inverted-list intersection counts (``np.bincount``) instead of per-pair
   Python set ops, verifying only the candidates at or above an overlap
-  floor and returning sorted pairs; the one candidate join behind
-  :func:`repro.similarity.join.similar_pairs`.
+  floor and returning sorted pairs.  It is resumable: :meth:`PostingJoin.extend`
+  probes only the records it adds, so the one-shot join
+  (:func:`sparse_jaccard_join`, behind
+  :func:`repro.similarity.join.similar_pairs`) and a stream's batches run
+  the same algorithm.
 
 The contract, enforced by tests: fast and reference paths agree on the exact
 same pair sets and produce bit-identical similarity values (both sides reduce
@@ -28,10 +31,10 @@ to the same IEEE-754 divisions).
 
 from __future__ import annotations
 
-import copy
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -131,8 +134,8 @@ class TokenIndex:
             sizes[row] = len(tokens)
             # Sorted iteration pins the dense id layout: identical corpora
             # produce identical packed matrices in any process, regardless
-            # of hash randomization — which is what lets streaming
-            # checkpoints hash their index blobs reproducibly.
+            # of hash randomization, and the same ids a PostingJoin hands
+            # out (see from_join).
             for token in sorted(tokens):
                 flat_ids.append(vocab.setdefault(token, len(vocab)))
         self.sizes = sizes
@@ -144,81 +147,36 @@ class TokenIndex:
             np.asarray(flat_ids, dtype=np.int64),
             self.vocab_size,
         )
-        # Interning state kept live so extend() can append without a rebuild.
-        self._tokenizer: Callable[[str], frozenset[str]] | None = tokenizer
-        self._seen: dict[str, int] | None = {
-            text: row for row, text in enumerate(unique)
-        }
-        self._vocab: dict[str, int] | None = vocab
 
-    def extend(self, texts: Sequence[str]) -> "TokenIndex":
-        """Append more texts in place, reusing the existing interned state.
+    @classmethod
+    def from_join(cls, join: "PostingJoin", texts: Sequence[str]) -> "TokenIndex":
+        """The index of *texts*, read off a join that holds their token sets.
 
-        New distinct strings are tokenized once, new tokens get the next
-        dense ids, and the packed bit-matrix grows by exactly the new rows
-        (existing rows are zero-padded when the vocabulary spills into new
-        64-bit words, which changes no set bits).  The result is
-        bit-identical to rebuilding ``TokenIndex(old_texts + texts)`` from
-        scratch — that is what makes streaming candidate sweeps exact — at
-        O(new) interning cost instead of O(all).
-
-        Only indexes built through the generic constructor support this;
-        the vectorized :meth:`for_bigrams` fast path discards its interning
-        state and raises :class:`ConfigurationError`.
+        Record ``r`` of *join* must hold the tokens of ``texts[r]``.  The
+        join interns each record's tokens in sorted order, as the generic
+        constructor does for each new distinct text, so its token ids, and
+        hence these packed rows, equal ``TokenIndex(texts, tokenizer)``'s
+        without tokenizing anything again.
         """
-        if self._seen is None or self._vocab is None or self._tokenizer is None:
-            raise ConfigurationError(
-                "this TokenIndex was built without interning state "
-                "(for_bigrams fast path); rebuild it to add texts"
-            )
-        new_inverse = np.empty(len(texts), dtype=np.int64)
-        new_unique: list[str] = []
-        first_new_row = len(self._seen)
-        for position, text in enumerate(texts):
-            index = self._seen.get(text)
-            if index is None:
-                index = len(self._seen)
-                self._seen[text] = index
-                new_unique.append(text)
-            new_inverse[position] = index
-        self.row_of_text = np.concatenate((self.row_of_text, new_inverse))
-        if not new_unique:
-            return self
-        flat_ids: list[int] = []
-        sizes = np.zeros(len(new_unique), dtype=np.int64)
-        for row, text in enumerate(new_unique):
-            tokens = self._tokenizer(text)
-            sizes[row] = len(tokens)
-            for token in sorted(tokens):  # same id discipline as __init__
-                flat_ids.append(self._vocab.setdefault(token, len(self._vocab)))
-        self.vocab_size = len(self._vocab)
-        num_words = max(1, (self.vocab_size + 63) // 64)
-        if num_words > self.bits.shape[1]:
-            grown = np.zeros((first_new_row, num_words), dtype=np.uint64)
-            grown[:, : self.bits.shape[1]] = self.bits
-            self.bits = grown
-        new_bits = _pack_rows(
-            len(new_unique),
-            np.repeat(np.arange(len(new_unique), dtype=np.int64), sizes),
-            np.asarray(flat_ids, dtype=np.int64),
-            self.vocab_size,
+        unique, inverse = _intern_texts(texts)
+        self = cls.__new__(cls)
+        self.row_of_text = inverse
+        self.vocab_size = len(join.vocab)
+        lengths = np.fromiter(
+            map(len, join.postings), dtype=np.int64, count=self.vocab_size
         )
-        self.bits = np.vstack((self.bits, new_bits))
-        self.sizes = np.concatenate((self.sizes, sizes))
+        records = np.fromiter(
+            chain.from_iterable(join.postings),
+            dtype=np.int64,
+            count=int(lengths.sum()),
+        )
+        tokens = np.repeat(np.arange(self.vocab_size, dtype=np.int64), lengths)
+        # Records sharing a text OR the same bits into its row.
+        self.bits = _pack_rows(
+            len(unique), inverse[records], tokens, self.vocab_size
+        )
+        self.sizes = _popcount_rows(self.bits)
         return self
-
-    def copy(self) -> "TokenIndex":
-        """An index that :meth:`extend` can grow while this one stays as is.
-
-        Only the interning dictionaries are duplicated: :meth:`extend`
-        replaces the arrays rather than writing into them, so the copy
-        shares them safely.
-        """
-        clone = copy.copy(self)
-        if self._seen is not None and self._vocab is not None:
-            clone._seen = dict(self._seen)
-            clone._vocab = dict(self._vocab)
-        return clone
 
     @classmethod
     def for_bigrams(cls, texts: Sequence[str]) -> "TokenIndex":
@@ -248,11 +206,6 @@ class TokenIndex:
             # degenerate inputs take the generic (per-text) path.
             return cls(texts, qgram_tokens)
         self = cls.__new__(cls)
-        # The vectorized path interns through array bitmaps, not dicts, so
-        # there is no incremental state to keep: extend() is unsupported.
-        self._tokenizer = None
-        self._seen = None
-        self._vocab = None
         self.row_of_text = inverse
         lengths = np.fromiter(
             (len(norm) for norm in norms), dtype=np.int64, count=len(norms)
@@ -476,10 +429,8 @@ def _overlap_floor(max_size: int, threshold: float) -> np.ndarray:
     return need
 
 
-def sparse_jaccard_join(
-    token_sets: Sequence[frozenset[str]], threshold: float
-) -> list[Pair]:
-    """All pairs with ``jaccard(token_sets[a], token_sets[b]) >= threshold``, sorted.
+class PostingJoin:
+    """The record-level Jaccard self-join, resumable batch by batch.
 
     An inverted-list join: each record ``b`` gathers the posting lists of
     its tokens cut at ``b`` (all earlier records sharing at least one
@@ -488,61 +439,130 @@ def sparse_jaccard_join(
     can pass, so only they are verified.  The verification ``∩ / ∪ >= t``
     is a vectorized int/int division — the exact same IEEE operation as
     the scalar :func:`jaccard` — so the result matches the naive
-    quadratic scan pair for pair.
+    quadratic scan pair for pair.  Records with *empty* token sets follow
+    the scalar convention (two empty sets have similarity 1.0) and are
+    paired among themselves.
 
-    Records with *empty* token sets follow the scalar convention (two empty
-    sets have similarity 1.0) and are paired among themselves.
+    The posting lists outlive a call: :meth:`extend` appends records and
+    probes only those, so extending batch after batch finds exactly the
+    pairs one extend over all the records finds.  Each record's tokens
+    are interned in sorted order, so the token ids do not depend on how
+    the process hashes strings.
+
+    Args:
+        threshold: the pruning bound ``tau``, in ``(0, 1]``.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
-    vocab: dict[str, int] = {}
-    rows = [
-        [vocab.setdefault(token, len(vocab)) for token in tokens]
-        for tokens in token_sets
-    ]
-    sizes = np.fromiter((len(ids) for ids in rows), dtype=np.int64, count=len(rows))
-    # Posting lists in record order: ``cuts[b][k]`` is how many records
-    # before ``b`` hold b's k-th token, so ``postings[token][:cut]`` is
-    # exactly the index state a serial scan would have at record ``b``.
-    lists: list[list[int]] = [[] for _ in range(len(vocab))]
-    empties: list[int] = []
-    cuts: list[list[int]] = []
-    for record_id, ids in enumerate(rows):
-        if not ids:
-            empties.append(record_id)
-        cuts.append([len(lists[token]) for token in ids])
-        for token in ids:
-            lists[token].append(record_id)
-    postings = [np.asarray(posting, dtype=np.int64) for posting in lists]
-    need = _overlap_floor(int(sizes.max(initial=0)), threshold).tolist()
 
-    partners: list[np.ndarray] = []
-    owners: list[int] = []
-    for record_id, ids in enumerate(rows):
-        if not ids:
-            # jaccard(∅, ∅) == 1.0 >= threshold for every valid threshold.
-            kept = np.asarray(empties[: bisect_left(empties, record_id)], dtype=np.int64)
-        else:
-            parts = [
-                postings[token][:cut]
-                for token, cut in zip(ids, cuts[record_id])
-                if cut
-            ]
-            if not parts:
-                continue
-            counts = np.bincount(np.concatenate(parts))
-            candidates = np.flatnonzero(counts >= need[len(ids)])
-            inter = counts[candidates]
-            union = sizes[candidates] + len(ids) - inter
-            kept = candidates[(inter / union) >= threshold]
-        partners.append(kept)
-        owners.append(record_id)
-    if not partners:
-        return []
-    left = np.concatenate(partners)
-    right = np.repeat(
-        np.asarray(owners, dtype=np.int64),
-        np.fromiter(map(len, partners), dtype=np.int64, count=len(partners)),
-    )
-    order = np.lexsort((right, left))
-    return list(zip(left[order].tolist(), right[order].tolist()))
+    def __init__(self, threshold: float) -> None:
+        if not 0.0 < threshold <= 1.0:
+            raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
+        self.threshold = threshold
+        self.vocab: dict[str, int] = {}  # token -> id, in first-seen order
+        self.postings: list[list[int]] = []  # per token id, its records
+        self.sizes = np.zeros(0, dtype=np.int64)  # per record, its tokens
+        self._empties: list[int] = []  # the records without tokens
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    def extend(
+        self, token_sets: Sequence[frozenset[str]], probe: bool = True
+    ) -> list[Pair]:
+        """Add one record per token set; the pairs they make, sorted.
+
+        Each new record is paired with every earlier record: those of
+        earlier calls and those before it in *token_sets*.  With
+        ``probe=False`` the records are only indexed, and nothing is
+        returned (a restored stream's records were paired before).
+        """
+        first = len(self)
+        vocab, postings, empties = self.vocab, self.postings, self._empties
+        intern = vocab.setdefault
+        rows = [
+            [intern(token, len(vocab)) for token in sorted(tokens)]
+            for tokens in token_sets
+        ]
+        postings.extend([] for _ in range(len(vocab) - len(postings)))
+        sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        self.sizes = np.concatenate((self.sizes, sizes))
+        # ``cuts[k][i]`` is how many records before record ``first + k``
+        # hold its i-th token, so ``postings[token][:cut]`` is exactly the
+        # index state a serial scan would have at that record.
+        cuts: list[list[int]] = []
+        for record_id, ids in enumerate(rows, first):
+            if not ids:
+                empties.append(record_id)
+            if probe:
+                cuts.append([len(postings[token]) for token in ids])
+            for token in ids:
+                postings[token].append(record_id)
+        if not probe:
+            return []
+
+        threshold = self.threshold
+        need = _overlap_floor(int(sizes.max(initial=0)), threshold).tolist()
+        # One array per posting list the new records reach.
+        arrays = [
+            np.asarray(posting, dtype=np.int64)
+            if posting and posting[-1] >= first
+            else None
+            for posting in postings
+        ]
+        partners: list[np.ndarray] = []
+        owners: list[int] = []
+        for record_id, ids, record_cuts in zip(range(first, len(self)), rows, cuts):
+            if not ids:
+                # jaccard(∅, ∅) == 1.0 >= threshold for every valid threshold.
+                kept = np.asarray(
+                    empties[: bisect_left(empties, record_id)], dtype=np.int64
+                )
+            else:
+                parts = [
+                    arrays[token][:cut]
+                    for token, cut in zip(ids, record_cuts)
+                    if cut
+                ]
+                if not parts:
+                    continue
+                counts = np.bincount(np.concatenate(parts))
+                candidates = np.flatnonzero(counts >= need[len(ids)])
+                inter = counts[candidates]
+                union = self.sizes[candidates] + len(ids) - inter
+                kept = candidates[(inter / union) >= threshold]
+            partners.append(kept)
+            owners.append(record_id)
+        if not partners:
+            return []
+        left = np.concatenate(partners)
+        right = np.repeat(
+            np.asarray(owners, dtype=np.int64),
+            np.fromiter(map(len, partners), dtype=np.int64, count=len(partners)),
+        )
+        order = np.lexsort((right, left))
+        return list(zip(left[order].tolist(), right[order].tolist()))
+
+    def truncate(self, records: int) -> None:
+        """Forget every record from *records* on, as if never added.
+
+        Token ids are handed out in record order, so the tokens first seen
+        in the forgotten records are the vocabulary's tail, and exactly
+        their posting lists run empty.
+        """
+        for posting in self.postings:
+            while posting and posting[-1] >= records:
+                posting.pop()
+        while self.postings and not self.postings[-1]:
+            self.postings.pop()
+            self.vocab.popitem()
+        self.sizes = self.sizes[:records]
+        del self._empties[bisect_left(self._empties, records) :]
+
+
+def sparse_jaccard_join(
+    token_sets: Sequence[frozenset[str]], threshold: float
+) -> list[Pair]:
+    """All pairs with ``jaccard(token_sets[a], token_sets[b]) >= threshold``, sorted.
+
+    One :meth:`PostingJoin.extend` over every record.
+    """
+    return PostingJoin(threshold).extend(token_sets)

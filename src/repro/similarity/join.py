@@ -2,11 +2,12 @@
 
 "We compute a similarity score for each pair of records by Jaccard and prune
 pairs whose similarity scores are below [tau]."  Every path runs the same
-inverted-list join (:func:`repro.similarity.batch.sparse_jaccard_join`) —
-the machine pruning pass that CrowdER et al. place in front of the crowd.
-:func:`similar_pairs` runs it over the whole table.  The quadratic scan and
-the prefix-filtered join survive as differential oracles in
-:mod:`repro.verify.oracles`.
+inverted-list join (:class:`repro.similarity.batch.PostingJoin`) — the
+machine pruning pass that CrowdER et al. place in front of the crowd.
+:func:`similar_pairs` runs it once over the whole table
+(:func:`~repro.similarity.batch.sparse_jaccard_join`); a stream extends
+one join per batch.  The quadratic scan and the prefix-filtered join
+survive as differential oracles in :mod:`repro.verify.oracles`.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The streaming layer turns the incremental resolver into something you can
 run for days and kill at will: :class:`StreamingResolver` ingests record
-batches through the normal pipeline (incremental candidate sweep →
+batches through the normal pipeline (resumed candidate join →
 vectors → partial-order selection → clusters) while journaling complete,
 versioned checkpoints into a :class:`SnapshotStore`.  A killed process
 resumes with :meth:`StreamingResolver.restore` from the last *completed*
@@ -21,7 +21,6 @@ from .snapshot import (
     SNAPSHOT_VERSION,
     SnapshotStore,
     canonical_json,
-    decode_index,
     encode_index,
     load_snapshot,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "SnapshotStore",
     "StreamingResolver",
     "canonical_json",
-    "decode_index",
     "encode_index",
     "load_snapshot",
 ]

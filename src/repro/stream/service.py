@@ -2,13 +2,13 @@
 
 :class:`StreamingResolver` is the long-lived face of
 :class:`~repro.core.incremental.IncrementalResolver`: same per-batch
-pipeline (incremental candidate sweep → vectors → partial-order graph →
+pipeline (resumed candidate join → vectors → partial-order graph →
 selector → fold into clusters), plus the three things a service needs that
 a library object does not:
 
 * **durability** — :meth:`checkpoint` writes the full resolver state
   (records, pair labels, crowd transcripts, billing, RNG state, and the
-  live :class:`~repro.similarity.batch.TokenIndex`) to a versioned,
+  token-index spec derived from the join) to a versioned,
   content-addressed :class:`~repro.stream.snapshot.SnapshotStore`;
   :meth:`restore` resumes from the last complete checkpoint after a kill,
   bit-identically and without re-asking a single paid pair;
@@ -51,7 +51,6 @@ from .snapshot import (
     SNAPSHOT_VERSION,
     SnapshotStore,
     canonical_json,
-    decode_index,
     encode_index,
     load_snapshot,
 )
@@ -106,7 +105,6 @@ class StreamingResolver(IncrementalResolver):
             before anything else, with the checks
             :class:`~repro.crowd.platform.CrowdSession` and
             :class:`~repro.crowd.worker.WorkerPool` apply.
-        index_mode: forwarded to :class:`IncrementalResolver`.
     """
 
     def __init__(
@@ -119,11 +117,10 @@ class StreamingResolver(IncrementalResolver):
         worker_band: str | tuple[float, float] = "90",
         pairs_per_hit: int = 10,
         cents_per_hit: int = 10,
-        index_mode: str = "extend",
     ) -> None:
         check_pricing(pairs_per_hit, cents_per_hit)
         accuracy_band(worker_band)
-        super().__init__(attributes, config=config, name=name, index_mode=index_mode)
+        super().__init__(attributes, config=config, name=name)
         self.worker_band = worker_band
         self.pairs_per_hit = pairs_per_hit
         self.cents_per_hit = cents_per_hit
@@ -235,7 +232,7 @@ class StreamingResolver(IncrementalResolver):
             encoded = {
                 key: value
                 for key, value in report.items()
-                if key not in ("ingest_seconds", "index_seconds")
+                if key != "ingest_seconds"
             }
             encoded["asked_pairs"] = [
                 [int(a), int(b)] for a, b in report["asked_pairs"]
@@ -246,7 +243,6 @@ class StreamingResolver(IncrementalResolver):
             "name": self.table.name,
             "attributes": list(self.table.attributes),
             "config": _encode_config(self.config),
-            "index_mode": self.index_mode,
             "worker_band": _encode_band(self.worker_band),
             "pairs_per_hit": self.pairs_per_hit,
             "cents_per_hit": self.cents_per_hit,
@@ -289,11 +285,7 @@ class StreamingResolver(IncrementalResolver):
                 )
                 self._header_written = True
             objects = {"state": store.put_json(self._state_payload())}
-            index_spec = None
-            if self._index is not None:
-                index_spec = encode_index(
-                    store, self._index, self.config.join_tokens
-                )
+            index_spec = self._index_spec(self._texts(), store)
             record = {
                 "batch": self.batches,
                 "records": len(self.table),
@@ -319,21 +311,27 @@ class StreamingResolver(IncrementalResolver):
 
         A torn manifest tail (kill mid-append) is truncated away first;
         the stream then continues from the last completed batch with every
-        paid answer, the billing ledger, the RNG, and the token index
-        exactly as the uninterrupted process would have them.
+        paid answer, the billing ledger, the RNG, and the candidate join
+        exactly as the uninterrupted process would have them.  The join is
+        rebuilt from the snapshot's rows without probing them (their pairs
+        were decided before), and a snapshot whose stored index spec is
+        not the one those rows derive is refused.
         """
         store = SnapshotStore(checkpoint_dir)
         _header, checkpoint = load_snapshot(store, repair=repair)
         state = store.get_json(checkpoint["objects"]["state"])
+        try:
+            config = _decode_config(state["config"])
+        except TypeError as error:
+            raise DataError(f"snapshot config does not decode: {error}") from None
         self = cls(
             state["attributes"],
-            config=_decode_config(state["config"]),
+            config=config,
             name=state["name"],
             crowd=crowd,
             worker_band=_decode_band(state["worker_band"]),
             pairs_per_hit=state["pairs_per_hit"],
             cents_per_hit=state["cents_per_hit"],
-            index_mode=state["index_mode"],
         )
         self._store = store
         self._header_written = True
@@ -360,9 +358,32 @@ class StreamingResolver(IncrementalResolver):
             for report in state["reports"]
         ]
         self._rng.bit_generator.state = _decode_rng_state(state["rng_state"])
-        if checkpoint.get("index") is not None:
-            self._index = decode_index(store, checkpoint["index"])
+        texts = self._texts()
+        self._join.extend(self._token_sets(texts), probe=False)
+        stored, derived = checkpoint.get("index") or {}, self._index_spec(texts) or {}
+        differ = sorted(
+            key
+            for key in stored.keys() | derived.keys()
+            if stored.get(key) != derived.get(key)
+        )
+        if differ:
+            raise DataError(
+                f"snapshot index at {store.directory} is inconsistent with "
+                f"its {len(self.table)} rows: {', '.join(differ)} differ"
+            )
         return self
+
+    def _texts(self) -> list[str]:
+        return [self.table.record_text(row) for row in range(len(self.table))]
+
+    def _index_spec(
+        self, texts: list[str], store: SnapshotStore | None = None
+    ) -> dict | None:
+        """The token-index spec of the records' *texts* (``None`` before
+        any record), written into *store* when one is given."""
+        if not texts:
+            return None
+        return encode_index(self._join, texts, self.config.join_tokens, store)
 
     def summary(self) -> str:
         lines = [
@@ -394,10 +415,15 @@ _RETIRED_CONFIG_FIELDS = {
     "shard_retries": 2,
 }
 
-#: State fields of the retired stream routing, written at their old
-#: defaults for the same reason; :meth:`StreamingResolver.restore` ignores
-#: them (routing was bit-identical, so no recorded value changes a result).
-_RETIRED_STATE_FIELDS = {"shard_threshold": None, "shard_workers": 0}
+#: State fields of the retired stream routing and token-index maintenance
+#: knob, written at their old defaults for the same reason;
+#: :meth:`StreamingResolver.restore` ignores them (each mode was
+#: bit-identical, so no recorded value changes a result).
+_RETIRED_STATE_FIELDS = {
+    "shard_threshold": None,
+    "shard_workers": 0,
+    "index_mode": "extend",
+}
 
 
 def _encode_config(config: PowerConfig) -> dict[str, Any]:
@@ -410,6 +436,13 @@ def _encode_config(config: PowerConfig) -> dict[str, Any]:
 
 
 def _decode_config(payload: dict[str, Any]) -> PowerConfig:
+    """The :class:`PowerConfig` an encoded config describes.
+
+    Raises :class:`TypeError` for an unknown field or a value of the wrong
+    type, and :class:`ConfigurationError` for a value out of range; a
+    restore reports the first as a :class:`DataError` about the snapshot,
+    and a server as a ``bad_request`` about the request.
+    """
     decoded = {
         key: value
         for key, value in payload.items()
@@ -417,10 +450,7 @@ def _decode_config(payload: dict[str, Any]) -> PowerConfig:
     }
     if isinstance(decoded.get("similarity"), list):
         decoded["similarity"] = tuple(decoded["similarity"])
-    try:
-        return PowerConfig(**decoded)
-    except TypeError as error:
-        raise DataError(f"snapshot config does not decode: {error}") from None
+    return PowerConfig(**decoded)
 
 
 def _encode_labels(labels: dict[Pair, bool]) -> list[list]:

@@ -36,6 +36,7 @@ import io
 import json
 import os
 import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
@@ -43,16 +44,13 @@ import numpy as np
 
 from ..engine.journal import Journal, read_records
 from ..exceptions import DataError
-from ..similarity.batch import TokenIndex
-from ..similarity.tokenize import qgram_tokens, word_tokens
+from ..similarity.batch import PostingJoin, TokenIndex
 
 #: Bump when the snapshot schema changes incompatibly.
 SNAPSHOT_VERSION = 1
 
 MANIFEST_NAME = "MANIFEST.jsonl"
 OBJECTS_DIR = "objects"
-
-_TOKENIZERS = {"word": word_tokens, "qgram": qgram_tokens}
 
 
 def canonical_json(payload: Any) -> bytes:
@@ -119,9 +117,7 @@ class SnapshotStore:
         return json.loads(self.get_bytes(digest).decode("utf-8"))
 
     def put_array(self, array: np.ndarray) -> str:
-        buffer = io.BytesIO()
-        np.save(buffer, np.ascontiguousarray(array), allow_pickle=False)
-        return self.put_bytes(buffer.getvalue())
+        return self.put_bytes(_array_bytes(array))
 
     def get_array(self, digest: str) -> np.ndarray:
         return np.load(io.BytesIO(self.get_bytes(digest)), allow_pickle=False)
@@ -177,64 +173,47 @@ class SnapshotStore:
         return self.manifest_path.exists()
 
 
+def _array_bytes(array: np.ndarray) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, np.ascontiguousarray(array), allow_pickle=False)
+    return buffer.getvalue()
+
+
 # --------------------------------------------------------------------------- #
-# TokenIndex codec
+# Token-index spec
 # --------------------------------------------------------------------------- #
 
 
-def encode_index(store: SnapshotStore, index: TokenIndex, tokenizer: str) -> dict:
-    """Serialize a (generic-constructor) TokenIndex into store objects.
+def encode_index(
+    join: PostingJoin,
+    texts: Sequence[str],
+    tokenizer: str,
+    store: SnapshotStore | None = None,
+) -> dict:
+    """The snapshot's token-index spec, derived from a stream's join.
 
-    The packed arrays are stored verbatim, so a restored index is
-    *bit-identical* to the one that was checkpointed — including the dense
-    token-id layout — and its interning dictionaries are rebuilt so
-    :meth:`TokenIndex.extend` keeps assigning the next ids exactly as an
-    uninterrupted process would have.
+    The spec describes ``TokenIndex(texts, tokenizer)`` over the records'
+    *texts*, in record order: the distinct texts in first-seen order, the
+    tokens in id order (each new text's tokens interned in sorted order),
+    and the packed rows, sizes and text-to-row map, which
+    :meth:`TokenIndex.from_join` reads off the join.  Each blob goes into
+    *store* when one is given; without one, only its digest is computed,
+    which is how a restore checks a snapshot's spec against its rows.
     """
-    if index._seen is None or index._vocab is None:
-        raise DataError(
-            "only generic-constructor TokenIndexes are checkpointable "
-            "(the for_bigrams fast path has no interning state)"
-        )
-    if tokenizer not in _TOKENIZERS:
-        raise DataError(f"unknown tokenizer {tokenizer!r}")
-    texts = [""] * len(index._seen)
-    for text, row in index._seen.items():
-        texts[row] = text
-    tokens = [""] * len(index._vocab)
-    for token, token_id in index._vocab.items():
-        tokens[token_id] = token
-    return {
-        "tokenizer": tokenizer,
-        "meta": store.put_json({"texts": texts, "tokens": tokens}),
-        "bits": store.put_array(index.bits),
-        "sizes": store.put_array(index.sizes),
-        "row_of_text": store.put_array(index.row_of_text),
+    index = TokenIndex.from_join(join, texts)
+    blobs = {
+        "meta": canonical_json(
+            {"texts": list(dict.fromkeys(texts)), "tokens": list(join.vocab)}
+        ),
+        "bits": _array_bytes(index.bits),
+        "sizes": _array_bytes(index.sizes),
+        "row_of_text": _array_bytes(index.row_of_text),
     }
-
-
-def decode_index(store: SnapshotStore, spec: dict) -> TokenIndex:
-    """Rebuild the exact checkpointed TokenIndex from store objects."""
-    tokenizer = _TOKENIZERS.get(spec.get("tokenizer"))
-    if tokenizer is None:
-        raise DataError(f"unknown tokenizer {spec.get('tokenizer')!r}")
-    meta = store.get_json(spec["meta"])
-    index = TokenIndex.__new__(TokenIndex)
-    index.bits = store.get_array(spec["bits"]).astype(np.uint64, copy=False)
-    index.sizes = store.get_array(spec["sizes"]).astype(np.int64, copy=False)
-    index.row_of_text = store.get_array(spec["row_of_text"]).astype(
-        np.int64, copy=False
-    )
-    index.vocab_size = len(meta["tokens"])
-    index._tokenizer = tokenizer
-    index._seen = {text: row for row, text in enumerate(meta["texts"])}
-    index._vocab = {token: tid for tid, token in enumerate(meta["tokens"])}
-    if index.bits.shape[0] != len(meta["texts"]):
-        raise DataError(
-            f"snapshot index is inconsistent: {index.bits.shape[0]} packed "
-            f"rows but {len(meta['texts'])} interned strings"
-        )
-    return index
+    if store is None:
+        digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
+    else:
+        digests = {name: store.put_bytes(blob) for name, blob in blobs.items()}
+    return {"tokenizer": tokenizer, **digests}
 
 
 def load_snapshot(
@@ -264,7 +243,6 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "SnapshotStore",
     "canonical_json",
-    "decode_index",
     "encode_index",
     "load_snapshot",
 ]

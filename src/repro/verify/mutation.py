@@ -27,10 +27,8 @@ mutant                  seeded bug
                         rejects (Lemire's bias correction dropped)
 ``stale-matching``      deleting a matched vertex leaves its partner claimed
 ``obs-perturbs-selection``  instrumentation drops a vertex from each round
-``stream-stale-index``  a streamed batch lands in the token index as
-                        empty rows (its real candidates are lost)
-``stream-sweep-old-only``  the batch sweep drops every new×new pair of a
-                        streamed batch
+``stream-resume-forgets-postings``  a resumed join extend probes only
+                        its own batch's postings (new×old pairs are lost)
 ``serve-cross-session-leak``  the session registry hands back another live
                         tenant's resolver instead of restoring the evicted
                         session's snapshot
@@ -357,55 +355,28 @@ def _mutant_stale_matching():
     return _patched((IncrementalPathCover, "_release_deleted", mutated))
 
 
-def _mutant_stream_stale_index():
-    """A streamed batch's records never really enter the token index.
+def _mutant_stream_resume_forgets_postings():
+    """A resumed join extend probes only the postings of its own batch.
 
-    Models the classic incremental-index regression: the maintenance path
-    runs (no crash, shapes stay consistent) but the first extension's rows
-    are written as empty token sets, so those records lose their real
-    candidates and, as empty sets, pair with each other — invisible to
-    every one-shot check because the one-shot pipeline builds its
-    :class:`TokenIndex` from scratch.  Only the multi-batch tier of
-    ``check_stream_equivalence``, which holds the stream to the one-shot
-    candidate pairs, can notice.
+    Models the classic slip in a resumable index: state that must outlive
+    a call is effectively rebuilt per call, so each batch is joined with
+    itself alone and every new×old pair of a stream's later batches is
+    lost.  A one-shot join is one extend, and so is a one-batch stream, so
+    only the multi-batch tier of ``check_stream_equivalence``, which holds
+    the stream to the one-shot candidate pairs, can notice.  The resolver
+    looks ``extend`` up on its join at call time.
     """
-    from ..similarity.batch import TokenIndex
+    from ..similarity.batch import PostingJoin
 
-    original = TokenIndex.extend
+    original = PostingJoin.extend
 
-    def mutated(self, texts):
-        first = not getattr(self, "_extend_mutated", False)
-        self._extend_mutated = True
-        rows_before = self.bits.shape[0]
-        result = original(self, texts)
-        if first and self.bits.shape[0] > rows_before:
-            # bug: the batch "entered" the index as token-empty rows
-            self.bits[rows_before:] = 0
-            self.sizes[rows_before:] = 0
-        return result
+    def mutated(self, token_sets, probe=True):
+        first = len(self)
+        pairs = original(self, token_sets, probe=probe)
+        # bug: no pair reaches a record of an earlier extend
+        return [pair for pair in pairs if pair[0] >= first]
 
-    return _patched((TokenIndex, "extend", mutated))
-
-
-def _mutant_stream_sweep_old_only():
-    """The batch sweep pairs new records with earlier batches' records only.
-
-    Models the classic slip in a one-pass incremental join: the sweep
-    probes the stream as it stood *before* the batch, so every new×new
-    pair — two records that arrive together — is silently dropped.  A
-    one-shot resolve never runs the sweep, and a stream of one-record
-    batches has no new×new pairs, so only ``check_stream_equivalence``,
-    whose single-batch tier is nothing but new×new pairs, can notice.
-    """
-    from ..core.incremental import IncrementalResolver
-
-    original = IncrementalResolver._batch_candidates
-
-    def mutated(self, index, first):
-        # bug: a pair whose older record is also new is never probed
-        return [pair for pair in original(self, index, first) if pair[0] < first]
-
-    return _patched((IncrementalResolver, "_batch_candidates", mutated))
+    return _patched((PostingJoin, "extend", mutated))
 
 
 def _mutant_serve_cross_session_leak():
@@ -548,14 +519,9 @@ MUTANTS: tuple[Mutant, ...] = (
         _mutant_obs_perturbs_selection,
     ),
     Mutant(
-        "stream-stale-index",
-        "a streamed batch's records enter the token index as empty rows",
-        _mutant_stream_stale_index,
-    ),
-    Mutant(
-        "stream-sweep-old-only",
-        "the batch sweep drops every new×new pair of a streamed batch",
-        _mutant_stream_sweep_old_only,
+        "stream-resume-forgets-postings",
+        "a resumed join extend probes only its own batch's postings",
+        _mutant_stream_resume_forgets_postings,
     ),
     Mutant(
         "serve-cross-session-leak",
@@ -616,8 +582,8 @@ def run_detection_battery(
     Args:
         seed: base seed threaded through every stochastic component.
         include_stream: run the streaming-equivalence step.  On by default;
-            the flag exists so tests can prove ``stream-stale-index`` is
-            detected by *only* that step (the battery minus the stream
+            the flag exists so tests can prove
+            ``stream-resume-forgets-postings`` is detected by *only* that step (the battery minus the stream
             check must sail through under the mutant).
         include_serve: run the serve-equivalence step, with the analogous
             exclusivity role for ``serve-cross-session-leak``.
@@ -701,9 +667,9 @@ def run_detection_battery(
     oracles.check_crowd_aggregation(crowd, pairs[:10])
 
     # Streamed vs one-shot resolution (single batch, multi batch under the
-    # monotone exactness oracle, kill-resume): the only step that exercises
-    # TokenIndex.extend, hence the only one able to catch the
-    # stream-stale-index mutant.
+    # monotone exactness oracle, kill-resume): the only step that compares
+    # a join resumed across batches with the one-shot join, hence the only
+    # one able to catch the stream-resume-forgets-postings mutant.
     if include_stream:
         oracles.check_stream_equivalence(
             _battery_table(), seed=seed, batch_counts=(3,)

@@ -1340,9 +1340,10 @@ def check_stream_equivalence(
        truth (ungrouped graphs — the regime where inference provably
        recovers truth exactly), a stream of batches must decide exactly
        the one-shot candidate-pair universe and produce identical labels,
-       matches, and clusters.  This is the tier that catches a stale token
-       index: a batch whose records never enter the index silently loses
-       its candidate pairs, shrinking the decided universe.
+       matches, and clusters.  This is the tier that catches a resumed
+       join that loses state between batches: a batch that never meets
+       the earlier records silently loses its candidate pairs, shrinking
+       the decided universe.
     3. **Kill-resume bit-identity.** Checkpoint after every batch, kill
        the process after the first checkpoint (simulated by a torn
        manifest tail — the worst crash the journal contract allows), then
@@ -1443,7 +1444,7 @@ def check_stream_equivalence(
             raise VerificationError(
                 f"{label}: decided-pair universe diverges from the one-shot "
                 f"candidate pairs: {len(missing)} missing, {len(extra)} extra "
-                "(the incremental candidate sweep must cover every new×old "
+                "(the resumed candidate join must cover every new×old "
                 "and new×new pair the one-shot join finds)"
             )
         if streamed.labels != serial.selection.labels:

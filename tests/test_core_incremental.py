@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import IncrementalResolver, PowerConfig, incremental, stream_in_batches
+from repro.core import IncrementalResolver, PowerConfig, stream_in_batches
 from repro.crowd import PerfectCrowd
 from repro.data import Table, restaurant, true_match_pairs
 from repro.data.ground_truth import pair_truth
 from repro.exceptions import ConfigurationError, DataError
 from repro.similarity import similar_pairs
-from repro.similarity.batch import TokenIndex
+from repro.similarity.batch import PostingJoin
 from repro.similarity.jaccard import jaccard
 from repro.similarity.tokenize import qgram_tokens, word_tokens
 from repro.similarity.vectors import similarity_matrix
@@ -106,7 +106,7 @@ class TestBatchAPI:
 
 class TestBatchSubstrateParity:
     def test_candidates_match_scalar_inverted_index(self, small_table):
-        """The batch sweep equals a scalar inverted-list probe with exact
+        """The resumed join equals a scalar inverted-list probe with exact
         Jaccard verification — the pre-refactor reference — from every
         batch boundary of the stream on."""
         from collections import defaultdict
@@ -149,7 +149,9 @@ class TestBatchSubstrateParity:
                 for record_id in range(first, n)
                 for pair in reference_candidates(record_id)
             )
-            assert resolver._batch_candidates(resolver._index, first) == expected, (
+            join = PostingJoin(threshold)
+            join.extend(record_tokens[:first])
+            assert join.extend(record_tokens[first:]) == expected, (
                 f"candidate parity broke for the records from {first} on"
             )
 
@@ -161,7 +163,7 @@ class TestBatchSubstrateParity:
             [("",), ("",), ("alpha beta",)], entity_ids=[1, 2, 3]
         )
         assert report["new_pairs"] == 1
-        assert resolver._batch_candidates(resolver._index, 0) == [(0, 1)]
+        assert list(resolver.labels) == [(0, 1)]
 
     def test_stream_and_one_shot_agree_on_empty_token_records(self):
         """One row per batch decides exactly the one-shot candidate pairs,
@@ -211,14 +213,14 @@ class TestBatchSubstrateParity:
 
 
 def _sweep(texts, first, threshold=0.2, join_tokens="word"):
-    """The batch sweep of records ``first ..`` over an index of *texts*."""
+    """The pairs of records ``first ..`` from a join resumed at *first*."""
     resolver = IncrementalResolver(
         ("text",),
         config=PowerConfig(pruning_threshold=threshold, join_tokens=join_tokens),
     )
-    return resolver._batch_candidates(
-        TokenIndex(texts, resolver._tokenizer()), first
-    )
+    join = resolver._join
+    join.extend(resolver._token_sets(texts[:first]))
+    return join.extend(resolver._token_sets(texts[first:]))
 
 
 def _scalar_sweep(texts, first, threshold=0.2, tokenizer=word_tokens):
@@ -237,7 +239,8 @@ _WORDS = ["alpha", "beta", "gamma", "delta", "!!"]
 
 
 class TestBatchSweep:
-    """The one-sweep candidate search equals the per-record scalar probe."""
+    """A batch's candidate search — the join resumed at its first record —
+    equals the per-record scalar probe."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -254,9 +257,7 @@ class TestBatchSweep:
         join_tokens, tokenizer = data.draw(
             st.sampled_from([("word", word_tokens), ("qgram", qgram_tokens)])
         )
-        budget = data.draw(st.sampled_from([1, 5, 1 << 18]))
-        with mock.patch.object(incremental, "_SWEEP_BLOCK_PAIRS", budget):
-            swept = _sweep(texts, first, threshold, join_tokens)
+        swept = _sweep(texts, first, threshold, join_tokens)
         assert swept == _scalar_sweep(texts, first, threshold, tokenizer)
 
     def test_batch_holding_record_zero(self):
@@ -277,18 +278,17 @@ class TestBatchSweep:
         texts = ["alpha beta", "alpha beta gamma", "beta alpha", "alpha"]
         assert _sweep(texts, 1, threshold=1.0) == [(0, 2)]
 
-    def test_batch_spanning_block_boundaries(self, small_table):
-        """A stream whose every batch sweeps in many small blocks decides
-        exactly what the one-block stream decides."""
+    def test_join_resumed_at_every_record_equals_one_shot(self, small_table):
+        """A stream of one-record batches decides exactly what a stream of
+        20-record batches decides."""
         texts = [small_table.record_text(r.record_id) for r in small_table]
-        # 60 non-empty records and a 100-pair budget: one new record per
-        # block, so a 20-record batch crosses 19 block boundaries.
-        with mock.patch.object(incremental, "_SWEEP_BLOCK_PAIRS", 100):
-            assert _sweep(texts, 40) == _scalar_sweep(texts, 40)
-            blocked = stream_in_batches(small_table, batch_size=20)
+        assert _sweep(texts, 40) == _scalar_sweep(texts, 40)
+        join = PostingJoin(0.2)
+        resumed = [pair for text in texts for pair in join.extend([word_tokens(text)])]
+        assert sorted(resumed) == _scalar_sweep(texts, 0)
+        single = stream_in_batches(small_table, batch_size=1)
         whole = stream_in_batches(small_table, batch_size=20)
-        assert blocked.labels == whole.labels
-        assert blocked.total_questions == whole.total_questions
+        assert set(single.labels) == set(whole.labels)
 
 
 class TestRefusedBatch:
@@ -299,18 +299,17 @@ class TestRefusedBatch:
 
     @staticmethod
     def _state(resolver):
-        index = resolver._index
+        join = resolver._join
         return (
             [(record.values, record.entity_id) for record in resolver.table],
             dict(resolver.labels),
             resolver.batches,
             resolver.total_questions,
             resolver.total_cost_cents,
-            index.row_of_text.tolist(),
-            index.sizes.tolist(),
-            index.bits.tolist(),
-            list(index._seen.items()),
-            list(index._vocab.items()),
+            list(join.vocab.items()),
+            [list(posting) for posting in join.postings],
+            join.sizes.tolist(),
+            list(join._empties),
         )
 
     def _resolver(self):
@@ -325,10 +324,13 @@ class TestRefusedBatch:
             ([("alpha beta", "x"), ("gamma",)], [1, 3], DataError),
             # Pairs with the stream, but no truth and no session.
             ([("alpha beta", "x")], None, ConfigurationError),
+            # The same, with new tokens and a token-free record the join
+            # has to forget again.
+            ([("omega", "psi"), ("alpha beta", "x"), ("", "!!")], None, ConfigurationError),
             # A lone surrogate, which no snapshot could store.
             ([("alpha beta", "x"), ("gamma \ud800", "y")], [1, 3], DataError),
         ],
-        ids=["short-row", "no-ground-truth", "lone-surrogate"],
+        ids=["short-row", "no-ground-truth", "no-ground-truth-new-tokens", "lone-surrogate"],
     )
     def test_refused_batch_changes_nothing(self, rows, entity_ids, error):
         resolver = self._resolver()

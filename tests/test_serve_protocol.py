@@ -87,10 +87,11 @@ class TestRequestValidation:
             )
         assert excinfo.value.code == "unknown_field"
 
-    @pytest.mark.parametrize("field", ["shard_threshold", "shard_workers"])
+    @pytest.mark.parametrize("field", ["shard_threshold", "shard_workers", "index_mode"])
     def test_retired_routing_fields_are_unknown(self, field):
-        """Stream routing is gone: a client that still sends its knobs
-        gets the typed refusal, not a silently ignored field."""
+        """Stream routing and the token-index maintenance knob are gone: a
+        client that still sends their fields gets the typed refusal, not a
+        silently ignored field."""
         with pytest.raises(ProtocolError, match=field) as excinfo:
             decode_request(
                 encode(

@@ -215,6 +215,9 @@ class TestProtocolEdge:
             {"pairs_per_hit": "ten"},
             {"cents_per_hit": 2.5},
             {"config": "fast"},
+            {"config": {"epsilon": "x"}},
+            {"config": {"bogus": 1}},
+            {"config": {"epsilon": -1.0}},
         ]
         chunk = _chunks(small_table, 2)[0]
 
@@ -237,18 +240,79 @@ class TestProtocolEdge:
                     return refused, health, report
 
         refused, health, report = run(asyncio.wait_for(scenario(), timeout=60))
-        assert [response["ok"] for response in refused] == [False] * 5
+        assert [response["ok"] for response in refused] == [False] * 8
         assert [response["error"] for response in refused] == [
             "error",
             "error",
             "bad_request",
             "bad_request",
             "bad_request",
+            "bad_request",
+            "bad_request",
+            "error",
         ]
         assert "pairs_per_hit" in refused[0]["message"]
         assert "accuracy band" in refused[1]["message"]
+        # A mistyped or unknown config field is the request's fault, not
+        # a snapshot's; an out-of-range value stays a typed error.
+        assert "config {'epsilon': 'x'}" in refused[5]["message"]
+        assert "config {'bogus': 1}" in refused[6]["message"]
+        assert "snapshot" not in refused[5]["message"] + refused[6]["message"]
+        assert "epsilon must be >= 0" in refused[7]["message"]
         assert (health["resident"], health["known_sessions"]) == (0, 0)
         assert report["batch"] == 1
+
+    def test_session_locks_live_only_while_in_use(self, small_table, tmp_path):
+        """A session name's lock exists only while an operation holds or
+        awaits it: refused creates and closed sessions leave none, and
+        concurrent ingests on one name still apply in admission order."""
+        chunks = _chunks(small_table, 3)
+
+        def request(op, session, **fields):
+            return {"v": PROTOCOL_VERSION, "op": op, "session": session, **fields}
+
+        async def scenario():
+            app = ServeApp(tmp_path / "serve", max_sessions=2, queue_depth=8)
+            try:
+                attributes = list(small_table.attributes)
+                refused = [
+                    await app.dispatch(
+                        request(
+                            "create_session", f"bad{index}",
+                            attributes=attributes, pairs_per_hit=0,
+                        )
+                    )
+                    for index in range(50)
+                ]
+                after_refusals = len(app.registry._locks)
+                for index in range(5):
+                    await app.dispatch(request("create_session", f"s{index}", attributes=attributes))
+                    await app.dispatch(
+                        request("ingest", f"s{index}", rows=_rows(chunks[0]), entity_ids=_ids(chunks[0]))
+                    )
+                    await app.dispatch(request("close", f"s{index}"))
+                after_closes = len(app.registry._locks)
+                await app.dispatch(request("create_session", "busy", attributes=attributes))
+                ingests = await asyncio.gather(
+                    *(
+                        app.dispatch(
+                            request("ingest", "busy", rows=_rows(chunk), entity_ids=_ids(chunk))
+                        )
+                        for chunk in chunks
+                    )
+                )
+                closed = await app.dispatch(request("close", "busy"))
+                return refused, after_refusals, after_closes, ingests, closed, len(app.registry._locks)
+            finally:
+                app.registry.shutdown()
+
+        refused, after_refusals, after_closes, ingests, closed, remaining = run(
+            asyncio.wait_for(scenario(), timeout=120)
+        )
+        assert {response["error"] for response in refused} == {"error"}
+        assert (after_refusals, after_closes, remaining) == (0, 0, 0)
+        assert [response["batch"] for response in ingests] == [1, 2, 3]
+        assert closed["state_sha"] == _direct_sha(small_table, tmp_path, "busy", chunks)
 
     def test_schema_mismatch_on_attach(self, small_table, tmp_path):
         async def scenario():

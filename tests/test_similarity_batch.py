@@ -9,9 +9,11 @@ on:
 * the blocked dominance kernel produces exactly the reference edge set /
   adjacency lists on random vector matrices;
 * :func:`sparse_jaccard_join` returns exactly the naive quadratic join
-  oracle's pairs across thresholds.
+  oracle's pairs across thresholds, and a :class:`PostingJoin` extended
+  batch by batch returns exactly the one-shot join's pairs.
 
 Plus direct unit tests of the :class:`TokenIndex` bigram encoder, the
+index a join's postings give (the streaming snapshot's layout), the
 empty-input fast paths, and the zero-candidate behaviour end-to-end through
 :class:`PowerResolver`.
 """
@@ -37,7 +39,7 @@ from repro.similarity import (
     similarity_matrix,
     sparse_jaccard_join,
 )
-from repro.similarity.batch import batch_edit_similarities
+from repro.similarity.batch import PostingJoin, batch_edit_similarities
 from repro.similarity.tokenize import qgram_tokens, word_tokens
 from repro.verify import naive_join
 
@@ -214,14 +216,22 @@ class TestTokenIndex:
             ["a\U0010ffffb", "\U0010ffff", "ab\U0010ffff", "\U0001f600ab", "b"]
         )
 
-    def test_wide_alphabet_takes_the_generic_tokenizer(self):
+    def test_wide_alphabet_takes_the_generic_tokenizer(self, monkeypatch):
         # 4,096 distinct CJK codepoints reach the alphabet cap, so the
         # bigram codes would overflow the interning bitmap's budget.
         points = [chr(0x4E00 + k) for k in range(4096)]
         texts = ["".join(points[start : start + 48]) for start in range(0, 4096, 32)]
         assert len(set("".join(texts))) >= 4096
-        index = self._assert_equals_generic(texts)
-        assert index._seen is not None  # the generic constructor's state
+        self._assert_equals_generic(texts)
+        generic, calls = TokenIndex.__init__, []
+
+        def spy(index, texts, tokenizer):
+            calls.append(tokenizer)
+            generic(index, texts, tokenizer)
+
+        monkeypatch.setattr(TokenIndex, "__init__", spy)
+        TokenIndex.for_bigrams(texts)
+        assert calls == [qgram_tokens]  # the generic constructor ran
 
     def test_empty_corpus(self):
         index = TokenIndex.for_bigrams(["", "  ", ""])
@@ -232,21 +242,33 @@ class TestTokenIndex:
         assert np.array_equal(pairs, np.ones(2))
 
 
+def _join_of(texts, tokenizer, bounds=()):
+    """A join over *texts*, extended at each of the sorted *bounds*."""
+    join = PostingJoin(0.5)
+    previous = 0
+    for bound in [*bounds, len(texts)]:
+        join.extend([tokenizer(text) for text in texts[previous:bound]])
+        previous = bound
+    return join
+
+
 class TestTokenIndexExtend:
-    """extend() ≡ from-scratch rebuild, bit for bit — the streaming contract."""
+    """The TokenIndex of a join extended batch by batch (``from_join``) ≡
+    a from-scratch TokenIndex, bit for bit — the streaming snapshot's
+    contract."""
 
     @staticmethod
-    def _assert_identical(extended: TokenIndex, scratch: TokenIndex, n: int):
-        assert np.array_equal(extended.row_of_text, scratch.row_of_text)
-        assert np.array_equal(extended.sizes, scratch.sizes)
-        assert extended.vocab_size == scratch.vocab_size
-        assert extended.bits.dtype == scratch.bits.dtype == np.uint64
-        assert np.array_equal(extended.bits, scratch.bits)
+    def _assert_identical(derived: TokenIndex, scratch: TokenIndex, n: int):
+        assert np.array_equal(derived.row_of_text, scratch.row_of_text)
+        assert np.array_equal(derived.sizes, scratch.sizes)
+        assert derived.vocab_size == scratch.vocab_size
+        assert derived.bits.dtype == scratch.bits.dtype == np.uint64
+        assert np.array_equal(derived.bits, scratch.bits)
         if n:
             left = np.repeat(np.arange(n), n)
             right = np.tile(np.arange(n), n)
             assert np.array_equal(
-                extended.jaccard_pairs(left, right),
+                derived.jaccard_pairs(left, right),
                 scratch.jaccard_pairs(left, right),
             )
 
@@ -258,10 +280,10 @@ class TestTokenIndexExtend:
     )
     def test_extend_equals_rebuild(self, texts, cut, data):
         tokenizer = data.draw(st.sampled_from([word_tokens, qgram_tokens]))
-        cut = min(cut, len(texts))
-        index = TokenIndex(texts[:cut], tokenizer)
-        index.extend(texts[cut:])
-        self._assert_identical(index, TokenIndex(texts, tokenizer), len(texts))
+        join = _join_of(texts, tokenizer, [min(cut, len(texts))])
+        self._assert_identical(
+            TokenIndex.from_join(join, texts), TokenIndex(texts, tokenizer), len(texts)
+        )
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -269,55 +291,98 @@ class TestTokenIndexExtend:
         cuts=st.lists(st.integers(min_value=0, max_value=12), max_size=4),
     )
     def test_chained_extends_equal_rebuild(self, texts, cuts):
-        bounds = sorted({min(cut, len(texts)) for cut in cuts})
-        if not bounds or bounds[0] == 0:
-            bounds = [0] + [b for b in bounds if b]
-        index = TokenIndex(texts[: bounds[0]] if bounds else [], word_tokens)
-        previous = bounds[0] if bounds else 0
-        for bound in bounds[1:] + [len(texts)]:
-            index.extend(texts[previous:bound])
-            previous = bound
-        self._assert_identical(index, TokenIndex(texts, word_tokens), len(texts))
+        bounds = sorted(min(cut, len(texts)) for cut in cuts)
+        join = _join_of(texts, word_tokens, bounds)
+        self._assert_identical(
+            TokenIndex.from_join(join, texts), TokenIndex(texts, word_tokens), len(texts)
+        )
 
     def test_empty_batch_is_a_noop(self):
         texts = ["alpha beta", "beta gamma"]
-        index = TokenIndex(texts, word_tokens)
-        index.extend([])
-        self._assert_identical(index, TokenIndex(texts, word_tokens), len(texts))
-
-    def test_duplicate_texts_share_rows(self):
-        texts = ["alpha beta", "beta gamma"]
-        index = TokenIndex(texts, word_tokens)
-        index.extend(["beta gamma", "alpha beta", "alpha beta"])
-        scratch = TokenIndex(texts + ["beta gamma", "alpha beta", "alpha beta"],
-                             word_tokens)
-        assert len(index) == 2  # no new distinct strings, no new rows
-        self._assert_identical(index, scratch, 5)
-
-    def test_vocab_growth_pads_existing_rows(self):
-        # >64 fresh tokens force the packed matrix into new uint64 words;
-        # the old rows must zero-pad, changing no set bits.
-        index = TokenIndex(["alpha beta"], word_tokens)
-        words_before = index.bits.shape[1]
-        grown = [" ".join(f"tok{i}{j}" for j in range(10)) for i in range(8)]
-        index.extend(grown)
-        assert index.bits.shape[1] > words_before
+        join = _join_of(texts, word_tokens)
+        assert join.extend([]) == []
         self._assert_identical(
-            index, TokenIndex(["alpha beta"] + grown, word_tokens), 9
+            TokenIndex.from_join(join, texts), TokenIndex(texts, word_tokens), 2
         )
 
-    def test_qgram_and_word_tokenizers_stay_distinct(self):
-        texts = ["abc", "abd"]
-        more = ["abe"]
-        for tokenizer in (qgram_tokens, word_tokens):
-            index = TokenIndex(texts, tokenizer)
-            index.extend(more)
-            self._assert_identical(index, TokenIndex(texts + more, tokenizer), 3)
+    def test_duplicate_texts_share_rows(self):
+        texts = ["alpha beta", "beta gamma", "beta gamma", "alpha beta", "alpha beta"]
+        index = TokenIndex.from_join(_join_of(texts, word_tokens, [2]), texts)
+        assert len(index) == 2  # no new distinct strings, no new rows
+        self._assert_identical(index, TokenIndex(texts, word_tokens), 5)
 
-    def test_bigram_fast_path_rejects_extend(self):
-        index = TokenIndex.for_bigrams(["alpha", "beta"])
-        with pytest.raises(ConfigurationError, match="for_bigrams"):
-            index.extend(["gamma"])
+    def test_vocab_growth_pads_existing_rows(self):
+        # >64 tokens put the packed matrix past one uint64 word, which
+        # the first record's row must span too, changing no set bits.
+        texts = ["alpha beta"] + [
+            " ".join(f"tok{i}{j}" for j in range(10)) for i in range(8)
+        ]
+        index = TokenIndex.from_join(_join_of(texts, word_tokens, [1]), texts)
+        assert index.bits.shape[1] > 1
+        self._assert_identical(index, TokenIndex(texts, word_tokens), 9)
+
+    def test_qgram_and_word_tokenizers_stay_distinct(self):
+        texts = ["abc", "abd", "abe"]
+        for tokenizer in (qgram_tokens, word_tokens):
+            join = _join_of(texts, tokenizer, [2])
+            self._assert_identical(
+                TokenIndex.from_join(join, texts), TokenIndex(texts, tokenizer), 3
+            )
+
+
+class TestPostingJoin:
+    """Resuming the join: batches find the one-shot pairs, a probe-free
+    extend indexes without pairing, and truncate undoes an extend."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        token_sets=token_sets_strategy,
+        cuts=st.lists(st.integers(min_value=0, max_value=30), max_size=4),
+        threshold=st.sampled_from([0.1, 0.5, 1.0]),
+    )
+    def test_batches_find_the_one_shot_pairs(self, token_sets, cuts, threshold):
+        join = PostingJoin(threshold)
+        previous, pairs = 0, []
+        for bound in sorted(min(cut, len(token_sets)) for cut in cuts) + [len(token_sets)]:
+            batch = join.extend(token_sets[previous:bound])
+            assert batch == sorted(batch)
+            assert all(b >= previous for _, b in batch)
+            pairs += batch
+            previous = bound
+        assert sorted(pairs) == sparse_jaccard_join(token_sets, threshold)
+
+    @settings(max_examples=40, deadline=None)
+    @given(token_sets=token_sets_strategy, cut=st.integers(min_value=0, max_value=30))
+    def test_probe_free_extend_then_resume(self, token_sets, cut):
+        cut = min(cut, len(token_sets))
+        indexed, probed = PostingJoin(0.3), PostingJoin(0.3)
+        assert indexed.extend(token_sets[:cut], probe=False) == []
+        probed.extend(token_sets[:cut])
+        assert indexed.extend(token_sets[cut:]) == probed.extend(token_sets[cut:])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        token_sets=token_sets_strategy,
+        refused=token_sets_strategy,
+        cut=st.integers(min_value=0, max_value=30),
+    )
+    def test_truncate_undoes_an_extend(self, token_sets, refused, cut):
+        def state(join):
+            return (
+                list(join.vocab.items()),
+                [list(posting) for posting in join.postings],
+                join.sizes.tolist(),
+                list(join._empties),
+            )
+
+        cut = min(cut, len(token_sets))
+        join, clean = PostingJoin(0.3), PostingJoin(0.3)
+        join.extend(token_sets[:cut])
+        clean.extend(token_sets[:cut])
+        join.extend(refused)
+        join.truncate(cut)
+        assert state(join) == state(clean)
+        assert join.extend(token_sets[cut:]) == clean.extend(token_sets[cut:])
 
 
 class TestBatchEdit:

@@ -1,9 +1,10 @@
-"""Unit tests for the snapshot store, the index codec, and the service.
+"""Unit tests for the snapshot store, the index spec, and the service.
 
 The integration-level guarantees live in the stream-equivalence oracle and
 the property suite; this file pins the local contracts each piece is built
 from — content addressing detecting corruption, the manifest's
-header/version discipline, the TokenIndex codec's bit-identity, and the
+header/version discipline, the token-index spec derived from the join
+(bit-identical to a TokenIndex, and checked on restore), and the
 service's refusal modes.
 """
 
@@ -17,13 +18,14 @@ from hypothesis import strategies as st
 from repro.crowd import PerfectCrowd
 from repro.core.config import PowerConfig
 from repro.exceptions import ConfigurationError, DataError
-from repro.similarity.batch import TokenIndex
+from repro.engine.journal import read_records
+from repro.similarity.batch import PostingJoin, TokenIndex
 from repro.similarity.tokenize import qgram_tokens, word_tokens
 from repro.stream import (
+    MANIFEST_NAME,
     SNAPSHOT_VERSION,
     SnapshotStore,
     StreamingResolver,
-    decode_index,
     encode_index,
     load_snapshot,
 )
@@ -118,50 +120,81 @@ class TestManifest:
 
 
 class TestIndexCodec:
+    """The token-index spec a checkpoint derives from the stream's join."""
+
     TEXTS = ["alpha beta", "beta gamma", "alpha beta", "", "delta"]
+
+    @staticmethod
+    def _join(texts, tokenizer):
+        join = PostingJoin(0.5)
+        join.extend([tokenizer(text) for text in texts[:2]])
+        join.extend([tokenizer(text) for text in texts[2:]])
+        return join
+
+    @staticmethod
+    def _stream(directory, texts):
+        service = StreamingResolver(("text",), checkpoint_dir=directory)
+        service.add_batch([(text,) for text in texts], entity_ids=list(range(len(texts))))
+        service.checkpoint()
+        return service
+
+    @staticmethod
+    def _tamper(directory, **index):
+        """Rewrite the last checkpoint's index spec in the manifest."""
+        records, _ = read_records(directory / MANIFEST_NAME, repair=False)
+        records[-1]["index"] = {**records[-1]["index"], **index}
+        (directory / MANIFEST_NAME).write_text(
+            "".join(canonical_json(record).decode() + "\n" for record in records)
+        )
 
     @pytest.mark.parametrize(
         ("name", "tokenizer"), [("word", word_tokens), ("qgram", qgram_tokens)]
     )
     def test_roundtrip_is_bit_identical(self, store, name, tokenizer):
+        """The blobs are the TokenIndex of the texts, and the digest-only
+        spec a restore compares equals the written one."""
+        join = self._join(self.TEXTS, tokenizer)
+        spec = encode_index(join, self.TEXTS, name, store)
         index = TokenIndex(self.TEXTS, tokenizer)
-        restored = decode_index(store, encode_index(store, index, name))
-        assert (restored.bits == index.bits).all()
-        assert (restored.sizes == index.sizes).all()
-        assert (restored.row_of_text == index.row_of_text).all()
-        assert restored.vocab_size == index.vocab_size
-        assert restored._seen == index._seen
-        assert restored._vocab == index._vocab
+        for field in ("bits", "sizes", "row_of_text"):
+            stored = store.get_array(spec[field])
+            assert stored.dtype == getattr(index, field).dtype
+            assert np.array_equal(stored, getattr(index, field))
+        meta = store.get_json(spec["meta"])
+        assert meta["texts"] == ["alpha beta", "beta gamma", "", "delta"]
+        assert meta["tokens"] == list(
+            dict.fromkeys(t for text in meta["texts"] for t in sorted(tokenizer(text)))
+        )
+        assert spec["tokenizer"] == name
+        assert encode_index(join, self.TEXTS, name) == spec
 
-    def test_restored_index_extends_identically(self, store):
-        more = ["beta epsilon", "zeta"]
-        index = TokenIndex(self.TEXTS, word_tokens)
-        restored = decode_index(store, encode_index(store, index, "word"))
-        index.extend(more)
-        restored.extend(more)
-        assert (restored.bits == index.bits).all()
-        assert (restored.sizes == index.sizes).all()
-        assert restored._vocab == index._vocab
+    def test_restored_index_extends_identically(self, tmp_path):
+        more = [("beta epsilon",), ("zeta",), ("alpha beta",)]
+        self._stream(tmp_path / "a", self.TEXTS)
+        resumed = StreamingResolver.restore(tmp_path / "a")
+        resumed.add_batch(more, entity_ids=[10, 11, 0])
+        straight = self._stream(tmp_path / "b", self.TEXTS)
+        straight.add_batch(more, entity_ids=[10, 11, 0])
+        assert resumed.reports[-1]["new_pairs"] == straight.reports[-1]["new_pairs"] > 0
+        assert resumed.checkpoint() == straight.checkpoint()
 
-    def test_bigram_fast_path_is_not_checkpointable(self, store):
-        index = TokenIndex.for_bigrams(["ab", "cd"])
-        with pytest.raises(DataError, match="for_bigrams"):
-            encode_index(store, index, "qgram")
-
-    def test_unknown_tokenizer_rejected(self, store):
-        index = TokenIndex(self.TEXTS, word_tokens)
+    def test_unknown_tokenizer_rejected(self, tmp_path):
+        self._stream(tmp_path / "s", self.TEXTS)
+        self._tamper(tmp_path / "s", tokenizer="soundex")
         with pytest.raises(DataError, match="tokenizer"):
-            encode_index(store, index, "soundex")
-        spec = encode_index(store, index, "word")
-        with pytest.raises(DataError, match="tokenizer"):
-            decode_index(store, {**spec, "tokenizer": "soundex"})
+            StreamingResolver.restore(tmp_path / "s")
 
-    def test_inconsistent_snapshot_rejected(self, store):
-        index = TokenIndex(self.TEXTS, word_tokens)
-        spec = encode_index(store, index, "word")
-        truncated = store.put_array(index.bits[:1])
-        with pytest.raises(DataError, match="inconsistent"):
-            decode_index(store, {**spec, "bits": truncated})
+    def test_inconsistent_snapshot_rejected(self, tmp_path):
+        """Restore refuses a snapshot whose stored index spec disagrees
+        with the one its rows derive."""
+        service = self._stream(tmp_path / "s", self.TEXTS)
+        store = SnapshotStore(tmp_path / "s")
+        truncated = store.put_array(
+            TokenIndex.from_join(service._join, self.TEXTS).bits[:1]
+        )
+        self._tamper(tmp_path / "s", bits=truncated)
+        with pytest.raises(DataError, match="inconsistent.*bits"):
+            StreamingResolver.restore(tmp_path / "s")
 
 
 class TestServiceGuards:
@@ -407,3 +440,59 @@ def test_small_stream_state_sha_is_pinned(small_table, tmp_path):
             entity_ids=[record.entity_id for record in chunk],
         )
     assert service.checkpoint()["state_sha"] == PINNED_STATE_SHA
+
+
+def _pinned_stream(table, directory, config, rows=None, entity_ids=None):
+    """Stream *rows* (default: *table*'s records) in batches of 7 and return
+    the final checkpoint's ``state_sha``."""
+    if rows is None:
+        rows = [record.values for record in table]
+        entity_ids = [record.entity_id for record in table]
+    service = StreamingResolver(
+        table.attributes, config=config, name="pinned", checkpoint_dir=directory
+    )
+    for start in range(0, len(rows), 7):
+        service.add_batch(
+            rows[start : start + 7], entity_ids=entity_ids[start : start + 7]
+        )
+    return service.checkpoint()["state_sha"]
+
+
+#: The final ``state_sha`` of the small table streamed with q-gram join
+#: tokens, recorded while a dense token-index sweep found each batch's
+#: candidates.
+PINNED_QGRAM_STATE_SHA = "9674108f18fbd55383a8848a668167e2fce2b5d8b203994f95064115ea5f90fa"
+
+#: The same for a stream holding verbatim duplicate records and records
+#: without word tokens, both within and across batches.
+PINNED_DUPLICATES_STATE_SHA = "021f9947bc73478a8bbc1da747df87a137d88d5f6338b4933f9ed22d7f7efcd1"
+
+
+def _duplicates_and_empties(table):
+    """The first 30 records of *table*, with a verbatim copy of an earlier
+    record after every fifth and a token-free record after every seventh."""
+    records = list(table)[:30]
+    rows, entity_ids = [], []
+    for index, record in enumerate(records):
+        rows.append(record.values)
+        entity_ids.append(record.entity_id)
+        if index % 5 == 2:
+            rows.append(records[index // 2].values)
+            entity_ids.append(records[index // 2].entity_id)
+        if index % 7 == 3:
+            rows.append(("", "!!", "..."))
+            entity_ids.append(1000 + index)
+    return rows, entity_ids
+
+
+def test_qgram_stream_state_sha_is_pinned(small_table, tmp_path):
+    config = PowerConfig(seed=0, join_tokens="qgram")
+    assert _pinned_stream(small_table, tmp_path / "q", config) == PINNED_QGRAM_STATE_SHA
+
+
+def test_duplicate_and_empty_record_stream_state_sha_is_pinned(small_table, tmp_path):
+    rows, entity_ids = _duplicates_and_empties(small_table)
+    state_sha = _pinned_stream(
+        small_table, tmp_path / "d", PowerConfig(seed=0), rows, entity_ids
+    )
+    assert state_sha == PINNED_DUPLICATES_STATE_SHA

@@ -40,9 +40,8 @@ class TestMutationSelfTest:
         from repro.graph.reachability import ReachabilityIndex
         import repro.similarity.batch as batch
         import repro.similarity.join as join
-        from repro.core.incremental import IncrementalResolver
         from repro.serve.sessions import SessionRegistry
-        from repro.similarity.batch import TokenIndex
+        from repro.similarity.batch import PostingJoin
 
         before = (
             batch.sparse_jaccard_join,
@@ -60,8 +59,7 @@ class TestMutationSelfTest:
             worker._lemire_threshold,
             PairGraph.descendant_mask,
             CrowdSession.hits,
-            TokenIndex.extend,
-            IncrementalResolver._batch_candidates,
+            PostingJoin.extend,
             SessionRegistry._restore_resolver,
         )
         run_mutation_selftest(seed=0)
@@ -81,56 +79,36 @@ class TestMutationSelfTest:
             worker._lemire_threshold,
             PairGraph.descendant_mask,
             CrowdSession.hits,
-            TokenIndex.extend,
-            IncrementalResolver._batch_candidates,
+            PostingJoin.extend,
             SessionRegistry._restore_resolver,
         )
         assert before == after
 
-    def test_stale_index_is_caught_only_by_the_stream_step(self):
-        """The stream-equivalence step has exclusive teeth for this mutant.
+    def test_lost_postings_are_caught_only_by_stream_step(self):
+        """``stream-resume-forgets-postings`` loses every pair a batch
+        makes with earlier batches; the stream step's multi-batch tier
+        holds the stream to the one-shot candidate pairs.
 
-        Under ``stream-stale-index`` the full battery must scream *and* the
-        failure must come from the stream check: the same battery with the
-        stream step disabled sails through, because no other check ever
-        exercises ``TokenIndex.extend``.
-        """
-        from repro.exceptions import VerificationError
-
-        mutant = next(m for m in MUTANTS if m.name == "stream-stale-index")
-        with mutant.activate():
-            with pytest.raises(VerificationError, match="stream-equivalence"):
-                run_detection_battery(seed=0)
-        # The serve step is off too: it hosts the same resolver, so the
-        # stale-index corruption hits server and reference runs alike and
-        # only the stream step can see it.
-        with mutant.activate():
-            run_detection_battery(
-                seed=0, include_stream=False, include_serve=False
-            )
-
-    def test_old_only_sweep_is_caught_only_by_the_stream_step(self):
-        """``stream-sweep-old-only`` drops the pairs a batch makes with
-        itself; the stream step's single-batch tier is all such pairs.
-
-        Every other step either never sweeps (one-shot resolves) or runs
-        the same mutated resolver on both of its sides (the serve step),
-        so the battery without the stream and serve steps passes.
+        A one-shot join and a one-batch stream each extend once, and the
+        serve step runs the same mutated resolver on both of its sides, so
+        the battery without the stream step passes.
         """
         from repro.core import IncrementalResolver
         from repro.exceptions import VerificationError
 
-        mutant = next(m for m in MUTANTS if m.name == "stream-sweep-old-only")
+        mutant = next(
+            m for m in MUTANTS if m.name == "stream-resume-forgets-postings"
+        )
         with mutant.activate():
             resolver = IncrementalResolver(("a",))
-            report = resolver.add_batch([("alpha beta",), ("alpha beta",)], [1, 1])
-            assert report["new_pairs"] == 0  # the new×new pair is gone
-            with pytest.raises(VerificationError, match="stream-equivalence"):
+            first = resolver.add_batch([("alpha beta",), ("alpha beta",)], [1, 1])
+            second = resolver.add_batch([("alpha beta",)], [1])
+            # The new×new pair stays; the two new×old pairs are gone.
+            assert (first["new_pairs"], second["new_pairs"]) == (1, 0)
+            with pytest.raises(VerificationError, match="stream-equivalence.*batches="):
                 run_detection_battery(seed=0)
         with mutant.activate():
-            run_detection_battery(
-                seed=0, include_stream=False, include_serve=False
-            )
+            run_detection_battery(seed=0, include_stream=False)
 
     def test_serve_leak_is_caught_only_by_the_serve_step(self):
         """Cross-session state leaks are invisible below the registry.

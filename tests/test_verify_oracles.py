@@ -235,20 +235,19 @@ class TestStreamEmptyTokenRecords:
         check_stream_equivalence(empty_token_table(), seed=0)
 
     def test_single_batch_tier_catches_dropped_empty_pairs(self, monkeypatch):
-        """A sweep that skips empty token sets again fails tier 1."""
-        from repro.core.incremental import IncrementalResolver
+        """A stream join that skips empty token sets again fails tier 1."""
+        from repro.core import incremental
+        from repro.similarity.batch import PostingJoin
         from repro.verify import check_stream_equivalence, empty_token_table
 
-        table = empty_token_table()
-        original = IncrementalResolver._batch_candidates
+        class SkipsEmpty(PostingJoin):
+            def extend(self, token_sets, probe=True):
+                pairs = super().extend(token_sets, probe=probe)
+                return [(a, b) for a, b in pairs if self.sizes[a] and self.sizes[b]]
 
-        def skips_empty(self, index, first):
-            sizes = index.sizes[index.row_of_text]
-            return [(a, b) for a, b in original(self, index, first) if sizes[a] and sizes[b]]
-
-        monkeypatch.setattr(IncrementalResolver, "_batch_candidates", skips_empty)
+        monkeypatch.setattr(incremental, "PostingJoin", SkipsEmpty)
         with pytest.raises(VerificationError, match="single-batch"):
-            check_stream_equivalence(table, seed=0)
+            check_stream_equivalence(empty_token_table(), seed=0)
 
 
 class TestCrowdAggregationOracle:
