@@ -15,6 +15,9 @@ Runs two ways:
 
 ``POWER_BENCH_FAST=1`` shrinks the workload to a smoke run whose gate only
 requires the incremental engine to win; the full run enforces the 3x floor.
+Both sides run once untimed, then in turn for every timed repeat (5 in fast
+mode, 3 in full mode); the gates read the medians, and the report keeps
+the quartiles and every run.
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-vertices", type=int, default=None,
                         help="graph-size cap (default 2500; 300 in fast mode)")
     parser.add_argument("--repeats", type=int, default=None,
-                        help="best-of-N timing (default 3; 1 in fast mode)")
+                        help="timed runs per side after one untimed warm-up, "
+                             "interleaved; the gate reads their medians "
+                             "(default 3; 5 in fast mode)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path,
                         default=Path(__file__).parent / "results" / RESULT_NAME)

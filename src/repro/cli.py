@@ -644,6 +644,7 @@ def _command_stream(args) -> int:
     finally:
         for signum, handler in previous_handlers.items():
             signal.signal(signum, handler)
+        resolver.close()
     if stop_signal:
         print(
             f"received signal {stop_signal[0]}; stopped cleanly after "

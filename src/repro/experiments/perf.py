@@ -352,37 +352,39 @@ def _timed_selection_run(
     truth: dict,
     seed: int,
     incremental: bool,
-    repeats: int,
 ):
-    """Best-of-*repeats* wall time of one full selector run.
+    """Wall time and result of one full selector run on a fresh graph.
 
-    A fresh graph is built per repeat (so the incremental side pays its
-    reachability-index build inside the measured wall every time).  The
-    scratch side (``incremental=False``) runs on a graph that declines its
-    index, the state of an over-budget graph, with the adjacency lists it
-    reads prebuilt outside the timer.
+    The incremental side pays its reachability-index build inside the
+    measured wall.  The scratch side (``incremental=False``) runs on a graph
+    that declines its index, the state of an over-budget graph, with the
+    adjacency lists it reads prebuilt outside the timer.
     """
     from ..crowd.platform import PerfectCrowd
     from ..graph.dag import PairGraph
     from ..selection import SELECTORS
     from ..verify.oracles import decline_reachability
 
-    best = float("inf")
-    result = None
-    for _ in range(max(1, repeats)):
-        graph = PairGraph(pairs, vectors)
-        if not incremental:
-            decline_reachability(graph)
-            graph.adjacency()
-        selector = SELECTORS[selector_name](seed=seed)
-        session = PerfectCrowd(truth).session()
-        start = time.perf_counter()
-        run = selector.run(graph, session)
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-            result = run
-    return best, result
+    graph = PairGraph(pairs, vectors)
+    if not incremental:
+        decline_reachability(graph)
+        graph.adjacency()
+    selector = SELECTORS[selector_name](seed=seed)
+    session = PerfectCrowd(truth).session()
+    start = time.perf_counter()
+    run = selector.run(graph, session)
+    return time.perf_counter() - start, run
+
+
+def _timing(name: str, runs: list[float]) -> dict:
+    """A timed side of the report: its median, quartiles and every run."""
+    low, high = np.percentile(runs, [25, 75])
+    return {
+        "name": name,
+        "seconds": round(float(np.median(runs)), 6),
+        "quartiles": [round(float(low), 6), round(float(high), 6)],
+        "runs": [round(run, 6) for run in runs],
+    }
 
 
 def run_selection_benchmark(
@@ -395,15 +397,19 @@ def run_selection_benchmark(
 ) -> dict:
     """Time the selection loop, incremental engine vs per-round scratch.
 
-    Each selector runs the full ask/color loop twice on the same
-    ACMPub-scale dominance graph against a perfect crowd over a monotone
-    truth: once with the incremental engine (reachability index +
-    warm-started path covers) and once on a graph that declines its index,
-    which runs the scratch reference paths.  Equivalence is asserted
-    inline — same vertices asked, in the same order, same final coloring —
-    so a fast-but-wrong engine fails the bench rather than winning it.  The report also carries per-round phase
-    splits (cover / augment / propagate / bookkeeping) and a rounds-vs-n
-    scaling sweep of the incremental engine.
+    Each selector runs the full ask/color loop on the same ACMPub-scale
+    dominance graph against a perfect crowd over a monotone truth: with the
+    incremental engine (reachability index + warm-started path covers) and
+    on a graph that declines its index, which runs the scratch reference
+    paths.  Each side runs once untimed; then *repeats* rounds (5 in fast
+    mode, 3 otherwise) time the scratch side and the incremental side in
+    turn, and the speedup is the ratio of their medians (the report keeps
+    the quartiles and every run).  Equivalence is asserted inline — same
+    vertices asked, in the same order, same final coloring — so a
+    fast-but-wrong engine fails the bench rather than winning it.  The
+    report also carries the last incremental run's per-round phase splits
+    (cover / augment / propagate / bookkeeping) and a rounds-vs-n scaling
+    sweep of the incremental engine.
 
     Returns:
         The JSON-serializable report written to ``BENCH_selection.json``.
@@ -412,7 +418,7 @@ def run_selection_benchmark(
 
     fast = fast_mode()
     if repeats is None:
-        repeats = 1 if fast else 3
+        repeats = 5 if fast else 3
     if max_vertices is None:
         max_vertices = 300 if fast else DEFAULT_SELECTION_VERTICES
 
@@ -421,12 +427,18 @@ def run_selection_benchmark(
 
     selector_reports: list[dict] = []
     for name in selectors:
-        ref_seconds, scratch = _timed_selection_run(
-            name, pairs, vectors, truth, seed, incremental=False, repeats=repeats
-        )
-        fast_seconds, incremental = _timed_selection_run(
-            name, pairs, vectors, truth, seed, incremental=True, repeats=repeats
-        )
+        runs: dict[str, list[float]] = {"scratch": [], "incremental": []}
+        results = {}
+        for timed in range(max(1, repeats) + 1):
+            for side in runs:
+                seconds, results[side] = _timed_selection_run(
+                    name, pairs, vectors, truth, seed, incremental=side == "incremental"
+                )
+                if timed:  # round 0 warms both sides up, untimed
+                    runs[side].append(seconds)
+        scratch, incremental = results["scratch"], results["incremental"]
+        ref_seconds = float(np.median(runs["scratch"]))
+        fast_seconds = float(np.median(runs["incremental"]))
         equivalent = (
             incremental.state.asked_order == scratch.state.asked_order
             and np.array_equal(incremental.state.colors, scratch.state.colors)
@@ -451,14 +463,8 @@ def run_selection_benchmark(
         selector_reports.append(
             {
                 "selector": name,
-                "reference": {
-                    "name": "scratch-cover",
-                    "seconds": round(ref_seconds, 6),
-                },
-                "fast": {
-                    "name": "incremental-cover",
-                    "seconds": round(fast_seconds, 6),
-                },
+                "reference": _timing("scratch-cover", runs["scratch"]),
+                "fast": _timing("incremental-cover", runs["incremental"]),
                 "speedup": round(speedup, 3),
                 "equivalent": bool(equivalent),
                 "rounds": int(telemetry.get("rounds", 0)),
@@ -488,11 +494,11 @@ def run_selection_benchmark(
         )
         scratch_seconds, _ = _timed_selection_run(
             "single-path", sub_pairs, sub_vectors, sub_truth, seed,
-            incremental=False, repeats=1,
+            incremental=False,
         )
         incr_seconds, run = _timed_selection_run(
             "single-path", sub_pairs, sub_vectors, sub_truth, seed,
-            incremental=True, repeats=1,
+            incremental=True,
         )
         telemetry = run.extras.get("selection", {})
         scaling.append(

@@ -19,10 +19,12 @@ much comparison work they avoid:
 truth in tests; it is not one of the paper's algorithms.
 The production kernel is one private generator of ``(B, n)`` dominance
 tiles (``n / B`` Python iterations instead of ``n``, bounded temporaries),
-cut into lists by :func:`blocked_dominance_lists`, into edges by
-:func:`blocked_edges`, and packed into bits by
-:meth:`repro.graph.reachability.ReachabilityIndex.build`.  The Fig. 20
-benchmark times the three faithful paper implementations.
+cut into lists by :func:`blocked_dominance_lists` (``adjacency()``) and into
+edges by :func:`blocked_edges`.  The reachability index
+(:meth:`repro.graph.reachability.ReachabilityIndex.build`) computes its
+packed rows from per-attribute prefix bitsets instead, so the tiles are an
+independent reference for it.  The Fig. 20 benchmark times the three
+faithful paper implementations.
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ def vectorized_edges(vectors: np.ndarray) -> set[Edge]:
 
 #: Row-tile height of the blocked dominance kernel.  Chosen so one boolean
 #: ``(B, n)`` accumulator stays comfortably inside L2/L3 for the pair counts
-#: the paper's datasets produce (n up to a few hundred thousand).  It must
-#: be a multiple of 8: the reachability build packs each tile's columns
-#: into whole ancestor bytes, and starts its upper-triangle tiles on a byte.
+#: the paper's datasets produce (n up to a few hundred thousand).  The
+#: reachability build ANDs its rows in blocks of the same height, which must
+#: be a multiple of 8 so that each block of descendant rows starts on a byte.
 DEFAULT_BLOCK_SIZE = 256
 
 
@@ -114,20 +116,19 @@ def _dominance_tiles(
     dominated: np.ndarray,
     block_size: int = DEFAULT_BLOCK_SIZE,
     exclude_diagonal: bool = True,
-    upper_triangle: bool = False,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(start, tile)`` for consecutive row blocks: the one tile loop.
 
-    ``tile[i, j]`` is True iff ``dominant[start + i] >= dominated[first + j]``
-    on every attribute and ``>`` on at least one, where the column start
-    ``first`` is 0, or ``start`` with *upper_triangle* (the rows are in a
-    linear extension, so nothing left of the diagonal can be set).  Given
-    ``>=`` everywhere, ``>`` somewhere holds exactly when the two rows
-    differ, so one comparison of joint row ranks replaces the per-attribute
-    ``>`` passes.  Each attribute is read as a contiguous row of the
-    transposed operands (a strided ``dominated[:, k]`` costs two to three
-    times as much), and the tiles reuse two buffers, so a tile is only
-    valid until the next one is drawn.
+    ``tile[i, j]`` is True iff ``dominant[start + i] >= dominated[j]`` on
+    every attribute and ``>`` on at least one: ``O(B * n)`` comparisons per
+    tile, the kernel behind ``adjacency()``, :func:`blocked_edges` and the
+    graphs over the reachability index's byte budget.  Given ``>=``
+    everywhere, ``>`` somewhere holds exactly when the two rows differ, so
+    one comparison of joint row ranks replaces the per-attribute ``>``
+    passes.  Each attribute is read as a contiguous row of the transposed
+    operands (a strided ``dominated[:, k]`` costs two to three times as
+    much), and the tiles reuse two buffers, so a tile is only valid until
+    the next one is drawn.
     """
     dominant = _validate(dominant)
     dominated = _validate(dominated)
@@ -145,20 +146,15 @@ def _dominance_tiles(
     buffers = np.empty((2, height * n), dtype=bool)
     for start in range(0, n, block_size):
         stop = min(start + block_size, n)
-        first = start if upper_triangle else 0
-        shape = (stop - start, n - first)
+        shape = (stop - start, n)
         all_ge, compared = (buffer[: shape[0] * shape[1]].reshape(shape) for buffer in buffers)
         all_ge.fill(True)
         for k in range(m):
             block = rows_by_attribute[k, start:stop, None]
-            all_ge &= np.greater_equal(
-                block, columns_by_attribute[k, first:], out=compared
-            )
-        all_ge &= np.not_equal(
-            row_ranks[start:stop, None], column_ranks[first:], out=compared
-        )
+            all_ge &= np.greater_equal(block, columns_by_attribute[k], out=compared)
+        all_ge &= np.not_equal(row_ranks[start:stop, None], column_ranks, out=compared)
         if exclude_diagonal:
-            all_ge[np.arange(stop - start), np.arange(start - first, stop - first)] = False
+            all_ge[np.arange(stop - start), np.arange(start, stop)] = False
         yield start, all_ge
 
 

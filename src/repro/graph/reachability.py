@@ -3,9 +3,12 @@
 Because strict dominance is transitive, a vertex's adjacency row *is* its
 full descendant set — so the whole reachability structure of the DAG fits
 in two bit-matrices of ``n x ceil(n/8)`` bytes (descendants row-wise, and
-their transpose for ancestors).  A :class:`ReachabilityIndex` packs both
-with :func:`numpy.packbits` (``bitorder="little"``: bit ``j`` of byte ``i``
-is position ``8 i + j``).
+their transpose for ancestors).  A :class:`ReachabilityIndex` holds both
+packed in ``bitorder="little"`` (bit ``j`` of byte ``i`` is position
+``8 i + j``).  The build computes the packed rows directly, eight
+comparisons to a byte, as the Bitmap skyline method does (Tan, Eng & Ooi,
+VLDB 2001): one prefix bitset per distinct attribute value, ANDed across
+the attributes.
 
 Rows and columns are stored in one linear extension of the order,
 :func:`repro.graph.construction.linear_extension` (dominators first), so
@@ -15,9 +18,8 @@ maps stored positions to vertex ids; every method takes and returns public
 vertex ids, with neighbours in ascending id order.  The order pays off
 three times:
 
-* the build compares each 256-row tile only against the columns from its
-  own first row on (the upper triangle), in one pass over the dominance
-  tiles of :mod:`repro.graph.construction`;
+* the build ANDs each block of descendant rows only from the block's
+  first byte on, and each block of ancestor rows only up to its last;
 * color propagation (``ColoringState.apply_round``) sums a round's rows,
   unpacked only over the span the order leaves non-empty
   (:meth:`ReachabilityIndex.row_counts`);
@@ -40,9 +42,10 @@ small graph in the same state, which is how the differential checks and
 the selection benchmark run the reference paths.
 
 Masks read from the index are byte-identical to the float-broadcast masks
-(``graph.ancestor_mask`` / ``graph.descendant_mask``) and to the separately
-built adjacency lists; the battery's ``check_reachability_index`` step
-enforces this, and that nothing sits on or below the stored diagonal.
+(``graph.ancestor_mask`` / ``graph.descendant_mask``) and to the adjacency
+lists, which the dominance tiles of :mod:`repro.graph.construction` build
+independently; the battery's ``check_reachability_index`` step enforces
+this, and that nothing sits on or below the stored diagonal.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ from . import construction
 DEFAULT_REACHABILITY_BYTES = 256 * 1024 * 1024
 
 #: Bytes of rows :meth:`ReachabilityIndex.row_counts` and
-#: :meth:`ReachabilityIndex.kahn_layers` unpack (or AND) at once.
+#: :meth:`ReachabilityIndex.kahn_layers` unpack (or AND) at once, and the
+#: most bytes of prefix table the build holds at once.
 UNPACK_CHUNK_BYTES = 1 << 22
 
 
@@ -112,34 +116,31 @@ class ReachabilityIndex:
 
     @classmethod
     def build(cls, dominant: np.ndarray, dominated: np.ndarray) -> "ReachabilityIndex":
-        """Build the index in one pass over upper-triangle dominance tiles.
+        """Build the index from per-attribute prefix bitsets.
 
         *dominant* and *dominated* are the graph's ``_dominance_operands()``,
         permuted into :func:`~repro.graph.construction.linear_extension`
-        order.  The tile of rows ``start..stop-1`` covers columns ``start..n``;
-        packed along its rows it is those descendant rows from byte
-        ``start/8`` on, and packed along its columns it is the ancestor
-        matrix's byte columns ``start/8 .. ceil(stop/8)`` from row ``start``
-        down — byte-aligned because the tile height
-        ``construction.DEFAULT_BLOCK_SIZE`` is a multiple of 8.
+        order.  Vertex ``u`` lists ``v`` as a descendant when
+        ``dominant[u] >= dominated[v]`` on every attribute: the AND, over the
+        attributes, of the prefix-table rows ``u``'s own values pick
+        (:func:`_dominance_rows`).  Ancestor rows are the same relation read
+        from the other side: ``-dominated[v] >= -dominant[u]``.  Strictness
+        then clears the pairs whose rows are equal (their joint row ranks,
+        ``construction._joint_row_ranks``, match) and the diagonal.  With no
+        attribute every row is equal, and nothing is set.  Besides the two
+        matrices the build holds at most :data:`UNPACK_CHUNK_BYTES` of one
+        attribute's table and one block of gathered rows, so the index byte
+        budget bounds its peak.
         """
         order = construction.linear_extension(dominant)
         dominant = np.asarray(dominant, dtype=np.float64)[order]
         dominated = np.asarray(dominated, dtype=np.float64)[order]
-        n = len(order)
-        desc = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-        anc = np.zeros_like(desc)
-        for start, tile in construction._dominance_tiles(
-            dominant, dominated, construction.DEFAULT_BLOCK_SIZE, upper_triangle=True
-        ):
-            stop = start + len(tile)
-            first = start >> 3
-            desc[start:stop, first:] = np.packbits(tile, axis=1, bitorder="little")
-            # Packing the transposed copy along axis 1 is the axis-0 pack,
-            # at a third of its cost.
-            anc[start:, first : (stop + 7) >> 3] = np.packbits(
-                np.ascontiguousarray(tile.T), axis=1, bitorder="little"
-            )
+        high = np.ascontiguousarray(dominant.T)
+        low = np.ascontiguousarray(dominated.T)
+        desc = _dominance_rows(high, low, upper=True)
+        anc = _dominance_rows(-low, -high, upper=False)
+        if dominant.shape[1]:
+            _clear_equal_rows(desc, anc, dominant, dominated)
         return cls(desc, anc, order)
 
     # ------------------------------------------------------------------ #
@@ -275,6 +276,137 @@ class ReachabilityIndex:
 
     def nbytes(self) -> int:
         return int(self._desc.nbytes + self._anc.nbytes)
+
+
+#: ``_BIT[j]`` is the byte with only bit ``j`` set (``bitorder="little"``).
+_BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
+
+
+def _threshold_counts(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """How many of the sorted *ordered* each of *values* is at least.
+
+    NaN compares false on either side, as in the dominance tiles.  NaN sorts
+    last, so no other value counts a NaN in *ordered*; a NaN value counts
+    nothing.
+    """
+    counts = np.searchsorted(ordered, values, side="right")
+    counts[values != values] = 0
+    return counts
+
+
+def _prefix_table(
+    listed: np.ndarray, entries: np.ndarray, rows: int, nbytes: int
+) -> np.ndarray:
+    """One attribute's prefix-OR table, *rows* rows of *nbytes* bytes.
+
+    Column ``listed[i]`` enters at table row ``entries[i]``, and a prefix OR
+    down the rows (as 8-byte words, so the rows are padded to whole words)
+    carries it into every later row.
+    """
+    width = -(-nbytes // 8) * 8
+    table = np.zeros((rows, width), dtype=np.uint8)
+    np.bitwise_or.at(
+        table.reshape(-1), entries * width + (listed >> 3), _BIT[listed & 7]
+    )
+    words = table.view(np.uint64)
+    np.bitwise_or.accumulate(words, axis=0, out=words)
+    return table
+
+
+def _dominance_rows(rows: np.ndarray, columns: np.ndarray, upper: bool) -> np.ndarray:
+    """Packed ``rows[:, r] >= columns[:, c]`` on every attribute, by rows ``r``.
+
+    *rows* and *columns* are ``(m, n)``, one attribute per row.  The
+    attributes are taken one at a time.  Each gets a prefix-OR table over
+    its columns sorted by value: row ``i`` holds the bits of every column
+    whose value is at most the ``i``-th threshold, and only thresholds some
+    row picks get a table row (a presence mask over the counts ``0..n``).
+    A row's bits are then the AND, over the attributes, of the table rows
+    its own values pick.
+
+    Rows and columns are in one linear extension, so with *upper* a block of
+    rows ``start..stop-1`` can hold bits only from byte ``start/8`` on (the
+    descendant side), and otherwise only up to byte ``ceil(stop/8)`` (the
+    ancestor side); the bytes outside stay zero.  The blocks are
+    ``construction.DEFAULT_BLOCK_SIZE`` rows high, a multiple of 8, so a
+    block starts on a byte.  A table holding more than
+    :data:`UNPACK_CHUNK_BYTES` is built and applied in column chunks, so at
+    most one chunk of one attribute's table is alive at once.
+    """
+    m, n = rows.shape
+    width = (n + 7) // 8
+    bits = np.zeros((n, width), dtype=np.uint8)
+    if not n:
+        return bits
+    height = construction.DEFAULT_BLOCK_SIZE
+    for k in range(m):
+        by_value = np.argsort(columns[k])
+        counts = _threshold_counts(columns[k, by_value], rows[k])
+        present = np.zeros(n + 1, dtype=bool)
+        present[counts] = True
+        slots = np.cumsum(present)
+        picks = slots[counts] - 1
+        # The column at sorted position p enters the table at the first
+        # picked count past p.
+        last = int(counts.max())
+        listed, entries = by_value[:last], slots[:last]
+        thresholds = int(slots[-1])
+        span = max(8, UNPACK_CHUNK_BYTES // thresholds // 8 * 8)
+        for chunk in range(0, width, span):
+            end = min(chunk + span, width)
+            inside = listed, entries
+            if span < width:  # several chunks: keep this chunk's columns
+                keep = (listed >= 8 * chunk) & (listed < 8 * end)
+                inside = listed[keep] - 8 * chunk, entries[keep]
+            table = _prefix_table(*inside, thresholds, end - chunk)
+            for start in range(0, n, height):
+                stop = min(start + height, n)
+                if upper:
+                    lo, hi = max(chunk, start >> 3), end
+                else:
+                    lo, hi = chunk, min(end, (stop + 7) >> 3)
+                if lo >= hi:
+                    continue
+                block = table[picks[start:stop], lo - chunk : hi - chunk]
+                if k:
+                    bits[start:stop, lo:hi] &= block
+                else:
+                    bits[start:stop, lo:hi] = block
+    return bits
+
+
+def _clear_equal_rows(
+    desc: np.ndarray, anc: np.ndarray, dominant: np.ndarray, dominated: np.ndarray
+) -> None:
+    """Clear the diagonal and every pair whose two rows are equal.
+
+    ``>=`` everywhere is strict dominance unless the rows are equal, which
+    their joint row ranks tell exactly.  Equal pairs off the diagonal are
+    expanded one block of rows at a time, so no temporary grows with the
+    square of the number of equal rows.
+    """
+    n = len(desc)
+    diagonal = np.arange(n)
+    desc[diagonal, diagonal >> 3] &= ~_BIT[diagonal & 7]
+    anc[diagonal, diagonal >> 3] &= ~_BIT[diagonal & 7]
+    row_ranks, column_ranks = construction._joint_row_ranks(dominant, dominated)
+    sizes = np.bincount(column_ranks, minlength=2 * n + 1)
+    matches = sizes[row_ranks]
+    if not (matches - (row_ranks == column_ranks)).any():
+        return
+    by_rank = np.argsort(column_ranks)
+    firsts = np.cumsum(sizes) - sizes
+    for start in range(0, n, construction.DEFAULT_BLOCK_SIZE):
+        stop = min(start + construction.DEFAULT_BLOCK_SIZE, n)
+        counts = matches[start:stop]
+        total = int(counts.sum())
+        if not total:
+            continue
+        rows = np.repeat(np.arange(start, stop), counts)
+        offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        cols = by_rank[np.repeat(firsts[row_ranks[start:stop]], counts) + offsets]
+        np.bitwise_and.at(desc, (rows, cols >> 3), ~_BIT[cols & 7])
+        np.bitwise_and.at(anc, (cols, rows >> 3), ~_BIT[rows & 7])
 
 
 __all__ = [

@@ -421,13 +421,17 @@ class SessionRegistry:
 
         Queued work is *paid-for* work in flight; eviction and drain both
         complete it before snapshotting, so no admitted batch (and no
-        crowd answer it bought) is ever lost to memory management.
+        crowd answer it bought) is ever lost to memory management.  The
+        resolver is dropped afterwards, so its manifest file is closed.
         """
         live.queue.put_nowait(_STOP)
         await live.task
-        return await asyncio.get_running_loop().run_in_executor(
-            self._pool, live.resolver.checkpoint
-        )
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._pool, live.resolver.checkpoint
+            )
+        finally:
+            live.resolver.close()
 
     # ------------------------------------------------------------------ #
     # The single-writer actor

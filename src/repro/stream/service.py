@@ -262,6 +262,11 @@ class StreamingResolver(IncrementalResolver):
             "rng_state": _encode_rng_state(self._rng.bit_generator.state),
         }
 
+    def close(self) -> None:
+        """Close the snapshot journal's file; a later checkpoint reopens it."""
+        if self._store is not None:
+            self._store.close()
+
     def checkpoint(self) -> dict[str, Any]:
         """Write one complete, recoverable snapshot; returns its record.
 

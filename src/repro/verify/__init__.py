@@ -31,6 +31,7 @@ from .battery import (
     BatteryConfig,
     empty_token_table,
     float_sum_tie_instance,
+    nan_instance,
     overlap_floor_instance,
     quarter_grid_vectors,
     random_instance,
@@ -134,6 +135,7 @@ __all__ = [
     "naive_join",
     "naive_kahn_layers",
     "naive_transitive_closure",
+    "nan_instance",
     "overlap_floor_instance",
     "prefix_join",
     "quarter_grid_vectors",

@@ -9,7 +9,8 @@ mutation self-test into a single :class:`~repro.verify.report.VerificationReport
    and noisy crowds, grouped and ungrouped graphs), the round update vs
    the one-answer-at-a-time engine on every selector, and the batched
    crowd-draw kernel vs numpy's own generators; graphs sized across
-   byte and tile boundaries drive the packed reachability-index check,
+   byte and tile boundaries, and a NaN similarity, drive the packed
+   reachability-index check,
    a float-sum tie, signed zeros and duplicate rows drive the index and
    both layering paths,
    and a quarter-grid matrix (members on node midpoints) plus the 0- and
@@ -123,6 +124,17 @@ def float_sum_tie_instance() -> tuple[list[tuple[int, int]], np.ndarray]:
     stable descending-sum order puts vertex 0 before 1.
     """
     vectors = np.array([[1.0, 0.0], [1.0, 1e-17], [0.5, 0.0]])
+    return [(0, 1), (0, 2), (1, 2)], vectors
+
+
+def nan_instance() -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Three vertices, one with a NaN similarity, which compares false.
+
+    Vertex 0's NaN leaves it above and below nothing, so the only edge is
+    ``1 > 2``; a threshold count that sorts NaN as the largest value has
+    vertex 0 dominate both others.
+    """
+    vectors = np.array([[0.5, np.nan], [0.4, 0.3], [0.2, 0.1]])
     return [(0, 1), (0, 2), (1, 2)], vectors
 
 
@@ -318,7 +330,8 @@ def _synthetic_sweeps(config: BatteryConfig, report: VerificationReport) -> None
         )
 
 
-#: Vertex counts that straddle a byte (8) and a dominance tile (256 rows).
+#: Vertex counts that straddle a byte (8) and a block of 256 rows (a
+#: dominance tile, and a block of the index build's rows).
 REACHABILITY_SIZES = (7, 8, 9, 255, 256, 257, 520)
 
 
@@ -344,6 +357,11 @@ def _reachability_sweeps(config: BatteryConfig, report: VerificationReport) -> N
                 GroupedGraph(PairGraph(p, v), s)
             ),
         )
+    run_check(
+        report,
+        "reachability-index[NaN]",
+        lambda: invariants.check_reachability_index(PairGraph(*nan_instance())),
+    )
     run_check(
         report,
         "linear-extension[float-sum tie]",
@@ -559,6 +577,7 @@ __all__ = [
     "BatteryConfig",
     "empty_token_table",
     "float_sum_tie_instance",
+    "nan_instance",
     "overlap_floor_instance",
     "quarter_grid_vectors",
     "random_instance",

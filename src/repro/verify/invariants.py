@@ -242,9 +242,12 @@ def check_reachability_index(graph: OrderedGraph) -> None:
     the diagonal and every ancestor row empty on and right of it.  Then
     every descendant row, read back in vertex ids, is diffed against
     ``descendant_mask`` and ``adjacency()`` (built by its own full-square
-    tile pass), and every ancestor row against ``ancestor_mask`` and the
-    transposed ``adjacency()``.  Byte (8) and tile (256 rows) boundaries are
-    where the packing can go wrong, so callers pick sizes that straddle them.
+    tile pass, independent of the index's prefix-bitset build), and every
+    ancestor row against ``ancestor_mask`` and the transposed
+    ``adjacency()``.  Byte (8) and row-block (256 rows) boundaries are
+    where the packing can go wrong, so callers pick sizes that straddle
+    them; NaN similarities (which compare false) are where the build's
+    threshold counts can.
     """
     from ..graph.reachability import unpack_mask
 

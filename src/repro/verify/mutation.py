@@ -10,9 +10,12 @@ check screams.  Every mutant models a realistic regression:
 mutant                  seeded bug
 ======================  ====================================================
 ``drop-dominance-edge`` the dominance tile generator silently loses one
-                        edge per pass (lists, edge set and packed index)
-``reachability-ragged-tile``  the one-pass index build skips the ancestor
-                        slab of the last, ragged tile
+                        edge per pass (lists and edge set; the packed index
+                        keeps it)
+``reachability-ragged-block``  the index build's ancestor rows lose their
+                        bits inside the last, ragged row block
+``prefix-table-nan``    the index build counts thresholds with a plain
+                        ``searchsorted``, so NaN sorts as the largest value
 ``sum-order-extension``  the linear extension orders vertices by float
                         row sums, which can tie under dominance
 ``split-midpoint-tie``  Split grouping puts a member lying on a node's
@@ -42,10 +45,10 @@ manager that always restores the originals; lazily-imported helpers
 (``topological_layers``, ``minimum_path_cover``) are patched at their
 defining module *and* at every module-level import site, so both the
 production pipeline and the oracles see the mutated code.  The dominance
-tile generator, the linear extension, the Split cell-bit helper and the
-crowd kernel's Lemire threshold and the join's overlap floor have no
-import sites: every consumer looks them up through their defining module
-at call time.
+tile generator, the linear extension, the index build's threshold count,
+the Split cell-bit helper and the crowd kernel's Lemire threshold and the
+join's overlap floor have no import sites: every consumer looks them up
+through their defining module at call time.
 
 :func:`run_mutation_selftest` returns a
 :class:`~repro.verify.report.VerificationReport` with one result per
@@ -111,11 +114,11 @@ class Mutant:
 def _mutant_drop_dominance_edge():
     """The dominance tile generator loses the first tile's last edge.
 
-    Patched where production reads it: the adjacency lists, the edge set
-    and the packed reachability index all draw their tiles through
-    ``construction._dominance_tiles`` at call time, so every consumer
-    silently loses an edge (the index tiles rows in its stored order, so
-    its lost edge can differ from the lists').
+    Patched where production reads it: the adjacency lists and the edge
+    set draw their tiles through ``construction._dominance_tiles`` at call
+    time, so both silently lose an edge.  The packed reachability index is
+    built from prefix bitsets, not tiles, so it keeps the edge, and
+    ``check_reachability_index`` reports that the two disagree.
     """
     from ..graph import construction
 
@@ -133,17 +136,19 @@ def _mutant_drop_dominance_edge():
     return _patched((construction, "_dominance_tiles", mutated))
 
 
-def _mutant_reachability_ragged_tile():
-    """The one-pass index build skips the last, ragged tile's ancestor slab.
+def _mutant_reachability_ragged_block():
+    """The index build's ancestor rows lose their bits inside the last block.
 
-    Models an off-by-one in :meth:`ReachabilityIndex.build`: ancestor bits
-    are packed for full-height tiles only, so no vertex lists any of the
-    last ``n mod B`` stored rows among its ancestors.  Descendant rows and
-    the adjacency lists stay correct, so the structural invariants (which
-    read the lists) cannot see it; ``check_reachability_index``, which
-    unpacks every ancestor row, can, and so can the layering check when one
-    of those rows has an active descendant (Power's in-degrees are
-    popcounts of ancestor rows).
+    Models an off-by-one in :meth:`ReachabilityIndex.build`'s ancestor
+    pass: the last, ragged block of ``n mod B`` rows
+    (``B = construction.DEFAULT_BLOCK_SIZE``) is ANDed only up to its own
+    first byte, so no vertex lists any of the last ``n mod B`` stored rows
+    among its ancestors (only rows of that block could: the ancestor matrix
+    is lower triangular).  Descendant rows and the adjacency lists stay
+    correct, so the structural invariants (which read the lists) cannot
+    see it; ``check_reachability_index``, which unpacks every ancestor
+    row, can, and so can the layering check when one of those rows has an
+    active descendant (Power's in-degrees are popcounts of ancestor rows).
     """
     from ..graph import construction
     from ..graph.reachability import ReachabilityIndex
@@ -153,11 +158,30 @@ def _mutant_reachability_ragged_tile():
     def mutated(cls, dominant, dominated):
         index = original(cls, dominant, dominated)
         ragged = index.num_vertices % construction.DEFAULT_BLOCK_SIZE
-        if ragged:  # bug: the ragged tile's ancestor bytes stay unwritten
+        if ragged:  # bug: the ragged block's own ancestor bytes stay unwritten
             index._anc[:, (index.num_vertices - ragged) >> 3 :] = 0
         return index
 
     return _patched((ReachabilityIndex, "build", classmethod(mutated)))
+
+
+def _mutant_prefix_table_nan():
+    """The index build counts thresholds with a plain ``searchsorted``.
+
+    NaN sorts as the largest value, so a vertex with a NaN similarity picks
+    the widest prefix-table row and dominates every vertex its other
+    attributes cover, where the dominance tiles and the graph's masks (NaN
+    compares false) give it no edge.  No other battery instance holds a
+    NaN, so only ``check_reachability_index`` on the NaN instance can
+    notice.  Patched at ``reachability._threshold_counts``, which the build
+    looks up at call time.
+    """
+    from ..graph import reachability
+
+    def mutated(ordered, values):
+        return np.searchsorted(ordered, values, side="right")  # bug: NaN is largest
+
+    return _patched((reachability, "_threshold_counts", mutated))
 
 
 def _mutant_sum_order_extension():
@@ -167,7 +191,7 @@ def _mutant_sum_order_extension():
     implies ``sum(u) >= sum(v)`` in floating point, not ``>``, so where two
     sums round to the same value a stable sort can put the dominated vertex
     first.  In the index that edge then lands below the stored diagonal
-    (beyond the first tile, the upper-triangle build drops it), and the
+    (beyond the first row block, the build never writes it), and the
     fallback DP layers the pair together.  The battery's
     other instances have no such tie, so only ``check_linear_extension`` on
     the float-sum tie instance can notice.  Patched at
@@ -459,9 +483,15 @@ MUTANTS: tuple[Mutant, ...] = (
         _mutant_drop_dominance_edge,
     ),
     Mutant(
-        "reachability-ragged-tile",
-        "the index build skips the ancestor slab of the last, ragged tile",
-        _mutant_reachability_ragged_tile,
+        "reachability-ragged-block",
+        "the index build's ancestor rows lose their bits inside the last, "
+        "ragged row block",
+        _mutant_reachability_ragged_block,
+    ),
+    Mutant(
+        "prefix-table-nan",
+        "the index build counts thresholds with a plain searchsorted (NaN largest)",
+        _mutant_prefix_table_nan,
     ),
     Mutant(
         "sum-order-extension",
@@ -601,10 +631,13 @@ def run_detection_battery(
     invariants.check_topo_layers(graph)
     invariants.check_path_cover(graph)
 
-    # The packed reachability index: on the fixture, and on a fresh graph
-    # whose last tile is ragged (256 + 4 rows).
+    # The packed reachability index: on the fixture, on a fresh graph whose
+    # last row block is ragged (256 + 4 rows), and where a NaN similarity
+    # compares false: the only step with a NaN, hence the only one able to
+    # catch the prefix-table-nan mutant.
     from .battery import (
         float_sum_tie_instance,
+        nan_instance,
         overlap_floor_instance,
         quarter_grid_vectors,
         random_instance,
@@ -612,6 +645,7 @@ def run_detection_battery(
 
     invariants.check_reachability_index(graph)
     invariants.check_reachability_index(PairGraph(*random_instance(seed, 260)))
+    invariants.check_reachability_index(PairGraph(*nan_instance()))
 
     # The index and both layering paths where a float row sum ties under
     # dominance: the only step that tells the exact linear extension from

@@ -946,7 +946,7 @@ def check_linear_extension(pairs: Sequence[Pair], vectors: np.ndarray) -> None:
     (:func:`~repro.verify.battery.float_sum_tie_instance`) tells the exact
     order from a sum order; signed zeros and duplicate rows
     (:func:`~repro.verify.battery.signed_zero_instance`) test the joint
-    row ranks of the dominance tiles.
+    row ranks that the index build and the dominance tiles both use.
     """
     from .invariants import check_reachability_index, check_topo_layers
 
@@ -1490,6 +1490,7 @@ def check_stream_equivalence(
                     worker_band=worker_band,
                 )
                 straight_record = straight.checkpoint()
+            straight.close()
 
             victim = StreamingResolver(
                 table.attributes,
@@ -1503,6 +1504,7 @@ def check_stream_equivalence(
                 worker_band=worker_band,
             )
             victim.checkpoint()
+            victim.close()  # as the OS closes a killed process's files
             # The kill: the process dies mid-append, leaving a torn trailing
             # line on the manifest — the exact damage the journal repair
             # discipline truncates away on restore.
@@ -1519,6 +1521,7 @@ def check_stream_equivalence(
                     worker_band=worker_band,
                 )
                 resumed_record = resumed.checkpoint()
+            resumed.close()
 
             label = f"stream-equivalence[{table.name!r}] kill-resume"
             re_paid = {
@@ -1625,7 +1628,9 @@ def check_serve_equivalence(
                 [record.values for record in chunk],
                 entity_ids=[record.entity_id for record in chunk],
             )
-        return resolver.checkpoint()["state_sha"]
+        sha = resolver.checkpoint()["state_sha"]
+        resolver.close()
+        return sha
 
     def encoded_config(tenant_seed: int) -> dict:
         from ..stream.service import _encode_config

@@ -262,3 +262,82 @@ class TestLinearExtensionOrder:
         assert index.row_counts(np.arange(n), ancestors=True).tolist() == [0] * n
         assert index.reached(np.arange(n)).tolist() == []
         check_reachability_index(graph)
+
+
+#: Cell values for the prefix-bitset build's edge cases: a coarse grid,
+#: signed zeros, NaN (which compares false) and both infinities.
+SPECIAL_CELLS = np.array([0.0, -0.0, 1 / 3, 2 / 3, 1.0, np.nan, np.inf, -np.inf])
+
+
+def special_graph(seed: int, n: int, m: int, grouped: bool):
+    """A pair or grouped graph of *n* vertices drawn from SPECIAL_CELLS.
+
+    Each draw weighs the cells differently, so some graphs are mostly NaN
+    and others have none.  The grouped graph pairs base vertices ``2g`` and
+    ``2g + 1`` into group g (lower bounds against upper bounds).
+    """
+    rng = np.random.default_rng(seed)
+    rows = 2 * n if grouped else n
+    weights = rng.dirichlet(np.ones(len(SPECIAL_CELLS)))
+    vectors = rng.choice(SPECIAL_CELLS, (rows, m), p=weights)
+    base = PairGraph([(2 * i, 2 * i + 1) for i in range(rows)], vectors)
+    if not grouped:
+        return base
+    return GroupedGraph(base, [[2 * g, 2 * g + 1] for g in range(n)])
+
+
+class TestPrefixBitsetBuild:
+    """The index is built from per-attribute prefix bitsets, and must read
+    back exactly what the float masks and the dominance tiles give."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(ORDER_SIZES, st.sampled_from([0, 1, 3, 8]), st.booleans(), st.integers(0, 9999))
+    def test_index_passes_the_reachability_check(self, n, m, grouped, seed):
+        check_reachability_index(special_graph(seed, n, m, grouped))
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_every_row_equal(self, grouped):
+        """n = 520 equal rows: every pair ties, so strictness clears all."""
+        n = 520
+        rows = 2 * n if grouped else n
+        graph = PairGraph([(2 * i, 2 * i + 1) for i in range(rows)], np.full((rows, 3), 0.5))
+        if grouped:
+            graph = GroupedGraph(graph, [[2 * g, 2 * g + 1] for g in range(n)])
+        index = graph.build_reachability()
+        assert not index._desc.any() and not index._anc.any()
+        check_reachability_index(graph)
+
+    def test_every_value_distinct(self):
+        """n = 520 with no repeated value on any attribute: the widest tables."""
+        rng = np.random.default_rng(7)
+        vectors = np.stack([rng.permutation(520) / 519 for _ in range(3)], axis=1)
+        graph = PairGraph([(2 * i, 2 * i + 1) for i in range(520)], vectors)
+        check_reachability_index(graph)
+
+    def test_nan_compares_false(self):
+        """Vertex 0's NaN puts it above and below nothing (a threshold count
+        that sorts NaN as the largest value reads ``[[1, 2], [2], []]``)."""
+        graph = PairGraph([(0, 1), (0, 2), (1, 2)], [[0.5, np.nan], [0.4, 0.3], [0.2, 0.1]])
+        index = graph.build_reachability()
+        assert [index.descendants(v).tolist() for v in range(3)] == [[], [2], []]
+        assert [index.ancestors(v).tolist() for v in range(3)] == [[], [], [1]]
+        check_reachability_index(graph)
+
+    @pytest.mark.parametrize("nan_share", [0.0, 0.95])
+    def test_tables_built_in_column_chunks(self, monkeypatch, nan_share):
+        """A table over the chunk budget is built and applied a chunk of
+        columns at a time, with the same bytes.  With most of an attribute
+        NaN, its table lists fewer columns than one chunk holds, though
+        they lie in every chunk."""
+        from repro.graph import reachability
+
+        rng = np.random.default_rng(3)
+        vectors = rng.integers(0, 7, (300, 3)) / 6.0
+        vectors[rng.random(300) < nan_share, 1] = np.nan
+        pairs = [(2 * i, 2 * i + 1) for i in range(300)]
+        whole = PairGraph(pairs, vectors).build_reachability()
+        monkeypatch.setattr(reachability, "UNPACK_CHUNK_BYTES", 64)
+        chunked = PairGraph(pairs, vectors)
+        check_reachability_index(chunked)
+        assert np.array_equal(whole._desc, chunked.reachability._desc)
+        assert np.array_equal(whole._anc, chunked.reachability._anc)

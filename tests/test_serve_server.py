@@ -12,7 +12,9 @@ to driving :class:`StreamingResolver` directly.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -23,9 +25,12 @@ from repro.serve import (
     AsyncServeClient,
     ResolutionServer,
     ServeApp,
+    SessionRegistry,
+    SessionSpec,
     encode,
 )
 from repro.stream import StreamingResolver
+from repro.stream.snapshot import MANIFEST_NAME
 
 ATTRS = ("name", "city", "cuisine")
 
@@ -53,7 +58,9 @@ def _direct_sha(table, tmp_path, name, chunks, seed=0):
     )
     for chunk in chunks:
         resolver.add_batch(_rows(chunk), entity_ids=_ids(chunk))
-    return resolver.checkpoint()["state_sha"]
+    sha = resolver.checkpoint()["state_sha"]
+    resolver.close()
+    return sha
 
 
 def run(coro):
@@ -156,6 +163,48 @@ class TestEndToEnd:
 
         sha = run(scenario())
         assert sha == _direct_sha(small_table, tmp_path, "cold", [chunk])
+
+
+class TestRegistryResources:
+    def test_eviction_cycles_close_every_manifest(self, small_table, tmp_path):
+        """A retired session closes its manifest journal.
+
+        With one resident session, two alternating tenants evict and
+        restore on every touch.  After a full collection no
+        ``MANIFEST.jsonl`` handle may be left for the garbage collector to
+        close (an unclosed file raises a ``ResourceWarning``).
+        """
+        chunks = _chunks(small_table, 3)
+
+        async def scenario():
+            registry = SessionRegistry(tmp_path / "serve", max_resident=1)
+            try:
+                for name in ("a", "b"):
+                    await registry.create(name, SessionSpec(ATTRS))
+                for chunk in chunks:
+                    for name in ("a", "b"):
+                        payload = {"rows": _rows(chunk), "entity_ids": _ids(chunk)}
+                        await registry.submit(name, "ingest", payload)
+                for name in ("a", "b"):
+                    await registry.close(name)
+            finally:
+                registry.shutdown()
+            return registry.evictions
+
+        gc.collect()  # earlier tests' garbage must not land in this record
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            evictions = run(scenario())
+            gc.collect()
+        assert evictions >= 2 * len(chunks) - 1
+        unclosed = [
+            str(warning.message)
+            for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+            and str(tmp_path / "serve") in str(warning.message)
+            and MANIFEST_NAME in str(warning.message)
+        ]
+        assert unclosed == []
 
 
 class TestProtocolEdge:

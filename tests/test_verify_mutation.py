@@ -37,6 +37,7 @@ class TestMutationSelfTest:
         from repro.crowd.platform import CrowdSession
         from repro.graph.coloring import ColoringState
         from repro.graph.dag import PairGraph
+        import repro.graph.reachability as reachability
         from repro.graph.reachability import ReachabilityIndex
         import repro.similarity.batch as batch
         import repro.similarity.join as join
@@ -52,6 +53,7 @@ class TestMutationSelfTest:
             construction.linear_extension,
             grouping._cell_keys,
             ReachabilityIndex.__dict__["build"],
+            reachability._threshold_counts,
             topo.topological_layers,
             matching.minimum_path_cover,
             platform.weighted_majority_vote,
@@ -72,6 +74,7 @@ class TestMutationSelfTest:
             construction.linear_extension,
             grouping._cell_keys,
             ReachabilityIndex.__dict__["build"],
+            reachability._threshold_counts,
             topo.topological_layers,
             matching.minimum_path_cover,
             platform.weighted_majority_vote,
@@ -268,13 +271,19 @@ class TestMutationSelfTest:
     def test_dropped_edge_reaches_every_tile_consumer(self):
         """``drop-dominance-edge`` corrupts the tiles production reads.
 
-        The adjacency lists, the one-pass index build and the construction
-        oracle all lose an edge silently (no crash), and
-        ``check_dominance_construction`` still catches it.
+        The adjacency lists and the construction oracle lose an edge
+        silently (no crash), and ``check_dominance_construction`` still
+        catches it.  The index is built from prefix bitsets, not tiles: it
+        keeps the edge, and ``check_reachability_index`` reports that it
+        and the lists disagree.
         """
         from repro.exceptions import VerificationError
         from repro.graph import PairGraph
-        from repro.verify import check_dominance_construction, random_instance
+        from repro.verify import (
+            check_dominance_construction,
+            check_reachability_index,
+            random_instance,
+        )
 
         pairs, vectors = random_instance(0)
         expected = sum(len(c) for c in PairGraph(pairs, vectors).adjacency())
@@ -283,19 +292,21 @@ class TestMutationSelfTest:
             graph = PairGraph(pairs, vectors)
             index = graph.build_reachability()
             assert sum(len(c) for c in graph.adjacency()) == expected - 1
-            assert int(np.unpackbits(index._desc).sum()) == expected - 1
+            assert int(np.unpackbits(index._desc).sum()) == expected
+            with pytest.raises(VerificationError, match="adjacency lists"):
+                check_reachability_index(graph)
             with pytest.raises(VerificationError, match="missing"):
                 check_dominance_construction(vectors)
 
-    def test_ragged_tile_mutant_is_caught_by_the_reachability_step(self):
-        """Only the ancestor bits of the last, ragged tile go missing.
+    def test_ragged_block_mutant_is_caught_by_the_reachability_step(self):
+        """Only the ancestor bits inside the last, ragged row block go missing.
 
         The partial-order invariants read the adjacency lists, which stay
         intact, so they pass; ``check_reachability_index`` unpacks every
         ancestor row and fails, and so does the layering, whose in-degrees
-        are popcounts of ancestor rows.  A graph of whole tiles is
+        are popcounts of ancestor rows.  A graph of whole blocks is
         untouched.  The stored order puts dominated vertices last, so the
-        lost bits are edges inside the last tile: with none there (seed 0)
+        lost bits are edges inside the last block: with none there (seed 0)
         both checks pass.
         """
         from repro.exceptions import GraphError, VerificationError
@@ -307,7 +318,7 @@ class TestMutationSelfTest:
             random_instance,
         )
 
-        mutant = next(m for m in MUTANTS if m.name == "reachability-ragged-tile")
+        mutant = next(m for m in MUTANTS if m.name == "reachability-ragged-block")
         with mutant.activate():
             check_reachability_index(PairGraph(*random_instance(0, 256)))
             graph = PairGraph(*random_instance(1, 260))
@@ -319,6 +330,42 @@ class TestMutationSelfTest:
             no_edges_in_last_tile = PairGraph(*random_instance(0, 260))
             check_reachability_index(no_edges_in_last_tile)
             check_topo_layers(no_edges_in_last_tile)
+
+    def test_nan_threshold_is_caught_only_by_the_reachability_step(
+        self, monkeypatch
+    ):
+        """A plain ``searchsorted`` differs from the NaN-aware count only on NaN.
+
+        ``prefix-table-nan`` makes a NaN similarity the largest threshold,
+        so vertex 0 of the NaN instance dominates both other vertices in the
+        index while the graph's masks (NaN compares false) give it no edge.
+        No other battery instance holds a NaN, so the battery with the
+        reachability check skipped on NaN graphs passes.
+        """
+        from repro.exceptions import VerificationError
+        from repro.graph import PairGraph
+        from repro.verify import check_reachability_index, invariants, nan_instance
+
+        pairs, vectors = nan_instance()
+        pristine = PairGraph(pairs, vectors).build_reachability()
+        assert [pristine.descendants(v).tolist() for v in range(3)] == [[], [2], []]
+        mutant = next(m for m in MUTANTS if m.name == "prefix-table-nan")
+        with mutant.activate():
+            index = PairGraph(pairs, vectors).build_reachability()
+            assert [index.descendants(v).tolist() for v in range(3)] == [[1, 2], [2], []]
+            with pytest.raises(VerificationError, match="descendant row 0"):
+                check_reachability_index(PairGraph(pairs, vectors))
+            with pytest.raises(VerificationError, match="descendant row 0"):
+                run_detection_battery(seed=0)
+        real = invariants.check_reachability_index
+
+        def skip_nan(graph):
+            if not np.isnan(graph._dominance_operands()[0]).any():
+                real(graph)
+
+        monkeypatch.setattr(invariants, "check_reachability_index", skip_nan)
+        with mutant.activate():
+            run_detection_battery(seed=0)
 
     def test_each_mutant_actually_changes_behavior(self):
         """Activating a mutant must make the pristine battery fail loudly."""
