@@ -22,6 +22,9 @@ Commands:
   health/metrics probes, CSV ingestion in batches, cluster queries.
 * ``trace`` — render a span trace recorded by ``--trace`` as an indented
   timing tree (or dump the raw flat records with ``--json``).
+* ``bench`` — run one of the gated benches of
+  :mod:`repro.experiments.bench`, print its sides and gates, and write its
+  JSON report (``--check`` exits 1 when a gate fails).
 
 ``resolve``, ``simulate``, and ``stream`` share the observability flags:
 ``--trace FILE`` records a hierarchical span trace, ``--metrics-out FILE``
@@ -49,6 +52,7 @@ from .core import PowerConfig, PowerResolver
 from .data import load_csv, load_dataset, num_entities, save_csv
 from .exceptions import PowerError
 from .experiments import ablations, figures
+from .experiments.bench import BENCHES
 from .graph import PairGraph, order_statistics
 from .similarity import SimilarityConfig, batch_similarity_matrix, similar_pairs
 
@@ -410,6 +414,22 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--json", action="store_true",
                        help="dump the raw flat span records instead of "
                             "the tree")
+
+    bench = commands.add_parser(
+        "bench",
+        help="run one gated benchmark and write its report",
+        description=(
+            "Time a bench's sides (one untimed run each, then interleaved "
+            "repeats), check its equivalences, and gate the ratios of its "
+            "medians.  POWER_BENCH_FAST=1 runs the smoke size."
+        ),
+    )
+    bench.add_argument("name", choices=sorted(BENCHES))
+    bench.add_argument("--check", action="store_true",
+                       help="exit 1 when a ratio bar or a check fails")
+    bench.add_argument("--out", type=Path, default=None,
+                       help="report path (default: "
+                            "benchmarks/results/BENCH_<name>.json)")
 
     return parser
 
@@ -883,6 +903,19 @@ def _command_trace(args) -> int:
     return 0
 
 
+def _command_bench(args) -> int:
+    from .experiments import bench
+
+    report = bench.run(args.name)
+    out = args.out or Path("benchmarks/results") / f"BENCH_{args.name}.json"
+    print(bench.table(report))
+    print(f"report -> {bench.write(report, out)}")
+    failures = bench.failures(report)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if args.check and failures else 0
+
+
 def _command_verify(args) -> int:
     from .verify import BatteryConfig, run_battery
 
@@ -923,6 +956,7 @@ def main(argv=None) -> int:
         "serve": _command_serve,
         "client": _command_client,
         "trace": _command_trace,
+        "bench": _command_bench,
     }
     try:
         return handlers[args.command](args)

@@ -117,16 +117,17 @@ class IncrementalResolver:
 
         Returns:
             A batch report dict: new candidate pairs, questions, iterations,
-            and the running cluster count.
+            the candidate join's wall seconds (``join_seconds``), and the
+            running cluster count.
         """
         values = self._checked_rows(rows, entity_ids)
         entities = (
             list(entity_ids) if entity_ids is not None else [None] * len(values)
         )
         first = len(self.table)
-        ingest_started = time.perf_counter()
+        join_started = time.perf_counter()
         pairs = self._join.extend(self._token_sets([" ".join(row) for row in values]))
-        ingest_seconds = time.perf_counter() - ingest_started
+        join_seconds = time.perf_counter() - join_started
         if pairs and session is None:
             try:
                 session = self._auto_session(pairs, worker_band, entities)
@@ -143,7 +144,7 @@ class IncrementalResolver:
             "questions": 0,
             "iterations": 0,
             "asked_pairs": [],
-            "ingest_seconds": ingest_seconds,
+            "join_seconds": join_seconds,
         }
         if pairs:
             vectors = self._batch_vectors(pairs)

@@ -22,7 +22,6 @@ Example:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -228,33 +227,22 @@ class PowerResolver:
             )
         obs = obs_instrument.current()
         tracer = obs.tracer
+        labels = {"dataset": table.name}
         with tracer.span(
             "resolve", dataset=table.name, selector=self.config.selector
         ) as resolve_span:
-            started = time.perf_counter()
-            with tracer.span("resolve.join"):
+            with obs_instrument.pipeline_stage(obs, "join", labels):
                 pairs = self.candidate_pairs(table)
-            obs_instrument.record_stage_seconds(
-                obs, "join", time.perf_counter() - started, dataset=table.name
-            )
             if not pairs:
                 raise DataError(
                     f"no candidate pairs survive pruning at threshold "
                     f"{self.config.pruning_threshold} on table {table.name!r}"
                 )
-            started = time.perf_counter()
-            with tracer.span("resolve.vectorize", pairs=len(pairs)):
+            with obs_instrument.pipeline_stage(obs, "vectorize", labels, pairs=len(pairs)):
                 vectors = self.similarity_vectors(table, pairs)
-            obs_instrument.record_stage_seconds(
-                obs, "vectorize", time.perf_counter() - started, dataset=table.name
-            )
-            started = time.perf_counter()
-            with tracer.span("resolve.construct") as construct_span:
+            with obs_instrument.pipeline_stage(obs, "construct", labels) as construct_span:
                 graph = self.build_graph(table, pairs, vectors=vectors)
                 construct_span.set_attribute("vertices", len(graph))
-            obs_instrument.record_stage_seconds(
-                obs, "construct", time.perf_counter() - started, dataset=table.name
-            )
             if session is None:
                 crowd = self.simulated_crowd(table, pairs, worker_band)
                 if engine is not None:
@@ -267,26 +255,19 @@ class PowerResolver:
                     )
                 else:
                     session = crowd.session()
-            started = time.perf_counter()
-            selection = self.make_selector().run(graph, session, budget=budget)
-            obs_instrument.record_stage_seconds(
-                obs, "select", time.perf_counter() - started, dataset=table.name
-            )
+            with obs_instrument.pipeline_stage(obs, "select", labels):
+                selection = self.make_selector().run(graph, session, budget=budget)
             if engine is not None:
                 engine.finalize(session)
                 selection.extras["telemetry"] = engine.telemetry.as_dict()
                 selection.extras["wall_clock_seconds"] = engine.wall_clock_seconds
                 selection.extras["batch_sizes"] = list(session.batch_sizes)
-            started = time.perf_counter()
-            with tracer.span("resolve.cluster"):
+            with obs_instrument.pipeline_stage(obs, "cluster", labels):
                 matches = selection.matches
                 clusters = clusters_from_matches(len(table), matches)
                 quality = None
                 if table.has_ground_truth():
                     quality = entity_quality(matches, table)
-            obs_instrument.record_stage_seconds(
-                obs, "cluster", time.perf_counter() - started, dataset=table.name
-            )
             if obs.metrics:
                 registry = obs.registry
                 registry.counter(

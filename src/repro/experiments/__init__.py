@@ -1,6 +1,6 @@
 """Experiment harnesses reproducing every table and figure of the paper."""
 
-from . import ablations, figures, perf, serve_load, stream_ingest
+from . import ablations, bench, figures
 from .reporting import emit, format_table
 from .runner import (
     METHODS,
@@ -22,15 +22,13 @@ __all__ = [
     "Workload",
     "ablations",
     "average_rows",
+    "bench",
     "compare_methods",
     "emit",
     "fast_mode",
     "figures",
     "format_table",
     "make_crowd",
-    "perf",
     "prepare",
-    "serve_load",
     "run_method",
-    "stream_ingest",
 ]

@@ -52,9 +52,9 @@ from .instrument import (
     activated,
     current,
     observe_round,
+    pipeline_stage,
     record_executor_stats,
     record_selection_metrics,
-    record_stage_seconds,
 )
 from .metrics import (
     COUNT_BOUNDARIES,
@@ -89,10 +89,10 @@ __all__ = [
     "activated",
     "current",
     "observe_round",
+    "pipeline_stage",
     "read_trace",
     "record_executor_stats",
     "record_selection_metrics",
-    "record_stage_seconds",
     "render_metrics",
     "render_trace",
     "structure",

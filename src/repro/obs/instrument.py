@@ -19,6 +19,9 @@ Hook inventory (each documents the metric names it owns):
   ad-hoc ``SelectionResult.extras["selection"]`` dict onto registry
   metrics (one schema for ``repro simulate`` tables, Prometheus, and the
   worker-registry merge).
+* :func:`pipeline_stage` — times one resolve stage once: the
+  ``resolve.<stage>`` span and the ``repro_pipeline_stage_seconds``
+  histogram come from the same two reads of the tracer's clock.
 * :func:`record_executor_stats` — :class:`~repro.shard.executor.ShardExecutor`
   fault counters.  No pipeline path runs the executor; the hook goes
   with it.
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 
 from .metrics import COUNT_BOUNDARIES, MetricsRegistry, SECONDS_BOUNDARIES
 from .profiler import SamplingProfiler
-from .trace import Tracer
+from .trace import NULL_SPAN, Tracer
 
 
 @dataclass
@@ -214,7 +217,9 @@ def record_executor_stats(obs: Observability, stats_dict: dict) -> None:
 
 
 def record_stream_batch(obs: Observability, report: dict) -> None:
-    """One streaming-resolution batch → ``repro_stream_*`` metrics.
+    """One streaming-resolution batch → ``repro_stream_*`` metrics, and
+    its candidate join's seconds as ``repro_pipeline_stage_seconds``
+    ``stage="stream.join"``.
 
     Same transparency contract as every other hook: reads the finished
     batch report, never steers the run.
@@ -237,8 +242,8 @@ def record_stream_batch(obs: Observability, report: dict) -> None:
         "repro_pipeline_stage_seconds",
         "wall seconds per resolution pipeline stage",
         boundaries=SECONDS_BOUNDARIES,
-        stage="stream.ingest",
-    ).observe(report.get("ingest_seconds", 0.0))
+        stage="stream.join",
+    ).observe(report["join_seconds"])
 
 
 def record_serve_request(
@@ -303,19 +308,54 @@ def record_serve_event(obs: Observability, event: str) -> None:
     ).inc()
 
 
-def record_stage_seconds(
-    obs: Observability, stage: str, seconds: float, **labels: str
-) -> None:
-    """One pipeline stage's wall time → ``repro_pipeline_stage_seconds``."""
-    if not obs.metrics:
-        return
-    obs.registry.histogram(
-        "repro_pipeline_stage_seconds",
-        "wall seconds per resolution pipeline stage",
-        boundaries=SECONDS_BOUNDARIES,
-        stage=stage,
-        **labels,
-    ).observe(seconds)
+class _Stage:
+    """The context :func:`pipeline_stage` opens while observability is on."""
+
+    __slots__ = ("_obs", "_name", "_labels", "_attributes", "_context", "_started")
+
+    def __init__(self, obs: Observability, name: str, labels: dict, attributes: dict) -> None:
+        self._obs = obs
+        self._name = name
+        self._labels = labels
+        self._attributes = attributes
+        self._context = None
+
+    def __enter__(self):
+        if self._obs.tracing:
+            self._context = self._obs.tracer.span(f"resolve.{self._name}", **self._attributes)
+            return self._context.__enter__()
+        self._started = self._obs.tracer.clock.wall()
+        return NULL_SPAN
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if self._context is not None:
+            self._context.__exit__(exc_type, exc, traceback)
+            seconds = self._context.span.wall_seconds
+        else:
+            seconds = self._obs.tracer.clock.wall() - self._started
+        if self._obs.metrics and exc_type is None:
+            self._obs.registry.histogram(
+                "repro_pipeline_stage_seconds",
+                "wall seconds per resolution pipeline stage",
+                boundaries=SECONDS_BOUNDARIES,
+                stage=self._name,
+                **self._labels,
+            ).observe(seconds)
+
+
+def pipeline_stage(obs: Observability, name: str, labels: dict, **attributes):
+    """Time one resolve stage once, for its span and its histogram.
+
+    Opens the span ``resolve.<name>`` (with *attributes*) when tracing is
+    on, and observes the same two clock reads into
+    ``repro_pipeline_stage_seconds{stage=<name>, **labels}`` when metrics
+    are on and the stage did not raise; with neither on, it is the no-op
+    span.  Both read the tracer's clock, so a test's
+    :class:`~repro.obs.clock.ManualClock` drives both.
+    """
+    if not obs.enabled:
+        return NULL_SPAN
+    return _Stage(obs, name, labels, attributes)
 
 
 __all__ = [
@@ -324,11 +364,11 @@ __all__ = [
     "activated",
     "current",
     "observe_round",
+    "pipeline_stage",
     "record_executor_stats",
     "record_selection_metrics",
     "record_serve_event",
     "record_serve_request",
     "record_serve_sessions",
-    "record_stage_seconds",
     "record_stream_batch",
 ]

@@ -232,7 +232,7 @@ class StreamingResolver(IncrementalResolver):
             encoded = {
                 key: value
                 for key, value in report.items()
-                if key != "ingest_seconds"
+                if key != "join_seconds"
             }
             encoded["asked_pairs"] = [
                 [int(a), int(b)] for a, b in report["asked_pairs"]

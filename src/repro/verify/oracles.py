@@ -1667,6 +1667,7 @@ def check_serve_equivalence(
                 await asyncio.gather(
                     *(drive(name, s, count) for name, s, count in plan)
                 )
+            await app.drain()
             return shas
 
         served = asyncio.run(tier_concurrent())
@@ -1733,7 +1734,7 @@ def check_serve_equivalence(
                     f"(evictions={app.registry.evictions}, "
                     f"restores={app.registry.restores})"
                 )
-            app.registry.shutdown()
+            await app.drain()
             return shas
 
         served = asyncio.run(tier_alternating())

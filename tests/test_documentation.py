@@ -4,6 +4,7 @@ import importlib
 import json
 import pkgutil
 import re
+import statistics
 from pathlib import Path
 
 import pytest
@@ -72,18 +73,48 @@ class TestBenchCoverage:
             assert path.name in text, f"{path.name} missing from DESIGN.md"
 
 
-class TestCommittedBenchReports:
-    """The committed ``BENCH_*.json`` files are full runs: every smoke writes
-    its fast-mode report under ``/tmp`` instead."""
+COMMITTED_REPORTS = pytest.mark.parametrize(
+    "path",
+    sorted((BENCH_DIR / "results").glob("BENCH_*.json")),
+    ids=lambda path: path.name,
+)
 
-    @pytest.mark.parametrize(
-        "path",
-        sorted((BENCH_DIR / "results").glob("BENCH_*.json")),
-        ids=lambda path: path.name,
-    )
+
+class TestCommittedBenchReports:
+    """The committed ``BENCH_*.json`` files are full runs of the current
+    benches in the one report schema: every smoke writes its fast-mode
+    report under ``/tmp`` instead."""
+
+    @COMMITTED_REPORTS
     def test_report_is_a_full_run(self, path):
         report = json.loads(path.read_text())
         assert report["fast_mode"] is False, f"{path.name} holds a fast-mode smoke run"
+
+    @COMMITTED_REPORTS
+    def test_report_parses_in_the_bench_schema(self, path):
+        from repro.experiments.bench import BENCHES
+
+        report = json.loads(path.read_text())
+        assert list(report) == [
+            "benchmark", "fast_mode", "python", "numpy", "workload",
+            "sides", "ratios", "checks", "details",
+        ]
+        assert path.name == f"BENCH_{report['benchmark']}.json"
+        full = BENCHES[report["benchmark"]].full
+        assert report["workload"] == full.workload
+        for side in report["sides"].values():
+            assert list(side) == ["seconds", "quartiles", "runs", "units"]
+            low, high = side["quartiles"]
+            assert low <= side["seconds"] == statistics.median(side["runs"]) <= high
+        for name, ratio in report["ratios"].items():
+            assert list(ratio) == ["numerator", "denominator", "value", "floor", "ceiling"]
+            top, bottom = (report["sides"][ratio[key]] for key in ("numerator", "denominator"))
+            per_unit = (top["seconds"] / top["units"]) / (bottom["seconds"] / bottom["units"])
+            assert ratio["value"] == pytest.approx(per_unit)
+            bar = ratio["floor"] if ratio["ceiling"] is None else ratio["ceiling"]
+            assert bar == full.bars.get(name)
+        assert all(isinstance(passed, bool) for passed in report["checks"].values())
+        assert isinstance(report["details"], dict)
 
 
 class TestCLIRegistryConsistency:

@@ -89,6 +89,90 @@ class TestTransparency:
         assert current() is before  # a crashed run cannot leak a tracer
 
 
+class TestStageClock:
+    """Each resolve stage is timed once, on the tracer's clock."""
+
+    SECONDS = {"join": 1.0, "vectorize": 2.0, "construct": 4.0, "select": 8.0, "cluster": 16.0}
+
+    def slow_stages(self, monkeypatch, clock):
+        """Make each stage take ``SECONDS[stage]`` on *clock*, and no other
+        time pass."""
+        from repro.core import resolver as core_resolver
+
+        def advancing(function, stage):
+            def wrapper(*args, **kwargs):
+                result = function(*args, **kwargs)
+                clock.advance(self.SECONDS[stage])
+                return result
+
+            return wrapper
+
+        resolver_class = core_resolver.PowerResolver
+        for method, stage in (
+            ("candidate_pairs", "join"),
+            ("similarity_vectors", "vectorize"),
+            ("build_graph", "construct"),
+        ):
+            monkeypatch.setattr(
+                resolver_class, method, advancing(getattr(resolver_class, method), stage)
+            )
+        make_selector = resolver_class.make_selector
+
+        def slow_selector(resolver):
+            selector = make_selector(resolver)
+            selector.run = advancing(selector.run, "select")
+            return selector
+
+        monkeypatch.setattr(resolver_class, "make_selector", slow_selector)
+        monkeypatch.setattr(
+            core_resolver,
+            "clusters_from_matches",
+            advancing(core_resolver.clusters_from_matches, "cluster"),
+        )
+
+    @pytest.mark.parametrize("tracing", [True, False])
+    def test_stage_histograms_equal_their_spans(self, small_table, monkeypatch, tracing):
+        from repro.obs import ManualClock, walk
+
+        clock = ManualClock()
+        self.slow_stages(monkeypatch, clock)
+        obs = Observability(tracing=tracing, metrics=True)
+        obs.tracer.clock = clock
+        with activated(obs):
+            PowerResolver(PowerConfig(seed=0)).resolve(small_table, worker_band="90")
+        spans = {
+            span["name"]: span["wall_seconds"] for _, span in walk(obs.tracer.export())
+        }
+        histograms = {
+            dict(metric.labels)["stage"]: metric
+            for metric in obs.registry.family("repro_pipeline_stage_seconds")
+        }
+        assert sorted(histograms) == sorted(self.SECONDS)
+        for stage, seconds in self.SECONDS.items():
+            assert histograms[stage].count == 1
+            assert histograms[stage].sum == seconds
+            if tracing:
+                assert spans[f"resolve.{stage}"] == seconds
+        assert bool(spans) == tracing
+
+    def test_stream_batch_records_its_join_seconds(self, small_table):
+        from repro.stream import StreamingResolver
+
+        records = list(small_table)[:30]
+        with activated(Observability(tracing=False, metrics=True)) as obs:
+            report = StreamingResolver(
+                small_table.attributes, config=PowerConfig(seed=0), worker_band="90"
+            ).add_batch(
+                [record.values for record in records],
+                entity_ids=[record.entity_id for record in records],
+            )
+        [stage] = obs.registry.family("repro_pipeline_stage_seconds")
+        assert dict(stage.labels) == {"stage": "stream.join"}
+        assert stage.count == 1
+        assert stage.sum == report["join_seconds"]
+        assert "ingest_seconds" not in report
+
+
 class TestTelemetryMigration:
     def expected_bytes(self):
         """The pre-migration dataclass's exact ``as_dict`` output."""

@@ -227,7 +227,7 @@ class TestKillResume:
                 return {
                     k: v
                     for k, v in report.items()
-                    if k != "ingest_seconds"
+                    if k != "join_seconds"
                 }
 
             assert [stripped(r) for r in resumed.reports] == [

@@ -280,3 +280,25 @@ class TestCrowdAggregationOracle:
         )
         with pytest.raises(VerificationError):
             check_crowd_aggregation(crowd, pairs)
+
+
+class TestServeEquivalenceOracle:
+    def test_served_sessions_leave_no_manifest_open(self, small_table):
+        """Both tiers drain their apps, so no session's snapshot journal is
+        left for the garbage collector to close."""
+        import gc
+        import warnings
+
+        from repro.verify.oracles import check_serve_equivalence
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            check_serve_equivalence(small_table)
+            gc.collect()
+        leaked = [
+            str(warning.message)
+            for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+            and "MANIFEST.jsonl" in str(warning.message)
+        ]
+        assert leaked == []
