@@ -764,6 +764,7 @@ def _spawned_server(args):
     match = re.search(r"serving on [^:]+:(\d+)", line or "")
     if not match:
         proc.terminate()
+        proc.communicate()
         raise PowerError(f"spawned server did not start: {line!r}")
     return proc, int(match.group(1))
 
@@ -771,6 +772,7 @@ def _spawned_server(args):
 def _command_client(args) -> int:
     import json
     import signal
+    import subprocess
     import time
 
     from .exceptions import OverloadedError
@@ -877,11 +879,14 @@ def _command_client(args) -> int:
                 )
     finally:
         if proc is not None:
+            # communicate() reads the server's output to its end and closes
+            # the pipe, as well as reaping the process.
             proc.send_signal(signal.SIGTERM)
             try:
-                proc.wait(timeout=60)
-            except Exception:  # noqa: BLE001
+                proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
                 proc.kill()
+                proc.communicate()
     return 0
 
 

@@ -5,12 +5,10 @@ stages (join → construct → select → aggregate → cluster), both path-cove
 selectors, the streaming service and server, the discrete-event crowd
 engine, and the batch-similarity join.  The pieces:
 
-* :mod:`~repro.obs.trace` — hierarchical spans with wall/CPU durations,
-  per-thread stacks, and deterministic cross-process grafting for
-  :class:`~repro.shard.executor.ShardExecutor` workers.
+* :mod:`~repro.obs.trace` — hierarchical spans with wall/CPU durations
+  and per-thread stacks.
 * :mod:`~repro.obs.metrics` — counters, gauges, and fixed-boundary
-  histograms in a registry whose merge is associative and commutative, so
-  worker metrics fold together in any order.
+  histograms in one lock-protected, labeled registry.
 * :mod:`~repro.obs.export` — JSONL trace files (``repro trace`` renders
   them), Prometheus text exposition, and console summaries.
 * :mod:`~repro.obs.profiler` — an opt-in ``ITIMER_PROF`` sampling
@@ -53,7 +51,6 @@ from .instrument import (
     current,
     observe_round,
     pipeline_stage,
-    record_executor_stats,
     record_selection_metrics,
 )
 from .metrics import (
@@ -91,7 +88,6 @@ __all__ = [
     "observe_round",
     "pipeline_stage",
     "read_trace",
-    "record_executor_stats",
     "record_selection_metrics",
     "render_metrics",
     "render_trace",

@@ -17,14 +17,10 @@ Hook inventory (each documents the metric names it owns):
   ``check_observability_transparent`` battery step certifies.
 * :func:`record_selection_metrics` — the canonical mapping from the
   ad-hoc ``SelectionResult.extras["selection"]`` dict onto registry
-  metrics (one schema for ``repro simulate`` tables, Prometheus, and the
-  worker-registry merge).
+  metrics (one schema for ``repro simulate`` tables and Prometheus).
 * :func:`pipeline_stage` — times one resolve stage once: the
   ``resolve.<stage>`` span and the ``repro_pipeline_stage_seconds``
   histogram come from the same two reads of the tracer's clock.
-* :func:`record_executor_stats` — :class:`~repro.shard.executor.ShardExecutor`
-  fault counters.  No pipeline path runs the executor; the hook goes
-  with it.
 
 Transparency contract: hooks read, record, and return their inputs
 untouched; they never consume RNG state, mutate graphs/colorings, or
@@ -86,10 +82,10 @@ def current() -> Observability:
 def activated(obs: Observability | None = None):
     """Install *obs* (default: a fresh fully-enabled handle) for a block.
 
-    Installation is process-global — the pipeline's stages, the engine,
-    and the executor's coordinator all pick it up through :func:`current` —
-    and always restored, so a crashed run cannot leak an active tracer
-    into the next test.
+    Installation is process-global — the pipeline's stages, the engine
+    and the stream all pick it up through :func:`current` — and always
+    restored, so a crashed run cannot leak an active tracer into the
+    next test.
     """
     global _installed
     obs = obs or Observability()
@@ -199,21 +195,6 @@ def record_selection_metrics(
             registry.counter(
                 metric_name, f"incremental path-cover engine: {key}", **labels
             ).inc(engine_stats[key])
-
-
-def record_executor_stats(obs: Observability, stats_dict: dict) -> None:
-    """Shard-executor fault telemetry → ``repro_shard_*`` metrics."""
-    if not obs.metrics:
-        return
-    registry = obs.registry
-    for key in ("tasks", "retries", "timeouts", "broken_pools", "fallbacks"):
-        registry.counter(
-            f"repro_shard_{key}_total", f"shard executor: {key}"
-        ).inc(stats_dict.get(key, 0))
-    registry.counter(
-        "repro_shard_run_seconds_total",
-        "wall seconds inside ShardExecutor.run",
-    ).inc(stats_dict.get("run_seconds", 0.0))
 
 
 def record_stream_batch(obs: Observability, report: dict) -> None:
@@ -365,7 +346,6 @@ __all__ = [
     "current",
     "observe_round",
     "pipeline_stage",
-    "record_executor_stats",
     "record_selection_metrics",
     "record_serve_event",
     "record_serve_request",

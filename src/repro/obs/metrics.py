@@ -1,27 +1,15 @@
-"""The metrics registry: counters, gauges, and mergeable histograms.
+"""The metrics registry: counters, gauges, and fixed-boundary histograms.
 
 One :class:`MetricsRegistry` holds every number the pipeline exports —
 per-stage timings, question/billing counters, round-size distributions —
 keyed by ``(kind, name, sorted labels)`` so the same metric name can carry
 per-dataset or per-selector breakdowns as a *labeled family* (the
-Prometheus data model).
+Prometheus data model).  Every instrument lives in the process that
+records into it; the exporters in :mod:`repro.obs.export` read the
+registry directly.
 
-The design constraint that shapes everything here is the **worker merge**:
-:class:`~repro.shard.executor.ShardExecutor` workers each record into
-their own registry, and the coordinator folds them together in whatever
-order tasks happen to complete.  Exported values must not depend on that order, so
-every metric type defines an **associative, commutative** :meth:`merge`:
-
-* :class:`Counter` — addition;
-* :class:`Histogram` — bucket-wise addition (requires identical
-  boundaries; merging is then exactly "observe the concatenated stream");
-* :class:`Gauge` — *maximum*.  A gauge is a last-write-wins instrument and
-  has no order-free sum; ``max`` is the associative/commutative choice
-  that keeps high-water readings (peak memory, final clock) meaningful
-  across workers.  Gauges that need other semantics should be counters.
-
-Property tests in ``tests/test_obs_metrics.py`` pin the merge laws
-(associativity, commutativity, identity) and the bucketing contract.
+Property tests in ``tests/test_obs_metrics.py`` pin the histogram
+bucketing contract.
 """
 
 from __future__ import annotations
@@ -52,7 +40,7 @@ def _label_key(labels: dict[str, str]) -> LabelItems:
 
 
 class Counter:
-    """A monotonically increasing total; merge is addition."""
+    """A monotonically increasing total."""
 
     kind = "counter"
     __slots__ = ("name", "description", "labels", "value")
@@ -70,16 +58,13 @@ class Counter:
             )
         self.value += amount
 
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
     def as_dict(self) -> dict:
         value = self.value
         return {"value": int(value) if value == int(value) else value}
 
 
 class Gauge:
-    """A point-in-time reading; merge keeps the maximum (see module doc)."""
+    """A point-in-time reading."""
 
     kind = "gauge"
     __slots__ = ("name", "description", "labels", "value")
@@ -99,16 +84,13 @@ class Gauge:
     def dec(self, amount: float = 1.0) -> None:
         self.value -= amount
 
-    def merge(self, other: "Gauge") -> None:
-        self.value = max(self.value, other.value)
-
     def as_dict(self) -> dict:
         value = self.value
         return {"value": int(value) if value == int(value) else value}
 
 
 class Histogram:
-    """Fixed-boundary cumulative-style histogram with exact order-free merge.
+    """Fixed-boundary cumulative-style histogram.
 
     ``boundaries`` are the *upper edges* of the finite buckets; an
     observation ``v`` lands in the first bucket whose edge satisfies
@@ -159,19 +141,6 @@ class Histogram:
         if value > self.max:
             self.max = value
 
-    def merge(self, other: "Histogram") -> None:
-        if other.boundaries != self.boundaries:
-            raise ObservabilityError(
-                f"cannot merge histogram {self.name!r}: boundary mismatch "
-                f"({self.boundaries} vs {other.boundaries})"
-            )
-        for index, count in enumerate(other.bucket_counts):
-            self.bucket_counts[index] += count
-        self.count += other.count
-        self.sum += other.sum
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -211,15 +180,6 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    # Executor workers pickle their registry back to the coordinator; the
-    # lock is process-local state and is recreated on unpickle.
-    def __getstate__(self) -> dict:
-        return {"_metrics": self._metrics}
-
-    def __setstate__(self, state: dict) -> None:
-        self._metrics = state["_metrics"]
-        self._lock = threading.Lock()
-
     def _get_or_create(self, factory, name: str, description: str, labels: dict, **kwargs):
         key = (name, _label_key(labels))
         with self._lock:
@@ -257,37 +217,8 @@ class MetricsRegistry:
         return metric
 
     # ------------------------------------------------------------------ #
-    # Merge and export
+    # Export
     # ------------------------------------------------------------------ #
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold *other* into this registry (associative and commutative).
-
-        Metrics present on one side only are copied; shared keys merge per
-        the type's law.  Merge-order independence of the merged snapshot is
-        property-tested in ``tests/test_obs_metrics.py``.
-        """
-        with other._lock:
-            items = list(other._metrics.items())
-        for key, metric in items:
-            name, labels = key
-            absent = key not in self._metrics
-            if isinstance(metric, Counter):
-                mine = self.counter(name, metric.description, **dict(labels))
-            elif isinstance(metric, Gauge):
-                mine = self.gauge(name, metric.description, **dict(labels))
-            else:
-                mine = self.histogram(
-                    name, metric.description, boundaries=metric.boundaries,
-                    **dict(labels),
-                )
-            if absent and isinstance(metric, Gauge):
-                # A copy, not a merge: folding through a fresh gauge's 0.0
-                # would clamp negative readings (max-merge) and break the
-                # empty registry's identity law.
-                mine.value = metric.value
-            else:
-                mine.merge(metric)
 
     def metrics(self) -> list[Metric]:
         """Every instrument, deterministically ordered by (name, labels)."""

@@ -1,7 +1,7 @@
-"""Hierarchical tracing: spans, the tracer, and cross-process grafting.
+"""Hierarchical tracing: spans and the tracer.
 
 A **span** is one timed region of the pipeline — a resolve stage, a crowd
-round, an executor task — carrying wall and CPU durations, arbitrary
+round, a serve request — carrying wall and CPU durations, arbitrary
 attributes, an ok/error status, and child spans.  A **tracer** hands out
 spans through a context manager (or decorator), maintaining a per-thread
 stack so nesting falls out of lexical structure:
@@ -10,22 +10,13 @@ stack so nesting falls out of lexical structure:
         with tracer.span("resolve.join"):
             ...
 
-Three properties matter for the rest of the repo:
+Two properties matter for the rest of the repo:
 
 * **near-zero cost when disabled** — a disabled tracer returns one shared
   no-op context manager; the hot paths pay an attribute check and a call.
 * **thread safety** — each thread has its own span stack (a root started
   on a worker thread becomes its own trace root, tagged with the thread
   name); finished roots land in one ordered list under a lock.
-* **deterministic cross-process grafting** — worker processes of
-  :class:`~repro.shard.executor.ShardExecutor` trace into their own
-  tracer, export plain dicts, and the coordinator grafts them back with
-  :meth:`Tracer.graft` *in task order*, so the merged trace is identical
-  regardless of worker completion order (asserted by
-  ``tests/test_obs_integration.py``).  No pipeline path runs the
-  executor; grafting stays while the end-to-end benchmark wraps it.
-  Span ids are assigned at export time by pre-order numbering —
-  content-determined, not allocation-determined.
 
 Transparency contract: spans never touch the objects they observe.  The
 ``check_observability_transparent`` battery step runs the pipeline with
@@ -67,7 +58,7 @@ class Span:
         self.attributes[key] = value
 
     def to_dict(self) -> dict:
-        """Nested JSON-ready form (used for cross-process export)."""
+        """Nested JSON-ready form."""
         payload: dict[str, Any] = {
             "name": self.name,
             "wall_seconds": round(self.wall_seconds, 9),
@@ -83,17 +74,6 @@ class Span:
         if self.children:
             payload["children"] = [child.to_dict() for child in self.children]
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Span":
-        span = cls(payload["name"], payload.get("attributes"))
-        span.wall_seconds = float(payload.get("wall_seconds", 0.0))
-        span.cpu_seconds = float(payload.get("cpu_seconds", 0.0))
-        span.status = payload.get("status", "ok")
-        span.error = payload.get("error")
-        span.thread = payload.get("thread")
-        span.children = [cls.from_dict(child) for child in payload.get("children", [])]
-        return span
 
 
 class _NullSpanContext:
@@ -208,27 +188,8 @@ class Tracer:
                 self._roots.append(span)
 
     # ------------------------------------------------------------------ #
-    # Cross-process grafting and export
+    # Export
     # ------------------------------------------------------------------ #
-
-    def graft(self, exported: list[dict], **attributes: Any) -> None:
-        """Attach worker-exported span dicts under the current span.
-
-        Call in a deterministic order (task index, not completion order):
-        grafting appends, so the merged trace's structure is exactly the
-        call order.  With no open span the grafts become roots.
-        """
-        if not self.enabled:
-            return
-        spans = [Span.from_dict(payload) for payload in exported]
-        for span in spans:
-            span.attributes.update(attributes)
-        parent = self.current()
-        if parent is not None:
-            parent.children.extend(spans)
-        else:
-            with self._lock:
-                self._roots.extend(spans)
 
     def export(self) -> list[dict]:
         """Finished root spans as nested dicts, in finish order."""
@@ -254,8 +215,8 @@ def walk(spans: list[dict], depth: int = 0):
 def structure(spans: list[dict]) -> list[tuple[int, str]]:
     """The timing-free shape of a trace: ``(depth, name)`` in pre-order.
 
-    Two traces of the same run must have equal structures no matter how
-    workers were scheduled — the executor trace tests compare these.
+    Two traces of the same run have equal structures whatever their
+    clocks read, so tests compare these instead of timings.
     """
     return [(depth, span["name"]) for depth, span in walk(spans)]
 

@@ -76,13 +76,16 @@ def decode_request(line: bytes | str) -> dict[str, Any]:
 
     Raises :class:`~repro.exceptions.ProtocolError` with a machine-readable
     ``code`` on malformed JSON, a non-object payload, an unsupported
-    protocol version, an unknown op, or missing/unknown fields.
+    protocol version, an unknown op, missing/unknown fields, a session
+    name that is not a string (``bad_session``), or ingest rows and
+    entity ids that are not lists (``bad_request``); it raises nothing
+    else.
     """
     if isinstance(line, bytes):
         line = line.decode("utf-8", errors="replace")
     try:
         request = json.loads(line)
-    except json.JSONDecodeError as error:
+    except (json.JSONDecodeError, RecursionError) as error:
         raise ProtocolError(
             "bad_json", f"request is not valid JSON: {error}"
         ) from None
@@ -99,7 +102,7 @@ def decode_request(line: bytes | str) -> dict[str, Any]:
             "upgrade the client or the server",
         )
     op = request.get("op")
-    if op not in OPS:
+    if not isinstance(op, str) or op not in OPS:
         raise ProtocolError(
             "unknown_op",
             f"unknown op {op!r} (supported: {', '.join(sorted(OPS))})",
@@ -117,13 +120,26 @@ def decode_request(line: bytes | str) -> dict[str, Any]:
             "unknown_field",
             f"op {op!r} does not accept field(s) {sorted(unknown)}",
         )
+    if "session" in required and not isinstance(request["session"], str):
+        raise ProtocolError(
+            "bad_session", f"session name must be a string, got {request['session']!r:.80}"
+        )
     if op == "ingest":
         rows = request["rows"]
         if not isinstance(rows, list) or not rows:
             raise ProtocolError(
                 "bad_request", "ingest rows must be a non-empty list"
             )
+        for offset, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise ProtocolError(
+                    "bad_request", f"ingest row {offset} must be a list, got {row!r:.80}"
+                )
         entity_ids = request.get("entity_ids")
+        if entity_ids is not None and not isinstance(entity_ids, list):
+            raise ProtocolError(
+                "bad_request", f"ingest entity_ids must be a list, got {entity_ids!r:.80}"
+            )
         if entity_ids is not None and len(entity_ids) != len(rows):
             raise ProtocolError(
                 "bad_request",

@@ -111,7 +111,7 @@ class ServeApp:
                 )
                 if isinstance(parsed, dict):
                     request_id = parsed.get("id")
-            except (ValueError, TypeError):
+            except (ValueError, TypeError, RecursionError):
                 pass
             return error_response(request_id, error.code, str(error))
         return await self.dispatch(request)

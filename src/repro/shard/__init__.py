@@ -2,17 +2,15 @@
 
 * :mod:`repro.shard.resolver` — :class:`ShardedResolver`, the serial
   :class:`~repro.core.resolver.PowerResolver` under its old name.
-* :mod:`repro.shard.executor` — :class:`ShardExecutor`, the process pool
-  with retries, timeouts and in-process fallback.  Nothing in
-  :mod:`repro` calls it; the benchmark's tracing wraps it.
-* :mod:`repro.shard.worker` — :class:`FaultSpec`, the executor tests'
-  fault hook.
+* :mod:`repro.shard.executor` — :class:`ShardExecutor`, whose ``run``
+  calls each task in the calling process.  Nothing in :mod:`repro` calls
+  it; the benchmark's tracing wraps it.
 
-See DESIGN.md §10 for what was measured and why the rest was deleted.
+No path starts a worker process.  See DESIGN.md §10 for what was
+measured and why the rest was deleted.
 """
 
-from .executor import ExecutorStats, ShardExecutor
+from .executor import ShardExecutor
 from .resolver import ShardedResolver
-from .worker import FaultSpec
 
-__all__ = ["ShardedResolver", "ShardExecutor", "ExecutorStats", "FaultSpec"]
+__all__ = ["ShardedResolver", "ShardExecutor"]

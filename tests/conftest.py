@@ -1,6 +1,10 @@
-"""Shared fixtures: the paper's running example and small synthetic tables."""
+"""Shared fixtures: the paper's running example and small synthetic tables,
+and the check that no stream or serve test leaves a snapshot journal open."""
 
 from __future__ import annotations
+
+import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +15,57 @@ from repro.data.ground_truth import pair_truth
 from repro.data.perturb import LIGHT_PERTURBATIONS
 from repro.data.vocab import CITIES, CUISINES, RESTAURANT_NAME_HEADS
 from repro.similarity import SimilarityConfig, similar_pairs, similarity_matrix
+
+
+#: The modules whose tests open snapshot journals (``MANIFEST.jsonl``).
+JOURNAL_MODULES = frozenset(
+    {
+        "test_serve_cli",
+        "test_serve_properties",
+        "test_serve_protocol",
+        "test_serve_server",
+        "test_stream_cli",
+        "test_stream_properties",
+        "test_stream_snapshot",
+    }
+)
+
+
+@pytest.fixture(autouse=True)
+def no_unclosed_journal(request):
+    """Fail a stream or serve test that leaves a snapshot journal open.
+
+    Every ``StreamingResolver`` a test builds must be closed, and every
+    ``ServeApp`` drained.  The collection before leaving surfaces a journal
+    held only by garbage in this test, not in whichever test the collector
+    happens to run in later.  Freezing the objects that existed before the
+    test keeps that collection to the test's own objects, so it stays cheap
+    however large the session's heap has grown.  Other warnings are passed
+    on unchanged.
+    """
+    if request.module.__name__.rpartition(".")[2] not in JOURNAL_MODULES:
+        yield
+        return
+    gc.freeze()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            yield
+            gc.collect()
+    finally:
+        gc.unfreeze()
+    leaked = []
+    for warning in caught:
+        if issubclass(warning.category, ResourceWarning) and "MANIFEST.jsonl" in str(
+            warning.message
+        ):
+            leaked.append(str(warning.message))
+        else:
+            warnings.warn_explicit(
+                warning.message, warning.category, warning.filename, warning.lineno
+            )
+    if leaked:
+        pytest.fail(f"snapshot journals left open: {leaked}")
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,6 @@
-"""Integration tests: transparency, the telemetry migration, shard traces.
+"""Integration tests: transparency, the telemetry migration, CLI flags.
 
-Four contracts pinned here:
+Three contracts pinned here:
 
 * **transparency** — a pipeline run with tracing+metrics active is
   byte-identical to the plain run (the tentpole guarantee, also enforced
@@ -8,10 +8,6 @@ Four contracts pinned here:
 * **telemetry migration** — the registry-backed
   :class:`repro.obs.Telemetry` produces the exact bytes of the retired
   engine telemetry dataclass;
-* **executor determinism** — the merged trace of tasks run in
-  :class:`~repro.shard.ShardExecutor` worker processes has the same
-  structure as the inline (``workers=0``) run, and worker metrics fold
-  into the coordinator's registry;
 * **CLI plumbing** — ``--trace`` / ``--metrics-out`` write real artifacts
   and ``repro simulate`` prints the unified per-round table.
 """
@@ -261,39 +257,6 @@ class TestTelemetryMigration:
             session = engine.session(PerfectCrowd({p: True for p in pairs}))
             session.ask_batch(pairs)
         assert obs.registry.counter("repro_engine_posted_total").value > 0
-
-
-def _traced_square(value):
-    """Module-level (picklable) task that records a span and a counter."""
-    obs = current()
-    with obs.tracer.span("task.square", value=value):
-        obs.registry.counter("test_squares_total", "squares computed").inc()
-    return value * value
-
-
-class TestShardTraces:
-    def run_tasks(self, workers):
-        from repro.shard import ShardExecutor
-
-        with activated(Observability(tracing=True, metrics=True)) as obs:
-            with ShardExecutor(workers=workers) as executor:
-                with obs.tracer.span("coordinator"):
-                    results = executor.run(_traced_square, [3, 1, 2], weights=[1, 3, 2])
-        return results, obs
-
-    def test_inline_and_multiprocess_traces_have_one_structure(self):
-        inline_results, inline_obs = self.run_tasks(workers=0)
-        pooled_results, pooled_obs = self.run_tasks(workers=2)
-        assert pooled_results == inline_results == [9, 1, 4]
-        pooled = structure(pooled_obs.tracer.export())
-        assert pooled == structure(inline_obs.tracer.export())
-        assert pooled == [(0, "coordinator")] + [(1, "shard.task"), (2, "task.square")] * 3
-
-    def test_worker_metrics_fold_into_the_coordinator(self):
-        _, obs = self.run_tasks(workers=2)
-        assert obs.registry.counter("test_squares_total").value == 3
-        names = [name for _, name in structure(obs.tracer.export())]
-        assert "shard.task" in names
 
 
 class TestCliFlags:

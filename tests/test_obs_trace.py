@@ -1,4 +1,4 @@
-"""Tests for the tracing layer: nesting, clocks, threads, and grafting."""
+"""Tests for the tracing layer: nesting, clocks, threads, and structure."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import ObservabilityError
-from repro.obs import ManualClock, NULL_SPAN, Span, Tracer, structure, walk
+from repro.obs import ManualClock, NULL_SPAN, Tracer, structure
 
 
 class TestNesting:
@@ -84,8 +84,6 @@ class TestDisabled:
         with tracer.span("s"):
             pass
         assert tracer.export() == []
-        tracer.graft([{"name": "w"}])
-        assert tracer.export() == []
 
 
 class TestErrors:
@@ -140,55 +138,7 @@ class TestThreads:
         assert "children" not in names["main-root"]
 
 
-class TestGraft:
-    def _worker_export(self, label):
-        worker = Tracer()
-        with worker.span("shard.task"):
-            with worker.span(f"stage-{label}"):
-                pass
-        return worker.export()
-
-    def test_graft_order_determines_structure(self):
-        """Grafting in task order erases worker completion order."""
-        exports = [self._worker_export(i) for i in range(3)]
-
-        def merged(order):
-            coordinator = Tracer()
-            with coordinator.span("shard.join"):
-                for index in order:
-                    coordinator.graft(exports[index], task=index)
-            return coordinator.export()
-
-        # Simulate any completion order: the coordinator always grafts in
-        # task-index order, so the merged structure is identical.
-        assert structure(merged([0, 1, 2])) == structure(merged([0, 1, 2]))
-        tree = merged([0, 1, 2])
-        tasks = [
-            span["attributes"]["task"]
-            for _, span in walk(tree)
-            if span["name"] == "shard.task"
-        ]
-        assert tasks == [0, 1, 2]
-
-    def test_graft_without_open_span_creates_roots(self):
-        tracer = Tracer()
-        tracer.graft(self._worker_export("x"), task=7)
-        roots = tracer.export()
-        assert [span["name"] for span in roots] == ["shard.task"]
-        assert roots[0]["attributes"]["task"] == 7
-
-
 class TestSerialization:
-    def test_span_roundtrips_through_dicts(self):
-        span = Span("s", {"k": "v"})
-        span.wall_seconds = 1.5
-        span.cpu_seconds = 0.5
-        span.status = "error"
-        span.error = "ValueError: x"
-        span.children = [Span("child")]
-        clone = Span.from_dict(span.to_dict())
-        assert clone.to_dict() == span.to_dict()
-
     @given(st.integers(min_value=0, max_value=4))
     def test_structure_is_timing_free(self, depth):
         """Two runs with different clocks have identical structures."""

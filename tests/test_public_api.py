@@ -1,7 +1,12 @@
-"""Public-API integrity: __all__ correctness and registry instantiability."""
+"""Public-API integrity: __all__ correctness, registry instantiability,
+and an import that loads no process machinery."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,3 +78,24 @@ class TestRegistries:
         for name, algorithm in GROUPING_ALGORITHMS.items():
             groups = algorithm(vectors, 0.1)
             assert sorted(map(sorted, groups)) == [[0, 1], [2]], name
+
+
+def test_importing_the_package_loads_no_process_machinery():
+    """No path starts a worker process, so importing every layer the
+    end-to-end benchmark imports must not load the modules that would."""
+    probe = (
+        "import sys\n"
+        "import repro, repro.serve, repro.shard, repro.stream\n"
+        "print(sorted(name for name in ('multiprocessing', 'concurrent.futures.process')"
+        " if name in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert completed.stdout.strip() == "[]"

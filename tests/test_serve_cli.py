@@ -13,12 +13,14 @@ checkpoint (no torn manifest tail) that resumes byte-identically.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -69,7 +71,9 @@ def _direct_sha(small_table, tmp_path, name, batch_size=50, seed=0):
             [record.values for record in chunk],
             entity_ids=[record.entity_id for record in chunk],
         )
-    return resolver.checkpoint()["state_sha"]
+    state_sha = resolver.checkpoint()["state_sha"]
+    resolver.close()
+    return state_sha
 
 
 class TestClientTranscript:
@@ -116,13 +120,18 @@ class TestClientTranscript:
         )
 
     def test_health_action(self, tmp_path, capsys):
-        code, out, _ = _run(
-            ["client", "health", "--spawn", str(tmp_path / "root")], capsys
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code, out, _ = _run(
+                ["client", "health", "--spawn", str(tmp_path / "root")], capsys
+            )
+            gc.collect()
         assert code == 0
         assert "status        : ok" in out
         assert "protocol      : 1" in out
         assert "known_sessions: 0" in out
+        # The spawned server's output pipe is closed with the server.
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_metrics_action_emits_prometheus_text(self, tmp_path, capsys):
         code, out, _ = _run(

@@ -87,7 +87,9 @@ def _serial_sha(root, table, name, chunks, seed):
             [list(r.values) for r in chunk],
             entity_ids=[r.entity_id for r in chunk],
         )
-    return resolver.checkpoint()["state_sha"]
+    state_sha = resolver.checkpoint()["state_sha"]
+    resolver.close()
+    return state_sha
 
 
 class TestScheduleIndependence:

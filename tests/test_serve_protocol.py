@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, OverloadedError, ProtocolError
 from repro.obs.clock import ManualClock
@@ -27,10 +29,19 @@ from repro.serve import (
     ok_response,
 )
 from repro.serve.admission import DEFAULT_BATCH_SECONDS, DRAIN_RETRY_AFTER
+from repro.serve.protocol import OPS
 
 
 def _request(**fields):
     return {"v": PROTOCOL_VERSION, "id": 1, **fields}
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
 
 
 class TestCodec:
@@ -73,6 +84,9 @@ class TestRequestValidation:
     def test_unknown_op_rejected_with_vocabulary(self):
         with pytest.raises(ProtocolError, match="create_session") as excinfo:
             decode_request(encode(_request(op="drop_tables")))
+        assert excinfo.value.code == "unknown_op"
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_request(encode(_request(op=["ingest"])))  # unhashable
         assert excinfo.value.code == "unknown_op"
 
     def test_missing_required_field(self):
@@ -128,6 +142,40 @@ class TestRequestValidation:
                     )
                 )
             )
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"rows": [["x"]], "entity_ids": 5},
+            {"rows": [["x"]], "entity_ids": "z"},
+            {"rows": [["x"]], "entity_ids": {"a": 1}},
+            {"rows": [5]},
+            {"rows": ["ab"]},
+            {"rows": [{"a": 1, "b": 2}]},
+        ],
+    )
+    def test_ingest_rows_and_entity_ids_must_be_lists(self, fields):
+        """A string or object is not iterated as characters or keys, and a
+        number is not left for the handler to trip over."""
+        with pytest.raises(ProtocolError, match="must be a list") as excinfo:
+            decode_request(encode(_request(op="ingest", session="a", **fields)))
+        assert excinfo.value.code == "bad_request"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(sorted(OPS)),
+        st.dictionaries(
+            st.sampled_from(["session", "rows", "entity_ids", "attributes", "config"]),
+            json_values,
+        ),
+    )
+    def test_any_field_values_decode_or_are_refused(self, op, fields):
+        """Whatever JSON a field holds, decoding raises nothing but a
+        :class:`ProtocolError`, so ``ServeApp.handle_line`` answers it."""
+        try:
+            decode_request(encode(_request(op=op, **fields)))
+        except ProtocolError:
+            pass
 
     def test_response_from_future_server_rejected(self):
         with pytest.raises(ProtocolError, match="version"):

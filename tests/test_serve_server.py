@@ -12,6 +12,7 @@ to driving :class:`StreamingResolver` directly.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import gc
 import json
 import warnings
@@ -67,6 +68,17 @@ def run(coro):
     return asyncio.run(coro)
 
 
+@contextlib.asynccontextmanager
+async def serving(app):
+    """Serve *app* on a real socket, then drain it as a shutdown would,
+    which closes every session's snapshot journal."""
+    async with ResolutionServer(app) as server:
+        try:
+            yield server
+        finally:
+            await app.drain()
+
+
 class TestEndToEnd:
     def test_session_through_server_matches_direct_stream(
         self, small_table, tmp_path
@@ -75,7 +87,7 @@ class TestEndToEnd:
 
         async def scenario():
             app = ServeApp(tmp_path / "serve", max_sessions=4)
-            async with ResolutionServer(app) as server:
+            async with serving(app) as server:
                 async with AsyncServeClient(port=server.port) as client:
                     created = await client.create_session(
                         "t1", list(small_table.attributes)
@@ -103,7 +115,7 @@ class TestEndToEnd:
 
         async def scenario():
             app = ServeApp(tmp_path / "serve", max_sessions=1)
-            async with ResolutionServer(app) as server:
+            async with serving(app) as server:
                 async with AsyncServeClient(port=server.port) as client:
                     await client.create_session("a", list(ATTRS))
                     await client.create_session("b", list(ATTRS))
@@ -132,7 +144,7 @@ class TestEndToEnd:
 
         async def scenario():
             app = ServeApp(tmp_path / "serve", max_sessions=2)
-            async with ResolutionServer(app) as server:
+            async with serving(app) as server:
                 async with AsyncServeClient(port=server.port) as client:
                     for index in range(5):
                         name = f"s{index}"
@@ -151,7 +163,7 @@ class TestEndToEnd:
 
         async def scenario():
             app = ServeApp(tmp_path / "serve", max_sessions=1)
-            async with ResolutionServer(app) as server:
+            async with serving(app) as server:
                 async with AsyncServeClient(port=server.port) as client:
                     await client.create_session("cold", list(ATTRS))
                     await client.ingest("cold", _rows(chunk), _ids(chunk))
@@ -212,14 +224,14 @@ class TestProtocolEdge:
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
         writer.write(payload)
         await writer.drain()
-        line = await reader.readline()
+        line = await asyncio.wait_for(reader.readline(), timeout=10)
         writer.close()
         return json.loads(line)
 
     def test_unknown_version_and_op_and_bad_json(self, tmp_path):
         async def scenario():
             app = ServeApp(tmp_path / "serve")
-            async with ResolutionServer(app) as server:
+            async with serving(app) as server:
                 future = await self._raw_exchange(
                     server.port,
                     encode({"v": 99, "id": 5, "op": "healthz"}),
@@ -229,19 +241,21 @@ class TestProtocolEdge:
                     encode({"v": PROTOCOL_VERSION, "id": 6, "op": "explode"}),
                 )
                 garbage = await self._raw_exchange(server.port, b"}{\n")
-                return future, unknown, garbage
+                deep = await self._raw_exchange(server.port, b"[" * 100_000 + b"\n")
+                return future, unknown, garbage, deep
 
-        future, unknown, garbage = run(scenario())
+        future, unknown, garbage, deep = run(scenario())
         assert future["ok"] is False
         assert future["error"] == "unsupported_version"
         assert future["id"] == 5  # id echoed even on rejection
         assert unknown["error"] == "unknown_op"
         assert garbage["error"] == "bad_json"
+        assert deep["error"] == "bad_json"  # nesting too deep to decode
 
     def test_unknown_session_and_bad_name(self, tmp_path):
         async def scenario():
             app = ServeApp(tmp_path / "serve")
-            async with ResolutionServer(app) as server:
+            async with serving(app) as server:
                 async with AsyncServeClient(port=server.port) as client:
                     ghost = await client.request(
                         "query_clusters", session="ghost"
@@ -249,11 +263,13 @@ class TestProtocolEdge:
                     bad = await client.request(
                         "checkpoint", session="../escape"
                     )
-                    return ghost, bad
+                    numeric = await client.request("checkpoint", session=5)
+                    return ghost, bad, numeric
 
-        ghost, bad = run(scenario())
+        ghost, bad, numeric = run(scenario())
         assert ghost["error"] == "unknown_session"
         assert bad["error"] == "bad_session"
+        assert numeric["error"] == "bad_session"
 
     def test_unbillable_session_is_refused_and_never_adopted(self, small_table, tmp_path):
         """Pricing or a band that would fail every later ingest is refused
@@ -272,7 +288,7 @@ class TestProtocolEdge:
 
         async def scenario():
             app = ServeApp(tmp_path / "serve", max_sessions=2)
-            async with ResolutionServer(app) as server:
+            async with serving(app) as server:
                 async with AsyncServeClient(port=server.port) as client:
                     refused = [
                         await client.request(
@@ -366,7 +382,7 @@ class TestProtocolEdge:
     def test_schema_mismatch_on_attach(self, small_table, tmp_path):
         async def scenario():
             app = ServeApp(tmp_path / "serve")
-            async with ResolutionServer(app) as server:
+            async with serving(app) as server:
                 async with AsyncServeClient(port=server.port) as client:
                     await client.create_session("s", list(ATTRS))
                     with pytest.raises(ServeError, match="schema"):
@@ -386,13 +402,15 @@ class TestProtocolEdge:
             {"rows": [list(chunks[0][0].values)]},
             # A lone surrogate, sent as its JSON escape.
             {"rows": [["\ud800", "rome", "bbq"]], "entity_ids": [1]},
-            # Not a row at all: the handler's own exception is answered too.
+            # Not a row at all, and entity ids that are not a list: refused
+            # at the protocol edge, and the connection keeps answering.
             {"rows": [5]},
+            {"rows": [list(chunks[1][0].values)], "entity_ids": 5},
         ]
 
         async def scenario():
             app = ServeApp(tmp_path / "serve")
-            async with ResolutionServer(app) as server:
+            async with serving(app) as server:
                 async with AsyncServeClient(port=server.port) as client:
                     await client.create_session("t", list(small_table.attributes))
                     await client.ingest("t", _rows(chunks[0]), _ids(chunks[0]))
@@ -407,12 +425,13 @@ class TestProtocolEdge:
                     return refused, report, record["state_sha"]
 
         refused, report, sha = run(asyncio.wait_for(scenario(), timeout=60))
-        assert [response["ok"] for response in refused] == [False] * 4
+        assert [response["ok"] for response in refused] == [False] * 5
         assert [response["error"] for response in refused] == [
             "error",
             "error",
             "error",
-            "internal",
+            "bad_request",
+            "bad_request",
         ]
         assert report["batch"] == 2
         assert sha == _direct_sha(small_table, tmp_path, "t", chunks)
@@ -429,7 +448,7 @@ class TestProtocolEdge:
 
         async def scenario():
             app = ServeApp(tmp_path / "serve", max_sessions=1)
-            async with ResolutionServer(app) as server:
+            async with serving(app) as server:
                 async with AsyncServeClient(port=server.port) as client:
                     bad_create = await client.request(
                         "create_session",
@@ -464,7 +483,7 @@ class TestProtocolEdge:
     def test_healthz_and_metrics_over_http(self, tmp_path):
         async def scenario():
             app = ServeApp(tmp_path / "serve")
-            async with ResolutionServer(app) as server:
+            async with serving(app) as server:
                 async with AsyncServeClient(port=server.port) as client:
                     await client.create_session("h", list(ATTRS))
                 reader, writer = await asyncio.open_connection(
@@ -505,7 +524,7 @@ class TestResilience:
 
         async def scenario():
             app = ServeApp(tmp_path / "serve")
-            async with ResolutionServer(app) as server:
+            async with serving(app) as server:
                 async with AsyncServeClient(port=server.port) as client:
                     await client.create_session("d", list(ATTRS))
                 # Fire the ingest and slam the connection without reading.
@@ -553,7 +572,7 @@ class TestResilience:
                 queue_depth=1,
                 crowd_latency=0.15,
             )
-            async with ResolutionServer(app) as server:
+            async with serving(app) as server:
                 async with AsyncServeClient(port=server.port) as client:
                     await client.create_session("load", list(ATTRS))
                     results = await asyncio.gather(
@@ -590,7 +609,7 @@ class TestResilience:
 
         async def scenario():
             app = ServeApp(tmp_path / "serve", max_sessions=4)
-            async with ResolutionServer(app) as server:
+            async with serving(app) as server:
                 async with AsyncServeClient(port=server.port) as client:
                     for name in ("d1", "d2"):
                         await client.create_session(name, list(ATTRS))

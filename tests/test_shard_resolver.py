@@ -1,29 +1,32 @@
-"""``repro.shard.ShardedResolver``: the serial resolver under its old name.
+"""``repro.shard``: the serial resolver and task runner under old names.
 
 The end-to-end benchmark still builds ``ShardedResolver(config,
-workers=2)``.  These tests pin what that name now is: it starts no worker
-process whatever ``workers`` says, and it runs exactly
-``PowerResolver.resolve``, transcript for transcript, budget included.
+workers=2)`` and wraps ``ShardExecutor.run``.  These tests pin what those
+names now are: neither starts a worker process, ``ShardedResolver`` runs
+exactly ``PowerResolver.resolve``, transcript for transcript, budget
+included, and ``ShardExecutor.run`` calls each task in the calling
+process, in task order.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import multiprocessing
 
 import pytest
 
 from repro.core import PowerConfig, PowerResolver
-from repro.shard import ShardedResolver, executor
+from repro.shard import ShardedResolver, ShardExecutor
 
 
-def _refuse_pool(*args, **kwargs):
-    raise AssertionError("ShardedResolver started a process pool")
+def _refuse_process(*args, **kwargs):
+    raise AssertionError("a worker process was started")
 
 
 @pytest.fixture()
 def no_process_pool(monkeypatch):
-    monkeypatch.setattr(executor, "ProcessPoolExecutor", _refuse_pool)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_process)
+    monkeypatch.setattr(multiprocessing.Process, "start", _refuse_process)
 
 
 def _selector_run(table, config, budget):
@@ -61,3 +64,10 @@ class TestExactMode:
         assert sharded.questions == selection.questions
         assert sharded.iterations == selection.iterations
         assert sharded.cost_cents == selection.cost_cents
+
+
+def test_executor_runs_tasks_in_process_and_in_order(no_process_pool):
+    squares = ShardExecutor().run(lambda value: value * value, [3, 1, 2], weights=[1, 3, 2])
+    assert squares == [9, 1, 4]
+    # benchmarks/e2e/tracing.py wraps the method found in the class body.
+    assert "run" in ShardExecutor.__dict__

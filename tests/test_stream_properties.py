@@ -205,10 +205,13 @@ class TestKillResume:
             for chunk_rows, chunk_ids in chunks[:kill_after]:
                 victim.add_batch(chunk_rows, entity_ids=chunk_ids)
                 victim.checkpoint()
+            # The kill: the process's files close with it, and its last
+            # manifest line may be torn.
+            victim.close()
+            del victim
             if tear_tail:
                 with open(resumed_dir / MANIFEST_NAME, "ab") as manifest:
                     manifest.write(b'{"type": "checkpoint", "trunc')
-            del victim
 
             resumed = StreamingResolver.restore(resumed_dir)
             assert resumed.batches == kill_after
@@ -238,6 +241,8 @@ class TestKillResume:
             assert resumed.cost_cents == straight.cost_cents
             assert resumed.clusters() == straight.clusters()
             assert resumed_record["state_sha"] == straight_record["state_sha"]
+            straight.close()
+            resumed.close()
 
 
 @pytest.mark.slow

@@ -34,7 +34,9 @@ from repro.stream.snapshot import canonical_json
 
 @pytest.fixture()
 def store(tmp_path):
-    return SnapshotStore(tmp_path / "snap")
+    store = SnapshotStore(tmp_path / "snap")
+    yield store
+    store.close()
 
 
 class TestObjectStore:
@@ -136,6 +138,7 @@ class TestIndexCodec:
         service = StreamingResolver(("text",), checkpoint_dir=directory)
         service.add_batch([(text,) for text in texts], entity_ids=list(range(len(texts))))
         service.checkpoint()
+        service.close()
         return service
 
     @staticmethod
@@ -177,6 +180,8 @@ class TestIndexCodec:
         straight.add_batch(more, entity_ids=[10, 11, 0])
         assert resumed.reports[-1]["new_pairs"] == straight.reports[-1]["new_pairs"] > 0
         assert resumed.checkpoint() == straight.checkpoint()
+        resumed.close()
+        straight.close()
 
     def test_unknown_tokenizer_rejected(self, tmp_path):
         self._stream(tmp_path / "s", self.TEXTS)
@@ -236,6 +241,7 @@ class TestServiceGuards:
         restored = StreamingResolver.restore(directory)
         assert restored.batches == 1
         assert restored.labels == service.labels
+        service.close()
 
     def test_lone_surrogate_attribute_name_refused(self, tmp_path):
         # UTF-8 cannot encode the name, so no checkpoint could ever hold it.
@@ -287,6 +293,8 @@ class TestServiceGuards:
         plain.add_batch(self.ROWS[:2], entity_ids=self.ENTITIES[:2])
         plain.add_batch(self.ROWS[2:], entity_ids=self.ENTITIES[2:])
         assert resumed.checkpoint()["state_sha"] == plain.checkpoint()["state_sha"]
+        for stream in (old, resumed, plain):
+            stream.close()
 
     def test_snapshot_with_retired_shard_fields_restores(self, tmp_path, monkeypatch):
         """A snapshot written while stream routing and the shard knobs were
@@ -317,6 +325,8 @@ class TestServiceGuards:
         plain.add_batch(self.ROWS[:2], entity_ids=self.ENTITIES[:2])
         plain.add_batch(self.ROWS[2:], entity_ids=self.ENTITIES[2:])
         assert resumed.checkpoint()["state_sha"] == plain.checkpoint()["state_sha"]
+        for stream in (old, resumed, plain):
+            stream.close()
 
     def test_shared_crowd_sessions_pool_billing(self):
         truth = {(0, 1): True, (0, 2): False, (1, 2): False}
@@ -343,6 +353,7 @@ class TestServiceGuards:
             )
             service.add_batch(self.ROWS, entity_ids=self.ENTITIES)
             service.checkpoint()
+            service.close()
             return service
 
         first = run(tmp_path / "a")
@@ -395,6 +406,8 @@ class TestRefusedBatch:
         clean = self._stream(tmp_path / "clean")
         clean.add_batch(self.NEXT, entity_ids=[1, 3])
         assert service.checkpoint()["state_sha"] == clean.checkpoint()["state_sha"]
+        service.close()
+        clean.close()
 
 
 class TestLabelCodec:
@@ -440,6 +453,7 @@ def test_small_stream_state_sha_is_pinned(small_table, tmp_path):
             entity_ids=[record.entity_id for record in chunk],
         )
     assert service.checkpoint()["state_sha"] == PINNED_STATE_SHA
+    service.close()
 
 
 def _pinned_stream(table, directory, config, rows=None, entity_ids=None):
@@ -455,7 +469,9 @@ def _pinned_stream(table, directory, config, rows=None, entity_ids=None):
         service.add_batch(
             rows[start : start + 7], entity_ids=entity_ids[start : start + 7]
         )
-    return service.checkpoint()["state_sha"]
+    state_sha = service.checkpoint()["state_sha"]
+    service.close()
+    return state_sha
 
 
 #: The final ``state_sha`` of the small table streamed with q-gram join
