@@ -8,7 +8,6 @@ harness treats all five algorithms uniformly.
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -16,6 +15,7 @@ import numpy as np
 from ..crowd.platform import CrowdSession
 from ..data.ground_truth import Pair
 from ..exceptions import ConfigurationError
+from ..obs import instrument as obs_instrument
 from ..selection.base import SelectionResult
 
 
@@ -34,21 +34,24 @@ class BaselineResolver(ABC):
             scores: one record-level similarity per pair, used for question
                 ordering / match-probability estimates.
             session: the crowd ledger for this run.
+
+        The ``assignment_time`` is the run's ``baseline.run`` region.
         """
         scores = np.asarray(scores, dtype=np.float64)
         if scores.shape != (len(pairs),):
             raise ConfigurationError(
                 f"scores shape {scores.shape} does not match {len(pairs)} pairs"
             )
-        started = time.perf_counter()
-        labels = self._resolve(pairs, scores, session)
-        elapsed = time.perf_counter() - started
+        with obs_instrument.timed(
+            obs_instrument.current(), "baseline.run", method=self.name
+        ) as run:
+            labels = self._resolve(pairs, scores, session)
         return SelectionResult(
             name=self.name,
             labels=labels,
             questions=session.questions_asked,
             iterations=session.iterations,
-            assignment_time=elapsed,
+            assignment_time=run.seconds,
             state=None,
             cost_cents=session.cost_cents,
         )

@@ -167,20 +167,6 @@ def _write_obs_outputs(args, obs) -> None:
         print(obs.profiler.report())
 
 
-def _print_round_table(per_round: list[dict], limit: int = 30) -> None:
-    """The unified per-round selection table (``repro simulate``)."""
-    if not per_round:
-        return
-    print("  round  asked  colored  cover(ms)  propagate(ms)")
-    rows = per_round if len(per_round) <= limit else per_round[:limit]
-    for row in rows:
-        print(f"  {row['round']:>5}  {row['asked']:>5}  {row['colored']:>7}  "
-              f"{row['cover_seconds'] * 1000:>9.2f}  "
-              f"{row['propagate_seconds'] * 1000:>13.2f}")
-    if len(per_round) > limit:
-        print(f"  ... ({len(per_round) - limit} more rounds)")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -255,8 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--resume", action="store_true",
                           help="resume from an existing journal instead of "
                                "starting fresh")
-    simulate.add_argument("--no-rounds-table", action="store_true",
-                          help="suppress the per-round selection table")
     _add_obs_arguments(simulate)
 
     experiment = commands.add_parser(
@@ -551,16 +535,13 @@ def _command_simulate(args) -> int:
     selection = row.extras.get("selection")
     if selection:
         print(f"selection      : rounds {selection['rounds']}  "
-              f"cover {selection['cover_seconds']:.3f}s  "
-              f"propagate {selection['propagate_seconds']:.3f}s  "
+              f"cover {row.assignment_time:.3f}s  "
               f"incremental {'on' if selection['incremental'] else 'off'}")
         engine_stats = selection.get("engine")
         if engine_stats:
             print(f"path-cover     : covers {engine_stats['covers']}  "
                   f"scratch builds {engine_stats['scratch_builds']}  "
                   f"deleted vertices {engine_stats['deleted_vertices']}")
-        if not args.no_rounds_table:
-            _print_round_table(selection.get("per_round", []))
     print(f"F1             : {row.f_measure:.3f}")
     print(f"billed         : {row.cost_cents / 100:.2f} USD")
     print(f"total spent    : {telemetry.total_spent_cents / 100:.2f} USD "

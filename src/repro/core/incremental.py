@@ -25,7 +25,6 @@ cost advantage compounds because the old×old pairs are never revisited.
 from __future__ import annotations
 
 import re
-import time
 from collections.abc import Sequence
 
 import numpy as np
@@ -36,6 +35,7 @@ from ..data.ground_truth import Pair
 from ..data.table import Table
 from ..exceptions import ConfigurationError, DataError
 from ..graph.grouped_graph import build_graph
+from ..obs import instrument as obs_instrument
 from ..similarity.batch import PostingJoin
 from ..similarity.tokenize import qgram_tokens, word_tokens
 from .clustering import clusters_from_matches
@@ -117,17 +117,17 @@ class IncrementalResolver:
 
         Returns:
             A batch report dict: new candidate pairs, questions, iterations,
-            the candidate join's wall seconds (``join_seconds``), and the
-            running cluster count.
+            the candidate join's wall seconds (``join_seconds``, the
+            ``stream.join`` region's), and the running cluster count.
         """
         values = self._checked_rows(rows, entity_ids)
         entities = (
             list(entity_ids) if entity_ids is not None else [None] * len(values)
         )
         first = len(self.table)
-        join_started = time.perf_counter()
-        pairs = self._join.extend(self._token_sets([" ".join(row) for row in values]))
-        join_seconds = time.perf_counter() - join_started
+        histogram = ("repro_pipeline_stage_seconds", {"stage": "stream.join"})
+        with obs_instrument.timed(obs_instrument.current(), "stream.join", histogram) as join:
+            pairs = self._join.extend(self._token_sets([" ".join(row) for row in values]))
         if pairs and session is None:
             try:
                 session = self._auto_session(pairs, worker_band, entities)
@@ -144,7 +144,7 @@ class IncrementalResolver:
             "questions": 0,
             "iterations": 0,
             "asked_pairs": [],
-            "join_seconds": join_seconds,
+            "join_seconds": join.seconds,
         }
         if pairs:
             vectors = self._batch_vectors(pairs)

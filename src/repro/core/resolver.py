@@ -227,20 +227,24 @@ class PowerResolver:
             )
         obs = obs_instrument.current()
         tracer = obs.tracer
-        labels = {"dataset": table.name}
+
+        def stage(name: str, **attributes):
+            histogram = ("repro_pipeline_stage_seconds", {"stage": name, "dataset": table.name})
+            return obs_instrument.timed(obs, f"resolve.{name}", histogram, **attributes)
+
         with tracer.span(
             "resolve", dataset=table.name, selector=self.config.selector
         ) as resolve_span:
-            with obs_instrument.pipeline_stage(obs, "join", labels):
+            with stage("join"):
                 pairs = self.candidate_pairs(table)
             if not pairs:
                 raise DataError(
                     f"no candidate pairs survive pruning at threshold "
                     f"{self.config.pruning_threshold} on table {table.name!r}"
                 )
-            with obs_instrument.pipeline_stage(obs, "vectorize", labels, pairs=len(pairs)):
+            with stage("vectorize", pairs=len(pairs)):
                 vectors = self.similarity_vectors(table, pairs)
-            with obs_instrument.pipeline_stage(obs, "construct", labels) as construct_span:
+            with stage("construct") as construct_span:
                 graph = self.build_graph(table, pairs, vectors=vectors)
                 construct_span.set_attribute("vertices", len(graph))
             if session is None:
@@ -255,14 +259,14 @@ class PowerResolver:
                     )
                 else:
                     session = crowd.session()
-            with obs_instrument.pipeline_stage(obs, "select", labels):
+            with stage("select"):
                 selection = self.make_selector().run(graph, session, budget=budget)
             if engine is not None:
                 engine.finalize(session)
                 selection.extras["telemetry"] = engine.telemetry.as_dict()
                 selection.extras["wall_clock_seconds"] = engine.wall_clock_seconds
                 selection.extras["batch_sizes"] = list(session.batch_sizes)
-            with obs_instrument.pipeline_stage(obs, "cluster", labels):
+            with stage("cluster"):
                 matches = selection.matches
                 clusters = clusters_from_matches(len(table), matches)
                 quality = None

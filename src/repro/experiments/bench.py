@@ -69,7 +69,7 @@ from ..data.table import Table
 from ..data.vocab import CITIES, CUISINES, RESTAURANT_NAME_HEADS
 from ..graph.construction import blocked_dominance_lists, blocked_edges, vectorized_edges
 from ..graph.dag import PairGraph
-from ..obs import Observability, activated, structure
+from ..obs import Observability, activated, structure, walk
 from ..selection import SELECTORS
 from ..serve import PROTOCOL_VERSION, AsyncServeClient, ResolutionServer, ServeApp
 from ..similarity import (
@@ -418,15 +418,42 @@ def _selection_sides(name: str, pairs, vectors, seed: int) -> list[Side]:
     ]
 
 
+#: The selection spans whose seconds the selection bench splits a run into.
+_SELECTION_PHASES = ("build_reachability", "cover", "augment", "ask", "propagate", "settle")
+
+
+def _phase_splits(name, pairs, vectors, truth, seed) -> dict[str, float]:
+    """Seconds per phase of one traced, untimed incremental run.
+
+    Each phase sums its ``selection.<phase>`` spans (``augment`` is part
+    of ``cover``); ``round_unspanned`` is the part of the rounds that no
+    child span covers.
+    """
+    with _selection_run(name, pairs, vectors, truth, seed, True) as call:
+        with activated(Observability(tracing=True, metrics=False)) as obs:
+            call()
+    spans = [span for _, span in walk(obs.tracer.export())]
+
+    def seconds(span_name):
+        return sum(span["wall_seconds"] for span in spans if span["name"] == span_name)
+
+    splits = {phase: seconds(f"selection.{phase}") for phase in _SELECTION_PHASES}
+    splits["round_unspanned"] = seconds("selection.round") - sum(
+        seconds(f"selection.{phase}") for phase in ("cover", "ask", "propagate")
+    )
+    return splits
+
+
 def _selection(workload: dict[str, Any], bars: dict[str, float]) -> Outcome:
     """The full ask/color loop against a perfect crowd over a monotone truth.
 
     Each selector runs on the same dominance graph of the ACMPub pairs of
     highest mean similarity, with the incremental engine and on the
     scratch reference paths; both must ask the same vertices in the same
-    order and end with the same coloring.  The details keep the last
-    incremental run's phase splits and a rounds-vs-n sweep of the
-    single-path engine (one timed run per side and size).
+    order and end with the same coloring.  The details keep each
+    selector's phase splits, read from the span tree of one more traced,
+    untimed incremental run, and a rounds-vs-n sweep of the single-path
+    engine (one timed run per side and size).
     """
     table = acmpub(scale=workload["scale"])
     pairs = similar_pairs(table, workload["threshold"])
@@ -444,11 +471,11 @@ def _selection(workload: dict[str, Any], bars: dict[str, float]) -> Outcome:
         workload["repeats"],
     )
 
+    truth = _pair_truth_from_vertices(pairs, monotone_truth(vectors))
     checks, selectors = {}, {}
     for name in workload["selectors"]:
         scratch = timings[f"{name}.scratch"].result
-        fast = timings[f"{name}.incremental"]
-        incremental = fast.result
+        incremental = timings[f"{name}.incremental"].result
         checks[f"{name}.equivalent"] = (
             incremental.state.asked_order == scratch.state.asked_order
             and np.array_equal(incremental.state.colors, scratch.state.colors)
@@ -461,18 +488,11 @@ def _selection(workload: dict[str, Any], bars: dict[str, float]) -> Outcome:
             "incremental"
         ]
         telemetry = incremental.extras["selection"]
-        engine = telemetry.get("engine", {})
-        cover, propagate = telemetry["cover_seconds"], telemetry["propagate_seconds"]
         selectors[name] = {
             "rounds": telemetry["rounds"],
             "questions": incremental.questions,
-            "splits": {
-                "cover_seconds": cover,
-                "augment_seconds": engine.get("augment_seconds", 0.0),
-                "propagate_seconds": propagate,
-                "bookkeeping_seconds": max(0.0, fast.median - cover - propagate),
-            },
-            "engine": engine,
+            "splits": _phase_splits(name, pairs, vectors, truth, seed),
+            "engine": telemetry.get("engine", {}),
         }
 
     scaling = []

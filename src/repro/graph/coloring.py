@@ -13,16 +13,16 @@ The BLUE color is used by the error-tolerant layer (§6) for vertices whose
 crowd answer had low confidence; BLUE vertices are pinned and excluded from
 inference in both directions.
 
-The selection loops apply a whole crowd round at once
+The selection loop applies a whole crowd round at once
 (:meth:`ColoringState.apply_round`): pin every answer in question order,
 add the round's summed votes, refresh the vertices they touched.  That is
-the same state as :meth:`~ColoringState.apply_answer` /
-:meth:`~ColoringState.mark_blue` one answer at a time, because votes are
+the same state as applying the answers one at a time, because votes are
 counts (their sum does not depend on order), a pinned vertex keeps its
 answer whenever its pin lands, and an unpinned vertex's color is the
 majority of its cumulative votes at its last touch — after every vote of
-the round in both schedules.  The per-answer methods stay as the reference
-the battery compares the round update against.
+the round in both schedules.  The battery's ``round-update`` step compares
+every round against :class:`repro.verify.oracles.ReferenceColoring`, the
+one-answer-at-a-time reference.
 """
 
 from __future__ import annotations
@@ -67,31 +67,6 @@ class ColoringState:
     # ------------------------------------------------------------------ #
     # Applying crowd answers
     # ------------------------------------------------------------------ #
-
-    def apply_answer(self, vertex: int, answer: bool, propagate: bool = True) -> None:
-        """Pin *vertex* to the crowd's answer and optionally propagate.
-
-        Args:
-            vertex: the asked vertex.
-            answer: True = same entity (GREEN), False = different (RED).
-            propagate: when True (the default coloring strategy), a GREEN
-                answer votes every ancestor GREEN and a RED answer votes
-                every descendant RED.  The error-tolerant algorithm passes
-                False for low-confidence answers.
-        """
-        self.graph._check_vertex(vertex)
-        self.asked_order.append(vertex)
-        self.colors[vertex] = Color.GREEN if answer else Color.RED
-        self._pinned[vertex] = True
-        if not propagate:
-            return
-        if answer:
-            targets = self.graph.ancestor_mask(vertex)
-            self._green_votes[targets] += 1
-        else:
-            targets = self.graph.descendant_mask(vertex)
-            self._red_votes[targets] += 1
-        self._refresh(targets)
 
     def apply_round(
         self, vertices: Sequence[int], answers: Sequence[bool | None]
@@ -152,13 +127,6 @@ class ColoringState:
         for vertex in red:
             red_votes += self.graph.descendant_mask(vertex)
         return green_votes, red_votes
-
-    def mark_blue(self, vertex: int) -> None:
-        """Pin *vertex* BLUE (low-confidence answer; no inference either way)."""
-        self.graph._check_vertex(vertex)
-        self.asked_order.append(vertex)
-        self.colors[vertex] = Color.BLUE
-        self._pinned[vertex] = True
 
     def force_color(self, vertex: int, color: Color) -> None:
         """Pin a vertex to a color chosen outside the crowd loop.

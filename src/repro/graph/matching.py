@@ -27,6 +27,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..exceptions import GraphError
+from ..obs import instrument as obs_instrument
 
 _INFINITY = float("inf")
 
@@ -276,8 +277,6 @@ class IncrementalPathCover:
             "scratch_builds": 0,
             "suffix_lefts": 0,
             "deleted_vertices": 0,
-            "greedy_seconds": 0.0,
-            "augment_seconds": 0.0,
         }
 
     @property
@@ -477,16 +476,15 @@ class IncrementalPathCover:
         Paths are in original vertex ids, in the reference's head order.
         The active set must shrink monotonically across calls (colored
         vertices never return); a grown set raises :class:`GraphError`.
+        Hopcroft-Karp's phases after the greedy one run inside a
+        ``selection.augment`` span.
         """
-        import time as _time
-
         active_mask = np.ascontiguousarray(active_mask, dtype=bool)
         if active_mask.shape != (self._n,):
             raise GraphError(
                 f"active mask has shape {active_mask.shape}; expected ({self._n},)"
             )
         self.stats["covers"] += 1
-        started = _time.perf_counter()
         if self._active is None:
             self._active = active_mask.copy()
             self._greedy_scratch()
@@ -504,21 +502,19 @@ class IncrementalPathCover:
                 self._greedy_suffix(restart)
         np.copyto(self._match_left, self._greedy_left)
         np.copyto(self._match_right, self._greedy_right)
-        greedy_done = _time.perf_counter()
-        self.stats["greedy_seconds"] += greedy_done - started
         # Phases 2+ run on list mirrors of the match/distance arrays (the
         # reference's data layout); the numpy arrays are re-synced before
         # each vectorized BFS.
-        match_left = self._match_left.tolist()
-        match_right = self._match_right.tolist()
-        cache: dict[int, list[int]] = {}
-        while self._bfs():
-            distance = self._distance.tolist()
-            for u in np.flatnonzero(self._active & (self._match_left == -1)):
-                self._augment(int(u), distance, match_left, match_right, cache)
-            self._match_left[:] = match_left
-            self._match_right[:] = match_right
-        self.stats["augment_seconds"] += _time.perf_counter() - greedy_done
+        with obs_instrument.current().tracer.span("selection.augment"):
+            match_left = self._match_left.tolist()
+            match_right = self._match_right.tolist()
+            cache: dict[int, list[int]] = {}
+            while self._bfs():
+                distance = self._distance.tolist()
+                for u in np.flatnonzero(self._active & (self._match_left == -1)):
+                    self._augment(int(u), distance, match_left, match_right, cache)
+                self._match_left[:] = match_left
+                self._match_right[:] = match_right
         return self._paths()
 
     def _paths(self) -> list[list[int]]:

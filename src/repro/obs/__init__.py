@@ -50,8 +50,8 @@ from .instrument import (
     activated,
     current,
     observe_round,
-    pipeline_stage,
     record_selection_metrics,
+    timed,
 )
 from .metrics import (
     COUNT_BOUNDARIES,
@@ -86,12 +86,12 @@ __all__ = [
     "activated",
     "current",
     "observe_round",
-    "pipeline_stage",
     "read_trace",
     "record_selection_metrics",
     "render_metrics",
     "render_trace",
     "structure",
+    "timed",
     "to_prometheus",
     "trace_records",
     "walk",

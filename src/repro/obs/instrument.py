@@ -16,11 +16,12 @@ Hook inventory (each documents the metric names it owns):
   ``obs-perturbs-selection`` mutant attacks and the
   ``check_observability_transparent`` battery step certifies.
 * :func:`record_selection_metrics` — the canonical mapping from the
-  ad-hoc ``SelectionResult.extras["selection"]`` dict onto registry
-  metrics (one schema for ``repro simulate`` tables and Prometheus).
-* :func:`pipeline_stage` — times one resolve stage once: the
-  ``resolve.<stage>`` span and the ``repro_pipeline_stage_seconds``
-  histogram come from the same two reads of the tracer's clock.
+  run's ``SelectionResult.extras["selection"]`` counts onto registry
+  metrics.
+* :class:`timed` — the one timed region: a span, a seconds histogram and
+  the caller's own ``seconds`` all come from the same two reads of the
+  tracer's clock.  Resolve stages, selection cover and propagate, the
+  stream join and baseline runs are timed through it.
 
 Transparency contract: hooks read, record, and return their inputs
 untouched; they never consume RNG state, mutate graphs/colorings, or
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 from .metrics import COUNT_BOUNDARIES, MetricsRegistry, SECONDS_BOUNDARIES
 from .profiler import SamplingProfiler
-from .trace import NULL_SPAN, Tracer
+from .trace import Tracer
 
 
 @dataclass
@@ -109,7 +110,6 @@ def observe_round(
     selector_name: str,
     round_index: int,
     vertices: list[int],
-    cover_seconds: float,
 ) -> list[int]:
     """Record one selection round; returns the batch unchanged.
 
@@ -136,11 +136,6 @@ def observe_round(
             boundaries=COUNT_BOUNDARIES,
             selector=selector_name,
         ).observe(len(vertices))
-        registry.histogram(
-            "repro_selection_cover_seconds",
-            "per-round question-selection (path cover) time",
-            selector=selector_name,
-        ).observe(cover_seconds)
     return vertices
 
 
@@ -149,19 +144,17 @@ def record_selection_metrics(
 ) -> None:
     """Canonical ``extras["selection"]`` → registry mapping.
 
-    One schema for every consumer (CLI tables, Prometheus, JSON):
-
     ==============================  =======================================
     extras key                      metric
     ==============================  =======================================
     ``rounds``                      ``repro_selection_rounds`` gauge
-    ``cover_seconds``               ``repro_selection_cover_seconds_total``
-    ``propagate_seconds``           ``repro_selection_propagate_seconds_total``
     ``incremental``                 ``repro_selection_incremental`` gauge
     ``engine.covers``               ``repro_selection_path_covers_total``
     ``engine.scratch_builds``       ``repro_selection_scratch_builds_total``
     ``engine.deleted_vertices``     ``repro_selection_deleted_vertices_total``
     ==============================  =======================================
+
+    Times are not in the dict: they are :class:`timed` regions.
     """
     if not obs.metrics:
         return
@@ -170,16 +163,6 @@ def record_selection_metrics(
     registry.gauge(
         "repro_selection_rounds", "selection rounds in the last run", **labels
     ).set(selection_stats.get("rounds", 0))
-    registry.counter(
-        "repro_selection_cover_seconds_total",
-        "seconds choosing questions (Fig. 30 assignment time)",
-        **labels,
-    ).inc(selection_stats.get("cover_seconds", 0.0))
-    registry.counter(
-        "repro_selection_propagate_seconds_total",
-        "seconds propagating answers through the partial order",
-        **labels,
-    ).inc(selection_stats.get("propagate_seconds", 0.0))
     registry.gauge(
         "repro_selection_incremental",
         "1 when the incremental selection engine was active",
@@ -198,9 +181,7 @@ def record_selection_metrics(
 
 
 def record_stream_batch(obs: Observability, report: dict) -> None:
-    """One streaming-resolution batch → ``repro_stream_*`` metrics, and
-    its candidate join's seconds as ``repro_pipeline_stage_seconds``
-    ``stage="stream.join"``.
+    """One streaming-resolution batch → ``repro_stream_*`` metrics.
 
     Same transparency contract as every other hook: reads the finished
     batch report, never steers the run.
@@ -219,12 +200,6 @@ def record_stream_batch(obs: Observability, report: dict) -> None:
         registry.counter(
             name, f"streaming resolution: {key.replace('_', ' ')}"
         ).inc(report.get(key, 0))
-    registry.histogram(
-        "repro_pipeline_stage_seconds",
-        "wall seconds per resolution pipeline stage",
-        boundaries=SECONDS_BOUNDARIES,
-        stage="stream.join",
-    ).observe(report["join_seconds"])
 
 
 def record_serve_request(
@@ -289,66 +264,83 @@ def record_serve_event(obs: Observability, event: str) -> None:
     ).inc()
 
 
-class _Stage:
-    """The context :func:`pipeline_stage` opens while observability is on."""
+#: The seconds histograms a :class:`timed` region can feed, with their help.
+TIMED_HISTOGRAMS: dict[str, str] = {
+    "repro_pipeline_stage_seconds": "wall seconds per resolution pipeline stage",
+    "repro_selection_cover_seconds": "per-round question-selection (path cover) seconds",
+    "repro_selection_propagate_seconds": "per-round answer propagation seconds",
+}
 
-    __slots__ = ("_obs", "_name", "_labels", "_attributes", "_context", "_started")
 
-    def __init__(self, obs: Observability, name: str, labels: dict, attributes: dict) -> None:
+class timed:
+    """Time one region once, for its span, its histogram and its caller.
+
+    The region reads the tracer's clock once at each end.  With tracing
+    on, those reads open and close the span *name* (with *attributes*);
+    with metrics on and no exception, their difference is observed into
+    *histogram*, a ``(metric name, labels)`` pair naming one of
+    :data:`TIMED_HISTOGRAMS`; either way it is left on ``.seconds``.  So a
+    :class:`~repro.obs.clock.ManualClock` on the tracer drives all three,
+    and a number a caller reports (Fig. 30's assignment time, a stream
+    batch's ``join_seconds``) is the sum of the spans it stands for.
+    """
+
+    __slots__ = (
+        "_obs", "_name", "_histogram", "_attributes", "_context", "_started", "seconds",
+    )
+
+    def __init__(
+        self,
+        obs: Observability,
+        name: str,
+        histogram: tuple[str, dict] | None = None,
+        **attributes,
+    ) -> None:
         self._obs = obs
         self._name = name
-        self._labels = labels
+        self._histogram = histogram
         self._attributes = attributes
         self._context = None
+        self.seconds = 0.0
 
-    def __enter__(self):
-        if self._obs.tracing:
-            self._context = self._obs.tracer.span(f"resolve.{self._name}", **self._attributes)
-            return self._context.__enter__()
-        self._started = self._obs.tracer.clock.wall()
-        return NULL_SPAN
+    def __enter__(self) -> "timed":
+        tracer = self._obs.tracer
+        if tracer.enabled:
+            self._context = tracer.span(self._name, **self._attributes)
+            self._context.__enter__()
+        else:
+            self._started = tracer.clock.wall()
+        return self
 
     def __exit__(self, exc_type, exc, traceback) -> None:
         if self._context is not None:
             self._context.__exit__(exc_type, exc, traceback)
-            seconds = self._context.span.wall_seconds
+            self.seconds = self._context.span.wall_seconds
         else:
-            seconds = self._obs.tracer.clock.wall() - self._started
-        if self._obs.metrics and exc_type is None:
-            self._obs.registry.histogram(
-                "repro_pipeline_stage_seconds",
-                "wall seconds per resolution pipeline stage",
-                boundaries=SECONDS_BOUNDARIES,
-                stage=self._name,
-                **self._labels,
-            ).observe(seconds)
+            self.seconds = self._obs.tracer.clock.wall() - self._started
+        if self._histogram is not None and self._obs.metrics and exc_type is None:
+            name, labels = self._histogram
+            self._obs.registry.histogram(name, TIMED_HISTOGRAMS[name], **labels).observe(
+                self.seconds
+            )
 
-
-def pipeline_stage(obs: Observability, name: str, labels: dict, **attributes):
-    """Time one resolve stage once, for its span and its histogram.
-
-    Opens the span ``resolve.<name>`` (with *attributes*) when tracing is
-    on, and observes the same two clock reads into
-    ``repro_pipeline_stage_seconds{stage=<name>, **labels}`` when metrics
-    are on and the stage did not raise; with neither on, it is the no-op
-    span.  Both read the tracer's clock, so a test's
-    :class:`~repro.obs.clock.ManualClock` drives both.
-    """
-    if not obs.enabled:
-        return NULL_SPAN
-    return _Stage(obs, name, labels, attributes)
+    def set_attribute(self, key: str, value) -> None:
+        """Set an attribute on the region's span (a no-op untraced)."""
+        if self._context is not None:
+            self._context.span.set_attribute(key, value)
 
 
 __all__ = [
     "DISABLED",
     "Observability",
+    "TIMED_HISTOGRAMS",
     "activated",
     "current",
     "observe_round",
-    "pipeline_stage",
     "record_selection_metrics",
     "record_serve_event",
     "record_serve_request",
     "record_serve_sessions",
     "record_stream_batch",
+    "timed",
 ]

@@ -16,7 +16,10 @@ Two properties matter for the rest of the repo:
   no-op context manager; the hot paths pay an attribute check and a call.
 * **thread safety** — each thread has its own span stack (a root started
   on a worker thread becomes its own trace root, tagged with the thread
-  name); finished roots land in one ordered list under a lock.
+  name); finished roots land in one ordered list under a lock.  Work that
+  interleaves on one thread (asyncio requests) cannot use the stack, so
+  it times itself and hands the tracer a finished span
+  (:meth:`Tracer.record`).
 
 Transparency contract: spans never touch the objects they observe.  The
 ``check_observability_transparent`` battery step runs the pipeline with
@@ -156,6 +159,21 @@ class Tracer:
             return wrapper
 
         return decorate
+
+    def record(self, name: str, start: float, end: float, **attributes: Any) -> None:
+        """Add a finished root span from the caller's two wall-clock reads.
+
+        For work that interleaves on one thread (asyncio requests): it
+        never touches a stack.  CPU seconds stay 0, since the thread's CPU
+        time between the reads was shared with other work.
+        """
+        if not self.enabled:
+            return
+        span = Span(name, attributes)
+        span.start_wall = start
+        span.wall_seconds = end - start
+        with self._lock:
+            self._roots.append(span)
 
     def current(self) -> Span | None:
         """The innermost open span on this thread, if any."""

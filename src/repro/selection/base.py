@@ -6,7 +6,8 @@ the shared :meth:`QuestionSelector.run` loop asks them through a
 coloring engine, and keeps going until every vertex is colored.  Each call
 to :meth:`QuestionSelector.select` is one *iteration* — the paper's latency
 unit — and the time spent inside ``select`` is the "assignment time" of
-Fig. 30.
+Fig. 30: the sum of the run's ``selection.cover`` regions, read from the
+tracer's clock like every other span (:class:`repro.obs.instrument.timed`).
 
 Selectors are written against :class:`~repro.graph.dag.OrderedGraph`, so
 the same code serves grouped and non-grouped graphs.
@@ -14,13 +15,11 @@ the same code serves grouped and non-grouped graphs.
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..crowd.aggregate import VoteOutcome
 from ..crowd.platform import CrowdSession
 from ..data.ground_truth import Pair
 from ..exceptions import SelectionError
@@ -43,10 +42,15 @@ class SelectionResult:
         labels: final match decision per record pair.
         questions: distinct pairs sent to the crowd.
         iterations: crowd round trips (the latency proxy).
-        assignment_time: seconds spent choosing questions (Fig. 30 metric).
+        assignment_time: seconds spent choosing questions (Fig. 30 metric):
+            the sum of the run's ``selection.cover`` regions.
         state: the final coloring, for inspection (None for baselines that
             do not use the partial-order graph).
         cost_cents: monetary cost under the session's HIT pricing.
+        extras: counts for telemetry; a selector run's ``"selection"``
+            entry holds ``rounds``, ``incremental`` (whether the
+            reachability index was built) and, for the path-cover
+            engine, its ``engine`` counts.  Per-round times are spans.
     """
 
     name: str
@@ -92,7 +96,6 @@ class QuestionSelector(ABC):
     ) -> None:
         self.error_policy = error_policy
         self.seed = seed
-        self._propagate_seconds = 0.0
 
     @abstractmethod
     def select(
@@ -129,7 +132,6 @@ class QuestionSelector(ABC):
         obs = obs_instrument.current()
         tracer = obs.tracer
         self.reset()
-        self._propagate_seconds = 0.0
         with tracer.span("selection.build_reachability", selector=self.name):
             graph.build_reachability()
         rng = np.random.default_rng(self.seed)
@@ -137,7 +139,9 @@ class QuestionSelector(ABC):
         assignment_time = 0.0
         rounds = 0
         guard = 0
-        per_round: list[dict] = []
+        threshold = self.error_policy.confidence_threshold if self.error_policy else None
+        cover_histogram = ("repro_selection_cover_seconds", {"selector": self.name})
+        propagate_histogram = ("repro_selection_propagate_seconds", {"selector": self.name})
         with tracer.span(
             "selection.run", selector=self.name, vertices=len(graph)
         ) as run_span:
@@ -153,12 +157,10 @@ class QuestionSelector(ABC):
                         f"{self.name}: no progress after {guard} iterations"
                     )
                 with tracer.span("selection.round", round=rounds) as round_span:
-                    propagate_before = self._propagate_seconds
                     colored_before = len(state.uncolored())
-                    started = time.perf_counter()
-                    vertices = self.select(graph, state, rng)
-                    cover_seconds = time.perf_counter() - started
-                    assignment_time += cover_seconds
+                    with obs_instrument.timed(obs, "selection.cover", cover_histogram) as cover:
+                        vertices = self.select(graph, state, rng)
+                    assignment_time += cover.seconds
                     vertices = [v for v in vertices if state.colors[v] == 0]
                     if not vertices:
                         raise SelectionError(
@@ -168,21 +170,28 @@ class QuestionSelector(ABC):
                     if remaining is not None:
                         vertices = vertices[:remaining]
                     vertices = obs_instrument.observe_round(
-                        obs, self.name, rounds, vertices, cover_seconds
+                        obs, self.name, rounds, vertices
                     )
-                    self._ask(graph, state, session, vertices, rng)
-                    newly_colored = colored_before - len(state.uncolored())
+                    pairs = [graph.representative_pair(v, rng) for v in vertices]
+                    # ``new`` counts the distinct pairs this round pays for.
+                    with tracer.span("selection.ask", asked=len(pairs)) as ask:
+                        before = session.questions_asked
+                        outcomes = session.ask_batch(pairs)
+                        ask.set_attribute("new", session.questions_asked - before)
+                    # Power+: an answer below the confidence threshold is BLUE.
+                    answers = [
+                        None
+                        if threshold is not None and outcomes[pair].confidence < threshold
+                        else bool(outcomes[pair].answer)
+                        for pair in pairs
+                    ]
+                    with obs_instrument.timed(
+                        obs, "selection.propagate", propagate_histogram
+                    ):
+                        state.apply_round(vertices, answers)
                     round_span.set_attribute("asked", len(vertices))
-                    round_span.set_attribute("colored", newly_colored)
-                    per_round.append(
-                        {
-                            "round": rounds,
-                            "asked": len(vertices),
-                            "colored": newly_colored,
-                            "cover_seconds": cover_seconds,
-                            "propagate_seconds": self._propagate_seconds
-                            - propagate_before,
-                        }
+                    round_span.set_attribute(
+                        "colored", colored_before - len(state.uncolored())
                     )
                 rounds += 1
             with tracer.span("selection.settle"):
@@ -202,11 +211,8 @@ class QuestionSelector(ABC):
             run_span.set_attribute("rounds", rounds)
             run_span.set_attribute("questions", session.questions_asked)
         telemetry = {
-            "cover_seconds": assignment_time,
-            "propagate_seconds": self._propagate_seconds,
             "rounds": rounds,
             "incremental": graph.reachability is not None,
-            "per_round": per_round,
         }
         engine_stats = self._selection_stats()
         if engine_stats is not None:
@@ -222,58 +228,3 @@ class QuestionSelector(ABC):
             cost_cents=session.cost_cents,
             extras={"selection": telemetry},
         )
-
-    def _ask(
-        self,
-        graph: OrderedGraph,
-        state: ColoringState,
-        session: CrowdSession,
-        vertices: list[int],
-        rng: np.random.Generator,
-    ) -> None:
-        """Send one batch to the crowd and apply its answers as one round."""
-        questions = {
-            vertex: graph.representative_pair(vertex, rng) for vertex in vertices
-        }
-        answers = ask_round(session, questions)
-        started = time.perf_counter()
-        state.apply_round(questions, round_answers(questions, answers, self.error_policy))
-        self._propagate_seconds += time.perf_counter() - started
-
-
-def ask_round(
-    session: CrowdSession, questions: dict[int, Pair]
-) -> dict[Pair, VoteOutcome]:
-    """Post one round's questions, inside a ``selection.ask`` span.
-
-    The span's ``asked`` attribute counts the round's questions and
-    ``new`` the distinct pairs the session had not asked before (the ones
-    this round pays for), so a trace splits every round into cover, crowd
-    and propagate time.
-    """
-    tracer = obs_instrument.current().tracer
-    with tracer.span("selection.ask", asked=len(questions)) as span:
-        before = session.questions_asked
-        answers = session.ask_batch(questions.values())
-        span.set_attribute("new", session.questions_asked - before)
-    return answers
-
-
-def round_answers(
-    questions: dict[int, Pair],
-    answers: dict[Pair, VoteOutcome],
-    error_policy: ErrorPolicy | None,
-) -> list[bool | None]:
-    """Each asked vertex's answer for :meth:`ColoringState.apply_round`.
-
-    None (BLUE) for an answer below the Power+ confidence threshold.
-    """
-    threshold = error_policy.confidence_threshold if error_policy else None
-    decided: list[bool | None] = []
-    for pair in questions.values():
-        outcome = answers[pair]
-        if threshold is not None and outcome.confidence < threshold:
-            decided.append(None)
-        else:
-            decided.append(bool(outcome.answer))
-    return decided

@@ -71,15 +71,20 @@ def encode(message: dict[str, Any]) -> bytes:
     ).encode("utf-8", "backslashreplace")
 
 
+def _is_strings(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
 def decode_request(line: bytes | str) -> dict[str, Any]:
     """Parse and validate one request line.
 
     Raises :class:`~repro.exceptions.ProtocolError` with a machine-readable
     ``code`` on malformed JSON, a non-object payload, an unsupported
     protocol version, an unknown op, missing/unknown fields, a session
-    name that is not a string (``bad_session``), or ingest rows and
-    entity ids that are not lists (``bad_request``); it raises nothing
-    else.
+    name that is not a string (``bad_session``), ingest rows that are not
+    lists of strings, entity ids that are not a list of integers and
+    strings, or ``create_session`` attributes that are not a non-empty
+    list of strings (``bad_request``); it raises nothing else.
     """
     if isinstance(line, bytes):
         line = line.decode("utf-8", errors="replace")
@@ -131,9 +136,10 @@ def decode_request(line: bytes | str) -> dict[str, Any]:
                 "bad_request", "ingest rows must be a non-empty list"
             )
         for offset, row in enumerate(rows):
-            if not isinstance(row, list):
+            if not _is_strings(row):
                 raise ProtocolError(
-                    "bad_request", f"ingest row {offset} must be a list, got {row!r:.80}"
+                    "bad_request",
+                    f"ingest row {offset} must be a list of strings, got {row!r:.80}",
                 )
         entity_ids = request.get("entity_ids")
         if entity_ids is not None and not isinstance(entity_ids, list):
@@ -145,9 +151,20 @@ def decode_request(line: bytes | str) -> dict[str, Any]:
                 "bad_request",
                 f"{len(rows)} rows but {len(entity_ids)} entity ids",
             )
-    if op == "create_session" and not isinstance(request["attributes"], list):
+        for offset, entity in enumerate(entity_ids or ()):
+            # bool is an int subclass, and True == 1 would make two entities one.
+            if isinstance(entity, bool) or not isinstance(entity, (int, str)):
+                raise ProtocolError(
+                    "bad_request",
+                    f"entity id {offset} must be an integer or a string, got {entity!r:.80}",
+                )
+    if op == "create_session" and not (
+        request["attributes"] and _is_strings(request["attributes"])
+    ):
         raise ProtocolError(
-            "bad_request", "create_session attributes must be a list"
+            "bad_request",
+            "create_session attributes must be a non-empty list of strings, "
+            f"got {request['attributes']!r:.80}",
         )
     return request
 

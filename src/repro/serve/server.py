@@ -29,7 +29,6 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import time
 from pathlib import Path
 from typing import Any
 
@@ -85,7 +84,7 @@ class ServeApp:
             obs=self.obs,
         )
         self.draining = False
-        self.started_monotonic = time.monotonic()
+        self._started = self.obs.tracer.clock.wall()
         # Seed the session gauges so /metrics is non-empty from request one.
         self.registry._record_gauges()
 
@@ -117,40 +116,46 @@ class ServeApp:
         return await self.dispatch(request)
 
     async def dispatch(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Route one validated request; always returns a response dict."""
+        """Route one validated request; always returns a response dict.
+
+        Two reads of the tracer's clock feed ``repro_serve_request_seconds``
+        and a finished ``serve.request`` root span (``op``, ``status``):
+        requests interleave on the event loop's thread, so no span may be
+        held open on its stack across an ``await``.
+        """
         op = request["op"]
         request_id = request.get("id")
-        started = time.perf_counter()
+        tracer = self.obs.tracer
+        started = tracer.clock.wall()
         status = "ok"
-        with self.obs.tracer.span("serve.request", op=op):
-            try:
-                result = await self._handle(op, request)
-                response = ok_response(request_id, **result)
-            except OverloadedError as error:
-                status = "shed"
-                response = error_response(
-                    request_id,
-                    "overloaded",
-                    str(error),
-                    retry_after=error.retry_after,
-                )
-            except ProtocolError as error:
-                status = "error"
-                response = error_response(request_id, error.code, str(error))
-            except PowerError as error:
-                status = "error"
-                response = error_response(request_id, "error", str(error))
-            except Exception as error:  # noqa: BLE001 - answered, never raised
-                # A bug behind one request must not cost the client its
-                # answer or take down the connection's other requests.
-                _log.exception("%s request failed", op)
-                status = "error"
-                response = error_response(
-                    request_id, "internal", f"{type(error).__name__}: {error}"
-                )
-        obs_instrument.record_serve_request(
-            self.obs, op, time.perf_counter() - started, status
-        )
+        try:
+            result = await self._handle(op, request)
+            response = ok_response(request_id, **result)
+        except OverloadedError as error:
+            status = "shed"
+            response = error_response(
+                request_id,
+                "overloaded",
+                str(error),
+                retry_after=error.retry_after,
+            )
+        except ProtocolError as error:
+            status = "error"
+            response = error_response(request_id, error.code, str(error))
+        except PowerError as error:
+            status = "error"
+            response = error_response(request_id, "error", str(error))
+        except Exception as error:  # noqa: BLE001 - answered, never raised
+            # A bug behind one request must not cost the client its
+            # answer or take down the connection's other requests.
+            _log.exception("%s request failed", op)
+            status = "error"
+            response = error_response(
+                request_id, "internal", f"{type(error).__name__}: {error}"
+            )
+        ended = tracer.clock.wall()
+        obs_instrument.record_serve_request(self.obs, op, ended - started, status)
+        tracer.record("serve.request", started, ended, op=op, status=status)
         return response
 
     async def _handle(self, op: str, request: dict[str, Any]) -> dict[str, Any]:
@@ -194,9 +199,7 @@ class ServeApp:
             "protocol": PROTOCOL_VERSION,
             "resident": self.registry.resident,
             "known_sessions": len(self.registry.known_sessions()),
-            "uptime_seconds": round(
-                time.monotonic() - self.started_monotonic, 3
-            ),
+            "uptime_seconds": round(self.obs.tracer.clock.wall() - self._started, 3),
         }
 
     async def drain(self) -> list[dict[str, Any]]:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import re
-import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -84,7 +83,7 @@ class SessionSpec:
         if isinstance(band, list):
             band = tuple(band)
         return cls(
-            attributes=tuple(str(a) for a in request["attributes"]),
+            attributes=tuple(request["attributes"]),
             config=config,
             worker_band=band,
             pairs_per_hit=_integer_field(request, "pairs_per_hit", 10),
@@ -216,15 +215,18 @@ class SessionRegistry:
             if not entry.users:
                 del self._locks[name]
 
+    def _observability(self):
+        return self._obs or obs_instrument.current()
+
     def _record_gauges(self) -> None:
-        obs = self._obs or obs_instrument.current()
         obs_instrument.record_serve_sessions(
-            obs, resident=self.resident, known=len(self.known_sessions())
+            self._observability(),
+            resident=self.resident,
+            known=len(self.known_sessions()),
         )
 
     def _record_event(self, event: str) -> None:
-        obs = self._obs or obs_instrument.current()
-        obs_instrument.record_serve_event(obs, event)
+        obs_instrument.record_serve_event(self._observability(), event)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -353,6 +355,7 @@ class SessionRegistry:
                 rate=rate,
                 burst=burst,
                 queue_depth=queue_depth,
+                clock=self._observability().tracer.clock,
             ),
         )
         live.task = asyncio.get_running_loop().create_task(self._actor(live))
@@ -439,12 +442,13 @@ class SessionRegistry:
 
     async def _actor(self, live: _Live) -> None:
         loop = asyncio.get_running_loop()
+        clock = self._observability().tracer.clock
         while True:
             item = await live.queue.get()
             try:
                 if item is _STOP:
                     return
-                started = time.perf_counter()
+                started = clock.wall()
                 try:
                     result = await self._execute(loop, live, item)
                 except Exception as error:  # noqa: BLE001 - forwarded to caller
@@ -452,9 +456,7 @@ class SessionRegistry:
                         item.future.set_exception(error)
                 else:
                     if item.kind == "ingest":
-                        live.admission.observe_batch_seconds(
-                            time.perf_counter() - started
-                        )
+                        live.admission.observe_batch_seconds(clock.wall() - started)
                         if self.crowd_latency > 0:
                             # The simulated crowd round trip: wall time only,
                             # never state (the answers are already folded in).
@@ -467,7 +469,7 @@ class SessionRegistry:
     async def _execute(self, loop, live: _Live, item: _WorkItem) -> Any:
         resolver = live.resolver
         if item.kind == "ingest":
-            rows = [tuple(str(v) for v in row) for row in item.payload["rows"]]
+            rows = item.payload["rows"]
             entity_ids = item.payload.get("entity_ids")
             report = await loop.run_in_executor(
                 self._pool,

@@ -467,8 +467,8 @@ def _mutant_obs_perturbs_selection():
 
     original = obs_instrument.observe_round
 
-    def mutated(obs, selector_name, round_index, vertices, cover_seconds):
-        vertices = original(obs, selector_name, round_index, vertices, cover_seconds)
+    def mutated(obs, selector_name, round_index, vertices):
+        vertices = original(obs, selector_name, round_index, vertices)
         if obs.enabled and len(vertices) > 1:
             return vertices[:-1]  # bug: instrumentation steers the run
         return vertices

@@ -716,7 +716,7 @@ class ReferenceColoring:
         elif color == Color.RED:
             for descendant in self.children[vertex]:
                 self.red_votes[descendant] += 1
-        # BLUE pins without voting, per mark_blue.
+        # BLUE pins without voting.
 
     def color_of(self, vertex: int) -> Color:
         pinned = self.pinned.get(vertex)
@@ -800,18 +800,19 @@ def check_round_update(
     band: str = "80",
     budget: int | None = None,
 ) -> None:
-    """The round update must equal the one-answer-at-a-time engine.
+    """The round update must equal :class:`ReferenceColoring`, answer by
+    answer.
 
     Runs the selector in Power+ mode against a noisy crowd (so some answers
     come back BLUE), optionally under a question *budget* (truncated
-    rounds), then replays its rounds, cut by the per-round ``asked``
-    counts, from the final coloring's pinned answers.  After every round,
-    ``ColoringState.apply_round`` on a graph with a reachability index and
-    on one without must leave the same colors, GREEN/RED vote counts and
-    ``asked_order`` as ``apply_answer`` / ``mark_blue`` applied answer by
-    answer, and the replay must end at the run's own state.  Both
-    selection loops apply rounds through ``apply_round``, so this is the
-    one check left on the per-answer semantics.
+    rounds), then replays its rounds, cut by the session's
+    ``batch_sizes``, from the final coloring's pinned answers.  After every
+    round, ``ColoringState.apply_round`` on a graph with a reachability
+    index and on one without must leave the same colors, GREEN/RED vote
+    counts and ``asked_order`` as the reference applying the same answers
+    one at a time, and the replay must end at the run's own state.  The
+    selection loop applies rounds only through ``apply_round``, so this is
+    the one check on the per-answer semantics.
     """
     from ..selection.error_tolerant import ErrorPolicy
 
@@ -826,8 +827,8 @@ def check_round_update(
     crowd = SimulatedCrowd(
         truth, pool=WorkerPool(accuracy_range=band, seed=seed), assignments=5
     )
-    result = selector.run(PairGraph(pairs, vectors), crowd.session(), budget=budget)
-    final = result.state
+    session = crowd.session()
+    final = selector.run(PairGraph(pairs, vectors), session, budget=budget).state
     answer_of = {Color.GREEN: True, Color.RED: False, Color.BLUE: None}
     indexed_graph = PairGraph(pairs, vectors)
     indexed_graph.build_reachability()
@@ -835,35 +836,37 @@ def check_round_update(
         "indexed": ColoringState(indexed_graph),
         "masks": ColoringState(PairGraph(pairs, vectors)),
     }
-    reference = ColoringState(PairGraph(pairs, vectors))
+    reference = ReferenceColoring(naive_dominance_edges(vectors), len(pairs))
+    asked: list[int] = []
     label = f"round-update[{selector_name}] seed={seed} budget={budget}"
-    start = 0
-    for round_index, entry in enumerate(result.extras["selection"]["per_round"]):
-        vertices = final.asked_order[start : start + entry["asked"]]
-        start += entry["asked"]
-        answers = [answer_of[Color(int(final.colors[v]))] for v in vertices]
-        for vertex, answer in zip(vertices, answers):
-            if answer is None:
-                reference.mark_blue(vertex)
-            else:
-                reference.apply_answer(vertex, answer)
+    for round_index, size in enumerate(session.batch_sizes):
+        vertices = final.asked_order[len(asked) : len(asked) + size]
+        colors = [Color(int(final.colors[v])) for v in vertices]
+        for vertex, color in zip(vertices, colors):
+            reference.apply(vertex, color)
+        asked.extend(vertices)
+        expected = {
+            "colors": np.array(reference.colors(), dtype=np.int8),
+            "_green_votes": np.array(reference.green_votes),
+            "_red_votes": np.array(reference.red_votes),
+        }
         for side, state in sides.items():
-            state.apply_round(vertices, answers)
-            for what in ("colors", "_green_votes", "_red_votes"):
-                got, expected = getattr(state, what), getattr(reference, what)
-                if not np.array_equal(got, expected):
-                    vertex = int(np.flatnonzero(got != expected)[0])
+            state.apply_round(vertices, [answer_of[color] for color in colors])
+            for what, want in expected.items():
+                got = getattr(state, what)
+                if not np.array_equal(got, want):
+                    vertex = int(np.flatnonzero(got != want)[0])
                     raise VerificationError(
                         f"{label}: round {round_index} ({side}) leaves {what} "
                         f"at vertex {vertex} = {got[vertex]}, per-answer "
-                        f"engine {expected[vertex]}"
+                        f"reference {want[vertex]}"
                     )
-            if state.asked_order != reference.asked_order:
+            if state.asked_order != asked:
                 raise VerificationError(
                     f"{label}: round {round_index} ({side}) asked_order differs "
-                    "from the per-answer engine"
+                    "from the per-answer reference"
                 )
-    if start != len(final.asked_order) or not np.array_equal(
+    if asked != final.asked_order or not np.array_equal(
         sides["indexed"].colors, final.colors
     ):
         raise VerificationError(f"{label}: the replay does not end at the run's state")

@@ -1,5 +1,5 @@
 """Shared fixtures: the paper's running example and small synthetic tables,
-and the check that no stream or serve test leaves a snapshot journal open."""
+and the check that no stream, serve or engine test leaves a journal open."""
 
 from __future__ import annotations
 
@@ -17,7 +17,8 @@ from repro.data.vocab import CITIES, CUISINES, RESTAURANT_NAME_HEADS
 from repro.similarity import SimilarityConfig, similar_pairs, similarity_matrix
 
 
-#: The modules whose tests open snapshot journals (``MANIFEST.jsonl``).
+#: The modules whose tests open snapshot journals (``MANIFEST.jsonl``);
+#: every ``test_engine_*`` module is watched too (engine answer journals).
 JOURNAL_MODULES = frozenset(
     {
         "test_serve_cli",
@@ -31,19 +32,25 @@ JOURNAL_MODULES = frozenset(
 )
 
 
+def _watches_journals(module_name: str) -> bool:
+    name = module_name.rpartition(".")[2]
+    return name in JOURNAL_MODULES or name.startswith("test_engine_")
+
+
 @pytest.fixture(autouse=True)
 def no_unclosed_journal(request):
-    """Fail a stream or serve test that leaves a snapshot journal open.
+    """Fail a stream, serve or engine test that leaves a journal open.
 
-    Every ``StreamingResolver`` a test builds must be closed, and every
-    ``ServeApp`` drained.  The collection before leaving surfaces a journal
-    held only by garbage in this test, not in whichever test the collector
-    happens to run in later.  Freezing the objects that existed before the
-    test keeps that collection to the test's own objects, so it stays cheap
-    however large the session's heap has grown.  Other warnings are passed
-    on unchanged.
+    Every ``StreamingResolver`` a test builds must be closed, every
+    ``ServeApp`` drained, and every engine journal closed, even after a
+    simulated crash.  A leak is an unclosed ``*.jsonl`` file.  The
+    collection before leaving surfaces a journal held only by garbage in
+    this test, not in whichever test the collector happens to run in
+    later.  Freezing the objects that existed before the test keeps that
+    collection to the test's own objects, so it stays cheap however large
+    the session's heap has grown.  Other warnings are passed on unchanged.
     """
-    if request.module.__name__.rpartition(".")[2] not in JOURNAL_MODULES:
+    if not _watches_journals(request.module.__name__):
         yield
         return
     gc.freeze()
@@ -56,7 +63,7 @@ def no_unclosed_journal(request):
         gc.unfreeze()
     leaked = []
     for warning in caught:
-        if issubclass(warning.category, ResourceWarning) and "MANIFEST.jsonl" in str(
+        if issubclass(warning.category, ResourceWarning) and ".jsonl" in str(
             warning.message
         ):
             leaked.append(str(warning.message))
@@ -65,7 +72,7 @@ def no_unclosed_journal(request):
                 warning.message, warning.category, warning.filename, warning.lineno
             )
     if leaked:
-        pytest.fail(f"snapshot journals left open: {leaked}")
+        pytest.fail(f"journals left open: {leaked}")
 
 
 @pytest.fixture(scope="session")

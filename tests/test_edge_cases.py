@@ -73,8 +73,8 @@ class TestHistogramFallbacks:
         pairs = [(0, 1), (2, 3)]
         graph = PairGraph(pairs, vectors)
         state = ColoringState(graph)
-        state.mark_blue(0)
-        state.mark_blue(1)
+        state.apply_round([0], [None])
+        state.apply_round([1], [None])
         decided = resolve_undecided_vertices(
             graph, state, state.blue_vertices(), ErrorPolicy()
         )

@@ -128,6 +128,7 @@ class TestCrashResume:
         crash_engine = CrowdEngine(self._config(crashed_journal, crash_after=8))
         with pytest.raises(SimulatedCrash):
             _run_selection(small_bundle, crash_engine)
+        crash_engine.journal.close()
         assert crashed_journal.exists()
         partial = crashed_journal.read_text().count("\n")
         assert 0 < partial < straight_journal.read_text().count("\n")
@@ -156,6 +157,7 @@ class TestCrashResume:
         crash_engine = CrowdEngine(self._config(crashed_journal, crash_after=8))
         with pytest.raises(SimulatedCrash):
             _run_selection(small_bundle, crash_engine)
+        crash_engine.journal.close()
         # Tear the last journal line, as a mid-write crash would.
         raw = crashed_journal.read_bytes()
         crashed_journal.write_bytes(raw[:-7])

@@ -24,7 +24,7 @@ class TestBasicColoring:
 
     def test_green_propagates_to_ancestors(self, chain):
         state = ColoringState(chain)
-        state.apply_answer(2, True)
+        state.apply_round([2], [True])
         assert state.color_of(2) == Color.GREEN
         assert state.color_of(0) == Color.GREEN
         assert state.color_of(1) == Color.GREEN
@@ -33,36 +33,30 @@ class TestBasicColoring:
 
     def test_red_propagates_to_descendants(self, chain):
         state = ColoringState(chain)
-        state.apply_answer(1, False)
+        state.apply_round([1], [False])
         assert state.color_of(1) == Color.RED
         assert state.color_of(2) == Color.RED
         assert state.color_of(3) == Color.RED
         assert state.color_of(0) == Color.UNCOLORED
 
-    def test_no_propagation_when_disabled(self, chain):
-        state = ColoringState(chain)
-        state.apply_answer(2, True, propagate=False)
-        assert state.color_of(2) == Color.GREEN
-        assert state.color_of(0) == Color.UNCOLORED
-
     def test_counting(self, chain):
         state = ColoringState(chain)
-        state.apply_answer(2, True)
+        state.apply_round([2], [True])
         assert state.num_asked == 1
         assert state.num_deduced == 2
 
     def test_complete_detection(self, chain):
         state = ColoringState(chain)
-        state.apply_answer(3, True)  # colors 0..3 green
-        state.apply_answer(4, False)
+        state.apply_round([3], [True])  # colors 0..3 green
+        state.apply_round([4], [False])
         assert state.is_complete()
 
 
 class TestConflictVoting:
     def test_asked_vertices_are_pinned(self, chain):
         state = ColoringState(chain)
-        state.apply_answer(1, False)  # red, descendants red
-        state.apply_answer(3, True)  # contradicting green from below
+        state.apply_round([1], [False])  # red, descendants red
+        state.apply_round([3], [True])  # contradicting green from below
         # 3 is pinned to its own crowd answer.
         assert state.color_of(3) == Color.GREEN
         # 1 keeps its own answer too.
@@ -72,8 +66,8 @@ class TestConflictVoting:
         state = ColoringState(chain)
         # Two green votes for vertex 0 (from 1 and 2), then one red... red
         # answers vote descendants, so vote green twice via 1 and 2:
-        state.apply_answer(2, True)  # 0,1 green votes
-        state.apply_answer(1, True)  # 0 another green vote (1 now pinned)
+        state.apply_round([2], [True])  # 0,1 green votes
+        state.apply_round([1], [True])  # 0 another green vote (1 now pinned)
         assert state.color_of(0) == Color.GREEN
 
     def test_tie_resolves_to_red(self):
@@ -85,8 +79,8 @@ class TestConflictVoting:
         vectors = np.array([[0.9, 0.9], [0.5, 0.5], [0.1, 0.1]])
         graph = PairGraph(pairs, vectors)
         state = ColoringState(graph)
-        state.apply_answer(0, False)  # votes 1, 2 red
-        state.apply_answer(2, True)  # votes 1, 0 green -> vertex 1 tied
+        state.apply_round([0], [False])  # votes 1, 2 red
+        state.apply_round([2], [True])  # votes 1, 0 green -> vertex 1 tied
         assert state.color_of(1) == Color.RED
 
     def test_majority_flips_inferred_color(self):
@@ -95,16 +89,16 @@ class TestConflictVoting:
         vectors = np.array([[0.9, 0.9], [0.8, 0.8], [0.7, 0.7], [0.1, 0.1]])
         graph = PairGraph([(0, 1), (2, 3), (4, 5), (6, 7)], vectors)
         state = ColoringState(graph)
-        state.apply_answer(2, False)  # 3 red (1 vote)
+        state.apply_round([2], [False])  # 3 red (1 vote)
         # Green answers vote ancestors; to vote 3 green we need answers on
         # vertices dominated by 3 — none exist, so check the red persists.
         assert state.color_of(3) == Color.RED
 
 
 class TestBlueAndForce:
-    def test_mark_blue_pins_without_inference(self, chain):
+    def test_blue_answer_pins_without_inference(self, chain):
         state = ColoringState(chain)
-        state.mark_blue(1)
+        state.apply_round([1], [None])
         assert state.color_of(1) == Color.BLUE
         assert state.color_of(2) == Color.UNCOLORED
         assert list(state.blue_vertices()) == [1]
@@ -113,7 +107,7 @@ class TestBlueAndForce:
     def test_blue_counts_as_colored(self, chain):
         state = ColoringState(chain)
         for vertex in range(5):
-            state.mark_blue(vertex)
+            state.apply_round([vertex], [None])
         assert state.is_complete()
 
     def test_force_color(self, chain):
@@ -126,7 +120,7 @@ class TestBlueAndForce:
 class TestLabels:
     def test_pair_labels_cover_colored_only(self, chain):
         state = ColoringState(chain)
-        state.apply_answer(2, True)
+        state.apply_round([2], [True])
         labels = state.pair_labels()
         assert labels[(0, 1)] is True  # vertex 0
         assert labels[(0, 3)] is True  # vertex 2 itself
@@ -155,13 +149,14 @@ class TestLabels:
 
     def test_validate_against_truth(self, chain):
         state = ColoringState(chain)
-        state.apply_answer(2, True)
+        state.apply_round([2], [True])
         truth = {(0, 1): True, (0, 2): True, (0, 3): False}
         assert state.validate_against(truth) == pytest.approx(2 / 3)
 
 
 class TestRoundUpdate:
-    """``apply_round`` must equal the per-answer ``apply_answer`` loop."""
+    """``apply_round`` must equal :class:`ReferenceColoring` applying the
+    same answers one at a time."""
 
     @staticmethod
     def _rounds(n, seed):
@@ -180,11 +175,23 @@ class TestRoundUpdate:
         ]
 
     @staticmethod
+    def _reference(pairs, vectors):
+        from repro.verify import ReferenceColoring, naive_dominance_edges
+
+        return ReferenceColoring(naive_dominance_edges(vectors), len(pairs))
+
+    @staticmethod
+    def _apply(reference, vertices, answers):
+        colors = {True: Color.GREEN, False: Color.RED, None: Color.BLUE}
+        for vertex, answer in zip(vertices, answers):
+            reference.apply(vertex, colors[answer])
+
+    @staticmethod
     def _assert_same(state, reference):
-        assert np.array_equal(state.colors, reference.colors)
-        assert np.array_equal(state._green_votes, reference._green_votes)
-        assert np.array_equal(state._red_votes, reference._red_votes)
-        assert state.asked_order == reference.asked_order
+        assert state.colors.tolist() == reference.colors()
+        assert state._green_votes.tolist() == reference.green_votes
+        assert state._red_votes.tolist() == reference.red_votes
+        assert state.asked_order == list(reference.pinned)
 
     @pytest.mark.parametrize("n", [7, 8, 9, 255, 256, 257])
     @pytest.mark.parametrize("indexed", [True, False])
@@ -196,14 +203,10 @@ class TestRoundUpdate:
         if indexed:
             assert graph.build_reachability() is not None
         state = ColoringState(graph)
-        reference = ColoringState(PairGraph(pairs, vectors))
+        reference = self._reference(pairs, vectors)
         for vertices, answers in self._rounds(n, seed=n):
             state.apply_round(vertices, answers)
-            for vertex, answer in zip(vertices, answers):
-                if answer is None:
-                    reference.mark_blue(vertex)
-                else:
-                    reference.apply_answer(vertex, answer)
+            self._apply(reference, vertices, answers)
             self._assert_same(state, reference)
 
     def test_rounds_larger_than_one_unpack_chunk(self, monkeypatch):
@@ -213,7 +216,7 @@ class TestRoundUpdate:
         pairs, vectors = random_instance(3, 257)
         graph = PairGraph(pairs, vectors)
         graph.build_reachability()
-        reference = ColoringState(PairGraph(pairs, vectors))
+        reference = self._reference(pairs, vectors)
         whole = ColoringState(graph)
         for vertices, answers in self._rounds(257, seed=3):
             whole.apply_round(vertices, answers)
@@ -222,13 +225,9 @@ class TestRoundUpdate:
         for vertices, answers in self._rounds(257, seed=3):
             assert len(vertices) > 3
             chunked.apply_round(vertices, answers)
-            for vertex, answer in zip(vertices, answers):
-                if answer is None:
-                    reference.mark_blue(vertex)
-                else:
-                    reference.apply_answer(vertex, answer)
+            self._apply(reference, vertices, answers)
             self._assert_same(chunked, reference)
-        self._assert_same(whole, chunked)
+        self._assert_same(whole, reference)
 
     def test_blue_only_round_pins_without_votes(self, chain):
         state = ColoringState(chain)

@@ -113,6 +113,24 @@ class TestRegressions:
         first = engine.cover(active)
         assert engine.cover(active) == first == reference_cover(graph, active)
 
+    def test_stats_hold_only_counts_and_augmenting_is_a_span(self):
+        """The engine keeps no stopwatch: its stats are counts, and each
+        cover's augmenting phases are one ``selection.augment`` span."""
+        from repro.obs import Observability, activated, structure
+
+        graph = make_graph(seed=5, n=20)
+        engine = IncrementalPathCover(graph.build_reachability())
+        active = np.ones(20, dtype=bool)
+        with activated(Observability(tracing=True, metrics=False)) as obs:
+            engine.cover(active)
+            active[:5] = False
+            engine.cover(active)
+        assert structure(obs.tracer.export()) == [(0, "selection.augment")] * 2
+        assert set(engine.stats) == {
+            "covers", "scratch_builds", "suffix_lefts", "deleted_vertices"
+        }
+        assert all(type(count) is int for count in engine.stats.values())
+
 
 class TestIterativeDepthFirstSearch:
     def test_long_chain_does_not_touch_recursion_limit(self):

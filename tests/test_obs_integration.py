@@ -8,8 +8,13 @@ Three contracts pinned here:
 * **telemetry migration** — the registry-backed
   :class:`repro.obs.Telemetry` produces the exact bytes of the retired
   engine telemetry dataclass;
-* **CLI plumbing** — ``--trace`` / ``--metrics-out`` write real artifacts
-  and ``repro simulate`` prints the unified per-round table.
+* **CLI plumbing** — ``--trace`` / ``--metrics-out`` write real artifacts,
+  and ``repro simulate --trace`` splits every selection round into its
+  cover, ask and propagate spans.
+
+Time is read in one place: the tracer's clock, through
+:func:`repro.obs.timed` regions, so a ``ManualClock`` drives the stage
+histograms, the selection cover time and the spans alike.
 """
 
 from __future__ import annotations
@@ -169,6 +174,62 @@ class TestStageClock:
         assert "ingest_seconds" not in report
 
 
+class TestSelectionClock:
+    """Fig. 30's assignment time is the sum of the run's cover regions."""
+
+    STEP = 0.25
+
+    def run(self, obs, small_bundle):
+        """Single-path selection whose ``select`` takes ``STEP`` seconds on
+        the tracer's clock, and during which no other time passes."""
+        from repro.crowd import PerfectCrowd
+        from repro.graph import PairGraph
+        from repro.obs import ManualClock
+        from repro.selection import SELECTORS
+
+        _, pairs, vectors, truth = small_bundle
+        clock = ManualClock()
+        obs.tracer.clock = clock
+        selector = SELECTORS["single-path"](seed=0)
+        select = selector.select
+
+        def stepping(*args):
+            clock.advance(self.STEP)
+            return select(*args)
+
+        selector.select = stepping
+        with activated(obs):
+            return selector.run(PairGraph(pairs, vectors), PerfectCrowd(truth).session())
+
+    def test_unobserved_assignment_time_is_step_times_rounds(self, small_bundle):
+        result = self.run(Observability(tracing=False, metrics=False), small_bundle)
+        rounds = result.extras["selection"]["rounds"]
+        assert rounds > 1
+        assert result.assignment_time == self.STEP * rounds
+
+    def test_cover_spans_and_histogram_sum_to_the_assignment_time(self, small_bundle):
+        from repro.obs import walk
+
+        obs = Observability(tracing=True, metrics=True)
+        result = self.run(obs, small_bundle)
+        rounds = result.extras["selection"]["rounds"]
+        assert result.assignment_time == self.STEP * rounds
+        covers = [
+            span["wall_seconds"]
+            for _, span in walk(obs.tracer.export())
+            if span["name"] == "selection.cover"
+        ]
+        assert len(covers) == rounds
+        assert sum(covers) == result.assignment_time
+        [histogram] = obs.registry.family("repro_selection_cover_seconds")
+        assert histogram.count == rounds
+        assert histogram.sum == result.assignment_time
+        [propagate] = obs.registry.family("repro_selection_propagate_seconds")
+        assert (propagate.count, propagate.sum) == (rounds, 0.0)
+        assert not obs.registry.family("repro_selection_cover_seconds_total")
+        assert not obs.registry.family("repro_selection_propagate_seconds_total")
+
+
 class TestTelemetryMigration:
     def expected_bytes(self):
         """The pre-migration dataclass's exact ``as_dict`` output."""
@@ -304,22 +365,34 @@ class TestCliFlags:
         ]
         assert observed_lines == plain.splitlines()
 
-    def test_simulate_prints_the_per_round_table(self, tmp_path, capsys):
+    def test_simulate_trace_splits_every_round(self, tmp_path, capsys):
+        """Per-round detail lives in the trace: every ``selection.round``
+        holds exactly its cover, crowd and propagate spans."""
+        from repro.cli import main
+        from repro.obs import read_trace, walk
+
+        trace_path = tmp_path / "sim.trace.jsonl"
+        code = main([
+            "simulate", "--dataset", "restaurant", "--fault-profile", "none",
+            "--seed", "0", "--out-dir", str(tmp_path), "--trace", str(trace_path),
+        ])
+        assert code == 0
+        assert "selection      : rounds" in capsys.readouterr().out
+        rounds = [
+            span for _, span in walk(read_trace(trace_path))
+            if span["name"] == "selection.round"
+        ]
+        assert rounds
+        for span in rounds:
+            assert [child["name"] for child in span["children"]] == [
+                "selection.cover", "selection.ask", "selection.propagate"
+            ]
+            assert {"asked", "colored"} <= set(span["attributes"])
+
+    def test_simulate_has_no_round_table_flag(self, capsys):
         from repro.cli import main
 
-        code = main([
-            "simulate", "--dataset", "restaurant", "--fault-profile", "none",
-            "--seed", "0", "--out-dir", str(tmp_path),
-            "--trace", str(tmp_path / "sim.trace.jsonl"),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "round  asked  colored  cover(ms)  propagate(ms)" in out
-        assert (tmp_path / "sim.trace.jsonl").exists()
-
-        code = main([
-            "simulate", "--dataset", "restaurant", "--fault-profile", "none",
-            "--seed", "0", "--out-dir", str(tmp_path), "--no-rounds-table",
-        ])
-        assert code == 0
-        assert "cover(ms)" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--help"])
+        assert exit_info.value.code == 0
+        assert "--no-rounds-table" not in capsys.readouterr().out

@@ -102,7 +102,7 @@ class TestColoringInvariants:
         rng = np.random.default_rng(ask_seed)
         order = rng.permutation(n)
         for vertex in order[: max(1, n // 2)]:
-            state.apply_answer(int(vertex), truth[pairs[int(vertex)]])
+            state.apply_round([int(vertex)], [truth[pairs[int(vertex)]]])
         for vertex in range(n):
             color = state.color_of(vertex)
             if color == Color.GREEN:
@@ -123,7 +123,7 @@ class TestColoringInvariants:
         for vertex in rng.permutation(n)[: max(1, n // 3)]:
             vertex = int(vertex)
             answer = bool(rng.random() < 0.5)  # adversarially random answers
-            state.apply_answer(vertex, answer)
+            state.apply_round([vertex], [answer])
             pinned[vertex] = Color.GREEN if answer else Color.RED
             for earlier, color in pinned.items():
                 assert state.color_of(earlier) == color
@@ -139,7 +139,7 @@ class TestColoringInvariants:
         answers = 0
         while not state.is_complete():
             vertex = int(state.uncolored()[0])
-            state.apply_answer(vertex, truth[pairs[vertex]])
+            state.apply_round([vertex], [truth[pairs[vertex]]])
             answers += 1
         assert answers <= n
 
@@ -165,8 +165,8 @@ class TestAdversarialCrowd:
         vectors = np.array([[0.9, 0.9], [0.5, 0.5], [0.1, 0.1]])
         graph = PairGraph(pairs, vectors)
         state = ColoringState(graph)
-        state.apply_answer(2, True)  # votes 0, 1 green
-        state.apply_answer(0, False)  # pinned red itself; votes 1, 2 red
+        state.apply_round([2], [True])  # votes 0, 1 green
+        state.apply_round([0], [False])  # pinned red itself; votes 1, 2 red
         assert state.color_of(1) in (Color.GREEN, Color.RED)
         assert state.is_complete()
 

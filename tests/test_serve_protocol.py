@@ -161,6 +161,39 @@ class TestRequestValidation:
             decode_request(encode(_request(op="ingest", session="a", **fields)))
         assert excinfo.value.code == "bad_request"
 
+    @pytest.mark.parametrize(
+        "row", [[None, "b"], [["a"], "b"], [1, "b"], [1.5, "b"], [True, "b"], [{"x": 1}, "b"]]
+    )
+    def test_ingest_row_values_must_be_strings(self, row):
+        """A value is not stringified into a record (null is not "None")."""
+        with pytest.raises(ProtocolError, match="list of strings") as excinfo:
+            decode_request(encode(_request(op="ingest", session="a", rows=[["x", "y"], row])))
+        assert excinfo.value.code == "bad_request"
+
+    @pytest.mark.parametrize("bad", [True, 1.5, None, [1], {"a": 1}])
+    def test_entity_ids_must_be_integers_or_strings(self, bad):
+        """``true`` is refused even though ``True == 1`` in Python, which
+        would make two entities one."""
+        with pytest.raises(ProtocolError, match="integer or a string") as excinfo:
+            decode_request(
+                encode(
+                    _request(op="ingest", session="a", rows=[["x"], ["x"]], entity_ids=[1, bad])
+                )
+            )
+        assert excinfo.value.code == "bad_request"
+        request = decode_request(
+            encode(_request(op="ingest", session="a", rows=[["x"], ["x"]], entity_ids=[1, "b"]))
+        )
+        assert request["entity_ids"] == [1, "b"]
+
+    @pytest.mark.parametrize("attributes", [[], [{"x": 1}], ["name", None], [1]])
+    def test_attributes_must_be_a_non_empty_list_of_strings(self, attributes):
+        with pytest.raises(ProtocolError, match="non-empty list of strings") as excinfo:
+            decode_request(
+                encode(_request(op="create_session", session="a", attributes=attributes))
+            )
+        assert excinfo.value.code == "bad_request"
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.sampled_from(sorted(OPS)),

@@ -514,6 +514,56 @@ class TestProtocolEdge:
         assert "# TYPE repro_serve_request_seconds histogram" in metrics_text
 
 
+class TestTracingServer:
+    def test_concurrent_ingests_are_answered_and_traced(self, small_table, tmp_path):
+        """Requests interleave on the event loop's thread, so a request's
+        span cannot sit on that thread's span stack across an ``await``:
+        with tracing on, two concurrent ingests are both answered, and the
+        trace holds one finished ``serve.request`` root for each."""
+        from repro.obs import Observability
+
+        chunks = _chunks(small_table, 2)
+        obs = Observability(tracing=True, metrics=True)
+
+        def request(op, session, **fields):
+            return {"v": PROTOCOL_VERSION, "op": op, "session": session, **fields}
+
+        async def scenario():
+            app = ServeApp(tmp_path / "serve", obs=obs, crowd_latency=0.05)
+            try:
+                for name in ("a", "b"):
+                    created = await app.dispatch(
+                        request("create_session", name, attributes=list(ATTRS))
+                    )
+                    assert created["ok"], created
+                obs.tracer.clear()
+                return await asyncio.gather(
+                    *(
+                        app.dispatch(
+                            request("ingest", name, rows=_rows(chunk), entity_ids=_ids(chunk))
+                        )
+                        for name, chunk in zip(("a", "b"), chunks)
+                    ),
+                    return_exceptions=True,
+                )
+            finally:
+                await app.drain()
+
+        responses = run(scenario())
+        assert [response["ok"] for response in responses] == [True, True], responses
+        requests = [span for span in obs.tracer.roots() if span.name == "serve.request"]
+        assert [span.attributes for span in requests] == [
+            {"op": "ingest", "status": "ok"}
+        ] * 2
+        # The spans and the latency histogram share their clock reads.
+        ingest = {
+            dict(histogram.labels)["op"]: histogram
+            for histogram in obs.registry.family("repro_serve_request_seconds")
+        }["ingest"]
+        assert ingest.count == 2
+        assert sorted(span.wall_seconds for span in requests) == [ingest.min, ingest.max]
+
+
 class TestResilience:
     def test_client_disconnect_mid_ingest_keeps_session_consistent(
         self, small_table, tmp_path

@@ -34,7 +34,7 @@ class TestToDot:
 
     def test_colors_painted(self, graph):
         state = ColoringState(graph)
-        state.apply_answer(0, True)
+        state.apply_round([0], [True])
         dot = to_dot(graph, state=state)
         assert "palegreen" in dot
         # The asked vertex is highlighted.
@@ -42,7 +42,7 @@ class TestToDot:
 
     def test_blue_color(self, graph):
         state = ColoringState(graph)
-        state.mark_blue(3)
+        state.apply_round([3], [None])
         assert "lightblue" in to_dot(graph, state=state)
 
     def test_labels_use_paper_names(self, graph):
