@@ -45,6 +45,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -945,9 +946,20 @@ def main(argv=None) -> int:
         "bench": _command_bench,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        # A reader that closed the pipe early fails this flush, inside the
+        # try, rather than the interpreter's own flush at exit.
+        sys.stdout.flush()
+        return code
     except PowerError as error:
         print(f"error: {error}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # ``repro trace t.jsonl | head -1``: the reader is gone, so send
+        # what is still buffered to devnull and exit without a traceback
+        # (the pattern the ``signal`` module documents for SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -88,20 +88,18 @@ def _pack_rows(
 ) -> np.ndarray:
     """Pack per-row token-id sets into a ``(num_rows, words)`` uint64 matrix.
 
-    Fully vectorized: each (row, word) cell is the OR of its tokens' one-bit
-    masks, computed with a single sort + ``bitwise_or.reduceat``.
+    One unbuffered ``bitwise_or.at`` ORs each token's one-bit mask into its
+    (row, word) cell, so no sort groups the cells first and a repeated
+    (row, token) entry just sets its bit again.
     """
     num_words = max(1, (vocab_size + 63) // 64)
     bits = np.zeros(num_rows * num_words, dtype=np.uint64)
     if token_ids.size:
-        word = token_ids >> 6
-        bit = np.uint64(1) << (token_ids & 63).astype(np.uint64)
-        cell = row_of_token * num_words + word
-        order = np.argsort(cell, kind="stable")
-        cell = cell[order]
-        bit = bit[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(cell)) + 1))
-        bits[cell[starts]] = np.bitwise_or.reduceat(bit, starts)
+        np.bitwise_or.at(
+            bits,
+            row_of_token * num_words + (token_ids >> 6),
+            np.uint64(1) << (token_ids & 63).astype(np.uint64),
+        )
     return bits.reshape(num_rows, num_words)
 
 
@@ -409,6 +407,12 @@ def batch_similarity_matrix(
 # --------------------------------------------------------------------------- #
 
 
+#: Records a :class:`PostingJoin` probe counts before it verifies their
+#: candidates with one division: per-record numpy calls give way to
+#: per-block ones, while the candidates held at once stay bounded.
+_JOIN_BLOCK = 256
+
+
 def _overlap_floor(max_size: int, threshold: float) -> np.ndarray:
     """``need[s]``: the fewest shared tokens that can pass with an ``s``-token probe.
 
@@ -436,12 +440,13 @@ class PostingJoin:
     its tokens cut at ``b`` (all earlier records sharing at least one
     token) and obtains every intersection size in one ``np.bincount``.
     Only the candidates sharing at least :func:`_overlap_floor` tokens
-    can pass, so only they are verified.  The verification ``∩ / ∪ >= t``
-    is a vectorized int/int division — the exact same IEEE operation as
-    the scalar :func:`jaccard` — so the result matches the naive
-    quadratic scan pair for pair.  Records with *empty* token sets follow
-    the scalar convention (two empty sets have similarity 1.0) and are
-    paired among themselves.
+    can pass, so only they are kept, with their overlaps, and verified
+    once per block of :data:`_JOIN_BLOCK` records.  The verification
+    ``∩ / ∪ >= t`` is a vectorized int/int division — the exact same IEEE
+    operation as the scalar :func:`jaccard` — so the result matches the
+    naive quadratic scan pair for pair.  Records with *empty* token sets
+    follow the scalar convention (two empty sets have similarity 1.0) and
+    are paired among themselves.
 
     The posting lists outlive a call: :meth:`extend` appends records and
     probes only those, so extending batch after batch finds exactly the
@@ -485,6 +490,7 @@ class PostingJoin:
         postings.extend([] for _ in range(len(vocab) - len(postings)))
         sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
         self.sizes = np.concatenate((self.sizes, sizes))
+        old_empties = len(empties)
         # ``cuts[k][i]`` is how many records before record ``first + k``
         # hold its i-th token, so ``postings[token][:cut]`` is exactly the
         # index state a serial scan would have at that record.
@@ -499,8 +505,7 @@ class PostingJoin:
         if not probe:
             return []
 
-        threshold = self.threshold
-        need = _overlap_floor(int(sizes.max(initial=0)), threshold).tolist()
+        need = _overlap_floor(int(sizes.max(initial=0)), self.threshold).tolist()
         # One array per posting list the new records reach.
         arrays = [
             np.asarray(posting, dtype=np.int64)
@@ -508,38 +513,68 @@ class PostingJoin:
             else None
             for posting in postings
         ]
-        partners: list[np.ndarray] = []
-        owners: list[int] = []
-        for record_id, ids, record_cuts in zip(range(first, len(self)), rows, cuts):
-            if not ids:
-                # jaccard(∅, ∅) == 1.0 >= threshold for every valid threshold.
-                kept = np.asarray(
-                    empties[: bisect_left(empties, record_id)], dtype=np.int64
+        # jaccard(∅, ∅) == 1.0 >= threshold for every valid threshold, so
+        # each new empty record pairs with every empty record before it.
+        found = [
+            (np.asarray(empties[:k], dtype=np.int64), np.full(k, empties[k], dtype=np.int64))
+            for k in range(old_empties, len(empties))
+        ]
+        for start in range(0, len(rows), _JOIN_BLOCK):
+            stop = start + _JOIN_BLOCK
+            found.append(
+                self._probe_block(
+                    first + start, rows[start:stop], cuts[start:stop], arrays, need
                 )
-            else:
-                parts = [
-                    arrays[token][:cut]
-                    for token, cut in zip(ids, record_cuts)
-                    if cut
-                ]
-                if not parts:
-                    continue
-                counts = np.bincount(np.concatenate(parts))
-                candidates = np.flatnonzero(counts >= need[len(ids)])
-                inter = counts[candidates]
-                union = self.sizes[candidates] + len(ids) - inter
-                kept = candidates[(inter / union) >= threshold]
-            partners.append(kept)
-            owners.append(record_id)
-        if not partners:
+            )
+        if not found:
             return []
-        left = np.concatenate(partners)
-        right = np.repeat(
-            np.asarray(owners, dtype=np.int64),
-            np.fromiter(map(len, partners), dtype=np.int64, count=len(partners)),
-        )
+        left = np.concatenate([block for block, _ in found])
+        right = np.concatenate([block for _, block in found])
         order = np.lexsort((right, left))
         return list(zip(left[order].tolist(), right[order].tolist()))
+
+    def _probe_block(
+        self,
+        first: int,
+        rows: list[list[int]],
+        cuts: list[list[int]],
+        arrays: list[np.ndarray | None],
+        need: list[int],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs records ``first, first + 1, ...`` (token ids *rows*) make.
+
+        Each record only counts its overlaps and keeps the candidates at or
+        above its overlap floor; the block's candidates are then verified
+        with one division.  A record's candidates are earlier records, so
+        the block buffers fewer than ``len(rows)`` candidates per record of
+        the join, however many records the whole extend adds.
+        """
+        owners: list[int] = []
+        candidates: list[np.ndarray] = []
+        overlaps: list[np.ndarray] = []
+        for record_id, ids, record_cuts in zip(count(first), rows, cuts):
+            parts = [
+                arrays[token][:cut] for token, cut in zip(ids, record_cuts) if cut
+            ]
+            if not parts:
+                continue
+            counts = np.bincount(np.concatenate(parts))
+            kept = (counts >= need[len(ids)]).nonzero()[0]
+            owners.append(record_id)
+            candidates.append(kept)
+            overlaps.append(counts[kept])
+        if not owners:
+            none = np.zeros(0, dtype=np.int64)
+            return none, none
+        left = np.concatenate(candidates)
+        right = np.repeat(
+            np.asarray(owners, dtype=np.int64),
+            np.fromiter(map(len, candidates), dtype=np.int64, count=len(owners)),
+        )
+        inter = np.concatenate(overlaps)
+        union = self.sizes[left] + self.sizes[right] - inter
+        kept = inter / union >= self.threshold
+        return left[kept], right[kept]
 
     def truncate(self, records: int) -> None:
         """Forget every record from *records* on, as if never added.

@@ -38,6 +38,7 @@ from .battery import (
     run_battery,
     signed_zero_instance,
     subsample_table,
+    vote_tie_instance,
 )
 from .invariants import (
     VerifyingSession,
@@ -71,6 +72,7 @@ from .oracles import (
     check_entity_quality,
     check_join_methods,
     check_linear_extension,
+    check_round_replay,
     check_round_update,
     check_selection_incremental,
     check_selector_differential,
@@ -113,6 +115,7 @@ __all__ = [
     "check_grouped_partition",
     "check_join_methods",
     "check_linear_extension",
+    "check_round_replay",
     "check_round_update",
     "check_partial_order",
     "check_path_cover",
@@ -147,4 +150,5 @@ __all__ = [
     "run_mutation_selftest",
     "signed_zero_instance",
     "subsample_table",
+    "vote_tie_instance",
 ]

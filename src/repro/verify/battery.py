@@ -7,7 +7,8 @@ mutation self-test into a single :class:`~repro.verify.report.VerificationReport
    drive the construction and Split-grouping oracles, the structural
    invariants, the production-vs-naive selector differentials (perfect
    and noisy crowds, grouped and ungrouped graphs), the round update vs
-   the one-answer-at-a-time engine on every selector, and the batched
+   the one-answer-at-a-time engine on every selector and on one round
+   that ties a vertex's GREEN and RED votes, and the batched
    crowd-draw kernel vs numpy's own generators; graphs sized across
    byte and tile boundaries, and a NaN similarity, drive the packed
    reachability-index check,
@@ -41,6 +42,7 @@ from ..crowd.platform import PerfectCrowd, SimulatedCrowd
 from ..crowd.worker import WorkerPool
 from ..data.table import Table
 from ..exceptions import DataError
+from ..graph.coloring import Color
 from ..graph.dag import PairGraph
 from ..graph.grouped_graph import GroupedGraph
 from ..graph.grouping import split_grouping
@@ -136,6 +138,20 @@ def nan_instance() -> tuple[list[tuple[int, int]], np.ndarray]:
     """
     vectors = np.array([[0.5, np.nan], [0.4, 0.3], [0.2, 0.1]])
     return [(0, 1), (0, 2), (1, 2)], vectors
+
+
+def vote_tie_instance() -> tuple[
+    list[tuple[int, int]], np.ndarray, list[list[tuple[int, Color]]]
+]:
+    """One round whose answers tie the votes of the unasked vertex between them.
+
+    Vertices ``0 > 1 > 2`` form a chain.  The round asks the top and gets
+    No, a RED vote for 1 and 2, and asks the bottom and gets Yes, a GREEN
+    vote for 0 and 1.  Vertex 1 holds one vote of each, and a tie is RED.
+    No selector run in the battery ends a round on such a tie.
+    """
+    vectors = np.array([[0.9, 0.9], [0.6, 0.6], [0.3, 0.3]])
+    return [(0, 1), (0, 2), (1, 2)], vectors, [[(0, Color.RED), (2, Color.GREEN)]]
 
 
 def overlap_floor_instance() -> tuple[Table, float]:
@@ -328,6 +344,11 @@ def _synthetic_sweeps(config: BatteryConfig, report: VerificationReport) -> None
                 oracles.check_observability_transparent("power", p, v, seed=s)
             ),
         )
+    run_check(
+        report,
+        "round-update[vote-tie]",
+        lambda: oracles.check_round_replay(*vote_tie_instance()),
+    )
 
 
 #: Vertex counts that straddle a byte (8) and a block of 256 rows (a
@@ -584,4 +605,5 @@ __all__ = [
     "signed_zero_instance",
     "subsample_table",
     "run_battery",
+    "vote_tie_instance",
 ]

@@ -38,6 +38,10 @@ mutant                  seeded bug
 ``join-overlap-ceil``   the candidate join's overlap floor comes from
                         ``ceil(threshold * size)``, one too high on a
                         float edge
+``join-block-tail-dropped``  the candidate join never verifies its last,
+                        partial block of records
+``vote-tie-green``      an inferred vertex whose GREEN and RED votes tie is
+                        colored GREEN instead of RED
 ======================  ====================================================
 
 Patching is done by rebinding module/class attributes inside a context
@@ -50,6 +54,10 @@ the Split cell-bit helper and the crowd kernel's Lemire threshold and the
 join's overlap floor have no import sites: every consumer looks them up
 through their defining module at call time.
 
+A mutant can make a served request fail, which the server logs with its
+traceback.  While a mutant is active the ``repro.serve.server`` log is
+held, not printed, and its record count is part of the mutant's result.
+
 :func:`run_mutation_selftest` returns a
 :class:`~repro.verify.report.VerificationReport` with one result per
 mutant: *passed* means the battery detected the bug (any check raised), a
@@ -59,6 +67,7 @@ failure means a seeded bug slipped through the entire suite undetected.
 from __future__ import annotations
 
 import inspect
+import logging
 import time
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
@@ -73,7 +82,7 @@ from ..crowd.worker import WorkerPool
 from ..exceptions import VerificationError
 from ..graph.dag import PairGraph
 from . import invariants, oracles
-from .report import VerificationReport
+from .report import CheckResult, VerificationReport
 
 PatchTarget = tuple[object, str, object]
 
@@ -450,6 +459,52 @@ def _mutant_join_overlap_ceil():
     return _patched((batch, "_overlap_floor", mutated))
 
 
+def _mutant_join_block_tail_dropped():
+    """The candidate join never verifies its last, partial block of records.
+
+    Models the classic slip in a blocked loop: the buffered work is
+    flushed only when a block fills, so the records of an extend's last,
+    partial block (``n mod B`` of them, ``B = batch._JOIN_BLOCK``) are
+    never verified and their pairs vanish.  Every battery table is smaller than one block, so
+    each of its joins is that partial block; ``check_join_methods`` is the
+    first step to diff the join against an oracle.  The join looks the
+    block probe up on itself at call time.
+    """
+    from ..similarity import batch
+    from ..similarity.batch import PostingJoin
+
+    original = PostingJoin._probe_block
+
+    def mutated(self, first, rows, cuts, arrays, need):
+        if len(rows) < batch._JOIN_BLOCK:  # bug: a partial block is dropped
+            none = np.zeros(0, dtype=np.int64)
+            return none, none
+        return original(self, first, rows, cuts, arrays, need)
+
+    return _patched((PostingJoin, "_probe_block", mutated))
+
+
+def _mutant_vote_tie_green():
+    """An inferred vertex with as many GREEN as RED votes turns GREEN.
+
+    Models a ``>`` that became ``>=`` in the majority vote: ties are the
+    paper's parallel-round conflicts, and coloring them GREEN merges
+    clusters on no evidence.  No selector run of the battery ends a round
+    on a tie, so only the round replay of ``vote_tie_instance`` (a chain
+    whose top is answered No and whose bottom is answered Yes in one
+    round) can notice.  Patched at ``ColoringState._refresh``, which
+    ``apply_round`` looks up on the state at call time.
+    """
+    from ..graph.coloring import Color, ColoringState
+
+    def mutated(self, mask):
+        active = mask & ~self._pinned
+        greens = self._green_votes[active] >= self._red_votes[active]  # bug: ties GREEN
+        self.colors[np.flatnonzero(active)] = np.where(greens, Color.GREEN, Color.RED)
+
+    return _patched((ColoringState, "_refresh", mutated))
+
+
 def _mutant_obs_perturbs_selection():
     """Observability stops being read-only: it drops a vertex per round.
 
@@ -563,6 +618,16 @@ MUTANTS: tuple[Mutant, ...] = (
         "the candidate join's overlap floor comes from ceil(threshold * size)",
         _mutant_join_overlap_ceil,
     ),
+    Mutant(
+        "join-block-tail-dropped",
+        "the candidate join never verifies its last, partial block of records",
+        _mutant_join_block_tail_dropped,
+    ),
+    Mutant(
+        "vote-tie-green",
+        "an inferred vertex with tied GREEN and RED votes is colored GREEN",
+        _mutant_vote_tie_green,
+    ),
 )
 
 
@@ -641,6 +706,7 @@ def run_detection_battery(
         overlap_floor_instance,
         quarter_grid_vectors,
         random_instance,
+        vote_tie_instance,
     )
 
     invariants.check_reachability_index(graph)
@@ -681,9 +747,12 @@ def run_detection_battery(
     oracles.check_join_methods(*overlap_floor_instance())
 
     # The round update vs the one-answer-at-a-time engine (BLUE answers,
-    # multi-vertex and budget-truncated rounds).
+    # multi-vertex and budget-truncated rounds), and on a round that ties
+    # a vertex's votes: the only step that can see the vote-tie-green
+    # mutant.
     oracles.check_round_update("power", pairs, vectors, seed=seed, budget=12)
     oracles.check_round_update("multi-path", pairs, vectors, seed=seed)
+    oracles.check_round_replay(*vote_tie_instance())
 
     # The batched crowd-draw kernel vs numpy's own generators, down to
     # the bounds near 2**31 where Lemire's rejection fires: the only step
@@ -724,6 +793,62 @@ def run_detection_battery(
     oracles.check_observability_transparent("power", pairs, vectors, seed=seed)
 
 
+@contextmanager
+def _held_server_log() -> Iterator[list[logging.LogRecord]]:
+    """Hold the serve layer's log records instead of printing them.
+
+    A mutant can make a served request fail (``ServeApp.dispatch`` logs
+    the error with its traceback), and that record is the mutant's doing,
+    not a fault to report on stderr.
+    """
+    from ..serve import server
+
+    logger = logging.getLogger(server.__name__)
+    records: list[logging.LogRecord] = []
+
+    def hold(record: logging.LogRecord) -> bool:
+        records.append(record)
+        return False  # filtered out: no handler, here or above, emits it
+
+    logger.addFilter(hold)
+    try:
+        yield records
+    finally:
+        logger.removeFilter(hold)
+
+
+def _run_mutant(mutant: Mutant, seed: int) -> CheckResult:
+    """Run the detection battery under *mutant*; passed means it was caught.
+
+    The result's detail names the first failure and, when the mutant made
+    the server log anything, how many records it logged.
+    """
+    started = time.perf_counter()
+    detected_by: str | None = None
+    with _held_server_log() as logged, mutant.activate():
+        try:
+            run_detection_battery(seed)
+        except VerificationError as error:
+            detected_by = f"VerificationError: {error}"
+        except Exception as error:  # noqa: BLE001 - loud crash also counts
+            detected_by = f"{type(error).__name__}: {error}"
+    elapsed = time.perf_counter() - started
+    note = f" ({len(logged)} serve log records)" if logged else ""
+    if detected_by is None:
+        return CheckResult(
+            name=f"mutant[{mutant.name}]",
+            passed=False,
+            detail=f"seeded bug went undetected: {mutant.description}{note}",
+            seconds=elapsed,
+        )
+    return CheckResult(
+        name=f"mutant[{mutant.name}]",
+        passed=True,
+        detail=detected_by.splitlines()[0][:160] + note,
+        seconds=elapsed,
+    )
+
+
 def run_mutation_selftest(seed: int = 0) -> VerificationReport:
     """Activate each mutant, demand the battery notices, restore, repeat.
 
@@ -732,8 +857,6 @@ def run_mutation_selftest(seed: int = 0) -> VerificationReport:
         battery raised under the mutant (bug detected) and the pristine
         battery still passes afterwards (patch fully restored).
     """
-    from .report import CheckResult
-
     report = VerificationReport()
     # The battery must be green on unmutated code or detections mean nothing.
     try:
@@ -749,37 +872,7 @@ def run_mutation_selftest(seed: int = 0) -> VerificationReport:
         return report
 
     for mutant in MUTANTS:
-        started = time.perf_counter()
-        detected_by: str | None = None
-        with mutant.activate():
-            try:
-                run_detection_battery(seed)
-            except VerificationError as error:
-                detected_by = f"VerificationError: {error}"
-            except Exception as error:  # noqa: BLE001 - loud crash also counts
-                detected_by = f"{type(error).__name__}: {error}"
-        elapsed = time.perf_counter() - started
-        if detected_by is None:
-            report.add(
-                CheckResult(
-                    name=f"mutant[{mutant.name}]",
-                    passed=False,
-                    detail=(
-                        f"seeded bug went undetected: {mutant.description}"
-                    ),
-                    seconds=elapsed,
-                )
-            )
-        else:
-            first_line = detected_by.splitlines()[0][:160]
-            report.add(
-                CheckResult(
-                    name=f"mutant[{mutant.name}]",
-                    passed=True,
-                    detail=first_line,
-                    seconds=elapsed,
-                )
-            )
+        report.add(_run_mutant(mutant, seed))
     # Restoration check: the pristine battery must still pass.
     started = time.perf_counter()
     try:

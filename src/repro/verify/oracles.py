@@ -28,7 +28,8 @@ the same answer from first principles:
   :class:`~repro.graph.coloring.ColoringState` after each run.
 * :func:`check_round_update` — a finished run's rounds replayed through
   the round update and through the one-answer-at-a-time engine, which
-  must agree after every round.
+  must agree after every round (:func:`check_round_replay` replays given
+  rounds, such as :func:`repro.verify.vote_tie_instance`'s).
 * :func:`decline_reachability` — a graph that declines its reachability
   index, which sends any selector run on it down the reference selection
   paths (mask-broadcast propagation, scratch path covers every round,
@@ -806,13 +807,10 @@ def check_round_update(
     Runs the selector in Power+ mode against a noisy crowd (so some answers
     come back BLUE), optionally under a question *budget* (truncated
     rounds), then replays its rounds, cut by the session's
-    ``batch_sizes``, from the final coloring's pinned answers.  After every
-    round, ``ColoringState.apply_round`` on a graph with a reachability
-    index and on one without must leave the same colors, GREEN/RED vote
-    counts and ``asked_order`` as the reference applying the same answers
-    one at a time, and the replay must end at the run's own state.  The
-    selection loop applies rounds only through ``apply_round``, so this is
-    the one check on the per-answer semantics.
+    ``batch_sizes``, from the final coloring's pinned answers through
+    :func:`check_round_replay`; the replay must end at the run's own
+    state.  The selection loop applies rounds only through
+    ``apply_round``, so this is the one check on the per-answer semantics.
     """
     from ..selection.error_tolerant import ErrorPolicy
 
@@ -829,6 +827,35 @@ def check_round_update(
     )
     session = crowd.session()
     final = selector.run(PairGraph(pairs, vectors), session, budget=budget).state
+    rounds: list[list[tuple[int, Color]]] = []
+    start = 0
+    for size in session.batch_sizes:
+        vertices = final.asked_order[start : start + size]
+        rounds.append([(v, Color(int(final.colors[v]))) for v in vertices])
+        start += size
+    label = f"round-update[{selector_name}] seed={seed} budget={budget}"
+    replayed = check_round_replay(pairs, vectors, rounds, label)
+    if replayed.asked_order != final.asked_order or not np.array_equal(
+        replayed.colors, final.colors
+    ):
+        raise VerificationError(f"{label}: the replay does not end at the run's state")
+
+
+def check_round_replay(
+    pairs: Sequence[Pair],
+    vectors: np.ndarray,
+    rounds: Sequence[Sequence[tuple[int, Color]]],
+    label: str = "round-replay",
+) -> ColoringState:
+    """Apply *rounds* of ``(vertex, color)`` answers round by round.
+
+    After every round, ``ColoringState.apply_round`` on a graph with a
+    reachability index and on one without must leave the same colors,
+    GREEN/RED vote counts and ``asked_order`` as
+    :class:`ReferenceColoring` applying the same answers one at a time.
+    Returns the indexed side's final state.
+    """
+    vectors = np.asarray(vectors, dtype=np.float64)
     answer_of = {Color.GREEN: True, Color.RED: False, Color.BLUE: None}
     indexed_graph = PairGraph(pairs, vectors)
     indexed_graph.build_reachability()
@@ -838,11 +865,9 @@ def check_round_update(
     }
     reference = ReferenceColoring(naive_dominance_edges(vectors), len(pairs))
     asked: list[int] = []
-    label = f"round-update[{selector_name}] seed={seed} budget={budget}"
-    for round_index, size in enumerate(session.batch_sizes):
-        vertices = final.asked_order[len(asked) : len(asked) + size]
-        colors = [Color(int(final.colors[v])) for v in vertices]
-        for vertex, color in zip(vertices, colors):
+    for round_index, answers in enumerate(rounds):
+        vertices = [vertex for vertex, _ in answers]
+        for vertex, color in answers:
             reference.apply(vertex, color)
         asked.extend(vertices)
         expected = {
@@ -851,7 +876,7 @@ def check_round_update(
             "_red_votes": np.array(reference.red_votes),
         }
         for side, state in sides.items():
-            state.apply_round(vertices, [answer_of[color] for color in colors])
+            state.apply_round(vertices, [answer_of[color] for _, color in answers])
             for what, want in expected.items():
                 got = getattr(state, what)
                 if not np.array_equal(got, want):
@@ -866,10 +891,7 @@ def check_round_update(
                     f"{label}: round {round_index} ({side}) asked_order differs "
                     "from the per-answer reference"
                 )
-    if asked != final.asked_order or not np.array_equal(
-        sides["indexed"].colors, final.colors
-    ):
-        raise VerificationError(f"{label}: the replay does not end at the run's state")
+    return sides["indexed"]
 
 
 # --------------------------------------------------------------------------- #

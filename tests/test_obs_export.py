@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -163,6 +165,37 @@ class TestTraceCli:
         assert [r["name"] for r in records] == [
             "resolve", "resolve.join", "resolve.select",
         ]
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_trace_command_exits_quietly_when_the_reader_leaves(self, tmp_path, flags):
+        """``repro trace t.jsonl | head -1`` ends without a traceback.
+
+        The rendered trace is far larger than a pipe buffer, so the
+        command is still writing when its reader closes after one line.
+        """
+        clock = ManualClock()
+        tracer = Tracer(clock=clock)
+        with tracer.span("resolve"):
+            for index in range(20_000):
+                with tracer.span("selection.round", index=index):
+                    clock.advance(wall=0.001, cpu=0.001)
+        path = write_trace(tracer.export(), tmp_path / "big.trace.jsonl")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", str(path), *flags],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.stderr.close()
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+        assert proc.returncode == 1
 
     def test_trace_command_rejects_a_non_trace_file(self, tmp_path, capsys):
         from repro.cli import main

@@ -10,7 +10,9 @@ on:
   adjacency lists on random vector matrices;
 * :func:`sparse_jaccard_join` returns exactly the naive quadratic join
   oracle's pairs across thresholds, and a :class:`PostingJoin` extended
-  batch by batch returns exactly the one-shot join's pairs.
+  batch by batch returns exactly the one-shot join's pairs, also around
+  the size of its verification block;
+* the token bitsets ``_pack_rows`` builds equal a per-bit reference.
 
 Plus direct unit tests of the :class:`TokenIndex` bigram encoder, the
 index a join's postings give (the streaming snapshot's layout), the
@@ -39,7 +41,12 @@ from repro.similarity import (
     similarity_matrix,
     sparse_jaccard_join,
 )
-from repro.similarity.batch import PostingJoin, batch_edit_similarities
+from repro.similarity.batch import (
+    _JOIN_BLOCK,
+    PostingJoin,
+    _pack_rows,
+    batch_edit_similarities,
+)
 from repro.similarity.tokenize import qgram_tokens, word_tokens
 from repro.verify import naive_join
 
@@ -383,6 +390,112 @@ class TestPostingJoin:
         join.truncate(cut)
         assert state(join) == state(clean)
         assert join.extend(token_sets[cut:]) == clean.extend(token_sets[cut:])
+
+
+#: Record counts just below, at and above one verification block.
+_BLOCK_EDGES = [_JOIN_BLOCK - 1, _JOIN_BLOCK, _JOIN_BLOCK + 1]
+
+#: 7 of 25 tokens score exactly ``7 / 25 == 0.28``, though ``0.28 * 25``
+#: rounds past 7: the overlap floor's float edge.
+_FLOAT_EDGE = [
+    frozenset(f"w{k}" for k in range(7)),
+    frozenset(f"w{k}" for k in range(25)),
+]
+
+
+def _block_token_sets(data, size: int) -> list[frozenset[str]]:
+    """*size* token sets, many of them empty or repeated, holding the
+    float-edge pair at drawn positions."""
+    token_sets = data.draw(
+        st.lists(
+            st.frozensets(st.sampled_from("abcdef"), max_size=4),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    for tokens in _FLOAT_EDGE:
+        token_sets[data.draw(st.integers(0, size - 1))] = tokens
+    return token_sets
+
+
+class TestPostingJoinBlocks:
+    """Block verification ≡ the quadratic naive join, around the block size,
+    one-shot and batch by batch, and after a refused batch is truncated."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        size=st.sampled_from(_BLOCK_EDGES),
+        threshold=st.sampled_from([0.28, 0.5, 1.0]),
+        data=st.data(),
+    )
+    def test_one_shot_equals_naive_join(self, size, threshold, data):
+        token_sets = _block_token_sets(data, size)
+        assert PostingJoin(threshold).extend(token_sets) == sorted(
+            naive_join(token_sets, threshold)
+        )
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        size=st.sampled_from(_BLOCK_EDGES),
+        threshold=st.sampled_from([0.28, 0.5]),
+        data=st.data(),
+    )
+    def test_batches_equal_naive_join(self, size, threshold, data):
+        token_sets = _block_token_sets(data, size)
+        bounds = sorted(data.draw(st.lists(st.integers(0, size), max_size=3)))
+        join, pairs, previous = PostingJoin(threshold), [], 0
+        for bound in [*bounds, size]:
+            pairs += join.extend(token_sets[previous:bound])
+            previous = bound
+        assert sorted(pairs) == sorted(naive_join(token_sets, threshold))
+
+    @settings(max_examples=12, deadline=None)
+    @given(size=st.sampled_from(_BLOCK_EDGES), data=st.data())
+    def test_truncate_after_a_refused_batch(self, size, data):
+        token_sets = _block_token_sets(data, size)
+        refused = _block_token_sets(data, data.draw(st.sampled_from([1, *_BLOCK_EDGES])))
+        cut = data.draw(st.integers(0, size))
+        join = PostingJoin(0.28)
+        pairs = join.extend(token_sets[:cut])
+        join.extend(refused)
+        join.truncate(cut)
+        pairs += join.extend(token_sets[cut:])
+        assert sorted(pairs) == sorted(naive_join(token_sets, 0.28))
+
+
+class TestPackRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        vocab_size=st.sampled_from([0, 1, 63, 64, 65, 130]),
+        num_rows=st.integers(0, 6),
+        data=st.data(),
+    )
+    def test_equals_a_per_bit_reference(self, vocab_size, num_rows, data):
+        entries = []
+        if vocab_size and num_rows:
+            entries = data.draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, num_rows - 1), st.integers(0, vocab_size - 1)
+                    ),
+                    max_size=40,
+                )
+            )
+        entries += entries[: len(entries) // 2]  # repeated (row, token) entries
+        packed = _pack_rows(
+            num_rows,
+            np.array([row for row, _ in entries], dtype=np.int64),
+            np.array([token for _, token in entries], dtype=np.int64),
+            vocab_size,
+        )
+        words = max(1, (vocab_size + 63) // 64)
+        assert packed.dtype == np.uint64 and packed.shape == (num_rows, words)
+        expected = [0] * num_rows
+        for row, token in entries:
+            expected[row] |= 1 << token
+        assert [
+            sum(int(word) << (64 * k) for k, word in enumerate(row)) for row in packed
+        ] == expected
 
 
 class TestBatchEdit:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -62,6 +65,8 @@ class TestMutationSelfTest:
             PairGraph.descendant_mask,
             CrowdSession.hits,
             PostingJoin.extend,
+            PostingJoin.__dict__["_probe_block"],
+            ColoringState.__dict__["_refresh"],
             SessionRegistry._restore_resolver,
         )
         run_mutation_selftest(seed=0)
@@ -83,6 +88,8 @@ class TestMutationSelfTest:
             PairGraph.descendant_mask,
             CrowdSession.hits,
             PostingJoin.extend,
+            PostingJoin.__dict__["_probe_block"],
+            ColoringState.__dict__["_refresh"],
             SessionRegistry._restore_resolver,
         )
         assert before == after
@@ -267,6 +274,91 @@ class TestMutationSelfTest:
         monkeypatch.setattr(oracles, "check_join_methods", lambda *args, **kwargs: None)
         with mutant.activate():
             run_detection_battery(seed=0)
+
+    def test_dropped_block_tail_is_caught_by_the_join_step(self):
+        """A join that verifies only full blocks loses the tail's pairs.
+
+        With ``join-block-tail-dropped`` a join of exactly one block of
+        records still finds every pair, while one more record leaves that
+        record's pairs in an unverified, partial block.  Every battery
+        table is smaller than a block, so its first join oracle sees the
+        loss.
+        """
+        from repro.exceptions import VerificationError
+        from repro.similarity.batch import _JOIN_BLOCK, sparse_jaccard_join
+        from repro.verify import check_join_methods
+        from repro.verify.mutation import _battery_table
+
+        same = [frozenset({"a", "b"})] * (_JOIN_BLOCK + 1)
+        mutant = next(m for m in MUTANTS if m.name == "join-block-tail-dropped")
+        with mutant.activate():
+            full = sparse_jaccard_join(same[:_JOIN_BLOCK], 0.5)
+            assert len(full) == _JOIN_BLOCK * (_JOIN_BLOCK - 1) // 2
+            assert sparse_jaccard_join(same, 0.5) == full
+            with pytest.raises(VerificationError, match="production join"):
+                check_join_methods(_battery_table(), 0.3)
+            with pytest.raises(VerificationError, match="production join"):
+                run_detection_battery(seed=0)
+        assert len(sparse_jaccard_join(same, 0.5)) == len(full) + _JOIN_BLOCK
+
+    def test_vote_tie_is_caught_only_by_the_tie_round(self, monkeypatch):
+        """Ties go GREEN only where a round ties a vertex's votes.
+
+        No selector run of the battery ends a round on a tie, so with the
+        tie instance's round removed the battery passes under
+        ``vote-tie-green``; with it, the unasked middle of the chain turns
+        GREEN where the reference keeps it RED.
+        """
+        from repro.exceptions import VerificationError
+        from repro.graph.coloring import Color
+        from repro.verify import battery, check_round_replay, vote_tie_instance
+
+        pairs, vectors, rounds = vote_tie_instance()
+        assert check_round_replay(pairs, vectors, rounds).colors.tolist() == [
+            Color.RED, Color.RED, Color.GREEN,
+        ]
+        mutant = next(m for m in MUTANTS if m.name == "vote-tie-green")
+        with mutant.activate():
+            with pytest.raises(VerificationError, match="colors at vertex 1"):
+                check_round_replay(pairs, vectors, rounds)
+            with pytest.raises(VerificationError, match="colors at vertex 1"):
+                run_detection_battery(seed=0)
+        monkeypatch.setattr(battery, "vote_tie_instance", lambda: (pairs, vectors, []))
+        with mutant.activate():
+            run_detection_battery(seed=0)
+
+    def test_mutant_server_errors_are_held_not_printed(self, tmp_path):
+        """A request a mutant breaks is counted in its result, not printed.
+
+        ``ServeApp.dispatch`` logs a failed request with its traceback.
+        Run in a child process, whose log has no handler but Python's
+        last resort (stderr): one stand-in mutant breaks every restore,
+        and ``serve-cross-session-leak`` races two tenants on one
+        resolver.  Both are caught and neither prints a traceback.
+        """
+        script = tmp_path / "mutants.py"
+        script.write_text(
+            "from repro.serve.sessions import SessionRegistry\n"
+            "from repro.verify.mutation import MUTANTS, Mutant, _patched, _run_mutant\n"
+            "def broken(self, name):\n"
+            "    raise IndexError('restore broke')\n"
+            "crash = Mutant('restore-crash', 'every restore raises', lambda: _patched(\n"
+            "    (SessionRegistry, '_restore_resolver', broken)))\n"
+            "leak = next(m for m in MUTANTS if m.name == 'serve-cross-session-leak')\n"
+            "for mutant in (crash, leak):\n"
+            "    result = _run_mutant(mutant, 0)\n"
+            "    assert result.passed, result\n"
+            "    print(result.name, result.detail)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr, done.stderr
+        assert "request failed" not in done.stderr, done.stderr
+        crash_line = done.stdout.splitlines()[0]
+        assert crash_line.startswith("mutant[restore-crash]")
+        assert "serve log records)" in crash_line
 
     def test_dropped_edge_reaches_every_tile_consumer(self):
         """``drop-dominance-edge`` corrupts the tiles production reads.
