@@ -27,10 +27,9 @@ Commands:
   JSON report (``--check`` exits 1 when a gate fails).
 
 ``resolve``, ``simulate``, and ``stream`` share the observability flags:
-``--trace FILE`` records a hierarchical span trace, ``--metrics-out FILE``
-writes the metrics registry (Prometheus text for ``.prom``/``.txt``, JSON
-otherwise), and ``--profile`` samples CPU stacks and prints the hottest
-frames.  All three are off by default and provably transparent — the
+``--trace FILE`` records a hierarchical span trace and ``--metrics-out
+FILE`` writes the metrics registry (Prometheus text for ``.prom``/``.txt``,
+JSON otherwise).  Both are off by default and provably transparent — the
 ``observability-transparent`` battery checks assert instrumented runs are
 byte-identical to plain ones.
 
@@ -106,7 +105,7 @@ def experiments_help() -> str:
 
 
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--trace`` / ``--metrics-out`` / ``--profile`` flags."""
+    """The shared ``--trace`` / ``--metrics-out`` flags."""
     group = parser.add_argument_group("observability")
     group.add_argument("--trace", type=Path, default=None, metavar="FILE",
                        help="record a hierarchical span trace of the run "
@@ -115,9 +114,6 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
                        metavar="FILE",
                        help="write the run's metrics registry here "
                             "(.prom/.txt = Prometheus text, else JSON)")
-    group.add_argument("--profile", action="store_true",
-                       help="sample CPU stacks during the run and print "
-                            "the hottest frames")
 
 
 @contextlib.contextmanager
@@ -126,46 +122,24 @@ def _observed(args):
 
     Yields the live :class:`~repro.obs.Observability` handle (or ``None``
     when no flag asked for one); on clean exit writes the trace and
-    metrics files and prints the profiler report.
+    metrics files.
     """
-    from .obs import Observability, SamplingProfiler, activated
-    from .obs import profiler as obs_profiler
+    from .obs import Observability, activated, write_metrics, write_trace
 
     tracing = args.trace is not None
     metrics = args.metrics_out is not None
-    if not (tracing or metrics or args.profile):
+    if not (tracing or metrics):
         yield None
         return
-    profiler = None
-    if args.profile:
-        if obs_profiler.SUPPORTED:
-            profiler = SamplingProfiler()
-        else:
-            print("profiling needs signal.setitimer (POSIX); continuing "
-                  "without it", file=sys.stderr)
-    obs = Observability(tracing=tracing, metrics=metrics, profiler=profiler)
+    obs = Observability(tracing=tracing, metrics=metrics)
     with activated(obs):
-        if profiler is not None:
-            profiler.start()
-        try:
-            yield obs
-        finally:
-            if profiler is not None:
-                profiler.stop()
-    _write_obs_outputs(args, obs)
-
-
-def _write_obs_outputs(args, obs) -> None:
-    from .obs import write_metrics, write_trace
-
-    if args.trace is not None:
+        yield obs
+    if tracing:
         write_trace(obs.tracer.export(), args.trace)
         print(f"trace      : {args.trace}")
-    if args.metrics_out is not None:
+    if metrics:
         write_metrics(obs.registry, args.metrics_out)
         print(f"metrics    : {args.metrics_out}")
-    if obs.profiler is not None:
-        print(obs.profiler.report())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -336,11 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "per session (eviction + drain target)")
     serve.add_argument("--max-sessions", type=int, default=8,
                        help="LRU cap on resolver sessions held in memory")
-    serve.add_argument("--rate", type=float, default=0.0,
-                       help="per-session sustained ingests/second "
-                            "(0 = unlimited)")
-    serve.add_argument("--burst", type=float, default=4.0,
-                       help="per-session token-bucket burst capacity")
     serve.add_argument("--queue-depth", type=int, default=4,
                        help="per-session bounded ingest queue; beyond it "
                             "requests are shed with retry_after")
@@ -671,8 +640,6 @@ def _command_serve(args) -> int:
         app = ServeApp(
             args.checkpoint_root,
             max_sessions=args.max_sessions,
-            rate=args.rate,
-            burst=args.burst,
             queue_depth=args.queue_depth,
             crowd_latency=args.crowd_latency,
         )
@@ -751,15 +718,14 @@ def _spawned_server(args):
     return proc, int(match.group(1))
 
 
+#: Seconds ``repro client`` waits to connect, and for each answer.
+_CLIENT_TIMEOUT = 60.0
+
+
 def _command_client(args) -> int:
-    import json
+    import asyncio
     import signal
     import subprocess
-    import time
-
-    from .exceptions import OverloadedError
-    from .serve import ServeClient
-    from .stream.service import _encode_config
 
     needs_session = args.action in ("ingest-csv", "clusters", "checkpoint", "close")
     if needs_session and not args.session:
@@ -775,90 +741,11 @@ def _command_client(args) -> int:
     proc = None
     port = args.port
     if args.spawn is not None:
+        # The spawned server prints its banner only once it listens, so
+        # one connection attempt is enough.
         proc, port = _spawned_server(args)
     try:
-        with ServeClient(host=args.host, port=port) as client:
-
-            def call(op, **fields):
-                while True:
-                    try:
-                        return client.call(op, **fields)
-                    except OverloadedError as error:
-                        time.sleep(max(0.01, error.retry_after))
-
-            if args.action == "health":
-                health = call("healthz")
-                for key in ("status", "protocol", "resident", "known_sessions"):
-                    print(f"{key:14s}: {health[key]}")
-            elif args.action == "metrics":
-                print(call("metrics")["metrics"], end="")
-            elif args.action == "ingest-csv":
-                table = load_csv(args.input)
-                if not table.has_ground_truth():
-                    print(
-                        "ingest-csv needs an entity_id column to simulate "
-                        "the crowd",
-                        file=sys.stderr,
-                    )
-                    return 2
-                created = call(
-                    "create_session",
-                    session=args.session,
-                    attributes=list(table.attributes),
-                    config=_encode_config(PowerConfig(seed=args.seed)),
-                    worker_band=args.band,
-                )
-                verb = "created" if created["created"] else "attached to"
-                print(
-                    f"{verb} session {args.session} "
-                    f"({created['records']} records, "
-                    f"batch {created['batches']})"
-                )
-                records = table.records[created["records"]:]
-                for start in range(0, len(records), args.batch_size):
-                    chunk = records[start : start + args.batch_size]
-                    report = call(
-                        "ingest",
-                        session=args.session,
-                        rows=[list(record.values) for record in chunk],
-                        entity_ids=[record.entity_id for record in chunk],
-                    )
-                    print(
-                        f"batch {report['batch']}: "
-                        f"+{report['new_records']} records, "
-                        f"{report['new_pairs']} pairs, "
-                        f"{report['questions']} questions, "
-                        f"clusters={report['clusters']}",
-                        flush=True,
-                    )
-                checkpoint = call("checkpoint", session=args.session)
-                print(
-                    f"checkpoint : batch {checkpoint['batch']}, "
-                    f"{checkpoint['records']} records, "
-                    f"{checkpoint['questions']} questions, "
-                    f"state_sha {checkpoint['state_sha'][:12]}"
-                )
-            elif args.action == "clusters":
-                result = call("query_clusters", session=args.session)
-                print(json.dumps(result["clusters"]))
-                print(
-                    f"clusters   : {len(result['clusters'])} over "
-                    f"{result['records']} records "
-                    f"({result['questions']} questions, "
-                    f"{result['cost_cents'] / 100:.2f} USD)"
-                )
-            elif args.action == "checkpoint":
-                checkpoint = call("checkpoint", session=args.session)
-                print(
-                    f"checkpoint : batch {checkpoint['batch']}, "
-                    f"state_sha {checkpoint['state_sha']}"
-                )
-            elif args.action == "close":
-                closed = call("close", session=args.session)
-                print(
-                    f"closed {closed['session']}: batch {closed['batch']}, "
-                    f"state_sha {closed['state_sha']}"
-                )
+        return asyncio.run(_client_action(args, port))
     finally:
         if proc is not None:
             # communicate() reads the server's output to its end and closes
@@ -869,6 +756,110 @@ def _command_client(args) -> int:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.communicate()
+
+
+async def _client_action(args, port: int) -> int:
+    """Run one ``repro client`` action over one connection to *port*."""
+    import asyncio
+    import json
+
+    from .exceptions import OverloadedError, ServeError
+    from .serve import AsyncServeClient
+    from .stream.service import _encode_config
+
+    client = AsyncServeClient(host=args.host, port=port)
+    try:
+        await asyncio.wait_for(client.connect(), _CLIENT_TIMEOUT)
+    except (OSError, asyncio.TimeoutError) as error:
+        raise ServeError(f"cannot connect to {args.host}:{port}: {error}") from None
+
+    async def call(op, **fields):
+        while True:
+            try:
+                return await asyncio.wait_for(client.call(op, **fields), _CLIENT_TIMEOUT)
+            except OverloadedError as error:
+                await asyncio.sleep(max(0.01, error.retry_after))
+            except asyncio.TimeoutError:
+                raise ServeError(
+                    f"no answer to {op} within {_CLIENT_TIMEOUT:g} s"
+                ) from None
+
+    try:
+        if args.action == "health":
+            health = await call("healthz")
+            for key in ("status", "protocol", "resident", "known_sessions"):
+                print(f"{key:14s}: {health[key]}")
+        elif args.action == "metrics":
+            print((await call("metrics"))["metrics"], end="")
+        elif args.action == "ingest-csv":
+            table = load_csv(args.input)
+            if not table.has_ground_truth():
+                print(
+                    "ingest-csv needs an entity_id column to simulate "
+                    "the crowd",
+                    file=sys.stderr,
+                )
+                return 2
+            created = await call(
+                "create_session",
+                session=args.session,
+                attributes=list(table.attributes),
+                config=_encode_config(PowerConfig(seed=args.seed)),
+                worker_band=args.band,
+            )
+            verb = "created" if created["created"] else "attached to"
+            print(
+                f"{verb} session {args.session} "
+                f"({created['records']} records, "
+                f"batch {created['batches']})"
+            )
+            records = table.records[created["records"]:]
+            for start in range(0, len(records), args.batch_size):
+                chunk = records[start : start + args.batch_size]
+                report = await call(
+                    "ingest",
+                    session=args.session,
+                    rows=[list(record.values) for record in chunk],
+                    entity_ids=[record.entity_id for record in chunk],
+                )
+                print(
+                    f"batch {report['batch']}: "
+                    f"+{report['new_records']} records, "
+                    f"{report['new_pairs']} pairs, "
+                    f"{report['questions']} questions, "
+                    f"clusters={report['clusters']}",
+                    flush=True,
+                )
+            checkpoint = await call("checkpoint", session=args.session)
+            print(
+                f"checkpoint : batch {checkpoint['batch']}, "
+                f"{checkpoint['records']} records, "
+                f"{checkpoint['questions']} questions, "
+                f"state_sha {checkpoint['state_sha'][:12]}"
+            )
+        elif args.action == "clusters":
+            result = await call("query_clusters", session=args.session)
+            print(json.dumps(result["clusters"]))
+            print(
+                f"clusters   : {len(result['clusters'])} over "
+                f"{result['records']} records "
+                f"({result['questions']} questions, "
+                f"{result['cost_cents'] / 100:.2f} USD)"
+            )
+        elif args.action == "checkpoint":
+            checkpoint = await call("checkpoint", session=args.session)
+            print(
+                f"checkpoint : batch {checkpoint['batch']}, "
+                f"state_sha {checkpoint['state_sha']}"
+            )
+        elif args.action == "close":
+            closed = await call("close", session=args.session)
+            print(
+                f"closed {closed['session']}: batch {closed['batch']}, "
+                f"state_sha {closed['state_sha']}"
+            )
+    finally:
+        await client.close()
     return 0
 
 

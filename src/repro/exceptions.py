@@ -47,9 +47,9 @@ class SimulatedCrash(EngineError):
 
 
 class ObservabilityError(PowerError):
-    """The tracing/metrics subsystem was misused (mismatched histogram
-    boundaries in a merge, a metric re-registered under a different type,
-    an unbalanced span stack, a profiler started off the main thread)."""
+    """The tracing/metrics subsystem was misused (a histogram re-requested
+    with other boundaries, a metric re-registered under a different type,
+    an unbalanced span stack, an unreadable trace file)."""
 
 
 class ServeError(PowerError):

@@ -1,4 +1,4 @@
-"""repro.obs — unified tracing, metrics, and profiling for the pipeline.
+"""repro.obs — unified tracing and metrics for the pipeline.
 
 One observability substrate for everything the repo runs: the resolver
 stages (join → construct → select → aggregate → cluster), both path-cover
@@ -11,8 +11,6 @@ engine, and the batch-similarity join.  The pieces:
   histograms in one lock-protected, labeled registry.
 * :mod:`~repro.obs.export` — JSONL trace files (``repro trace`` renders
   them), Prometheus text exposition, and console summaries.
-* :mod:`~repro.obs.profiler` — an opt-in ``ITIMER_PROF`` sampling
-  profiler for hot-path attribution.
 * :mod:`~repro.obs.instrument` — the process-global
   :class:`Observability` handle, :func:`activated`, and the hook
   functions the pipeline calls.
@@ -61,7 +59,6 @@ from .metrics import (
     MetricsRegistry,
     SECONDS_BOUNDARIES,
 )
-from .profiler import SamplingProfiler
 from .telemetry import Telemetry
 from .trace import NULL_SPAN, Span, Tracer, structure, walk
 
@@ -78,7 +75,6 @@ __all__ = [
     "Observability",
     "SECONDS_BOUNDARIES",
     "SYSTEM_CLOCK",
-    "SamplingProfiler",
     "Span",
     "TRACE_VERSION",
     "Telemetry",

@@ -1,6 +1,6 @@
 """Injectable time sources for the observability subsystem.
 
-Every span and profiler sample in :mod:`repro.obs` reads time through a
+Every span and timed region in :mod:`repro.obs` reads time through a
 :class:`Clock` instead of calling :func:`time.perf_counter` directly, for
 two reasons:
 

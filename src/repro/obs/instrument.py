@@ -1,9 +1,9 @@
 """The process-wide observability handle and the pipeline's hook points.
 
-:class:`Observability` bundles one tracer, one metrics registry, and an
-optional sampling profiler; :func:`current` returns the installed handle
-(a permanently-disabled singleton by default) and :func:`activated` swaps
-a live one in for a ``with`` block.  Pipeline code *always* calls the
+:class:`Observability` bundles one tracer and one metrics registry;
+:func:`current` returns the installed handle (a permanently-disabled
+singleton by default) and :func:`activated` swaps a live one in for a
+``with`` block.  Pipeline code *always* calls the
 hooks — they cost an attribute check when observability is off — so
 turning tracing on is a pure runtime decision (a CLI flag, a test
 fixture), never a code path change.
@@ -35,26 +35,22 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .metrics import COUNT_BOUNDARIES, MetricsRegistry, SECONDS_BOUNDARIES
-from .profiler import SamplingProfiler
 from .trace import Tracer
 
 
 @dataclass
 class Observability:
-    """One run's observability handle: tracer + registry (+ profiler).
+    """One run's observability handle: tracer + registry.
 
     Args:
         tracing: record spans (hierarchical timings).
         metrics: record registry metrics.  The registry object always
             exists so call sites stay branch-free; this flag gates the
             hooks that would populate it.
-        profiler: an armed :class:`~repro.obs.profiler.SamplingProfiler`,
-            when hot-path attribution was requested.
     """
 
     tracing: bool = True
     metrics: bool = True
-    profiler: SamplingProfiler | None = None
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     tracer: Tracer = field(init=False)
 

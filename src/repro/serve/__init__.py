@@ -3,10 +3,10 @@
 The serving layer over PR 8's durable streams: many isolated tenant
 sessions behind one asyncio line-protocol server, each a single-writer
 actor over a :class:`~repro.stream.StreamingResolver`, with LRU
-eviction/restore through the snapshot store, token-bucket + bounded-queue
-admission control (explicit ``retry_after`` load shedding), graceful
-SIGTERM drain that checkpoints every live session, and ``/healthz`` +
-``/metrics`` wired into :mod:`repro.obs`.
+eviction/restore through the snapshot store, bounded-queue admission
+control (explicit ``retry_after`` load shedding), graceful SIGTERM drain
+that checkpoints every live session, and ``/healthz`` + ``/metrics``
+wired into :mod:`repro.obs`.
 
 Equivalence contract (the ``check_serve_equivalence`` battery step):
 batches ingested through the server — under concurrent interleaved
@@ -14,8 +14,8 @@ tenants and across evict/restore cycles — reach a ``state_sha``
 bit-identical to driving ``StreamingResolver`` directly.
 """
 
-from .admission import AdmissionController, TokenBucket
-from .client import AsyncServeClient, ServeClient
+from .admission import AdmissionController
+from .client import AsyncServeClient
 from .protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -35,10 +35,8 @@ __all__ = [
     "AsyncServeClient",
     "ResolutionServer",
     "ServeApp",
-    "ServeClient",
     "SessionRegistry",
     "SessionSpec",
-    "TokenBucket",
     "decode_request",
     "decode_response",
     "encode",

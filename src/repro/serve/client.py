@@ -1,14 +1,14 @@
-"""Serve-protocol clients: async (pipelining) and sync (simple).
+"""The serve-protocol client: one pipelining connection.
 
 :class:`AsyncServeClient` multiplexes one connection: a background reader
 task pairs response lines back to in-flight requests by the ``id`` echo,
 so a load generator can keep many ingests outstanding — which is exactly
-how the throughput benchmark pressures admission control.
-:class:`ServeClient` is the blocking convenience wrapper the CLI and
-scripts use: one socket, one request at a time.
+how the throughput benchmark pressures admission control — and the
+``repro client`` CLI runs it under :func:`asyncio.run`, one request at a
+time.
 
-Both speak the versioned protocol from :mod:`repro.serve.protocol` and
-re-raise server refusals as typed exceptions —
+It speaks the versioned protocol from :mod:`repro.serve.protocol` and
+re-raises server refusals as typed exceptions —
 :class:`~repro.exceptions.OverloadedError` (with the server's
 ``retry_after``) for load sheds, :class:`~repro.exceptions.ServeError`
 for everything else — so callers branch on types, not string codes.
@@ -17,25 +17,10 @@ for everything else — so callers branch on types, not string codes.
 from __future__ import annotations
 
 import asyncio
-import socket
-import time
 from typing import Any
 
 from ..exceptions import OverloadedError, ProtocolError, ServeError
-from .protocol import decode_response, encode
-
-
-def _raise_for(response: dict[str, Any]) -> dict[str, Any]:
-    """A success response's payload, or the typed refusal it encodes."""
-    if response.get("ok"):
-        return response
-    code = response.get("error", "error")
-    message = response.get("message", "server error")
-    if code == "overloaded":
-        raise OverloadedError(
-            message, retry_after=float(response.get("retry_after", 0.05))
-        )
-    raise ServeError(f"{code}: {message}")
+from .protocol import MAX_LINE_BYTES, PROTOCOL_VERSION, decode_response, encode
 
 
 class AsyncServeClient:
@@ -52,8 +37,6 @@ class AsyncServeClient:
         self._write_lock = asyncio.Lock()
 
     async def connect(self) -> "AsyncServeClient":
-        from .protocol import MAX_LINE_BYTES
-
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port, limit=MAX_LINE_BYTES
         )
@@ -106,8 +89,6 @@ class AsyncServeClient:
 
     async def request(self, op: str, **fields: Any) -> dict[str, Any]:
         """Send one request and await its raw response (no raising)."""
-        from .protocol import PROTOCOL_VERSION
-
         if self._writer is None:
             raise ServeError("client is not connected")
         self._next_id += 1
@@ -122,7 +103,16 @@ class AsyncServeClient:
 
     async def call(self, op: str, **fields: Any) -> dict[str, Any]:
         """Send one request; raise typed errors on refusal."""
-        return _raise_for(await self.request(op, **fields))
+        response = await self.request(op, **fields)
+        if response.get("ok"):
+            return response
+        code = response.get("error", "error")
+        message = response.get("message", "server error")
+        if code == "overloaded":
+            raise OverloadedError(
+                message, retry_after=float(response.get("retry_after", 0.05))
+            )
+        raise ServeError(f"{code}: {message}")
 
     # Convenience verbs ------------------------------------------------- #
 
@@ -180,77 +170,4 @@ class AsyncServeClient:
         return (await self.call("metrics"))["metrics"]
 
 
-class ServeClient:
-    """Blocking client: one socket, one request in flight at a time."""
-
-    def __init__(
-        self, host: str = "127.0.0.1", port: int = 0, timeout: float = 60.0
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self._sock: socket.socket | None = None
-        self._file = None
-        self._next_id = 0
-
-    def connect(self, retries: int = 50, delay: float = 0.1) -> "ServeClient":
-        """Connect, retrying briefly (the spawned-server startup window)."""
-        last_error: Exception | None = None
-        for _ in range(max(1, retries)):
-            try:
-                self._sock = socket.create_connection(
-                    (self.host, self.port), timeout=self.timeout
-                )
-                self._file = self._sock.makefile("rwb")
-                return self
-            except OSError as error:
-                last_error = error
-                time.sleep(delay)
-        raise ServeError(
-            f"cannot connect to {self.host}:{self.port}: {last_error}"
-        )
-
-    def close(self) -> None:
-        if self._file is not None:
-            try:
-                self._file.close()
-            except OSError:
-                pass
-            self._file = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-    def __enter__(self) -> "ServeClient":
-        return self.connect()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def request(self, op: str, **fields: Any) -> dict[str, Any]:
-        from .protocol import PROTOCOL_VERSION
-
-        if self._file is None:
-            raise ServeError("client is not connected")
-        self._next_id += 1
-        message = {
-            "v": PROTOCOL_VERSION,
-            "id": self._next_id,
-            "op": op,
-            **fields,
-        }
-        self._file.write(encode(message))
-        self._file.flush()
-        line = self._file.readline()
-        if not line:
-            raise ServeError("server closed the connection")
-        return decode_response(line)
-
-    def call(self, op: str, **fields: Any) -> dict[str, Any]:
-        return _raise_for(self.request(op, **fields))
-
-
-__all__ = ["AsyncServeClient", "ServeClient"]
+__all__ = ["AsyncServeClient"]

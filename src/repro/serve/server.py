@@ -17,16 +17,18 @@ Two layers, separable on purpose:
   listener answers plain HTTP ``GET /healthz`` and ``GET /metrics`` so a
   scraper needs no protocol client.
 
-Graceful drain (SIGTERM/SIGINT): flip the draining flag — admission now
-sheds new work with an explicit ``retry_after`` — let every session's
-queue run dry, checkpoint each one to the snapshot store, and only then
-stop.  Queued batches are paid-for crowd answers; the drain contract is
-that none of them is ever lost to a shutdown.
+Graceful drain (SIGTERM/SIGINT): flip the registry's draining flag —
+session ops now shed with an explicit ``retry_after`` — let every
+operation already admitted finish, checkpoint each session to the
+snapshot store, and only then stop.  Queued batches are paid-for crowd
+answers; the drain contract is that none of them is ever lost to a
+shutdown.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import logging
 from pathlib import Path
@@ -36,7 +38,6 @@ from ..exceptions import OverloadedError, PowerError, ProtocolError
 from ..obs import instrument as obs_instrument
 from ..obs.export import to_prometheus
 from ..obs.instrument import Observability
-from .admission import DRAIN_RETRY_AFTER
 from .protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -49,6 +50,9 @@ from .sessions import SessionRegistry, SessionSpec
 
 _log = logging.getLogger(__name__)
 
+#: Seconds an oversized line's connection keeps reading before it closes.
+_LINGER_SECONDS = 10.0
+
 
 class ServeApp:
     """The transport-free server core: one request dict in, one out.
@@ -56,7 +60,7 @@ class ServeApp:
     Args:
         checkpoint_root: per-session snapshot directory root.
         max_sessions: LRU cap on resident resolvers.
-        rate / burst / queue_depth: per-session admission knobs.
+        queue_depth: per-session ingest queue bound.
         crowd_latency: simulated crowd round-trip seconds per ingest.
         obs: observability handle; defaults to a metrics-only private
             handle so hosting the app never globally installs anything
@@ -67,8 +71,6 @@ class ServeApp:
         self,
         checkpoint_root: str | Path,
         max_sessions: int = 8,
-        rate: float = 0.0,
-        burst: float = 4.0,
         queue_depth: int = 4,
         crowd_latency: float = 0.0,
         obs: Observability | None = None,
@@ -77,13 +79,10 @@ class ServeApp:
         self.registry = SessionRegistry(
             checkpoint_root,
             max_resident=max_sessions,
-            rate=rate,
-            burst=burst,
             queue_depth=queue_depth,
             crowd_latency=crowd_latency,
             obs=self.obs,
         )
-        self.draining = False
         self._started = self.obs.tracer.clock.wall()
         # Seed the session gauges so /metrics is non-empty from request one.
         self.registry._record_gauges()
@@ -163,13 +162,6 @@ class ServeApp:
             return self.healthz()
         if op == "metrics":
             return {"metrics": to_prometheus(self.obs.registry)}
-        if self.draining:
-            # Session state is being checkpointed for shutdown; every
-            # session op is refused with the drain price, not queued.
-            raise OverloadedError(
-                "server is draining for shutdown",
-                retry_after=DRAIN_RETRY_AFTER,
-            )
         session = request["session"]
         if op == "create_session":
             return await self.registry.create(
@@ -183,7 +175,6 @@ class ServeApp:
                     "rows": request["rows"],
                     "entity_ids": request.get("entity_ids"),
                 },
-                draining=self.draining,
             )
         if op == "query_clusters":
             return await self.registry.submit(session, "query_clusters", {})
@@ -195,7 +186,7 @@ class ServeApp:
 
     def healthz(self) -> dict[str, Any]:
         return {
-            "status": "draining" if self.draining else "ok",
+            "status": "draining" if self.registry.draining else "ok",
             "protocol": PROTOCOL_VERSION,
             "resident": self.registry.resident,
             "known_sessions": len(self.registry.known_sessions()),
@@ -203,8 +194,7 @@ class ServeApp:
         }
 
     async def drain(self) -> list[dict[str, Any]]:
-        """Shed new work, finish queued work, checkpoint every session."""
-        self.draining = True
+        """Shed new work, finish admitted work, checkpoint every session."""
         drained = await self.registry.drain_all()
         self.registry.shutdown()
         return drained
@@ -252,11 +242,11 @@ class ResolutionServer:
             while True:
                 try:
                     line = await reader.readline()
-                except (
-                    asyncio.LimitOverrunError,
-                    ConnectionResetError,
-                    asyncio.IncompleteReadError,
-                ):
+                except ConnectionResetError:
+                    break
+                except ValueError:
+                    # readline's overrun: a line past MAX_LINE_BYTES.
+                    await self._refuse_oversized(reader, writer, write_lock)
                     break
                 if not line:
                     break
@@ -289,7 +279,37 @@ class ResolutionServer:
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
     ) -> None:
-        response = await self.app.handle_line(line)
+        await self._send(await self.app.handle_line(line), writer, write_lock)
+
+    async def _refuse_oversized(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        write_lock: asyncio.Lock,
+    ) -> None:
+        """Answer a line too long to frame once, then read the connection
+        to its end (bounded) so closing it sends no reset, which could
+        discard the answer before the client reads it."""
+        obs_instrument.record_serve_request(self.app.obs, "invalid", 0.0, "error")
+        limit = MAX_LINE_BYTES // (1024 * 1024)
+        response = error_response(
+            None, "bad_request", f"request line exceeds the {limit} MiB limit"
+        )
+        await self._send(response, writer, write_lock)
+
+        async def discard() -> None:
+            while await reader.read(1 << 16):
+                pass
+
+        with contextlib.suppress(asyncio.TimeoutError, ConnectionResetError):
+            await asyncio.wait_for(discard(), _LINGER_SECONDS)
+
+    async def _send(
+        self,
+        response: dict[str, Any],
+        writer: asyncio.StreamWriter,
+        write_lock: asyncio.Lock,
+    ) -> None:
         async with write_lock:
             if writer.is_closing():
                 return
@@ -311,7 +331,7 @@ class ResolutionServer:
                 header = await reader.readline()
                 if not header or header in (b"\r\n", b"\n"):
                     break
-        except (ConnectionResetError, asyncio.IncompleteReadError):
+        except (ConnectionResetError, ValueError):  # ValueError: overrun
             pass
         parts = request_line.split()
         path = parts[1].decode("latin-1") if len(parts) >= 2 else "/"

@@ -23,6 +23,12 @@ evictor skips victims whose lock is held or awaited (they are mid-touch
 and therefore MRU anyway), so no task ever waits on two locks.  A name's
 lock exists only while some operation holds or awaits it, so refused
 creates and closed sessions leave nothing behind.
+
+Drain discipline: :meth:`SessionRegistry.drain_all` sets the one
+``draining`` flag, which every create, submit and close tests once it
+holds its name's lock and before any restore.  An operation past that
+check finishes and is checkpointed by the drain; every later one is shed
+with :data:`~repro.serve.admission.DRAIN_RETRY_AFTER`.
 """
 
 from __future__ import annotations
@@ -37,16 +43,19 @@ from pathlib import Path
 from typing import Any
 
 from ..core.config import PowerConfig
-from ..exceptions import ProtocolError, ServeError
+from ..exceptions import OverloadedError, ProtocolError, ServeError
 from ..obs import instrument as obs_instrument
 from ..stream.service import StreamingResolver, _decode_config
 from ..stream.snapshot import SnapshotStore
-from .admission import AdmissionController
+from .admission import DRAIN_RETRY_AFTER, AdmissionController
 
 _SESSION_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 #: Actor shutdown sentinel (queued after the last real work item).
 _STOP = object()
+
+#: Threads running the sessions' batch work, restores and checkpoints.
+_POOL_THREADS = 4
 
 
 @dataclass
@@ -133,13 +142,12 @@ class SessionRegistry:
         checkpoint_root: directory holding one snapshot subdirectory per
             session (the eviction/restore store and the drain target).
         max_resident: LRU cap on concurrently in-memory resolvers.
-        rate / burst / queue_depth: per-session admission knobs
+        queue_depth: per-session ingest queue bound
             (see :class:`~repro.serve.admission.AdmissionController`).
         crowd_latency: simulated crowd round-trip seconds awaited per
             ingested batch (models the human-latency regime real
             crowdsourced ER serves under; ``0`` disables — results are
             identical either way, only timing changes).
-        executor_workers: thread-pool size for off-loop batch work.
         obs: observability handle for ``repro_serve_*`` session metrics
             (defaults to the process-wide handle at call time).
     """
@@ -148,11 +156,8 @@ class SessionRegistry:
         self,
         checkpoint_root: str | Path,
         max_resident: int = 8,
-        rate: float = 0.0,
-        burst: float = 4.0,
         queue_depth: int = 4,
         crowd_latency: float = 0.0,
-        executor_workers: int = 4,
         obs=None,
     ) -> None:
         if max_resident < 1:
@@ -160,14 +165,15 @@ class SessionRegistry:
         self.checkpoint_root = Path(checkpoint_root)
         self.checkpoint_root.mkdir(parents=True, exist_ok=True)
         self.max_resident = max_resident
-        self._admission_knobs = (rate, burst, queue_depth)
+        self.queue_depth = queue_depth
         self.crowd_latency = crowd_latency
         self._pool = ThreadPoolExecutor(
-            max_workers=executor_workers, thread_name_prefix="serve-batch"
+            max_workers=_POOL_THREADS, thread_name_prefix="serve-batch"
         )
         self._obs = obs
         self._live: OrderedDict[str, _Live] = OrderedDict()
         self._locks: dict[str, _NameLock] = {}
+        self.draining = False
         self.sessions_opened = 0
         self.evictions = 0
         self.restores = 0
@@ -228,6 +234,15 @@ class SessionRegistry:
     def _record_event(self, event: str) -> None:
         obs_instrument.record_serve_event(self._observability(), event)
 
+    def _refuse_if_draining(self) -> None:
+        """The one drain check; callers hold the session's name lock."""
+        if self.draining:
+            raise OverloadedError(
+                "server is draining for shutdown; retry against the "
+                "restarted server",
+                retry_after=DRAIN_RETRY_AFTER,
+            )
+
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
@@ -236,6 +251,7 @@ class SessionRegistry:
         """Create (or attach to) a session; returns its status summary."""
         directory = self.session_dir(name)
         async with self._lock(name):
+            self._refuse_if_draining()
             live = self._live.get(name)
             created = False
             if live is None:
@@ -273,19 +289,19 @@ class SessionRegistry:
             "records": len(resolver.table),
         }
 
-    async def submit(
-        self, name: str, kind: str, payload: dict[str, Any], draining: bool = False
-    ) -> Any:
+    async def submit(self, name: str, kind: str, payload: dict[str, Any]) -> Any:
         """Admit one work item onto *name*'s actor and await its result.
 
-        ``ingest`` passes through admission control (queue depth, rate,
-        drain flag) and can raise :class:`OverloadedError`; the cheap read
-        ops are always admitted so health stays observable under load.
+        ``ingest`` passes through admission control (the queue bound) and
+        can raise :class:`OverloadedError`; the cheap read ops queue
+        unbounded so health stays observable under load.  While draining,
+        every kind is shed.
         """
         async with self._lock(name):
+            self._refuse_if_draining()
             live = await self._touch(name)
             if kind == "ingest":
-                live.admission.admit(live.queue.qsize(), draining=draining)
+                live.admission.admit(live.queue.qsize())
             future: asyncio.Future = asyncio.get_running_loop().create_future()
             live.queue.put_nowait(_WorkItem(kind, payload, future))
         await self._enforce_residency(keep=name)
@@ -294,6 +310,7 @@ class SessionRegistry:
     async def close(self, name: str) -> dict[str, Any]:
         """Drain, final-checkpoint, and forget *name* (snapshot remains)."""
         async with self._lock(name):
+            self._refuse_if_draining()
             live = self._live.pop(name, None)
             if live is None:
                 # Not resident: the on-disk snapshot *is* the final state.
@@ -319,9 +336,17 @@ class SessionRegistry:
         }
 
     async def drain_all(self) -> list[dict[str, Any]]:
-        """Checkpoint and retire every live session (SIGTERM path)."""
+        """Shed new work, then checkpoint and retire every session.
+
+        Sets :attr:`draining` and so stops eviction, then takes in turn
+        the lock of every name resident or locked at this point.  An
+        operation already past the drain check holds that lock or has
+        queued its work, so it finishes first, and a session it created
+        or restored is retired here with it (the SIGTERM path).
+        """
+        self.draining = True
         drained = []
-        for name in list(self._live):
+        for name in dict.fromkeys([*self._live, *self._locks]):
             async with self._lock(name):
                 live = self._live.pop(name, None)
                 if live is None:
@@ -346,17 +371,11 @@ class SessionRegistry:
     # ------------------------------------------------------------------ #
 
     def _adopt(self, name: str, resolver: StreamingResolver) -> _Live:
-        rate, burst, queue_depth = self._admission_knobs
         live = _Live(
             name=name,
             resolver=resolver,
             queue=asyncio.Queue(),
-            admission=AdmissionController(
-                rate=rate,
-                burst=burst,
-                queue_depth=queue_depth,
-                clock=self._observability().tracer.clock,
-            ),
+            admission=AdmissionController(queue_depth=self.queue_depth),
         )
         live.task = asyncio.get_running_loop().create_task(self._actor(live))
         self._live[name] = live
@@ -397,9 +416,10 @@ class SessionRegistry:
         Skips *keep* (the session just touched) and any session whose lock
         is currently held or awaited (mid-touch — and therefore about to be
         MRU); holding only one lock at a time keeps the registry
-        deadlock-free.
+        deadlock-free.  A draining registry evicts nothing: the drain
+        retires every session.
         """
-        while len(self._live) > self.max_resident:
+        while not self.draining and len(self._live) > self.max_resident:
             victim = next(
                 (
                     name

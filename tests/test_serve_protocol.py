@@ -3,9 +3,8 @@
 The protocol is an interface the same way the snapshot manifest is: a
 future build must either speak it or refuse it loudly.  These tests pin
 the codec (compact JSON lines, id echo), the closed op vocabulary, the
-unknown-version rejection in both directions, and — with a hand-cranked
-clock — the token-bucket refill arithmetic and the queue-depth shedding
-prices, to the digit.
+unknown-version rejection in both directions, and the queue-depth
+shedding prices, to the digit.
 """
 
 from __future__ import annotations
@@ -17,18 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, OverloadedError, ProtocolError
-from repro.obs.clock import ManualClock
 from repro.serve import (
     PROTOCOL_VERSION,
     AdmissionController,
-    TokenBucket,
     decode_request,
     decode_response,
     encode,
     error_response,
     ok_response,
 )
-from repro.serve.admission import DEFAULT_BATCH_SECONDS, DRAIN_RETRY_AFTER
+from repro.serve.admission import DEFAULT_BATCH_SECONDS
 from repro.serve.protocol import OPS
 
 
@@ -215,38 +212,9 @@ class TestRequestValidation:
             decode_response(encode({"v": 99, "id": 1, "ok": True}))
 
 
-class TestTokenBucket:
-    def test_burst_then_throttle(self):
-        clock = ManualClock()
-        bucket = TokenBucket(rate=1.0, burst=3.0, clock=clock)
-        assert [bucket.admit() for _ in range(4)] == [True, True, True, False]
-
-    def test_refill_arithmetic_is_exact(self):
-        clock = ManualClock()
-        bucket = TokenBucket(rate=2.0, burst=1.0, clock=clock)
-        assert bucket.admit()
-        assert not bucket.admit()
-        # 2 tokens/second: one full token is exactly 0.5s away.
-        assert bucket.retry_after() == pytest.approx(0.5)
-        clock.advance(0.25)
-        assert not bucket.admit()
-        assert bucket.retry_after() == pytest.approx(0.25)
-        clock.advance(0.25)
-        assert bucket.admit()
-
-    def test_rate_zero_disables_limiting(self):
-        bucket = TokenBucket(rate=0.0, clock=ManualClock())
-        assert all(bucket.admit() for _ in range(100))
-        assert bucket.retry_after() == 0.0
-
-    def test_burst_below_one_rejected(self):
-        with pytest.raises(ConfigurationError, match="burst"):
-            TokenBucket(rate=1.0, burst=0.5)
-
-
 class TestAdmissionController:
     def test_queue_depth_sheds_with_ewma_price(self):
-        control = AdmissionController(queue_depth=2, clock=ManualClock())
+        control = AdmissionController(queue_depth=2)
         control.admit(queued=0)
         control.admit(queued=1)
         with pytest.raises(OverloadedError) as excinfo:
@@ -257,30 +225,12 @@ class TestAdmissionController:
         )
 
     def test_price_tracks_observed_batch_seconds(self):
-        control = AdmissionController(queue_depth=1, clock=ManualClock())
+        control = AdmissionController(queue_depth=1)
         for _ in range(200):  # EWMA converges to the observed service time
             control.observe_batch_seconds(2.0)
         with pytest.raises(OverloadedError) as excinfo:
             control.admit(queued=1)
         assert excinfo.value.retry_after == pytest.approx(4.0, rel=1e-3)
-
-    def test_drain_beats_everything(self):
-        control = AdmissionController(queue_depth=8, clock=ManualClock())
-        with pytest.raises(OverloadedError) as excinfo:
-            control.admit(queued=0, draining=True)
-        assert excinfo.value.retry_after == DRAIN_RETRY_AFTER
-
-    def test_rate_limit_path(self):
-        clock = ManualClock()
-        control = AdmissionController(
-            rate=1.0, burst=1.0, queue_depth=8, clock=clock
-        )
-        control.admit(queued=0)
-        with pytest.raises(OverloadedError) as excinfo:
-            control.admit(queued=0)
-        assert excinfo.value.retry_after == pytest.approx(1.0)
-        clock.advance(1.0)
-        control.admit(queued=0)
 
     def test_queue_depth_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="queue_depth"):

@@ -15,6 +15,8 @@ import asyncio
 import contextlib
 import gc
 import json
+import logging
+import threading
 import warnings
 
 import pytest
@@ -22,6 +24,7 @@ import pytest
 from repro.core import PowerConfig
 from repro.exceptions import OverloadedError, ServeError
 from repro.serve import (
+    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     AsyncServeClient,
     ResolutionServer,
@@ -30,6 +33,7 @@ from repro.serve import (
     SessionSpec,
     encode,
 )
+from repro.serve.admission import DRAIN_RETRY_AFTER
 from repro.stream import StreamingResolver
 from repro.stream.snapshot import MANIFEST_NAME
 
@@ -251,6 +255,51 @@ class TestProtocolEdge:
         assert unknown["error"] == "unknown_op"
         assert garbage["error"] == "bad_json"
         assert deep["error"] == "bad_json"  # nesting too deep to decode
+
+    def test_oversized_line_is_answered_then_closed(self, tmp_path, caplog):
+        """A line past MAX_LINE_BYTES cannot be framed: it gets one
+        ``bad_request`` naming the limit, and its connection ends without
+        reading the line's tail as a request.  Nothing reaches the
+        ``asyncio`` log, and another connection still answers."""
+        payload = (
+            encode({"v": PROTOCOL_VERSION, "id": 1, "op": "healthz"})[:-2]
+            + b',"pad":"'
+            + b"x" * (MAX_LINE_BYTES + (1 << 20))
+            + b'"}\n'
+        )
+
+        async def scenario():
+            app = ServeApp(tmp_path / "serve")
+            async with serving(app) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+
+                async def send():
+                    with contextlib.suppress(ConnectionResetError, BrokenPipeError):
+                        writer.write(payload)
+                        await writer.drain()
+                        writer.write_eof()
+
+                sending = asyncio.get_running_loop().create_task(send())
+                line = await asyncio.wait_for(reader.readline(), timeout=30)
+                await sending
+                rest = await asyncio.wait_for(reader.read(), timeout=30)
+                writer.close()
+                async with AsyncServeClient(port=server.port) as client:
+                    health = await client.healthz()
+                return line, rest, health
+
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            line, rest, health = run(scenario())
+        response = json.loads(line)
+        assert (response["ok"], response["id"], response["error"]) == (
+            False, None, "bad_request"
+        )
+        assert "8 MiB" in response["message"]
+        assert rest == b""
+        assert [record for record in caplog.records if record.name == "asyncio"] == []
+        assert health["status"] == "ok"
 
     def test_unknown_session_and_bad_name(self, tmp_path):
         async def scenario():
@@ -681,3 +730,77 @@ class TestResilience:
                 small_table, tmp_path, record["session"], [chunk]
             )
             assert record["state_sha"] == expected
+
+
+class TestDrainRace:
+    """A drain that starts while an ingest is restoring its session.
+
+    The session's restore is held on a :class:`threading.Event` until the
+    drain has begun, with a second ingest already waiting on the
+    session's lock: the first ingest is past the drain check, the second
+    is not.
+    """
+
+    @pytest.fixture()
+    def raced(self, small_table, tmp_path, monkeypatch):
+        chunks = _chunks(small_table, 3)
+        entered, release = threading.Event(), threading.Event()
+        restore = SessionRegistry._restore_resolver
+
+        def held_restore(registry, name):
+            entered.set()
+            release.wait(timeout=30)
+            return restore(registry, name)
+
+        monkeypatch.setattr(SessionRegistry, "_restore_resolver", held_restore)
+
+        def request(op, session, **fields):
+            return {"v": PROTOCOL_VERSION, "op": op, "session": session, **fields}
+
+        def ingest(chunk):
+            return request("ingest", "a", rows=_rows(chunk), entity_ids=_ids(chunk))
+
+        async def scenario():
+            app = ServeApp(tmp_path / "serve", max_sessions=1)
+            loop = asyncio.get_running_loop()
+            drain = None
+            try:
+                await app.dispatch(request("create_session", "a", attributes=list(ATTRS)))
+                await app.dispatch(ingest(chunks[0]))
+                # Creating "b" evicts "a" to its snapshot.
+                await app.dispatch(request("create_session", "b", attributes=list(ATTRS)))
+                first = loop.create_task(app.dispatch(ingest(chunks[1])))
+                while not entered.is_set():
+                    await asyncio.sleep(0.01)
+                second = loop.create_task(app.dispatch(ingest(chunks[2])))
+                while app.registry._locks["a"].users < 2:
+                    await asyncio.sleep(0)
+                drain = loop.create_task(app.drain())
+                while app.healthz()["status"] != "draining":
+                    await asyncio.sleep(0)
+                release.set()
+                responses = await asyncio.gather(first, second)
+                drained = await drain
+                return responses, drained, app.registry.resident
+            finally:
+                release.set()
+                # The drain under test retires every session; drain here
+                # only when the scenario stopped before it began.
+                await (app.drain() if drain is None else drain)
+
+        (first, second), drained, resident = run(asyncio.wait_for(scenario(), timeout=120))
+        return first, second, drained, resident, chunks
+
+    def test_drain_checkpoints_an_ingest_caught_restoring(self, raced, small_table, tmp_path):
+        first, _, drained, resident, chunks = raced
+        assert first["ok"], first
+        assert first["batch"] == 2
+        states = {record["session"]: record["state_sha"] for record in drained}
+        assert set(states) == {"a", "b"}
+        assert states["a"] == _direct_sha(small_table, tmp_path, "a", chunks[:2])
+        assert resident == 0
+
+    def test_drain_sheds_an_ingest_waiting_on_the_lock(self, raced):
+        _, second, _, _, _ = raced
+        assert (second["ok"], second["error"]) == (False, "overloaded")
+        assert second["retry_after"] == DRAIN_RETRY_AFTER
