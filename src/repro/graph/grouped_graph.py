@@ -23,7 +23,9 @@ non-grouped graph, with no special casing.
 
 Construction does no per-group Python: the partition is kept as one flat
 member array cut by offsets, validated with ``bincount`` and bounded with
-one ``reduceat`` per side over the members' vectors.
+one ``reduceat`` per side over the members' vectors.  Split grouping hands
+its flat :class:`~repro.graph.grouping.Partition` over as it is; a list
+grouping is flattened once and then takes the same path.
 :class:`~repro.verify.oracles.NaiveGroupedGraph` recomputes the same
 bounds with Python loops.
 """
@@ -31,14 +33,13 @@ bounds with Python loops.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain
 
 import numpy as np
 
 from ..data.ground_truth import Pair
 from ..exceptions import GraphError
 from .dag import OrderedGraph, PairGraph
-from .grouping import Grouping
+from .grouping import Grouping, Partition, _gather_runs, split_partition
 
 
 class GroupedGraph(OrderedGraph):
@@ -51,51 +52,60 @@ class GroupedGraph(OrderedGraph):
 
     Args:
         base: the non-grouped :class:`PairGraph`.
-        grouping: a complete, disjoint partition of the base vertices (as
-            produced by :func:`repro.graph.grouping.split_grouping` or
-            :func:`~repro.graph.grouping.greedy_grouping`).
+        grouping: a complete, disjoint partition of the base vertices: a
+            flat :class:`~repro.graph.grouping.Partition` (as
+            :func:`~repro.graph.grouping.split_partition` builds it, kept
+            as given) or member lists (as
+            :func:`~repro.graph.grouping.split_grouping` or
+            :func:`~repro.graph.grouping.greedy_grouping` return them,
+            flattened once).  Both take the same validation and bounds.
 
     Raises:
-        GraphError: on an empty group, a member that is not a base vertex,
-            a base vertex in two groups, or a base vertex in none.
+        GraphError: on an empty group, sizes that do not add up to the
+            members, a member that is not a base vertex, a base vertex in
+            two groups, or a base vertex in none.
     """
 
-    def __init__(self, base: PairGraph, grouping: Grouping) -> None:
-        super().__init__(num_vertices=len(grouping))
+    def __init__(self, base: PairGraph, grouping: Grouping | Partition) -> None:
+        if not isinstance(grouping, Partition):
+            grouping = Partition.from_groups(grouping)
+        members = np.asarray(grouping.members, dtype=np.int64)
+        sizes = np.asarray(grouping.sizes, dtype=np.int64)
+        super().__init__(num_vertices=sizes.size)
         self.base = base
-        sizes = np.fromiter(map(len, grouping), dtype=np.int64, count=len(grouping))
         self._offsets = np.concatenate(([0], np.cumsum(sizes)))
-        self._members = np.fromiter(
-            chain.from_iterable(grouping), dtype=np.int64, count=int(self._offsets[-1])
-        )
-        if sizes.size and sizes.min() == 0:
+        self._members = members
+        if self._offsets[-1] != members.size:
+            raise GraphError(
+                f"partition sizes sum to {int(self._offsets[-1])}, "
+                f"but it lists {members.size} members"
+            )
+        if sizes.size and sizes.min() <= 0:
             raise GraphError("grouped graph cannot contain empty groups")
-        outside = (self._members < 0) | (self._members >= len(base))
+        outside = (members < 0) | (members >= len(base))
         if outside.any():
-            member = int(self._members[outside.argmax()])
+            member = int(members[outside.argmax()])
             raise GraphError(f"group member {member} is not a base vertex")
-        counts = np.bincount(self._members, minlength=len(base))
+        counts = np.bincount(members, minlength=len(base))
         if counts.max(initial=0) > 1:
             raise GraphError(f"base vertex {int(counts.argmax())} appears in two groups")
         covered = int(np.count_nonzero(counts))
         if covered != len(base):
             raise GraphError(f"grouping covers {covered} of {len(base)} base vertices")
-        if self._members.size:
-            values = base.vectors[self._members]
+        if members.size:
+            values = np.take(base.vectors, members, axis=0)
             self.lower_bounds = np.minimum.reduceat(values, self._offsets[:-1], axis=0)
             self.upper_bounds = np.maximum.reduceat(values, self._offsets[:-1], axis=0)
         else:  # zero candidate pairs: keep (0, m) shapes so kernels no-op
             self.lower_bounds = base.vectors[:0].copy()
             self.upper_bounds = base.vectors[:0].copy()
         self._group_of_base = np.empty(len(base), dtype=np.int64)
-        self._group_of_base[self._members] = np.repeat(np.arange(len(grouping)), sizes)
+        self._group_of_base[members] = np.repeat(np.arange(sizes.size), sizes)
 
     @property
     def grouping(self) -> Grouping:
         """The partition as a fresh list of member lists, one per group."""
-        members = self._members.tolist()
-        offsets = self._offsets.tolist()
-        return [members[start:stop] for start, stop in zip(offsets, offsets[1:])]
+        return Partition(self._members, self.group_sizes()).groups()
 
     @property
     def num_attributes(self) -> int:
@@ -137,11 +147,7 @@ class GroupedGraph(OrderedGraph):
     def member_vertices(self, vertices) -> np.ndarray:
         vertices = self._check_vertices(vertices)
         starts = self._offsets[vertices]
-        sizes = self._offsets[vertices + 1] - starts
-        # Output slot j in vertex i's run reads member starts[i] + (j - the
-        # run's first slot): one repeated shift per run, then one gather.
-        shift = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-        return self._members[shift + np.arange(shift.size)]
+        return _gather_runs(self._members, starts, self._offsets[vertices + 1] - starts)
 
     def representative_pair(self, vertex: int, rng: np.random.Generator) -> Pair:
         """One random member pair — the question actually sent to workers."""
@@ -168,9 +174,12 @@ def build_graph(
 
     Args:
         pairs / vectors: the candidate pairs and their similarity matrix.
-        epsilon: grouping threshold; ``None`` (or 0 with a non-grouping
-            intent) returns the raw :class:`PairGraph`.
-        grouping_algorithm: ``"split"`` (default, Algorithm 2) or
+        epsilon: grouping threshold; ``None`` returns the raw
+            :class:`PairGraph`.  Any number groups, 0 included: epsilon 0
+            gives a :class:`GroupedGraph` whose groups are the identical
+            vectors.
+        grouping_algorithm: ``"split"`` (default, Algorithm 2, handed over
+            as its flat :class:`~repro.graph.grouping.Partition`) or
             ``"greedy"`` (Appendix A).
     """
     from .grouping import GROUPING_ALGORITHMS
@@ -185,5 +194,6 @@ def build_graph(
         raise GraphError(
             f"unknown grouping algorithm {grouping_algorithm!r}; known: {known}"
         ) from None
-    grouping = algorithm(base.vectors, epsilon)
-    return GroupedGraph(base, grouping)
+    if grouping_algorithm == "split":
+        return GroupedGraph(base, split_partition(base.vectors, epsilon))
+    return GroupedGraph(base, algorithm(base.vectors, epsilon))

@@ -35,11 +35,13 @@ class AsyncServeClient:
         self._inflight: dict[int, asyncio.Future] = {}
         self._reader_task: asyncio.Task | None = None
         self._write_lock = asyncio.Lock()
+        self._failure: str | None = None  # why the connection ended
 
     async def connect(self) -> "AsyncServeClient":
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port, limit=MAX_LINE_BYTES
         )
+        self._failure = None
         self._reader_task = asyncio.get_running_loop().create_task(
             self._read_loop()
         )
@@ -58,9 +60,10 @@ class AsyncServeClient:
                 await self._writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+        self._failure = self._failure or "connection closed"
         for future in self._inflight.values():
             if not future.done():
-                future.set_exception(ServeError("connection closed"))
+                future.set_exception(ServeError(self._failure))
         self._inflight.clear()
 
     async def __aenter__(self) -> "AsyncServeClient":
@@ -70,10 +73,25 @@ class AsyncServeClient:
         await self.close()
 
     async def _read_loop(self) -> None:
+        """Pair response lines with requests until the connection ends.
+
+        However it ends (the server closes it, resets it, or sends a line
+        past ``MAX_LINE_BYTES``, after which no later line can be framed),
+        every request in flight fails with a :class:`ServeError` naming
+        the cause, and so does every later request on this client.
+        """
         assert self._reader is not None
         while True:
-            line = await self._reader.readline()
+            try:
+                line = await self._reader.readline()
+            except ValueError:  # readline's overrun: a line past MAX_LINE_BYTES
+                cause = f"response line exceeds the {MAX_LINE_BYTES >> 20} MiB limit"
+                break
+            except OSError as error:  # a reset connection, among others
+                cause = f"connection lost: {error!r}"
+                break
             if not line:
+                cause = "server closed the connection"
                 break
             try:
                 response = decode_response(line)
@@ -82,15 +100,23 @@ class AsyncServeClient:
             future = self._inflight.pop(response.get("id"), None)
             if future is not None and not future.done():
                 future.set_result(response)
+        self._failure = cause
         for future in self._inflight.values():
             if not future.done():
-                future.set_exception(ServeError("server closed the connection"))
+                future.set_exception(ServeError(cause))
         self._inflight.clear()
 
     async def request(self, op: str, **fields: Any) -> dict[str, Any]:
-        """Send one request and await its raw response (no raising)."""
+        """Send one request and await its raw response (no raising).
+
+        Raises:
+            ServeError: when the client is not connected, or its
+                connection has ended (the message names the cause).
+        """
         if self._writer is None:
             raise ServeError("client is not connected")
+        if self._failure is not None:
+            raise ServeError(self._failure)
         self._next_id += 1
         request_id = self._next_id
         future: asyncio.Future = asyncio.get_running_loop().create_future()

@@ -84,8 +84,6 @@ class ServeApp:
             obs=self.obs,
         )
         self._started = self.obs.tracer.clock.wall()
-        # Seed the session gauges so /metrics is non-empty from request one.
-        self.registry._record_gauges()
 
     # ------------------------------------------------------------------ #
     # Dispatch
@@ -161,7 +159,7 @@ class ServeApp:
         if op == "healthz":
             return self.healthz()
         if op == "metrics":
-            return {"metrics": to_prometheus(self.obs.registry)}
+            return {"metrics": self.metrics_text()}
         session = request["session"]
         if op == "create_session":
             return await self.registry.create(
@@ -192,6 +190,21 @@ class ServeApp:
             "known_sessions": len(self.registry.known_sessions()),
             "uptime_seconds": round(self.obs.tracer.clock.wall() - self._started, 3),
         }
+
+    def metrics_text(self) -> str:
+        """The Prometheus exposition, session gauges set as of this call.
+
+        The gauges are set here, where they are read, not on every
+        create, close and eviction: counting the known sessions lists the
+        checkpoint root and stats every session's manifest.
+        """
+        if self.obs.metrics:
+            obs_instrument.record_serve_sessions(
+                self.obs,
+                resident=self.registry.resident,
+                known=len(self.registry.known_sessions()),
+            )
+        return to_prometheus(self.obs.registry)
 
     async def drain(self) -> list[dict[str, Any]]:
         """Shed new work, finish admitted work, checkpoint every session."""
@@ -341,7 +354,7 @@ class ResolutionServer:
             body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
             content_type = "application/json"
         elif path == "/metrics":
-            body = to_prometheus(self.app.obs.registry).encode("utf-8")
+            body = self.app.metrics_text().encode("utf-8")
             status = "200 OK"
             content_type = "text/plain; version=0.0.4"
         else:

@@ -224,13 +224,6 @@ class SessionRegistry:
     def _observability(self):
         return self._obs or obs_instrument.current()
 
-    def _record_gauges(self) -> None:
-        obs_instrument.record_serve_sessions(
-            self._observability(),
-            resident=self.resident,
-            known=len(self.known_sessions()),
-        )
-
     def _record_event(self, event: str) -> None:
         obs_instrument.record_serve_event(self._observability(), event)
 
@@ -281,7 +274,6 @@ class SessionRegistry:
                     f"{list(spec.attributes)}",
                 )
         await self._enforce_residency(keep=name)
-        self._record_gauges()
         return {
             "session": name,
             "created": created,
@@ -328,7 +320,6 @@ class SessionRegistry:
                     "state_sha": checkpoint["state_sha"],
                 }
             record = await self._retire(live)
-        self._record_gauges()
         return {
             "session": name,
             "batch": record["batch"],
@@ -360,7 +351,6 @@ class SessionRegistry:
                     "state_sha": record["state_sha"],
                 }
             )
-        self._record_gauges()
         return drained
 
     def shutdown(self) -> None:
@@ -437,7 +427,6 @@ class SessionRegistry:
                 await self._retire(live)
             self.evictions += 1
             self._record_event("evictions")
-            self._record_gauges()
 
     async def _retire(self, live: _Live) -> dict[str, Any]:
         """Stop a session's actor after its queue drains, then checkpoint.

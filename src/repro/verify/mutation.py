@@ -20,6 +20,8 @@ mutant                  seeded bug
                         row sums, which can tie under dominance
 ``split-midpoint-tie``  Split grouping puts a member lying on a node's
                         midpoint in the upper half (``>=`` for ``>``)
+``split-partition-offset-shift``  the grouped graph cuts Split's flat
+                        partition with every group size moved one group on
 ``non-strict-dominance``  ``>=`` everywhere accepted without a strict ``>``
 ``inverted-propagation``  GREEN votes descendants, RED votes ancestors
 ``topo-layer-merge``    all Kahn levels collapse into a single layer
@@ -52,7 +54,10 @@ production pipeline and the oracles see the mutated code.  The dominance
 tile generator, the linear extension, the index build's threshold count,
 the Split cell-bit helper and the crowd kernel's Lemire threshold and the
 join's overlap floor have no import sites: every consumer looks them up
-through their defining module at call time.
+through their defining module at call time.  ``split-partition-offset-shift``
+is the one mutant patched at an import site alone
+(``grouped_graph.split_partition``): it breaks the hand-off to the grouped
+graph and leaves ``split_grouping`` correct.
 
 A mutant can make a served request fail, which the server logs with its
 traceback.  While a mutant is active the ``repro.serve.server`` log is
@@ -224,17 +229,43 @@ def _mutant_split_midpoint_tie():
     so every step that builds its grouped graphs from the same production
     grouping on both sides sails through; only ``check_split_grouping``,
     which diffs production against the per-node reference, can notice.
-    Patched at ``grouping._cell_keys``, which ``split_grouping`` looks up
-    at call time, so ``GROUPING_ALGORITHMS["split"]`` — the function
-    ``build_graph`` calls — runs the bug too.
+    Patched at ``grouping._cell_keys``, which ``split_partition`` looks up
+    at call time, so both ``split_grouping`` and the flat partition
+    ``build_graph`` hands to the grouped graph run the bug.
     """
     from ..graph import grouping
 
-    def mutated(values, midpoints, wide):
-        bits = (values >= midpoints) & wide  # bug: ties go to the upper half
+    def mutated(values, cuts):
+        bits = values >= cuts  # bug: ties go to the upper half
         return bits @ (1 << np.arange(values.shape[1], dtype=np.int64))
 
     return _patched((grouping, "_cell_keys", mutated))
+
+
+def _mutant_split_partition_offset_shift():
+    """The grouped graph cuts Split's flat partition at shifted offsets.
+
+    Models an off-by-one group in the hand-off of a flat partition: every
+    group size moves one group on (the last wraps to the first), so the
+    members, their order and the multiset of sizes are unchanged and the
+    grouped graph's validation (no empty group, every base vertex in
+    exactly one) passes, but groups mix members of neighbouring leaves.
+    ``split_grouping`` still lists the right groups; only what
+    ``build_graph`` builds is wrong, so only ``check_split_grouping``'s
+    comparison of that graph's bounds and ``group_of_pair_vertex`` with
+    the reference can notice.  Patched at ``grouped_graph.split_partition``,
+    which ``build_graph`` looks up at call time.
+    """
+    from ..graph import grouped_graph
+    from ..graph.grouping import Partition
+
+    original = grouped_graph.split_partition
+
+    def mutated(vectors, epsilon):
+        members, sizes = original(vectors, epsilon)
+        return Partition(members, np.roll(sizes, 1))  # bug: offsets shifted a group
+
+    return _patched((grouped_graph, "split_partition", mutated))
 
 
 def _mutant_non_strict_dominance():
@@ -559,6 +590,11 @@ MUTANTS: tuple[Mutant, ...] = (
         _mutant_split_midpoint_tie,
     ),
     Mutant(
+        "split-partition-offset-shift",
+        "the grouped graph cuts Split's flat partition one group size late",
+        _mutant_split_partition_offset_shift,
+    ),
+    Mutant(
         "non-strict-dominance",
         "dominance accepts >= everywhere without a strict >",
         _mutant_non_strict_dominance,
@@ -683,8 +719,9 @@ def run_detection_battery(
         include_serve: run the serve-equivalence step, with the analogous
             exclusivity role for ``serve-cross-session-leak``.
         include_grouping: run the Split-grouping step, with the analogous
-            exclusivity role for ``split-midpoint-tie`` (every other step
-            groups both of its sides with the same production code).
+            exclusivity role for ``split-midpoint-tie`` and
+            ``split-partition-offset-shift`` (every other step groups both
+            of its sides with the same production code).
     """
     pairs, vectors = _battery_fixture(seed)
 
@@ -718,9 +755,10 @@ def run_detection_battery(
     # a sum order (the sum-order-extension mutant).
     oracles.check_linear_extension(*float_sum_tie_instance())
 
-    # Split grouping vs the per-node reference, on the fixture and on a
-    # quarter grid whose members sit on node midpoints: the only step that
-    # compares production groups with independently derived ones.
+    # Split grouping, and the grouped graph build_graph makes from its flat
+    # partition, vs the per-node reference, on the fixture and on a quarter
+    # grid whose members sit on node midpoints: the only step that compares
+    # production groups with independently derived ones.
     if include_grouping:
         oracles.check_split_grouping(vectors, 0.15)
         oracles.check_split_grouping(quarter_grid_vectors(seed), 0.25)

@@ -635,11 +635,12 @@ def check_split_grouping(vectors: np.ndarray, epsilon: float) -> None:
 
     :func:`~repro.graph.grouping.split_grouping` must return exactly
     :func:`reference_split_grouping`'s groups, and so must the grouped
-    graph :func:`~repro.graph.grouped_graph.build_graph` builds (it reaches
-    the grouping through ``GROUPING_ALGORITHMS``).  That graph's bounds,
-    ``member_vertices`` over all its vertices and ``group_of_pair_vertex``
-    must equal :class:`NaiveGroupedGraph`'s bounds and the concatenated
-    reference groups.
+    graph :func:`~repro.graph.grouped_graph.build_graph` builds (it hands
+    :func:`~repro.graph.grouping.split_partition`'s flat partition to the
+    graph, not these lists).  That graph's bounds, ``member_vertices`` over
+    all its vertices and ``group_of_pair_vertex`` must equal
+    :class:`NaiveGroupedGraph`'s bounds and the concatenated reference
+    groups.
     """
     from ..graph.grouped_graph import build_graph
     from ..graph.grouping import split_grouping

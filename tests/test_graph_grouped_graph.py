@@ -131,6 +131,15 @@ class TestBuildGraph:
         assert isinstance(graph, PairGraph)
         assert len(graph) == len(pairs)
 
+    def test_epsilon_zero_groups_identical_vectors(self):
+        """epsilon 0 still groups: only None returns the raw PairGraph."""
+        vectors = np.array([[0.5, 0.1], [0.2, 0.2], [0.5, 0.1], [0.2, 0.2], [0.9, 0.9]])
+        pairs = [(2 * k, 2 * k + 1) for k in range(5)]
+        graph = build_graph(pairs, vectors, epsilon=0)
+        assert isinstance(graph, GroupedGraph)
+        assert graph.grouping == [[0, 2], [1, 3], [4]]
+        assert np.array_equal(graph.lower_bounds, graph.upper_bounds)
+
     def test_grouped_smaller_than_base(self, small_bundle):
         _, pairs, vectors, _ = small_bundle
         graph = build_graph(pairs, vectors, epsilon=0.1)

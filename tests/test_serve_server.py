@@ -301,6 +301,60 @@ class TestProtocolEdge:
         assert [record for record in caplog.records if record.name == "asyncio"] == []
         assert health["status"] == "ok"
 
+    def test_client_fails_fast_on_an_oversized_response_line(self):
+        """A response line past MAX_LINE_BYTES cannot be framed: the
+        request waiting on it fails with a ServeError naming the limit
+        instead of waiting forever, and so does a later request on the
+        same client."""
+        junk = b"x" * (MAX_LINE_BYTES + (1 << 20)) + b"\n"
+
+        async def answer_with_junk(reader, writer):
+            await reader.readline()
+            with contextlib.suppress(ConnectionResetError, BrokenPipeError):
+                writer.write(junk)
+                await writer.drain()
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(answer_with_junk, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                async with AsyncServeClient(port=port) as client:
+                    with pytest.raises(ServeError, match="8 MiB") as first:
+                        await asyncio.wait_for(client.call("healthz"), timeout=10)
+                    with pytest.raises(ServeError, match="8 MiB") as later:
+                        await asyncio.wait_for(client.call("healthz"), timeout=1)
+                return str(first.value), str(later.value)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        first, later = run(scenario())
+        assert first == later == "response line exceeds the 8 MiB limit"
+
+    def test_client_fails_fast_once_the_server_hangs_up(self):
+        """A connection the server closes fails the request in flight, and
+        every later request at once, instead of leaving them pending."""
+
+        async def hang_up(reader, writer):
+            await reader.readline()
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                async with AsyncServeClient(port=port) as client:
+                    with pytest.raises(ServeError, match="closed the connection"):
+                        await asyncio.wait_for(client.call("healthz"), timeout=10)
+                    with pytest.raises(ServeError, match="closed the connection"):
+                        await asyncio.wait_for(client.call("healthz"), timeout=1)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        run(scenario())
+
     def test_unknown_session_and_bad_name(self, tmp_path):
         async def scenario():
             app = ServeApp(tmp_path / "serve")
@@ -561,6 +615,51 @@ class TestProtocolEdge:
         assert "repro_serve_requests_total" in metrics_text
         assert "repro_serve_sessions_resident" in metrics_text
         assert "# TYPE repro_serve_request_seconds histogram" in metrics_text
+
+
+class TestSessionGauges:
+    def test_evictions_do_not_scan_the_checkpoint_root(
+        self, small_table, tmp_path, monkeypatch
+    ):
+        """Counting known sessions lists the root and stats every manifest,
+        so it happens when metrics are read, not on each create, ingest and
+        eviction: with 200 dormant sessions on disk, evicting ingests make
+        no such count, and /metrics still reports every session."""
+        root = tmp_path / "serve"
+        for index in range(200):
+            (root / f"dormant{index}").mkdir(parents=True)
+            (root / f"dormant{index}" / MANIFEST_NAME).touch()
+        chunk = _chunks(small_table, 6)[0]
+        scans = []
+        original = SessionRegistry.known_sessions
+
+        def counted(self):
+            scans.append(1)
+            return original(self)
+
+        monkeypatch.setattr(SessionRegistry, "known_sessions", counted)
+
+        async def scenario():
+            app = ServeApp(root, max_sessions=1)
+            async with serving(app) as server:
+                async with AsyncServeClient(port=server.port) as client:
+                    for name in ("a", "b", "a"):
+                        await client.create_session(name, list(ATTRS))
+                        await client.ingest(name, _rows(chunk), _ids(chunk))
+                    evictions, before_metrics = app.registry.evictions, len(scans)
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                writer.write(b"GET /metrics HTTP/1.0\r\n\r\n")
+                await writer.drain()
+                metrics_raw = await reader.read()
+                writer.close()
+            return evictions, before_metrics, metrics_raw
+
+        evictions, before_metrics, metrics_raw = run(scenario())
+        assert evictions >= 2
+        assert before_metrics == 0
+        metrics_text = metrics_raw.partition(b"\r\n\r\n")[2].decode()
+        assert "repro_serve_sessions_known 202" in metrics_text
+        assert "repro_serve_sessions_resident 1" in metrics_text
 
 
 class TestTracingServer:

@@ -597,6 +597,22 @@ class TestEmptyInputs:
             assert vectors.shape == (0, 2)
             assert vectors.dtype == np.float64
 
+    def test_pairs_are_read_with_the_same_checks(self):
+        """Tuples, lists and an (n, 2) array give the same matrix; pairs that
+        do not make an (n, 2) array are refused as before."""
+        table = _tiny_table([("a b", "x"), ("a c", "y"), ("b c", "x")])
+        config = SimilarityConfig.uniform(2)
+        pairs = [(0, 1), (2, 0), (1, 2)]
+        expected = similarity_matrix(table, pairs, config)
+        for given_pairs in (pairs, [list(pair) for pair in pairs], np.array(pairs)):
+            assert np.array_equal(batch_similarity_matrix(table, given_pairs, config), expected)
+        with pytest.raises(ConfigurationError, match=r"shape \(2, 3\)"):
+            batch_similarity_matrix(table, [(0, 1, 2), (0, 1, 2)], config)
+        with pytest.raises(ConfigurationError, match=r"shape \(2,\)"):
+            batch_similarity_matrix(table, [0, 1], config)
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            batch_similarity_matrix(table, [(0, 1), (0, 1, 2)], config)
+
     def test_similar_pairs_empty_and_singleton_tables(self):
         for rows in ([], [("solo", "record")]):
             table = _tiny_table(rows)

@@ -34,6 +34,7 @@ class TestMutationSelfTest:
         import repro.crowd.platform as platform
         import repro.crowd.worker as worker
         import repro.graph.construction as construction
+        import repro.graph.grouped_graph as grouped_graph
         import repro.graph.grouping as grouping
         import repro.graph.matching as matching
         import repro.graph.topo as topo
@@ -48,6 +49,7 @@ class TestMutationSelfTest:
         from repro.similarity.batch import PostingJoin
 
         before = (
+            grouped_graph.split_partition,
             batch.sparse_jaccard_join,
             join.sparse_jaccard_join,
             batch._overlap_floor,
@@ -71,6 +73,7 @@ class TestMutationSelfTest:
         )
         run_mutation_selftest(seed=0)
         after = (
+            grouped_graph.split_partition,
             batch.sparse_jaccard_join,
             join.sparse_jaccard_join,
             batch._overlap_floor,
@@ -160,6 +163,33 @@ class TestMutationSelfTest:
             validate_grouping(vectors, groups, 0.15)
             assert groups != reference_split_grouping(vectors, 0.15)
             assert build_graph(pairs, vectors, 0.15).grouping == groups
+            with pytest.raises(VerificationError, match="split-grouping"):
+                run_detection_battery(seed=0)
+        with mutant.activate():
+            run_detection_battery(seed=0, include_grouping=False)
+
+    def test_partition_offset_shift_is_caught_only_by_the_grouping_step(self):
+        """A hand-off cut at shifted offsets leaves the listed groups right.
+
+        ``split-partition-offset-shift`` moves every group size one group
+        on in the partition ``build_graph`` hands to the grouped graph: a
+        valid partition with the wrong groups.  ``split_grouping`` is not
+        touched, so only the split-grouping step, which holds what
+        ``build_graph`` builds to the reference, can catch it.
+        """
+        from repro.exceptions import VerificationError
+        from repro.graph import build_graph, split_grouping
+        from repro.verify import reference_split_grouping
+        from repro.verify.mutation import _battery_fixture
+
+        pairs, vectors = _battery_fixture(0)
+        mutant = next(m for m in MUTANTS if m.name == "split-partition-offset-shift")
+        with mutant.activate():
+            expected = reference_split_grouping(vectors, 0.15)
+            assert split_grouping(vectors, 0.15) == expected
+            shifted = build_graph(pairs, vectors, 0.15).grouping
+            assert sorted(map(len, shifted)) == sorted(map(len, expected))
+            assert shifted != expected
             with pytest.raises(VerificationError, match="split-grouping"):
                 run_detection_battery(seed=0)
         with mutant.activate():
