@@ -46,7 +46,11 @@ def run(workload, journal_path: Path, resume: bool = False, crash_after: int | N
         )
     )
     crowd = make_crowd(workload, BAND, SEED)
-    row = run_method("power", workload, crowd, seed=SEED, engine=engine)
+    try:
+        row = run_method("power", workload, crowd, seed=SEED, engine=engine)
+    except SimulatedCrash:
+        engine.journal.close()  # a crash skips the close a finished run makes
+        raise
     return row, engine
 
 

@@ -734,6 +734,9 @@ def _command_client(args) -> int:
     if args.action == "ingest-csv" and args.input is None:
         print("ingest-csv requires --input CSV", file=sys.stderr)
         return 2
+    if args.action == "ingest-csv" and args.batch_size < 1:
+        print("--batch-size must be >= 1", file=sys.stderr)
+        return 2
     if args.port is None and args.spawn is None:
         print("need --port (or --spawn CHECKPOINT_ROOT)", file=sys.stderr)
         return 2

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 from ..exceptions import ConfigurationError
+from ..graph.grouping import GROUPING_ALGORITHMS
+from ..selection import SELECTORS
 from ..selection.error_tolerant import ErrorPolicy
+from ..similarity.vectors import SimilarityConfig
 
 
 @dataclass(frozen=True)
@@ -15,8 +19,14 @@ class PowerConfig:
     No knob picks an implementation.  Similarity vectors always come from
     :func:`repro.similarity.batch.batch_similarity_matrix`, and selection
     always runs the incremental engine over the graph's reachability
-    index; a graph too large for the index falls back to the reference
-    paths on its own (see :meth:`repro.graph.dag.OrderedGraph.build_reachability`).
+    index (:meth:`repro.graph.dag.OrderedGraph.build_reachability`).
+
+    Construction checks every field, so a bad config fails before any
+    stage runs: a value of the wrong type (a bool where a number is
+    expected included) raises :class:`TypeError`, and a value out of range
+    or an unknown name raises :class:`~repro.exceptions.ConfigurationError`.
+    Only a per-attribute *similarity* tuple waits for a schema to check
+    its length against.
 
     Attributes:
         similarity: similarity function applied to every attribute
@@ -56,6 +66,25 @@ class PowerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        functions = (self.similarity,) if isinstance(self.similarity, str) else self.similarity
+        if not isinstance(functions, tuple) or not all(
+            isinstance(name, str) for name in functions
+        ):
+            raise TypeError(
+                "similarity must be a function name or a tuple of them, "
+                f"got {self.similarity!r}"
+            )
+        for name in ("attribute_threshold", "pruning_threshold", "confidence_threshold"):
+            _check_type(name, Real, "a number", getattr(self, name))
+        if self.epsilon is not None:
+            _check_type("epsilon", Real, "a number or None", self.epsilon)
+        for name in ("num_bins", "assignments", "seed"):
+            _check_type(name, Integral, "an integer", getattr(self, name))
+        for name in ("join_tokens", "grouping_algorithm", "selector", "binning"):
+            _check_type(name, str, "a string", getattr(self, name))
+        _check_type("error_tolerant", bool, "a boolean", self.error_tolerant)
+
+        SimilarityConfig(functions, self.attribute_threshold)
         if not 0.0 < self.pruning_threshold <= 1.0:
             raise ConfigurationError(
                 f"pruning_threshold must be in (0, 1], got {self.pruning_threshold}"
@@ -64,12 +93,24 @@ class PowerConfig:
             raise ConfigurationError(
                 f"join_tokens must be 'word' or 'qgram', got {self.join_tokens!r}"
             )
-        if self.epsilon is not None and self.epsilon < 0:
+        if self.epsilon is not None and not self.epsilon >= 0:
             raise ConfigurationError(f"epsilon must be >= 0, got {self.epsilon}")
+        for name, known in (
+            ("grouping_algorithm", GROUPING_ALGORITHMS),
+            ("selector", SELECTORS),
+        ):
+            if getattr(self, name) not in known:
+                raise ConfigurationError(
+                    f"unknown {name} {getattr(self, name)!r}; "
+                    f"known: {', '.join(sorted(known))}"
+                )
+        ErrorPolicy(self.confidence_threshold, self.num_bins, self.binning)
         if self.assignments < 1:
             raise ConfigurationError(
                 f"assignments must be >= 1, got {self.assignments}"
             )
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     def error_policy(self) -> ErrorPolicy | None:
         """The Power+ policy object, or None when running plain Power."""
@@ -80,3 +121,9 @@ class PowerConfig:
             num_bins=self.num_bins,
             binning=self.binning,
         )
+
+
+def _check_type(name: str, kind: type, label: str, value) -> None:
+    """Refuse *value* unless it is a *kind*; a bool passes only as a bool."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise TypeError(f"{name} must be {label}, got {value!r}")

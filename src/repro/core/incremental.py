@@ -76,6 +76,9 @@ class IncrementalResolver:
         self.config = config or PowerConfig()
         self.table = Table(name=name, attributes=tuple(attributes))
         self._resolver = PowerResolver(self.config)
+        # A per-attribute similarity tuple must fit the schema now, not
+        # after a batch has committed its rows.
+        self._resolver.similarity_config(self.table)
         self._join = PostingJoin(self.config.pruning_threshold)
         self.labels: dict[Pair, bool] = {}
         self.total_questions = 0

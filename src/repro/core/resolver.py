@@ -164,14 +164,7 @@ class PowerResolver:
         )
 
     def make_selector(self):
-        try:
-            selector_class = SELECTORS[self.config.selector]
-        except KeyError:
-            known = ", ".join(sorted(SELECTORS))
-            raise ConfigurationError(
-                f"unknown selector {self.config.selector!r}; known: {known}"
-            ) from None
-        return selector_class(
+        return SELECTORS[self.config.selector](
             error_policy=self.config.error_policy(),
             seed=self.config.seed,
         )

@@ -72,17 +72,3 @@ class LatencyModel:
     def estimate_seconds(self, batch_sizes: Sequence[int]) -> float:
         """Total wall-clock time for a run's sequence of crowd rounds."""
         return sum(self.batch_seconds(size) for size in batch_sizes)
-
-    def estimate_uniform(self, questions: int, iterations: int) -> float:
-        """Estimate from aggregate counts, assuming equal-size rounds.
-
-        Useful when only a run's totals are known (e.g. numbers quoted from
-        a paper); exact per-round sizes give better estimates.
-        """
-        if questions < 0 or iterations < 0:
-            raise ConfigurationError("questions and iterations must be >= 0")
-        if iterations == 0:
-            return 0.0
-        per_round = questions / iterations
-        waves = math.ceil(per_round * self.assignments / self.concurrent_workers)
-        return iterations * (self.round_overhead_seconds + waves * self.seconds_per_answer)

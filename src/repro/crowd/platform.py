@@ -35,7 +35,8 @@ class SimulatedCrowd:
         truth: ground-truth answer per pair (True = same entity).  Asking a
             pair absent from this mapping raises :class:`CrowdError`.
         pool: the worker pool; defaults to a fresh 90 %-band pool.
-        assignments: workers per question, ``z`` (paper default 5).
+        assignments: workers per question, ``z`` (paper default 5); at
+            most the pool's size, since a question's workers are distinct.
         aggregation: ``"majority"`` or ``"weighted"`` (weighted by worker
             accuracy; the paper's §7.1 default).
         difficulty: optional per-pair difficulty in [0, 2] scaling worker
@@ -65,6 +66,10 @@ class SimulatedCrowd:
             for pair, value in truth.items()
         }
         self.pool = pool if pool is not None else WorkerPool()
+        if assignments > len(self.pool):
+            raise ConfigurationError(
+                f"cannot assign {assignments} workers from a pool of {len(self.pool)}"
+            )
         self.assignments = assignments
         self.aggregation = aggregation
         self.difficulty = (

@@ -392,9 +392,9 @@ def _selection_run(name, pairs, vectors, truth, seed, incremental):
     """One selector run on a fresh graph, set up outside the timer.
 
     The incremental side pays its reachability-index build inside the
-    timer.  The scratch side runs on a graph that declines its index, the
-    state of an over-budget graph, with the adjacency lists it reads
-    prebuilt.
+    timer.  The scratch side runs on a graph that declines its index
+    (:func:`~repro.verify.oracles.decline_reachability`), with the
+    adjacency lists it reads prebuilt.
     """
     graph = PairGraph(pairs, vectors)
     if not incremental:
@@ -911,7 +911,7 @@ BENCHES: dict[str, Bench] = {
         ),
         smoke=Size(
             {**_ACMPUB, "scale": 0.02, "max_vertices": 300,
-             "selectors": ["single-path", "multi-path"], "seed": 0, "repeats": 5,
+             "selectors": ["single-path", "multi-path"], "seed": 0, "repeats": 11,
              "scaling": [0.5, 1.0]},
             {"single-path": 1.0, "multi-path": 1.0},
         ),

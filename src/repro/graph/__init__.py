@@ -7,7 +7,6 @@ from .analysis import (
     transitive_reduction,
 )
 
-from .cascading import CascadingRangeTree2D
 from .coloring import Color, ColoringState
 from .construction import (
     CONSTRUCTION_ALGORITHMS,
@@ -40,15 +39,12 @@ from .partial_order import (
     comparable,
     descendant_mask,
     dominates,
-    incomparable_mask,
     strictly_dominates,
 )
 from .range_tree import RangeTree2D
 from .range_tree_nd import RangeTreeND, index_edges_nd
 from .reachability import (
-    DEFAULT_REACHABILITY_BYTES,
     ReachabilityIndex,
-    lowest_set_bit,
     pack_mask,
     unpack_mask,
 )
@@ -56,8 +52,6 @@ from .topo import middle_layer, topological_layers
 
 __all__ = [
     "CONSTRUCTION_ALGORITHMS",
-    "CascadingRangeTree2D",
-    "DEFAULT_REACHABILITY_BYTES",
     "IncrementalPathCover",
     "OrderStatistics",
     "RangeTreeND",
@@ -84,10 +78,8 @@ __all__ = [
     "greedy_grouping",
     "greedy_path_cover",
     "hopcroft_karp",
-    "incomparable_mask",
     "index_edges",
     "is_group",
-    "lowest_set_bit",
     "maximal_groups",
     "middle_layer",
     "minimum_path_cover",

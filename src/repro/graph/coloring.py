@@ -198,13 +198,3 @@ class ColoringState:
                 member_is_green[members].tolist(),
             )
         )
-
-    def validate_against(self, truth: dict[Pair, bool]) -> float:
-        """Fraction of colored pairs whose color matches the ground truth."""
-        labels = self.pair_labels()
-        if not labels:
-            raise GraphError("no pairs are colored yet")
-        correct = sum(
-            1 for pair, decision in labels.items() if truth.get(pair) == decision
-        )
-        return correct / len(labels)

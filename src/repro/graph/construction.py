@@ -121,11 +121,10 @@ def _dominance_tiles(
 
     ``tile[i, j]`` is True iff ``dominant[start + i] >= dominated[j]`` on
     every attribute and ``>`` on at least one: ``O(B * n)`` comparisons per
-    tile, the kernel behind ``adjacency()``, :func:`blocked_edges` and the
-    graphs over the reachability index's byte budget.  Given ``>=``
-    everywhere, ``>`` somewhere holds exactly when the two rows differ, so
-    one comparison of joint row ranks replaces the per-attribute ``>``
-    passes.  Each attribute is read as a contiguous row of the transposed
+    tile, the kernel behind ``adjacency()`` and :func:`blocked_edges`.
+    Given ``>=`` everywhere, ``>`` somewhere holds exactly when the two rows
+    differ, so one comparison of joint row ranks replaces the per-attribute
+    ``>`` passes.  Each attribute is read as a contiguous row of the transposed
     operands (a strided ``dominated[:, k]`` costs two to three times as
     much), and the tiles reuse two buffers, so a tile is only valid until
     the next one is drawn.
@@ -370,18 +369,12 @@ def quicksort_edges(vectors: np.ndarray, seed: int = 0, leaf_size: int = 8) -> s
 def index_edges(
     vectors: np.ndarray,
     indexed_attributes: tuple[int, int] = (0, 1),
-    cascading: bool = False,
 ) -> set[Edge]:
     """The range-tree construction of §4.1.
 
     Two attributes are indexed (the paper's heuristic for high-dimensional
     data, footnote 5: "the pairs reported by the index are a superset ...
     we only need to verify them ... based on other non-indexed attributes").
-
-    Args:
-        cascading: use the fractional-cascading tree (§4.1's complexity
-            refinement: one binary search per query instead of one per
-            canonical node).
     """
     vectors = _validate(vectors)
     m = vectors.shape[1]
@@ -391,12 +384,7 @@ def index_edges(
             f"indexed_attributes must be two distinct attribute indexes < {m}, "
             f"got {indexed_attributes}"
         )
-    if cascading:
-        from .cascading import CascadingRangeTree2D
-
-        tree = CascadingRangeTree2D(vectors[:, [ax, ay]])
-    else:
-        tree = RangeTree2D(vectors[:, [ax, ay]])
+    tree = RangeTree2D(vectors[:, [ax, ay]])
     rows = [tuple(row) for row in vectors]
     edges: set[Edge] = set()
     for vertex in range(len(rows)):

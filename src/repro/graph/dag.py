@@ -134,33 +134,26 @@ class OrderedGraph(ABC):
     def reachability(self):
         """The cached :class:`~repro.graph.reachability.ReachabilityIndex`.
 
-        ``None`` until :meth:`build_reachability` has run (and succeeded);
+        ``None`` until :meth:`build_reachability` has built it;
         consumers treat ``None`` as "use the reference mask broadcasts".
         """
         return self._reachability
 
-    def build_reachability(self, max_bytes: int | None = None):
+    def build_reachability(self):
         """Build (once) and cache the reachability index.
-
-        Args:
-            max_bytes: byte budget for the index; ``None`` uses
-                :data:`~repro.graph.reachability.DEFAULT_REACHABILITY_BYTES`.
 
         Returns:
             The index, or ``None`` when this graph does not expose dominance
             operands (the naive oracle twins stay on their pure reference
-            paths) or the index would exceed the budget.
+            paths).
         """
         if self._reachability is not None:
             return self._reachability
         operands = self._dominance_operands()
         if operands is None:
             return None
-        from .reachability import DEFAULT_REACHABILITY_BYTES, ReachabilityIndex
+        from .reachability import ReachabilityIndex
 
-        limit = DEFAULT_REACHABILITY_BYTES if max_bytes is None else max_bytes
-        if ReachabilityIndex.estimated_bytes(self._num_vertices) > limit:
-            return None
         self._reachability = ReachabilityIndex.build(*operands)
         return self._reachability
 
@@ -201,7 +194,6 @@ class PairGraph(OrderedGraph):
         super().__init__(num_vertices=len(pairs))
         self.pairs = list(pairs)
         self.vectors = vectors
-        self._pair_index: dict[Pair, int] | None = None
 
     @property
     def base(self) -> PairGraph:
@@ -236,19 +228,3 @@ class PairGraph(OrderedGraph):
     def representative_pair(self, vertex: int, rng: np.random.Generator) -> Pair:
         self._check_vertex(vertex)
         return self.pairs[vertex]
-
-    def vertex_of_pair(self, pair: Pair) -> int:
-        """Index of the vertex holding *pair* (lazily-built dict lookup).
-
-        Keeps the first occurrence on duplicate pairs, matching the linear
-        ``list.index`` scan it replaces.
-        """
-        if self._pair_index is None:
-            index: dict[Pair, int] = {}
-            for vertex, known in enumerate(self.pairs):
-                index.setdefault(known, vertex)
-            self._pair_index = index
-        try:
-            return self._pair_index[pair]
-        except KeyError:
-            raise GraphError(f"pair {pair} is not a vertex of this graph") from None

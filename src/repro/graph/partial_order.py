@@ -45,10 +45,3 @@ def ancestor_mask(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     The set whose answers a GREEN vertex determines (§3.2).
     """
     return np.logical_and((matrix >= vector).all(axis=1), (matrix > vector).any(axis=1))
-
-
-def incomparable_mask(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """Rows neither dominating nor dominated by *vector* (and not equal)."""
-    equal = (matrix == vector).all(axis=1)
-    related = descendant_mask(matrix, vector) | ancestor_mask(matrix, vector)
-    return ~(related | equal)

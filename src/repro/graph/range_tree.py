@@ -10,9 +10,9 @@ over the distinct x values, built bottom-up) and uses a sorted y-array as
 each node's second-level structure — query-equivalent to a second-level tree
 (binary search replaces tree descent) and simpler.  Queries decompose the x
 constraint into O(log n) canonical nodes and binary-search each node's
-y-array, giving ``O(log^2 n + k)`` per query; the paper's fractional
-cascading would shave one log factor and is noted in DESIGN.md as an
-optimisation we skip.
+y-array, giving ``O(log^2 n + k)`` per query.  §4.1 notes that one
+binary search per query would shave a log factor; the Fig. 20 benchmark
+times this tree, so that refinement is not implemented.
 """
 
 from __future__ import annotations

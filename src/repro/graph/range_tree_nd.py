@@ -11,7 +11,7 @@ points below it; the last level is a sorted array, exactly as in
 Build cost is ``O(n log^{m-1} n)``; a query decomposes each of the first
 ``m-1`` coordinates into ``O(log n)`` canonical nodes and binary-searches
 the last, for ``O(log^m n + k)`` reporting — matching the complexities the
-paper states (without fractional cascading).
+paper states for the plain range tree.
 """
 
 from __future__ import annotations

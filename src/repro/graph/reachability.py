@@ -31,15 +31,13 @@ The incremental path-cover engine
 (:class:`repro.graph.matching.IncrementalPathCover`) reads its rows through
 the same public-id methods.
 
-The index is built once per graph and only for graphs that expose their
-dominance operands (``_dominance_operands() is not None``) — the naive
-oracle twins in :mod:`repro.verify.oracles` never get one, so differential
-checks keep exercising the pure reference paths.  A byte-size gate
-(:data:`DEFAULT_REACHABILITY_BYTES`) keeps huge graphs on the
-mask-broadcast path instead of materialising a quadratic index; no config
-knob moves it.  :func:`repro.verify.oracles.decline_reachability` puts a
-small graph in the same state, which is how the differential checks and
-the selection benchmark run the reference paths.
+The index is built once per graph, for every graph that exposes its
+dominance operands (``_dominance_operands() is not None``).  The naive
+oracle twins in :mod:`repro.verify.oracles` expose none and never get one,
+so differential checks keep exercising the pure reference paths;
+:func:`repro.verify.oracles.decline_reachability` puts any graph in the
+same state, which is how the differential checks and the selection
+benchmark run the reference paths.
 
 Masks read from the index are byte-identical to the float-broadcast masks
 (``graph.ancestor_mask`` / ``graph.descendant_mask``) and to the adjacency
@@ -56,11 +54,6 @@ from ..exceptions import GraphError
 from ..similarity.batch import _popcount_rows
 from . import construction
 
-#: Default byte budget for one index (both matrices together).  256 MiB
-#: admits graphs of roughly 30k vertices; beyond that the selection loop
-#: falls back to the reference mask-broadcast path.
-DEFAULT_REACHABILITY_BYTES = 256 * 1024 * 1024
-
 #: Bytes of rows :meth:`ReachabilityIndex.row_counts` and
 #: :meth:`ReachabilityIndex.kahn_layers` unpack (or AND) at once, and the
 #: most bytes of prefix table the build holds at once.
@@ -75,15 +68,6 @@ def pack_mask(mask: np.ndarray) -> np.ndarray:
 def unpack_mask(bits: np.ndarray, num_bits: int) -> np.ndarray:
     """Inverse of :func:`pack_mask`: the first *num_bits* as a bool array."""
     return np.unpackbits(bits, count=num_bits, bitorder="little").view(bool)
-
-
-def lowest_set_bit(bits: np.ndarray) -> int:
-    """Index of the lowest set bit of a packed vector, or -1 when empty."""
-    if not bits.any():
-        return -1
-    byte_index = int(np.argmax(bits != 0))
-    byte = int(bits[byte_index])
-    return byte_index * 8 + ((byte & -byte).bit_length() - 1)
 
 
 class ReachabilityIndex:
@@ -109,11 +93,6 @@ class ReachabilityIndex:
         self.num_vertices = len(order)
         self.width = (self.num_vertices + 7) // 8
 
-    @staticmethod
-    def estimated_bytes(num_vertices: int) -> int:
-        """Bytes the two packed matrices would occupy for *num_vertices*."""
-        return 2 * num_vertices * ((num_vertices + 7) // 8)
-
     @classmethod
     def build(cls, dominant: np.ndarray, dominated: np.ndarray) -> "ReachabilityIndex":
         """Build the index from per-attribute prefix bitsets.
@@ -129,8 +108,7 @@ class ReachabilityIndex:
         ``construction._joint_row_ranks``, match) and the diagonal.  With no
         attribute every row is equal, and nothing is set.  Besides the two
         matrices the build holds at most :data:`UNPACK_CHUNK_BYTES` of one
-        attribute's table and one block of gathered rows, so the index byte
-        budget bounds its peak.
+        attribute's table and one block of gathered rows.
         """
         order = construction.linear_extension(dominant)
         dominant = np.asarray(dominant, dtype=np.float64)[order]
@@ -274,9 +252,6 @@ class ReachabilityIndex:
                 degree -= self._column_sums(level, ancestors=False)[positions]
         return layers
 
-    def nbytes(self) -> int:
-        return int(self._desc.nbytes + self._anc.nbytes)
-
 
 #: ``_BIT[j]`` is the byte with only bit ``j`` set (``bitorder="little"``).
 _BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
@@ -295,15 +270,15 @@ def _threshold_counts(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _prefix_table(
-    listed: np.ndarray, entries: np.ndarray, rows: int, nbytes: int
+    listed: np.ndarray, entries: np.ndarray, rows: int, row_bytes: int
 ) -> np.ndarray:
-    """One attribute's prefix-OR table, *rows* rows of *nbytes* bytes.
+    """One attribute's prefix-OR table, *rows* rows of *row_bytes* bytes.
 
     Column ``listed[i]`` enters at table row ``entries[i]``, and a prefix OR
     down the rows (as 8-byte words, so the rows are padded to whole words)
     carries it into every later row.
     """
-    width = -(-nbytes // 8) * 8
+    width = -(-row_bytes // 8) * 8
     table = np.zeros((rows, width), dtype=np.uint8)
     np.bitwise_or.at(
         table.reshape(-1), entries * width + (listed >> 3), _BIT[listed & 7]
@@ -410,9 +385,7 @@ def _clear_equal_rows(
 
 
 __all__ = [
-    "DEFAULT_REACHABILITY_BYTES",
     "ReachabilityIndex",
-    "lowest_set_bit",
     "pack_mask",
     "unpack_mask",
 ]

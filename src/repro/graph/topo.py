@@ -4,8 +4,9 @@ The paper's Power selector repeatedly topologically sorts the *uncolored*
 vertices into level sets ``L_1 .. L_|L|`` (Kahn peeling) and asks the middle
 level.  With a reachability index the levels are peeled from its packed
 rows (:meth:`~repro.graph.reachability.ReachabilityIndex.kahn_layers`).
-A graph without one (over the index's byte budget, or a naive oracle twin)
-takes the reference path: because the dominance relation is transitively
+A graph without one (a naive oracle twin, or a graph that
+:func:`~repro.verify.oracles.decline_reachability` made decline it) takes
+the reference path: because the dominance relation is transitively
 closed, the Kahn level of a vertex equals the length of its longest chain
 of strict dominators, computed by one longest-chain DP over the adjacency
 lists in the exact linear extension the index is stored in,

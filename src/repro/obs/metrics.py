@@ -81,9 +81,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def as_dict(self) -> dict:
         value = self.value
         return {"value": int(value) if value == int(value) else value}

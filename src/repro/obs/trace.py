@@ -3,8 +3,8 @@
 A **span** is one timed region of the pipeline — a resolve stage, a crowd
 round, a serve request — carrying wall and CPU durations, arbitrary
 attributes, an ok/error status, and child spans.  A **tracer** hands out
-spans through a context manager (or decorator), maintaining a per-thread
-stack so nesting falls out of lexical structure:
+spans through a context manager, maintaining a per-thread stack so
+nesting falls out of lexical structure:
 
     with tracer.span("resolve", dataset="restaurant"):
         with tracer.span("resolve.join"):
@@ -29,9 +29,8 @@ tracing on and off and demands byte-identical results; the
 
 from __future__ import annotations
 
-import functools
 import threading
-from typing import Any, Callable
+from typing import Any
 
 from ..exceptions import ObservabilityError
 from .clock import SYSTEM_CLOCK
@@ -144,21 +143,6 @@ class Tracer:
             return NULL_SPAN
         span = Span(name, attributes)
         return _SpanContext(self, span)
-
-    def trace(self, name: str | None = None) -> Callable:
-        """Decorator form: trace every call of the wrapped function."""
-
-        def decorate(function: Callable) -> Callable:
-            span_name = name or function.__qualname__
-
-            @functools.wraps(function)
-            def wrapper(*args, **kwargs):
-                with self.span(span_name):
-                    return function(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
 
     def record(self, name: str, start: float, end: float, **attributes: Any) -> None:
         """Add a finished root span from the caller's two wall-clock reads.

@@ -82,9 +82,10 @@ class QuestionSelector(ABC):
     ``run`` builds the graph's packed-bitset reachability index up front,
     which puts color propagation — and, for the path-cover selectors, the
     per-round decomposition — on the incremental fast paths.  A graph that
-    declines the index (over the byte budget, or a naive oracle twin) runs
-    the reference paths instead; both give the same questions in the same
-    order and the same coloring.
+    declines the index (a naive oracle twin, or one passed through
+    :func:`~repro.verify.oracles.decline_reachability`) runs the reference
+    paths instead; both give the same questions in the same order and the
+    same coloring.
     """
 
     name: str = "selector"

@@ -8,9 +8,9 @@ and are equivalence-tested against the references.  The candidate join
 """
 
 from .batch import TokenIndex, batch_similarity_matrix, sparse_jaccard_join
-from .edit import edit_distance, edit_distance_within, edit_similarity
+from .edit import edit_distance, edit_similarity
 from .jaccard import bigram_jaccard, jaccard, qgram_jaccard, token_jaccard
-from .join import similar_pairs, similar_pairs_edit, top_k_pairs
+from .join import similar_pairs
 from .tokenize import normalize, qgram_tokens, word_tokens
 from .vectors import (
     SIMILARITY_FUNCTIONS,
@@ -29,7 +29,6 @@ __all__ = [
     "batch_similarity_matrix",
     "bigram_jaccard",
     "edit_distance",
-    "edit_distance_within",
     "edit_similarity",
     "jaccard",
     "normalize",
@@ -38,10 +37,8 @@ __all__ = [
     "resolve_function",
     "resolve_functions",
     "similar_pairs",
-    "similar_pairs_edit",
     "similarity_matrix",
     "sparse_jaccard_join",
     "token_jaccard",
-    "top_k_pairs",
     "word_tokens",
 ]

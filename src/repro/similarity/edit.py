@@ -4,8 +4,7 @@
 
 The distance is the classic dynamic program with insertion, deletion, and
 substitution all costing 1.  A two-row rolling implementation keeps memory at
-``O(min(|a|, |b|))``, and an optional band bound lets callers cut off early
-when only "distance <= k" matters.
+``O(min(|a|, |b|))``.
 """
 
 from __future__ import annotations
@@ -35,44 +34,6 @@ def edit_distance(a: str, b: str) -> int:
             )
         previous, current = current, previous
     return previous[len(b)]
-
-
-def edit_distance_within(a: str, b: str, k: int) -> int | None:
-    """Return ``edit_distance(a, b)`` if it is ``<= k``, else ``None``.
-
-    Uses the standard banded dynamic program: only cells within *k* of the
-    diagonal can contribute to a distance ``<= k``, giving ``O(k * max(|a|,
-    |b|))`` time.  Useful for threshold-based similarity joins.
-    """
-    if k < 0:
-        return None
-    if abs(len(a) - len(b)) > k:
-        return None
-    if a == b:
-        return 0
-    if len(b) > len(a):
-        a, b = b, a
-    n, m = len(a), len(b)
-    big = k + 1
-    previous = [j if j <= k else big for j in range(m + 1)]
-    for i in range(1, n + 1):
-        lo = max(1, i - k)
-        hi = min(m, i + k)
-        current = [big] * (m + 1)
-        if i <= k:
-            current[0] = i
-        for j in range(lo, hi + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            best = previous[j - 1] + cost
-            if previous[j] + 1 < best:
-                best = previous[j] + 1
-            if current[j - 1] + 1 < best:
-                best = current[j - 1] + 1
-            current[j] = best
-        previous = current
-        if min(previous[lo - 1 : hi + 1]) > k:
-            return None
-    return previous[m] if previous[m] <= k else None
 
 
 def edit_similarity(a: str, b: str) -> float:

@@ -946,9 +946,9 @@ def monotone_truth(vectors: np.ndarray, cutoff: float | None = None) -> dict[int
 def decline_reachability(graph: OrderedGraph) -> OrderedGraph:
     """Make a fresh *graph* decline its reachability index; returns it.
 
-    The graph ends up in the state of one over the index's byte budget:
-    :meth:`~repro.graph.dag.OrderedGraph.build_reachability` returns
-    ``None``, so a selector run on it takes the reference paths —
+    The graph ends up in the state of a naive twin, which exposes no
+    dominance operands: :meth:`~repro.graph.dag.OrderedGraph.build_reachability`
+    returns ``None``, so a selector run on it takes the reference paths —
     mask-broadcast color propagation and, for the path-cover selectors,
     ``restricted_adjacency`` + ``minimum_path_cover`` from scratch every
     round.  The differential checks and the selection benchmark reach the
@@ -956,7 +956,7 @@ def decline_reachability(graph: OrderedGraph) -> OrderedGraph:
     """
     if graph.reachability is not None:
         raise ValueError("the graph already holds a reachability index")
-    graph.build_reachability = lambda max_bytes=None: None
+    graph.build_reachability = lambda: None
     return graph
 
 

@@ -56,9 +56,6 @@ class VerificationReport:
     def failures(self) -> list[CheckResult]:
         return [result for result in self.results if not result.passed]
 
-    def failure_names(self) -> list[str]:
-        return [result.name for result in self.failures]
-
     def summary(self) -> str:
         lines = [str(result) for result in self.results]
         verdict = (
@@ -67,17 +64,6 @@ class VerificationReport:
             else f"{len(self.results)} checks, {len(self.failures)} FAILED"
         )
         return "\n".join(lines + [verdict])
-
-    def raise_on_failure(self) -> None:
-        """Raise :class:`VerificationError` summarising every failed check."""
-        if self.passed:
-            return
-        details = "; ".join(
-            f"{result.name}: {result.detail or 'failed'}" for result in self.failures
-        )
-        raise VerificationError(
-            f"{len(self.failures)} verification check(s) failed: {details}"
-        )
 
 
 def run_check(report: VerificationReport, name: str, check: Callable[[], None]) -> CheckResult:

@@ -22,12 +22,39 @@ class TestPowerConfig:
         assert policy.confidence_threshold == 0.9
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            PowerConfig(pruning_threshold=0.0)
-        with pytest.raises(ConfigurationError):
-            PowerConfig(epsilon=-0.1)
-        with pytest.raises(ConfigurationError):
-            PowerConfig(assignments=0)
+        """Out-of-range values and unknown names are ConfigurationErrors."""
+        for fields in [
+            {"pruning_threshold": 0.0},
+            {"epsilon": -0.1},
+            {"assignments": 0},
+            {"selector": "nope"},
+            {"grouping_algorithm": "nope"},
+            {"binning": "nope"},
+            {"similarity": ("bigram", "nope")},
+            {"similarity": ()},
+            {"attribute_threshold": 1.5},
+            {"confidence_threshold": 2.0},
+            {"num_bins": 0},
+            {"seed": -1},
+        ]:
+            with pytest.raises(ConfigurationError):
+                PowerConfig(**fields)
+
+    def test_wrong_types_are_type_errors(self):
+        """A bool where a number is expected is a wrong type too."""
+        for fields in [
+            {"assignments": 2.5},
+            {"num_bins": 2.5},
+            {"seed": "x"},
+            {"seed": 1.5},
+            {"assignments": True},
+            {"epsilon": "x"},
+            {"similarity": ["bigram"]},
+            {"selector": 5},
+            {"error_tolerant": 1},
+        ]:
+            with pytest.raises(TypeError):
+                PowerConfig(**fields)
 
 
 class TestResolver:

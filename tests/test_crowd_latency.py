@@ -36,19 +36,6 @@ class TestEstimates:
         parallel = model.estimate_seconds([100])
         assert serial > 5 * parallel
 
-    def test_uniform_matches_exact_for_equal_batches(self):
-        model = LatencyModel()
-        exact = model.estimate_seconds([10, 10, 10])
-        uniform = model.estimate_uniform(questions=30, iterations=3)
-        assert exact == pytest.approx(uniform)
-
-    def test_zero_iterations(self):
-        assert LatencyModel().estimate_uniform(0, 0) == 0.0
-
-    def test_invalid_totals(self):
-        with pytest.raises(ConfigurationError):
-            LatencyModel().estimate_uniform(-1, 2)
-
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
             LatencyModel(concurrent_workers=0)
@@ -74,23 +61,6 @@ class TestEdgeCases:
                              round_overhead_seconds=0, assignments=3)
         # 4 questions x 3 assignments, one at a time.
         assert model.batch_seconds(4) == 12 * 10
-
-    def test_workers_one_estimates_agree(self):
-        model = LatencyModel(concurrent_workers=1, seconds_per_answer=7,
-                             round_overhead_seconds=13, assignments=2)
-        exact = model.estimate_seconds([4, 4])
-        uniform = model.estimate_uniform(questions=8, iterations=2)
-        assert exact == pytest.approx(uniform)
-
-    def test_uniform_upper_bounds_unequal_batches(self):
-        """With a fractional mean batch size, ceil() makes the uniform
-        estimate conservative relative to per-round knowledge only through
-        rounding — both must stay within one wave per round."""
-        model = LatencyModel(concurrent_workers=25, seconds_per_answer=30,
-                             round_overhead_seconds=120, assignments=5)
-        exact = model.estimate_seconds([1, 9])
-        uniform = model.estimate_uniform(questions=10, iterations=2)
-        assert abs(exact - uniform) <= 2 * model.seconds_per_answer
 
 
 class TestEngineClockConvergence:

@@ -126,3 +126,33 @@ class TestCLIRegistryConsistency:
 
     def test_version_exported(self):
         assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
+
+
+class TestModuleMaps:
+    SOURCE = ROOT / "src" / "repro"
+
+    def design_map(self) -> str:
+        section = (ROOT / "DESIGN.md").read_text().split("## 5. Module map", 1)[1]
+        return section.split("```", 2)[1]
+
+    def packages(self) -> list[str]:
+        return sorted(path.parent.name for path in self.SOURCE.glob("*/__init__.py"))
+
+    def test_design_map_names_every_package_and_module(self):
+        entries = set(re.findall(r"^  (\S+)", self.design_map(), re.MULTILINE))
+        expected = {f"{name}/" for name in self.packages()}
+        expected |= {path.name for path in self.SOURCE.glob("*.py")}
+        assert expected <= entries, f"DESIGN.md §5 omits {sorted(expected - entries)}"
+
+    def test_design_map_lists_only_existing_examples(self):
+        listed = self.design_map().split("\nexamples/", 1)[1]
+        names = re.findall(r"(\w+\.py)", re.split(r"\n\S", listed, maxsplit=1)[0])
+        assert names
+        missing = [name for name in names if not (ROOT / "examples" / name).exists()]
+        assert not missing, f"DESIGN.md §5 lists missing examples {missing}"
+
+    def test_readme_table_names_every_package(self):
+        readme = (ROOT / "README.md").read_text()
+        rows = set(re.findall(r"^\| `repro\.(\w+)`", readme, re.MULTILINE))
+        missing = sorted(set(self.packages()) - rows)
+        assert not missing, f"README's package table omits {missing}"

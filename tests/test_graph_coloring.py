@@ -147,12 +147,6 @@ class TestLabels:
                     expected[pair] = color == Color.GREEN
         assert list(state.pair_labels().items()) == list(expected.items())
 
-    def test_validate_against_truth(self, chain):
-        state = ColoringState(chain)
-        state.apply_round([2], [True])
-        truth = {(0, 1): True, (0, 2): True, (0, 3): False}
-        assert state.validate_against(truth) == pytest.approx(2 / 3)
-
 
 class TestRoundUpdate:
     """``apply_round`` must equal :class:`ReferenceColoring` applying the

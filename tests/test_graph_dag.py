@@ -53,11 +53,6 @@ class TestPairGraph:
         assert chain_graph.member_pairs(1) == ((0, 2),)
         assert chain_graph.representative_pair(1, rng) == (0, 2)
 
-    def test_vertex_of_pair(self, chain_graph):
-        assert chain_graph.vertex_of_pair((1, 2)) == 2
-        with pytest.raises(GraphError):
-            chain_graph.vertex_of_pair((9, 9))
-
     def test_shape_validation(self):
         with pytest.raises(GraphError):
             PairGraph([(0, 1)], np.array([1.0, 2.0]))  # 1-D vectors

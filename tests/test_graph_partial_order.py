@@ -10,7 +10,6 @@ from repro.graph import (
     comparable,
     descendant_mask,
     dominates,
-    incomparable_mask,
     strictly_dominates,
 )
 
@@ -77,15 +76,15 @@ class TestVectorisedMasks:
                 assert anc[other] == strictly_dominates(matrix[other], vector)
 
     def test_partition_of_universe(self, matrix):
-        """Every vertex is descendant, ancestor, equal, or incomparable."""
+        """Every vertex is at most one of descendant, ancestor or equal
+        (the rest are incomparable)."""
         for row in range(matrix.shape[0]):
             vector = matrix[row]
             desc = descendant_mask(matrix, vector)
             anc = ancestor_mask(matrix, vector)
-            inc = incomparable_mask(matrix, vector)
             equal = (matrix == vector).all(axis=1)
-            total = desc.astype(int) + anc.astype(int) + inc.astype(int) + equal.astype(int)
-            assert np.all(total == 1)
+            total = desc.astype(int) + anc.astype(int) + equal.astype(int)
+            assert np.all(total <= 1)
 
     def test_no_vector_is_its_own_strict_relative(self, matrix):
         for row in range(matrix.shape[0]):

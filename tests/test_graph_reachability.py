@@ -13,10 +13,8 @@ from repro.graph import (
     ColoringState,
     GroupedGraph,
     PairGraph,
-    ReachabilityIndex,
     blocked_dominance_lists,
     construction,
-    lowest_set_bit,
     pack_mask,
     split_grouping,
     unpack_mask,
@@ -48,15 +46,6 @@ class TestPackedBits:
     def test_pack_unpack_round_trip(self, bits):
         mask = np.array(bits, dtype=bool)
         assert np.array_equal(unpack_mask(pack_mask(mask), len(bits)), mask)
-
-    @given(st.lists(st.booleans(), max_size=40))
-    def test_lowest_set_bit_matches_argmax(self, bits):
-        mask = np.array(bits, dtype=bool)
-        expected = int(np.argmax(mask)) if mask.any() else -1
-        assert lowest_set_bit(pack_mask(mask)) == expected
-
-    def test_lowest_set_bit_empty_vector(self):
-        assert lowest_set_bit(np.zeros(0, dtype=np.uint8)) == -1
 
 
 class TestIndexMasks:
@@ -122,11 +111,6 @@ class TestIndexMasks:
 
 
 class TestGating:
-    def test_zero_budget_skips_index(self):
-        graph = make_graph(seed=1, n=10)
-        assert graph.build_reachability(max_bytes=0) is None
-        assert graph.reachability is None
-
     def test_naive_graph_never_indexed(self):
         """The oracle twins expose no dominance operands, so they stay on
         the pure reference paths."""
@@ -139,11 +123,6 @@ class TestGating:
         first = graph.build_reachability()
         assert first is graph.build_reachability()
         assert first is graph.reachability
-
-    def test_estimated_bytes_matches_actual(self):
-        graph = make_graph(seed=5, n=33)
-        index = graph.build_reachability()
-        assert index.nbytes() == ReachabilityIndex.estimated_bytes(33)
 
 
 class TestColoringEquivalence:

@@ -50,16 +50,6 @@ class TestNesting:
         exported = tracer.export()[0]
         assert exported["attributes"] == {"dataset": "restaurant", "pairs": 42}
 
-    def test_decorator_form(self):
-        tracer = Tracer()
-
-        @tracer.trace("compute")
-        def double(x):
-            return 2 * x
-
-        assert double(21) == 42
-        assert structure(tracer.export()) == [(0, "compute")]
-
     def test_mismatched_close_is_stack_corruption(self):
         tracer = Tracer()
         ctx_a = tracer.span("a")

@@ -2,16 +2,15 @@
 
 Production selection has one loop: ``QuestionSelector.run`` always builds
 the graph's reachability index.  The reference paths run when a graph
-declines the index — over the byte budget, or through
-:func:`repro.verify.decline_reachability`, which is how these tests reach
-them.
+declines the index through :func:`repro.verify.decline_reachability`,
+which is how these tests reach them.
 """
 
 import numpy as np
 import pytest
 
 from repro.crowd import PerfectCrowd, SimulatedCrowd, WorkerPool
-from repro.graph import GroupedGraph, PairGraph, reachability, split_grouping
+from repro.graph import GroupedGraph, PairGraph, split_grouping
 from repro.selection import SELECTORS
 from repro.verify import decline_reachability
 
@@ -107,16 +106,6 @@ class TestDeclinedIndex:
         assert telemetry["incremental"] is False
         # The warm-started path cover never ran: every cover was scratch.
         assert set(telemetry) == {"rounds", "incremental"}
-
-    def test_over_budget_graph_runs_the_same_reference_path(self, monkeypatch):
-        """A declined graph is in the state of an over-budget one."""
-        pairs, vectors, truth = make_workload(seed=9)
-        declined = run_selector("single-path", pairs, vectors, truth, reference=True)
-        monkeypatch.setattr(reachability, "DEFAULT_REACHABILITY_BYTES", 0)
-        over_budget = run_selector("single-path", pairs, vectors, truth)
-        assert over_budget.extras["selection"]["incremental"] is False
-        assert over_budget.state.asked_order == declined.state.asked_order
-        assert np.array_equal(over_budget.state.colors, declined.state.colors)
 
     def test_an_indexed_graph_cannot_decline(self):
         pairs, vectors, _ = make_workload(seed=2, n=10)

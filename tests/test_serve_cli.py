@@ -162,6 +162,17 @@ class TestClientTranscript:
         assert code == 2
         assert "--input" in err
 
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_ingest_refuses_batch_size_below_one(self, stream_csv, size, capsys):
+        """Refused before any connection, as ``repro stream`` refuses it."""
+        code, _, err = _run(
+            ["client", "ingest-csv", "--port", "1", "--session", "x",
+             "--input", str(stream_csv), "--batch-size", size],
+            capsys,
+        )
+        assert code == 2
+        assert "--batch-size must be >= 1" in err
+
 
 class TestServeDrain:
     def test_sigterm_drains_every_session_without_losing_answers(

@@ -375,8 +375,9 @@ class TestProtocolEdge:
         assert numeric["error"] == "bad_session"
 
     def test_unbillable_session_is_refused_and_never_adopted(self, small_table, tmp_path):
-        """Pricing or a band that would fail every later ingest is refused
-        at create with a typed error, and takes no residency slot."""
+        """Pricing, a band or a config that would fail every later ingest
+        is refused at create with a typed error, and takes no residency
+        slot."""
         bad_fields = [
             {"pairs_per_hit": 0},
             {"worker_band": "95"},
@@ -386,6 +387,15 @@ class TestProtocolEdge:
             {"config": {"epsilon": "x"}},
             {"config": {"bogus": 1}},
             {"config": {"epsilon": -1.0}},
+            {"config": {"selector": "nope"}},
+            {"config": {"num_bins": 0}},
+            {"config": {"similarity": ["bigram"]}},
+            {"config": {"seed": -1}},
+            {"config": {"assignments": 2.5}},
+            {"config": {"num_bins": 2.5}},
+            {"config": {"seed": "x"}},
+            {"config": {"seed": 1.5}},
+            {"config": {"assignments": True}},
         ]
         chunk = _chunks(small_table, 2)[0]
 
@@ -408,7 +418,7 @@ class TestProtocolEdge:
                     return refused, health, report
 
         refused, health, report = run(asyncio.wait_for(scenario(), timeout=60))
-        assert [response["ok"] for response in refused] == [False] * 8
+        assert [response["ok"] for response in refused] == [False] * len(bad_fields)
         assert [response["error"] for response in refused] == [
             "error",
             "error",
@@ -418,6 +428,8 @@ class TestProtocolEdge:
             "bad_request",
             "bad_request",
             "error",
+            *["error"] * 4,
+            *["bad_request"] * 5,
         ]
         assert "pairs_per_hit" in refused[0]["message"]
         assert "accuracy band" in refused[1]["message"]

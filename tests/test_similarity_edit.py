@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.similarity import edit_distance, edit_distance_within, edit_similarity
+from repro.similarity import edit_distance, edit_similarity
 
 TEXT = st.text(alphabet="abcde ", max_size=24)
 
@@ -46,23 +46,6 @@ class TestEditDistance:
     @given(TEXT, TEXT)
     def test_zero_iff_equal(self, a, b):
         assert (edit_distance(a, b) == 0) == (a == b)
-
-
-class TestEditDistanceWithin:
-    @given(TEXT, TEXT, st.integers(min_value=0, max_value=10))
-    def test_agrees_with_full_distance(self, a, b, k):
-        expected = edit_distance(a, b)
-        got = edit_distance_within(a, b, k)
-        if expected <= k:
-            assert got == expected
-        else:
-            assert got is None
-
-    def test_negative_budget(self):
-        assert edit_distance_within("a", "a", -1) is None
-
-    def test_length_gap_short_circuit(self):
-        assert edit_distance_within("a", "abcdef", 2) is None
 
 
 class TestEditSimilarity:

@@ -6,12 +6,7 @@ from hypothesis import strategies as st
 
 from repro.data import Table
 from repro.exceptions import ConfigurationError
-from repro.similarity import (
-    similar_pairs,
-    similar_pairs_edit,
-    sparse_jaccard_join,
-    top_k_pairs,
-)
+from repro.similarity import similar_pairs, sparse_jaccard_join
 from repro.similarity.batch import _overlap_floor
 from repro.similarity.tokenize import word_tokens
 from repro.verify import naive_join, prefix_join
@@ -149,74 +144,3 @@ class TestOverlapFloor:
         expected = naive_join(token_sets, threshold)
         assert sparse_jaccard_join(token_sets, threshold) == sorted(expected)
         assert prefix_join(token_sets, threshold) == expected
-
-
-class TestTopKPairs:
-    def test_returns_k_most_similar(self):
-        table = make_table(["alpha beta", "alpha beta", "alpha", "zeta"])
-        top = top_k_pairs(table, 2)
-        assert len(top) == 2
-        assert top[0][0] >= top[1][0]
-        assert top[0][1] == (0, 1)
-
-    def test_k_larger_than_pairs(self):
-        table = make_table(["alpha", "beta"])
-        assert len(top_k_pairs(table, 10)) == 1
-
-    def test_invalid_k(self, small_table):
-        with pytest.raises(ConfigurationError):
-            top_k_pairs(small_table, 0)
-
-
-class TestSimilarPairsEdit:
-    def test_identical_records_join(self):
-        table = make_table(["alpha beta", "alpha beta"])
-        assert similar_pairs_edit(table, 0.9) == [(0, 1)]
-
-    def test_threshold_excludes(self):
-        table = make_table(["alpha beta", "zeta"])
-        assert similar_pairs_edit(table, 0.8) == []
-
-    def test_matches_naive_edit_similarity(self, small_table):
-        from repro.similarity import edit_similarity
-
-        threshold = 0.6
-        got = similar_pairs_edit(small_table, threshold, prefilter_overlap=0.0)
-        texts = [small_table.record_text(r.record_id) for r in small_table]
-        expected = [
-            (i, j)
-            for i in range(len(texts))
-            for j in range(i + 1, len(texts))
-            if edit_similarity(texts[i], texts[j]) >= threshold
-        ]
-        assert got == expected
-
-    def test_prefiltered_equals_unfiltered_naive_scan(self):
-        from repro.similarity import edit_similarity
-
-        # Every edit-similar pair shares a word, so the loose token
-        # prefilter must lose nothing; the two empty records pair too.
-        table = make_table(
-            ["john smith", "jon smith", "", "mary jones", "mary jane",
-             "peter parker", "peter parkers", "", "acme corp"]
-        )
-        texts = [table.record_text(r.record_id) for r in table]
-        for threshold in (0.6, 0.7, 0.8, 0.9):
-            expected = [
-                (i, j)
-                for i in range(len(texts))
-                for j in range(i + 1, len(texts))
-                if edit_similarity(texts[i], texts[j]) >= threshold
-            ]
-            assert similar_pairs_edit(table, threshold) == expected
-
-    def test_prefilter_preserves_high_threshold_pairs(self, small_table):
-        strict = similar_pairs_edit(small_table, 0.7, prefilter_overlap=0.0)
-        filtered = similar_pairs_edit(small_table, 0.7, prefilter_overlap=0.05)
-        # The loose token prefilter may only drop token-disjoint pairs.
-        assert set(filtered) <= set(strict)
-        assert len(filtered) >= len(strict) * 0.9
-
-    def test_invalid_threshold(self, small_table):
-        with pytest.raises(ConfigurationError):
-            similar_pairs_edit(small_table, 0.0)

@@ -409,6 +409,14 @@ class TestRefusedBatch:
         service.close()
         clean.close()
 
+    def test_crowd_larger_than_its_pool_refuses_before_commit(self):
+        """An auto-built crowd has 50 workers: asking 100 per question is
+        refused while the crowd is built, before the rows commit."""
+        service = StreamingResolver(self.ATTRIBUTES, config=PowerConfig(assignments=100))
+        with pytest.raises(ConfigurationError, match="pool of 50"):
+            service.add_batch(self.GOOD + self.NEXT, entity_ids=[1, 2, 1, 3])
+        assert (len(service.table), len(service._join), service.batches) == (0, 0, 0)
+
 
 class TestLabelCodec:
     @settings(max_examples=60, deadline=None)
