@@ -1,7 +1,5 @@
 """Figs 15-17: effect of the similarity function (Jaccard / edit / bigram)."""
 
-import numpy as np
-
 from conftest import run_once
 from repro.experiments import figures
 

@@ -1,7 +1,7 @@
 """Streaming deduplication: resolve records as they arrive.
 
 A warehouse rarely sees its data all at once.  This example feeds the
-restaurant dataset through :class:`repro.core.IncrementalResolver` in six
+restaurant dataset through :class:`repro.stream.StreamingResolver` in six
 batches: each batch's new records are matched against everything seen so
 far using only *new* candidate pairs (the old ones are never re-paid), and
 the cluster structure grows monotonically.
@@ -11,14 +11,16 @@ Run:
 """
 
 from repro import PowerConfig, PowerResolver, restaurant
-from repro.core import IncrementalResolver
+from repro.stream import StreamingResolver
 
 
 def main() -> None:
     table = restaurant(seed=7)
     config = PowerConfig(seed=3)
 
-    resolver = IncrementalResolver(table.attributes, config=config, name="stream")
+    resolver = StreamingResolver(
+        table.attributes, config=config, name="stream", worker_band="90"
+    )
     batch_size = 143  # six batches of the 858 records
     print(f"{'batch':>5s} {'records':>8s} {'new pairs':>9s} "
           f"{'questions':>9s} {'clusters':>8s}")
@@ -27,7 +29,6 @@ def main() -> None:
         report = resolver.add_batch(
             [record.values for record in records],
             entity_ids=[record.entity_id for record in records],
-            worker_band="90",
         )
         print(f"{report['batch']:5d} {len(resolver.table):8d} "
               f"{report['new_pairs']:9d} {report['questions']:9d} "

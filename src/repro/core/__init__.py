@@ -2,18 +2,15 @@
 
 from .clustering import clusters_from_matches, clusters_to_matches
 from .config import PowerConfig
-from .incremental import IncrementalResolver, stream_in_batches
 from .metrics import QualityReport, entity_quality, pairwise_quality
 from .resolver import PowerResolver, ResolutionResult
 
 __all__ = [
-    "IncrementalResolver",
     "PowerConfig",
     "PowerResolver",
     "QualityReport",
     "ResolutionResult",
     "clusters_from_matches",
-    "stream_in_batches",
     "clusters_to_matches",
     "entity_quality",
     "pairwise_quality",

@@ -13,6 +13,12 @@
 6. **Cluster** — matched pairs become entity clusters, and quality is
    scored when ground truth is available.
 
+Stages 1–5 are one batch step, :meth:`PowerResolver.resolve_batch`, each
+in a ``resolve.<stage>`` region (:func:`stage`; crowd set-up is the
+``crowd`` region).  :meth:`PowerResolver.resolve` runs it over a fresh
+join, a :class:`~repro.stream.StreamingResolver` over the join it resumes
+batch after batch; either caller then closes a ``resolve.cluster`` region.
+
 Example:
     >>> from repro import PowerResolver, PowerConfig, restaurant
     >>> result = PowerResolver(PowerConfig(seed=1)).resolve(restaurant())
@@ -22,15 +28,18 @@ Example:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
+
+import numpy as np
 
 from ..crowd.platform import CrowdSession, SimulatedCrowd
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.runtime import CrowdEngine
 from ..crowd.worker import WorkerPool
-from ..data.ground_truth import Pair, pair_truth
+from ..data.ground_truth import Pair
 from ..data.table import Table
 from ..exceptions import ConfigurationError, DataError
 from ..graph.dag import OrderedGraph
@@ -38,8 +47,8 @@ from ..graph.grouped_graph import build_graph
 from ..obs import instrument as obs_instrument
 from ..selection import SELECTORS
 from ..selection.base import SelectionResult
-from ..similarity.batch import batch_similarity_matrix
-from ..similarity.join import similar_pairs
+from ..similarity.batch import PostingJoin, batch_similarity_matrix
+from ..similarity.join import record_tokens
 from ..similarity.vectors import SimilarityConfig
 from .clustering import clusters_from_matches
 from .config import PowerConfig
@@ -99,6 +108,26 @@ class ResolutionResult:
         return "\n".join(lines)
 
 
+def stage(obs: obs_instrument.Observability, name: str, **attributes) -> obs_instrument.timed:
+    """The ``resolve.<name>`` region of one pipeline stage, observed into
+    ``repro_pipeline_stage_seconds{stage=<name>}``."""
+    histogram = ("repro_pipeline_stage_seconds", {"stage": name})
+    return obs_instrument.timed(obs, f"resolve.{name}", histogram, **attributes)
+
+
+class BatchStep(NamedTuple):
+    """What :meth:`PowerResolver.resolve_batch` did for one batch.
+
+    ``session`` and ``selection`` are ``None`` when the batch made no
+    candidate pair; ``join_seconds`` is its ``resolve.join`` region's.
+    """
+
+    pairs: list[Pair]
+    session: CrowdSession | None
+    selection: SelectionResult | None
+    join_seconds: float
+
+
 class PowerResolver:
     """The partial-order crowdsourced entity-resolution system.
 
@@ -115,13 +144,16 @@ class PowerResolver:
     # Pipeline stages (each usable on its own)
     # ------------------------------------------------------------------ #
 
-    def candidate_pairs(self, table: Table) -> list[Pair]:
-        """Stage 1: record-level similarity pruning (§7.1)."""
-        return similar_pairs(
-            table,
-            self.config.pruning_threshold,
-            tokens=self.config.join_tokens,
-        )
+    def candidate_pairs(self, table: Table, join: PostingJoin | None = None) -> list[Pair]:
+        """Stage 1: record-level similarity pruning (§7.1).
+
+        The pairs, sorted, that the records of *table* which *join* has not
+        indexed yet make with every record before them; *join* indexes
+        them as it goes.  Without a join, a fresh one joins the whole table.
+        """
+        if join is None:
+            join = PostingJoin(self.config.pruning_threshold)
+        return join.extend(record_tokens(table, self.config.join_tokens, first=len(join)))
 
     def similarity_config(self, table: Table) -> SimilarityConfig:
         similarity = self.config.similarity
@@ -172,17 +204,51 @@ class PowerResolver:
     def simulated_crowd(
         self, table: Table, pairs: list[Pair], worker_band: str | tuple[float, float] = "90"
     ) -> SimulatedCrowd:
-        """Build a simulated crowd from the table's ground truth."""
-        if not table.has_ground_truth():
+        """A simulated crowd over *pairs*, answering from the entity ids of
+        their records; a pair whose records lack one raises
+        :class:`DataError`."""
+        entity = [record.entity_id for record in table]
+        if None in entity and any(entity[a] is None or entity[b] is None for a, b in pairs):
             raise DataError(
-                f"table {table.name!r} has no ground truth; pass a crowd session "
-                "backed by real answers instead"
+                f"table {table.name!r} has no ground truth for some candidate "
+                "pairs; pass a crowd backed by real answers instead"
             )
         return SimulatedCrowd(
-            pair_truth(table, pairs),
+            {pair: entity[pair[0]] == entity[pair[1]] for pair in pairs},
             pool=WorkerPool(accuracy_range=worker_band, seed=self.config.seed),
             assignments=self.config.assignments,
         )
+
+    def resolve_batch(
+        self,
+        table: Table,
+        open_session: Callable[[list[Pair], np.ndarray], CrowdSession],
+        join: PostingJoin | None = None,
+        budget: int | None = None,
+    ) -> BatchStep:
+        """Stages 1–5 over the records of *table* that *join* has not indexed.
+
+        Probes them (*join* indexes them; a fresh join, the default, is one
+        over the whole table), vectorizes the pairs they make, builds the
+        graph, opens the crowd session with ``open_session(pairs, vectors)``
+        and runs the selector, each in its own :func:`stage` region.  A
+        batch without candidate pairs stops after the join.
+        """
+        obs = obs_instrument.current()
+        with stage(obs, "join") as join_region:
+            pairs = self.candidate_pairs(table, join)
+        if not pairs:
+            return BatchStep(pairs, None, None, join_region.seconds)
+        with stage(obs, "vectorize", pairs=len(pairs)):
+            vectors = self.similarity_vectors(table, pairs)
+        with stage(obs, "construct") as construct_span:
+            graph = self.build_graph(table, pairs, vectors=vectors)
+            construct_span.set_attribute("vertices", len(graph))
+        with stage(obs, "crowd"):
+            session = open_session(pairs, vectors)
+        with stage(obs, "select"):
+            selection = self.make_selector().run(graph, session, budget=budget)
+        return BatchStep(pairs, session, selection, join_region.seconds)
 
     # ------------------------------------------------------------------ #
     # End to end
@@ -219,47 +285,35 @@ class PowerResolver:
                 "(build the session via engine.session(...) yourself instead)"
             )
         obs = obs_instrument.current()
-        tracer = obs.tracer
 
-        def stage(name: str, **attributes):
-            histogram = ("repro_pipeline_stage_seconds", {"stage": name, "dataset": table.name})
-            return obs_instrument.timed(obs, f"resolve.{name}", histogram, **attributes)
+        def open_session(pairs: list[Pair], vectors: np.ndarray) -> CrowdSession:
+            if session is not None:
+                return session
+            crowd = self.simulated_crowd(table, pairs, worker_band)
+            if engine is None:
+                return crowd.session()
+            scores = vectors.mean(axis=1)
+            return engine.session(
+                crowd,
+                machine_scores={pair: float(score) for pair, score in zip(pairs, scores)},
+            )
 
-        with tracer.span(
+        with obs.tracer.span(
             "resolve", dataset=table.name, selector=self.config.selector
         ) as resolve_span:
-            with stage("join"):
-                pairs = self.candidate_pairs(table)
+            step = self.resolve_batch(table, open_session, budget=budget)
+            pairs, selection = step.pairs, step.selection
             if not pairs:
                 raise DataError(
                     f"no candidate pairs survive pruning at threshold "
                     f"{self.config.pruning_threshold} on table {table.name!r}"
                 )
-            with stage("vectorize", pairs=len(pairs)):
-                vectors = self.similarity_vectors(table, pairs)
-            with stage("construct") as construct_span:
-                graph = self.build_graph(table, pairs, vectors=vectors)
-                construct_span.set_attribute("vertices", len(graph))
-            if session is None:
-                crowd = self.simulated_crowd(table, pairs, worker_band)
-                if engine is not None:
-                    scores = vectors.mean(axis=1)
-                    session = engine.session(
-                        crowd,
-                        machine_scores={
-                            pair: float(score) for pair, score in zip(pairs, scores)
-                        },
-                    )
-                else:
-                    session = crowd.session()
-            with stage("select"):
-                selection = self.make_selector().run(graph, session, budget=budget)
             if engine is not None:
-                engine.finalize(session)
+                engine.finalize(step.session)
                 selection.extras["telemetry"] = engine.telemetry.as_dict()
                 selection.extras["wall_clock_seconds"] = engine.wall_clock_seconds
-                selection.extras["batch_sizes"] = list(session.batch_sizes)
-            with stage("cluster"):
+                selection.extras["batch_sizes"] = list(step.session.batch_sizes)
+            with stage(obs, "cluster"):
                 matches = selection.matches
                 clusters = clusters_from_matches(len(table), matches)
                 quality = None

@@ -92,7 +92,7 @@ class SimulatedCrowd:
         their outcomes enter the cache together.  Keys are canonical pairs,
         in first-asked order.
         """
-        batch = self._canonical_batch(pairs)
+        batch = self.canonical_batch(pairs)
         fresh = [pair for pair in dict.fromkeys(batch) if pair not in self._cache]
         if fresh:
             panels = self._assign(fresh)
@@ -109,7 +109,7 @@ class SimulatedCrowd:
             self._cache.update(zip(fresh, outcomes))
         return {pair: self._cache[pair] for pair in batch}
 
-    def _canonical_batch(self, pairs: Iterable[Pair]) -> list[Pair]:
+    def canonical_batch(self, pairs: Iterable[Pair]) -> list[Pair]:
         """*pairs* as canonical pairs, refusing the batch if one is unknown."""
         batch = [canonical_pair(*pair) for pair in pairs]
         for pair in batch:
@@ -178,7 +178,7 @@ class PerfectCrowd(SimulatedCrowd):
 
     def answer_batch(self, pairs: Iterable[Pair]) -> dict[Pair, VoteOutcome]:
         # Its own per-pair answers (uncached), after the same batch check.
-        return {pair: self.answer(pair) for pair in self._canonical_batch(pairs)}
+        return {pair: self.answer(pair) for pair in self.canonical_batch(pairs)}
 
 
 def check_pricing(pairs_per_hit: int, cents_per_hit: int) -> None:

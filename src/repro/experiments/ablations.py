@@ -268,7 +268,7 @@ def incremental_compare(
     each batch's graph cannot share boundary information with future pairs.
     """
     from ..core import PowerResolver
-    from ..core.incremental import stream_in_batches
+    from ..stream import stream_in_batches
 
     workload = prepare(dataset)
     config = PowerConfig(seed=0)

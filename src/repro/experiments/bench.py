@@ -605,6 +605,20 @@ def _obs(workload: dict[str, Any], bars: dict[str, float]) -> Outcome:
 # --------------------------------------------------------------------------- #
 
 
+def _stream_stages(ingest: Callable[[], Any]) -> tuple[dict[str, float], float]:
+    """Seconds per stage region (the ``resolve.<stage>`` children of each
+    ``stream.batch`` span) of one traced, untimed ingest, and the share of
+    the batch spans those regions cover."""
+    with activated(Observability(tracing=True, metrics=False)) as obs:
+        ingest()
+    batches = [span for _, span in walk(obs.tracer.export()) if span["name"] == "stream.batch"]
+    stages: dict[str, float] = {}
+    for child in (child for batch in batches for child in batch["children"]):
+        stage = child["name"].removeprefix("resolve.")
+        stages[stage] = stages.get(stage, 0.0) + child["wall_seconds"]
+    return stages, sum(stages.values()) / sum(span["wall_seconds"] for span in batches)
+
+
 def _stream(workload: dict[str, Any], bars: dict[str, float]) -> Outcome:
     """Stream B batches through one :class:`StreamingResolver` (its join
     is extended per batch, so only new-by-old and new-by-new candidate
@@ -614,7 +628,11 @@ def _stream(workload: dict[str, Any], bars: dict[str, float]) -> Outcome:
 
     The stream must decide exactly the pair universe of the final one-shot
     join.  The resolver is built outside the timer.  ``join_seconds`` sums
-    the last timed stream's per-batch candidate-join seconds.
+    the last timed stream's per-batch candidate-join seconds.  After the
+    timed sides, one more traced, untimed ingest splits the batches into
+    their stage regions (``stage_seconds``); the ``stages_cover_batches``
+    check wants those regions to cover at least 95% of the ``stream.batch``
+    spans.
     """
     table = acmpub(scale=workload["scale"])
     records = table.records[: workload["records"]]
@@ -651,6 +669,8 @@ def _stream(workload: dict[str, Any], bars: dict[str, float]) -> Outcome:
     timings = measure([Side("stream", stream), Side.plain("reresolve", reresolve)],
                       workload["repeats"])
     streamed, final = timings["stream"].result, timings["reresolve"].result
+    with stream() as ingest:
+        stages, covered = _stream_stages(ingest)
     return Outcome(
         timings,
         ratios={
@@ -660,7 +680,8 @@ def _stream(workload: dict[str, Any], bars: dict[str, float]) -> Outcome:
         },
         checks={
             "stream_universe_equals_one_shot_join": set(streamed.labels)
-            == set(final.candidate_pairs)
+            == set(final.candidate_pairs),
+            "stages_cover_batches": covered >= 0.95,
         },
         details={
             "records": len(records),
@@ -670,6 +691,8 @@ def _stream(workload: dict[str, Any], bars: dict[str, float]) -> Outcome:
             "pairs_decided": len(streamed.labels),
             "clusters": len(streamed.clusters()),
             "pooled_cost_cents": streamed.cost_cents,
+            "stage_seconds": stages,
+            "stage_coverage": covered,
         },
     )
 

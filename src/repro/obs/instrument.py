@@ -20,8 +20,8 @@ Hook inventory (each documents the metric names it owns):
   metrics.
 * :class:`timed` — the one timed region: a span, a seconds histogram and
   the caller's own ``seconds`` all come from the same two reads of the
-  tracer's clock.  Resolve stages, selection cover and propagate, the
-  stream join and baseline runs are timed through it.
+  tracer's clock.  Resolve stages (a streamed batch's included),
+  selection cover and propagate, and baseline runs are timed through it.
 
 Transparency contract: hooks read, record, and return their inputs
 untouched; they never consume RNG state, mutate graphs/colorings, or

@@ -3,11 +3,14 @@
 "We compute a similarity score for each pair of records by Jaccard and prune
 pairs whose similarity scores are below [tau]."  Every path runs the same
 inverted-list join (:class:`repro.similarity.batch.PostingJoin`) — the
-machine pruning pass that CrowdER et al. place in front of the crowd.
-:func:`similar_pairs` runs it once over the whole table
-(:func:`~repro.similarity.batch.sparse_jaccard_join`); a stream extends
-one join per batch.  The quadratic scan and the prefix-filtered join
-survive as differential oracles in :mod:`repro.verify.oracles`.
+machine pruning pass that CrowdER et al. place in front of the crowd —
+over the same token sets, :func:`record_tokens`.  A resolve's join stage
+(:meth:`repro.core.resolver.PowerResolver.candidate_pairs`) extends a
+fresh join once, and a stream extends its one join per batch;
+:func:`similar_pairs` is the library entry that joins a whole table
+(:func:`~repro.similarity.batch.sparse_jaccard_join`) under its own
+``join.similar_pairs`` span.  The quadratic scan and the prefix-filtered
+join survive as differential oracles in :mod:`repro.verify.oracles`.
 """
 
 from __future__ import annotations
@@ -20,10 +23,14 @@ from .batch import sparse_jaccard_join
 from .tokenize import qgram_tokens, word_tokens
 
 
-def _record_tokens(table: Table, use_qgrams: bool) -> list[frozenset[str]]:
-    if use_qgrams:
-        return [qgram_tokens(table.record_text(r.record_id)) for r in table]
-    return [word_tokens(table.record_text(r.record_id)) for r in table]
+def record_tokens(table: Table, tokens: str = "word", first: int = 0) -> list[frozenset[str]]:
+    """The join's token set of each record of *table* from *first* on.
+
+    *tokens* is ``"word"`` or ``"qgram"`` (:attr:`PowerConfig.join_tokens
+    <repro.core.config.PowerConfig.join_tokens>`).
+    """
+    tokenize = qgram_tokens if tokens == "qgram" else word_tokens
+    return [tokenize(table.record_text(record_id)) for record_id in range(first, len(table))]
 
 
 def similar_pairs(table: Table, threshold: float, tokens: str = "word") -> list[Pair]:
@@ -47,8 +54,7 @@ def similar_pairs(table: Table, threshold: float, tokens: str = "word") -> list[
         return []
     obs = obs_instrument.current()
     with obs.tracer.span("join.similar_pairs", records=len(table)) as span:
-        token_sets = _record_tokens(table, use_qgrams=(tokens == "qgram"))
-        pairs = sparse_jaccard_join(token_sets, threshold)
+        pairs = sparse_jaccard_join(record_tokens(table, tokens), threshold)
         span.set_attribute("pairs", len(pairs))
     if obs.metrics:
         obs.registry.counter(

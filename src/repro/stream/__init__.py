@@ -1,10 +1,12 @@
 """Durable streaming resolution: a restartable service over the pipeline.
 
-The streaming layer turns the incremental resolver into something you can
-run for days and kill at will: :class:`StreamingResolver` ingests record
-batches through the normal pipeline (resumed candidate join →
-vectors → partial-order selection → clusters) while journaling complete,
-versioned checkpoints into a :class:`SnapshotStore`.  A killed process
+The streaming layer resolves records as they arrive, in a form you can run
+for days and kill at will: :class:`StreamingResolver` ingests record
+batches through the one-shot resolver's own batch step (resumed candidate
+join → vectors → partial-order graph → crowd session → selection, then
+clusters) while journaling complete, versioned checkpoints into a
+:class:`SnapshotStore`.  :func:`stream_in_batches` feeds a labeled table
+through one in fixed-size batches.  A killed process
 resumes with :meth:`StreamingResolver.restore` from the last *completed*
 batch — bit-identically, and without re-paying for any crowd answer.
 
@@ -15,7 +17,7 @@ one-shot run over the final table, and a kill-resume run is
 indistinguishable from an uninterrupted one.
 """
 
-from .service import StreamingResolver
+from .service import StreamingResolver, stream_in_batches
 from .snapshot import (
     MANIFEST_NAME,
     SNAPSHOT_VERSION,
@@ -33,4 +35,5 @@ __all__ = [
     "canonical_json",
     "encode_index",
     "load_snapshot",
+    "stream_in_batches",
 ]

@@ -1,10 +1,14 @@
 """The durable streaming resolution service.
 
-:class:`StreamingResolver` is the long-lived face of
-:class:`~repro.core.incremental.IncrementalResolver`: same per-batch
-pipeline (resumed candidate join → vectors → partial-order graph →
-selector → fold into clusters), plus the three things a service needs that
-a library object does not:
+:class:`StreamingResolver` resolves records as they arrive.  It keeps the
+resolved state — clusters plus every pair decision already paid for — and
+runs each batch through the one-shot resolver's batch step
+(:meth:`~repro.core.resolver.PowerResolver.resolve_batch`: candidate join
+→ vectors → partial-order graph → crowd session → selector) over one
+resumed :class:`~repro.similarity.batch.PostingJoin`, which probes only
+the new records.  So the batches find exactly the pairs the one-shot join
+finds, and only new×old and new×new pairs are ever asked.  On top of that
+it adds the three things a service needs that a library object does not:
 
 * **durability** — :meth:`checkpoint` writes the full resolver state
   (records, pair labels, crowd transcripts, billing, RNG state, and the
@@ -33,20 +37,26 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import re
 from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
 
+from ..core.clustering import clusters_from_matches
 from ..core.config import PowerConfig
-from ..core.incremental import IncrementalResolver
+from ..core.metrics import QualityReport, entity_quality
+from ..core.resolver import PowerResolver, stage
 from ..crowd.aggregate import VoteOutcome
 from ..crowd.platform import CrowdSession, SimulatedCrowd, check_pricing
 from ..crowd.worker import accuracy_band
 from ..data.ground_truth import Pair
+from ..data.table import Record, Table
 from ..engine.journal import decode_outcome, encode_outcome
 from ..exceptions import ConfigurationError, DataError
 from ..obs import instrument as obs_instrument
+from ..similarity.batch import PostingJoin
+from ..similarity.join import record_tokens
 from .snapshot import (
     SNAPSHOT_VERSION,
     SnapshotStore,
@@ -54,6 +64,12 @@ from .snapshot import (
     encode_index,
     load_snapshot,
 )
+
+#: Lone UTF-16 surrogates: a Python ``str`` can hold one (a JSON ``"\ud800"``
+#: escape decodes to it), but UTF-8 cannot encode it, so neither can a
+#: snapshot.  Record values, attribute names and string entity ids are all
+#: refused with one.
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class _RecordingSession(CrowdSession):
@@ -82,8 +98,8 @@ class _RecordingSession(CrowdSession):
         return answers
 
 
-class StreamingResolver(IncrementalResolver):
-    """A durable, restartable :class:`IncrementalResolver`.
+class StreamingResolver:
+    """Durable, restartable streaming entity resolution.
 
     Args:
         attributes: schema of the incoming records.
@@ -94,9 +110,10 @@ class StreamingResolver(IncrementalResolver):
             stream's manifest is refused — resume it with :meth:`restore`
             instead of silently forking its history.
         crowd: optional shared crowd platform (e.g. a
-            :class:`~repro.crowd.platform.PerfectCrowd` over known truth).
-            When omitted, each batch builds the usual simulated crowd from
-            the records' ground-truth entity ids.
+            :class:`~repro.crowd.platform.PerfectCrowd` over known truth),
+            which must cover every candidate pair of a batch.  When
+            omitted, each batch builds the one-shot resolver's simulated
+            crowd from the records' ground-truth entity ids.
         worker_band: accuracy band for auto-built crowds (an
             :data:`~repro.crowd.worker.ACCURACY_BANDS` label or a
             ``(low, high)`` pair).
@@ -120,7 +137,24 @@ class StreamingResolver(IncrementalResolver):
     ) -> None:
         check_pricing(pairs_per_hit, cents_per_hit)
         accuracy_band(worker_band)
-        super().__init__(attributes, config=config, name=name)
+        for attribute in attributes:
+            if _LONE_SURROGATE.search(str(attribute)):
+                raise DataError(
+                    f"attribute name {attribute!r} holds a lone UTF-16 "
+                    "surrogate, which a snapshot cannot store"
+                )
+        self.config = config or PowerConfig()
+        self.table = Table(name=name, attributes=tuple(attributes))
+        self._resolver = PowerResolver(self.config)
+        # A per-attribute similarity tuple must fit the schema now, not
+        # when the first batch has pairs to vectorize.
+        self._resolver.similarity_config(self.table)
+        self._join = PostingJoin(self.config.pruning_threshold)
+        self.labels: dict[Pair, bool] = {}
+        self.total_questions = 0
+        self.total_iterations = 0
+        self.total_cost_cents = 0
+        self.batches = 0
         self.worker_band = worker_band
         self.pairs_per_hit = pairs_per_hit
         self.cents_per_hit = cents_per_hit
@@ -145,48 +179,137 @@ class StreamingResolver(IncrementalResolver):
     # ------------------------------------------------------------------ #
 
     def add_batch(
-        self,
-        rows: Sequence[Sequence[str]],
-        entity_ids: Sequence[int] | None = None,
-        session=None,
-        worker_band: str | tuple[float, float] | None = None,
+        self, rows: Sequence[Sequence[str]], entity_ids: Sequence[int] | None = None
     ) -> dict:
-        """Ingest one batch; see :meth:`IncrementalResolver.add_batch`.
+        """Ingest a batch of records and resolve the pairs they make.
 
-        Adds the service-level extras: a deterministic batch token minted
-        from the checkpointed RNG (so resume provably restores generator
-        state), a ``stream.batch`` span, and ``repro_stream_*`` metrics.
+        The rows join the table, the one-shot resolver's batch step runs
+        over them on the stream's join, and a ``resolve.cluster`` region
+        folds the answers into the clusters, all in a ``stream.batch``
+        span.  A refused batch leaves the stream as it was: rows are
+        checked (width, lone surrogates in values or string entity ids)
+        before anything changes, and when the step refuses — a candidate
+        pair without ground truth for the auto-built crowd, or outside a
+        shared crowd's universe, found before anything is asked — the rows
+        leave the table and the join again.
+
+        Returns:
+            A batch report dict: new candidate pairs, questions, iterations,
+            the pairs asked, the candidate join's wall seconds
+            (``join_seconds``, the ``resolve.join`` region's), the running
+            cluster count, and a ``batch_token`` minted from the
+            checkpointed RNG (so resume provably restores its state).
         """
-        band = self.worker_band if worker_band is None else worker_band
         obs = obs_instrument.current()
         with obs.tracer.span(
             "stream.batch", batch=self.batches + 1, records=len(rows)
         ) as span:
-            report = super().add_batch(
-                rows, entity_ids=entity_ids, session=session, worker_band=band
-            )
-            # Minted only once the batch is in: a refused batch must leave
-            # the generator, like the rest of the state, untouched.
-            report["batch_token"] = format(
-                int(self._rng.integers(1 << 62)), "016x"
-            )
+            records = self._new_records(rows, entity_ids)
+            first = len(self.table)
+            self.table.records.extend(records)
+            try:
+                step = self._resolver.resolve_batch(self.table, self._session, join=self._join)
+            except BaseException:
+                del self.table.records[first:]
+                self._join.truncate(first)
+                raise
+            session = step.session
+            with stage(obs, "cluster"):
+                if session is not None:
+                    self.labels.update(step.selection.labels)
+                clusters = len(self.clusters())
+            report = {
+                "batch": self.batches + 1,
+                "new_records": len(records),
+                "new_pairs": len(step.pairs),
+                "questions": session.questions_asked if session else 0,
+                "iterations": session.iterations if session else 0,
+                "asked_pairs": sorted(session.asked_pairs) if session else [],
+                "join_seconds": step.join_seconds,
+                "clusters": clusters,
+                "batch_token": format(int(self._rng.integers(1 << 62)), "016x"),
+            }
+            self.batches += 1
+            self.total_questions += report["questions"]
+            self.total_iterations += report["iterations"]
+            self.total_cost_cents += session.cost_cents if session else 0
             span.set_attribute("pairs", report["new_pairs"])
             span.set_attribute("questions", report["questions"])
         obs_instrument.record_stream_batch(obs, report)
         self.reports.append(report)
         return report
 
-    def _auto_session(self, pairs, worker_band, entities):
-        if self._crowd is not None:
-            crowd = self._crowd
+    def _session(self, pairs: list[Pair], vectors) -> _RecordingSession:
+        """The batch's crowd session, in the step's ``resolve.crowd`` region.
+
+        The crowd is the shared one, which must answer every pair of the
+        batch, or the one-shot resolver's simulated crowd over the
+        records' entity ids.  Either way a missing answer is refused here,
+        before anything is asked.
+        """
+        crowd = self._crowd
+        if crowd is None:
+            crowd = self._resolver.simulated_crowd(self.table, pairs, self.worker_band)
         else:
-            crowd = super()._auto_session(pairs, worker_band, entities).crowd
+            crowd.canonical_batch(pairs)  # a pair it cannot answer raises CrowdError
         return _RecordingSession(
             crowd,
             self.transcripts,
             pairs_per_hit=self.pairs_per_hit,
             cents_per_hit=self.cents_per_hit,
         )
+
+    def _new_records(
+        self, rows: Sequence[Sequence[str]], entity_ids: Sequence[int] | None
+    ) -> list[Record]:
+        """The batch as the table's next records, or a :class:`DataError`."""
+        if not rows:
+            raise DataError("a batch must contain at least one record")
+        if entity_ids is None:
+            entity_ids = [None] * len(rows)
+        elif len(entity_ids) != len(rows):
+            raise DataError(f"{len(rows)} rows but {len(entity_ids)} entity ids")
+        for offset, entity in enumerate(entity_ids):
+            if isinstance(entity, str) and _LONE_SURROGATE.search(entity):
+                raise DataError(
+                    f"entity id {offset} of the batch holds a lone UTF-16 "
+                    "surrogate, which a snapshot cannot store"
+                )
+        width, first = self.table.num_attributes, len(self.table)
+        records = []
+        for offset, (row, entity) in enumerate(zip(rows, entity_ids)):
+            values = tuple(map(str, row))
+            if len(values) != width:
+                raise DataError(
+                    f"record {offset} of the batch has {len(values)} values, "
+                    f"expected {width}"
+                )
+            text = "".join(values)
+            if not text.isascii() and _LONE_SURROGATE.search(text):
+                raise DataError(
+                    f"record {offset} of the batch holds a lone UTF-16 "
+                    "surrogate, which a snapshot cannot store"
+                )
+            records.append(Record(first + offset, values, entity))
+        return records
+
+    # ------------------------------------------------------------------ #
+    # Results
+    # ------------------------------------------------------------------ #
+
+    @property
+    def matches(self) -> set[Pair]:
+        return {pair for pair, same in self.labels.items() if same}
+
+    def clusters(self) -> list[list[int]]:
+        """Current entity clusters over every record seen so far."""
+        return clusters_from_matches(len(self.table), self.matches)
+
+    def quality(self) -> QualityReport:
+        """Pairwise quality against the accumulated ground truth."""
+        if not self.table.has_ground_truth():
+            raise DataError("quality needs ground truth on every record")
+        return entity_quality(self.matches, self.table)
 
     # ------------------------------------------------------------------ #
     # Pooled billing
@@ -363,9 +486,8 @@ class StreamingResolver(IncrementalResolver):
             for report in state["reports"]
         ]
         self._rng.bit_generator.state = _decode_rng_state(state["rng_state"])
-        texts = self._texts()
-        self._join.extend(self._token_sets(texts), probe=False)
-        stored, derived = checkpoint.get("index") or {}, self._index_spec(texts) or {}
+        self._join.extend(record_tokens(self.table, self.config.join_tokens), probe=False)
+        stored, derived = checkpoint.get("index") or {}, self._index_spec(self._texts()) or {}
         differ = sorted(
             key
             for key in stored.keys() | derived.keys()
@@ -391,12 +513,45 @@ class StreamingResolver(IncrementalResolver):
         return encode_index(self._join, texts, self.config.join_tokens, store)
 
     def summary(self) -> str:
+        """The stream so far: records, decisions, per-batch and pooled cost."""
         lines = [
-            super().summary(),
-            f"pooled cost      : ${self.cost_cents / 100:.2f} "
-            f"({len(self.transcripts)} paid pairs)",
+            f"records seen     : {len(self.table)} in {self.batches} batches",
+            f"pairs decided    : {len(self.labels)}",
+            f"questions asked  : {self.total_questions}",
+            f"crowd iterations : {self.total_iterations}",
+            f"cost             : ${self.total_cost_cents / 100:.2f}",
+            f"clusters         : {len(self.clusters())}",
         ]
+        if self.table.has_ground_truth():
+            lines.append(f"quality          : {self.quality()}")
+        lines.append(
+            f"pooled cost      : ${self.cost_cents / 100:.2f} "
+            f"({len(self.transcripts)} paid pairs)"
+        )
         return "\n".join(lines)
+
+
+def stream_in_batches(
+    table: Table,
+    batch_size: int,
+    config: PowerConfig | None = None,
+    worker_band: str | tuple[float, float] = "90",
+) -> StreamingResolver:
+    """Feed a labeled *table* through a :class:`StreamingResolver` in
+    batches of *batch_size* records, for comparing streamed against
+    one-shot resolution."""
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    resolver = StreamingResolver(
+        table.attributes, config=config, name=table.name, worker_band=worker_band
+    )
+    for start in range(0, len(table), batch_size):
+        records = table.records[start : start + batch_size]
+        resolver.add_batch(
+            [record.values for record in records],
+            entity_ids=[record.entity_id for record in records],
+        )
+    return resolver
 
 
 # --------------------------------------------------------------------------- #
@@ -501,4 +656,4 @@ def _decode_rng_state(payload: dict) -> dict:
     }
 
 
-__all__ = ["StreamingResolver"]
+__all__ = ["StreamingResolver", "stream_in_batches"]

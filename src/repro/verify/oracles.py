@@ -1399,11 +1399,12 @@ def check_stream_equivalence(
     one_shot_session = one_shot_crowd.session()
     one_shot = resolver.resolve(table, session=one_shot_session)
 
-    stream = StreamingResolver(table.attributes, config=config, name=table.name)
+    stream = StreamingResolver(
+        table.attributes, config=config, name=table.name, worker_band=worker_band
+    )
     stream.add_batch(
         [record.values for record in table],
         entity_ids=[record.entity_id for record in table],
-        worker_band=worker_band,
     )
     label = f"stream-equivalence[{table.name!r}] single-batch"
     if stream.labels != one_shot.selection.labels:
@@ -1507,13 +1508,13 @@ def check_stream_equivalence(
                 table.attributes,
                 config=config,
                 name=table.name,
+                worker_band=worker_band,
                 checkpoint_dir=straight_dir,
             )
             for chunk in chunks:
                 straight.add_batch(
                     [record.values for record in chunk],
                     entity_ids=[record.entity_id for record in chunk],
-                    worker_band=worker_band,
                 )
                 straight_record = straight.checkpoint()
             straight.close()
@@ -1522,12 +1523,12 @@ def check_stream_equivalence(
                 table.attributes,
                 config=config,
                 name=table.name,
+                worker_band=worker_band,
                 checkpoint_dir=resumed_dir,
             )
             victim.add_batch(
                 [record.values for record in chunks[0]],
                 entity_ids=[record.entity_id for record in chunks[0]],
-                worker_band=worker_band,
             )
             victim.checkpoint()
             victim.close()  # as the OS closes a killed process's files
@@ -1544,7 +1545,6 @@ def check_stream_equivalence(
                 resumed.add_batch(
                     [record.values for record in chunk],
                     entity_ids=[record.entity_id for record in chunk],
-                    worker_band=worker_band,
                 )
                 resumed_record = resumed.checkpoint()
             resumed.close()

@@ -3,7 +3,6 @@
 import functools
 import inspect
 
-import numpy as np
 import pytest
 
 from repro.cli import EXPERIMENTS, experiments_help, main

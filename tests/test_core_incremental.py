@@ -1,4 +1,6 @@
-"""Tests for incremental (streaming) entity resolution."""
+"""Tests for incremental (streaming) entity resolution: the
+:class:`~repro.stream.StreamingResolver` batch API and the resumed join
+that the resolver's batch step probes."""
 
 from unittest import mock
 
@@ -6,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import IncrementalResolver, PowerConfig, stream_in_batches
+from repro.core import PowerConfig, PowerResolver
 from repro.crowd import PerfectCrowd
-from repro.data import Table, restaurant, true_match_pairs
+from repro.data import Table, true_match_pairs
 from repro.data.ground_truth import pair_truth
 from repro.exceptions import ConfigurationError, DataError
 from repro.similarity import similar_pairs
@@ -16,6 +18,7 @@ from repro.similarity.batch import PostingJoin
 from repro.similarity.jaccard import jaccard
 from repro.similarity.tokenize import qgram_tokens, word_tokens
 from repro.similarity.vectors import similarity_matrix
+from repro.stream import StreamingResolver, stream_in_batches
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +62,7 @@ class TestCandidateCoverage:
 
 class TestBatchAPI:
     def test_oracle_session_per_batch(self, small_table):
-        resolver = IncrementalResolver(
+        resolver = StreamingResolver(
             small_table.attributes, config=PowerConfig(seed=0)
         )
         rows = [record.values for record in small_table]
@@ -78,23 +81,32 @@ class TestBatchAPI:
         assert len(resolver.table) == len(rows)
 
     def test_empty_batch_rejected(self):
-        resolver = IncrementalResolver(("a",))
+        resolver = StreamingResolver(("a",))
         with pytest.raises(DataError):
             resolver.add_batch([])
 
     def test_mismatched_entity_ids(self):
-        resolver = IncrementalResolver(("a",))
+        resolver = StreamingResolver(("a",))
         with pytest.raises(DataError):
             resolver.add_batch([("x",)], entity_ids=[1, 2])
 
     def test_no_truth_and_no_session(self):
-        resolver = IncrementalResolver(("a",))
+        resolver = StreamingResolver(("a",))
         resolver.add_batch([("alpha beta gamma",)])  # no pairs yet: fine
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DataError, match="ground truth"):
             resolver.add_batch([("alpha beta gamma",)])  # pair but no crowd
 
+    @pytest.mark.parametrize("keyword", ["session", "worker_band", "engine", "budget"])
+    def test_batch_takes_rows_and_entity_ids_only(self, keyword):
+        """A stream's crowd, band, engine and budget are its own: a batch
+        that passes one is refused before anything changes."""
+        resolver = StreamingResolver(("a",))
+        with pytest.raises(TypeError, match=keyword):
+            resolver.add_batch([("alpha",)], entity_ids=[1], **{keyword: None})
+        assert (len(resolver.table), len(resolver._join), resolver.batches) == (0, 0, 0)
+
     def test_quality_requires_truth(self):
-        resolver = IncrementalResolver(("a",))
+        resolver = StreamingResolver(("a",))
         resolver.add_batch([("solo",)])
         with pytest.raises(DataError):
             resolver.quality()
@@ -158,7 +170,7 @@ class TestBatchSubstrateParity:
     def test_empty_token_records_pair_among_themselves(self):
         """``jaccard(∅, ∅) == 1.0``: the stream pairs two empty token sets,
         as the one-shot join does, and pairs neither with anything else."""
-        resolver = IncrementalResolver(("a",), config=PowerConfig(seed=0))
+        resolver = StreamingResolver(("a",), config=PowerConfig(seed=0))
         report = resolver.add_batch(
             [("",), ("",), ("alpha beta",)], entity_ids=[1, 2, 3]
         )
@@ -175,7 +187,7 @@ class TestBatchSubstrateParity:
             [0, 1, 0, 1],
         )
         assert similar_pairs(table, 0.3) == [(0, 2), (1, 3)]
-        resolver = IncrementalResolver(
+        resolver = StreamingResolver(
             table.attributes, config=PowerConfig(seed=0, pruning_threshold=0.3)
         )
         for record in table:
@@ -188,10 +200,9 @@ class TestBatchSubstrateParity:
         vectorizes."""
         scalar_batches = []
 
-        def scalar_vectors(resolver, pairs):
+        def scalar_vectors(resolver, table, pairs):
             scalar_batches.append(len(pairs))
-            config = resolver._resolver.similarity_config(resolver.table)
-            return similarity_matrix(resolver.table, pairs, config)
+            return similarity_matrix(table, pairs, resolver.similarity_config(table))
 
         def run():
             return stream_in_batches(
@@ -202,7 +213,7 @@ class TestBatchSubstrateParity:
             )
 
         fast = run()
-        with mock.patch.object(IncrementalResolver, "_batch_vectors", scalar_vectors):
+        with mock.patch.object(PowerResolver, "similarity_vectors", scalar_vectors):
             slow = run()
         assert scalar_batches, "the scalar reference never ran"
         assert fast.labels == slow.labels
@@ -213,14 +224,16 @@ class TestBatchSubstrateParity:
 
 
 def _sweep(texts, first, threshold=0.2, join_tokens="word"):
-    """The pairs of records ``first ..`` from a join resumed at *first*."""
-    resolver = IncrementalResolver(
-        ("text",),
-        config=PowerConfig(pruning_threshold=threshold, join_tokens=join_tokens),
+    """The pairs of records ``first ..`` from the join stage resumed at *first*."""
+    resolver = PowerResolver(
+        PowerConfig(pruning_threshold=threshold, join_tokens=join_tokens)
     )
-    join = resolver._join
-    join.extend(resolver._token_sets(texts[:first]))
-    return join.extend(resolver._token_sets(texts[first:]))
+    table = Table.from_rows("t", ("text",), [(text,) for text in texts[:first]])
+    join = PostingJoin(threshold)
+    resolver.candidate_pairs(table, join)
+    for text in texts[first:]:
+        table.append((text,))
+    return resolver.candidate_pairs(table, join)
 
 
 def _scalar_sweep(texts, first, threshold=0.2, tokenizer=word_tokens):
@@ -313,7 +326,7 @@ class TestRefusedBatch:
         )
 
     def _resolver(self):
-        resolver = IncrementalResolver(("a", "b"), config=PowerConfig(seed=0))
+        resolver = StreamingResolver(("a", "b"), config=PowerConfig(seed=0))
         resolver.add_batch(self.GOOD, entity_ids=[1, 2])
         return resolver
 
@@ -322,11 +335,11 @@ class TestRefusedBatch:
         [
             # A short second row, after a valid first one.
             ([("alpha beta", "x"), ("gamma",)], [1, 3], DataError),
-            # Pairs with the stream, but no truth and no session.
-            ([("alpha beta", "x")], None, ConfigurationError),
+            # Pairs with the stream, but no truth and no shared crowd.
+            ([("alpha beta", "x")], None, DataError),
             # The same, with new tokens and a token-free record the join
             # has to forget again.
-            ([("omega", "psi"), ("alpha beta", "x"), ("", "!!")], None, ConfigurationError),
+            ([("omega", "psi"), ("alpha beta", "x"), ("", "!!")], None, DataError),
             # A lone surrogate, which no snapshot could store.
             ([("alpha beta", "x"), ("gamma \ud800", "y")], [1, 3], DataError),
         ],
@@ -350,8 +363,6 @@ class TestIncrementalVsOneShot:
         """With perfect answers, streaming resolution reaches (nearly) the
         same clustering as one-shot resolution; small deviations can only
         come from partial-order violations met in a different order."""
-        from repro.core import PowerResolver
-
         one_shot = PowerResolver(PowerConfig(seed=0, error_tolerant=False))
         pairs = one_shot.candidate_pairs(small_table)
         truth = pair_truth(small_table, pairs)

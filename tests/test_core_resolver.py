@@ -5,7 +5,6 @@ import pytest
 from repro import PowerConfig, PowerResolver
 from repro.crowd import PerfectCrowd
 from repro.data import Table
-from repro.data.ground_truth import pair_truth
 from repro.exceptions import ConfigurationError, DataError
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.crowd import CrowdSession, PerfectCrowd
+from repro.crowd import PerfectCrowd
 from repro.exceptions import CrowdError
 from repro.graph import Color, ColoringState, PairGraph, split_grouping
 from repro.selection import ErrorPolicy, TopoSortSelector, resolve_undecided_vertices

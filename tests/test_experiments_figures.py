@@ -5,7 +5,6 @@ against a miniature workload so regressions in the plumbing (argument
 wiring, row shapes, file output) surface in seconds.
 """
 
-import numpy as np
 import pytest
 
 import repro.experiments.ablations as ablations

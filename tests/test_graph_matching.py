@@ -2,12 +2,10 @@
 
 import networkx as nx
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import (
-    PairGraph,
     greedy_path_cover,
     hopcroft_karp,
     minimum_path_cover,

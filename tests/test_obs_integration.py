@@ -93,12 +93,20 @@ class TestTransparency:
 class TestStageClock:
     """Each resolve stage is timed once, on the tracer's clock."""
 
-    SECONDS = {"join": 1.0, "vectorize": 2.0, "construct": 4.0, "select": 8.0, "cluster": 16.0}
+    SECONDS = {
+        "join": 1.0,
+        "vectorize": 2.0,
+        "construct": 4.0,
+        "crowd": 8.0,
+        "select": 16.0,
+        "cluster": 32.0,
+    }
 
     def slow_stages(self, monkeypatch, clock):
         """Make each stage take ``SECONDS[stage]`` on *clock*, and no other
         time pass."""
         from repro.core import resolver as core_resolver
+        from repro.stream import StreamingResolver
 
         def advancing(function, stage):
             def wrapper(*args, **kwargs):
@@ -113,6 +121,7 @@ class TestStageClock:
             ("candidate_pairs", "join"),
             ("similarity_vectors", "vectorize"),
             ("build_graph", "construct"),
+            ("simulated_crowd", "crowd"),
         ):
             monkeypatch.setattr(
                 resolver_class, method, advancing(getattr(resolver_class, method), stage)
@@ -129,6 +138,9 @@ class TestStageClock:
             core_resolver,
             "clusters_from_matches",
             advancing(core_resolver.clusters_from_matches, "cluster"),
+        )
+        monkeypatch.setattr(
+            StreamingResolver, "clusters", advancing(StreamingResolver.clusters, "cluster")
         )
 
     @pytest.mark.parametrize("tracing", [True, False])
@@ -167,11 +179,47 @@ class TestStageClock:
                 [record.values for record in records],
                 entity_ids=[record.entity_id for record in records],
             )
-        [stage] = obs.registry.family("repro_pipeline_stage_seconds")
-        assert dict(stage.labels) == {"stage": "stream.join"}
-        assert stage.count == 1
-        assert stage.sum == report["join_seconds"]
+        stages = {
+            dict(metric.labels)["stage"]: metric
+            for metric in obs.registry.family("repro_pipeline_stage_seconds")
+        }
+        assert sorted(stages) == sorted(self.SECONDS)
+        assert all(dict(metric.labels) == {"stage": name} for name, metric in stages.items())
+        assert stages["join"].count == 1
+        assert stages["join"].sum == report["join_seconds"]
         assert "ingest_seconds" not in report
+
+    def test_stream_batch_is_the_sum_of_its_stages(self, small_table, monkeypatch):
+        """A streamed batch runs the one-shot resolve's six stage regions:
+        its ``stream.batch`` span is their sum, each stage's histogram
+        observation is its span, and the report's ``join_seconds`` is the
+        ``resolve.join`` span."""
+        from repro.obs import ManualClock, walk
+        from repro.stream import StreamingResolver
+
+        clock = ManualClock()
+        self.slow_stages(monkeypatch, clock)
+        obs = Observability(tracing=True, metrics=True)
+        obs.tracer.clock = clock
+        records = list(small_table)[:30]
+        with activated(obs):
+            report = StreamingResolver(
+                small_table.attributes, config=PowerConfig(seed=0)
+            ).add_batch(
+                [record.values for record in records],
+                entity_ids=[record.entity_id for record in records],
+            )
+        assert report["new_pairs"] > 0
+        [batch] = [
+            span for _, span in walk(obs.tracer.export()) if span["name"] == "stream.batch"
+        ]
+        children = {child["name"]: child["wall_seconds"] for child in batch["children"]}
+        assert children == {f"resolve.{stage}": seconds for stage, seconds in self.SECONDS.items()}
+        assert batch["wall_seconds"] == sum(children.values())
+        for metric in obs.registry.family("repro_pipeline_stage_seconds"):
+            stage = dict(metric.labels)["stage"]
+            assert (metric.count, metric.sum) == (1, children[f"resolve.{stage}"])
+        assert report["join_seconds"] == children["resolve.join"]
 
 
 class TestSelectionClock:

@@ -9,7 +9,6 @@ functions, which are monotone by construction.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -14,12 +14,10 @@ checkpoint (no torn manifest tail) that resumes byte-identically.
 from __future__ import annotations
 
 import gc
-import os
 import re
 import signal
 import subprocess
 import sys
-import time
 import warnings
 
 import pytest

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.crowd import PerfectCrowd
 from repro.core.config import PowerConfig
-from repro.exceptions import ConfigurationError, DataError
+from repro.exceptions import ConfigurationError, CrowdError, DataError
 from repro.engine.journal import read_records
 from repro.similarity.batch import PostingJoin, TokenIndex
 from repro.similarity.tokenize import qgram_tokens, word_tokens
@@ -388,7 +388,7 @@ class TestRefusedBatch:
         "rows, entity_ids, error",
         [
             ([("alpha diner", "rome"), ("short",)], [1, 3], DataError),
-            ([("alpha diner", "rome")], None, ConfigurationError),
+            ([("alpha diner", "rome")], None, DataError),
             ([("alpha diner", "rome"), ("\ud800", "kiev")], [1, 3], DataError),
             ([("alpha diner", "rome"), ("gamma pub", "kiev")], [1, "a\ud800"], DataError),
         ],
@@ -405,6 +405,41 @@ class TestRefusedBatch:
         service.add_batch(self.NEXT, entity_ids=[1, 3])
         clean = self._stream(tmp_path / "clean")
         clean.add_batch(self.NEXT, entity_ids=[1, 3])
+        assert service.checkpoint()["state_sha"] == clean.checkpoint()["state_sha"]
+        service.close()
+        clean.close()
+
+    def test_shared_crowd_missing_a_batch_pair_refuses_before_commit(self, tmp_path):
+        """A shared crowd that cannot answer every candidate pair of a batch
+        refuses it before anything is asked: no row, join posting, batch or
+        paid answer stays behind, and the next batch lands as on a clean
+        stream."""
+
+        def stream(directory):
+            service = StreamingResolver(
+                self.ATTRIBUTES,
+                config=PowerConfig(seed=0),
+                checkpoint_dir=directory,
+                crowd=PerfectCrowd({(0, 2): True}),
+            )
+            service.add_batch(self.GOOD, entity_ids=[1, 2])
+            return service
+
+        def shape(service):
+            return len(service.table), len(service._join), service.batches
+
+        service = stream(tmp_path / "stream")
+        before = service.checkpoint()["state_sha"]
+        # Three copies of record 0: six pairs, of which the crowd knows one.
+        with pytest.raises(CrowdError, match="universe"):
+            service.add_batch([self.GOOD[0]] * 3, entity_ids=[1, 1, 1])
+        assert service.checkpoint()["state_sha"] == before
+        assert shape(service) == (2, 2, 1)
+        service.add_batch(self.NEXT, entity_ids=[1, 3])
+        clean = stream(tmp_path / "clean")
+        clean.add_batch(self.NEXT, entity_ids=[1, 3])
+        assert shape(service) == shape(clean) == (4, 4, 2)
+        assert service.labels == clean.labels == {(0, 2): True}
         assert service.checkpoint()["state_sha"] == clean.checkpoint()["state_sha"]
         service.close()
         clean.close()

@@ -106,14 +106,14 @@ class TestMutationSelfTest:
         serve step runs the same mutated resolver on both of its sides, so
         the battery without the stream step passes.
         """
-        from repro.core import IncrementalResolver
         from repro.exceptions import VerificationError
+        from repro.stream import StreamingResolver
 
         mutant = next(
             m for m in MUTANTS if m.name == "stream-resume-forgets-postings"
         )
         with mutant.activate():
-            resolver = IncrementalResolver(("a",))
+            resolver = StreamingResolver(("a",))
             first = resolver.add_batch([("alpha beta",), ("alpha beta",)], [1, 1])
             second = resolver.add_batch([("alpha beta",)], [1])
             # The new×new pair stays; the two new×old pairs are gone.

@@ -236,8 +236,8 @@ class TestStreamEmptyTokenRecords:
 
     def test_single_batch_tier_catches_dropped_empty_pairs(self, monkeypatch):
         """A stream join that skips empty token sets again fails tier 1."""
-        from repro.core import incremental
         from repro.similarity.batch import PostingJoin
+        from repro.stream import service
         from repro.verify import check_stream_equivalence, empty_token_table
 
         class SkipsEmpty(PostingJoin):
@@ -245,7 +245,7 @@ class TestStreamEmptyTokenRecords:
                 pairs = super().extend(token_sets, probe=probe)
                 return [(a, b) for a, b in pairs if self.sizes[a] and self.sizes[b]]
 
-        monkeypatch.setattr(incremental, "PostingJoin", SkipsEmpty)
+        monkeypatch.setattr(service, "PostingJoin", SkipsEmpty)
         with pytest.raises(VerificationError, match="single-batch"):
             check_stream_equivalence(empty_token_table(), seed=0)
 

@@ -1,6 +1,5 @@
 """Tests for DOT export."""
 
-import numpy as np
 import pytest
 
 from repro.data import paper_pairs, paper_vectors
@@ -50,7 +49,7 @@ class TestToDot:
         assert "p1,2" in dot  # the paper's pair naming
 
     def test_grouped_vertex_label_truncated(self):
-        from repro.graph import GroupedGraph, split_grouping
+        from repro.graph import GroupedGraph
 
         base = PairGraph(paper_pairs(), paper_vectors())
         grouped = GroupedGraph(base, [list(range(len(base)))])
