@@ -19,7 +19,7 @@ class PowerConfig:
     No knob picks an implementation.  Similarity vectors always come from
     :func:`repro.similarity.batch.batch_similarity_matrix`, and selection
     always runs the incremental engine over the graph's reachability
-    index (:meth:`repro.graph.dag.OrderedGraph.build_reachability`).
+    index (:attr:`repro.graph.dag.OrderedGraph.reachability`).
 
     Construction checks every field, so a bad config fails before any
     stage runs: a value of the wrong type (a bool where a number is

@@ -10,10 +10,11 @@ bench      sides                                                   full bars
 =========  ======================================================  ==========
 pipeline   §7.1 prune: prefix-join oracle vs. sparse join;         5x, 3x
            §3.1 vectorize: scalar vs. batch vectors;
-           §4 construct: per-vertex loop vs. blocked kernel
-selection  §5 selection loop on a graph that declines its          3x each
-           reachability index vs. the incremental engine, for
-           single-path and multi-path
+           §4 construct: per-node Split + tile lists vs. the
+           resolve's build_graph + reachability index
+selection  §5 selection loop on a graph holding the reference      3x each
+           relation vs. the incremental engine, for single-path
+           and multi-path
 obs        one resolve with observability off vs. metrics vs.      1%, 5%
            tracing+metrics (ceilings on the overhead)
 stream     re-resolve the growing prefix per batch vs. stream the  3x
@@ -27,7 +28,7 @@ fill and lazy set-up finishes, so no side is timed cold while another
 reads what it left behind), then times *repeats* rounds in which the order
 of the sides rotates, and keeps each side's every run and last result.
 Whatever a side's set-up does outside its timer — building selection
-graphs and scratch adjacency lists, constructing the stream's resolver,
+graphs and the reference relation's lists, constructing the stream's resolver,
 starting and draining a server, clearing the tokenizer caches so the
 pipeline's sides run cold — happens in :attr:`Side.prepare`, untimed.
 
@@ -67,8 +68,8 @@ from ..data import acmpub, synthesize
 from ..data.perturb import LIGHT_PERTURBATIONS
 from ..data.table import Table
 from ..data.vocab import CITIES, CUISINES, RESTAURANT_NAME_HEADS
-from ..graph.construction import blocked_dominance_lists, blocked_edges, vectorized_edges
 from ..graph.dag import PairGraph
+from ..graph.grouped_graph import GroupedGraph, build_graph
 from ..obs import Observability, activated, structure, walk
 from ..selection import SELECTORS
 from ..serve import PROTOCOL_VERSION, AsyncServeClient, ResolutionServer, ServeApp
@@ -82,10 +83,11 @@ from ..similarity.tokenize import qgram_tokens, word_tokens
 from ..stream import StreamingResolver
 from ..verify.oracles import (
     _pair_truth_from_vertices,
-    decline_reachability,
     monotone_truth,
     prefix_join,
+    reference_split_grouping,
 )
+from ..verify.relation import decline_reachability, reference_relation
 from .reporting import format_table
 from .runner import fast_mode
 
@@ -310,33 +312,34 @@ def _most_similar(vectors: np.ndarray, cap: int) -> np.ndarray:
 
 
 def _pipeline(workload: dict[str, Any], bars: dict[str, float]) -> Outcome:
-    """Each stage's scalar reference against its vectorized fast path.
+    """Each stage's scalar reference against what a resolve runs.
 
-    The stages' inputs are computed once, untimed: the vectorize sides
-    read the join's pairs, and the construct sides the vectors of the
-    ``construct_vertices`` most similar pairs (which keeps the per-vertex
-    loop tractable).  The edge-*set* cross-check runs on a smaller cap:
-    reference edge sets hold one Python tuple per edge.
+    The stages' inputs are computed once, untimed: the vectorize and
+    construct sides read the join's pairs and their vectors.  The
+    construct stage's fast side is a resolve's: ``build_graph`` (Split
+    grouping at ``epsilon``) and the grouped graph's reachability index.
+    Its reference groups with the per-node Split and cuts the children
+    lists from the dominance tiles over the same bounds; every index row
+    must equal its list.
     """
     table = acmpub(scale=workload["scale"])
     threshold = workload["threshold"]
+    epsilon = workload["epsilon"]
     config = SimilarityConfig.uniform(table.num_attributes, function=workload["similarity"])
     pairs = similar_pairs(table, threshold)
     vectors = batch_similarity_matrix(table, pairs, config)
-    sub = vectors[_most_similar(vectors, workload["construct_vertices"])]
 
     def prune_reference():
         token_sets = [word_tokens(table.record_text(r.record_id)) for r in table]
         return sorted(prefix_join(token_sets, threshold))
 
     def construct_reference():
-        children = []
-        for vertex in range(sub.shape[0]):
-            row = sub[vertex]
-            mask = np.logical_and((sub <= row).all(axis=1), (sub < row).any(axis=1))
-            mask[vertex] = False
-            children.append(np.flatnonzero(mask))
-        return children
+        graph = GroupedGraph(PairGraph(pairs, vectors), reference_split_grouping(vectors, epsilon))
+        return reference_relation(graph).lists
+
+    def construct_fast():
+        graph = build_graph(pairs, vectors, epsilon)
+        return graph.reachability
 
     calls = {
         "prune.reference": prune_reference,
@@ -344,15 +347,14 @@ def _pipeline(workload: dict[str, Any], bars: dict[str, float]) -> Outcome:
         "vectorize.reference": lambda: similarity_matrix(table, pairs, config),
         "vectorize.fast": lambda: batch_similarity_matrix(table, pairs, config),
         "construct.reference": construct_reference,
-        "construct.fast": lambda: blocked_dominance_lists(sub, sub),
+        "construct.fast": construct_fast,
     }
     timings = measure(
         [Side(name, functools.partial(_cold, call)) for name, call in calls.items()],
         workload["repeats"],
     )
     result = {name: timing.result for name, timing in timings.items()}
-    adjacency, reference_adjacency = result["construct.fast"], result["construct.reference"]
-    edge_check = sub[: workload["edge_check_vertices"]]
+    index, lists = result["construct.fast"], result["construct.reference"]
     difference = np.abs(result["vectorize.reference"] - result["vectorize.fast"])
     return Outcome(
         timings,
@@ -365,19 +367,16 @@ def _pipeline(workload: dict[str, Any], bars: dict[str, float]) -> Outcome:
             "vectorize.bit_identical": np.array_equal(
                 result["vectorize.reference"], result["vectorize.fast"]
             ),
-            "construct.adjacency_equal": len(adjacency) == len(reference_adjacency)
-            and all(np.array_equal(a, b) for a, b in zip(adjacency, reference_adjacency)),
-            "construct.edge_sets_equal": blocked_edges(edge_check)
-            == vectorized_edges(edge_check),
+            "construct.index_rows_equal_tile_lists": index.num_vertices == len(lists)
+            and all(np.array_equal(index.descendants(v), row) for v, row in enumerate(lists)),
         },
         details={
             "records": len(table),
             "attributes": table.num_attributes,
             "pairs": len(pairs),
             "max_abs_diff": float(difference.max()) if difference.size else 0.0,
-            "construct_vertices": int(sub.shape[0]),
-            "edges": int(sum(len(children) for children in adjacency)),
-            "edge_check_vertices": int(edge_check.shape[0]),
+            "groups": len(lists),
+            "edges": int(sum(len(row) for row in lists)),
         },
     )
 
@@ -392,14 +391,13 @@ def _selection_run(name, pairs, vectors, truth, seed, incremental):
     """One selector run on a fresh graph, set up outside the timer.
 
     The incremental side pays its reachability-index build inside the
-    timer.  The scratch side runs on a graph that declines its index
-    (:func:`~repro.verify.oracles.decline_reachability`), with the
-    adjacency lists it reads prebuilt.
+    timer.  The scratch side runs on a graph holding the reference relation
+    (:func:`~repro.verify.relation.decline_reachability`), whose tile
+    lists are built here.
     """
     graph = PairGraph(pairs, vectors)
     if not incremental:
         decline_reachability(graph)
-        graph.adjacency()
     selector = SELECTORS[name](seed=seed)
     session = PerfectCrowd(truth).session()
     yield lambda: selector.run(graph, session)
@@ -914,13 +912,13 @@ BENCHES: dict[str, Bench] = {
     "pipeline": Bench(
         _pipeline,
         full=Size(
-            {**_ACMPUB, "scale": 0.15, "similarity": "bigram",
-             "construct_vertices": 4000, "edge_check_vertices": 1200, "repeats": 3},
+            {**_ACMPUB, "scale": 0.15, "similarity": "bigram", "epsilon": 0.1,
+             "repeats": 3},
             {"vectorize": 5.0, "construct": 3.0},
         ),
         smoke=Size(
-            {**_ACMPUB, "scale": 0.02, "similarity": "bigram",
-             "construct_vertices": 1000, "edge_check_vertices": 400, "repeats": 3},
+            {**_ACMPUB, "scale": 0.02, "similarity": "bigram", "epsilon": 0.1,
+             "repeats": 3},
             {"prune": 1.0, "vectorize": 1.0, "construct": 1.0},
         ),
     ),

@@ -10,12 +10,9 @@ from .analysis import (
 from .coloring import Color, ColoringState
 from .construction import (
     CONSTRUCTION_ALGORITHMS,
-    blocked_dominance_lists,
-    blocked_edges,
     brute_force_edges,
     index_edges,
     quicksort_edges,
-    vectorized_edges,
 )
 from .dag import OrderedGraph, PairGraph
 from .grouped_graph import GroupedGraph, build_graph
@@ -30,16 +27,7 @@ from .grouping import (
 from .matching import (
     IncrementalPathCover,
     greedy_path_cover,
-    hopcroft_karp,
-    minimum_path_cover,
     restricted_adjacency,
-)
-from .partial_order import (
-    ancestor_mask,
-    comparable,
-    descendant_mask,
-    dominates,
-    strictly_dominates,
 )
 from .range_tree import RangeTree2D
 from .range_tree_nd import RangeTreeND, index_edges_nd
@@ -67,29 +55,19 @@ __all__ = [
     "OrderedGraph",
     "PairGraph",
     "RangeTree2D",
-    "ancestor_mask",
-    "blocked_dominance_lists",
-    "blocked_edges",
     "brute_force_edges",
     "build_graph",
-    "comparable",
-    "descendant_mask",
-    "dominates",
     "greedy_grouping",
     "greedy_path_cover",
-    "hopcroft_karp",
     "index_edges",
     "is_group",
     "maximal_groups",
     "middle_layer",
-    "minimum_path_cover",
     "pack_mask",
     "quicksort_edges",
     "restricted_adjacency",
     "split_grouping",
-    "strictly_dominates",
     "topological_layers",
     "unpack_mask",
     "validate_grouping",
-    "vectorized_edges",
 ]

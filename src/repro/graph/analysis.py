@@ -11,6 +11,9 @@ Diagnostics the paper reports or relies on implicitly:
 * :func:`count_order_violations` — pairs whose ground truth contradicts the
   §5.1 monotonicity assumption; the paper argues "few pairs invalidate the
   partial order", and this makes the claim checkable on any dataset.
+
+All three read the graph's relation, the packed reachability index, as
+descendant rows.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import numpy as np
 from ..data.ground_truth import Pair
 from ..exceptions import GraphError
 from .dag import OrderedGraph, PairGraph
-from .matching import minimum_path_cover, restricted_adjacency
 from .topo import topological_layers
 
 
@@ -47,21 +49,26 @@ class OrderStatistics:
 def order_statistics(graph: OrderedGraph, compute_width: bool = True) -> OrderStatistics:
     """Compute the summary statistics of *graph*.
 
+    ``|E|`` is the number of bits in the descendant rows, the depth the
+    number of Kahn layers, and the width the size of the relation's
+    minimum path cover.
+
     Args:
         compute_width: the Dilworth number needs a maximum matching, which
             is the expensive part; pass False to skip it (reported as 0).
     """
-    layers = topological_layers(graph)
+    relation = graph.reachability
+    n = len(graph)
+    everything = np.ones(n, dtype=bool)
+    num_edges = int(relation.row_counts(np.arange(n), ancestors=False).sum())
     width = 0
-    if compute_width and len(graph) > 0:
-        active = np.ones(len(graph), dtype=bool)
-        sub_adjacency, _ = restricted_adjacency(graph.adjacency(), active)
-        width = len(minimum_path_cover(sub_adjacency))
+    if compute_width and n > 0:
+        width = len(relation.path_cover().cover(everything))
     return OrderStatistics(
-        num_vertices=len(graph),
-        num_edges=graph.num_edges,
-        comparability=graph.comparability_fraction(),
-        depth=len(layers),
+        num_vertices=n,
+        num_edges=num_edges,
+        comparability=num_edges / (n * (n - 1) / 2) if n >= 2 else 0.0,
+        depth=len(topological_layers(graph, everything)),
         width=width,
     )
 
@@ -70,25 +77,17 @@ def transitive_reduction(graph: OrderedGraph) -> list[tuple[int, int]]:
     """The Hasse diagram: edges (u, v) with no intermediate w, u > w > v.
 
     Because the dominance relation is transitively closed, an edge is
-    *redundant* exactly when some child of ``u`` is an ancestor of ``v``;
-    equivalently, ``v`` is kept iff no other child of ``u`` dominates it.
+    *redundant* exactly when ``v`` lies below another child of ``u``: the
+    Hasse children of ``u`` are its descendants minus everything its
+    descendants reach.
     """
+    relation = graph.reachability
     reduced: list[tuple[int, int]] = []
-    adjacency = graph.adjacency()
     for u in range(len(graph)):
-        children = adjacency[u]
-        if len(children) == 0:
-            continue
-        child_set = set(int(c) for c in children)
-        for v in children:
-            v = int(v)
-            # v is immediate unless some other child strictly dominates it.
-            intermediates = graph.ancestor_mask(v)
-            has_between = any(
-                intermediates[c] for c in child_set if c != v
-            )
-            if not has_between:
-                reduced.append((u, v))
+        children = relation.descendants(u)
+        if children.size:
+            kept = np.setdiff1d(children, relation.reached(children), assume_unique=True)
+            reduced.extend((u, int(v)) for v in kept)
     return reduced
 
 
@@ -106,13 +105,9 @@ def count_order_violations(
     """
     if not isinstance(graph, PairGraph):
         raise GraphError("violation counting needs a pair-level graph")
-    labels = np.array([truth[pair] for pair in graph.pairs])
-    violations = 0
-    comparable = 0
-    adjacency = graph.adjacency()
-    for u in range(len(graph)):
-        children = adjacency[u]
-        comparable += len(children)
-        if not labels[u] and len(children):
-            violations += int(np.count_nonzero(labels[children]))
-    return violations, comparable
+    relation = graph.reachability
+    labels = np.array([truth[pair] for pair in graph.pairs], dtype=bool)
+    # Column sums of the descendant rows: how many vertices lie above each.
+    above = relation.row_counts(np.arange(len(graph)), ancestors=False)
+    above_by_nonmatch = relation.row_counts(np.flatnonzero(~labels), ancestors=False)
+    return int(above_by_nonmatch[labels].sum()), int(above.sum())

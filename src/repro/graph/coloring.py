@@ -15,7 +15,9 @@ inference in both directions.
 
 The selection loop applies a whole crowd round at once
 (:meth:`ColoringState.apply_round`): pin every answer in question order,
-add the round's summed votes, refresh the vertices they touched.  That is
+add the round's summed votes (column sums of the answered vertices'
+ancestor and descendant rows in the graph's relation,
+``graph.reachability``), refresh the vertices they touched.  That is
 the same state as applying the answers one at a time, because votes are
 counts (their sum does not depend on order), a pinned vertex keeps its
 answer whenever its pin lands, and an unpinned vertex's color is the
@@ -74,8 +76,7 @@ class ColoringState:
         """Apply one crowd round's answers at once (see the module docstring).
 
         Every GREEN answer votes its ancestors and every RED answer its
-        descendants, counted from the reachability index's rows when one
-        is built and from the graph's masks otherwise.
+        descendants, counted from the rows of the graph's relation.
 
         Args:
             vertices: the asked vertices, in question order.
@@ -114,19 +115,11 @@ class ColoringState:
         self, green: list[int], red: list[int]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Votes cast by a round's Yes (*green*) and No (*red*) answers."""
-        index = self.graph.reachability
-        if index is not None:
-            return (
-                index.row_counts(np.asarray(green, dtype=np.intp), ancestors=True),
-                index.row_counts(np.asarray(red, dtype=np.intp), ancestors=False),
-            )
-        green_votes = np.zeros(len(self.graph), dtype=np.int32)
-        red_votes = np.zeros(len(self.graph), dtype=np.int32)
-        for vertex in green:
-            green_votes += self.graph.ancestor_mask(vertex)
-        for vertex in red:
-            red_votes += self.graph.descendant_mask(vertex)
-        return green_votes, red_votes
+        relation = self.graph.reachability
+        return (
+            relation.row_counts(np.asarray(green, dtype=np.intp), ancestors=True),
+            relation.row_counts(np.asarray(red, dtype=np.intp), ancestors=False),
+        )
 
     def force_color(self, vertex: int, color: Color) -> None:
         """Pin a vertex to a color chosen outside the crowd loop.

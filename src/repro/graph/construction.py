@@ -15,21 +15,16 @@ much comparison work they avoid:
   left-bottom query, and verify the remaining attributes (the paper's own
   heuristic for m > 2, footnote 5).
 
-:func:`vectorized_edges` is the per-vertex numpy reference used as ground
-truth in tests; it is not one of the paper's algorithms.
-The production kernel is one private generator of ``(B, n)`` dominance
-tiles (``n / B`` Python iterations instead of ``n``, bounded temporaries),
-cut into lists by :func:`blocked_dominance_lists` (``adjacency()``) and into
-edges by :func:`blocked_edges`.  The reachability index
-(:meth:`repro.graph.reachability.ReachabilityIndex.build`) computes its
-packed rows from per-attribute prefix bitsets instead, so the tiles are an
-independent reference for it.  The Fig. 20 benchmark times the three
-faithful paper implementations.
+The Fig. 20 benchmark times the three.  Production graphs build none of
+these edge sets: their relation is the packed reachability index
+(:meth:`repro.graph.reachability.ReachabilityIndex.build`), which reads
+:func:`linear_extension`, :func:`_joint_row_ranks` and
+:data:`DEFAULT_BLOCK_SIZE` from here.  ``repro.verify.relation`` keeps the
+dominance tiles and the lists cut from them as the index's independent
+reference.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -46,30 +41,9 @@ def _validate(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def vectorized_edges(vectors: np.ndarray) -> set[Edge]:
-    """Reference edge set via per-vertex numpy broadcasting.
-
-    One Python-level iteration (and two full ``(n, m)`` comparisons) per
-    vertex; kept as the scalar reference the blocked kernel is tested
-    against.  Production code should call :func:`blocked_edges`.
-    """
-    vectors = _validate(vectors)
-    edges: set[Edge] = set()
-    for vertex in range(vectors.shape[0]):
-        row = vectors[vertex]
-        dominated = np.logical_and(
-            (vectors <= row).all(axis=1), (vectors < row).any(axis=1)
-        )
-        for child in np.flatnonzero(dominated):
-            edges.add((vertex, int(child)))
-    return edges
-
-
-#: Row-tile height of the blocked dominance kernel.  Chosen so one boolean
-#: ``(B, n)`` accumulator stays comfortably inside L2/L3 for the pair counts
-#: the paper's datasets produce (n up to a few hundred thousand).  The
-#: reachability build ANDs its rows in blocks of the same height, which must
-#: be a multiple of 8 so that each block of descendant rows starts on a byte.
+#: Row-block height of the reachability build (and of the reference
+#: dominance tiles).  It must be a multiple of 8, so that each block of
+#: descendant rows starts on a byte.
 DEFAULT_BLOCK_SIZE = 256
 
 
@@ -109,98 +83,6 @@ def _joint_row_ranks(
     ranks = np.empty(len(stacked), dtype=np.intp)
     ranks[order] = np.cumsum(fresh)
     return ranks[: len(dominant)], ranks[len(dominant) :]
-
-
-def _dominance_tiles(
-    dominant: np.ndarray,
-    dominated: np.ndarray,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    exclude_diagonal: bool = True,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start, tile)`` for consecutive row blocks: the one tile loop.
-
-    ``tile[i, j]`` is True iff ``dominant[start + i] >= dominated[j]`` on
-    every attribute and ``>`` on at least one: ``O(B * n)`` comparisons per
-    tile, the kernel behind ``adjacency()`` and :func:`blocked_edges`.
-    Given ``>=`` everywhere, ``>`` somewhere holds exactly when the two rows
-    differ, so one comparison of joint row ranks replaces the per-attribute
-    ``>`` passes.  Each attribute is read as a contiguous row of the transposed
-    operands (a strided ``dominated[:, k]`` costs two to three times as
-    much), and the tiles reuse two buffers, so a tile is only valid until
-    the next one is drawn.
-    """
-    dominant = _validate(dominant)
-    dominated = _validate(dominated)
-    if dominant.shape != dominated.shape:
-        raise GraphError(
-            f"dominant/dominated shapes differ: {dominant.shape} vs {dominated.shape}"
-        )
-    if block_size < 1:
-        raise GraphError(f"block_size must be >= 1, got {block_size}")
-    n, m = dominant.shape
-    rows_by_attribute = np.ascontiguousarray(dominant.T)
-    columns_by_attribute = np.ascontiguousarray(dominated.T)
-    row_ranks, column_ranks = _joint_row_ranks(dominant, dominated)
-    height = min(block_size, n)
-    buffers = np.empty((2, height * n), dtype=bool)
-    for start in range(0, n, block_size):
-        stop = min(start + block_size, n)
-        shape = (stop - start, n)
-        all_ge, compared = (buffer[: shape[0] * shape[1]].reshape(shape) for buffer in buffers)
-        all_ge.fill(True)
-        for k in range(m):
-            block = rows_by_attribute[k, start:stop, None]
-            all_ge &= np.greater_equal(block, columns_by_attribute[k], out=compared)
-        all_ge &= np.not_equal(row_ranks[start:stop, None], column_ranks, out=compared)
-        if exclude_diagonal:
-            all_ge[np.arange(stop - start), np.arange(start, stop)] = False
-        yield start, all_ge
-
-
-def blocked_dominance_lists(
-    dominant: np.ndarray,
-    dominated: np.ndarray,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    exclude_diagonal: bool = True,
-) -> list[np.ndarray]:
-    """Children lists of the strict-dominance relation, computed in tiles.
-
-    ``result[u]`` holds every ``v`` with ``dominant[u] >= dominated[v]`` on
-    all attributes and ``>`` on at least one — the general form shared by the
-    per-pair graph (*dominant* = *dominated* = the similarity matrix) and the
-    grouped graph (*dominant* = group lower bounds, *dominated* = group upper
-    bounds, Eqs. 5-6).
-
-    Instead of one Python iteration per vertex, rows are processed in
-    ``(B, n)`` tiles of *block_size* rows, bounding temporary memory at
-    ``O(B * n)`` regardless of ``m`` while cutting the Python-loop overhead
-    by ``B``.
-
-    Args:
-        dominant / dominated: ``(n, m)`` float arrays, row-aligned.
-        block_size: tile height (rows of *dominant* per iteration).
-        exclude_diagonal: drop ``u == v`` matches (self-dominance of a
-            degenerate single-point group); pair graphs never produce them
-            because strict dominance already excludes equal rows.
-    """
-    children: list[np.ndarray] = []
-    for _, tile in _dominance_tiles(dominant, dominated, block_size, exclude_diagonal):
-        children.extend(map(np.flatnonzero, tile))
-    return children
-
-
-def blocked_edges(vectors: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> set[Edge]:
-    """Dominance edge set via the blocked kernel (production fast path).
-
-    Produces exactly the edge set of :func:`vectorized_edges` /
-    :func:`brute_force_edges` (enforced by property tests) with ``n / B``
-    Python-level iterations instead of ``n``.
-    """
-    edges: set[Edge] = set()
-    for start, tile in _dominance_tiles(vectors, vectors, block_size):
-        rows, cols = np.nonzero(tile)
-        edges.update(zip((rows + start).tolist(), cols.tolist()))
-    return edges
 
 
 def _compare_rows(row_i, row_j) -> int:
@@ -402,6 +284,4 @@ CONSTRUCTION_ALGORITHMS = {
     "brute-force": brute_force_edges,
     "quicksort": quicksort_edges,
     "index": index_edges,
-    "vectorized": vectorized_edges,
-    "blocked": blocked_edges,
 }

@@ -6,34 +6,34 @@ shared by the per-pair graph (:class:`PairGraph`) and the grouped graph
 coloring engine are written against this interface, so they run unchanged on
 grouped and non-grouped graphs — exactly how the paper uses them.
 
-Dominance queries are vectorised: instead of materialising the O(|V|^2) edge
-set, ``descendants(v)`` broadcasts one comparison over the similarity matrix.
-Because strict dominance is transitive, the resulting edge relation is its
-own transitive closure.  The selection loop reads it from a packed
-reachability index (:meth:`OrderedGraph.build_reachability`); explicit
-adjacency lists are built only on demand (:meth:`OrderedGraph.adjacency`),
-cut from the dominance tiles of :mod:`repro.graph.construction` when a
-subclass exposes its dominance operands, else by the per-vertex reference
-loop.
+A graph states its order as two row-aligned matrices
+(:meth:`OrderedGraph._dominance_operands`), and holds the relation they
+define in one form: the packed
+:class:`~repro.graph.reachability.ReachabilityIndex`
+(:attr:`OrderedGraph.reachability`), built on first read.  Because strict
+dominance is transitive, the index's descendant rows are both the edge
+set of Definition 2 and its transitive closure; inference (§3.2), the Kahn
+layers and the path covers (§5) read it as ancestors and descendants.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
+from functools import cached_property
 
 import numpy as np
 
 from ..data.ground_truth import Pair
 from ..exceptions import GraphError
-from .partial_order import ancestor_mask, descendant_mask
+from .reachability import ReachabilityIndex
 
 
 class OrderedGraph(ABC):
     """A DAG of vertices ordered by strict dominance.
 
-    Subclasses provide the dominance masks and the mapping from vertices to
-    record pairs; everything else (adjacency, edge counts) is shared.
+    Subclasses provide the dominance operands and the mapping from vertices
+    to record pairs; the relation itself is :attr:`reachability`.
 
     Attributes:
         base: the pair-level graph whose vertex ids :meth:`member_vertices`
@@ -44,8 +44,6 @@ class OrderedGraph(ABC):
 
     def __init__(self, num_vertices: int) -> None:
         self._num_vertices = num_vertices
-        self._adjacency: list[np.ndarray] | None = None
-        self._reachability = None
 
     def __len__(self) -> int:
         return self._num_vertices
@@ -69,14 +67,6 @@ class OrderedGraph(ABC):
         return vertices
 
     @abstractmethod
-    def descendant_mask(self, vertex: int) -> np.ndarray:
-        """Boolean mask of vertices strictly dominated by *vertex*."""
-
-    @abstractmethod
-    def ancestor_mask(self, vertex: int) -> np.ndarray:
-        """Boolean mask of vertices strictly dominating *vertex*."""
-
-    @abstractmethod
     def member_pairs(self, vertex: int) -> tuple[Pair, ...]:
         """The record pairs represented by *vertex*."""
 
@@ -92,87 +82,23 @@ class OrderedGraph(ABC):
     def representative_pair(self, vertex: int, rng: np.random.Generator) -> Pair:
         """The pair actually sent to the crowd when *vertex* is asked."""
 
-    def _dominance_operands(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(dominant_rows, dominated_rows)`` for the blocked kernel.
+    @abstractmethod
+    def _dominance_operands(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(dominant_rows, dominated_rows)``, row-aligned ``(n, m)`` arrays.
 
         Vertex ``u`` dominates ``v`` iff ``dominant_rows[u] >=
         dominated_rows[v]`` component-wise with at least one strict ``>``.
-        Subclasses that can express their order this way get blocked (tiled)
-        adjacency construction for free; returning ``None`` keeps the
-        per-vertex reference loop.
         """
-        return None
 
-    def descendants(self, vertex: int) -> np.ndarray:
-        """Indices of vertices strictly dominated by *vertex*."""
-        return np.flatnonzero(self.descendant_mask(vertex))
+    @cached_property
+    def reachability(self) -> ReachabilityIndex:
+        """The dominance relation: the packed reachability index.
 
-    def ancestors(self, vertex: int) -> np.ndarray:
-        """Indices of vertices strictly dominating *vertex*."""
-        return np.flatnonzero(self.ancestor_mask(vertex))
-
-    def adjacency(self) -> list[np.ndarray]:
-        """Children lists of the full dominance relation (cached).
-
-        ``adjacency()[v]`` holds every vertex strictly dominated by ``v``.
-        Since dominance is transitive this is both the edge set of Definition
-        2 and its transitive closure.
+        Built from :meth:`_dominance_operands` on first read and cached;
+        ``descendants(v)`` / ``ancestors(v)`` list what *v* strictly
+        dominates / is dominated by, in ascending vertex id.
         """
-        if self._adjacency is None:
-            operands = self._dominance_operands()
-            if operands is not None:
-                from .construction import blocked_dominance_lists
-
-                self._adjacency = blocked_dominance_lists(*operands)
-            else:
-                self._adjacency = [
-                    self.descendants(vertex) for vertex in range(self._num_vertices)
-                ]
-        return self._adjacency
-
-    @property
-    def reachability(self):
-        """The cached :class:`~repro.graph.reachability.ReachabilityIndex`.
-
-        ``None`` until :meth:`build_reachability` has built it;
-        consumers treat ``None`` as "use the reference mask broadcasts".
-        """
-        return self._reachability
-
-    def build_reachability(self):
-        """Build (once) and cache the reachability index.
-
-        Returns:
-            The index, or ``None`` when this graph does not expose dominance
-            operands (the naive oracle twins stay on their pure reference
-            paths).
-        """
-        if self._reachability is not None:
-            return self._reachability
-        operands = self._dominance_operands()
-        if operands is None:
-            return None
-        from .reachability import ReachabilityIndex
-
-        self._reachability = ReachabilityIndex.build(*operands)
-        return self._reachability
-
-    @property
-    def num_edges(self) -> int:
-        """Number of dominance edges (full relation)."""
-        return sum(len(children) for children in self.adjacency())
-
-    def comparability_fraction(self) -> float:
-        """Fraction of vertex pairs that are comparable under the order.
-
-        The paper reports 70-84 % of pairs being *incomparable* on its
-        datasets (Appendix E.1.1); this helper lets tests and benches check
-        our synthetic data lands in the same regime.
-        """
-        n = self._num_vertices
-        if n < 2:
-            return 0.0
-        return self.num_edges / (n * (n - 1) / 2)
+        return ReachabilityIndex.build(*self._dominance_operands())
 
 
 class PairGraph(OrderedGraph):
@@ -205,18 +131,6 @@ class PairGraph(OrderedGraph):
 
     def _dominance_operands(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vectors, self.vectors
-
-    def descendant_mask(self, vertex: int) -> np.ndarray:
-        self._check_vertex(vertex)
-        mask = descendant_mask(self.vectors, self.vectors[vertex])
-        mask[vertex] = False
-        return mask
-
-    def ancestor_mask(self, vertex: int) -> np.ndarray:
-        self._check_vertex(vertex)
-        mask = ancestor_mask(self.vectors, self.vectors[vertex])
-        mask[vertex] = False
-        return mask
 
     def member_pairs(self, vertex: int) -> tuple[Pair, ...]:
         self._check_vertex(vertex)

@@ -14,11 +14,12 @@ chosen member pair, and the group's color applies to all members (§4.2).
 Group dominance is transitive: ``g_i > g_j > g_k`` gives
 ``l_i >= u_j >= l_j >= u_k`` per attribute (bounds satisfy ``l <= u``
 within a group) with strictness carried through, so ``g_i > g_k``.  That is
-exactly the property the incremental selection machinery relies on — a
-vertex's adjacency row already being its full descendant set — which is why
-a :class:`GroupedGraph` reuses the same packed
-:class:`~repro.graph.reachability.ReachabilityIndex` and warm-start
-:class:`~repro.graph.matching.IncrementalPathCover` fast paths as the
+exactly the property the selection machinery relies on (a vertex's
+descendant row is its full descendant set), which is why a
+:class:`GroupedGraph` states its order as the operand pair (lower bounds,
+upper bounds) and gets the same packed
+:class:`~repro.graph.reachability.ReachabilityIndex`, and the same
+warm-start :class:`~repro.graph.matching.IncrementalPathCover`, as the
 non-grouped graph, with no special casing.
 
 Construction does no per-group Python: the partition is kept as one flat
@@ -113,28 +114,8 @@ class GroupedGraph(OrderedGraph):
 
     def _dominance_operands(self) -> tuple[np.ndarray, np.ndarray]:
         # Group g_i > g_j iff lower(g_i) >= upper(g_j) with a strict attribute
-        # (Eqs. 5-6) — exactly the blocked kernel's operand form.
+        # (Eqs. 5-6): the operand form the reachability index is built from.
         return self.lower_bounds, self.upper_bounds
-
-    def descendant_mask(self, vertex: int) -> np.ndarray:
-        self._check_vertex(vertex)
-        lower = self.lower_bounds[vertex]
-        mask = np.logical_and(
-            (self.upper_bounds <= lower).all(axis=1),
-            (self.upper_bounds < lower).any(axis=1),
-        )
-        mask[vertex] = False
-        return mask
-
-    def ancestor_mask(self, vertex: int) -> np.ndarray:
-        self._check_vertex(vertex)
-        upper = self.upper_bounds[vertex]
-        mask = np.logical_and(
-            (self.lower_bounds >= upper).all(axis=1),
-            (self.lower_bounds > upper).any(axis=1),
-        )
-        mask[vertex] = False
-        return mask
 
     def _member_slice(self, vertex: int) -> np.ndarray:
         self._check_vertex(vertex)

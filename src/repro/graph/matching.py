@@ -1,4 +1,4 @@
-"""Maximum bipartite matching and minimal disjoint path decomposition (§5.2).
+"""Minimal disjoint path decomposition of the dominance DAG (§5.2).
 
 The paper turns the pair graph into a bipartite graph (each vertex appears
 on both sides; dominance edges cross sides), computes a maximum matching,
@@ -7,16 +7,18 @@ and reads off a *minimal* set of vertex-disjoint paths covering all vertices
 matched edges the cover has ``|V| - J`` paths, so a maximum matching yields
 the minimum path cover.
 
-The matching is our own Hopcroft–Karp implementation (``O(E sqrt(V))``);
-tests cross-check it against networkx.
-
-:class:`IncrementalPathCover` is the warm-start engine behind the
-incremental selection loop: it keeps the per-round decomposition
-byte-identical to ``minimum_path_cover(restricted_adjacency(...))`` while
-scaling the per-round work with *what changed* — colored vertices are
-vertex deletions, the phase-1 greedy matching is repaired locally instead
-of recomputed, and every row comes from the public-id methods of a
-:class:`~repro.graph.reachability.ReachabilityIndex`.
+:class:`IncrementalPathCover` computes that cover with our own
+Hopcroft–Karp phases (``O(E sqrt(V))``), warm-started across the selection
+loop's rounds: it scales the per-round work with *what changed* — colored
+vertices are vertex deletions, the phase-1 greedy matching is repaired
+locally instead of recomputed, and every row comes from the public-id
+methods of a :class:`~repro.graph.reachability.ReachabilityIndex`, which
+hands the engine out (``index.path_cover()``).  Its covers are
+byte-identical to the from-scratch ``minimum_path_cover`` over
+:func:`restricted_adjacency`, which ``repro.verify.relation`` keeps as the
+reference (and the battery cross-checks against networkx).
+:func:`greedy_path_cover` is the cheap non-optimal cover of the
+path-decomposition ablation.
 """
 
 from __future__ import annotations
@@ -32,136 +34,22 @@ from ..obs import instrument as obs_instrument
 _INFINITY = float("inf")
 
 
-def hopcroft_karp(
-    adjacency: Sequence[Sequence[int]], num_right: int | None = None
-) -> tuple[list[int], list[int]]:
-    """Maximum matching in a bipartite graph given left-side adjacency.
-
-    Args:
-        adjacency: ``adjacency[u]`` lists the right vertices adjacent to left
-            vertex ``u``.
-        num_right: number of right vertices; inferred from the edges when
-            omitted.
-
-    Returns:
-        ``(match_left, match_right)`` where ``match_left[u]`` is the right
-        partner of ``u`` (or -1) and vice versa.
-    """
-    num_left = len(adjacency)
-    if num_right is None:
-        num_right = 0
-        for neighbors in adjacency:
-            for v in neighbors:
-                if v + 1 > num_right:
-                    num_right = v + 1
-    match_left = [-1] * num_left
-    match_right = [-1] * num_right
-    distance = [0.0] * num_left
-
-    def bfs() -> bool:
-        queue: deque[int] = deque()
-        for u in range(num_left):
-            if match_left[u] == -1:
-                distance[u] = 0.0
-                queue.append(u)
-            else:
-                distance[u] = _INFINITY
-        found_free = False
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                partner = match_right[v]
-                if partner == -1:
-                    found_free = True
-                elif distance[partner] == _INFINITY:
-                    distance[partner] = distance[u] + 1
-                    queue.append(partner)
-        return found_free
-
-    def dfs(root: int) -> bool:
-        # Explicit-stack traversal of the layered graph, visiting neighbors
-        # in exactly the order the recursive formulation would: each frame is
-        # ``[left vertex, neighbor iterator, edge currently being tried]``.
-        # On success the whole stack is one augmenting path; every frame's
-        # pending edge becomes a matched edge.
-        frames: list[list] = [[root, iter(adjacency[root]), -1]]
-        while frames:
-            frame = frames[-1]
-            u = frame[0]
-            descended = False
-            for v in frame[1]:
-                partner = match_right[v]
-                if partner == -1:
-                    frame[2] = v
-                    for node, _, picked in reversed(frames):
-                        match_left[node] = picked
-                        match_right[picked] = node
-                    return True
-                if distance[partner] == distance[u] + 1:
-                    frame[2] = v
-                    frames.append([partner, iter(adjacency[partner]), -1])
-                    descended = True
-                    break
-            if not descended:
-                distance[u] = _INFINITY
-                frames.pop()
-        return False
-
-    while bfs():
-        for u in range(num_left):
-            if match_left[u] == -1:
-                dfs(u)
-    return match_left, match_right
-
-
-def minimum_path_cover(adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Minimal vertex-disjoint path cover of a DAG (paper Theorem 2).
-
-    Args:
-        adjacency: DAG children lists.  For the Dilworth guarantee ("size
-            exactly B, the width of the order") the input must be
-            transitively closed — which the dominance relation already is.
-
-    Returns:
-        Paths as vertex lists ordered source → sink (dominating → dominated),
-        pairwise disjoint and jointly covering every vertex.
-    """
-    n = len(adjacency)
-    match_left, match_right = hopcroft_karp(adjacency, num_right=n)
-    heads = [v for v in range(n) if match_right[v] == -1]
-    paths: list[list[int]] = []
-    seen = 0
-    for head in heads:
-        path = [head]
-        current = head
-        while match_left[current] != -1:
-            current = match_left[current]
-            path.append(current)
-        seen += len(path)
-        paths.append(path)
-    if seen != n:
-        raise GraphError(
-            f"path cover covered {seen} of {n} vertices; the matching is corrupt"
-        )
-    return paths
-
-
-def restricted_adjacency(
-    adjacency: Sequence[np.ndarray], active: np.ndarray
-) -> tuple[list[list[int]], np.ndarray]:
+def restricted_adjacency(relation, active: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
     """Induce a sub-DAG on the *active* vertices, with compact relabeling.
+
+    Reads the descendant row of each active vertex from *relation* (a
+    graph's ``reachability``).
 
     Returns:
         ``(sub_adjacency, original_ids)`` where ``original_ids[k]`` maps the
         compact vertex ``k`` back to the original graph.
     """
     original_ids = np.flatnonzero(active)
-    relabel = -np.ones(len(adjacency), dtype=np.int64)
+    relabel = -np.ones(len(active), dtype=np.int64)
     relabel[original_ids] = np.arange(len(original_ids))
     sub_adjacency: list[list[int]] = []
     for original in original_ids:
-        children = adjacency[int(original)]
-        kept = relabel[children]
+        kept = relabel[relation.descendants(int(original))]
         sub_adjacency.append([int(c) for c in kept if c >= 0])
     return sub_adjacency, original_ids
 
@@ -232,9 +120,10 @@ class IncrementalPathCover:
 
     The selection loop colors vertices every round and recomputes the
     Dilworth decomposition of whatever stays uncolored.  The from-scratch
-    reference rebuilds compact adjacency lists and reruns Hopcroft-Karp each
-    time; this engine instead treats coloring as *vertex deletion* and keeps
-    two pieces of state between rounds:
+    reference (``repro.verify.relation.minimum_path_cover``) rebuilds compact
+    adjacency lists and reruns Hopcroft-Karp each time; this engine instead
+    treats coloring as *vertex deletion* and keeps two pieces of state
+    between rounds:
 
     * the active-vertex mask, so restricting a row of the index to the
       live sub-DAG is one boolean ``AND``;
@@ -250,7 +139,7 @@ class IncrementalPathCover:
     neighbors in ascending vertex order — the same order the reference sees
     after compact relabeling (which is monotone), so matchings, heads, and
     paths all correspond 1:1 and the returned cover is **byte-identical** to
-    ``minimum_path_cover(restricted_adjacency(adjacency, active))`` mapped
+    ``minimum_path_cover(restricted_adjacency(relation, active))`` mapped
     back to original ids.  ``repro.verify``'s ``check_selection_incremental``
     and a seeded stale-matching mutant enforce exactly that.
 

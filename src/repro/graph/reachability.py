@@ -1,6 +1,6 @@
 """Packed-bitset reachability index over the dominance relation.
 
-Because strict dominance is transitive, a vertex's adjacency row *is* its
+Because strict dominance is transitive, a vertex's children *are* its
 full descendant set — so the whole reachability structure of the DAG fits
 in two bit-matrices of ``n x ceil(n/8)`` bytes (descendants row-wise, and
 their transpose for ancestors).  A :class:`ReachabilityIndex` holds both
@@ -27,23 +27,18 @@ three times:
   popcounts of the ancestor rows and peel one level at a time by
   subtracting the column sums of its descendant rows.
 
-The incremental path-cover engine
-(:class:`repro.graph.matching.IncrementalPathCover`) reads its rows through
-the same public-id methods.
+The index is the one form of the relation production reads
+(``OrderedGraph.reachability``, built from the graph's dominance operands
+on first read): color propagation, Kahn layering, the path-cover engine
+it hands the selectors (:meth:`ReachabilityIndex.path_cover`, a
+:class:`repro.graph.matching.IncrementalPathCover` reading its rows
+through the same public-id methods), and the order statistics.
 
-The index is built once per graph, for every graph that exposes its
-dominance operands (``_dominance_operands() is not None``).  The naive
-oracle twins in :mod:`repro.verify.oracles` expose none and never get one,
-so differential checks keep exercising the pure reference paths;
-:func:`repro.verify.oracles.decline_reachability` puts any graph in the
-same state, which is how the differential checks and the selection
-benchmark run the reference paths.
-
-Masks read from the index are byte-identical to the float-broadcast masks
-(``graph.ancestor_mask`` / ``graph.descendant_mask``) and to the adjacency
-lists, which the dominance tiles of :mod:`repro.graph.construction` build
-independently; the battery's ``check_reachability_index`` step enforces
-this, and that nothing sits on or below the stored diagonal.
+``repro.verify.relation`` keeps the references it is diffed against: the
+float-broadcast masks and the children lists cut from its dominance
+tiles, which share no code with the prefix-bitset build.  The battery's
+``check_reachability_index`` step enforces that every row equals both,
+and that nothing sits on or below the stored diagonal.
 """
 
 from __future__ import annotations
@@ -53,6 +48,7 @@ import numpy as np
 from ..exceptions import GraphError
 from ..similarity.batch import _popcount_rows
 from . import construction
+from .matching import IncrementalPathCover
 
 #: Bytes of rows :meth:`ReachabilityIndex.row_counts` and
 #: :meth:`ReachabilityIndex.kahn_layers` unpack (or AND) at once, and the
@@ -144,11 +140,11 @@ class ReachabilityIndex:
         return unpack_mask(row, self.num_vertices)[self._position]
 
     def descendant_mask(self, vertex: int) -> np.ndarray:
-        """Boolean descendant mask, byte-identical to the graph's own."""
+        """Boolean mask of the vertices *vertex* strictly dominates."""
         return self._mask(self._desc, vertex)
 
     def ancestor_mask(self, vertex: int) -> np.ndarray:
-        """Boolean ancestor mask, byte-identical to the graph's own."""
+        """Boolean mask of the vertices strictly dominating *vertex*."""
         return self._mask(self._anc, vertex)
 
     def descendants(self, vertex: int) -> np.ndarray:
@@ -252,6 +248,10 @@ class ReachabilityIndex:
                 degree -= self._column_sums(level, ancestors=False)[positions]
         return layers
 
+    def path_cover(self) -> IncrementalPathCover:
+        """A fresh warm-start path-cover engine over these rows."""
+        return IncrementalPathCover(self)
+
 
 #: ``_BIT[j]`` is the byte with only bit ``j`` set (``bitorder="little"``).
 _BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
@@ -260,7 +260,7 @@ _BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
 def _threshold_counts(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
     """How many of the sorted *ordered* each of *values* is at least.
 
-    NaN compares false on either side, as in the dominance tiles.  NaN sorts
+    NaN compares false on either side, as in Eqs. 3-4's comparisons.  NaN sorts
     last, so no other value counts a NaN in *ordered*; a NaN value counts
     nothing.
     """

@@ -2,32 +2,19 @@
 
 The paper's Power selector repeatedly topologically sorts the *uncolored*
 vertices into level sets ``L_1 .. L_|L|`` (Kahn peeling) and asks the middle
-level.  With a reachability index the levels are peeled from its packed
-rows (:meth:`~repro.graph.reachability.ReachabilityIndex.kahn_layers`).
-A graph without one (a naive oracle twin, or a graph that
-:func:`~repro.verify.oracles.decline_reachability` made decline it) takes
-the reference path: because the dominance relation is transitively
-closed, the Kahn level of a vertex equals the length of its longest chain
-of strict dominators, computed by one longest-chain DP over the adjacency
-lists in the exact linear extension the index is stored in,
-:func:`~repro.graph.construction.linear_extension` (descending
-lexicographic order of the dominant rows).
+level.  The levels are peeled from the graph's relation
+(:meth:`~repro.graph.reachability.ReachabilityIndex.kahn_layers`): in-degrees
+are popcounts of the ancestor rows, and each level subtracts the column
+sums of its descendant rows.  ``repro.verify``'s Kahn peeling of the
+reference lists is what the battery compares them with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import construction
-from .dag import OrderedGraph, PairGraph
+from .dag import OrderedGraph
 from ..exceptions import GraphError
-
-
-def _linear_extension(graph: OrderedGraph) -> np.ndarray:
-    """Vertex order compatible with dominance (dominators first)."""
-    if isinstance(graph, PairGraph):
-        return construction.linear_extension(graph.vectors)
-    return construction.linear_extension(graph.lower_bounds)  # type: ignore[attr-defined]
 
 
 def topological_layers(
@@ -49,26 +36,7 @@ def topological_layers(
         active = np.ones(n, dtype=bool)
     if active.shape != (n,):
         raise GraphError(f"active mask has shape {active.shape}, expected ({n},)")
-    if graph.reachability is not None:
-        return graph.reachability.kahn_layers(active)
-    depth = np.zeros(n, dtype=np.int64)
-    adjacency = graph.adjacency()
-    for vertex in _linear_extension(graph):
-        vertex = int(vertex)
-        if not active[vertex]:
-            continue
-        if depth[vertex] == 0:
-            depth[vertex] = 1
-        children = adjacency[vertex]
-        if len(children) == 0:
-            continue
-        active_children = children[active[children]]
-        candidate = depth[vertex] + 1
-        np.maximum.at(depth, active_children, candidate)
-    max_depth = int(depth.max()) if np.any(active) else 0
-    return [
-        np.flatnonzero(active & (depth == level)) for level in range(1, max_depth + 1)
-    ]
+    return graph.reachability.kahn_layers(active)
 
 
 def middle_layer(layers: list[np.ndarray]) -> np.ndarray:

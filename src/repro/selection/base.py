@@ -10,7 +10,11 @@ Fig. 30: the sum of the run's ``selection.cover`` regions, read from the
 tracer's clock like every other span (:class:`repro.obs.instrument.timed`).
 
 Selectors are written against :class:`~repro.graph.dag.OrderedGraph`, so
-the same code serves grouped and non-grouped graphs.
+the same code serves grouped and non-grouped graphs, and read its one
+dominance relation, ``graph.reachability``: the run's first read builds the
+packed reachability index inside a ``selection.build_reachability`` span,
+and the path-cover selectors take their engine from it
+(``relation.path_cover()``).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from ..data.ground_truth import Pair
 from ..exceptions import SelectionError
 from ..graph.coloring import ColoringState
 from ..graph.dag import OrderedGraph
+from ..graph.reachability import ReachabilityIndex
 from ..obs import instrument as obs_instrument
 from .error_tolerant import (
     ErrorPolicy,
@@ -48,9 +53,10 @@ class SelectionResult:
             do not use the partial-order graph).
         cost_cents: monetary cost under the session's HIT pricing.
         extras: counts for telemetry; a selector run's ``"selection"``
-            entry holds ``rounds``, ``incremental`` (whether the
-            reachability index was built) and, for the path-cover
-            engine, its ``engine`` counts.  Per-round times are spans.
+            entry holds ``rounds``, ``incremental`` (whether the graph's
+            relation was the reachability index) and, for the path-cover
+            selectors, their engine's ``engine`` counts.  Per-round times
+            are spans.
     """
 
     name: str
@@ -79,13 +85,14 @@ class QuestionSelector(ABC):
         seed: seed for tie-breaking randomness (representative pairs,
             random selection).
 
-    ``run`` builds the graph's packed-bitset reachability index up front,
-    which puts color propagation — and, for the path-cover selectors, the
-    per-round decomposition — on the incremental fast paths.  A graph that
-    declines the index (a naive oracle twin, or one passed through
-    :func:`~repro.verify.oracles.decline_reachability`) runs the reference
-    paths instead; both give the same questions in the same order and the
-    same coloring.
+    ``run`` reads the graph's relation up front, inside a
+    ``selection.build_reachability`` span: that first read builds the
+    packed-bitset reachability index, from which color propagation, the
+    Kahn layers and, for the path-cover selectors, the warm-start path
+    cover all read.  ``repro.verify`` hands some graphs a reference
+    relation with the same read interface instead; the loop runs it
+    unchanged, to the same questions in the same order and the same
+    coloring.
     """
 
     name: str = "selector"
@@ -134,7 +141,7 @@ class QuestionSelector(ABC):
         tracer = obs.tracer
         self.reset()
         with tracer.span("selection.build_reachability", selector=self.name):
-            graph.build_reachability()
+            relation = graph.reachability
         rng = np.random.default_rng(self.seed)
         state = ColoringState(graph)
         assignment_time = 0.0
@@ -213,7 +220,7 @@ class QuestionSelector(ABC):
             run_span.set_attribute("questions", session.questions_asked)
         telemetry = {
             "rounds": rounds,
-            "incremental": graph.reachability is not None,
+            "incremental": isinstance(relation, ReachabilityIndex),
         }
         engine_stats = self._selection_stats()
         if engine_stats is not None:

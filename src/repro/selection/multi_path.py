@@ -12,7 +12,6 @@ import numpy as np
 
 from ..graph.coloring import ColoringState
 from ..graph.dag import OrderedGraph
-from ..graph.matching import IncrementalPathCover
 from .base import QuestionSelector
 from .single_path import cover_paths
 
@@ -23,7 +22,7 @@ class MultiPathSelector(QuestionSelector):
     name = "multi-path"
 
     def reset(self) -> None:
-        self._engine: IncrementalPathCover | None = None
+        self._engine = None
 
     def _selection_stats(self) -> dict | None:
         return dict(self._engine.stats) if self._engine is not None else None

@@ -8,7 +8,8 @@ mid-vertex at a time (``O(B log |V|)`` questions overall).
 
 Every answer still propagates over the whole graph, so vertices on other
 paths are frequently colored for free; the decomposition is recomputed over
-whatever remains once the current path is settled.
+whatever remains once the current path is settled, by the path-cover
+engine the graph's relation hands out (:func:`cover_paths`).
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ import numpy as np
 
 from ..graph.coloring import Color, ColoringState
 from ..graph.dag import OrderedGraph
-from ..graph.matching import (
-    IncrementalPathCover,
-    greedy_path_cover,
-    minimum_path_cover,
-    restricted_adjacency,
-)
+from ..graph.matching import greedy_path_cover, restricted_adjacency
 from .base import QuestionSelector
 
 
@@ -31,19 +27,16 @@ def cover_paths(
 ) -> list[list[int]]:
     """Minimum path cover of the active sub-DAG, in original vertex ids.
 
-    Routes through the selector's warm-started
-    :class:`~repro.graph.matching.IncrementalPathCover` when the graph has a
-    reachability index (byte-identical to the reference decomposition, just
-    without rebuilding the matching from scratch every round); otherwise
-    falls back to ``restricted_adjacency`` + ``minimum_path_cover``.
+    Kept on the selector for the run: the engine the graph's relation hands
+    out, for a reachability index the warm-started
+    :class:`~repro.graph.matching.IncrementalPathCover` (byte-identical to
+    the from-scratch decomposition, without rebuilding the matching every
+    round).
     """
-    if graph.reachability is not None:
-        if selector._engine is None or selector._engine.index is not graph.reachability:
-            selector._engine = IncrementalPathCover(graph.reachability)
-        return selector._engine.cover(active)
-    sub_adjacency, original_ids = restricted_adjacency(graph.adjacency(), active)
-    paths = minimum_path_cover(sub_adjacency)
-    return [[int(original_ids[v]) for v in path] for path in paths]
+    relation = graph.reachability
+    if selector._engine is None or selector._engine.index is not relation:
+        selector._engine = relation.path_cover()
+    return selector._engine.cover(active)
 
 
 class SinglePathSelector(QuestionSelector):
@@ -72,7 +65,7 @@ class SinglePathSelector(QuestionSelector):
         self._path: list[int] | None = None
         self._lo = 0
         self._hi = -1
-        self._engine: IncrementalPathCover | None = None
+        self._engine = None
 
     def _selection_stats(self) -> dict | None:
         return dict(self._engine.stats) if self._engine is not None else None
@@ -86,7 +79,7 @@ class SinglePathSelector(QuestionSelector):
             self._path = list(longest)
         else:
             sub_adjacency, original_ids = restricted_adjacency(
-                graph.adjacency(), active
+                graph.reachability, active
             )
             paths = greedy_path_cover(sub_adjacency)
             longest = max(paths, key=len)

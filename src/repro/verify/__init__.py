@@ -9,9 +9,14 @@ Three complementary pillars, all raising
   numpy's own generators, a naive graph pair that any selector must treat
   identically to the production graphs, a coloring replay, the round
   update vs the one-answer-at-a-time engine, the incremental selection
-  engine vs the reference paths (run on a graph that declines its index,
-  :func:`decline_reachability`), and a monotone ground truth under which
+  engine vs the reference paths, and a monotone ground truth under which
   a perfect crowd must recover the truth exactly;
+* **the reference relation** (:mod:`.relation`) — every form of the
+  dominance relation production no longer reads (Eqs. 3-4 as functions
+  and broadcast masks, the dominance tiles and their lists, the
+  from-scratch Hopcroft-Karp path cover) behind the reachability index's
+  read interface; :func:`decline_reachability` gives a fresh graph that
+  relation, which runs any selector on the reference paths;
 * **invariant checkers** (:mod:`.invariants`) — partial-order laws, DAG
   acyclicity, topological layering vs naive Kahn peeling, path-cover
   validity, reachability-index packing, grouped-partition arithmetic,
@@ -81,7 +86,6 @@ from .oracles import (
     check_split_grouping,
     check_stream_equivalence,
     check_transitive_closure,
-    decline_reachability,
     monotone_truth,
     naive_dominance_edges,
     naive_join,
@@ -89,6 +93,7 @@ from .oracles import (
     prefix_join,
     reference_split_grouping,
 )
+from .relation import ReferenceRelation, decline_reachability, reference_relation
 from .report import CheckResult, VerificationReport, run_check
 
 __all__ = [
@@ -99,6 +104,7 @@ __all__ = [
     "NaiveGroupedGraph",
     "NaivePairGraph",
     "ReferenceColoring",
+    "ReferenceRelation",
     "VerificationReport",
     "VerifyingSession",
     "check_acyclicity",
@@ -143,6 +149,7 @@ __all__ = [
     "prefix_join",
     "quarter_grid_vectors",
     "random_instance",
+    "reference_relation",
     "reference_split_grouping",
     "run_battery",
     "run_check",

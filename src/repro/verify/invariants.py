@@ -7,15 +7,16 @@ always-on :class:`VerifyingSession` sanitizer alike.
 
 Catalog:
 
-* partial order — antisymmetry, irreflexivity, transitivity
+* partial order — antisymmetry, irreflexivity, transitivity of the
+  reference lists, and the index rows equal to them
   (:func:`check_partial_order`), DAG acyclicity (:func:`check_acyclicity`);
 * topo layers — production layering equals naive Kahn peeling, every edge
   descends strictly (:func:`check_topo_layers`);
 * path cover — disjoint, covering, chain-valid, and no larger than the
   greedy cover (:func:`check_path_cover`);
-* reachability index — every packed row equals the float-broadcast masks
-  and the separately built adjacency lists, and nothing sits on the wrong
-  side of the stored diagonal (:func:`check_reachability_index`);
+* reachability index — every packed row equals the reference relation's
+  float-broadcast masks and tile lists, and nothing sits on the wrong side
+  of the stored diagonal (:func:`check_reachability_index`);
 * grouped graph — partition validity and bound arithmetic
   (:func:`check_grouped_partition`);
 * clustering — union-find components equal naive BFS components
@@ -39,6 +40,8 @@ from ..exceptions import VerificationError
 from ..graph.coloring import ColoringState
 from ..graph.dag import OrderedGraph
 from ..graph.grouped_graph import GroupedGraph
+from ..graph.reachability import ReachabilityIndex
+from .relation import reference_relation
 
 
 # --------------------------------------------------------------------------- #
@@ -47,15 +50,16 @@ from ..graph.grouped_graph import GroupedGraph
 
 
 def _adjacency_sets(graph: OrderedGraph) -> list[set[int]]:
-    return [set(int(v) for v in children) for children in graph.adjacency()]
+    """The reference relation's children lists, as sets."""
+    return [set(children.tolist()) for children in reference_relation(graph).lists]
 
 
 def check_partial_order(graph: OrderedGraph) -> None:
     """Irreflexivity, antisymmetry, and transitivity of the dominance relation.
 
-    Also cross-checks that ``adjacency()``, ``descendant_mask`` and
-    ``ancestor_mask`` describe the *same* relation — the three production
-    access paths must never drift apart.
+    The laws are checked on the reference lists; then every descendant and
+    ancestor row of the graph's own relation (its reachability index) must
+    equal them, so the relation production reads is the one checked.
     """
     children = _adjacency_sets(graph)
     n = len(graph)
@@ -75,18 +79,18 @@ def check_partial_order(graph: OrderedGraph) -> None:
                     f"transitivity violated: ({u}, {v}) and ({v}, {sorted(missing)[0]}) "
                     f"present but not ({u}, {sorted(missing)[0]})"
                 )
+    relation = graph.reachability
     for u in range(n):
-        from_mask = set(np.flatnonzero(graph.descendant_mask(u)).tolist())
-        if from_mask != children[u]:
+        below = set(relation.descendants(u).tolist())
+        if below != children[u]:
             raise VerificationError(
-                f"descendant_mask({u}) disagrees with adjacency(): "
-                f"mask {sorted(from_mask)[:5]}... vs list {sorted(children[u])[:5]}..."
+                f"descendants({u}) disagrees with the reference lists: "
+                f"row {sorted(below)[:5]}... vs list {sorted(children[u])[:5]}..."
             )
-        up_mask = set(np.flatnonzero(graph.ancestor_mask(u)).tolist())
-        up_list = {v for v in range(n) if u in children[v]}
-        if up_mask != up_list:
+        above = set(relation.ancestors(u).tolist())
+        if above != {v for v in range(n) if u in children[v]}:
             raise VerificationError(
-                f"ancestor_mask({u}) disagrees with transposed adjacency"
+                f"ancestors({u}) disagrees with the transposed reference lists"
             )
 
 
@@ -123,42 +127,21 @@ def check_acyclicity(graph: OrderedGraph) -> None:
 
 
 def naive_kahn_layers(graph: OrderedGraph, active: np.ndarray | None = None) -> list[list[int]]:
-    """Kahn level sets by literal peeling (the obviously-correct version)."""
-    n = len(graph)
+    """Kahn level sets by literal peeling of the reference lists."""
     if active is None:
-        active = np.ones(n, dtype=bool)
-    children = _adjacency_sets(graph)
-    remaining = {v for v in range(n) if active[v]}
-    indegree = {v: 0 for v in remaining}
-    for u in remaining:
-        for v in children[u]:
-            if v in remaining:
-                indegree[v] += 1
-    layers: list[list[int]] = []
-    while remaining:
-        level = sorted(v for v in remaining if indegree[v] == 0)
-        if not level:
-            raise VerificationError("Kahn peeling stalled: the sub-DAG has a cycle")
-        layers.append(level)
-        for u in level:
-            remaining.discard(u)
-            for v in children[u]:
-                if v in remaining:
-                    indegree[v] -= 1
-    return layers
+        active = np.ones(len(graph), dtype=bool)
+    return [layer.tolist() for layer in reference_relation(graph).kahn_layers(active)]
 
 
 def check_topo_layers(graph: OrderedGraph, active: np.ndarray | None = None) -> None:
     """Production layering must equal naive Kahn peeling, level for level,
     and every edge inside the active set must descend strictly.
 
-    Builds the graph's reachability index first, as every selection run
-    does, so the layers checked are the ones peeled from its packed rows;
-    a graph that declines the index is checked on the longest-chain DP.
+    The layers checked are the ones ``topological_layers`` peels from the
+    graph's relation, as every selection run does.
     """
     from ..graph.topo import topological_layers
 
-    graph.build_reachability()
     produced = [sorted(int(v) for v in layer) for layer in topological_layers(graph, active)]
     expected = naive_kahn_layers(graph, active)
     if produced != expected:
@@ -196,11 +179,13 @@ def check_topo_layers(graph: OrderedGraph, active: np.ndarray | None = None) -> 
 
 
 def check_path_cover(graph: OrderedGraph) -> None:
-    """The minimum path cover must be disjoint, covering, chain-valid, and
-    no larger than the greedy cover (Dilworth minimality upper bound)."""
-    from ..graph.matching import greedy_path_cover, minimum_path_cover
+    """The minimum path cover of the reference lists must be disjoint,
+    covering, chain-valid, and no larger than the greedy cover (Dilworth
+    minimality upper bound)."""
+    from ..graph.matching import greedy_path_cover
+    from .relation import minimum_path_cover
 
-    adjacency = [list(int(v) for v in children) for children in graph.adjacency()]
+    adjacency = [children.tolist() for children in reference_relation(graph).lists]
     paths = minimum_path_cover(adjacency)
     children = [set(row) for row in adjacency]
     seen: set[int] = set()
@@ -235,25 +220,24 @@ def check_path_cover(graph: OrderedGraph) -> None:
 
 
 def check_reachability_index(graph: OrderedGraph) -> None:
-    """Every packed index row must equal the graph's masks and its lists.
+    """Every packed index row must equal the reference masks and lists.
 
-    Builds the index when the graph has none yet.  Its stored order must be
-    a permutation, with every stored descendant row empty on and left of
-    the diagonal and every ancestor row empty on and right of it.  Then
-    every descendant row, read back in vertex ids, is diffed against
-    ``descendant_mask`` and ``adjacency()`` (built by its own full-square
-    tile pass, independent of the index's prefix-bitset build), and every
-    ancestor row against ``ancestor_mask`` and the transposed
-    ``adjacency()``.  Byte (8) and row-block (256 rows) boundaries are
-    where the packing can go wrong, so callers pick sizes that straddle
-    them; NaN similarities (which compare false) are where the build's
-    threshold counts can.
+    Reads (so builds, on first read) the graph's index.  Its stored order
+    must be a permutation, with every stored descendant row empty on and
+    left of the diagonal and every ancestor row empty on and right of it.
+    Then every descendant row, read back in vertex ids, is diffed against
+    the reference relation's float-broadcast ``descendant_mask`` and its
+    tile lists (independent of the index's prefix-bitset build), and every
+    ancestor row against ``ancestor_mask`` and the transposed lists.  Byte
+    (8) and row-block (256 rows) boundaries are where the packing can go
+    wrong, so callers pick sizes that straddle them; NaN similarities
+    (which compare false) are where the build's threshold counts can.
     """
     from ..graph.reachability import unpack_mask
 
-    index = graph.build_reachability()
+    index = graph.reachability
     n = len(graph)
-    if index is None or index.num_vertices != n:
+    if not isinstance(index, ReachabilityIndex) or index.num_vertices != n:
         raise VerificationError(f"no reachability index for the {n}-vertex graph")
     if not np.array_equal(np.sort(index.order), np.arange(n)):
         raise VerificationError(f"reachability order of {n} is not a permutation")
@@ -265,7 +249,8 @@ def check_reachability_index(graph: OrderedGraph) -> None:
                 f"reachability row stored at {position} of {n} has bits on "
                 "or across the diagonal: the order is not a linear extension"
             )
-    adjacency = graph.adjacency()
+    reference = reference_relation(graph)
+    adjacency = reference.lists
     lengths = np.array([len(children) for children in adjacency], dtype=np.int64)
     targets = np.concatenate([np.zeros(0, dtype=np.int64), *adjacency])
     sources = np.repeat(np.arange(n), lengths)[np.argsort(targets, kind="stable")]
@@ -273,9 +258,9 @@ def check_reachability_index(graph: OrderedGraph) -> None:
     for vertex in range(n):
         for kind, row, mask, listed in (
             ("descendant", index.descendant_mask(vertex),
-             graph.descendant_mask(vertex), adjacency[vertex]),
+             reference.descendant_mask(vertex), adjacency[vertex]),
             ("ancestor", index.ancestor_mask(vertex),
-             graph.ancestor_mask(vertex), ancestors[vertex]),
+             reference.ancestor_mask(vertex), ancestors[vertex]),
         ):
             if not np.array_equal(row, mask):
                 raise VerificationError(
@@ -285,7 +270,7 @@ def check_reachability_index(graph: OrderedGraph) -> None:
             if not np.array_equal(np.flatnonzero(row), listed):
                 raise VerificationError(
                     f"reachability {kind} row {vertex} of {n} differs from the "
-                    "adjacency lists"
+                    "reference lists"
                 )
 
 
@@ -296,7 +281,8 @@ def check_reachability_index(graph: OrderedGraph) -> None:
 
 def check_grouped_partition(grouped: GroupedGraph) -> None:
     """Groups must partition the base vertices; bounds must be exact
-    member-wise min/max; group dominance must follow Eqs. 5-6 from bounds."""
+    member-wise min/max; the graph's group dominance must follow Eqs. 5-6
+    from the bounds."""
     base_size = len(grouped.base)
     seen: set[int] = set()
     for index, group in enumerate(grouped.grouping):
@@ -322,8 +308,9 @@ def check_grouped_partition(grouped: GroupedGraph) -> None:
             raise VerificationError(f"group {index} lower bound is not the member min")
         if not np.array_equal(grouped.upper_bounds[index], member_rows.max(axis=0)):
             raise VerificationError(f"group {index} upper bound is not the member max")
+    relation = grouped.reachability
     for u in range(len(grouped)):
-        mask = grouped.descendant_mask(u)
+        mask = relation.descendant_mask(u)
         for v in range(len(grouped)):
             if u == v:
                 continue

@@ -9,9 +9,8 @@ check screams.  Every mutant models a realistic regression:
 ======================  ====================================================
 mutant                  seeded bug
 ======================  ====================================================
-``drop-dominance-edge`` the dominance tile generator silently loses one
-                        edge per pass (lists and edge set; the packed index
-                        keeps it)
+``drop-dominance-edge`` the reference dominance tiles silently lose one
+                        edge per pass (the packed index keeps it)
 ``reachability-ragged-block``  the index build's ancestor rows lose their
                         bits inside the last, ragged row block
 ``prefix-table-nan``    the index build counts thresholds with a plain
@@ -22,10 +21,12 @@ mutant                  seeded bug
                         midpoint in the upper half (``>=`` for ``>``)
 ``split-partition-offset-shift``  the grouped graph cuts Split's flat
                         partition with every group size moved one group on
-``non-strict-dominance``  ``>=`` everywhere accepted without a strict ``>``
-``inverted-propagation``  GREEN votes descendants, RED votes ancestors
+``non-strict-dominance``  the index build skips its strictness step, so
+                        ``>=`` everywhere is accepted without a strict ``>``
+``inverted-propagation``  the index's vote counts swap sides: GREEN votes
+                        descendants, RED votes ancestors
 ``topo-layer-merge``    all Kahn levels collapse into a single layer
-``overlapping-paths``   the "minimum" path cover repeats a vertex
+``overlapping-paths``   the reference minimum path cover repeats a vertex
 ``billing-floor``       HIT count floors instead of ceiling
 ``weight-blind-votes``  weighted aggregation ignores worker accuracies
 ``crowd-draw-no-rejection``  the batched draw kernel's bounded draw never
@@ -47,14 +48,14 @@ mutant                  seeded bug
 ======================  ====================================================
 
 Patching is done by rebinding module/class attributes inside a context
-manager that always restores the originals; lazily-imported helpers
-(``topological_layers``, ``minimum_path_cover``) are patched at their
-defining module *and* at every module-level import site, so both the
-production pipeline and the oracles see the mutated code.  The dominance
-tile generator, the linear extension, the index build's threshold count,
-the Split cell-bit helper and the crowd kernel's Lemire threshold and the
-join's overlap floor have no import sites: every consumer looks them up
-through their defining module at call time.  ``split-partition-offset-shift``
+manager that always restores the originals; ``topological_layers`` is
+patched at its defining module *and* at its module-level import site, so
+both the production pipeline and the oracles see the mutated code.  The
+reference dominance tiles and minimum path cover, the linear extension,
+the index build's threshold count and strictness step, the Split cell-bit
+helper, the crowd kernel's Lemire threshold and the join's overlap floor
+have no import sites: every consumer looks them up through their defining
+module at call time.  ``split-partition-offset-shift``
 is the one mutant patched at an import site alone
 (``grouped_graph.split_partition``): it breaks the hand-off to the grouped
 graph and leaves ``split_grouping`` correct.
@@ -126,17 +127,17 @@ class Mutant:
 
 
 def _mutant_drop_dominance_edge():
-    """The dominance tile generator loses the first tile's last edge.
+    """The reference dominance tiles lose the first tile's last edge.
 
-    Patched where production reads it: the adjacency lists and the edge
-    set draw their tiles through ``construction._dominance_tiles`` at call
-    time, so both silently lose an edge.  The packed reachability index is
-    built from prefix bitsets, not tiles, so it keeps the edge, and
-    ``check_reachability_index`` reports that the two disagree.
+    The reference lists draw their tiles through
+    ``relation._dominance_tiles`` at call time, so they silently lose an
+    edge.  The packed reachability index is built from prefix bitsets, not
+    tiles, so it keeps the edge, and ``check_dominance_construction`` and
+    ``check_reachability_index`` report that the two disagree.
     """
-    from ..graph import construction
+    from . import relation
 
-    original = construction._dominance_tiles
+    original = relation._dominance_tiles
 
     def mutated(*args, **kwargs):
         dropped = False
@@ -147,7 +148,7 @@ def _mutant_drop_dominance_edge():
                 dropped = True
             yield start, tile
 
-    return _patched((construction, "_dominance_tiles", mutated))
+    return _patched((relation, "_dominance_tiles", mutated))
 
 
 def _mutant_reachability_ragged_block():
@@ -158,11 +159,11 @@ def _mutant_reachability_ragged_block():
     (``B = construction.DEFAULT_BLOCK_SIZE``) is ANDed only up to its own
     first byte, so no vertex lists any of the last ``n mod B`` stored rows
     among its ancestors (only rows of that block could: the ancestor matrix
-    is lower triangular).  Descendant rows and the adjacency lists stay
-    correct, so the structural invariants (which read the lists) cannot
-    see it; ``check_reachability_index``, which unpacks every ancestor
-    row, can, and so can the layering check when one of those rows has an
-    active descendant (Power's in-degrees are popcounts of ancestor rows).
+    is lower triangular).  Descendant rows stay correct;
+    ``check_partial_order`` and ``check_reachability_index``, which read
+    every ancestor row, see it, and so can the layering check when one of
+    those rows has an active descendant (Power's in-degrees are popcounts
+    of ancestor rows).
     """
     from ..graph import construction
     from ..graph.reachability import ReachabilityIndex
@@ -184,8 +185,8 @@ def _mutant_prefix_table_nan():
 
     NaN sorts as the largest value, so a vertex with a NaN similarity picks
     the widest prefix-table row and dominates every vertex its other
-    attributes cover, where the dominance tiles and the graph's masks (NaN
-    compares false) give it no edge.  No other battery instance holds a
+    attributes cover, where the reference tiles and masks (NaN compares
+    false) give it no edge.  No other battery instance holds a
     NaN, so only ``check_reachability_index`` on the NaN instance can
     notice.  Patched at ``reachability._threshold_counts``, which the build
     looks up at call time.
@@ -205,12 +206,11 @@ def _mutant_sum_order_extension():
     implies ``sum(u) >= sum(v)`` in floating point, not ``>``, so where two
     sums round to the same value a stable sort can put the dominated vertex
     first.  In the index that edge then lands below the stored diagonal
-    (beyond the first row block, the build never writes it), and the
-    fallback DP layers the pair together.  The battery's
-    other instances have no such tie, so only ``check_linear_extension`` on
-    the float-sum tie instance can notice.  Patched at
-    ``construction.linear_extension``, which the index build and the
-    fallback layering look up at call time.
+    (beyond the first row block, the build never writes it).  The
+    battery's other instances have no such tie, so only
+    ``check_linear_extension`` on the float-sum tie instance can notice.
+    Patched at ``construction.linear_extension``, which the index build
+    looks up at call time.
     """
     from ..graph import construction
 
@@ -269,41 +269,36 @@ def _mutant_split_partition_offset_shift():
 
 
 def _mutant_non_strict_dominance():
-    """Dominance accepts ``>=`` everywhere without requiring a strict ``>``."""
+    """The index build skips its strictness step.
 
-    def mutated_descendants(self, vertex):
-        self._check_vertex(vertex)
-        return np.all(self.vectors <= self.vectors[vertex], axis=1)
+    Models a dominance test that accepts ``>=`` on every attribute without
+    asking for a strict ``>``: equal rows (and each vertex with itself)
+    stay related.  Patched at ``reachability._clear_equal_rows``, which the
+    build looks up at call time; ``check_reachability_index`` sees the
+    bits on the stored diagonal.
+    """
+    from ..graph import reachability
 
-    def mutated_ancestors(self, vertex):
-        self._check_vertex(vertex)
-        return np.all(self.vectors >= self.vectors[vertex], axis=1)
+    def mutated(desc, anc, dominant, dominated):
+        return None  # bug: ">=" everywhere is kept as strict dominance
 
-    return _patched(
-        (PairGraph, "descendant_mask", mutated_descendants),
-        (PairGraph, "ancestor_mask", mutated_ancestors),
-    )
+    return _patched((reachability, "_clear_equal_rows", mutated))
 
 
 def _mutant_inverted_propagation():
     """A GREEN answer votes descendants and a RED answer votes ancestors.
 
-    Patched at ``ColoringState._inference_votes``, the vote count the
-    selection loop's round update (``apply_round``) uses.
+    Patched at ``ReachabilityIndex.row_counts``, which the round update
+    (``ColoringState.apply_round``) reads its votes from.
     """
-    from ..graph.coloring import ColoringState
+    from ..graph.reachability import ReachabilityIndex
 
-    def mutated(self, green, red):
-        graph = self.graph
-        green_votes = np.zeros(len(graph), dtype=np.int32)
-        red_votes = np.zeros(len(graph), dtype=np.int32)
-        for vertex in green:
-            green_votes += graph.descendant_mask(vertex)  # bug: wrong direction
-        for vertex in red:
-            red_votes += graph.ancestor_mask(vertex)  # bug: wrong direction
-        return green_votes, red_votes
+    original = ReachabilityIndex.row_counts
 
-    return _patched((ColoringState, "_inference_votes", mutated))
+    def mutated(self, vertices, ancestors):
+        return original(self, vertices, not ancestors)  # bug: wrong direction
+
+    return _patched((ReachabilityIndex, "row_counts", mutated))
 
 
 def _mutant_topo_layer_merge():
@@ -326,11 +321,14 @@ def _mutant_topo_layer_merge():
 
 
 def _mutant_overlapping_paths():
-    """The "minimum" path cover repeats a vertex across two paths."""
-    from ..graph import matching
-    from ..selection import single_path
+    """The reference minimum path cover repeats a vertex across two paths.
 
-    original = matching.minimum_path_cover
+    Patched at ``relation.minimum_path_cover``, which the reference path
+    cover and ``check_path_cover`` look up at call time.
+    """
+    from . import relation
+
+    original = relation.minimum_path_cover
 
     def mutated(adjacency):
         paths = original(adjacency)
@@ -338,12 +336,7 @@ def _mutant_overlapping_paths():
             paths[1] = [paths[0][0]] + paths[1]
         return paths
 
-    # single_path hosts the shared cover_paths fallback, so patching it
-    # covers both path selectors' scratch paths.
-    return _patched(
-        (matching, "minimum_path_cover", mutated),
-        (single_path, "minimum_path_cover", mutated),
-    )
+    return _patched((relation, "minimum_path_cover", mutated))
 
 
 def _mutant_billing_floor():
@@ -565,7 +558,7 @@ def _mutant_obs_perturbs_selection():
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "drop-dominance-edge",
-        "the dominance tile generator silently loses one edge",
+        "the reference dominance tiles silently lose one edge",
         _mutant_drop_dominance_edge,
     ),
     Mutant(
@@ -596,12 +589,12 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "non-strict-dominance",
-        "dominance accepts >= everywhere without a strict >",
+        "the index build keeps >= everywhere without a strict >",
         _mutant_non_strict_dominance,
     ),
     Mutant(
         "inverted-propagation",
-        "GREEN votes descendants and RED votes ancestors",
+        "the index's vote counts swap GREEN and RED directions",
         _mutant_inverted_propagation,
     ),
     Mutant(
@@ -611,7 +604,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "overlapping-paths",
-        "the minimum path cover repeats a vertex",
+        "the reference minimum path cover repeats a vertex",
         _mutant_overlapping_paths,
     ),
     Mutant(
@@ -750,9 +743,9 @@ def run_detection_battery(
     invariants.check_reachability_index(PairGraph(*random_instance(seed, 260)))
     invariants.check_reachability_index(PairGraph(*nan_instance()))
 
-    # The index and both layering paths where a float row sum ties under
-    # dominance: the only step that tells the exact linear extension from
-    # a sum order (the sum-order-extension mutant).
+    # The index and its layers where a float row sum ties under dominance:
+    # the only step that tells the exact linear extension from a sum order
+    # (the sum-order-extension mutant).
     oracles.check_linear_extension(*float_sum_tie_instance())
 
     # Split grouping, and the grouped graph build_graph makes from its flat

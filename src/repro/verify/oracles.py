@@ -12,10 +12,11 @@ the same answer from first principles:
   the prefix-filtered inverted-index join, the two references the
   production candidate join must reproduce pair for pair.
 * :class:`NaivePairGraph` / :class:`NaiveGroupedGraph` — brute-force
-  :class:`~repro.graph.dag.OrderedGraph` implementations.  Running the
-  *same* selector against the naive and the production graph with identical
-  crowds must produce identical runs, question for question — which
-  exercises the blocked dominance kernel, the vectorized masks, and the
+  :class:`~repro.graph.dag.OrderedGraph` implementations whose relation is
+  a :class:`~repro.verify.relation.ReferenceRelation` built from Python
+  comparisons.  Running the *same* selector against the naive and the
+  production graph with identical crowds must produce identical runs,
+  question for question — which exercises the reachability index and the
   grouped-bound arithmetic under every selector's real access pattern.
 * :func:`reference_split_grouping` — Algorithm 2 one tree node at a time,
   the reference the level-synchronous production Split grouping (and the
@@ -30,11 +31,12 @@ the same answer from first principles:
   the round update and through the one-answer-at-a-time engine, which
   must agree after every round (:func:`check_round_replay` replays given
   rounds, such as :func:`repro.verify.vote_tie_instance`'s).
-* :func:`decline_reachability` — a graph that declines its reachability
-  index, which sends any selector run on it down the reference selection
-  paths (mask-broadcast propagation, scratch path covers every round,
-  longest-chain layering); :func:`check_linear_extension` runs the
-  layering and index checks on both sides of that switch.
+* :func:`~repro.verify.relation.decline_reachability` — a graph holding
+  the reference relation instead of its index, which sends any selector
+  run on it down the reference selection paths (mask sums per answer,
+  scratch path covers every round, Kahn peeling of the lists);
+  :func:`check_linear_extension` runs the layering and index checks where
+  float row sums tie.
 * :class:`GreedyReferenceSelector` — a deterministic greedy selector used
   as an end-to-end reference policy.
 * :func:`monotone_truth` — ground truth that respects the partial order by
@@ -50,6 +52,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict, deque
 from collections.abc import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +68,8 @@ from ..selection import SELECTORS
 from ..selection.base import QuestionSelector, SelectionResult
 from ..similarity.jaccard import jaccard
 from ..similarity.vectors import SimilarityConfig, similarity_matrix
+from . import relation
+from .relation import ReferenceRelation, decline_reachability
 
 Edge = tuple[int, int]
 
@@ -126,24 +131,25 @@ def _diff_edges(label_a: str, edges_a: set[Edge], label_b: str, edges_b: set[Edg
 
 
 def check_dominance_construction(vectors: np.ndarray) -> None:
-    """All §4.1 construction algorithms must equal the naive edge set.
+    """Every construction of the edge set must equal the naive one.
 
-    Covers ``brute-force``, ``quicksort``, ``index`` (when m >= 2),
-    ``vectorized``, ``blocked``, and the adjacency-list form of the blocked
-    kernel (:func:`~repro.graph.construction.blocked_dominance_lists`).
+    Covers the three §4.1 algorithms (``brute-force``, ``quicksort`` and
+    ``index`` when m >= 2), then the references the reachability index is
+    diffed against: the per-vertex broadcast
+    (:func:`~repro.verify.relation.vectorized_edges`) and the lists cut
+    from the dominance tiles
+    (:func:`~repro.verify.relation.blocked_dominance_lists`).
     """
-    from ..graph.construction import (
-        CONSTRUCTION_ALGORITHMS,
-        blocked_dominance_lists,
-    )
+    from ..graph.construction import CONSTRUCTION_ALGORITHMS
 
     vectors = np.asarray(vectors, dtype=np.float64)
     reference = naive_dominance_edges(vectors)
-    for name, algorithm in CONSTRUCTION_ALGORITHMS.items():
+    algorithms = {**CONSTRUCTION_ALGORITHMS, "vectorized": relation.vectorized_edges}
+    for name, algorithm in algorithms.items():
         if name == "index" and vectors.shape[1] < 2:
             continue
         _diff_edges("naive oracle", reference, f"construction[{name}]", algorithm(vectors))
-    lists = blocked_dominance_lists(vectors, vectors, block_size=7)
+    lists = relation.blocked_dominance_lists(vectors, vectors, block_size=7)
     if len(lists) != vectors.shape[0]:
         raise VerificationError(
             f"blocked_dominance_lists returned {len(lists)} lists for "
@@ -468,23 +474,25 @@ def check_crowd_draws(seed: int = 0) -> None:
 # --------------------------------------------------------------------------- #
 
 
+def _python_relation(graph) -> ReferenceRelation:
+    """A naive twin's relation: lists and masks from its own Python loops."""
+    return ReferenceRelation.from_masks(len(graph), graph.descendant_mask, graph.ancestor_mask)
+
+
 class NaivePairGraph(PairGraph):
     """Brute-force twin of :class:`~repro.graph.dag.PairGraph`.
 
     Subclasses :class:`PairGraph` only to satisfy the ``isinstance`` checks
     scattered through the selectors (topological keys, error-tolerant base
-    lookup); every dominance primitive is overridden with pure-Python
-    comparisons, and ``_dominance_operands`` returns ``None`` so adjacency is
-    built through the per-vertex reference loop instead of the blocked
-    kernel.
+    lookup); its relation is a :class:`ReferenceRelation` whose masks and
+    lists come from pure-Python comparisons, never the reachability index.
     """
 
     def __init__(self, pairs: Sequence[Pair], vectors: np.ndarray) -> None:
         super().__init__(pairs, vectors)
         self._rows = [list(map(float, row)) for row in self.vectors]
 
-    def _dominance_operands(self) -> None:  # type: ignore[override]
-        return None
+    reachability = cached_property(_python_relation)  # type: ignore[assignment]
 
     @staticmethod
     def _dominates(row_u: list[float], row_v: list[float]) -> bool:
@@ -515,7 +523,8 @@ class NaiveGroupedGraph(OrderedGraph):
     """Brute-force twin of :class:`~repro.graph.grouped_graph.GroupedGraph`.
 
     Built from the same base graph and grouping, but group bounds and the
-    Eq. 5-6 dominance test are recomputed with Python loops.
+    Eq. 5-6 dominance test are recomputed with Python loops, and so is its
+    :class:`ReferenceRelation`.
     """
 
     def __init__(self, base: NaivePairGraph | PairGraph, grouping: Sequence[Sequence[int]]) -> None:
@@ -545,6 +554,11 @@ class NaiveGroupedGraph(OrderedGraph):
     def upper_bounds(self) -> np.ndarray:
         """Per-group upper-bound vectors (matches :class:`GroupedGraph`)."""
         return np.asarray(self._upper, dtype=np.float64)
+
+    def _dominance_operands(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.lower_bounds, self.upper_bounds
+
+    reachability = cached_property(_python_relation)  # type: ignore[assignment]
 
     def _dominates(self, u: int, v: int) -> bool:
         lower_u, upper_v = self._lower[u], self._upper[v]
@@ -760,12 +774,9 @@ def _graph_edges(graph: OrderedGraph) -> set[Edge]:
             for v in range(len(graph))
             if u != v and graph._dominates(u, v)
         }
-    # Fallback: trust the masks (still exercises the mask/adjacency pairing).
-    return {
-        (u, int(v))
-        for u in range(len(graph))
-        for v in np.flatnonzero(graph.descendant_mask(u))
-    }
+    # Fallback: trust the graph's own relation.
+    relation = graph.reachability
+    return {(u, int(v)) for u in range(len(graph)) for v in relation.descendants(u)}
 
 
 def check_coloring_replay(graph: OrderedGraph, state: ColoringState) -> None:
@@ -850,19 +861,17 @@ def check_round_replay(
 ) -> ColoringState:
     """Apply *rounds* of ``(vertex, color)`` answers round by round.
 
-    After every round, ``ColoringState.apply_round`` on a graph with a
-    reachability index and on one without must leave the same colors,
-    GREEN/RED vote counts and ``asked_order`` as
-    :class:`ReferenceColoring` applying the same answers one at a time.
-    Returns the indexed side's final state.
+    After every round, ``ColoringState.apply_round`` on a graph reading its
+    reachability index and on one holding the reference relation (mask
+    sums per answer) must leave the same colors, GREEN/RED vote counts and
+    ``asked_order`` as :class:`ReferenceColoring` applying the same answers
+    one at a time.  Returns the indexed side's final state.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     answer_of = {Color.GREEN: True, Color.RED: False, Color.BLUE: None}
-    indexed_graph = PairGraph(pairs, vectors)
-    indexed_graph.build_reachability()
     sides = {
-        "indexed": ColoringState(indexed_graph),
-        "masks": ColoringState(PairGraph(pairs, vectors)),
+        "indexed": ColoringState(PairGraph(pairs, vectors)),
+        "masks": ColoringState(decline_reachability(PairGraph(pairs, vectors))),
     }
     reference = ReferenceColoring(naive_dominance_edges(vectors), len(pairs))
     asked: list[int] = []
@@ -915,12 +924,13 @@ class GreedyReferenceSelector(QuestionSelector):
         self, graph: OrderedGraph, state: ColoringState, rng: np.random.Generator
     ) -> list[int]:
         uncolored = state.uncolored_mask()
+        relation = graph.reachability
         best_vertex, best_score = -1, -1
         for vertex in np.flatnonzero(uncolored):
             vertex = int(vertex)
             score = int(
-                np.count_nonzero(graph.ancestor_mask(vertex) & uncolored)
-                + np.count_nonzero(graph.descendant_mask(vertex) & uncolored)
+                np.count_nonzero(relation.ancestor_mask(vertex) & uncolored)
+                + np.count_nonzero(relation.descendant_mask(vertex) & uncolored)
             )
             if score > best_score:
                 best_vertex, best_score = vertex, score
@@ -943,32 +953,13 @@ def monotone_truth(vectors: np.ndarray, cutoff: float | None = None) -> dict[int
     return {vertex: bool(means[vertex] >= cutoff) for vertex in range(vectors.shape[0])}
 
 
-def decline_reachability(graph: OrderedGraph) -> OrderedGraph:
-    """Make a fresh *graph* decline its reachability index; returns it.
-
-    The graph ends up in the state of a naive twin, which exposes no
-    dominance operands: :meth:`~repro.graph.dag.OrderedGraph.build_reachability`
-    returns ``None``, so a selector run on it takes the reference paths —
-    mask-broadcast color propagation and, for the path-cover selectors,
-    ``restricted_adjacency`` + ``minimum_path_cover`` from scratch every
-    round.  The differential checks and the selection benchmark reach the
-    references this way; production code has no switch for them.
-    """
-    if graph.reachability is not None:
-        raise ValueError("the graph already holds a reachability index")
-    graph.build_reachability = lambda: None
-    return graph
-
-
 def check_linear_extension(pairs: Sequence[Pair], vectors: np.ndarray) -> None:
-    """The index and both layering paths, on a pair and a grouped graph.
+    """The index and its layers, on a pair and a grouped graph.
 
     Each graph gets :func:`~repro.verify.invariants.check_reachability_index`
-    and :func:`~repro.verify.invariants.check_topo_layers` with its index,
-    then the layering check again on a fresh twin that declines the index
-    (the longest-chain DP over the adjacency lists).  Both paths order the
-    vertices by :func:`~repro.graph.construction.linear_extension`, so an
-    instance whose float row sums tie under dominance
+    and :func:`~repro.verify.invariants.check_topo_layers`.  The index is
+    stored in :func:`~repro.graph.construction.linear_extension` order, so
+    an instance whose float row sums tie under dominance
     (:func:`~repro.verify.battery.float_sum_tie_instance`) tells the exact
     order from a sum order; signed zeros and duplicate rows
     (:func:`~repro.verify.battery.signed_zero_instance`) test the joint
@@ -976,18 +967,13 @@ def check_linear_extension(pairs: Sequence[Pair], vectors: np.ndarray) -> None:
     """
     from .invariants import check_reachability_index, check_topo_layers
 
-    def graphs() -> list[OrderedGraph]:
-        singletons = [[vertex] for vertex in range(len(pairs))]
-        return [
-            PairGraph(pairs, vectors),
-            GroupedGraph(PairGraph(pairs, vectors), singletons),
-        ]
-
-    for graph in graphs():
+    singletons = [[vertex] for vertex in range(len(pairs))]
+    for graph in (
+        PairGraph(pairs, vectors),
+        GroupedGraph(PairGraph(pairs, vectors), singletons),
+    ):
         check_reachability_index(graph)
         check_topo_layers(graph)
-    for graph in graphs():
-        check_topo_layers(decline_reachability(graph))
 
 
 def _run_selector(
@@ -1087,9 +1073,9 @@ def check_selection_incremental(
 
     The same selector (same seed, same crowd construction) runs once with
     the incremental engine (reachability index + warm-started path covers)
-    and once on a graph that declines its index
-    (:func:`decline_reachability`), which forces the per-round scratch
-    paths; each side gets a *fresh* graph so no index leaks across.
+    and once on a graph holding the reference relation
+    (:func:`~repro.verify.relation.decline_reachability`), which runs the
+    per-round scratch paths; each side gets a *fresh* graph.
     Questions asked — vertex for vertex, in order — labels, counts, and the
     final coloring must all be equal; any divergence means the warm-started
     matching or the packed propagation masks drifted from the reference.

@@ -49,21 +49,22 @@ def to_dot(
             Fig. 1) instead of the full transitive relation.
     """
     lines = [f"digraph {name} {{", "  rankdir=TB;", '  node [shape=box, style=filled];']
+    asked_vertices = set(state.asked_order) if state is not None else set()
     for vertex in range(len(graph)):
         color = state.color_of(vertex) if state is not None else Color.UNCOLORED
-        asked = state is not None and vertex in set(state.asked_order)
         attributes = [
             f'label="{_vertex_label(graph, vertex)}"',
             f'fillcolor="{_FILL[color]}"',
         ]
-        if asked:
+        if vertex in asked_vertices:
             attributes.append("penwidth=2")
         lines.append(f"  v{vertex} [{', '.join(attributes)}];")
     if reduce_edges:
         edges = transitive_reduction(graph)
     else:
+        relation = graph.reachability
         edges = [
-            (u, int(v)) for u in range(len(graph)) for v in graph.adjacency()[u]
+            (u, int(v)) for u in range(len(graph)) for v in relation.descendants(u)
         ]
     for u, v in sorted(edges):
         lines.append(f"  v{u} -> v{v};")

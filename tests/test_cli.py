@@ -41,8 +41,11 @@ class TestStats:
         assert main(["stats", str(small_csv)]) == 0
         out = capsys.readouterr().out
         assert "records   : 60" in out
-        assert "candidate pairs" in out
-        assert "partial order" in out
+        assert "candidate pairs (threshold 0.2): 290" in out
+        assert (
+            "partial order: |V|=290 |E|=18631 comparable=44.5% depth=33 width=53"
+            in out.splitlines()
+        )
 
 
 class TestResolve:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import cora, entity_clusters, restaurant, true_match_pairs
-from repro.graph import PairGraph, count_order_violations
+from repro.graph import PairGraph, count_order_violations, order_statistics
 from repro.similarity import SimilarityConfig, similar_pairs, similarity_matrix
 
 
@@ -34,7 +34,7 @@ class TestRestaurantStatistics:
         datasets; our synthetic stand-ins must land in the same world."""
         _, pairs, vectors, = restaurant_bundle
         graph = PairGraph(pairs, vectors)
-        assert 0.10 <= graph.comparability_fraction() <= 0.45
+        assert 0.10 <= order_statistics(graph, compute_width=False).comparability <= 0.45
 
     def test_order_violation_rate_low(self, restaurant_bundle):
         """§5.1's premise: 'few pairs invalidate the partial order'."""

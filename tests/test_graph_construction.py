@@ -2,6 +2,8 @@
 
 The load-bearing property: brute force, quicksort, the range-tree index and
 the vectorised reference all produce exactly the same dominance edge set.
+The reference forms (the per-vertex broadcast and the tile lists) live in
+:mod:`repro.verify.relation`.
 """
 
 import numpy as np
@@ -10,12 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
-from repro.graph import (
-    brute_force_edges,
-    index_edges,
-    quicksort_edges,
-    vectorized_edges,
-)
+from repro.graph import brute_force_edges, index_edges, quicksort_edges
+from repro.verify.relation import blocked_dominance_lists, vectorized_edges
 
 from conftest import random_vectors
 
@@ -102,7 +100,7 @@ class TestEdgeSemantics:
 
 
 class TestBlockedDominanceListsEdgeCases:
-    """Regression battery for the blocked (tiled) adjacency kernel.
+    """Regression battery for the reference tile lists.
 
     Every case must be *bit-identical* to the scalar per-vertex reference
     (a plain broadcast over one row at a time), including the shapes and
@@ -123,8 +121,6 @@ class TestBlockedDominanceListsEdgeCases:
         return lists
 
     def _assert_identical(self, dominant, dominated=None, **kwargs):
-        from repro.graph.construction import blocked_dominance_lists
-
         if dominated is None:
             dominated = dominant
         fast = blocked_dominance_lists(np.asarray(dominant, dtype=np.float64),
@@ -156,8 +152,6 @@ class TestBlockedDominanceListsEdgeCases:
         """Equal rows are mutually incomparable: no strict component."""
         vectors = np.full((9, 4), 0.5)
         self._assert_identical(vectors, block_size=4)
-        from repro.graph.construction import blocked_dominance_lists
-
         lists = blocked_dominance_lists(vectors, vectors, block_size=4)
         assert all(len(row) == 0 for row in lists)
 
@@ -180,8 +174,6 @@ class TestBlockedDominanceListsEdgeCases:
 
     def test_mismatched_shapes_rejected(self):
         """The kernel requires row-aligned operands of identical shape."""
-        from repro.graph.construction import blocked_dominance_lists
-
         with pytest.raises(GraphError):
             blocked_dominance_lists(random_vectors(20, 6, 3), random_vectors(21, 11, 3))
 

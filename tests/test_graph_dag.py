@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import GraphError
-from repro.graph import PairGraph
+from repro.graph import PairGraph, order_statistics
 
 
 @pytest.fixture()
@@ -28,25 +28,29 @@ class TestPairGraph:
         assert chain_graph.num_attributes == 2
 
     def test_descendants_and_ancestors(self, chain_graph):
-        assert sorted(chain_graph.descendants(0)) == [1, 2]
-        assert sorted(chain_graph.ancestors(2)) == [0, 1]
-        assert list(chain_graph.descendants(3)) == []
-        assert list(chain_graph.ancestors(3)) == []
+        relation = chain_graph.reachability
+        assert sorted(relation.descendants(0)) == [1, 2]
+        assert sorted(relation.ancestors(2)) == [0, 1]
+        assert list(relation.descendants(3)) == []
+        assert list(relation.ancestors(3)) == []
 
     def test_adjacency_is_full_relation(self, chain_graph):
-        adjacency = chain_graph.adjacency()
-        assert sorted(adjacency[0]) == [1, 2]
-        assert sorted(adjacency[1]) == [2]
-        assert chain_graph.num_edges == 3
+        """The descendant rows are the whole transitive relation."""
+        relation = chain_graph.reachability
+        assert relation.descendants(0).tolist() == [1, 2]
+        assert relation.descendants(1).tolist() == [2]
+        assert order_statistics(chain_graph).num_edges == 3
 
     def test_self_never_related(self, chain_graph):
+        relation = chain_graph.reachability
         for vertex in range(4):
-            assert not chain_graph.descendant_mask(vertex)[vertex]
-            assert not chain_graph.ancestor_mask(vertex)[vertex]
+            assert not relation.descendant_mask(vertex)[vertex]
+            assert not relation.ancestor_mask(vertex)[vertex]
 
     def test_equal_vectors_incomparable(self):
         graph = PairGraph([(0, 1), (2, 3)], np.array([[0.5, 0.5], [0.5, 0.5]]))
-        assert graph.num_edges == 0
+        assert order_statistics(graph).num_edges == 0
+        assert graph.reachability.reached([0, 1]).tolist() == []
 
     def test_member_and_representative(self, chain_graph):
         rng = np.random.default_rng(0)
@@ -61,8 +65,8 @@ class TestPairGraph:
 
     def test_vertex_range_checked(self, chain_graph):
         with pytest.raises(GraphError):
-            chain_graph.descendants(99)
+            chain_graph.reachability.descendants(99)
 
     def test_comparability_fraction(self, chain_graph):
         # 3 comparable pairs of 6 possible.
-        assert chain_graph.comparability_fraction() == pytest.approx(0.5)
+        assert order_statistics(chain_graph).comparability == pytest.approx(0.5)

@@ -9,9 +9,9 @@ from repro.graph import (
     PairGraph,
     build_graph,
     split_grouping,
-    strictly_dominates,
 )
 from repro.verify import NaiveGroupedGraph, NaivePairGraph
+from repro.verify.relation import strictly_dominates
 
 from conftest import random_vectors
 
@@ -39,8 +39,9 @@ class TestGroupedGraph:
 
     def test_group_dominance_uses_bounds(self, simple_grouped):
         # group 0 (l = .9,.9) > group 1 (u = .5,.5) > group 2 (u = .1,.1).
-        assert sorted(simple_grouped.descendants(0)) == [1, 2]
-        assert sorted(simple_grouped.ancestors(2)) == [0, 1]
+        relation = simple_grouped.reachability
+        assert sorted(relation.descendants(0)) == [1, 2]
+        assert sorted(relation.ancestors(2)) == [0, 1]
 
     def test_member_pairs(self, simple_grouped):
         assert set(simple_grouped.member_pairs(0)) == {(0, 1), (0, 2)}
@@ -84,7 +85,7 @@ class TestGroupedGraph:
         base = PairGraph([(i, i + 100) for i in range(40)], vectors)
         grouped = GroupedGraph(base, split_grouping(vectors, 0.15))
         for gi in range(len(grouped)):
-            for gj in grouped.descendants(gi):
+            for gj in grouped.reachability.descendants(gi):
                 for a in grouped.grouping[gi]:
                     for b in grouped.grouping[int(gj)]:
                         assert strictly_dominates(vectors[a], vectors[b])

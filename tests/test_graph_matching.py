@@ -1,17 +1,17 @@
-"""Tests for Hopcroft-Karp and the Dilworth path decomposition (§5.2)."""
+"""Tests for Hopcroft-Karp and the Dilworth path decomposition (§5.2).
+
+The from-scratch decomposition (``hopcroft_karp``, ``minimum_path_cover``)
+is the reference in :mod:`repro.verify.relation`; the warm-start engine
+production runs is tested against it in ``test_incremental_matching``.
+"""
 
 import networkx as nx
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import (
-    greedy_path_cover,
-    hopcroft_karp,
-    minimum_path_cover,
-    restricted_adjacency,
-    vectorized_edges,
-)
+from repro.graph import PairGraph, greedy_path_cover, restricted_adjacency
+from repro.verify.relation import hopcroft_karp, minimum_path_cover, vectorized_edges
 
 from conftest import random_vectors
 
@@ -147,8 +147,8 @@ class TestGreedyPathCover:
 
 class TestRestrictedAdjacency:
     def test_relabeling(self):
-        adjacency = [np.array([1, 2]), np.array([2]), np.array([], dtype=int)]
+        graph = PairGraph([(0, 1), (0, 2), (1, 2)], np.array([[0.9], [0.5], [0.1]]))
         active = np.array([True, False, True])
-        sub, ids = restricted_adjacency(adjacency, active)
+        sub, ids = restricted_adjacency(graph.reachability, active)
         assert list(ids) == [0, 2]
         assert sub == [[1], []]  # 0 -> 2 becomes 0 -> 1 in compact ids

@@ -1,11 +1,16 @@
-"""Property tests for the partial order (Eqs. 3-4)."""
+"""Property tests for the partial order (Eqs. 3-4).
+
+The scalar relations and the float-broadcast masks are the readable
+reference in :mod:`repro.verify.relation`; production reads the
+reachability index, which the battery diffs against them.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.graph import (
+from repro.verify.relation import (
     ancestor_mask,
     comparable,
     descendant_mask,

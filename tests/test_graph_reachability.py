@@ -13,14 +13,19 @@ from repro.graph import (
     ColoringState,
     GroupedGraph,
     PairGraph,
-    blocked_dominance_lists,
     construction,
     pack_mask,
     split_grouping,
     unpack_mask,
 )
-from repro.verify import check_reachability_index
+from repro.verify import (
+    ReferenceRelation,
+    check_reachability_index,
+    decline_reachability,
+    reference_relation,
+)
 from repro.verify.oracles import NaivePairGraph
+from repro.verify.relation import blocked_dominance_lists
 
 from conftest import random_vectors
 
@@ -51,7 +56,7 @@ class TestPackedBits:
 class TestIndexMasks:
     @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 200, *TILE_SIZES])
     def test_masks_match_graph_broadcast(self, n):
-        """Unpacked index rows must be byte-identical to the graph's own
+        """Unpacked index rows must be byte-identical to the reference
         float-broadcast masks — at byte- and tile-boundary sizes."""
         check_reachability_index(make_graph(seed=n, n=n))
 
@@ -76,32 +81,19 @@ class TestIndexMasks:
         st.integers(min_value=0, max_value=999),
     )
     def test_cached_lists_equal_blocked_lists(self, n, block_size, grouped, seed):
-        """An index built at any tile height (a multiple of 8) reads back
-        the blocked kernel's lists, which ``adjacency()`` builds on its own."""
+        """An index built at any row-block height (a multiple of 8) reads
+        back the reference tile lists, which share no code with it."""
         graph = make_grouped_graph(seed, n) if grouped else make_graph(seed, n)
         with mock.patch.object(construction, "DEFAULT_BLOCK_SIZE", block_size):
-            index = graph.build_reachability()
-        cached = graph.adjacency()
+            index = graph.reachability
         expected = blocked_dominance_lists(*graph._dominance_operands())
-        assert len(cached) == len(expected) == n
-        for fast, reference in zip(cached, expected):
-            assert fast.dtype == reference.dtype
-            assert np.array_equal(fast, reference)
-        for v in range(n):
-            assert np.array_equal(np.flatnonzero(index.descendant_mask(v)), cached[v])
-
-    def test_build_over_attached_adjacency_keeps_lists(self):
-        """Lists cached before the build (a caller ran ``adjacency()``
-        first) stay the cached object; the build only packs bits."""
-        graph = make_graph(seed=6, n=300)
-        attached = graph.adjacency()
-        index = graph.build_reachability()
-        assert graph.adjacency() is attached
-        check_reachability_index(graph)
-        assert index is graph.reachability
+        assert index.num_vertices == len(expected) == n
+        for v, reference in enumerate(expected):
+            assert np.array_equal(index.descendants(v), reference)
+            assert np.array_equal(np.flatnonzero(index.descendant_mask(v)), reference)
 
     def test_row_bounds_checked(self):
-        index = make_graph(seed=0, n=5).build_reachability()
+        index = make_graph(seed=0, n=5).reachability
         with pytest.raises(GraphError):
             index.descendant_mask(5)
         with pytest.raises(GraphError):
@@ -112,16 +104,15 @@ class TestIndexMasks:
 
 class TestGating:
     def test_naive_graph_never_indexed(self):
-        """The oracle twins expose no dominance operands, so they stay on
-        the pure reference paths."""
+        """The oracle twins hold a reference relation built from Python
+        comparisons, so they stay on the pure reference paths."""
         vectors = random_vectors(2, 12, 3)
         naive = NaivePairGraph([(2 * i, 2 * i + 1) for i in range(12)], vectors)
-        assert naive.build_reachability() is None
+        assert isinstance(naive.reachability, ReferenceRelation)
 
     def test_index_built_once_and_cached(self):
         graph = make_graph(seed=4, n=20)
-        first = graph.build_reachability()
-        assert first is graph.build_reachability()
+        first = graph.reachability
         assert first is graph.reachability
 
 
@@ -130,12 +121,11 @@ class TestColoringEquivalence:
     @given(st.integers(min_value=0, max_value=999))
     def test_propagation_identical_with_and_without_index(self, seed):
         """apply_round counting votes from the packed index's rows colors
-        exactly the same vertices as its mask-broadcast path."""
+        exactly the same vertices as the reference relation's mask sums."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 40))
-        plain = make_graph(seed=seed, n=n)
+        plain = decline_reachability(make_graph(seed=seed, n=n))
         indexed = make_graph(seed=seed, n=n)
-        assert indexed.build_reachability() is not None
         ref, fast = ColoringState(plain), ColoringState(indexed)
         for _ in range(int(rng.integers(1, 6))):
             size = int(rng.integers(1, n + 1))
@@ -179,16 +169,18 @@ class TestLinearExtensionOrder:
     @given(ORDER_SIZES, st.booleans(), st.integers(0, 9999))
     def test_masks_equal_the_graph_masks(self, n, grouped, seed):
         graph = quantized_graph(seed, n, grouped)
-        index = graph.build_reachability()
+        index = graph.reachability
+        reference = reference_relation(graph)
         for v in range(n):
-            assert np.array_equal(index.descendant_mask(v), graph.descendant_mask(v))
-            assert np.array_equal(index.ancestor_mask(v), graph.ancestor_mask(v))
-            assert np.array_equal(index.descendants(v), graph.descendants(v))
+            assert np.array_equal(index.descendant_mask(v), reference.descendant_mask(v))
+            assert np.array_equal(index.ancestor_mask(v), reference.ancestor_mask(v))
+            assert np.array_equal(index.descendants(v), reference.descendants(v))
+            assert np.array_equal(index.ancestors(v), reference.ancestors(v))
 
     @settings(max_examples=20, deadline=None)
     @given(ORDER_SIZES, st.booleans(), st.integers(0, 9999))
     def test_stored_lower_triangle_is_empty(self, n, grouped, seed):
-        index = quantized_graph(seed, n, grouped).build_reachability()
+        index = quantized_graph(seed, n, grouped).reachability
         assert np.array_equal(np.sort(index.order), np.arange(n))
         desc = np.unpackbits(index._desc, axis=1, count=n, bitorder="little")
         anc = np.unpackbits(index._anc, axis=1, count=n, bitorder="little")
@@ -200,11 +192,15 @@ class TestLinearExtensionOrder:
     @given(ORDER_SIZES, st.booleans(), st.integers(0, 9999))
     def test_row_counts_equal_summed_masks(self, n, grouped, seed):
         graph = quantized_graph(seed, n, grouped)
-        index = graph.build_reachability()
+        index = graph.reachability
+        reference = reference_relation(graph)
         rng = np.random.default_rng(seed)
         vertices = rng.integers(0, max(n, 1), int(rng.integers(0, 12))) if n else []
         vertices = np.asarray(vertices, dtype=np.intp)
-        for ancestors, mask in ((True, graph.ancestor_mask), (False, graph.descendant_mask)):
+        for ancestors, mask in (
+            (True, reference.ancestor_mask),
+            (False, reference.descendant_mask),
+        ):
             expected = np.zeros(n, dtype=np.int64)
             for v in vertices:  # a repeated vertex counts each time
                 expected += mask(int(v))
@@ -216,10 +212,9 @@ class TestLinearExtensionOrder:
     @given(ORDER_SIZES, st.booleans(), st.integers(0, 9999), st.sampled_from([1.0, 0.5, 0.1]))
     def test_layers_agree_with_and_without_index(self, n, grouped, seed, share):
         from repro.graph import topological_layers
-        from repro.verify import decline_reachability, naive_kahn_layers
+        from repro.verify import naive_kahn_layers
 
         indexed = quantized_graph(seed, n, grouped)
-        indexed.build_reachability()
         declined = decline_reachability(quantized_graph(seed, n, grouped))
         active = np.random.default_rng(seed).random(n) < share
         fast = [layer.tolist() for layer in topological_layers(indexed, active)]
@@ -232,7 +227,7 @@ class TestLinearExtensionOrder:
         from repro.graph import topological_layers
 
         graph = quantized_graph(0, n, grouped)
-        index = graph.build_reachability()
+        index = graph.reachability
         assert index.num_vertices == n and index.order.tolist() == list(range(n))
         assert [layer.tolist() for layer in index.kahn_layers(np.ones(n, bool))] == (
             [[0]] if n else []
@@ -267,7 +262,7 @@ def special_graph(seed: int, n: int, m: int, grouped: bool):
 
 class TestPrefixBitsetBuild:
     """The index is built from per-attribute prefix bitsets, and must read
-    back exactly what the float masks and the dominance tiles give."""
+    back exactly what the reference masks and dominance tiles give."""
 
     @settings(max_examples=30, deadline=None)
     @given(ORDER_SIZES, st.sampled_from([0, 1, 3, 8]), st.booleans(), st.integers(0, 9999))
@@ -282,7 +277,7 @@ class TestPrefixBitsetBuild:
         graph = PairGraph([(2 * i, 2 * i + 1) for i in range(rows)], np.full((rows, 3), 0.5))
         if grouped:
             graph = GroupedGraph(graph, [[2 * g, 2 * g + 1] for g in range(n)])
-        index = graph.build_reachability()
+        index = graph.reachability
         assert not index._desc.any() and not index._anc.any()
         check_reachability_index(graph)
 
@@ -297,7 +292,7 @@ class TestPrefixBitsetBuild:
         """Vertex 0's NaN puts it above and below nothing (a threshold count
         that sorts NaN as the largest value reads ``[[1, 2], [2], []]``)."""
         graph = PairGraph([(0, 1), (0, 2), (1, 2)], [[0.5, np.nan], [0.4, 0.3], [0.2, 0.1]])
-        index = graph.build_reachability()
+        index = graph.reachability
         assert [index.descendants(v).tolist() for v in range(3)] == [[], [2], []]
         assert [index.ancestors(v).tolist() for v in range(3)] == [[], [], [1]]
         check_reachability_index(graph)
@@ -314,7 +309,7 @@ class TestPrefixBitsetBuild:
         vectors = rng.integers(0, 7, (300, 3)) / 6.0
         vectors[rng.random(300) < nan_share, 1] = np.nan
         pairs = [(2 * i, 2 * i + 1) for i in range(300)]
-        whole = PairGraph(pairs, vectors).build_reachability()
+        whole = PairGraph(pairs, vectors).reachability
         monkeypatch.setattr(reachability, "UNPACK_CHUNK_BYTES", 64)
         chunked = PairGraph(pairs, vectors)
         check_reachability_index(chunked)

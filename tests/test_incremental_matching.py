@@ -9,13 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
-from repro.graph import (
-    IncrementalPathCover,
-    PairGraph,
-    hopcroft_karp,
-    minimum_path_cover,
-    restricted_adjacency,
-)
+from repro.graph import IncrementalPathCover, PairGraph
+from repro.verify import reference_relation
+from repro.verify.relation import hopcroft_karp
 
 from conftest import random_vectors
 
@@ -27,9 +23,8 @@ def make_graph(seed: int, n: int, m: int = 3) -> PairGraph:
 
 
 def reference_cover(graph: PairGraph, active: np.ndarray) -> list[list[int]]:
-    sub_adjacency, original_ids = restricted_adjacency(graph.adjacency(), active)
-    paths = minimum_path_cover(sub_adjacency)
-    return [[int(original_ids[v]) for v in path] for path in paths]
+    """The from-scratch cover over the graph's reference tile lists."""
+    return reference_relation(graph).path_cover().cover(active)
 
 
 def matching_size_networkx(adjacency, active):
@@ -57,7 +52,7 @@ class TestAgainstScratch:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 45))
         graph = make_graph(seed=seed, n=n)
-        engine = IncrementalPathCover(graph.build_reachability())
+        engine = IncrementalPathCover(graph.reachability)
         active = np.ones(n, dtype=bool)
         while active.any():
             assert engine.cover(active) == reference_cover(graph, active)
@@ -74,22 +69,22 @@ class TestAgainstScratch:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 35))
         graph = make_graph(seed=seed + 10_000, n=n)
-        engine = IncrementalPathCover(graph.build_reachability())
+        engine = IncrementalPathCover(graph.reachability)
         active = rng.random(n) < 0.7
         paths = engine.cover(active)
-        expected = matching_size_networkx(graph.adjacency(), active)
+        expected = matching_size_networkx(reference_relation(graph).lists, active)
         assert int(active.sum()) - len(paths) == expected
 
 
 class TestRegressions:
     def test_empty_active_set(self):
         graph = make_graph(seed=1, n=8)
-        engine = IncrementalPathCover(graph.build_reachability())
+        engine = IncrementalPathCover(graph.reachability)
         assert engine.cover(np.zeros(8, dtype=bool)) == []
 
     def test_singleton(self):
         graph = make_graph(seed=2, n=8)
-        engine = IncrementalPathCover(graph.build_reachability())
+        engine = IncrementalPathCover(graph.reachability)
         active = np.zeros(8, dtype=bool)
         active[3] = True
         assert engine.cover(active) == [[3]]
@@ -98,7 +93,7 @@ class TestRegressions:
         """Coloring only ever shrinks the active set; re-activating a
         deleted vertex would invalidate the warm-start matching."""
         graph = make_graph(seed=3, n=10)
-        engine = IncrementalPathCover(graph.build_reachability())
+        engine = IncrementalPathCover(graph.reachability)
         active = np.ones(10, dtype=bool)
         active[4] = False
         engine.cover(active)
@@ -108,7 +103,7 @@ class TestRegressions:
 
     def test_repeated_cover_without_deletions(self):
         graph = make_graph(seed=4, n=20)
-        engine = IncrementalPathCover(graph.build_reachability())
+        engine = IncrementalPathCover(graph.reachability)
         active = np.ones(20, dtype=bool)
         first = engine.cover(active)
         assert engine.cover(active) == first == reference_cover(graph, active)
@@ -119,7 +114,7 @@ class TestRegressions:
         from repro.obs import Observability, activated, structure
 
         graph = make_graph(seed=5, n=20)
-        engine = IncrementalPathCover(graph.build_reachability())
+        engine = IncrementalPathCover(graph.reachability)
         active = np.ones(20, dtype=bool)
         with activated(Observability(tracing=True, metrics=False)) as obs:
             engine.cover(active)

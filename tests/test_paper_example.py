@@ -26,9 +26,7 @@ from repro.graph import (
     PairGraph,
     greedy_grouping,
     middle_layer,
-    minimum_path_cover,
     split_grouping,
-    strictly_dominates,
     topological_layers,
     validate_grouping,
 )
@@ -40,6 +38,7 @@ from repro.selection import (
     weighted_similarities,
 )
 from repro.similarity import SimilarityConfig, similarity_matrix
+from repro.verify.relation import strictly_dominates
 
 
 @pytest.fixture(scope="module")
@@ -155,8 +154,7 @@ class TestTopologyExample:
 
     def test_three_disjoint_paths(self, grouped):
         """Fig. 5: B = 3 minimal disjoint paths on the grouped example."""
-        adjacency = [list(children) for children in grouped.adjacency()]
-        paths = minimum_path_cover(adjacency)
+        paths = grouped.reachability.path_cover().cover(np.ones(len(grouped), dtype=bool))
         assert len(paths) == 3
         covered = sorted(v for path in paths for v in path)
         assert covered == list(range(len(grouped)))

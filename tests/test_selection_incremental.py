@@ -1,9 +1,10 @@
 """Selector-level tests for the incremental fast paths and their references.
 
-Production selection has one loop: ``QuestionSelector.run`` always builds
-the graph's reachability index.  The reference paths run when a graph
-declines the index through :func:`repro.verify.decline_reachability`,
-which is how these tests reach them.
+Production selection has one loop over one relation: the graph's
+reachability index.  The reference paths run when a graph holds the
+reference relation instead, through
+:func:`repro.verify.decline_reachability`, which is how these tests reach
+them.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from repro.crowd import PerfectCrowd, SimulatedCrowd, WorkerPool
 from repro.graph import GroupedGraph, PairGraph, split_grouping
 from repro.selection import SELECTORS
-from repro.verify import decline_reachability
+from repro.verify import ReferenceRelation, decline_reachability
 
 from conftest import random_vectors
 
@@ -101,15 +102,17 @@ class TestDeclinedIndex:
         pairs, vectors, truth = make_workload(seed=9)
         graph = decline_reachability(PairGraph(pairs, vectors))
         result = SELECTORS["single-path"]().run(graph, PerfectCrowd(truth).session())
-        assert graph.reachability is None
+        assert isinstance(graph.reachability, ReferenceRelation)
         telemetry = result.extras["selection"]
         assert telemetry["incremental"] is False
         # The warm-started path cover never ran: every cover was scratch.
-        assert set(telemetry) == {"rounds", "incremental"}
+        engine = telemetry["engine"]
+        assert engine["covers"] == engine["scratch_builds"] >= 1
+        assert engine["deleted_vertices"] == engine["suffix_lefts"] == 0
 
     def test_an_indexed_graph_cannot_decline(self):
         pairs, vectors, _ = make_workload(seed=2, n=10)
         graph = PairGraph(pairs, vectors)
-        assert graph.build_reachability() is not None
+        assert graph.reachability is not None
         with pytest.raises(ValueError, match="already holds"):
             decline_reachability(graph)

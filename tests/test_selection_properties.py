@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crowd import PerfectCrowd
-from repro.graph import Color, ColoringState, GroupedGraph, PairGraph, split_grouping
+from repro.graph import (
+    Color,
+    ColoringState,
+    GroupedGraph,
+    PairGraph,
+    order_statistics,
+    split_grouping,
+)
 from repro.selection import (
     MultiPathSelector,
     RandomSelector,
@@ -179,11 +186,7 @@ class TestComplexityBounds:
         seed, n, m = instance
         pairs, vectors, truth = monotone_instance(seed, n, m)
         graph = PairGraph(pairs, vectors)
-        from repro.graph.matching import minimum_path_cover, restricted_adjacency
-
-        active = np.ones(n, dtype=bool)
-        sub, _ = restricted_adjacency(graph.adjacency(), active)
-        width = len(minimum_path_cover(sub))
+        width = order_statistics(graph).width
         result = SinglePathSelector(seed=seed).run(
             graph, PerfectCrowd(truth).session()
         )
@@ -204,7 +207,7 @@ class TestComplexityBounds:
         minimal_greens = 0
         for vertex in range(n):
             if labels[vertex]:
-                children = graph.descendants(vertex)
+                children = graph.reachability.descendants(vertex)
                 if not np.any(labels[children]):
                     minimal_greens += 1
         # They form an antichain of boundary vertices; asking fewer total
@@ -221,6 +224,6 @@ class TestComplexityBounds:
         asked = set(result.state.asked_order)
         for vertex in range(n):
             if labels[vertex]:
-                children = graph.descendants(vertex)
+                children = graph.reachability.descendants(vertex)
                 if not np.any(labels[children]):
                     assert vertex in asked

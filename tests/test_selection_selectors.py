@@ -50,8 +50,9 @@ class TestOracleCorrectness:
         for vertex, pair in enumerate(base.pairs):
             if result.labels[pair] == truth[pair]:
                 continue
-            ancestors_nonmatch = np.any(~truth_array[base.ancestors(vertex)]) if truth[pair] else False
-            descendants_match = np.any(truth_array[base.descendants(vertex)]) if not truth[pair] else False
+            relation = base.reachability
+            ancestors_nonmatch = np.any(~truth_array[relation.ancestors(vertex)]) if truth[pair] else False
+            descendants_match = np.any(truth_array[relation.descendants(vertex)]) if not truth[pair] else False
             assert ancestors_nonmatch or descendants_match, pair
 
     @pytest.mark.parametrize("selector_class", ALL_SELECTORS)

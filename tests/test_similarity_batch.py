@@ -6,8 +6,9 @@ on:
 * :func:`batch_similarity_matrix` is *bit-identical* to
   :func:`similarity_matrix` on random string tables, for every similarity
   function;
-* the blocked dominance kernel produces exactly the reference edge set /
-  adjacency lists on random vector matrices;
+* the reference dominance tiles produce exactly the per-vertex edge set,
+  and the reachability index exactly their lists, on random vector
+  matrices;
 * :func:`sparse_jaccard_join` returns exactly the naive quadratic join
   oracle's pairs across thresholds, and a :class:`PostingJoin` extended
   batch by batch returns exactly the one-shot join's pairs, also around
@@ -30,7 +31,6 @@ from hypothesis import strategies as st
 from repro.core import PowerConfig, PowerResolver
 from repro.data.table import Table
 from repro.exceptions import ConfigurationError, DataError, GraphError
-from repro.graph import blocked_dominance_lists, blocked_edges, vectorized_edges
 from repro.graph.dag import PairGraph
 from repro.graph.grouped_graph import build_graph
 from repro.similarity import (
@@ -49,6 +49,7 @@ from repro.similarity.batch import (
 )
 from repro.similarity.tokenize import qgram_tokens, word_tokens
 from repro.verify import naive_join
+from repro.verify.relation import blocked_dominance_lists, vectorized_edges
 
 from conftest import random_vectors
 
@@ -514,22 +515,28 @@ class TestBatchEdit:
 # --------------------------------------------------------------------------- #
 
 
+def tile_edges(vectors, block_size=256):
+    """The edge set cut from the reference dominance tiles."""
+    lists = blocked_dominance_lists(vectors, vectors, block_size=block_size)
+    return {(u, int(v)) for u, row in enumerate(lists) for v in row}
+
+
 class TestBlockedKernel:
     @settings(max_examples=30, deadline=None)
     @given(matrix_strategy())
     def test_blocked_edges_equal_reference(self, vectors):
-        assert blocked_edges(vectors) == vectorized_edges(vectors)
+        assert tile_edges(vectors) == vectorized_edges(vectors)
 
     @settings(max_examples=30, deadline=None)
     @given(matrix_strategy(), st.integers(min_value=1, max_value=64))
     def test_block_size_is_immaterial(self, vectors, block_size):
-        assert blocked_edges(vectors, block_size=block_size) == vectorized_edges(vectors)
+        assert tile_edges(vectors, block_size=block_size) == vectorized_edges(vectors)
 
     @settings(max_examples=30, deadline=None)
     @given(matrix_strategy())
     def test_adjacency_lists_equal_per_vertex_loop(self, vectors):
         graph = PairGraph([(i, i + 1) for i in range(vectors.shape[0])], vectors)
-        reference = [graph.descendants(v) for v in range(len(graph))]
+        reference = [graph.reachability.descendants(v) for v in range(len(graph))]
         blocked = blocked_dominance_lists(vectors, vectors)
         assert len(blocked) == len(reference)
         for fast, ref in zip(blocked, reference):
@@ -541,8 +548,9 @@ class TestBlockedKernel:
         graph = build_graph(
             [(i, i + 1) for i in range(vectors.shape[0])], vectors, epsilon=0.25
         )
-        reference = [graph.descendants(v) for v in range(len(graph))]
-        for fast, ref in zip(graph.adjacency(), reference):
+        reference = [graph.reachability.descendants(v) for v in range(len(graph))]
+        blocked = blocked_dominance_lists(graph.lower_bounds, graph.upper_bounds)
+        for fast, ref in zip(blocked, reference):
             assert np.array_equal(fast, ref)
 
     def test_rejects_bad_shapes(self):

@@ -81,9 +81,9 @@ class TestVerifyCli:
         assert "all passed" in out
 
     def test_verify_command_reports_failures(self, capsys, monkeypatch):
-        from repro.graph import construction
+        from repro.verify import relation
 
-        original = construction.blocked_dominance_lists
+        original = relation.blocked_dominance_lists
 
         def mutated(dominant, dominated, *args, **kwargs):
             lists = original(dominant, dominated, *args, **kwargs)
@@ -93,7 +93,7 @@ class TestVerifyCli:
                     break
             return lists
 
-        monkeypatch.setattr(construction, "blocked_dominance_lists", mutated)
+        monkeypatch.setattr(relation, "blocked_dominance_lists", mutated)
         code = main(
             [
                 "verify",

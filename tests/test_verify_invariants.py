@@ -68,21 +68,19 @@ class TestGraphInvariants:
         assert naive_kahn_layers(graph) == [[0], [1], [2]]
 
     def test_reflexive_relation_detected(self, monkeypatch):
+        from repro.verify import relation
+
         pairs, vectors = random_instance(0)
+        reflexive = [np.arange(len(pairs))] * len(pairs)
 
-        def reflexive_mask(self, vertex):
-            self._check_vertex(vertex)
-            return np.all(self.vectors <= self.vectors[vertex], axis=1)
-
-        monkeypatch.setattr(PairGraph, "descendant_mask", reflexive_mask)
-        monkeypatch.setattr(PairGraph, "_dominance_operands", lambda self: None)
+        monkeypatch.setattr(relation, "blocked_dominance_lists", lambda *args: reflexive)
         with pytest.raises(VerificationError, match="reflexive"):
             check_partial_order(PairGraph(pairs, vectors))
 
     def test_overlapping_cover_detected(self, monkeypatch):
-        from repro.graph import matching
+        from repro.verify import relation
 
-        original = matching.minimum_path_cover
+        original = relation.minimum_path_cover
 
         def overlapping(adjacency):
             paths = original(adjacency)
@@ -90,7 +88,7 @@ class TestGraphInvariants:
                 paths[1] = [paths[0][0]] + paths[1]
             return paths
 
-        monkeypatch.setattr(matching, "minimum_path_cover", overlapping)
+        monkeypatch.setattr(relation, "minimum_path_cover", overlapping)
         pairs, vectors = random_instance(0)
         with pytest.raises(VerificationError, match="disjoint"):
             check_path_cover(PairGraph(pairs, vectors))

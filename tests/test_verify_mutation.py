@@ -36,11 +36,10 @@ class TestMutationSelfTest:
         import repro.graph.construction as construction
         import repro.graph.grouped_graph as grouped_graph
         import repro.graph.grouping as grouping
-        import repro.graph.matching as matching
         import repro.graph.topo as topo
+        import repro.verify.relation as relation
         from repro.crowd.platform import CrowdSession
         from repro.graph.coloring import ColoringState
-        from repro.graph.dag import PairGraph
         import repro.graph.reachability as reachability
         from repro.graph.reachability import ReachabilityIndex
         import repro.similarity.batch as batch
@@ -53,18 +52,18 @@ class TestMutationSelfTest:
             batch.sparse_jaccard_join,
             join.sparse_jaccard_join,
             batch._overlap_floor,
-            construction.blocked_dominance_lists,
-            construction._dominance_tiles,
+            relation.blocked_dominance_lists,
+            relation._dominance_tiles,
+            relation.minimum_path_cover,
             construction.linear_extension,
             grouping._cell_keys,
             ReachabilityIndex.__dict__["build"],
+            ReachabilityIndex.__dict__["row_counts"],
             reachability._threshold_counts,
+            reachability._clear_equal_rows,
             topo.topological_layers,
-            matching.minimum_path_cover,
             platform.weighted_majority_vote,
-            ColoringState._inference_votes,
             worker._lemire_threshold,
-            PairGraph.descendant_mask,
             CrowdSession.hits,
             PostingJoin.extend,
             PostingJoin.__dict__["_probe_block"],
@@ -77,18 +76,18 @@ class TestMutationSelfTest:
             batch.sparse_jaccard_join,
             join.sparse_jaccard_join,
             batch._overlap_floor,
-            construction.blocked_dominance_lists,
-            construction._dominance_tiles,
+            relation.blocked_dominance_lists,
+            relation._dominance_tiles,
+            relation.minimum_path_cover,
             construction.linear_extension,
             grouping._cell_keys,
             ReachabilityIndex.__dict__["build"],
+            ReachabilityIndex.__dict__["row_counts"],
             reachability._threshold_counts,
+            reachability._clear_equal_rows,
             topo.topological_layers,
-            matching.minimum_path_cover,
             platform.weighted_majority_vote,
-            ColoringState._inference_votes,
             worker._lemire_threshold,
-            PairGraph.descendant_mask,
             CrowdSession.hits,
             PostingJoin.extend,
             PostingJoin.__dict__["_probe_block"],
@@ -226,8 +225,9 @@ class TestMutationSelfTest:
         ``sum-order-extension`` changes nothing on the battery's other
         instances, whose dominating rows all have larger float sums; on the
         float-sum tie instance the index stores vertex 0 before its
-        dominator 1 and the fallback layering puts vertex 0 beside 2.  So
-        only ``check_linear_extension`` catches it.
+        dominator 1, while the reference relation, which reads no order,
+        still layers the three apart.  So only ``check_linear_extension``
+        catches it.
         """
         from repro.exceptions import VerificationError
         from repro.graph import PairGraph, topological_layers
@@ -243,8 +243,8 @@ class TestMutationSelfTest:
         with mutant.activate():
             declined = decline_reachability(PairGraph(pairs, vectors))
             layers = [layer.tolist() for layer in topological_layers(declined)]
-            assert layers == [[1], [0, 2]]
-            index = PairGraph(pairs, vectors).build_reachability()
+            assert layers == [[1], [0], [2]]
+            index = PairGraph(pairs, vectors).reachability
             assert index.order.tolist() == [0, 1, 2]
             with pytest.raises(VerificationError, match="not a linear extension"):
                 check_linear_extension(pairs, vectors)
@@ -260,7 +260,7 @@ class TestMutationSelfTest:
     def test_mutant_changes_a_production_resolve(self, name, band):
         """The re-aimed mutants reach the code a default resolve runs.
 
-        ``inverted-propagation`` patches the round update's vote count and
+        ``inverted-propagation`` patches the index's vote count and
         ``weight-blind-votes`` the aggregation every crowd round calls;
         each must change what ``PowerResolver.resolve`` returns.
         """
@@ -391,13 +391,12 @@ class TestMutationSelfTest:
         assert "serve log records)" in crash_line
 
     def test_dropped_edge_reaches_every_tile_consumer(self):
-        """``drop-dominance-edge`` corrupts the tiles production reads.
+        """``drop-dominance-edge`` corrupts the reference tiles.
 
-        The adjacency lists and the construction oracle lose an edge
-        silently (no crash), and ``check_dominance_construction`` still
-        catches it.  The index is built from prefix bitsets, not tiles: it
-        keeps the edge, and ``check_reachability_index`` reports that it
-        and the lists disagree.
+        The reference lists lose an edge silently (no crash), and
+        ``check_dominance_construction`` still catches it.  The index is
+        built from prefix bitsets, not tiles: it keeps the edge, and
+        ``check_reachability_index`` reports that it and the lists disagree.
         """
         from repro.exceptions import VerificationError
         from repro.graph import PairGraph
@@ -405,17 +404,18 @@ class TestMutationSelfTest:
             check_dominance_construction,
             check_reachability_index,
             random_instance,
+            reference_relation,
         )
 
         pairs, vectors = random_instance(0)
-        expected = sum(len(c) for c in PairGraph(pairs, vectors).adjacency())
+        graph = PairGraph(pairs, vectors)
+        expected = sum(len(c) for c in reference_relation(graph).lists)
         mutant = next(m for m in MUTANTS if m.name == "drop-dominance-edge")
         with mutant.activate():
-            graph = PairGraph(pairs, vectors)
-            index = graph.build_reachability()
-            assert sum(len(c) for c in graph.adjacency()) == expected - 1
+            index = graph.reachability
+            assert sum(len(c) for c in reference_relation(graph).lists) == expected - 1
             assert int(np.unpackbits(index._desc).sum()) == expected
-            with pytest.raises(VerificationError, match="adjacency lists"):
+            with pytest.raises(VerificationError, match="reference lists"):
                 check_reachability_index(graph)
             with pytest.raises(VerificationError, match="missing"):
                 check_dominance_construction(vectors)
@@ -423,17 +423,18 @@ class TestMutationSelfTest:
     def test_ragged_block_mutant_is_caught_by_the_reachability_step(self):
         """Only the ancestor bits inside the last, ragged row block go missing.
 
-        The partial-order invariants read the adjacency lists, which stay
-        intact, so they pass; ``check_reachability_index`` unpacks every
-        ancestor row and fails, and so does the layering, whose in-degrees
-        are popcounts of ancestor rows.  A graph of whole blocks is
-        untouched.  The stored order puts dominated vertices last, so the
-        lost bits are edges inside the last block: with none there (seed 0)
-        both checks pass.
+        Acyclicity reads only the reference lists, which stay intact, so it
+        passes; ``check_reachability_index`` and ``check_partial_order``
+        read every ancestor row and fail, and so does the layering, whose
+        in-degrees are popcounts of ancestor rows.  A graph of whole blocks
+        is untouched.  The stored order puts dominated vertices last, so
+        the lost bits are edges inside the last block: with none there
+        (seed 0) the checks pass.
         """
         from repro.exceptions import GraphError, VerificationError
         from repro.graph import PairGraph
         from repro.verify import (
+            check_acyclicity,
             check_partial_order,
             check_reachability_index,
             check_topo_layers,
@@ -444,13 +445,16 @@ class TestMutationSelfTest:
         with mutant.activate():
             check_reachability_index(PairGraph(*random_instance(0, 256)))
             graph = PairGraph(*random_instance(1, 260))
-            check_partial_order(graph)
+            check_acyclicity(graph)
+            with pytest.raises(VerificationError, match="ancestors"):
+                check_partial_order(graph)
             with pytest.raises(VerificationError, match="ancestor row"):
                 check_reachability_index(graph)
             with pytest.raises(GraphError, match="Kahn peeling stalled"):
                 check_topo_layers(graph)
             no_edges_in_last_tile = PairGraph(*random_instance(0, 260))
             check_reachability_index(no_edges_in_last_tile)
+            check_partial_order(no_edges_in_last_tile)
             check_topo_layers(no_edges_in_last_tile)
 
     def test_nan_threshold_is_caught_only_by_the_reachability_step(
@@ -460,7 +464,7 @@ class TestMutationSelfTest:
 
         ``prefix-table-nan`` makes a NaN similarity the largest threshold,
         so vertex 0 of the NaN instance dominates both other vertices in the
-        index while the graph's masks (NaN compares false) give it no edge.
+        index while the reference masks (NaN compares false) give it no edge.
         No other battery instance holds a NaN, so the battery with the
         reachability check skipped on NaN graphs passes.
         """
@@ -469,11 +473,11 @@ class TestMutationSelfTest:
         from repro.verify import check_reachability_index, invariants, nan_instance
 
         pairs, vectors = nan_instance()
-        pristine = PairGraph(pairs, vectors).build_reachability()
+        pristine = PairGraph(pairs, vectors).reachability
         assert [pristine.descendants(v).tolist() for v in range(3)] == [[], [2], []]
         mutant = next(m for m in MUTANTS if m.name == "prefix-table-nan")
         with mutant.activate():
-            index = PairGraph(pairs, vectors).build_reachability()
+            index = PairGraph(pairs, vectors).reachability
             assert [index.descendants(v).tolist() for v in range(3)] == [[1, 2], [2], []]
             with pytest.raises(VerificationError, match="descendant row 0"):
                 check_reachability_index(PairGraph(pairs, vectors))

@@ -58,9 +58,9 @@ class TestDominanceOracles:
         assert closure == {(0, 1), (1, 2), (0, 2)}
 
     def test_oracle_catches_missing_edge(self, monkeypatch):
-        from repro.graph import construction
+        from repro.verify import relation
 
-        original = construction.blocked_dominance_lists
+        original = relation.blocked_dominance_lists
 
         def mutated(dominant, dominated, *args, **kwargs):
             lists = original(dominant, dominated, *args, **kwargs)
@@ -70,7 +70,7 @@ class TestDominanceOracles:
                     break
             return lists
 
-        monkeypatch.setattr(construction, "blocked_dominance_lists", mutated)
+        monkeypatch.setattr(relation, "blocked_dominance_lists", mutated)
         _, vectors = random_instance(0)
         with pytest.raises(VerificationError, match="missing"):
             check_dominance_construction(vectors)
@@ -142,8 +142,9 @@ class TestSelectorDifferential:
 
     def test_naive_graph_matches_production_masks(self):
         pairs, vectors = random_instance(3)
-        fast, slow = PairGraph(pairs, vectors), NaivePairGraph(pairs, vectors)
-        for vertex in range(len(fast)):
+        fast = PairGraph(pairs, vectors).reachability
+        slow = NaivePairGraph(pairs, vectors).reachability
+        for vertex in range(fast.num_vertices):
             assert np.array_equal(
                 fast.descendant_mask(vertex), slow.descendant_mask(vertex)
             )
@@ -160,14 +161,15 @@ class TestSelectorDifferential:
     def test_oracle_catches_inverted_propagation(self, monkeypatch):
         from repro.graph.coloring import ColoringState
 
-        # The round update's vote count, which both selection loops run.
+        # The round update's vote count, whichever relation it reads.
         def mutated(self, green, red):
+            relation = self.graph.reachability
             green_votes = np.zeros(len(self.graph), dtype=np.int32)
             red_votes = np.zeros(len(self.graph), dtype=np.int32)
             for vertex in green:
-                green_votes += self.graph.descendant_mask(vertex)
+                green_votes += relation.descendant_mask(vertex)
             for vertex in red:
-                red_votes += self.graph.ancestor_mask(vertex)
+                red_votes += relation.ancestor_mask(vertex)
             return green_votes, red_votes
 
         monkeypatch.setattr(ColoringState, "_inference_votes", mutated)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.data import paper_pairs, paper_vectors
-from repro.graph import ColoringState, PairGraph
+from repro.graph import ColoringState, PairGraph, order_statistics
 from repro.viz import save_dot, to_dot
 
 
@@ -29,7 +29,7 @@ class TestToDot:
 
     def test_full_relation_option(self, graph):
         dot = to_dot(graph, reduce_edges=False)
-        assert dot.count(" -> ") == graph.num_edges
+        assert dot.count(" -> ") == order_statistics(graph).num_edges == 97
 
     def test_colors_painted(self, graph):
         state = ColoringState(graph)
@@ -38,6 +38,17 @@ class TestToDot:
         assert "palegreen" in dot
         # The asked vertex is highlighted.
         assert "penwidth=2" in dot
+
+    def test_exactly_the_asked_vertices_are_highlighted(self, graph):
+        state = ColoringState(graph)
+        state.apply_round([0, 5], [True, None])
+        state.apply_round([11], [False])
+        highlighted = {
+            int(line.split()[0][1:])
+            for line in to_dot(graph, state=state).splitlines()
+            if "penwidth=2" in line
+        }
+        assert highlighted == {0, 5, 11}
 
     def test_blue_color(self, graph):
         state = ColoringState(graph)
